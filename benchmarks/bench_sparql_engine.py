@@ -1,25 +1,24 @@
-"""Benchmark — dictionary-encoded terms + vectorized batched SPARQL executor.
+"""Benchmark — the SPARQL executor over dictionary-encoded storage.
 
-Measures what the columnar executor buys on a governed lake:
+Measures the one production executor on a governed lake:
 
-* **Vectorized vs batched vs tuple vs seed evaluation**: discovery-style
-  multi-pattern queries over a ~200-table governed lake, run by the
-  vectorized executor (the default: numpy id-space collation + memoized
-  filter pushdown), the scalar batched hash-join executor
-  (``vectorized=False``), the previous tuple-at-a-time executor
-  (``batched=False``) and the seed written-order path (``optimize=False``).
-  All four must return identical rows (modulo order); the headline
-  ``multi_pattern.speedup_vs_tuple`` is the default executor's win over the
-  tuple engine, and ``aggregate_heavy.speedup_vs_batched`` isolates what the
-  numpy GROUP BY / ORDER BY / DISTINCT collation adds over the scalar
-  batched executor on dashboard-style aggregate queries.
-* **Backend parity**: the same queries over the lake saved to sqlite and
-  reopened must match the in-memory rows byte-for-byte (modulo order) — ids
-  assigned by the persistent term dictionary round-trip.
+* **Per-query latency, two backends**: discovery-style multi-pattern
+  queries and aggregate-heavy dashboard queries over a ~200-table governed
+  lake, run by ``SPARQLEngine`` on the in-memory store and on the same lake
+  saved to sqlite and reopened.  Absolute seconds per query (median of N)
+  plus the ``multi_pattern`` / ``aggregate_heavy`` totals.
+* **Backend parity**: both backends must return the same rows (modulo
+  order) — ids assigned by the persistent term dictionary round-trip
+  (``rows_identical_across_backends``, gated by ``check_regressions.py``).
+* **Memo counters**: hits / misses / evictions of the pattern-lookup memos
+  and the FILTER verdict tables over one pass of the query set.
 * **Memory**: retained bytes of the id-encoded storage (int-triple indexes +
   one shared term dictionary) versus a seed-style term-triple store with
   per-graph term objects (how the pre-dictionary sqlite reload materialized
   terms) — the string-dedup RSS drop.
+
+Row-for-row correctness against the naive reference evaluator is pinned by
+``tests/test_sparql_batched.py``, not here.
 
 Results are written to ``benchmarks/BENCH_sparql.json`` (gated against
 ``baselines/BENCH_sparql.json`` by ``check_regressions.py``).  Run standalone::
@@ -53,7 +52,7 @@ from repro.sparql import SPARQLEngine
 RESULT_PATH = Path(__file__).parent / "BENCH_sparql.json"
 
 #: Discovery-style governance queries.  ``multi_pattern`` marks the queries
-#: counted into the headline join speedup (2+ triple patterns).
+#: counted into the join total (2+ triple patterns).
 QUERIES: Dict[str, Dict] = {
     "tables": {
         "multi_pattern": False,
@@ -96,11 +95,6 @@ QUERIES: Dict[str, Dict] = {
     },
     "similar_pairs_with_names": {
         "multi_pattern": True,
-        # The seed written-order path would evaluate the two hasName joins
-        # binding-at-a-time over ~90k similarity rows without a memo —
-        # minutes per run at 200 tables.  Seed-semantics parity for this
-        # shape is pinned by tests/test_sparql_batched.py instead.
-        "time_naive": False,
         "sparql": """
             SELECT ?n1 ?n2 ?score WHERE {
                 << ?c1 kglids:hasContentSimilarity ?c2 >> kglids:withCertainty ?score .
@@ -111,11 +105,6 @@ QUERIES: Dict[str, Dict] = {
     },
     "similarity_neighborhood": {
         "multi_pattern": True,
-        # Written-order evaluation puts the quoted pattern after ?c1's
-        # binding with no pushdown: a full annotation scan per row
-        # (~1.4e8 candidate visits at 200 tables).  Parity vs the seed path
-        # is pinned by the randomized suite at tractable sizes.
-        "time_naive": False,
         "sparql": """
             SELECT ?t ?c2 ?score WHERE {
                 ?c1 kglids:isPartOf ?t .
@@ -134,9 +123,8 @@ QUERIES: Dict[str, Dict] = {
         """,
     },
     # --- aggregate-heavy dashboard set: many result rows, collation-bound.
-    # These isolate the vectorized GROUP BY / ORDER BY / DISTINCT tail, so
-    # they count into ``aggregate_heavy.speedup_vs_batched`` rather than the
-    # join-headline multi-pattern total.
+    # These isolate the GROUP BY / ORDER BY / DISTINCT tail, so they count
+    # into the ``aggregate_heavy`` total rather than the multi-pattern one.
     "type_dashboard": {
         "multi_pattern": False,
         "aggregate": True,
@@ -162,7 +150,6 @@ QUERIES: Dict[str, Dict] = {
     "similarity_dashboard": {
         "multi_pattern": False,
         "aggregate": True,
-        "time_naive": False,
         "sparql": """
             SELECT ?c1 (COUNT(?c2) AS ?n) (AVG(?score) AS ?mean)
                    (SUM(?score) AS ?total) WHERE {
@@ -173,7 +160,6 @@ QUERIES: Dict[str, Dict] = {
     "strong_similarity_profile": {
         "multi_pattern": False,
         "aggregate": True,
-        "time_naive": False,
         # Single-variable FILTER below the aggregate: exercises the memoized
         # filter pushdown (the report's ``filter_memo`` counters come from
         # the distinct-score verdicts cached here).
@@ -197,7 +183,6 @@ QUERIES: Dict[str, Dict] = {
     "distinct_similar_names": {
         "multi_pattern": False,
         "aggregate": True,
-        "time_naive": False,
         "sparql": """
             SELECT DISTINCT ?n1 ?n2 WHERE {
                 << ?c1 kglids:hasContentSimilarity ?c2 >> kglids:withCertainty ?score .
@@ -250,118 +235,49 @@ def _rows_key(result) -> List:
 
 
 # ------------------------------------------------------------------- timing
-def time_engines(store: QuadStore, repetitions: int) -> Dict:
-    """Per-query latency of the vectorized / batched / tuple / seed paths."""
-    engines = {
-        "vectorized": SPARQLEngine(store),
-        "batched": SPARQLEngine(store, vectorized=False),
-        "tuple": SPARQLEngine(store, batched=False),
-        "naive": SPARQLEngine(store, optimize=False),
-    }
+def time_queries(stores: Dict[str, QuadStore], repetitions: int) -> Dict:
+    """Per-query latency of the engine over each backend; rows must agree."""
+    engines = {label: SPARQLEngine(store) for label, store in stores.items()}
     results: Dict[str, Dict] = {}
     identical = True
     for name, spec in QUERIES.items():
-        labels = ["vectorized", "batched", "tuple"]
-        if spec.get("time_naive", True):
-            labels.append("naive")
         keys = {}
         timings = {}
-        for label in labels:
-            engine = engines[label]
+        for label, engine in engines.items():
             # The parity evaluation doubles as the warm-up; the timing is
             # the median of the remaining samples (single runs are dominated
-            # by allocator/GC noise at 100k-row results).  The seed path
-            # gets exactly one sample — it is context, not the headline.
-            started = time.perf_counter()
-            result = engine.select(spec["sparql"])
-            warmup = time.perf_counter() - started
-            keys[label] = _rows_key(result)
+            # by allocator/GC noise at 100k-row results).
+            keys[label] = _rows_key(engine.select(spec["sparql"]))
             samples = []
-            for _ in range(repetitions if label != "naive" else 0):
+            for _ in range(repetitions):
                 started = time.perf_counter()
                 engine.select(spec["sparql"])
                 samples.append(time.perf_counter() - started)
             samples.sort()
-            timings[label] = samples[len(samples) // 2] if samples else warmup
+            timings[label] = samples[len(samples) // 2]
         if len({str(rows) for rows in keys.values()}) != 1:
             identical = False
-        entry = {
-            "rows": len(keys["vectorized"]),
+        results[name] = {
+            "rows": len(keys["memory"]),
             "multi_pattern": spec["multi_pattern"],
             "aggregate_heavy": spec.get("aggregate", False),
             "seconds": {label: round(value, 6) for label, value in timings.items()},
-            "speedup_vs_tuple": round(timings["tuple"] / timings["vectorized"], 2)
-            if timings["vectorized"] > 0
-            else 0.0,
-            "speedup_vs_batched": round(timings["batched"] / timings["vectorized"], 2)
-            if timings["vectorized"] > 0
-            else 0.0,
         }
-        if "naive" in timings:
-            entry["speedup_vs_naive"] = (
-                round(timings["naive"] / timings["vectorized"], 2)
-                if timings["vectorized"] > 0
-                else 0.0
-            )
-        results[name] = entry
 
-    def _totals(flag: str) -> Dict[str, float]:
+    def _totals(flag: str) -> Dict[str, Dict[str, float]]:
         totals: Dict[str, float] = defaultdict(float)
         for entry in results.values():
-            if not entry[flag]:
-                continue
-            for label, value in entry["seconds"].items():
-                totals[label] += value
-        return totals
+            if entry[flag]:
+                for label, value in entry["seconds"].items():
+                    totals[label] += value
+        return {"seconds": {label: round(value, 6) for label, value in totals.items()}}
 
-    join_totals = _totals("multi_pattern")
-    multi_pattern = {
-        "seconds": {label: round(value, 6) for label, value in join_totals.items()},
-        "speedup_vs_tuple": round(join_totals["tuple"] / join_totals["vectorized"], 2)
-        if join_totals["vectorized"] > 0
-        else 0.0,
-    }
-    aggregate_totals = _totals("aggregate_heavy")
-    aggregate_speedup = (
-        round(aggregate_totals["batched"] / aggregate_totals["vectorized"], 2)
-        if aggregate_totals["vectorized"] > 0
-        else 0.0
-    )
-    aggregate_heavy = {
-        "seconds": {label: round(value, 6) for label, value in aggregate_totals.items()},
-        "speedup_vs_batched": aggregate_speedup,
-        "speedup_vs_tuple": round(
-            aggregate_totals["tuple"] / aggregate_totals["vectorized"], 2
-        )
-        if aggregate_totals["vectorized"] > 0
-        else 0.0,
-        "vectorized_at_least_3x": bool(aggregate_speedup >= 3.0),
-    }
     return {
         "queries": results,
-        "multi_pattern": multi_pattern,
-        "aggregate_heavy": aggregate_heavy,
-        "results_identical_across_engines": identical,
+        "multi_pattern": _totals("multi_pattern"),
+        "aggregate_heavy": _totals("aggregate_heavy"),
+        "rows_identical_across_backends": identical,
     }
-
-
-def check_backend_parity(governor: KGGovernor) -> bool:
-    """Save to sqlite, reopen, and compare every query's rows."""
-    directory = Path(tempfile.mkdtemp(prefix="bench_sparql_"))
-    try:
-        governor.save(directory)
-        reopened = QuadStore.sqlite(directory / "graph.sqlite3")
-        memory_engine = SPARQLEngine(governor.storage.graph)
-        sqlite_engine = SPARQLEngine(reopened)
-        identical = all(
-            _rows_key(memory_engine.select(spec["sparql"]))
-            == _rows_key(sqlite_engine.select(spec["sparql"]))
-            for spec in QUERIES.values()
-        )
-        reopened.close()
-        return identical
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
 
 
 # ------------------------------------------------------------------- memory
@@ -547,14 +463,23 @@ def run_benchmark(num_tables: int, rows: int, repetitions: int, seed: int = 7) -
             "num_triples": store.num_triples(),
         }
     }
-    report.update(time_engines(store, repetitions))
-    report["results_identical_across_backends"] = check_backend_parity(governor)
+    directory = Path(tempfile.mkdtemp(prefix="bench_sparql_"))
+    try:
+        governor.save(directory)
+        reopened = QuadStore.sqlite(directory / "graph.sqlite3")
+        try:
+            report.update(time_queries({"memory": store, "sqlite": reopened}, repetitions))
+        finally:
+            reopened.close()
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
     report["memory"] = measure_memory(store)
     engine = SPARQLEngine(store)
     for spec in QUERIES.values():
         engine.select(spec["sparql"])
-    report["memo"] = engine.memo_counters()
-    report["filter_memo"] = engine.filter_memo_counters()
+    stats = engine.stats()
+    report["memo"] = stats["pattern_memo"]
+    report["filter_memo"] = stats["filter_memo"]
     return report
 
 
@@ -562,50 +487,17 @@ def print_report(report: Dict) -> None:
     rows = []
     for name, entry in report["queries"].items():
         marker = " *" if entry["multi_pattern"] else (" +" if entry["aggregate_heavy"] else "")
-        rows.append(
-            [
-                f"{name}{marker}",
-                entry["seconds"].get("naive", "-"),
-                entry["seconds"]["tuple"],
-                entry["seconds"]["batched"],
-                entry["seconds"]["vectorized"],
-                entry["speedup_vs_tuple"],
-                entry["speedup_vs_batched"],
-            ]
-        )
-    rows.append(
-        [
-            "multi-pattern total",
-            report["multi_pattern"]["seconds"].get("naive", "-"),
-            report["multi_pattern"]["seconds"]["tuple"],
-            report["multi_pattern"]["seconds"]["batched"],
-            report["multi_pattern"]["seconds"]["vectorized"],
-            report["multi_pattern"]["speedup_vs_tuple"],
-            "-",
-        ]
-    )
-    rows.append(
-        [
-            "aggregate-heavy total",
-            report["aggregate_heavy"]["seconds"].get("naive", "-"),
-            report["aggregate_heavy"]["seconds"]["tuple"],
-            report["aggregate_heavy"]["seconds"]["batched"],
-            report["aggregate_heavy"]["seconds"]["vectorized"],
-            report["aggregate_heavy"]["speedup_vs_tuple"],
-            report["aggregate_heavy"]["speedup_vs_batched"],
-        ]
-    )
+        seconds = entry["seconds"]
+        rows.append([f"{name}{marker}", entry["rows"], seconds["memory"], seconds["sqlite"]])
+    for title, key in (
+        ("multi-pattern total", "multi_pattern"),
+        ("aggregate-heavy total", "aggregate_heavy"),
+    ):
+        seconds = report[key]["seconds"]
+        rows.append([title, "-", seconds["memory"], seconds["sqlite"]])
     print(
         format_report_table(
-            [
-                "query (* join, + aggregate)",
-                "naive (s)",
-                "tuple (s)",
-                "batched (s)",
-                "vector (s)",
-                "x vs tuple",
-                "x vs batched",
-            ],
+            ["query (* join, + aggregate)", "rows", "memory (s)", "sqlite (s)"],
             rows,
             title=f"SPARQL executor bench ({report['config']['num_tables']} tables, "
             f"{report['config']['num_triples']} triples)",
@@ -613,8 +505,8 @@ def print_report(report: Dict) -> None:
     )
     memory = report["memory"]
     print(
-        f"identical rows: engines={report['results_identical_across_engines']} "
-        f"backends={report['results_identical_across_backends']}"
+        f"identical rows across backends: {report['rows_identical_across_backends']}; "
+        f"pattern memo {report['memo']}; filter memo {report['filter_memo']}"
     )
     print(
         f"resident: seed-style {memory['resident']['seed_style_bytes'] / 1e6:.1f}MB vs "
@@ -642,16 +534,16 @@ def main() -> None:
 
 # ------------------------------------------------------------ pytest smoke
 def test_sparql_engine_smoke():
-    """Smoke configuration: parity must hold; the vectorized executor must
-    win on the multi-pattern total even at toy sizes.  The 3x aggregate
-    target only shows at full scale (collation is a small slice of toy
-    runs), so here the aggregate set is held to parity plus no collapse."""
+    """Smoke configuration: both backends answer every query identically and
+    the report carries timings, memo counters and the disk dedup ratio."""
     num_tables = 16 if os.environ.get("REPRO_BENCH_SMOKE") else 24
     report = run_benchmark(num_tables=num_tables, rows=30, repetitions=2)
-    assert report["results_identical_across_engines"]
-    assert report["results_identical_across_backends"]
-    assert report["multi_pattern"]["speedup_vs_tuple"] > 1.0
-    assert report["aggregate_heavy"]["seconds"]["vectorized"] > 0.0
+    assert report["rows_identical_across_backends"]
+    assert all(entry["rows"] > 0 for entry in report["queries"].values())
+    assert report["multi_pattern"]["seconds"]["memory"] > 0.0
+    assert report["aggregate_heavy"]["seconds"]["sqlite"] > 0.0
+    assert report["memo"]["misses"] > 0
+    assert report["filter_memo"]["misses"] > 0
     assert report["memory"]["disk"]["text_to_id_ratio"] > 1.0
 
 

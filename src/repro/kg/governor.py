@@ -235,7 +235,7 @@ class KGGovernor:
     def _register_state_rollback(self, restore) -> None:
         """Attach a python-state restorer to the open write batch."""
         graph = self.storage.graph
-        if graph.undo_enabled and graph.in_write_batch:
+        if graph.in_write_batch:
             graph.on_rollback(restore)
 
     # ------------------------------------------------------------ incremental

@@ -53,10 +53,7 @@ class KGLiDSStorage:
         the outer one rather than opening a second embedding batch.
         """
         with self.graph.write_batch():
-            if (
-                getattr(self.graph, "undo_enabled", False)
-                and not self.embeddings.in_batch
-            ):
+            if not self.embeddings.in_batch:
                 self.embeddings.begin_batch()
                 self.graph.on_rollback(self.embeddings.rollback_batch)
                 self.graph.on_commit(self.embeddings.commit_batch)

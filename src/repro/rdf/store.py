@@ -58,11 +58,7 @@ class QuadStore:
         #: backends resume it from their committed marker so a reopened
         #: store's versions continue where the last durable commit ended.
         self._commit_version = self._backend.committed_version()
-        #: Whether :meth:`write_batch` keeps an undo log (rollback support).
-        #: Disable only to measure the log's overhead — with it off a raising
-        #: batch body falls back to the legacy flush-and-advance behaviour.
-        self.undo_enabled = True
-        #: The open batch's undo log (``None`` outside a batch / when disabled).
+        #: The open batch's undo log (``None`` outside a batch).
         self._undo: Optional[List[Tuple[str, URIRef, Any]]] = None
         self._in_batch = False
         self._version_mark = 0
@@ -78,7 +74,7 @@ class QuadStore:
         self._delta_log_floor = 0
         self._delta_log_cap = 0
         #: Set when a mutation the log cannot express happened mid-commit
-        #: (bulk unloaded-shard deletes, undo-disabled partial aborts); the
+        #: (bulk unloaded-shard deletes); the
         #: next :meth:`_log_commit` resets the log instead of appending.
         self._delta_log_broken = False
         #: Ops recorded for the commit currently being built (``None``
@@ -182,9 +178,7 @@ class QuadStore:
         version does not advance and readers (and version-keyed caches)
         never observe the aborted writes.  The exception then propagates for
         the caller to handle (the governor service fails the batch's tickets
-        with it and retries transient errors).  Set :attr:`undo_enabled` to
-        ``False`` to skip the log (benchmark mode): a raising body then
-        falls back to the legacy flush-and-advance behaviour.
+        with it and retries transient errors).
         """
         depth = self._gate.acquire_write()
         if depth == 1:
@@ -214,7 +208,7 @@ class QuadStore:
                 self._gate.release_write()
 
     def _begin_batch(self) -> None:
-        self._undo = [] if self.undo_enabled else None
+        self._undo = []
         self._version_mark = self._version
         self._rollback_callbacks = []
         self._commit_callbacks = []
@@ -244,21 +238,6 @@ class QuadStore:
     def _abort_batch(self) -> None:
         self._in_batch = False
         undo, self._undo = self._undo, None
-        if undo is None:
-            # Undo disabled: preserve the legacy behaviour — flush what was
-            # written and advance the version so durable state keeps
-            # mirroring the resident indexes (partial, but consistent).
-            # Partial commits are unexpressible as a delta, so the op log
-            # resets rather than guessing.
-            try:
-                self._backend.commit_batch(self._commit_version + 1)
-            finally:
-                self._commit_version += 1
-                self._delta_log_broken = True
-                self._log_commit(self._commit_version)
-                self._rollback_callbacks = []
-                self._commit_callbacks = []
-            return
         self._pending_ops = None
         # Replay inverses newest-first against *resident* indexes only: an
         # index evicted (or never loaded) during the batch re-materializes
@@ -296,8 +275,7 @@ class QuadStore:
         """
         if not self._in_batch:
             raise RuntimeError("on_rollback requires an open write batch")
-        if self._undo is not None:
-            self._rollback_callbacks.append(callback)
+        self._rollback_callbacks.append(callback)
 
     def on_commit(self, callback) -> None:
         """Run ``callback`` after the open batch commits (FIFO order)."""

@@ -1,6 +1,6 @@
-"""Columnar solution relations for the batched SPARQL executor.
+"""Columnar solution relations and per-query state of the SPARQL executor.
 
-The batched executor represents intermediate solutions as a
+The executor represents intermediate solutions as a
 :class:`Relation`: a fixed variable-slot layout plus rows that are plain
 tuples of integer term ids — no per-row dicts, no term objects.  Joining a
 triple pattern into the accumulated solutions is a hash join on the shared
@@ -18,7 +18,7 @@ dictionary has no id for the value, and local interning uses the same
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,10 +150,6 @@ class Relation:
             if cell is not UNBOUND and not name.startswith("#")
         }
 
-    def to_bindings(self, encoder: QueryEncoder) -> List[Dict[str, Any]]:
-        """Decode every row — the final-projection boundary of the executor."""
-        return [self.decode_row(row, encoder) for row in self.rows]
-
     @staticmethod
     def concat(relations: Sequence["Relation"]) -> "Relation":
         """Union of relations, aligning layouts (missing slots pad unbound).
@@ -199,9 +195,9 @@ class ColumnRelation:
     ``*``) works on int64 id columns instead of per-row tuples: each column
     is materialized lazily on first access (only variables the query's
     collation actually reads are ever converted) and cached, with
-    :data:`UNBOUND_ID` standing in for unbound cells.  ``take`` / ``select``
-    reorder or filter the underlying rows while re-using already-gathered
-    columns, so a multi-key ORDER BY builds each key column exactly once.
+    :data:`UNBOUND_ID` standing in for unbound cells.  ``take`` reorders the
+    underlying rows while re-using already-gathered columns, so a multi-key
+    ORDER BY builds each key column exactly once.
     """
 
     __slots__ = ("relation", "_columns")
@@ -240,29 +236,13 @@ class ColumnRelation:
         taken._columns = {slot: column[order] for slot, column in self._columns.items()}
         return taken
 
-    def select(self, keep: np.ndarray) -> "ColumnRelation":
-        """Rows surviving a boolean mask, carrying gathered columns along."""
-        from itertools import compress
-
-        selected = ColumnRelation(
-            Relation(
-                self.relation.variables,
-                list(compress(self.relation.rows, keep.tolist())),
-            )
-        )
-        selected._columns = {
-            slot: column[keep] for slot, column in self._columns.items()
-        }
-        return selected
-
 
 class BoundedMemo:
     """A capacity-bounded LRU memo for pattern-lookup results.
 
-    The seed engine's per-pattern memo grew without limit across large
-    solution sets; this one evicts least-recently-used entries past
-    ``capacity`` and counts hits / misses / evictions so the engine can
-    expose cache effectiveness to tests and benchmarks.  A ``capacity`` of
+    Evicts least-recently-used entries past ``capacity`` and counts hits /
+    misses / evictions so the engine can expose cache effectiveness to tests
+    and benchmarks.  A ``capacity`` of
     ``None`` disables eviction (but keeps the counters).
     """
 
@@ -317,3 +297,62 @@ class BoundedMemo:
             "evictions": self.evictions,
             "entries": len(self._entries),
         }
+
+
+class QueryContext:
+    """Everything one query evaluation owns, passed through the executor.
+
+    The engine instance is shared by concurrent readers, so nothing an
+    evaluation mutates lives on it: the id codec, the FILTER verdict tables,
+    the OPTIONAL provenance-column counter and the memo counters are all
+    per-evaluation, and the engine adds the counters to its cumulative
+    totals once, when the evaluation ends.
+    """
+
+    __slots__ = (
+        "store", "encoder", "capacity", "pattern_memo", "filter_memos", "_provenance",
+    )
+
+    def __init__(self, store: Any, capacity: Optional[int]):
+        self.store = store
+        self.encoder = QueryEncoder(store.dictionary)
+        #: Bound on every memo of this evaluation (see :class:`BoundedMemo`).
+        self.capacity = capacity
+        #: Summed counters of the per-pattern lookup memos already retired.
+        self.pattern_memo = {"hits": 0, "misses": 0, "evictions": 0}
+        #: Verdict tables (id -> bool), keyed by filter-clause identity.
+        self.filter_memos: Dict[int, BoundedMemo] = {}
+        self._provenance = 0
+
+    def new_memo(self) -> BoundedMemo:
+        return BoundedMemo(self.capacity)
+
+    def retire_memo(self, memo: BoundedMemo) -> None:
+        """Fold a finished pattern-lookup memo's counters into the query's."""
+        self.pattern_memo["hits"] += memo.hits
+        self.pattern_memo["misses"] += memo.misses
+        self.pattern_memo["evictions"] += memo.evictions
+
+    def filter_memo(self, filter_clause: Any) -> BoundedMemo:
+        """The verdict table of one FILTER clause, shared across its uses."""
+        memo = self.filter_memos.get(id(filter_clause))
+        if memo is None:
+            memo = self.filter_memos[id(filter_clause)] = self.new_memo()
+        return memo
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        """This evaluation's memo counters, in :meth:`SPARQLEngine.stats` shape."""
+        memos = self.filter_memos.values()
+        return {
+            "pattern_memo": self.pattern_memo,
+            "filter_memo": {
+                "hits": sum(memo.hits for memo in memos),
+                "misses": sum(memo.misses for memo in memos),
+                "evictions": sum(memo.evictions for memo in memos),
+            },
+        }
+
+    def provenance_column(self) -> str:
+        """A fresh hidden column name (``#`` cannot start a SPARQL variable)."""
+        self._provenance += 1
+        return f"#row{self._provenance}"

@@ -1,98 +1,46 @@
 """Evaluation of parsed SPARQL queries over a :class:`~repro.rdf.QuadStore`.
 
-Three executors share one planner:
+There is one executor.  Solutions live in a columnar
+:class:`~repro.sparql.columnar.Relation` (tuples of integer term ids over a
+fixed variable-slot layout); each triple pattern is hash-joined into the
+accumulated relation on the shared variables, single-variable FILTERs are
+pushed below the joins through memoized per-id verdict tables, and GROUP BY
+/ ORDER BY / DISTINCT / SELECT ``*`` run on numpy id columns, decoding only
+the distinct ids a query actually reads.
 
-* The **vectorized executor** (the default) runs the columnar hash-join
-  pipeline and collates results in numpy id space: GROUP BY / ORDER BY /
-  DISTINCT / SELECT ``*`` work on int64 id columns
-  (:class:`~repro.sparql.columnar.ColumnRelation`) via ``np.unique`` /
-  ``argsort``, decoding only the distinct ids a query actually reads.
-  Single-variable FILTER predicates are additionally *pushed below joins*:
-  each predicate evaluates once per distinct id against a memoized verdict
-  table, shrinking intermediates before they join.  Results stay
-  byte-identical to the seed path — grouping and sorting happen in id space
-  with a value-collision fallback (distinct ids decoding to equal typed
-  values collate together, mirroring the DISTINCT guard).
-* The **batched executor** (``vectorized=False``) is the same hash-join
-  pipeline with the previous tuple-at-a-time collation tail: solutions live
-  in a columnar :class:`~repro.sparql.columnar.Relation` (tuples of integer
-  term ids over a fixed variable-slot layout) and each pattern is hash-
-  joined into the accumulated relation on the shared variables, with one
-  memoized index probe per distinct key.
-* The **tuple executor** (``batched=False``) is the binding-at-a-time loop:
-  one store lookup per solution, one dict copy per matched variable.  It
-  remains as the reference implementation the other executors are tested
-  and benchmarked against.
+Module map (plain functions, one per-evaluation
+:class:`~repro.sparql.columnar.QueryContext` passed through them):
 
-``optimize=False`` bypasses all of them and evaluates patterns in written
-order with unmemoized scans — the seed semantics escape hatch.
+* :mod:`~repro.sparql.plan` — pattern reordering by live cardinality
+  statistics, cost estimates, compiled join plans, ``explain`` lines;
+* :mod:`~repro.sparql.scan` — index access for one pattern: scan-mode hash
+  tables, id-array feeds, per-key probes, the general per-key walk;
+* :mod:`~repro.sparql.join` — group evaluation: joins, OPTIONAL, UNION,
+  GRAPH, BIND, FILTER pushdown;
+* :mod:`~repro.sparql.collate` — GROUP BY / ORDER BY / DISTINCT /
+  projection in id space;
+* :mod:`~repro.sparql.expression` — FILTER / BIND expression evaluation;
+* this module — :class:`SPARQLEngine` and :class:`SelectResult`.
+
+``tests/sparql_oracle.py`` holds a deliberately naive reference evaluator
+(written pattern order, one store lookup per binding) that the parity tests
+compare this executor against.
 """
 
 from __future__ import annotations
 
 import gc
-import re
-from itertools import compress
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+import threading
+from typing import Any, Dict, List
 
 from repro.rdf.namespace import DEFAULT_PREFIXES
 from repro.rdf.store import QuadStore
-from repro.rdf.terms import Literal, QuotedTriple, URIRef
-from repro.sparql.columnar import (
-    UNBOUND,
-    UNBOUND_ID,
-    BoundedMemo,
-    ColumnRelation,
-    QueryEncoder,
-    Relation,
-    column_ids,
-    row_codes,
-)
-from repro.sparql.algebra import (
-    Aggregate,
-    BindClause,
-    BooleanExpr,
-    Comparison,
-    ConstExpr,
-    Expression,
-    FilterClause,
-    FunctionCall,
-    GroupPattern,
-    NamedGraphPattern,
-    NotExpr,
-    OptionalPattern,
-    QuotedPattern,
-    SelectQuery,
-    TriplePattern,
-    UnionPattern,
-    Var,
-    VarExpr,
-    expression_variables,
-)
+from repro.sparql.algebra import SelectQuery
+from repro.sparql.collate import collate
+from repro.sparql.columnar import QueryContext, Relation
+from repro.sparql.join import evaluate_group
 from repro.sparql.parser import parse_query
-
-Binding = Dict[str, Any]
-
-#: Group key standing in for float NaN values.  ``nan != nan``, so keying a
-#: dict directly on the value would split equal-looking NaN cells into one
-#: group per *object*; a shared sentinel keeps every NaN in one group in both
-#: the tuple and the vectorized aggregation paths.
-_NAN_GROUP_KEY = object()
-
-
-def _group_key(value: Any) -> Any:
-    """The GROUP BY key for one typed value.
-
-    Typed values key directly (so ``Literal(5)`` and ``Literal("5")`` form
-    separate groups, while ``5`` and ``5.0`` — equal under Python's value
-    equality — collate together), with NaN canonicalized to a shared
-    sentinel.
-    """
-    if isinstance(value, float) and value != value:
-        return _NAN_GROUP_KEY
-    return value
+from repro.sparql.plan import describe_element, reorder_elements
 
 
 class SelectResult:
@@ -125,37 +73,6 @@ class SelectResult:
         return f"SelectResult(variables={self.variables}, rows={len(self.rows)})"
 
 
-def _to_python(value: Any) -> Any:
-    if isinstance(value, Literal):
-        return value.to_python()
-    return value
-
-
-def _term_matches(pattern_term: Any, value: Any, binding: Binding) -> Optional[Binding]:
-    """Try to match one pattern term against a concrete value, extending the binding."""
-    if isinstance(pattern_term, Var):
-        bound = binding.get(str(pattern_term))
-        if bound is None:
-            extended = dict(binding)
-            extended[str(pattern_term)] = value
-            return extended
-        return binding if bound == value else None
-    if isinstance(pattern_term, QuotedPattern):
-        if not isinstance(value, QuotedTriple):
-            return None
-        current: Optional[Binding] = binding
-        for part, concrete in (
-            (pattern_term.subject, value.subject),
-            (pattern_term.predicate, value.predicate),
-            (pattern_term.object, value.object),
-        ):
-            current = _term_matches(part, concrete, current)
-            if current is None:
-                return None
-        return current
-    return binding if pattern_term == value else None
-
-
 class SPARQLEngine:
     """Evaluates SELECT queries against a quad store.
 
@@ -163,148 +80,54 @@ class SPARQLEngine:
     greedily reordered by estimated selectivity (cheapest first, given the
     variables bound so far) before being joined, every bound term — including
     fully-resolved RDF-star quoted triples — is pushed down into the store's
-    hash-index lookups, and identical lookups across solution bindings are
-    answered from a per-pattern memo instead of re-scanning.  ``optimize=False``
-    evaluates patterns in written order (the seed behaviour), which the
-    benchmarks use as the comparison baseline.
+    hash-index lookups, and identical lookups across solutions are answered
+    from a per-pattern memo instead of re-scanning.
+
+    One engine may serve concurrent readers: an evaluation keeps all its
+    mutable state in its own :class:`~repro.sparql.columnar.QueryContext`,
+    and only the cumulative :meth:`stats` counters are shared (under a lock).
     """
 
-    #: Default capacity of the per-pattern lookup memos (distinct join keys
-    #: cached per pattern; least-recently-used entries evict beyond this).
+    #: Capacity of each per-pattern lookup memo and FILTER verdict table
+    #: (distinct keys cached; least-recently-used entries evict beyond this).
     DEFAULT_MEMO_CAPACITY = 4096
 
-    #: Scan-vs-probe crossover: one per-key index probe costs roughly this
-    #: many single-candidate scan steps, so scan mode is picked whenever the
-    #: constant-only candidate set is within this factor of the build side.
-    _SCAN_FACTOR = 4
-
-    def __init__(
-        self,
-        store: QuadStore,
-        prefixes=None,
-        optimize: bool = True,
-        batched: bool = True,
-        vectorized: bool = True,
-        memo_capacity: Optional[int] = DEFAULT_MEMO_CAPACITY,
-    ):
+    def __init__(self, store: QuadStore, prefixes=None):
         self.store = store
         self.prefixes = prefixes or DEFAULT_PREFIXES
-        self.optimize = optimize
-        #: Use the columnar hash-join executor (only meaningful when
-        #: ``optimize`` is on; ``optimize=False`` always runs the seed loop).
-        self.batched = batched
-        #: Collate in numpy id space and push single-variable FILTERs below
-        #: joins (only meaningful when ``batched`` is on).
-        self.vectorized = vectorized
-        #: Bound on each per-pattern lookup memo (``None`` = unbounded).
-        self.memo_capacity = memo_capacity
-        #: Cumulative pattern-lookup memo counters across queries.
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_evictions = 0
-        #: Cumulative FILTER verdict-table counters across queries (one
-        #: verdict per distinct id per pushed-down / single-variable filter).
-        self.filter_memo_hits = 0
-        self.filter_memo_misses = 0
-        self.filter_memo_evictions = 0
-        #: Per-query verdict tables, keyed by filter-clause identity.
-        self._filter_memos: Dict[int, BoundedMemo] = {}
-        #: Monotonic suffix for OPTIONAL provenance columns (never collides
-        #: with parsed variables: ``#`` cannot appear in a SPARQL var name).
-        self._provenance_counter = 0
-
-    def memo_counters(self) -> Dict[str, int]:
-        """Cumulative hit/miss/eviction counts of the pattern-lookup memos."""
-        return {
-            "hits": self.memo_hits,
-            "misses": self.memo_misses,
-            "evictions": self.memo_evictions,
-        }
-
-    def filter_memo_counters(self) -> Dict[str, int]:
-        """Cumulative hit/miss/eviction counts of the FILTER verdict tables."""
-        return {
-            "hits": self.filter_memo_hits,
-            "misses": self.filter_memo_misses,
-            "evictions": self.filter_memo_evictions,
+        self._stats_lock = threading.Lock()
+        self._stats = {
+            kind: {"hits": 0, "misses": 0, "evictions": 0}
+            for kind in ("pattern_memo", "filter_memo")
         }
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Snapshot of the engine's cumulative cache counters.
 
         ``pattern_memo`` counts the per-pattern join-lookup memos;
-        ``filter_memo`` counts the per-filter verdict tables the vectorized
-        executor uses for FILTER pushdown (one predicate evaluation per
-        distinct id).
+        ``filter_memo`` counts the per-filter verdict tables of FILTER
+        pushdown (one predicate evaluation per distinct id).  Each holds
+        ``hits`` / ``misses`` / ``evictions`` summed over finished queries.
         """
-        return {
-            "pattern_memo": self.memo_counters(),
-            "filter_memo": self.filter_memo_counters(),
-        }
+        with self._stats_lock:
+            return {kind: dict(counters) for kind, counters in self._stats.items()}
 
-    def _absorb_memo(self, memo: BoundedMemo) -> None:
-        self.memo_hits += memo.hits
-        self.memo_misses += memo.misses
-        self.memo_evictions += memo.evictions
-
-    def _absorb_filter_memos(self) -> None:
-        for memo in self._filter_memos.values():
-            self.filter_memo_hits += memo.hits
-            self.filter_memo_misses += memo.misses
-            self.filter_memo_evictions += memo.evictions
-        self._filter_memos = {}
-
-    # ------------------------------------------------------------------ API
     def select(self, query: str) -> SelectResult:
         """Parse and evaluate a SELECT query."""
-        parsed = parse_query(query, self.prefixes)
-        return self.evaluate(parsed)
+        return self.evaluate(parse_query(query, self.prefixes))
 
     def explain(self, query) -> List[str]:
         """The planned evaluation order of the query's top-level group.
 
         Accepts a query string or a parsed :class:`SelectQuery` and returns
         one human-readable line per group element, in the order the planner
-        would evaluate them.  Exposes the effect of the cardinality
-        statistics on join ordering for tests and benchmarks.
+        would evaluate them (single-variable FILTERs are marked as pushed
+        down).  Exposes the effect of the cardinality statistics on join
+        ordering for tests and benchmarks.
         """
         parsed = parse_query(query, self.prefixes) if isinstance(query, str) else query
-        elements = (
-            self._reorder_elements(parsed.where.elements, [dict()], graph=None)
-            if self.optimize
-            else parsed.where.elements
-        )
-        lines: List[str] = []
-        for element in elements:
-            line = self._describe_element(element)
-            if self.vectorized and isinstance(element, FilterClause):
-                variable = self._single_filter_var(element)
-                if variable is not None:
-                    line = f"FilterClause [pushdown ?{variable}]"
-            lines.append(line)
-        return lines
-
-    @classmethod
-    def _describe_element(cls, element: Any) -> str:
-        if isinstance(element, TriplePattern):
-            return " ".join(
-                cls._describe_term(term)
-                for term in (element.subject, element.predicate, element.object)
-            )
-        return type(element).__name__
-
-    @classmethod
-    def _describe_term(cls, term: Any) -> str:
-        if isinstance(term, Var):
-            return f"?{term}"
-        if isinstance(term, QuotedPattern):
-            inner = " ".join(
-                cls._describe_term(part) for part in (term.subject, term.predicate, term.object)
-            )
-            return f"<< {inner} >>"
-        if isinstance(term, URIRef):
-            return term.n3()
-        return str(term)
+        elements = reorder_elements(self.store, parsed.where.elements, {}, None)
+        return [describe_element(element) for element in elements]
 
     def evaluate(self, query: SelectQuery) -> SelectResult:
         """Evaluate an already-parsed query.
@@ -313,9 +136,9 @@ class SPARQLEngine:
         single committed state even while a governor service is applying
         write batches on another thread — a query never observes a
         half-applied ingestion batch.  The store's residency cap (if any) is
-        also pinned for the duration: every evaluation path scans graphs
-        repeatedly, and pinning makes a capped backend load each missing
-        shard at most once per query.
+        also pinned for the duration: evaluation scans graphs repeatedly,
+        and pinning makes a capped backend load each missing shard at most
+        once per query.
         """
         with self.store.read_view():
             self.store.pin_residency()
@@ -325,2060 +148,28 @@ class SPARQLEngine:
                 self.store.unpin_residency()
 
     def _evaluate(self, query: SelectQuery) -> SelectResult:
-        if self.optimize and self.batched:
-            # The columnar executor's intermediates are acyclic (tuples of
-            # ints inside plain lists), so reference counting reclaims them
-            # fully; pausing the cyclic collector stops it re-scanning the
-            # growing row lists on every allocation spike — a large, pure
-            # win on 100k-row materializations.
-            gc_was_enabled = gc.isenabled()
+        ctx = QueryContext(self.store, self.DEFAULT_MEMO_CAPACITY)
+        # The executor's intermediates are acyclic (tuples of ints inside
+        # plain lists), so reference counting reclaims them fully; pausing
+        # the cyclic collector stops it re-scanning the growing row lists on
+        # every allocation spike — a large, pure win on 100k-row
+        # materializations.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            relation = evaluate_group(ctx, query.where, Relation.unit(), None)
+            return SelectResult(*collate(query, relation, ctx.encoder))
+        finally:
             if gc_was_enabled:
-                gc.disable()
-            try:
-                encoder = QueryEncoder(self.store.dictionary)
-                self._filter_memos = {}
-                relation = self._evaluate_group_rel(
-                    query.where, Relation.unit(), None, encoder
-                )
-                if self.vectorized:
-                    # Vectorized collation: GROUP BY / ORDER BY / DISTINCT /
-                    # SELECT * run on numpy id columns, decoding only the
-                    # distinct ids the query reads.
-                    return self._collate_vectorized(query, relation, encoder)
-                if not (
-                    query.has_aggregates() or query.order_by or query.is_select_star()
-                ):
-                    # Fused projection: decode only the selected variables,
-                    # straight from the id relation — no intermediate binding
-                    # dicts.  (Aggregates / ORDER BY / SELECT * may read
-                    # variables beyond the projection, so they decode fully.)
-                    return self._project_relation(query, relation, encoder)
-                solutions = relation.to_bindings(encoder)
-            finally:
-                self._absorb_filter_memos()
-                if gc_was_enabled:
-                    gc.enable()
-        else:
-            solutions = self._evaluate_group(query.where, [dict()], graph=None)
-        if query.has_aggregates():
-            rows = self._aggregate(query, solutions)
-        else:
-            rows = solutions
-        # ORDER BY is applied before projection (SPARQL semantics), so sort
-        # keys may reference variables that are not selected.
-        rows = self._order(query, rows)
-        variables = self._result_variables(query, rows)
-        projected = self._project(query, rows, variables)
-        if query.distinct:
-            projected = self._distinct(projected)
-        if query.offset:
-            projected = projected[query.offset :]
-        if query.limit is not None:
-            projected = projected[: query.limit]
-        return SelectResult(variables, projected)
-
-    def _project_relation(
-        self,
-        query: SelectQuery,
-        relation: Relation,
-        encoder: QueryEncoder,
-        variables: Optional[List[str]] = None,
-    ) -> SelectResult:
-        """Project a result relation directly to Python-value rows.
-
-        One decode per selected cell (memoized id -> Python value), skipping
-        the intermediate term-binding dicts of the general path.  DISTINCT
-        is dictionary-aware: duplicate rows are eliminated on the projected
-        *id* tuples first — integer hashing, no term decoding, no string
-        keys — so only the surviving distinct rows are ever decoded.  A
-        value-level pass then guards the rare id-distinct / value-equal
-        collisions (two interned terms projecting to the same Python value,
-        e.g. ``Literal(5)`` vs ``Literal("5")``), keeping row sets identical
-        to the tuple executor's.
-        """
-        if variables is None:
-            variables = [str(item) for item in query.variables]
-        slots = [relation.slot(name) for name in variables]
-        id_rows: Iterable[tuple] = (
-            tuple(row[slot] if slot is not None else UNBOUND for slot in slots)
-            for row in relation.rows
-        )
-        if query.distinct:
-            if self.vectorized and len(relation.rows) > 64:
-                # Vectorized id-level dedup: one dense row code per projected
-                # id tuple, first occurrences kept in row order.
-                columns = [
-                    column_ids(relation.rows, slot)
-                    if slot is not None
-                    else np.zeros(len(relation.rows), np.int64)
-                    for slot in slots
-                ]
-                codes = row_codes(columns, len(relation.rows))
-                _, first = np.unique(codes, return_index=True)
-                rows = relation.rows
-                id_rows = [
-                    tuple(
-                        rows[i][slot] if slot is not None else UNBOUND
-                        for slot in slots
-                    )
-                    for i in np.sort(first).tolist()
-                ]
-            else:
-                seen: Set[tuple] = set()
-                deduplicated: List[tuple] = []
-                for id_row in id_rows:
-                    if id_row not in seen:
-                        seen.add(id_row)
-                        deduplicated.append(id_row)
-                id_rows = deduplicated
-        decode = encoder.decode
-        #: id -> projected Python value, shared across rows.
-        values: Dict[int, Any] = {}
-        projected: List[Dict[str, Any]] = []
-        for id_row in id_rows:
-            row: Dict[str, Any] = {}
-            for name, cell in zip(variables, id_row):
-                if cell is None:
-                    row[name] = None
-                    continue
-                value = values.get(cell)
-                if value is None:
-                    value = values[cell] = _to_python(decode(cell))
-                row[name] = value
-            projected.append(row)
-        if query.distinct:
-            projected = self._distinct(projected)
-        if query.offset:
-            projected = projected[query.offset :]
-        if query.limit is not None:
-            projected = projected[: query.limit]
-        return SelectResult(variables, projected)
-
-    # ------------------------------------------------- vectorized collation
-    def _collate_vectorized(
-        self, query: SelectQuery, relation: Relation, encoder: QueryEncoder
-    ) -> SelectResult:
-        """GROUP BY / ORDER BY / DISTINCT / projection over numpy id columns.
-
-        Aggregation and sorting happen in id space (one decode per distinct
-        id, not per row) with the value-collision fallback keeping results
-        identical to the tuple path; plain projections reuse the fused
-        id-relation decode.
-        """
-        if query.has_aggregates():
-            rows = self._aggregate_rel(query, relation, encoder)
-            rows = self._order(query, rows)
-            variables = self._result_variables(query, rows)
-            projected = self._project(query, rows, variables)
-            if query.distinct:
-                projected = self._distinct(projected)
-            if query.offset:
-                projected = projected[query.offset :]
-            if query.limit is not None:
-                projected = projected[: query.limit]
-            return SelectResult(variables, projected)
-        columns = ColumnRelation(relation)
-        if query.order_by:
-            columns = self._order_rel(query, columns, encoder)
-        variables = (
-            self._star_variables_rel(columns)
-            if query.is_select_star()
-            else [str(item) for item in query.variables]
-        )
-        return self._project_relation(query, columns.relation, encoder, variables)
-
-    def _order_rel(
-        self, query: SelectQuery, columns: ColumnRelation, encoder: QueryEncoder
-    ) -> ColumnRelation:
-        """ORDER BY as successive stable argsorts over id-space rank columns.
-
-        Each sort key decodes once per *distinct id* into the seed's sort-key
-        tuple; equal tuples (including value collisions across distinct ids)
-        share one integer rank, so stable argsorts over ranks reproduce the
-        tuple executor's ordering exactly — descending keys negate the rank,
-        which under a stable sort preserves the original order of ties just
-        like ``sorted(reverse=True)``.
-        """
-        if len(columns) <= 1:
-            return columns
-        order = np.arange(len(columns))
-        for variable, ascending in reversed(query.order_by):
-            slot = columns.slot(str(variable))
-            if slot is None:
-                continue  # constant (unbound) key: stable sort is a no-op
-            ranks = self._column_ranks(columns.column(slot), encoder)
-            key = ranks if ascending else -ranks
-            order = order[np.argsort(key[order], kind="stable")]
-        return columns.take(order)
-
-    @staticmethod
-    def _rank_key(value: Any) -> tuple:
-        """The seed executor's ORDER BY sort key for one decoded value."""
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return (0, value, "")
-        return (1, 0, str(value))
-
-    def _column_ranks(self, column: np.ndarray, encoder: QueryEncoder) -> np.ndarray:
-        """Dense sort ranks per row: equal sort-key tuples share one rank."""
-        distinct, inverse = np.unique(column, return_inverse=True)
-        decode = encoder.decode
-        keys = [
-            self._rank_key(
-                None if term_id == UNBOUND_ID else _to_python(decode(term_id))
-            )
-            for term_id in distinct.tolist()
-        ]
-        by_key = sorted(range(len(keys)), key=keys.__getitem__)
-        ranks = np.empty(len(keys), np.int64)
-        rank = -1
-        previous: Optional[tuple] = None
-        for position in by_key:
-            key = keys[position]
-            if previous is None or key != previous:
-                rank += 1
-                previous = key
-            ranks[position] = rank
-        return ranks[inverse]
-
-    def _star_variables_rel(self, columns: ColumnRelation) -> List[str]:
-        """SELECT * variable order: first row each variable is bound in, then
-        slot order — matching the seed's first-occurrence scan over binding
-        dicts without decoding anything."""
-        entries: List[Tuple[int, int, str]] = []
-        for slot, name in enumerate(columns.variables):
-            if name.startswith("#"):
-                continue
-            column = columns.column(slot)
-            bound = column != UNBOUND_ID
-            if not bound.any():
-                continue
-            entries.append((int(np.argmax(bound)), slot, name))
-        entries.sort()
-        return [name for _, _, name in entries]
-
-    def _aggregate_rel(
-        self, query: SelectQuery, relation: Relation, encoder: QueryEncoder
-    ) -> List[Dict[str, Any]]:
-        """GROUP BY + aggregates in id space.
-
-        Group keys combine per-column canonical codes: each distinct id
-        decodes once, and distinct ids whose typed values are equal (the
-        ``5`` vs ``5.0`` collision) share one code, so grouping matches the
-        tuple path's typed-value keys.  Groups emit in first-occurrence row
-        order with members in row order, and SUM / AVG reduce with the same
-        left-to-right Python float addition — results are byte-identical to
-        :meth:`_aggregate`.
-        """
-        rows = relation.rows
-        count = len(rows)
-        if count == 0:
-            if query.group_by:
-                return []
-            row: Dict[str, Any] = {}
-            for item in query.variables:
-                if isinstance(item, Aggregate):
-                    row[str(item.alias)] = self._compute_aggregate(item, [])
-                else:
-                    row[str(item)] = None
-            return [row]
-
-        columns = ColumnRelation(relation)
-        value_cache: Dict[int, Any] = {}
-        decode = encoder.decode
-
-        def decode_value(term_id: int) -> Any:
-            if term_id in value_cache:
-                return value_cache[term_id]
-            value = value_cache[term_id] = _to_python(decode(term_id))
-            return value
-
-        group_columns: List[np.ndarray] = []
-        for variable in query.group_by:
-            slot = relation.slot(str(variable))
-            if slot is None:
-                group_columns.append(np.zeros(count, np.int64))
-                continue
-            distinct, inverse = np.unique(columns.column(slot), return_inverse=True)
-            canonical: Dict[Any, int] = {}
-            codes = np.empty(len(distinct), np.int64)
-            for position, term_id in enumerate(distinct.tolist()):
-                value = None if term_id == UNBOUND_ID else decode_value(term_id)
-                codes[position] = canonical.setdefault(_group_key(value), len(canonical))
-            group_columns.append(codes[inverse])
-        combined = row_codes(group_columns, count)
-
-        _, first_index, inverse_codes, counts = np.unique(
-            combined, return_index=True, return_inverse=True, return_counts=True
-        )
-        member_rows = np.split(
-            np.argsort(inverse_codes, kind="stable"), np.cumsum(counts)[:-1]
-        )
-        group_order = np.argsort(first_index, kind="stable")
-
-        # Aggregate argument columns and their decoded id -> value maps,
-        # built once per referenced variable.
-        argument_columns: Dict[str, Optional[Tuple[np.ndarray, Dict[int, Any]]]] = {}
-        for item in query.variables:
-            if not isinstance(item, Aggregate) or item.argument is None:
-                continue
-            name = str(item.argument)
-            if name in argument_columns:
-                continue
-            slot = relation.slot(name)
-            if slot is None:
-                argument_columns[name] = None
-                continue
-            column = columns.column(slot)
-            decoded = {
-                term_id: decode_value(term_id)
-                for term_id in np.unique(column).tolist()
-                if term_id != UNBOUND_ID
-            }
-            argument_columns[name] = (column, decoded)
-
-        group_names = [str(variable) for variable in query.group_by]
-        results: List[Dict[str, Any]] = []
-        for group in group_order.tolist():
-            members = member_rows[group]
-            first_row = rows[int(first_index[group])]
-            row = {}
-            for name in group_names:
-                slot = relation.slot(name)
-                cell = first_row[slot] if slot is not None else None
-                row[name] = decode_value(cell) if cell is not None else None
-            for item in query.variables:
-                if isinstance(item, Aggregate):
-                    if item.argument is None:
-                        values: List[Any] = [1] * len(members)
-                    else:
-                        entry = argument_columns[str(item.argument)]
-                        if entry is None:
-                            values = []
-                        else:
-                            column, decoded = entry
-                            values = [
-                                decoded[term_id]
-                                for term_id in column[members].tolist()
-                                if term_id != UNBOUND_ID
-                            ]
-                    row[str(item.alias)] = self._aggregate_values(item, values)
-                elif str(item) not in row:
-                    slot = relation.slot(str(item))
-                    cell = first_row[slot] if slot is not None else None
-                    row[str(item)] = decode_value(cell) if cell is not None else None
-            results.append(row)
-        return results
-
-    # -------------------------------------------------------- filter pushdown
-    @staticmethod
-    def _single_filter_var(filter_clause: FilterClause) -> Optional[str]:
-        """The filter's only variable, when it reads exactly one."""
-        names = expression_variables(filter_clause.expression)
-        if len(names) == 1:
-            return next(iter(names))
-        return None
-
-    def _filter_memo(self, filter_clause: FilterClause) -> BoundedMemo:
-        memo = self._filter_memos.get(id(filter_clause))
-        if memo is None:
-            memo = self._filter_memos[id(filter_clause)] = BoundedMemo(
-                self.memo_capacity
-            )
-        return memo
-
-    def _push_filter(
-        self,
-        filter_clause: FilterClause,
-        variable: str,
-        relation: Relation,
-        encoder: QueryEncoder,
-        final: bool = False,
-    ) -> Relation:
-        """Apply a single-variable FILTER via a memoized id verdict table.
-
-        The predicate evaluates once per *distinct id* (memoized across the
-        query in a :class:`BoundedMemo`), then the verdicts broadcast over
-        the rows with one numpy gather.  Mid-group (``final=False``) rows
-        with an unbound cell always survive — a later pattern may still bind
-        the shared variable (OPTIONAL padding re-binds), and the group-end
-        pass re-checks them; at group end (``final=True``) unbound cells are
-        judged like the seed does, with the variable absent from the
-        binding.
-        """
-        rows = relation.rows
-        if not rows:
-            return relation
-        slot = relation.slot(variable)
-        if slot is None:
-            if not final:
-                return relation
-            keep_all = self._truth(
-                self._evaluate_expression(filter_clause.expression, {})
-            )
-            return relation if keep_all else Relation(relation.variables, [])
-        memo = self._filter_memo(filter_clause)
-        missing = memo.MISSING
-        distinct, inverse = np.unique(column_ids(rows, slot), return_inverse=True)
-        verdicts = np.empty(len(distinct), bool)
-        expression = filter_clause.expression
-        for position, term_id in enumerate(distinct.tolist()):
-            if term_id == UNBOUND_ID:
-                verdicts[position] = (
-                    self._truth(self._evaluate_expression(expression, {}))
-                    if final
-                    else True
-                )
-                continue
-            verdict = memo.get(term_id)
-            if verdict is missing:
-                verdict = self._truth(
-                    self._evaluate_expression(
-                        expression, {variable: encoder.decode(term_id)}
-                    )
-                )
-                memo.put(term_id, verdict)
-            verdicts[position] = verdict
-        keep = verdicts[inverse]
-        if keep.all():
-            return relation
-        return Relation(relation.variables, list(compress(rows, keep.tolist())))
-
-    # ------------------------------------------------------------ evaluation
-    def _evaluate_group(
-        self, group: GroupPattern, solutions: List[Binding], graph: Optional[Any]
-    ) -> List[Binding]:
-        filters: List[FilterClause] = []
-        current = solutions
-        elements = (
-            self._reorder_elements(group.elements, solutions, graph)
-            if self.optimize
-            else group.elements
-        )
-        for element in elements:
-            if isinstance(element, TriplePattern):
-                current = self._join_pattern(element, current, graph)
-            elif isinstance(element, FilterClause):
-                filters.append(element)
-            elif isinstance(element, OptionalPattern):
-                current = self._left_join(element.group, current, graph)
-            elif isinstance(element, UnionPattern):
-                merged: List[Binding] = []
-                for branch in element.branches:
-                    merged.extend(self._evaluate_group(branch, current, graph))
-                current = merged
-            elif isinstance(element, NamedGraphPattern):
-                current = self._evaluate_named_graph(element, current)
-            elif isinstance(element, BindClause):
-                bound: List[Binding] = []
-                for solution in current:
-                    extended = dict(solution)
-                    extended[str(element.variable)] = self._evaluate_expression(
-                        element.expression, solution
-                    )
-                    bound.append(extended)
-                current = bound
-            else:  # pragma: no cover - parser only produces the above
-                raise TypeError(f"unexpected group element {element!r}")
-        for filter_clause in filters:
-            current = [
-                solution
-                for solution in current
-                if self._truth(self._evaluate_expression(filter_clause.expression, solution))
-            ]
-        return current
-
-    def _join_pattern(
-        self, pattern: TriplePattern, solutions: List[Binding], graph: Optional[Any]
-    ) -> List[Binding]:
-        results: List[Binding] = []
-        graph_name = None
-        if graph is not None and not isinstance(graph, Var):
-            graph_name = graph
-        # Solutions that resolve the pattern to the same lookup key hit the
-        # same index entries; memoize the matches so repeated (or fully
-        # unbound cross-join) lookups never re-scan the store.  Both the memo
-        # and the quoted-triple pushdown are part of the optimizer, so
-        # ``optimize=False`` keeps the seed per-binding scans.  The memo is
-        # capacity-bounded: a pattern joined against a huge solution set with
-        # mostly distinct keys evicts instead of holding every result alive.
-        memo = BoundedMemo(self.memo_capacity)
-        missing = memo.MISSING
-        for solution in solutions:
-            subject = self._resolve(pattern.subject, solution)
-            predicate = self._resolve(pattern.predicate, solution)
-            obj = self._resolve(pattern.object, solution)
-            lookup_predicate = predicate if not isinstance(predicate, Var) else None
-            if self.optimize:
-                lookup_subject = self._lookup_key(subject, solution)
-                lookup_object = self._lookup_key(obj, solution)
-                quoted_parts = None
-                if lookup_subject is None and isinstance(subject, QuotedPattern):
-                    # Partial RDF-star pushdown: with at least one inner term
-                    # bound, the store's partial quoted-triple index answers
-                    # without scanning every annotation.
-                    quoted_parts = self._quoted_lookup_parts(subject, solution)
-                if quoted_parts is not None:
-                    memo_key = ("<<>>",) + quoted_parts + (lookup_predicate, lookup_object)
-                    matches = memo.get(memo_key)
-                    if matches is missing:
-                        matches = list(
-                            self.store.match_quoted(
-                                quoted_parts[0],
-                                quoted_parts[1],
-                                quoted_parts[2],
-                                lookup_predicate,
-                                lookup_object,
-                                graph_name,
-                            )
-                        )
-                        memo.put(memo_key, matches)
-                else:
-                    memo_key = (lookup_subject, lookup_predicate, lookup_object)
-                    matches = memo.get(memo_key)
-                    if matches is missing:
-                        matches = list(
-                            self.store.match(
-                                lookup_subject, lookup_predicate, lookup_object, graph_name
-                            )
-                        )
-                        memo.put(memo_key, matches)
-            else:
-                lookup_subject = subject if not isinstance(subject, (Var, QuotedPattern)) else None
-                lookup_object = obj if not isinstance(obj, (Var, QuotedPattern)) else None
-                matches = self.store.match(
-                    lookup_subject, lookup_predicate, lookup_object, graph_name
-                )
-            for triple, triple_graph in matches:
-                binding: Optional[Binding] = solution
-                if graph is not None and isinstance(graph, Var):
-                    binding = _term_matches(graph, triple_graph, binding)
-                    if binding is None:
-                        continue
-                for pattern_term, value in (
-                    (subject, triple.subject),
-                    (predicate, triple.predicate),
-                    (obj, triple.object),
-                ):
-                    binding = _term_matches(pattern_term, value, binding)
-                    if binding is None:
-                        break
-                if binding is not None:
-                    results.append(binding)
-        self._absorb_memo(memo)
-        return results
-
-    @classmethod
-    def _lookup_key(cls, term: Any, binding: Binding) -> Optional[Any]:
-        """The index lookup key for a resolved term (``None`` = wildcard)."""
-        if isinstance(term, Var):
-            return None
-        if isinstance(term, QuotedPattern):
-            return cls._resolve_quoted(term, binding)
-        return term
-
-    @classmethod
-    def _quoted_lookup_parts(
-        cls, pattern: QuotedPattern, binding: Binding
-    ) -> Optional[Tuple[Any, Any, Any]]:
-        """Concrete inner terms of a quoted pattern (``None`` = wildcard).
-
-        Returns ``(inner_subject, inner_predicate, inner_object)`` with each
-        part resolved against the binding where possible, or ``None`` when no
-        part is concrete (a fully unbound quoted pattern gains nothing from
-        the partial index).
-        """
-        parts: List[Any] = []
-        for part in (pattern.subject, pattern.predicate, pattern.object):
-            value = part
-            if isinstance(part, Var):
-                value = binding.get(str(part))
-            if isinstance(value, QuotedPattern):
-                value = cls._resolve_quoted(value, binding)
-            parts.append(value)
-        if all(part is None for part in parts):
-            return None
-        return tuple(parts)
-
-    @classmethod
-    def _resolve_quoted(cls, pattern: QuotedPattern, binding: Binding) -> Optional[QuotedTriple]:
-        """A concrete :class:`QuotedTriple` if every part is bound, else ``None``.
-
-        Fully-bound RDF-star subjects (the common "read the certainty of this
-        edge" access path) then hit the subject hash index directly instead of
-        scanning the graph.
-        """
-        parts = []
-        for part in (pattern.subject, pattern.predicate, pattern.object):
-            value = part
-            if isinstance(part, Var):
-                value = binding.get(str(part))
-                if value is None:
-                    return None
-            if isinstance(value, QuotedPattern):
-                value = cls._resolve_quoted(value, binding)
-                if value is None:
-                    return None
-            parts.append(value)
-        return QuotedTriple(*parts)
-
-    # ------------------------------------------------- batched (columnar) path
-    def _evaluate_group_rel(
-        self, group: GroupPattern, relation: Relation, graph: Optional[Any], encoder: QueryEncoder
-    ) -> Relation:
-        """Evaluate one group pattern set-at-a-time over a columnar relation.
-
-        Mirrors :meth:`_evaluate_group` element by element (filters deferred
-        to the end of the group, same barrier semantics for OPTIONAL / UNION
-        / GRAPH / BIND) but keeps every intermediate solution as an id-tuple;
-        terms materialize only inside FILTER / BIND expression evaluation.
-        """
-        if not relation.rows:
-            return relation
-        filters: List[FilterClause] = []
-        #: Single-variable filters awaiting their variable (pushed below the
-        #: join that binds it; they stay in ``filters`` too, because unbound
-        #: cells can re-bind later and must be judged at group end).
-        pending_push: List[Tuple[str, FilterClause]] = []
-        elements = (
-            self._reorder_elements(
-                group.elements, [relation.decode_row(relation.rows[0], encoder)], graph
-            )
-            if self.optimize
-            else group.elements
-        )
-        current = relation
-        for element in elements:
-            if isinstance(element, FilterClause):
-                filters.append(element)
-                if self.vectorized:
-                    variable = self._single_filter_var(element)
-                    if variable is not None:
-                        if current.slot(variable) is not None:
-                            current = self._push_filter(
-                                element, variable, current, encoder
-                            )
-                        else:
-                            pending_push.append((variable, element))
-                continue
-            if isinstance(element, TriplePattern):
-                current = self._join_rel(element, current, graph, encoder)
-            elif isinstance(element, OptionalPattern):
-                current = self._left_join_rel(element.group, current, graph, encoder)
-            elif isinstance(element, UnionPattern):
-                current = Relation.concat(
-                    [
-                        self._evaluate_group_rel(branch, current, graph, encoder)
-                        for branch in element.branches
-                    ]
-                )
-            elif isinstance(element, NamedGraphPattern):
-                current = self._named_graph_rel(element, current, encoder)
-            elif isinstance(element, BindClause):
-                current = self._bind_rel(element, current, encoder)
-            else:  # pragma: no cover - parser only produces the above
-                raise TypeError(f"unexpected group element {element!r}")
-            if not current.rows:
-                break
-            if pending_push:
-                waiting: List[Tuple[str, FilterClause]] = []
-                for variable, filter_clause in pending_push:
-                    if current.slot(variable) is not None:
-                        current = self._push_filter(
-                            filter_clause, variable, current, encoder
-                        )
-                    else:
-                        waiting.append((variable, filter_clause))
-                pending_push = waiting
-                if not current.rows:
-                    break
-        if filters and current.rows:
-            current = self._filter_rel(filters, current, encoder)
-        return current
-
-    def _join_rel(
-        self, pattern: TriplePattern, relation: Relation, graph: Optional[Any], encoder: QueryEncoder
-    ) -> Relation:
-        """Hash-join one triple pattern into the accumulated relation.
-
-        Build side: the relation rows, keyed by the ids of the variables
-        shared with the pattern.  The probe side picks one of two compiled
-        strategies by cost:
-
-        * **scan mode** — when the pattern's constant-bound candidate set is
-          no larger than the build side, scan it once into a hash table
-          ``join key -> extension tuples`` and join every row with a dict
-          get.  One index pass total, classic hash join.
-        * **probe mode** — otherwise, one direct index lookup per *distinct*
-          key (memoized, capacity-bounded), which wins when per-row bindings
-          narrow candidates far below the constant-only set.
-
-        Extensions are precomputed id tuples concatenated onto rows — no
-        per-row dicts, no term decoding.  Shapes the compiler does not cover
-        (repeated variables, graph variables, nested quoted patterns) fall
-        back to the general per-key walk in :meth:`_probe_pattern`.
-        """
-        graph_var = str(graph) if isinstance(graph, Var) else None
-        graph_name = graph if graph is not None and graph_var is None else None
-
-        # Pattern variables in the seed engine's binding order: the graph
-        # variable first, then subject / predicate / object (quoted-pattern
-        # inner variables recurse in the same order).
-        ordered_vars: List[str] = [graph_var] if graph_var is not None else []
-        for term in (pattern.subject, pattern.predicate, pattern.object):
-            self._collect_term_vars(term, ordered_vars)
-        has_duplicates = len(ordered_vars) != len(set(ordered_vars))
-
-        key_names: List[str] = []
-        key_slots: List[int] = []
-        new_vars: List[str] = []
-        for name in ordered_vars:
-            slot = relation.slot(name)
-            if slot is not None:
-                if name not in key_names:
-                    key_names.append(name)
-                    key_slots.append(slot)
-            elif name not in new_vars:
-                new_vars.append(name)
-
-        plan = None
-        if graph_var is None and not has_duplicates:
-            plan = self._compile_join_plan(pattern, key_names, new_vars, graph_name, encoder)
-
-        out_rows: List[tuple] = []
-        out_variables = relation.variables + tuple(new_vars)
-
-        if (
-            plan is not None
-            and key_names
-            and self._scan_cost(plan) <= self._SCAN_FACTOR * len(relation.rows)
-        ):
-            table = self._scan_join_table(plan)
-            fallback_rows: List[tuple] = []
-            append = out_rows.append
-            table_get = table.get
-            if len(key_slots) == 1:
-                only_slot = key_slots[0]
-                for row in relation.rows:
-                    cell = row[only_slot]
-                    if cell is None:
-                        fallback_rows.append(row)
-                        continue
-                    extensions = table_get(cell)
-                    if extensions:
-                        for extension in extensions:
-                            append(row + extension if extension else row)
-            else:
-                for row in relation.rows:
-                    key = tuple(row[slot] for slot in key_slots)
-                    if None in key:
-                        fallback_rows.append(row)
-                        continue
-                    extensions = table_get(key)
-                    if extensions:
-                        for extension in extensions:
-                            append(row + extension if extension else row)
-            if fallback_rows:
-                # Rows with OPTIONAL-unbound shared cells need the general
-                # walk (the unbound variable binds from the match).
-                self._join_slow_rows(
-                    pattern, fallback_rows, key_names, key_slots, new_vars,
-                    graph_var, graph_name, encoder, out_rows,
-                )
-            return Relation(out_variables, out_rows)
-
-        memo = BoundedMemo(self.memo_capacity)
-        missing = memo.MISSING
-        probe = plan["probe"] if plan is not None else None
-        fallback_rows = []
-        append = out_rows.append
-        for row in relation.rows:
-            key = tuple(row[slot] for slot in key_slots)
-            if probe is None or None in key:
-                fallback_rows.append(row)
-                continue
-            extensions = memo.get(key)
-            if extensions is missing:
-                extensions = probe(key)
-                memo.put(key, extensions)
-            for extension in extensions:
-                append(row + extension if extension else row)
-        self._absorb_memo(memo)
-        if fallback_rows:
-            self._join_slow_rows(
-                pattern, fallback_rows, key_names, key_slots, new_vars,
-                graph_var, graph_name, encoder, out_rows,
-            )
-        return Relation(out_variables, out_rows)
-
-    def _join_slow_rows(
-        self,
-        pattern: TriplePattern,
-        rows: List[tuple],
-        key_names: List[str],
-        key_slots: List[int],
-        new_vars: List[str],
-        graph_var: Optional[str],
-        graph_name: Optional[Any],
-        encoder: QueryEncoder,
-        out_rows: List[tuple],
-    ) -> None:
-        """General per-key walk for rows scan mode cannot serve."""
-        memo = BoundedMemo(self.memo_capacity)
-        missing = memo.MISSING
-        update_slots = {name: slot for name, slot in zip(key_names, key_slots)}
-        for row in rows:
-            key = tuple(row[slot] for slot in key_slots)
-            probed = memo.get(key)
-            if probed is missing:
-                probed = self._probe_pattern(
-                    pattern,
-                    dict(zip(key_names, key)),
-                    graph_var,
-                    graph_name,
-                    new_vars,
-                    encoder,
-                )
-                memo.put(key, probed)
-            for updates, extension in probed:
-                if updates:
-                    cells = list(row)
-                    for name, value in updates:
-                        cells[update_slots[name]] = value
-                    out_rows.append(tuple(cells) + extension)
-                else:
-                    out_rows.append(row + extension)
-        self._absorb_memo(memo)
-
-    #: Source kinds of a compiled join plan position.
-    _SRC_CONST = 0
-    _SRC_KEY = 1
-    _SRC_FREE = 2
-
-    @staticmethod
-    def _compile_picker(picks: List[Tuple[str, int]]):
-        """``(triple, parts) -> id tuple`` without generator frames.
-
-        ``picks`` name triple slots (``('t', 0..2)``) or quoted-subject part
-        slots (``('q', 0..2)``); the returned callable runs once per
-        candidate match, so the common arities are unrolled.
-        """
-        selectors = [(kind == "q", position) for kind, position in picks]
-        if len(selectors) == 1:
-            (q0, p0), = selectors
-            return lambda triple, parts: ((parts if q0 else triple)[p0],)
-        if len(selectors) == 2:
-            (q0, p0), (q1, p1) = selectors
-            return lambda triple, parts: (
-                (parts if q0 else triple)[p0],
-                (parts if q1 else triple)[p1],
-            )
-        if len(selectors) == 3:
-            (q0, p0), (q1, p1), (q2, p2) = selectors
-            return lambda triple, parts: (
-                (parts if q0 else triple)[p0],
-                (parts if q1 else triple)[p1],
-                (parts if q2 else triple)[p2],
-            )
-        return lambda triple, parts: tuple(
-            (parts if quoted else triple)[position] for quoted, position in selectors
-        )
-
-    def _compile_join_plan(
-        self,
-        pattern: TriplePattern,
-        key_names: List[str],
-        new_vars: List[str],
-        graph_name: Optional[Any],
-        encoder: QueryEncoder,
-    ) -> Optional[Dict[str, Any]]:
-        """Compile one pattern join into a probe closure + scan metadata.
-
-        Hoists everything that does not depend on the join key — constant
-        term ids, the resolved graph indexes, the extension and key pick
-        plans — so each probe is a candidate-set selection plus a tight
-        filter loop, and a scan is one pass building the join hash table.
-        Returns ``None`` for shapes outside the fast cases (nested quoted
-        patterns, quoted terms off the subject position); the probe closure
-        itself returns ``None`` for keys carrying OPTIONAL-unbound cells.
-        """
-        key_positions = {name: index for index, name in enumerate(key_names)}
-        CONST, KEY, FREE = self._SRC_CONST, self._SRC_KEY, self._SRC_FREE
-
-        def source_of(term) -> Optional[Tuple[int, Optional[int]]]:
-            if isinstance(term, Var):
-                position = key_positions.get(str(term))
-                return (KEY, position) if position is not None else (FREE, None)
-            if isinstance(term, QuotedPattern):
-                return None
-            return (CONST, encoder.encode(term))
-
-        subject, predicate, obj = pattern.subject, pattern.predicate, pattern.object
-        quoted_sources: Optional[List[Tuple[int, Optional[int]]]] = None
-        if isinstance(subject, QuotedPattern):
-            quoted_sources = []
-            for part in (subject.subject, subject.predicate, subject.object):
-                source = source_of(part)
-                if source is None:  # nested quoted pattern: general walk
-                    return None
-                quoted_sources.append(source)
-            subject_source = (FREE, None)
-        else:
-            source = source_of(subject)
-            if source is None:
-                return None
-            subject_source = source
-        predicate_source = source_of(predicate)
-        object_source = source_of(obj)
-        if predicate_source is None or object_source is None:
-            return None
-
-        # Pick plans: where each output id comes from in a match — a triple
-        # slot ('t', 0..2) or a quoted-subject part ('q', 0..2).
-        first_positions: Dict[str, Tuple[str, int]] = {}
-        for position, term in enumerate((subject, predicate, obj)):
-            if isinstance(term, Var):
-                first_positions.setdefault(str(term), ("t", position))
-        if quoted_sources is not None:
-            for part_index, part in enumerate(
-                (subject.subject, subject.predicate, subject.object)
-            ):
-                if isinstance(part, Var):
-                    first_positions.setdefault(str(part), ("q", part_index))
-        picks = [first_positions[name] for name in new_vars]
-        key_picks = [first_positions[name] for name in key_names]
-        triple_only = all(kind == "t" for kind, _ in picks + key_picks)
-        ext_picker = self._compile_picker(picks) if picks else (lambda triple, parts: ())
-
-        indexes = self.store.backend.indexes_for(graph_name)
-        quoted_parts = encoder.quoted_parts
-        quoted_id = encoder.quoted_id
-        vectorized = self.vectorized
-        quoted_rows_arrays = self._quoted_rows_arrays
-
-        s_mode, s_value = subject_source
-        p_mode, p_value = predicate_source
-        o_mode, o_value = object_source
-
-        def filtered_candidates(index, subject_id, predicate_id, object_id):
-            """Smallest candidate set for the bound ids; ``None`` = no hits."""
-            candidates = index.triples
-            if subject_id is not None:
-                candidates = index.by_subject.get(subject_id)
-                if not candidates:
-                    return None
-            if predicate_id is not None:
-                alternative = index.by_predicate.get(predicate_id)
-                if not alternative:
-                    return None
-                if len(alternative) < len(candidates):
-                    candidates = alternative
-            if object_id is not None:
-                alternative = index.by_object.get(object_id)
-                if not alternative:
-                    return None
-                if len(alternative) < len(candidates):
-                    candidates = alternative
-            return candidates
-
-        def matches_into(results, subject_id, predicate_id, object_id, inner):
-            """Scan candidates under the given bound ids, appending the
-            extension tuple of every accepted match."""
-            append = results.append
-            for index in indexes:
-                if inner is None:
-                    candidates = filtered_candidates(
-                        index, subject_id, predicate_id, object_id
-                    )
-                    if candidates is None:
-                        continue
-                    for triple in candidates:
-                        if subject_id is not None and triple[0] != subject_id:
-                            continue
-                        if predicate_id is not None and triple[1] != predicate_id:
-                            continue
-                        if object_id is not None and triple[2] != object_id:
-                            continue
-                        if triple_only:
-                            append(ext_picker(triple, None))
-                        else:
-                            parts = quoted_parts(triple[0])
-                            if parts is None:
-                                continue
-                            append(ext_picker(triple, parts))
-                else:
-                    candidates = index._quoted_candidates(
-                        inner[0], inner[2], predicate_id, object_id
-                    )
-                    if vectorized and len(candidates) >= 64:
-                        # Quoted probes resolve inner parts array-at-a-time;
-                        # tiny per-key buckets stay on the scalar loop,
-                        # which wins under a few dozen rows.
-                        masked = quoted_rows_arrays(
-                            index, candidates, inner, predicate_id, object_id
-                        )
-                        if masked is None:
-                            continue
-                        positional, parts_columns, rows = masked
-                        if picks:
-                            ext_lists = [
-                                (
-                                    parts_columns[position][rows]
-                                    if kind == "q"
-                                    else positional[position][rows]
-                                ).tolist()
-                                for kind, position in picks
-                            ]
-                            results.extend(
-                                zip(ext_lists[0])
-                                if len(ext_lists) == 1
-                                else zip(*ext_lists)
-                            )
-                        else:
-                            results.extend([()] * len(rows))
-                        continue
-                    for triple in candidates:
-                        parts = quoted_parts(triple[0])
-                        if parts is None:
-                            continue
-                        if inner[0] is not None and parts[0] != inner[0]:
-                            continue
-                        if inner[1] is not None and parts[1] != inner[1]:
-                            continue
-                        if inner[2] is not None and parts[2] != inner[2]:
-                            continue
-                        if predicate_id is not None and triple[1] != predicate_id:
-                            continue
-                        if object_id is not None and triple[2] != object_id:
-                            continue
-                        append(ext_picker(triple, parts))
-
-        def probe(key: tuple):
-            predicate_id = (
-                p_value if p_mode == CONST else key[p_value] if p_mode == KEY else None
-            )
-            object_id = (
-                o_value if o_mode == CONST else key[o_value] if o_mode == KEY else None
-            )
-            inner = None
-            if quoted_sources is None:
-                subject_id = (
-                    s_value if s_mode == CONST else key[s_value] if s_mode == KEY else None
-                )
-            else:
-                inner = tuple(
-                    value if mode == CONST else key[value] if mode == KEY else None
-                    for mode, value in quoted_sources
-                )
-                if None not in inner:
-                    subject_id = quoted_id(inner)
-                    if subject_id is None:
-                        return []
-                    inner = None  # exact id lookup; no structural filtering
-                else:
-                    subject_id = None
-            results: List[tuple] = []
-            matches_into(results, subject_id, predicate_id, object_id, inner)
-            return results
-
-        return {
-            "probe": probe,
-            "quoted_sources": quoted_sources,
-            "sources": (subject_source, predicate_source, object_source),
-            "indexes": indexes,
-            "key_picks": key_picks,
-            "picks": picks,
-            "triple_only": triple_only,
-            "quoted_parts": quoted_parts,
-            "filtered_candidates": filtered_candidates,
-            "ext_picker": ext_picker,
-        }
-
-    def _scan_cost(self, plan: Dict[str, Any]) -> float:
-        """Upper bound on the candidates a constant-only scan would touch."""
-        CONST = self._SRC_CONST
-        sources = plan["sources"]
-        quoted_sources = plan["quoted_sources"]
-        subject_id = sources[0][1] if sources[0][0] == CONST else None
-        predicate_id = sources[1][1] if sources[1][0] == CONST else None
-        object_id = sources[2][1] if sources[2][0] == CONST else None
-        total = 0
-        for index in plan["indexes"]:
-            if quoted_sources is not None:
-                inner_subject = (
-                    quoted_sources[0][1] if quoted_sources[0][0] == CONST else None
-                )
-                inner_object = (
-                    quoted_sources[2][1] if quoted_sources[2][0] == CONST else None
-                )
-                total += index.estimate_quoted(
-                    inner_subject, inner_object, predicate_id, object_id
-                )
-            else:
-                total += index.estimate(subject_id, predicate_id, object_id)
-        return total
-
-    def _scan_join_table(self, plan: Dict[str, Any]) -> Dict[Any, List[tuple]]:
-        """One constant-only index pass, hashed by the join-key variables.
-
-        The build side of scan-mode hash join: maps a join key (the bare id
-        for single-variable keys, an id tuple otherwise) to the list of
-        extension tuples its matches produce.  Candidates come from the
-        smallest constant-bound index entry; key and extension ids are picked
-        straight out of each matching id-triple (or its quoted-subject
-        parts), so the whole build is one tight loop in id space.
-        """
-        CONST = self._SRC_CONST
-        sources = plan["sources"]
-        quoted_sources = plan["quoted_sources"]
-        subject_id = sources[0][1] if sources[0][0] == CONST else None
-        predicate_id = sources[1][1] if sources[1][0] == CONST else None
-        object_id = sources[2][1] if sources[2][0] == CONST else None
-        inner = (
-            tuple(value if mode == CONST else None for mode, value in quoted_sources)
-            if quoted_sources is not None
-            else None
-        )
-
-        if (
-            self.vectorized
-            and quoted_sources is None
-            and plan["triple_only"]
-            and subject_id is None
-            and object_id is None
-        ):
-            # Vectorized scan feed: candidates arrive as int64 id arrays from
-            # the graph's columnar snapshot instead of per-triple set
-            # iteration.  Restricted to the whole-graph and predicate-bucket
-            # shapes, where the array order equals the set iteration order
-            # the other executors see — keeping row-order-sensitive results
-            # (float SUM, GROUP BY representatives) byte-identical.
-            return self._scan_table_arrays(plan, predicate_id)
-
-        if self.vectorized and quoted_sources is not None:
-            # Quoted-subject scans resolve every candidate's inner parts with
-            # one searchsorted against the dictionary's quoted-column
-            # snapshot instead of a dict probe per row.  The candidate
-            # arrays come from the same set the scalar loop iterates, and
-            # boolean masking preserves relative order exactly like the
-            # loop's ``continue`` filters, so row order is unchanged.
-            return self._scan_table_quoted_arrays(
-                plan, inner, predicate_id, object_id
-            )
-
-        key_picks = plan["key_picks"]
-        triple_only = plan["triple_only"]
-        quoted_parts = plan["quoted_parts"]
-        filtered_candidates = plan["filtered_candidates"]
-        ext_picker = plan["ext_picker"]
-        single = len(key_picks) == 1
-        if single:
-            single_quoted = key_picks[0][0] == "q"
-            single_position = key_picks[0][1]
-            key_picker = None
-        else:
-            key_picker = self._compile_picker(key_picks)
-
-        table: Dict[Any, List[tuple]] = {}
-        for index in plan["indexes"]:
-            if inner is None:
-                candidates = filtered_candidates(
-                    index, subject_id, predicate_id, object_id
-                )
-                if candidates is None:
-                    continue
-            else:
-                candidates = index._quoted_candidates(
-                    inner[0], inner[2], predicate_id, object_id
-                )
-            for triple in candidates:
-                if subject_id is not None and triple[0] != subject_id:
-                    continue
-                if predicate_id is not None and triple[1] != predicate_id:
-                    continue
-                if object_id is not None and triple[2] != object_id:
-                    continue
-                if triple_only:
-                    parts = None
-                else:
-                    parts = quoted_parts(triple[0])
-                    if parts is None:
-                        continue
-                if inner is not None:
-                    if parts is None:
-                        parts = quoted_parts(triple[0])
-                        if parts is None:
-                            continue
-                    if inner[0] is not None and parts[0] != inner[0]:
-                        continue
-                    if inner[1] is not None and parts[1] != inner[1]:
-                        continue
-                    if inner[2] is not None and parts[2] != inner[2]:
-                        continue
-                if single:
-                    key = (parts if single_quoted else triple)[single_position]
-                else:
-                    key = key_picker(triple, parts)
-                extension = ext_picker(triple, parts)
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [extension]
-                else:
-                    bucket.append(extension)
-        return table
-
-
-    def _scan_table_arrays(
-        self, plan: Dict[str, Any], predicate_id: Optional[int]
-    ) -> Dict[Any, List[tuple]]:
-        """Array-fed scan-table build for triple-only wildcard/predicate scans.
-
-        Key and extension ids are gathered column-at-a-time from the index's
-        :class:`~repro.rdf.graph_index.TripleColumns` snapshot (one C-level
-        ``tolist`` per referenced position), so the per-candidate work is
-        just the hash-table insert.
-        """
-        key_picks = plan["key_picks"]
-        picks = plan["picks"]
-        table: Dict[Any, List[tuple]] = {}
-        for index in plan["indexes"]:
-            columns = index.columnar()
-            if predicate_id is None:
-                positional = (columns.subjects, columns.predicates, columns.objects)
-                count = len(columns)
-            else:
-                bucket = index.by_predicate.get(predicate_id)
-                if not bucket:
-                    continue
-                if len(bucket) < len(index.triples):
-                    subjects, objects = columns.predicate_rows(predicate_id, index)
-                else:
-                    # The bucket covers the whole graph: keep the master
-                    # array order (what set iteration would have yielded).
-                    subjects, objects = columns.subjects, columns.objects
-                positional = (subjects, None, objects)
-                count = len(subjects)
-            if not count:
-                continue
-            key_lists = [positional[position].tolist() for _, position in key_picks]
-            keys: Iterable[Any] = (
-                key_lists[0] if len(key_lists) == 1 else zip(*key_lists)
-            )
-            if picks:
-                ext_lists = [positional[position].tolist() for _, position in picks]
-                extensions: Iterable[tuple] = (
-                    zip(ext_lists[0])
-                    if len(ext_lists) == 1
-                    else zip(*ext_lists)
-                )
-                for key, extension in zip(keys, extensions):
-                    bucket_rows = table.get(key)
-                    if bucket_rows is None:
-                        table[key] = [extension]
-                    else:
-                        bucket_rows.append(extension)
-            else:
-                for key in keys:
-                    bucket_rows = table.get(key)
-                    if bucket_rows is None:
-                        table[key] = [()]
-                    else:
-                        bucket_rows.append(())
-        return table
-
-    def _scan_table_quoted_arrays(
-        self,
-        plan: Dict[str, Any],
-        inner: Tuple[Optional[int], ...],
-        predicate_id: Optional[int],
-        object_id: Optional[int],
-    ) -> Dict[Any, List[tuple]]:
-        """Array-fed scan-table build for quoted-subject annotation patterns.
-
-        The scalar loop pays a ``quoted_parts`` dict probe (plus structural
-        comparisons) per candidate — the dominant cost of dashboard queries
-        over ~100k similarity annotations.  Here the candidate triples become
-        three id columns, their quoted-subject parts resolve via one
-        ``searchsorted`` into :meth:`TermDictionary.quoted_columns`, and the
-        inner/outer constants apply as boolean masks.
-        """
-        key_picks = plan["key_picks"]
-        picks = plan["picks"]
-        table: Dict[Any, List[tuple]] = {}
-        for index in plan["indexes"]:
-            candidates = index._quoted_candidates(
-                inner[0], inner[2], predicate_id, object_id
-            )
-            masked = self._quoted_rows_arrays(
-                index, candidates, inner, predicate_id, object_id
-            )
-            if masked is None:
-                continue
-            positional, parts_columns, rows = masked
-
-            def column(kind: str, position: int) -> np.ndarray:
-                if kind == "q":
-                    return parts_columns[position][rows]
-                return positional[position][rows]
-
-            key_lists = [column(kind, position).tolist() for kind, position in key_picks]
-            keys: Iterable[Any] = (
-                key_lists[0] if len(key_lists) == 1 else zip(*key_lists)
-            )
-            if picks:
-                ext_lists = [
-                    column(kind, position).tolist() for kind, position in picks
-                ]
-                extensions: Iterable[tuple] = (
-                    zip(ext_lists[0]) if len(ext_lists) == 1 else zip(*ext_lists)
-                )
-                for key, extension in zip(keys, extensions):
-                    bucket_rows = table.get(key)
-                    if bucket_rows is None:
-                        table[key] = [extension]
-                    else:
-                        bucket_rows.append(extension)
-            else:
-                for key in keys:
-                    bucket_rows = table.get(key)
-                    if bucket_rows is None:
-                        table[key] = [()]
-                    else:
-                        bucket_rows.append(())
-        return table
-
-    def _quoted_rows_arrays(
-        self,
-        index,
-        candidates,
-        inner: Tuple[Optional[int], ...],
-        predicate_id: Optional[int],
-        object_id: Optional[int],
-    ) -> Optional[Tuple[Tuple[Optional[np.ndarray], ...], Tuple[np.ndarray, ...], np.ndarray]]:
-        """Candidate triples surviving quoted-structure masks, as arrays.
-
-        Returns ``(positional columns, (inner s, p, o) columns, surviving
-        row positions)`` — or ``None`` when nothing survives.  Surviving
-        rows keep the candidate set's iteration order, exactly like the
-        scalar loop's ``continue`` filters.  The per-bucket columns (and the
-        ``searchsorted`` quoted-part resolution) come from the index's
-        version-scoped :class:`~repro.rdf.graph_index.TripleColumns`
-        snapshot cache, so only the bound-id masks are recomputed when the
-        same annotation bucket is scanned or probed again.
-        """
-        if not len(candidates):
-            return None
-        # Identify which bucket _quoted_candidates picked so the snapshot
-        # cache can key its arrays to it; every branch of that selection is
-        # covered, but fall back to an uncached build if identity ever fails.
-        if candidates is index.triples:
-            key = ("t",)
-        elif inner[0] is not None and candidates is index.by_quoted_subject.get(
-            inner[0]
-        ):
-            key = ("qs", inner[0])
-        elif inner[2] is not None and candidates is index.by_quoted_object.get(
-            inner[2]
-        ):
-            key = ("qo", inner[2])
-        elif predicate_id is not None and candidates is index.by_predicate.get(
-            predicate_id
-        ):
-            key = ("p", predicate_id)
-        elif object_id is not None and candidates is index.by_object.get(object_id):
-            key = ("o", object_id)
-        else:  # pragma: no cover — defensive; selection always matches above
-            key = ("anon", id(candidates), len(candidates))
-        positional, parts_columns, mask = index.columnar().quoted_rows(
-            key, candidates, self.store.dictionary
-        )
-        for part_index, bound in enumerate(inner):
-            if bound is not None:
-                mask = mask & (parts_columns[part_index] == bound)
-        if predicate_id is not None:
-            mask = mask & (positional[1] == predicate_id)
-        if object_id is not None:
-            mask = mask & (positional[2] == object_id)
-        rows = np.nonzero(mask)[0]
-        if not len(rows):
-            return None
-        return positional, parts_columns, rows
-
-    def _probe_pattern(
-        self,
-        pattern: TriplePattern,
-        bind: Dict[str, Optional[int]],
-        graph_var: Optional[str],
-        graph_name: Optional[Any],
-        new_vars: List[str],
-        encoder: QueryEncoder,
-    ) -> List[Tuple[tuple, tuple]]:
-        """All pattern matches under one join key, as ``(updates, extension)``.
-
-        ``extension`` carries the ids of the pattern's new variables (in
-        ``new_vars`` order); ``updates`` re-binds shared variables whose cell
-        was :data:`UNBOUND` in this key (OPTIONAL padding), as
-        ``(name, id)`` pairs.  The result is shared by every build row in
-        the key's group — the memoized unit of work.
-        """
-        # Shared variables that are unbound *in this key* must bind from the
-        # match (the seed engine's ``binding.get(...) is None`` path).
-        unbound_shared = [name for name, value in bind.items() if value is None]
-
-        lookup_graph = graph_name
-        if graph_var is not None and bind.get(graph_var) is not None:
-            lookup_graph = encoder.decode(bind[graph_var])
-        capture_graph = graph_var is not None and bind.get(graph_var) is None
-
-        subject = pattern.subject
-        predicate = pattern.predicate
-        obj = pattern.object
-        quoted_lookup: Optional[Tuple[Optional[int], Optional[int], Optional[int]]] = None
-        if isinstance(subject, Var):
-            subject_id = bind.get(str(subject))
-        elif isinstance(subject, QuotedPattern):
-            parts = self._resolve_quoted_ids(subject, bind, encoder)
-            if None not in parts:
-                subject_id = encoder.quoted_id(parts)  # type: ignore[arg-type]
-                if subject_id is None:
-                    return []
-            elif any(part is not None for part in parts):
-                subject_id = None
-                quoted_lookup = parts
-            else:
-                subject_id = None
-        else:
-            subject_id = encoder.encode(subject)
-        predicate_id = (
-            bind.get(str(predicate)) if isinstance(predicate, Var) else encoder.encode(predicate)
-        )
-        object_id = bind.get(str(obj)) if isinstance(obj, Var) else encoder.encode(obj)
-
-        if quoted_lookup is not None:
-            matches = self.store.match_quoted_ids(
-                quoted_lookup[0],
-                quoted_lookup[1],
-                quoted_lookup[2],
-                predicate_id,
-                object_id,
-                graph=lookup_graph,
-            )
-        else:
-            matches = self.store.match_ids(
-                subject_id, predicate_id, object_id, graph=lookup_graph
-            )
-
-        results: List[Tuple[tuple, tuple]] = []
-        for triple, triple_graph in matches:
-            local: Dict[str, int] = {}
-            if capture_graph:
-                local[graph_var] = encoder.encode(triple_graph)
-            if not (
-                self._match_term_id(subject, triple[0], bind, local, encoder)
-                and self._match_term_id(predicate, triple[1], bind, local, encoder)
-                and self._match_term_id(obj, triple[2], bind, local, encoder)
-            ):
-                continue
-            updates = tuple(
-                (name, local[name]) for name in unbound_shared if name in local
-            )
-            extension = tuple(local[name] for name in new_vars)
-            results.append((updates, extension))
-        return results
-
-    def _resolve_quoted_ids(
-        self, pattern: QuotedPattern, bind: Dict[str, Optional[int]], encoder: QueryEncoder
-    ) -> Tuple[Optional[int], Optional[int], Optional[int]]:
-        """Inner part ids of a quoted pattern under ``bind`` (``None`` holes)."""
-        parts: List[Optional[int]] = []
-        for part in (pattern.subject, pattern.predicate, pattern.object):
-            if isinstance(part, Var):
-                parts.append(bind.get(str(part)))
-            elif isinstance(part, QuotedPattern):
-                inner = self._resolve_quoted_ids(part, bind, encoder)
-                parts.append(encoder.quoted_id(inner) if None not in inner else None)  # type: ignore[arg-type]
-            else:
-                parts.append(encoder.encode(part))
-        return (parts[0], parts[1], parts[2])
-
-    def _match_term_id(
-        self,
-        term: Any,
-        term_id: int,
-        bind: Dict[str, Optional[int]],
-        local: Dict[str, int],
-        encoder: QueryEncoder,
-    ) -> bool:
-        """Match one pattern term against a matched id, extending ``local``."""
-        if isinstance(term, Var):
-            name = str(term)
-            value = local.get(name)
-            if value is None:
-                value = bind.get(name)
-            if value is None:
-                local[name] = term_id
-                return True
-            return value == term_id
-        if isinstance(term, QuotedPattern):
-            parts = encoder.quoted_parts(term_id)
-            if parts is None:
-                return False
-            return (
-                self._match_term_id(term.subject, parts[0], bind, local, encoder)
-                and self._match_term_id(term.predicate, parts[1], bind, local, encoder)
-                and self._match_term_id(term.object, parts[2], bind, local, encoder)
-            )
-        return encoder.encode(term) == term_id
-
-    @classmethod
-    def _collect_term_vars(cls, term: Any, ordered: List[str]) -> None:
-        """Append a pattern term's variable names in binding order."""
-        if isinstance(term, Var):
-            ordered.append(str(term))
-        elif isinstance(term, QuotedPattern):
-            for part in (term.subject, term.predicate, term.object):
-                cls._collect_term_vars(part, ordered)
-
-    def _left_join_rel(
-        self, group: GroupPattern, relation: Relation, graph: Optional[Any], encoder: QueryEncoder
-    ) -> Relation:
-        """OPTIONAL: rows extend when the group matches, survive unbound otherwise.
-
-        A hidden provenance column (a name no SPARQL variable can collide
-        with) threads each input row through the group evaluation, so the
-        whole OPTIONAL body runs set-at-a-time instead of once per row.
-        """
-        self._provenance_counter += 1
-        provenance = f"#row{self._provenance_counter}"
-        seeded = Relation(
-            relation.variables + (provenance,),
-            [row + (position,) for position, row in enumerate(relation.rows)],
-        )
-        result = self._evaluate_group_rel(group, seeded, graph, encoder)
-        provenance_slot = result.slot(provenance)
-        keep = [slot for slot, name in enumerate(result.variables) if name != provenance]
-        out_variables = tuple(name for name in result.variables if name != provenance)
-        extended_by_row: Dict[int, List[tuple]] = {}
-        for row in result.rows:
-            extended_by_row.setdefault(row[provenance_slot], []).append(
-                tuple(row[slot] for slot in keep)
-            )
-        padding = (UNBOUND,) * (len(out_variables) - len(relation.variables))
-        out_rows: List[tuple] = []
-        for position, row in enumerate(relation.rows):
-            extended = extended_by_row.get(position)
-            if extended:
-                out_rows.extend(extended)
-            else:
-                out_rows.append(row + padding)
-        return Relation(out_variables, out_rows)
-
-    def _named_graph_rel(
-        self, element: NamedGraphPattern, relation: Relation, encoder: QueryEncoder
-    ) -> Relation:
-        if not isinstance(element.graph, Var):
-            return self._evaluate_group_rel(element.group, relation, element.graph, encoder)
-        name = str(element.graph)
-        slot = relation.slot(name)
-        branches: List[Relation] = []
-        for graph_name in self.store.graphs():
-            graph_id = encoder.encode(graph_name)
-            if slot is None:
-                seeded = Relation(
-                    relation.variables + (name,),
-                    [row + (graph_id,) for row in relation.rows],
-                )
-            else:
-                rows: List[tuple] = []
-                for row in relation.rows:
-                    if row[slot] == graph_id:
-                        rows.append(row)
-                    elif row[slot] is UNBOUND:
-                        cells = list(row)
-                        cells[slot] = graph_id
-                        rows.append(tuple(cells))
-                seeded = Relation(relation.variables, rows)
-            if seeded.rows:
-                branches.append(
-                    self._evaluate_group_rel(element.group, seeded, graph_name, encoder)
-                )
-        if not branches:
-            return Relation(
-                relation.variables + ((name,) if slot is None else ()), []
-            )
-        return Relation.concat(branches)
-
-    def _bind_rel(
-        self, element: BindClause, relation: Relation, encoder: QueryEncoder
-    ) -> Relation:
-        name = str(element.variable)
-        needed: Set[str] = set()
-        self._expression_vars(element.expression, needed)
-        slots = [
-            (variable, relation.slot(variable))
-            for variable in needed
-            if relation.slot(variable) is not None
-        ]
-        target = relation.slot(name)
-        decode = encoder.decode
-        out_rows: List[tuple] = []
-        for row in relation.rows:
-            binding = {
-                variable: decode(row[slot])
-                for variable, slot in slots
-                if row[slot] is not UNBOUND
-            }
-            value = self._evaluate_expression(element.expression, binding)
-            cell = encoder.encode(value) if value is not None else UNBOUND
-            if target is None:
-                out_rows.append(row + (cell,))
-            else:
-                cells = list(row)
-                cells[target] = cell
-                out_rows.append(tuple(cells))
-        variables = relation.variables if target is not None else relation.variables + (name,)
-        return Relation(variables, out_rows)
-
-    def _filter_rel(
-        self, filters: List[FilterClause], relation: Relation, encoder: QueryEncoder
-    ) -> Relation:
-        """Apply the group's deferred FILTERs, decoding only referenced vars.
-
-        Under the vectorized executor, single-variable filters run through
-        the memoized id verdict tables (shared with any mid-group pushdown
-        of the same clause, so re-checking surviving rows is pure cache
-        hits); only multi-variable filters fall through to the per-row
-        decode loop.
-        """
-        if self.vectorized:
-            remaining: List[FilterClause] = []
-            for filter_clause in filters:
-                variable = self._single_filter_var(filter_clause)
-                if variable is None:
-                    remaining.append(filter_clause)
-                    continue
-                relation = self._push_filter(
-                    filter_clause, variable, relation, encoder, final=True
-                )
-                if not relation.rows:
-                    return relation
-            if not remaining:
-                return relation
-            filters = remaining
-        needed: Set[str] = set()
-        for filter_clause in filters:
-            self._expression_vars(filter_clause.expression, needed)
-        slots = [
-            (variable, relation.slot(variable))
-            for variable in needed
-            if relation.slot(variable) is not None
-        ]
-        decode = encoder.decode
-        out_rows: List[tuple] = []
-        for row in relation.rows:
-            binding = {
-                variable: decode(row[slot])
-                for variable, slot in slots
-                if row[slot] is not UNBOUND
-            }
-            if all(
-                self._truth(self._evaluate_expression(filter_clause.expression, binding))
-                for filter_clause in filters
-            ):
-                out_rows.append(row)
-        return Relation(relation.variables, out_rows)
-
-    @classmethod
-    def _expression_vars(cls, expression: Expression, names: Set[str]) -> None:
-        """Collect the variable names an expression reads."""
-        names.update(expression_variables(expression))
-
-    # ------------------------------------------------------------ query plan
-    def _reorder_elements(
-        self, elements: List[Any], solutions: List[Binding], graph: Optional[Any]
-    ) -> List[Any]:
-        """Greedily reorder triple patterns by estimated selectivity.
-
-        Only maximal runs of triple patterns are permuted; OPTIONAL / UNION /
-        GRAPH / BIND elements act as barriers because their semantics depend
-        on what is already joined.  FILTERs are order-insensitive here (they
-        are deferred to the end of the group) so they pass through runs.
-        """
-        bound: set = set(solutions[0].keys()) if solutions else set()
-        # A representative incoming binding: bound variables whose value it
-        # carries can be estimated against the real indexes instead of being
-        # discounted heuristically.
-        representative: Binding = solutions[0] if solutions else {}
-        graph_name = graph if graph is not None and not isinstance(graph, Var) else None
-        reordered: List[Any] = []
-        run: List[TriplePattern] = []
-
-        def ordering_cost(pattern: TriplePattern) -> Tuple[int, int, float]:
-            # A pattern sharing no variable with what is already bound would
-            # cross-join the accumulated solutions; schedule every connected
-            # pattern (however expensive) ahead of it.
-            pattern_vars = self._pattern_vars(pattern)
-            disconnected = int(bool(bound) and bool(pattern_vars) and not (pattern_vars & bound))
-            return (disconnected, *self._pattern_cost(pattern, bound, representative, graph_name))
-
-        def flush_run() -> None:
-            nonlocal run
-            remaining = list(run)
-            while remaining:
-                best = min(range(len(remaining)), key=lambda k: ordering_cost(remaining[k]))
-                pattern = remaining.pop(best)
-                reordered.append(pattern)
-                bound.update(self._pattern_vars(pattern))
-            run = []
-
-        for element in elements:
-            if isinstance(element, TriplePattern):
-                run.append(element)
-            elif isinstance(element, FilterClause):
-                reordered.append(element)
-            else:
-                flush_run()
-                reordered.append(element)
-                if isinstance(element, BindClause):
-                    bound.add(str(element.variable))
-        flush_run()
-        return reordered
-
-    #: Fallback selectivity discount per bound-but-value-unknown term, used
-    #: only when the store has no cardinality statistics for the predicate.
-    _UNKNOWN_BOUND_DISCOUNT = 8.0
-
-    def _pattern_cost(
-        self,
-        pattern: TriplePattern,
-        bound: set,
-        representative: Binding,
-        graph_name: Optional[Any],
-    ) -> Tuple[int, float]:
-        """``(unbound variable count, match estimate)`` — lower is cheaper.
-
-        Constant terms — and bound variables whose value the representative
-        binding carries — are estimated against the real index sizes.  A term
-        that will be bound at evaluation time but whose value is unknown yet
-        (it is bound by an earlier pattern in the plan) still restricts
-        matches; when the predicate is known its live cardinality statistics
-        give the real expected fan-out (``count / distinct_subjects`` for a
-        bound subject, ``count / distinct_objects`` for a bound object),
-        falling back to a fixed discount otherwise.
-        """
-        free = 0
-        quoted_unknown_bound = 0
-        unknown_positions: List[str] = []
-        lookup: List[Any] = []
-        for position, term in zip(
-            ("subject", "predicate", "object"),
-            (pattern.subject, pattern.predicate, pattern.object),
-        ):
-            if isinstance(term, Var):
-                name = str(term)
-                if name in representative:
-                    lookup.append(representative[name])
-                elif name in bound:
-                    unknown_positions.append(position)
-                    lookup.append(None)
-                else:
-                    free += 1
-                    lookup.append(None)
-            elif isinstance(term, QuotedPattern):
-                quoted_vars = self._quoted_vars(term)
-                unresolved = [name for name in quoted_vars if name not in representative]
-                free += sum(1 for name in unresolved if name not in bound)
-                quoted_unknown_bound += sum(1 for name in unresolved if name in bound)
-                lookup.append(self._resolve_quoted(term, representative) if not unresolved else None)
-            else:
-                lookup.append(term)
-        estimate: float = self._base_estimate(pattern, lookup, representative, graph_name)
-        statistics = (
-            self.store.predicate_statistics(lookup[1], graph_name)
-            if unknown_positions and lookup[1] is not None
-            else None
-        )
-        for position in unknown_positions:
-            divisor = self._UNKNOWN_BOUND_DISCOUNT
-            if statistics and statistics["count"] > 0:
-                distinct = statistics[
-                    "distinct_subjects" if position == "subject" else "distinct_objects"
-                ]
-                divisor = max(1.0, float(distinct))
-            estimate /= divisor
-        estimate /= self._UNKNOWN_BOUND_DISCOUNT**quoted_unknown_bound
-        return (free, estimate)
-
-    def _base_estimate(
-        self,
-        pattern: TriplePattern,
-        lookup: List[Any],
-        representative: Binding,
-        graph_name: Optional[Any],
-    ) -> float:
-        """Index-size estimate for the resolvable part of a pattern."""
-        if lookup[0] is None and isinstance(pattern.subject, QuotedPattern):
-            parts = self._quoted_lookup_parts(pattern.subject, representative)
-            if parts is not None:
-                return float(
-                    self.store.estimate_quoted_matches(
-                        parts[0], parts[2], lookup[1], lookup[2], graph_name
-                    )
-                )
-        return float(
-            self.store.estimate_matches(lookup[0], lookup[1], lookup[2], graph_name)
-        )
-
-    @classmethod
-    def _pattern_vars(cls, pattern: TriplePattern) -> set:
-        names: set = set()
-        for term in (pattern.subject, pattern.predicate, pattern.object):
-            if isinstance(term, Var):
-                names.add(str(term))
-            elif isinstance(term, QuotedPattern):
-                names.update(cls._quoted_vars(term))
-        return names
-
-    @classmethod
-    def _quoted_vars(cls, pattern: QuotedPattern) -> set:
-        names: set = set()
-        for part in (pattern.subject, pattern.predicate, pattern.object):
-            if isinstance(part, Var):
-                names.add(str(part))
-            elif isinstance(part, QuotedPattern):
-                names.update(cls._quoted_vars(part))
-        return names
-
-    def _left_join(
-        self, group: GroupPattern, solutions: List[Binding], graph: Optional[Any]
-    ) -> List[Binding]:
-        results: List[Binding] = []
-        for solution in solutions:
-            extended = self._evaluate_group(group, [solution], graph)
-            if extended:
-                results.extend(extended)
-            else:
-                results.append(solution)
-        return results
-
-    def _evaluate_named_graph(
-        self, element: NamedGraphPattern, solutions: List[Binding]
-    ) -> List[Binding]:
-        results: List[Binding] = []
-        if isinstance(element.graph, Var):
-            for graph_name in self.store.graphs():
-                seeded = []
-                for solution in solutions:
-                    binding = _term_matches(element.graph, graph_name, solution)
-                    if binding is not None:
-                        seeded.append(binding)
-                if seeded:
-                    results.extend(self._evaluate_group(element.group, seeded, graph_name))
-            return results
-        return self._evaluate_group(element.group, solutions, element.graph)
-
-    @staticmethod
-    def _resolve(term: Any, binding: Binding) -> Any:
-        if isinstance(term, Var):
-            return binding.get(str(term), term)
-        return term
-
-    # ----------------------------------------------------------- expressions
-    def _evaluate_expression(self, expression: Expression, binding: Binding) -> Any:
-        if isinstance(expression, VarExpr):
-            return _to_python(binding.get(str(expression.variable)))
-        if isinstance(expression, ConstExpr):
-            return _to_python(expression.value)
-        if isinstance(expression, Comparison):
-            left = self._evaluate_expression(expression.left, binding)
-            right = self._evaluate_expression(expression.right, binding)
-            return self._compare(expression.operator, left, right)
-        if isinstance(expression, BooleanExpr):
-            left = self._truth(self._evaluate_expression(expression.left, binding))
-            if expression.operator == "&&":
-                return left and self._truth(self._evaluate_expression(expression.right, binding))
-            return left or self._truth(self._evaluate_expression(expression.right, binding))
-        if isinstance(expression, NotExpr):
-            return not self._truth(self._evaluate_expression(expression.operand, binding))
-        if isinstance(expression, FunctionCall):
-            return self._evaluate_function(expression, binding)
-        raise TypeError(f"unexpected expression {expression!r}")
-
-    def _evaluate_function(self, call: FunctionCall, binding: Binding) -> Any:
-        name = call.name
-        if name == "bound":
-            argument = call.arguments[0]
-            if isinstance(argument, VarExpr):
-                return binding.get(str(argument.variable)) is not None
-            return True
-        arguments = [self._evaluate_expression(a, binding) for a in call.arguments]
-        if name == "regex":
-            flags = re.IGNORECASE if len(arguments) > 2 and "i" in str(arguments[2]) else 0
-            return bool(re.search(str(arguments[1]), str(arguments[0] or ""), flags))
-        if name == "contains":
-            return str(arguments[1]).lower() in str(arguments[0] or "").lower()
-        if name == "strstarts":
-            return str(arguments[0] or "").startswith(str(arguments[1]))
-        if name == "strends":
-            return str(arguments[0] or "").endswith(str(arguments[1]))
-        if name == "str":
-            return str(arguments[0]) if arguments[0] is not None else ""
-        if name == "lcase":
-            return str(arguments[0] or "").lower()
-        if name == "ucase":
-            return str(arguments[0] or "").upper()
-        if name == "strlen":
-            return len(str(arguments[0] or ""))
-        if name == "xsd" or name == "datatype":  # pragma: no cover - rarely used
-            return arguments[0]
-        raise ValueError(f"unsupported SPARQL function {name!r}")
-
-    @staticmethod
-    def _compare(operator: str, left: Any, right: Any) -> bool:
-        if left is None or right is None:
-            return False
-        if isinstance(left, bool) or isinstance(right, bool):
-            left_cmp, right_cmp = bool(left), bool(right)
-        elif isinstance(left, (int, float)) and isinstance(right, (int, float)):
-            left_cmp, right_cmp = float(left), float(right)
-        else:
-            left_cmp, right_cmp = str(left), str(right)
-        if operator == "=":
-            return left_cmp == right_cmp
-        if operator == "!=":
-            return left_cmp != right_cmp
-        if operator == "<":
-            return left_cmp < right_cmp
-        if operator == "<=":
-            return left_cmp <= right_cmp
-        if operator == ">":
-            return left_cmp > right_cmp
-        if operator == ">=":
-            return left_cmp >= right_cmp
-        raise ValueError(f"unknown comparison operator {operator!r}")
-
-    @staticmethod
-    def _truth(value: Any) -> bool:
-        if isinstance(value, bool):
-            return value
-        return bool(value)
-
-    # ------------------------------------------------------------ projection
-    def _result_variables(self, query: SelectQuery, rows: List[Binding]) -> List[str]:
-        if query.is_select_star():
-            seen: List[str] = []
-            for row in rows:
-                for key in row:
-                    if key not in seen:
-                        seen.append(key)
-            return seen
-        names: List[str] = []
-        for item in query.variables:
-            if isinstance(item, Aggregate):
-                names.append(str(item.alias))
-            else:
-                names.append(str(item))
-        return names
-
-    def _project(
-        self, query: SelectQuery, rows: List[Binding], variables: List[str]
-    ) -> List[Dict[str, Any]]:
-        projected: List[Dict[str, Any]] = []
-        for row in rows:
-            projected.append({name: _to_python(row.get(name)) for name in variables})
-        return projected
-
-    @staticmethod
-    def _distinct(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        seen = set()
-        unique: List[Dict[str, Any]] = []
-        for row in rows:
-            key = tuple(sorted((k, str(v)) for k, v in row.items()))
-            if key not in seen:
-                seen.add(key)
-                unique.append(row)
-        return unique
-
-    @staticmethod
-    def _order(query: SelectQuery, rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        for variable, ascending in reversed(query.order_by):
-            name = str(variable)
-
-            def sort_key(row, _name=name):
-                value = _to_python(row.get(_name))
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    return (0, value, "")
-                return (1, 0, str(value))
-
-            rows = sorted(rows, key=sort_key, reverse=not ascending)
-        return rows
-
-    # ------------------------------------------------------------ aggregates
-    def _aggregate(self, query: SelectQuery, solutions: List[Binding]) -> List[Dict[str, Any]]:
-        groups: Dict[Tuple, List[Binding]] = {}
-        for solution in solutions:
-            # Keys are *typed* values (via _group_key), not strings: keying
-            # on str() collapsed Literal(5) and Literal("5") into one group.
-            key = tuple(
-                _group_key(_to_python(solution.get(str(v)))) for v in query.group_by
-            )
-            groups.setdefault(key, []).append(solution)
-        if not query.group_by and not groups:
-            groups[()] = []
-        rows: List[Dict[str, Any]] = []
-        for key, members in groups.items():
-            row: Dict[str, Any] = {}
-            for variable, value in zip(query.group_by, key):
-                representative = members[0].get(str(variable)) if members else value
-                row[str(variable)] = _to_python(representative)
-            for item in query.variables:
-                if isinstance(item, Aggregate):
-                    row[str(item.alias)] = self._compute_aggregate(item, members)
-                elif str(item) not in row:
-                    row[str(item)] = _to_python(members[0].get(str(item))) if members else None
-            rows.append(row)
-        return rows
-
-    @staticmethod
-    def _compute_aggregate(aggregate: Aggregate, members: List[Binding]) -> Any:
-        if aggregate.argument is None:
-            values: Iterable[Any] = [1] * len(members)
-        else:
-            values = [
-                _to_python(member.get(str(aggregate.argument)))
-                for member in members
-                if member.get(str(aggregate.argument)) is not None
-            ]
-        return SPARQLEngine._aggregate_values(aggregate, list(values))
-
-    @staticmethod
-    def _aggregate_values(aggregate: Aggregate, values: List[Any]) -> Any:
-        """Reduce one group's (None-filtered) argument values.
-
-        Shared by the tuple and vectorized aggregation paths; SUM / AVG use
-        Python's left-to-right float addition so both paths round
-        identically.
-        """
-        if aggregate.distinct:
-            seen = set()
-            unique = []
-            for value in values:
-                key = str(value)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(value)
-            values = unique
-        if aggregate.function == "count":
-            return len(values)
-        if not values:
-            return None
-        if aggregate.function == "sum":
-            return sum(float(v) for v in values)
-        if aggregate.function == "avg":
-            return sum(float(v) for v in values) / len(values)
-        if aggregate.function == "min":
-            return min(values)
-        if aggregate.function == "max":
-            return max(values)
-        if aggregate.function == "sample":
-            return values[0]
-        raise ValueError(f"unknown aggregate {aggregate.function!r}")
+                gc.enable()
+            self._absorb(ctx)
+
+    def _absorb(self, ctx: QueryContext) -> None:
+        """Add one finished evaluation's memo counters to the totals."""
+        finished = ctx.counters()
+        with self._stats_lock:
+            for kind, counters in finished.items():
+                totals = self._stats[kind]
+                for name, value in counters.items():
+                    totals[name] += value

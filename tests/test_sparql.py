@@ -1,5 +1,9 @@
 """Unit tests for the SPARQL parser and evaluator."""
 
+import inspect
+import sys
+import threading
+
 import pytest
 
 from repro.rdf import KGLIDS_ONTOLOGY, Literal, QuadStore, RDF, URIRef
@@ -156,3 +160,65 @@ class TestEvaluation:
         table = engine.select("SELECT ?n WHERE { ?t kglids:hasName ?n }").to_table()
         assert table.num_rows == 4
         assert table.column_names == ["n"]
+
+
+class TestEngineSurface:
+    def test_constructor_takes_store_and_prefixes_only(self):
+        """One executor, no mode switches: nothing else to configure."""
+        assert list(inspect.signature(SPARQLEngine).parameters) == ["store", "prefixes"]
+
+
+class TestConcurrentReaders:
+    """One engine is shared by every reader thread of a serving endpoint."""
+
+    THREADS = 8
+    CALLS = 60
+
+    def test_concurrent_filter_queries_share_one_engine(self):
+        """FILTER verdict tables are per evaluation, not per engine: queries
+        racing on one engine neither crash nor lose counter updates."""
+        store = QuadStore()
+        for position in range(400):
+            store.add(
+                URIRef(f"http://e/s{position}"), URIRef("http://e/p"), Literal(position % 50)
+            )
+        many_filters = "SELECT ?s ?v WHERE { ?s <http://e/p> ?v . %s }" % " ".join(
+            f"FILTER(?v > {bound})" for bound in range(40)
+        )
+        one_filter = "SELECT ?s ?v WHERE { ?s <http://e/p> ?v . FILTER(?v > 10) }"
+        expected_rows, lookups = {}, {}
+        for query in (many_filters, one_filter):
+            alone = SPARQLEngine(store)
+            expected_rows[query] = len(alone.select(query))
+            counters = alone.stats()["filter_memo"]
+            lookups[query] = counters["hits"] + counters["misses"]
+
+        engine = SPARQLEngine(store)
+        failures = []
+
+        def reader(query):
+            for _ in range(self.CALLS):
+                try:
+                    rows = len(engine.select(query))
+                    if rows != expected_rows[query]:
+                        failures.append(f"{rows} rows, expected {expected_rows[query]}")
+                except Exception as error:  # noqa: BLE001 - the test reports any crash
+                    failures.append(repr(error))
+
+        queries = [many_filters if k % 2 else one_filter for k in range(self.THREADS)]
+        threads = [threading.Thread(target=reader, args=(query,)) for query in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        counters = engine.stats()["filter_memo"]
+        assert counters["hits"] + counters["misses"] == self.CALLS * sum(
+            lookups[query] for query in queries
+        )

@@ -1,11 +1,12 @@
-"""The batched SPARQL executor, term dictionary and shard eviction.
+"""The SPARQL executor against its oracle, term dictionary and shard eviction.
 
-Pins the contracts of the dictionary-encoded storage / batched-join PR:
+Pins the contracts of the dictionary-encoded storage and the columnar
+executor:
 
-* **Randomized parity** — the batched (columnar hash-join) executor, the
-  tuple-at-a-time executor and the seed written-order path return the same
-  rows (modulo order) on generated graphs and a zoo of query shapes, over
-  both the in-memory and sqlite backends;
+* **Randomized parity** — the production executor and the naive reference
+  evaluator (``tests/sparql_oracle.py``) return the same rows on generated
+  graphs and a zoo of query shapes, over both the in-memory and sqlite
+  backends — in the same order wherever the query has an ORDER BY;
 * **Term dictionary** — term <-> id interning is bidirectional, quoted
   triples are first-class, and ids round-trip byte-stably through a sqlite
   save/reopen;
@@ -33,6 +34,8 @@ from repro.rdf import (
 from repro.rdf.serialize import serialize_nquads
 from repro.sparql import SPARQLEngine
 from repro.sparql.columnar import UNBOUND, BoundedMemo, Relation
+
+import sparql_oracle
 
 EX = "http://example.org/"
 
@@ -119,7 +122,7 @@ QUERY_SHAPES = [
     f"SELECT DISTINCT ?a WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?c . }}",
     # multi-variable distinct over a duplicate-producing join
     f"SELECT DISTINCT ?a ?c WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?c . }}",
-    # --- shapes added with the vectorized collation tail ---
+    # --- collation-tail shapes ---
     # multi-aggregate GROUP BY with DISTINCT counting, ordered by an alias
     # (?b is a name literal so MIN/MAX compare homogeneous strings)
     f"""SELECT ?a (COUNT(DISTINCT ?b) AS ?n) (MIN(?b) AS ?lo) (MAX(?b) AS ?hi)
@@ -160,42 +163,51 @@ QUERY_SHAPES = [
 ]
 
 
+def ordered_key(result):
+    """Rows in result order, each as a binding-order-insensitive typed key
+    (``repr`` keeps ``5`` / ``5.0`` / ``"5"`` and float digits apart)."""
+    return [tuple(sorted((key, repr(value)) for key, value in row.items())) for row in result.rows]
+
+
 def rows_key(result):
-    """Order-insensitive, binding-order-insensitive row multiset."""
-    return sorted(
-        tuple(sorted((key, str(value)) for key, value in row.items()))
-        for row in result.rows
+    """Order-insensitive row multiset."""
+    return sorted(ordered_key(result))
+
+
+def assert_matches_oracle(store, query):
+    """Production == oracle: same variables, same rows, same order if ordered."""
+    result = SPARQLEngine(store).select(query)
+    expected = sparql_oracle.select(store, query)
+    assert result.variables == expected.variables
+    if "ORDER BY" in query:
+        assert ordered_key(result) == ordered_key(expected)
+    else:
+        assert rows_key(result) == rows_key(expected)
+    return result
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("memory", 3), ("memory", 11), ("memory", 42), ("sqlite", 7), ("sqlite", 19)],
+    ids=lambda param: f"{param[0]}-{param[1]}",
+)
+def random_store(request, tmp_path_factory):
+    backend, seed = request.param
+    if backend == "memory":
+        yield make_random_store(seed)
+        return
+    store = make_random_store(
+        seed, QuadStore.sqlite(tmp_path_factory.mktemp("parity") / "s.sqlite3")
     )
+    assert serialize_nquads(store) == serialize_nquads(make_random_store(seed))
+    yield store
+    store.close()
 
 
 class TestRandomizedParity:
-    @pytest.mark.parametrize("seed", [3, 11, 42])
     @pytest.mark.parametrize("shape", range(len(QUERY_SHAPES)))
-    def test_batched_matches_seed_semantics(self, seed, shape):
-        store = make_random_store(seed)
-        query = QUERY_SHAPES[shape]
-        vectorized = SPARQLEngine(store).select(query)
-        batched = SPARQLEngine(store, vectorized=False).select(query)
-        tuple_engine = SPARQLEngine(store, batched=False).select(query)
-        seed_engine = SPARQLEngine(store, optimize=False).select(query)
-        assert rows_key(vectorized) == rows_key(seed_engine)
-        assert rows_key(batched) == rows_key(seed_engine)
-        assert rows_key(tuple_engine) == rows_key(seed_engine)
-
-    @pytest.mark.parametrize("seed", [7, 19])
-    def test_parity_holds_on_sqlite_backend(self, seed, tmp_path):
-        memory_store = make_random_store(seed)
-        sqlite_store = make_random_store(seed, QuadStore.sqlite(tmp_path / "s.sqlite3"))
-        assert serialize_nquads(memory_store) == serialize_nquads(sqlite_store)
-        for query in QUERY_SHAPES:
-            expected = rows_key(SPARQLEngine(memory_store, optimize=False).select(query))
-            assert rows_key(SPARQLEngine(sqlite_store).select(query)) == expected
-            assert rows_key(SPARQLEngine(memory_store).select(query)) == expected
-            assert (
-                rows_key(SPARQLEngine(sqlite_store, vectorized=False).select(query))
-                == expected
-            )
-        sqlite_store.close()
+    def test_production_matches_oracle(self, random_store, shape):
+        assert_matches_oracle(random_store, QUERY_SHAPES[shape])
 
     @pytest.mark.parametrize("seed", [5])
     def test_parity_after_reopen(self, seed, tmp_path):
@@ -209,15 +221,8 @@ class TestRandomizedParity:
         original.close()
         reopened = QuadStore.sqlite(path)
         for query, rows in expected.items():
-            assert rows_key(SPARQLEngine(reopened).select(query)) == rows
+            assert rows_key(assert_matches_oracle(reopened, query)) == rows
         reopened.close()
-
-    def test_explain_stable_across_executors(self):
-        store = make_random_store(3)
-        query = QUERY_SHAPES[0]
-        plan = SPARQLEngine(store).explain(query)
-        assert plan == SPARQLEngine(store, batched=False).explain(query)
-        assert plan == SPARQLEngine(store, vectorized=False).explain(query)
 
 
 class TestDictionaryAwareDistinct:
@@ -226,23 +231,21 @@ class TestDictionaryAwareDistinct:
     DISTINCT_QUERY = f"SELECT DISTINCT ?a ?c WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?c . }}"
 
     @pytest.mark.parametrize("seed", [3, 11, 42])
-    def test_distinct_parity_with_tuple_executor(self, seed):
+    def test_distinct_parity_with_oracle(self, seed):
         store = make_random_store(seed)
-        batched = SPARQLEngine(store).select(self.DISTINCT_QUERY)
-        tuple_rows = SPARQLEngine(store, batched=False).select(self.DISTINCT_QUERY)
-        assert rows_key(batched) == rows_key(tuple_rows)
+        distinct = assert_matches_oracle(store, self.DISTINCT_QUERY)
         # DISTINCT really deduplicated (the join fans out duplicates).
         plain = SPARQLEngine(store).select(self.DISTINCT_QUERY.replace("DISTINCT ", ""))
-        assert len(batched) <= len(plain)
-        assert len(set(map(str, batched.rows))) == len(batched)
+        assert len(distinct) <= len(plain)
+        assert len(set(map(str, distinct.rows))) == len(distinct)
 
     def test_id_distinct_value_equal_rows_still_collapse(self):
         """Two interned terms projecting to the same Python value collapse.
 
         ``Literal(5)`` and ``Literal("5")`` hold different dictionary ids
-        but both project to ``str(...) == "5"`` under the seed executor's
-        value keying — the id-space dedup alone would keep both, so the
-        value-level guard must collapse them exactly like the tuple path.
+        but both project to ``str(...) == "5"`` under DISTINCT's value
+        keying — the id-space dedup alone would keep both, so the
+        value-level guard must collapse them exactly like the oracle does.
         """
         store = QuadStore()
         a, b1, b2 = _uri("a"), _uri("b1"), _uri("b2")
@@ -250,17 +253,16 @@ class TestDictionaryAwareDistinct:
         store.add(a, _uri("p0"), b2)
         store.add(b1, _uri("p1"), Literal(5))
         store.add(b2, _uri("p1"), Literal("5"))
-        batched = SPARQLEngine(store).select(self.DISTINCT_QUERY)
-        tuple_rows = SPARQLEngine(store, batched=False).select(self.DISTINCT_QUERY)
-        seed_rows = SPARQLEngine(store, optimize=False).select(self.DISTINCT_QUERY)
-        assert rows_key(batched) == rows_key(tuple_rows) == rows_key(seed_rows)
-        assert len(batched) == 1
+        result = SPARQLEngine(store).select(self.DISTINCT_QUERY)
+        expected = sparql_oracle.select(store, self.DISTINCT_QUERY)
+        assert len(result) == len(expected) == 1
+        assert str(result.rows[0]["c"]) == str(expected.rows[0]["c"]) == "5"
 
     @pytest.mark.parametrize("seed", [7])
     def test_distinct_with_offset_and_limit(self, seed):
         store = make_random_store(seed)
         query = self.DISTINCT_QUERY + " OFFSET 2 LIMIT 3"
-        full = SPARQLEngine(store, batched=False).select(self.DISTINCT_QUERY)
+        full = sparql_oracle.select(store, self.DISTINCT_QUERY)
         windowed = SPARQLEngine(store).select(query)
         assert len(windowed) == min(3, max(0, len(full) - 2))
         # The window is a slice of the distinct rows, not of the raw rows.
@@ -464,17 +466,20 @@ class TestBoundedMemo:
 
     def test_engine_exposes_memo_counters(self):
         store = make_random_store(3)
-        engine = SPARQLEngine(store, memo_capacity=8)
+        engine = SPARQLEngine(store)
         engine.select(QUERY_SHAPES[0])
-        counters = engine.memo_counters()
-        assert counters["misses"] > 0
+        assert engine.stats()["pattern_memo"]["misses"] > 0
 
-    def test_tiny_capacity_does_not_change_results(self):
+    def test_tiny_capacity_does_not_change_results(self, monkeypatch):
         store = make_random_store(11)
-        roomy = SPARQLEngine(store)
-        cramped = SPARQLEngine(store, memo_capacity=1)
+        roomy = {query: rows_key(SPARQLEngine(store).select(query)) for query in QUERY_SHAPES}
+        monkeypatch.setattr(SPARQLEngine, "DEFAULT_MEMO_CAPACITY", 1)
+        cramped = SPARQLEngine(store)
         for query in QUERY_SHAPES:
-            assert rows_key(cramped.select(query)) == rows_key(roomy.select(query))
+            assert rows_key(cramped.select(query)) == roomy[query]
+        stats = cramped.stats()
+        assert stats["pattern_memo"]["evictions"] > 0
+        assert stats["filter_memo"]["evictions"] > 0
 
 
 class TestGroupKeyTyping:
@@ -488,36 +493,33 @@ class TestGroupKeyTyping:
             store.add(_uri(f"s{position}"), _uri("p"), obj)
         return store
 
-    def _engines(self, store):
+    def _results(self, store):
+        """The production answer and the oracle's."""
         return [
-            SPARQLEngine(store),
-            SPARQLEngine(store, vectorized=False),
-            SPARQLEngine(store, batched=False),
+            SPARQLEngine(store).select(self.GROUP_QUERY),
+            sparql_oracle.select(store, self.GROUP_QUERY),
         ]
 
     def test_int_and_string_literals_group_separately(self):
         """Literal(5) and Literal("5") must not collide into one group (the
         old ``str()`` group key collapsed them)."""
         store = self._store(Literal(5), Literal("5"))
-        for engine in self._engines(store):
-            result = engine.select(self.GROUP_QUERY)
+        for result in self._results(store):
             assert len(result) == 2
             assert sorted(row["n"] for row in result.rows) == [1, 1]
 
     def test_equal_numeric_values_share_a_group(self):
         """5 and 5.0 are the same value under dict-key equality — one group."""
         store = self._store(Literal(5), Literal(5.0))
-        for engine in self._engines(store):
-            result = engine.select(self.GROUP_QUERY)
+        for result in self._results(store):
             assert len(result) == 1
             assert result.rows[0]["n"] == 2
 
     def test_nan_values_form_one_group(self):
         """NaN != NaN would split every NaN row into its own group; the
-        shared NaN sentinel keeps them together in both collation paths."""
+        shared NaN sentinel keeps them together."""
         store = self._store(Literal(float("nan")), Literal(float("nan")))
-        for engine in self._engines(store):
-            result = engine.select(self.GROUP_QUERY)
+        for result in self._results(store):
             assert len(result) == 1
             assert result.rows[0]["n"] == 2
 
@@ -533,38 +535,35 @@ class TestFilterPushdown:
         store = make_random_store(11)
         engine = SPARQLEngine(store)
         result = engine.select(self.FILTER_QUERY)
-        baseline = SPARQLEngine(store, vectorized=False).select(self.FILTER_QUERY)
-        assert rows_key(result) == rows_key(baseline)
+        assert rows_key(result) == rows_key(sparql_oracle.select(store, self.FILTER_QUERY))
         stats = engine.stats()
         assert stats["filter_memo"]["misses"] > 0
         # The group-end re-check of already-pushed rows is pure memo hits.
         assert stats["filter_memo"]["hits"] > 0
-        assert engine.filter_memo_counters() == stats["filter_memo"]
-        assert stats["pattern_memo"] == engine.memo_counters()
+        assert set(stats["pattern_memo"]) == {"hits", "misses", "evictions"}
 
     def test_explain_annotates_pushdown(self):
         store = make_random_store(3)
         plan = SPARQLEngine(store).explain(self.FILTER_QUERY)
         assert "FilterClause [pushdown ?c]" in plan
-        assert "pushdown" not in SPARQLEngine(store, vectorized=False).explain(
-            self.FILTER_QUERY
-        )
 
     def test_multi_variable_filters_are_not_pushed(self):
         query = f"SELECT ?a ?b WHERE {{ ?a <{EX}p1> ?b . FILTER(?a != ?b) }}"
         store = make_random_store(7)
         engine = SPARQLEngine(store)
-        assert "pushdown" not in engine.explain(query)
-        expected = SPARQLEngine(store, optimize=False).select(query)
-        assert rows_key(engine.select(query)) == rows_key(expected)
+        assert not any("pushdown" in line for line in engine.explain(query))
+        assert_matches_oracle(store, query)
 
-    def test_counters_reset_per_snapshot_not_per_query(self):
+    def test_counters_accumulate_across_queries(self):
         store = make_random_store(11)
         engine = SPARQLEngine(store)
         engine.select(self.FILTER_QUERY)
-        first = engine.filter_memo_counters()["misses"]
+        first = engine.stats()["filter_memo"]
         engine.select(self.FILTER_QUERY)
-        assert engine.filter_memo_counters()["misses"] >= first
+        # Verdict tables are per query, so the second run repeats the first.
+        assert engine.stats()["filter_memo"] == {
+            name: 2 * value for name, value in first.items()
+        }
 
 
 class TestConcatFastPath:
@@ -591,19 +590,17 @@ class TestConcatFastPath:
 
 
 class TestVectorizedCollation:
-    """Ordered results match the tuple executor row-for-row, not just as sets."""
+    """Ordered results match the oracle row-for-row, not just as sets."""
 
     ORDER_QUERY = f"""SELECT ?s ?n ?x WHERE {{
         ?s <{EX}name> ?n . OPTIONAL {{ ?s <{EX}p3> ?x . }}
     }} ORDER BY ?x DESC(?n)"""
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_order_by_rows_identical_across_executors(self, seed):
+    def test_order_by_rows_identical_to_oracle(self, seed):
         store = make_random_store(seed)
-        vectorized = SPARQLEngine(store).select(self.ORDER_QUERY)
-        batched = SPARQLEngine(store, vectorized=False).select(self.ORDER_QUERY)
-        tuple_rows = SPARQLEngine(store, batched=False).select(self.ORDER_QUERY)
-        assert vectorized.rows == batched.rows == tuple_rows.rows
+        result = SPARQLEngine(store).select(self.ORDER_QUERY)
+        assert result.rows == sparql_oracle.select(store, self.ORDER_QUERY).rows
 
     def test_sort_ranks_respect_value_collisions(self):
         """Distinct ids with equal values must share a sort rank (5 vs 5.0),
@@ -613,10 +610,9 @@ class TestVectorizedCollation:
         for position, obj in enumerate(objects):
             store.add(_uri(f"s{position}"), _uri("p"), obj)
         query = f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o . }} ORDER BY ?o ?s"
-        vectorized = SPARQLEngine(store).select(query)
-        tuple_rows = SPARQLEngine(store, batched=False).select(query)
-        assert vectorized.rows == tuple_rows.rows
-        assert [str(row["o"]) for row in vectorized.rows] == ["5", "5.0", "7", "10", "5"]
+        result = SPARQLEngine(store).select(query)
+        assert result.rows == sparql_oracle.select(store, query).rows
+        assert [str(row["o"]) for row in result.rows] == ["5", "5.0", "7", "10", "5"]
 
     def test_vectorized_distinct_preserves_first_seen_order(self):
         """Above the >64-row threshold the id-space dedup kicks in; it must
@@ -625,11 +621,9 @@ class TestVectorizedCollation:
         for position in range(100):
             store.add(_uri(f"s{position:03d}"), _uri("p"), Literal(position % 7))
         query = f"SELECT DISTINCT ?o WHERE {{ ?s <{EX}p> ?o . }}"
-        vectorized = SPARQLEngine(store).select(query)
-        batched = SPARQLEngine(store, vectorized=False).select(query)
-        tuple_rows = SPARQLEngine(store, batched=False).select(query)
-        assert vectorized.rows == batched.rows == tuple_rows.rows
-        assert len(vectorized) == 7
+        result = SPARQLEngine(store).select(query)
+        assert result.rows == sparql_oracle.select(store, query).rows
+        assert len(result) == 7
 
 
 class TestIdArrayScans:

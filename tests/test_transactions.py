@@ -202,19 +202,6 @@ class TestStoreRollbackSweep:
         assert versions == sorted(versions)
         assert versions[-1] == versions[0] + 1  # failed batches consumed none
 
-    def test_undo_disabled_falls_back_to_flush_and_advance(self):
-        store, _ = faulted_store()
-        store.undo_enabled = False
-        seed_store(store)
-        pre_version = store.commit_version
-        with pytest.raises(RuntimeError, match="legacy"):
-            with store.write_batch():
-                store.add(u("n1"), u("p1"), Literal("kept"), graph=G1)
-                raise RuntimeError("legacy abort")
-        # Legacy semantics: the partial batch is kept and the version advances.
-        assert store.contains(u("n1"), u("p1"), Literal("kept"), graph=G1)
-        assert store.commit_version == pre_version + 1
-
 
 # ---------------------------------------------------------------------------
 # Hypothesis: random workloads, random fault points
