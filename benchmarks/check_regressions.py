@@ -41,9 +41,7 @@ def _numeric_metrics(payload, prefix: str = "") -> Iterator[Tuple[str, float]]:
 
     Comparable metrics are numbers under a key containing ``speedup`` or
     ``recall`` (dimensionless, host-independent, where lower is strictly
-    worse — which is why ``pruning_ratio`` is excluded: a lower ratio means
-    *more* pruning) and booleans (invariants that must not flip to
-    ``False``).
+    worse) and booleans (invariants that must not flip to ``False``).
     """
     if isinstance(payload, dict):
         for key, value in payload.items():

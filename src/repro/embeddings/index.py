@@ -1,10 +1,11 @@
 """Vector indexes for similarity search (the Faiss / HNSW substitutes).
 
 Two indexes are provided: a brute-force :class:`FlatIndex` with exact cosine
-top-k (Faiss ``IndexFlat`` analogue, used by the KGLiDS embedding store) and
-an :class:`HNSWIndex` approximating Hierarchical Navigable Small World graphs
-with a navigable k-NN graph plus greedy beam search (used by the Starmie
-baseline, which the paper notes relies on an HNSW index).
+top-k (Faiss ``IndexFlat`` analogue, behind ``EmbeddingStore.search``) and an
+:class:`HNSWIndex` approximating Hierarchical Navigable Small World graphs
+with a navigable k-NN graph plus greedy beam search (used only by the Starmie
+baseline, which the paper notes relies on an HNSW index).  KG construction
+uses neither: the schema builder scores every column pair exactly.
 """
 
 from __future__ import annotations
@@ -131,30 +132,6 @@ class FlatIndex:
         top = np.argpartition(-scores, k - 1)[:k]
         top = top[np.argsort(-scores[top])]
         return [(self._keys[i], float(scores[i])) for i in top]
-
-    def search_many(
-        self, queries: np.ndarray, k: int = 10
-    ) -> List[List[Tuple[str, float]]]:
-        """Top-k results for a batch of query vectors in one matrix product.
-
-        Equivalent to ``[search(q, k) for q in queries]`` but the scoring is
-        a single matmul and the top-k selection one row-wise argpartition —
-        this is the bulk candidate-generation path of the ANN-pruned
-        similarity kernel.
-        """
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        if not self._keys:
-            return [[] for _ in range(queries.shape[0])]
-        norms = np.linalg.norm(queries, axis=1)
-        normalized = queries / np.where(norms > 0, norms, 1.0)[:, None]
-        scores = normalized @ self._ensure_matrix().T
-        k = min(k, len(self._keys))
-        top = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-        results: List[List[Tuple[str, float]]] = []
-        for row, candidates in enumerate(top):
-            ordered = candidates[np.argsort(-scores[row, candidates])]
-            results.append([(self._keys[i], float(scores[row, i])) for i in ordered])
-        return results
 
     def keys(self) -> List[str]:
         return list(self._keys)

@@ -24,8 +24,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.embeddings.colr import cosine_similarity
-from repro.embeddings.index import FlatIndex, HNSWIndex
 from repro.embeddings.words import WordEmbeddingModel, default_word_model, tokenize_label
 from repro.kg.ontology import (
     DATASET_GRAPH,
@@ -90,46 +88,20 @@ class DataGlobalSchemaBuilder:
         use_content_similarity: bool = True,
         executor: Optional[JobExecutor] = None,
         source_name: str = "data_lake",
-        vectorized: bool = True,
-        ann_prune: bool = True,
-        ann_group_threshold: int = 128,
-        ann_top_k: int = 32,
-        ann_backend: str = "flat",
     ):
         self.thresholds = thresholds or SimilarityThresholds()
         # Profiles carry label embeddings computed by the *default* word
-        # model; with a custom model the vectorized path must recompute so
-        # both similarity modes score labels identically.
+        # model; a custom model recomputes them from the column names.
         self._use_stored_label_embeddings = word_model is None
         self.word_model = word_model or default_word_model()
         self.use_label_similarity = use_label_similarity
         self.use_content_similarity = use_content_similarity
         self.executor = executor or JobExecutor()
         self.source_name = source_name
-        #: ``False`` falls back to the per-pair Python workers (the reference
-        #: implementation benchmarks compare against).
-        self.vectorized = vectorized
-        #: ANN candidate pruning for wide type groups: when a group holds at
-        #: least ``ann_group_threshold`` columns, content similarity scores
-        #: only each new column's ``ann_top_k`` nearest stored embeddings
-        #: (via ``FlatIndex`` or ``HNSWIndex``) instead of the full
-        #: new x existing matrix.  ``ann_prune=False`` is the exactness
-        #: escape hatch.  The high content threshold (theta ~0.985) means
-        #: true edges sit at the very top of the ranking, so a modest top-k
-        #: recovers them; ``pruning_stats`` records the achieved ratio.
-        if ann_backend not in ("flat", "hnsw"):
-            raise ValueError(f"unknown ann_backend {ann_backend!r}")
-        self.ann_prune = ann_prune
-        self.ann_group_threshold = ann_group_threshold
-        self.ann_top_k = ann_top_k
-        self.ann_backend = ann_backend
-        #: Cumulative pruning telemetry (reset with :meth:`reset_pruning_stats`).
-        self.pruning_stats: Dict[str, int] = {
-            "pruned_groups": 0,
-            "exact_groups": 0,
-            "candidate_pairs": 0,
-            "scored_pairs": 0,
-        }
+        #: Cumulative count of the cross-table column pairs scored for
+        #: content similarity.  Scoring is exact, so both keys always agree;
+        #: the pair survives because the e2e tracer reads both.
+        self.pruning_stats: Dict[str, int] = {"candidate_pairs": 0, "scored_pairs": 0}
 
     # ------------------------------------------------------------------- API
     def build(
@@ -151,14 +123,8 @@ class DataGlobalSchemaBuilder:
         existing pairs are already materialized from earlier builds), and
         table relationships are re-derived just for the table pairs those new
         edges touch.  Bootstrapping is the special case ``existing = ()``, so
-        one-shot and table-by-table construction produce identical graphs.
-
-        When a fine-grained type group reaches ``ann_group_threshold``
-        columns, content similarity scores only each new column's
-        ``ann_top_k`` nearest neighbours (ANN candidate pruning) — an
-        approximation that can miss edges for columns with more than
-        ``ann_top_k`` matches above ``theta``; construct the builder with
-        ``ann_prune=False`` for exact scoring.
+        one-shot and table-by-table construction produce identical graphs:
+        every pair is scored exactly, whatever the width of its type group.
         """
         plan = self.plan_incremental(new_profiles, existing_profiles)
         return self.apply_incremental(new_profiles, plan, store)
@@ -276,14 +242,9 @@ class DataGlobalSchemaBuilder:
 
         Pairs are generated only across different tables (line 7 of
         Algorithm 3 requires ``i != j``; comparing columns of the same table
-        adds no discovery value).  The default path stacks the per-type
-        embeddings into matrices and scores every pair with a single matmul;
-        ``vectorized=False`` keeps the per-pair Python workers that mirror
-        the MapReduce distribution of the paper.
+        adds no discovery value).
         """
-        if self.vectorized:
-            return self.compute_incremental_similarities(table_profiles, ())
-        return self._compute_similarities_pairwise(table_profiles)
+        return self.compute_incremental_similarities(table_profiles, ())
 
     def compute_incremental_similarities(
         self,
@@ -297,12 +258,6 @@ class DataGlobalSchemaBuilder:
         whose label and content scores are computed as dense matrix products
         with threshold masking rather than per-pair Python calls.
         """
-        if not self.vectorized:
-            # Reference path: enumerate the new pairs and reuse the per-pair
-            # worker so both modes agree on which pairs are compared.
-            pairs = self._incremental_pairs(new_profiles, existing_profiles)
-            edge_lists = self.executor.map(lambda pair: self._compare_pair(*pair), pairs)
-            return [edge for edges in edge_lists for edge in edges]
         jobs = self._type_group_jobs(new_profiles, existing_profiles)
         if self.executor.backend == "processes" and self._use_stored_label_embeddings:
             results = self.executor.map(
@@ -314,10 +269,10 @@ class DataGlobalSchemaBuilder:
         else:
             results = self.executor.map(lambda job: self._score_type_group(*job), jobs)
         edges: List[ColumnSimilarityEdge] = []
-        for group_edges, group_stats in results:
+        for group_edges, pairs_scored in results:
             edges.extend(group_edges)
-            for key, value in group_stats.items():
-                self.pruning_stats[key] += value
+            self.pruning_stats["candidate_pairs"] += pairs_scored
+            self.pruning_stats["scored_pairs"] += pairs_scored
         return edges
 
     def process_config(self) -> Dict[str, object]:
@@ -326,24 +281,7 @@ class DataGlobalSchemaBuilder:
             "thresholds": self.thresholds,
             "use_label_similarity": self.use_label_similarity,
             "use_content_similarity": self.use_content_similarity,
-            "ann_prune": self.ann_prune,
-            "ann_group_threshold": self.ann_group_threshold,
-            "ann_top_k": self.ann_top_k,
-            "ann_backend": self.ann_backend,
         }
-
-    def reset_pruning_stats(self) -> None:
-        """Zero the cumulative pruning telemetry."""
-        for key in self.pruning_stats:
-            self.pruning_stats[key] = 0
-
-    @property
-    def last_pruning_ratio(self) -> float:
-        """Fraction of candidate pairs actually scored (1.0 = no pruning)."""
-        candidates = self.pruning_stats["candidate_pairs"]
-        if candidates == 0:
-            return 1.0
-        return self.pruning_stats["scored_pairs"] / candidates
 
     @staticmethod
     def _type_group_jobs(
@@ -364,140 +302,38 @@ class DataGlobalSchemaBuilder:
             for fine_type, new_columns in new_by_type.items()
         ]
 
-    def _incremental_pairs(
-        self,
-        new_profiles: Sequence[TableProfile],
-        existing_profiles: Sequence[TableProfile],
-    ) -> List[Tuple[ColumnProfile, ColumnProfile]]:
-        """The new x (new + existing) cross-table pairs, grouped by type."""
-        pairs: List[Tuple[ColumnProfile, ColumnProfile]] = []
-        for _, new_columns, old_columns in self._type_group_jobs(
-            new_profiles, existing_profiles
-        ):
-            group = new_columns + old_columns
-            for i, left in enumerate(new_columns):
-                for j in range(i + 1, len(group)):
-                    right = group[j]
-                    if (left.dataset_name, left.table_name) == (right.dataset_name, right.table_name):
-                        continue
-                    pairs.append((left, right))
-        return pairs
-
-    def _compute_similarities_pairwise(
-        self, table_profiles: Sequence[TableProfile]
-    ) -> List[ColumnSimilarityEdge]:
-        """The seed per-pair loop, kept as the benchmark reference."""
-        pairs = self._incremental_pairs(table_profiles, ())
-        edge_lists = self.executor.map(lambda pair: self._compare_pair(*pair), pairs)
-        return [edge for edges in edge_lists for edge in edges]
-
-    # --------------------------------------------------- vectorized workers
+    # ------------------------------------------------------ matrix scoring
     def _score_type_group(
         self,
         fine_type: str,
         new_columns: Sequence[ColumnProfile],
         old_columns: Sequence[ColumnProfile],
-    ) -> Tuple[List[ColumnSimilarityEdge], Dict[str, int]]:
+    ) -> Tuple[List[ColumnSimilarityEdge], int]:
         """Score all new x (new + old) pairs of one type group at once.
 
-        Returns the edges plus pruning telemetry for the group (kept pure so
-        the method can run inside worker processes and the caller merges the
-        stats).
+        Returns the edges plus the number of pairs scored for content
+        similarity (kept pure so the method can run inside worker processes
+        and the caller accumulates the count).
         """
-        stats = {"pruned_groups": 0, "exact_groups": 0, "candidate_pairs": 0, "scored_pairs": 0}
         group = list(new_columns) + list(old_columns)
-        num_new, num_total = len(new_columns), len(group)
-        if num_new == 0 or num_total < 2:
-            return [], stats
+        num_new = len(new_columns)
+        if num_new == 0 or len(group) < 2:
+            return [], 0
         valid = self._valid_pair_mask(group, num_new)
         if not valid.any():
-            return [], stats
+            return [], 0
         edges: List[ColumnSimilarityEdge] = []
         if self.use_label_similarity:
             scores = self._label_score_matrix(group, num_new)
             edges.extend(self._edges_from_mask(group, valid & (scores >= self.thresholds.alpha), scores, "label"))
-        if self.use_content_similarity:
-            num_candidates = int(valid.sum())
-            stats["candidate_pairs"] = num_candidates
-            if fine_type == TYPE_BOOLEAN:
-                scores = self._boolean_score_matrix(group, num_new)
-                edges.extend(self._edges_from_mask(group, valid & (scores >= self.thresholds.beta), scores, "content"))
-                stats["exact_groups"] = 1
-                stats["scored_pairs"] = num_candidates
-            elif self._should_ann_prune(num_total):
-                pruned_edges, scored = self._ann_pruned_content_edges(group, num_new, valid)
-                edges.extend(pruned_edges)
-                stats["pruned_groups"] = 1
-                stats["scored_pairs"] = scored
-            else:
-                scores = self._content_score_matrix(group, num_new)
-                edges.extend(self._edges_from_mask(group, valid & (scores >= self.thresholds.theta), scores, "content"))
-                stats["exact_groups"] = 1
-                stats["scored_pairs"] = num_candidates
-        return edges, stats
-
-    def _should_ann_prune(self, num_total: int) -> bool:
-        """Prune only wide groups where top-k is genuinely a subset."""
-        return (
-            self.ann_prune
-            and num_total >= self.ann_group_threshold
-            and self.ann_top_k + 1 < num_total
-        )
-
-    def _ann_pruned_content_edges(
-        self, group: Sequence[ColumnProfile], num_new: int, valid: np.ndarray
-    ) -> Tuple[List[ColumnSimilarityEdge], int]:
-        """Content edges from top-k ANN candidates instead of the full matrix.
-
-        Builds a vector index over the group's stored column embeddings and
-        scores, per new column, only its ``ann_top_k`` nearest neighbours.
-        New x new hits are canonicalized onto the upper triangle (cosine is
-        symmetric) so pruning agrees with the exact path on which ordered
-        pair carries an edge.  Returns the edges and the number of pairs
-        actually scored.
-        """
-        matrix = np.stack(
-            [np.asarray(profile.embedding, dtype=float).ravel() for profile in group]
-        )
-        norms = np.linalg.norm(matrix, axis=1)
-        normalized = matrix / np.where(norms > 0, norms, 1.0)[:, None]
-        # +1 because each query retrieves itself as its nearest neighbour.
-        k = min(self.ann_top_k + 1, len(group))
-        if self.ann_backend == "hnsw":
-            index = HNSWIndex(matrix.shape[1])
-            for position in range(len(group)):
-                index.add(str(position), normalized[position])
-            neighbour_lists = [index.search(normalized[i], k=k) for i in range(num_new)]
+        if not self.use_content_similarity:
+            return edges, 0
+        if fine_type == TYPE_BOOLEAN:
+            scores, threshold = self._boolean_score_matrix(group, num_new), self.thresholds.beta
         else:
-            index = FlatIndex(matrix.shape[1])
-            index.add_many([(str(position), row) for position, row in enumerate(normalized)])
-            neighbour_lists = index.search_many(normalized[:num_new], k=k)
-        pairs: set = set()
-        for i, neighbours in enumerate(neighbour_lists):
-            for key, _ in neighbours:
-                j = int(key)
-                if valid[i, j]:
-                    pairs.add((i, j))
-                elif j < num_new and valid[j, i]:
-                    # Both columns are new and the pair lives on the upper
-                    # triangle as (j, i); keep that canonical orientation.
-                    pairs.add((j, i))
-        if not pairs:
-            return [], 0
-        ordered = sorted(pairs)
-        rows = np.array([i for i, _ in ordered])
-        cols = np.array([j for _, j in ordered])
-        raw = np.einsum("ij,ij->i", normalized[rows], normalized[cols])
-        scores = np.clip((raw + 1.0) / 2.0, 0.0, 1.0)
-        scores[(norms[rows] == 0) | (norms[cols] == 0)] = 0.0
-        edges = [
-            ColumnSimilarityEdge(
-                group[i].column_id, group[j].column_id, "content", float(score)
-            )
-            for (i, j), score in zip(ordered, scores)
-            if score >= self.thresholds.theta
-        ]
-        return edges, len(ordered)
+            scores, threshold = self._content_score_matrix(group, num_new), self.thresholds.theta
+        edges.extend(self._edges_from_mask(group, valid & (scores >= threshold), scores, "content"))
+        return edges, int(valid.sum())
 
     @staticmethod
     def _valid_pair_mask(group: Sequence[ColumnProfile], num_new: int) -> np.ndarray:
@@ -518,10 +354,10 @@ class DataGlobalSchemaBuilder:
         return mask
 
     def _label_score_matrix(self, group: Sequence[ColumnProfile], num_new: int) -> np.ndarray:
-        """Vectorized :meth:`WordEmbeddingModel.similarity` over the group.
+        """:meth:`WordEmbeddingModel.similarity` over the whole group at once.
 
         Blends label-embedding cosine (mapped to ``[0, 1]``) with Jaccard
-        token overlap, exactly like the scalar path: identical token sets
+        token overlap, exactly like the scalar method: identical token sets
         score 1.0, empty token sets score 0.0.
         """
         vectors = np.stack(
@@ -568,7 +404,7 @@ class DataGlobalSchemaBuilder:
 
     @staticmethod
     def _content_score_matrix(group: Sequence[ColumnProfile], num_new: int) -> np.ndarray:
-        """Vectorized :func:`cosine_similarity` over the CoLR embeddings."""
+        """:func:`repro.embeddings.colr.cosine_similarity` over the whole group."""
         matrix = np.stack(
             [np.asarray(profile.embedding, dtype=float).ravel() for profile in group]
         )
@@ -589,35 +425,6 @@ class DataGlobalSchemaBuilder:
             )
             for i, j in np.argwhere(hits)
         ]
-
-    def _compare_pair(
-        self, left: ColumnProfile, right: ColumnProfile
-    ) -> List[ColumnSimilarityEdge]:
-        """The column-similarity worker (lines 9-19 of Algorithm 3)."""
-        edges: List[ColumnSimilarityEdge] = []
-        if self.use_label_similarity:
-            label_score = self.word_model.similarity(left.column_name, right.column_name)
-            if label_score >= self.thresholds.alpha:
-                edges.append(
-                    ColumnSimilarityEdge(left.column_id, right.column_id, "label", label_score)
-                )
-        if not self.use_content_similarity:
-            return edges
-        if left.fine_grained_type == TYPE_BOOLEAN:
-            ratio_a = left.statistics.true_ratio or 0.0
-            ratio_b = right.statistics.true_ratio or 0.0
-            score = 1.0 - abs(ratio_a - ratio_b)
-            if score >= self.thresholds.beta:
-                edges.append(
-                    ColumnSimilarityEdge(left.column_id, right.column_id, "content", score)
-                )
-        else:
-            score = cosine_similarity(left.embedding, right.embedding)
-            if score >= self.thresholds.theta:
-                edges.append(
-                    ColumnSimilarityEdge(left.column_id, right.column_id, "content", score)
-                )
-        return edges
 
     def _write_similarity_edges(
         self, edges: Iterable[ColumnSimilarityEdge], store: QuadStore
@@ -748,7 +555,7 @@ def _init_builder_worker(config: Dict[str, object]) -> None:
 
 def _score_type_group_worker(
     job: Tuple[str, List[ColumnProfile], List[ColumnProfile]]
-) -> Tuple[List[ColumnSimilarityEdge], Dict[str, int]]:
+) -> Tuple[List[ColumnSimilarityEdge], int]:
     """Per-type-group similarity job executed inside a worker process."""
     if _WORKER_BUILDER is None:  # pragma: no cover - initializer always runs
         raise RuntimeError("builder worker used before initialization")

@@ -489,8 +489,10 @@ class KGGovernor:
         dataset graph's hash indexes plus the partial quoted-triple indexes
         (for the RDF-star score annotations), so retraction never scans the
         whole graph.  Dataset / source nodes shared with other tables are
-        left in place; pipeline graphs are untouched (their ``reads`` edges
-        reference the table node URI, which a refresh re-creates).  Returns
+        left in place, but a dataset's node goes with its last table (a
+        one-shot govern of the remaining lake never creates it); pipeline
+        graphs are untouched (their ``reads`` edges reference the table node
+        URI, which a refresh re-creates).  Returns
         ``False`` when the table was never governed.  The whole retraction
         commits as one write batch: readers never observe a partially
         retracted table.
@@ -532,7 +534,12 @@ class KGGovernor:
             column_uri(p.dataset_name, p.table_name, p.column_name)
             for p in profile.column_profiles
         ]
-        for node in [table_node] + column_nodes:
+        nodes = [table_node] + column_nodes
+        # Callers drop the table from the registries first, so an empty scan
+        # means this was its dataset's last table (a refresh re-adds the node).
+        if not any(dataset == dataset_name for dataset, _ in self._profiles_by_key):
+            nodes.append(dataset_uri(dataset_name))
+        for node in nodes:
             for triple, graph_name in list(graph.match(subject=node, graph=DATASET_GRAPH)):
                 graph.remove(triple.subject, triple.predicate, triple.object, graph=graph_name)
             for triple, graph_name in list(graph.match(obj=node, graph=DATASET_GRAPH)):

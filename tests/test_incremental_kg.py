@@ -4,15 +4,19 @@ The KG Governor builds the LiDS graph incrementally — similarity is scored
 only for new x (new + existing) column pairs on each add.  These tests pin
 the contract that makes that optimization safe: one-shot and incremental
 construction produce byte-identical graphs, re-adds are idempotent, the
-vectorized similarity kernel agrees with the per-pair reference, and the
-index-aware SPARQL planner returns the same answers as naive evaluation.
+matrix similarity kernel agrees with the per-pair reference under
+``tests/similarity_oracle.py``, and the index-aware SPARQL planner returns
+the same answers as naive evaluation.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.embeddings.words import WordEmbeddingModel
 from repro.kg import DataGlobalSchemaBuilder, KGGovernor, LiDSOntology
 from repro.kg.ontology import DATASET_GRAPH
 from repro.profiler import DataProfiler
@@ -20,6 +24,7 @@ from repro.rdf import QuadStore, RDF
 from repro.sparql import SPARQLEngine
 from repro.tabular import DataLake, Table
 
+import similarity_oracle
 import sparql_oracle
 
 
@@ -30,8 +35,7 @@ def _snapshot(store: QuadStore):
     }
 
 
-@pytest.fixture()
-def overlap_lake() -> DataLake:
+def _overlap_lake() -> DataLake:
     """Four tables across three datasets with overlapping columns."""
     lake = DataLake("incremental_lake")
     lake.add_table(
@@ -77,6 +81,26 @@ def overlap_lake() -> DataLake:
             },
         ),
     )
+    return lake
+
+
+@pytest.fixture()
+def overlap_lake() -> DataLake:
+    return _overlap_lake()
+
+
+def _boolean_lake() -> DataLake:
+    """Three tables whose boolean columns sit on both sides of ``beta``."""
+    lake = DataLake("boolean_lake")
+    for name, num_true in (("orders", 10), ("returns", 11), ("audits", 2)):
+        flags = [True] * num_true + [False] * (16 - num_true)
+        lake.add_table(
+            name,
+            Table.from_dict(
+                name,
+                {"approved": flags, "in_stock": flags[::-1], "amount": [1.5 * i for i in range(16)]},
+            ),
+        )
     return lake
 
 
@@ -145,21 +169,44 @@ class TestIdempotentAdds:
             assert len(names) == 1
 
 
-class TestVectorizedSimilarity:
-    def test_vectorized_agrees_with_pairwise_reference(self, overlap_lake):
-        profiles = DataProfiler().profile_data_lake(overlap_lake)
-        vectorized = DataGlobalSchemaBuilder().compute_column_similarities(profiles)
-        reference = DataGlobalSchemaBuilder(vectorized=False).compute_column_similarities(
-            profiles
-        )
+class TestSimilarityKernel:
+    @pytest.mark.parametrize(
+        "make_lake, options",
+        [
+            pytest.param(_overlap_lake, {}, id="overlap_lake"),
+            pytest.param(_boolean_lake, {}, id="boolean_type_group"),
+            pytest.param(_overlap_lake, {"use_label_similarity": False}, id="no_label"),
+            pytest.param(_boolean_lake, {"use_content_similarity": False}, id="no_content"),
+            pytest.param(
+                _overlap_lake,
+                {"word_model": WordEmbeddingModel(dimensions=24, seed=5)},
+                id="custom_word_model",
+            ),
+        ],
+    )
+    def test_kernel_agrees_with_pairwise_reference(self, make_lake, options):
+        profiles = DataProfiler().profile_data_lake(make_lake())
+        builder = DataGlobalSchemaBuilder(**options)
+        assert builder._use_stored_label_embeddings == ("word_model" not in options)
+        kernel = builder.compute_column_similarities(profiles)
+        reference = similarity_oracle.column_similarities(profiles, **options)
+        assert similarity_oracle.normalize(kernel) == similarity_oracle.normalize(reference)
+        # Non-trivial on every case: each enabled kind produced edges.
+        assert {edge.kind for edge in reference} == {
+            kind for kind in ("label", "content") if options.get(f"use_{kind}_similarity", True)
+        }
 
-        def normalize(edges):
-            return sorted(
-                (tuple(sorted((e.column_a, e.column_b))), e.kind, round(e.score, 9))
-                for e in edges
-            )
-
-        assert normalize(vectorized) == normalize(reference)
+    def test_constructor_takes_six_options(self):
+        """One kernel, no mode switches: the option list is pinned."""
+        parameters = list(inspect.signature(DataGlobalSchemaBuilder.__init__).parameters)
+        assert parameters[1:] == [
+            "thresholds",
+            "word_model",
+            "use_label_similarity",
+            "use_content_similarity",
+            "executor",
+            "source_name",
+        ]
 
     def test_incremental_pairs_cover_only_new_columns(self, overlap_lake):
         profiles = DataProfiler().profile_data_lake(overlap_lake)

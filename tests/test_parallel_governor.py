@@ -1,4 +1,4 @@
-"""Multi-core governance: process-pool execution, ANN pruning, planner stats.
+"""Multi-core governance: process-pool execution, exact wide groups, planner stats.
 
 These tests pin the contracts that make the parallel governor safe:
 
@@ -6,8 +6,8 @@ These tests pin the contracts that make the parallel governor safe:
   LiDS graphs and governor reports over the same lake;
 * profiles round-trip losslessly through ``to_dict``/``to_json`` (the
   process-boundary transport format);
-* ANN-pruned content similarity agrees with the exact full-matrix path on
-  the edges above threshold;
+* similarity stays exact however wide a type group grows: one-shot, two
+  halves and the per-pair reference agree on the edge set;
 * the SPARQL planner consumes live per-predicate cardinality statistics
   (pattern order follows fan-out, and changes when cardinalities change);
 * one-side-bound RDF-star patterns hit the partial quoted-triple index
@@ -31,6 +31,7 @@ from repro.rdf import Literal, QuadStore, URIRef
 from repro.sparql import SPARQLEngine
 from repro.tabular import DataLake, Table
 
+import similarity_oracle
 import sparql_oracle
 
 _SETTINGS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -142,15 +143,15 @@ class TestBackendEquivalence:
         assert len(profiles) == 2
 
 
-# ------------------------------------------------------------- ANN pruning
-class TestANNPruning:
-    def _wide_profiles(self, num_tables: int = 12, columns_per_table: int = 3):
+# -------------------------------------------------------- wide type groups
+class TestWideTypeGroupsStayExact:
+    def _wide_profiles(self, num_tables: int = 44, columns_per_table: int = 3):
         """Tables whose numeric columns form one wide fine-grained type group.
 
         Columns come in three value-scale families: columns of the same
         family are near-duplicates (above the content threshold), columns of
-        different families are far apart — so each column's true matches fit
-        comfortably inside the ANN top-k.
+        different families are far apart — so every column has
+        ``num_tables - 1`` true content matches.
         """
         rng = np.random.RandomState(5)
         bases = [rng.normal(10.0**family, 0.5, 30) for family in range(3)]
@@ -163,51 +164,25 @@ class TestANNPruning:
             lake.add_table("wide", Table.from_dict(f"t{t}", data))
         return DataProfiler().profile_data_lake(lake)
 
-    def test_pruned_edges_agree_with_exact_above_threshold(self):
+    def test_one_shot_equals_two_halves_equals_reference(self):
+        """132 same-typed columns, 43 matches each: top-k pruning lost edges here."""
         profiles = self._wide_profiles()
-        exact_builder = DataGlobalSchemaBuilder(ann_prune=False)
-        pruned_builder = DataGlobalSchemaBuilder(
-            ann_prune=True, ann_group_threshold=8, ann_top_k=24
-        )
-        exact = exact_builder.compute_incremental_similarities(profiles, ())
-        pruned = pruned_builder.compute_incremental_similarities(profiles, ())
-        assert pruned_builder.pruning_stats["pruned_groups"] >= 1
-        assert pruned_builder.last_pruning_ratio < 1.0
-        assert exact_builder.last_pruning_ratio == 1.0
-
-        def content_edges(edges):
-            return {
-                (e.column_a, e.column_b): e.score for e in edges if e.kind == "content"
-            }
-
-        exact_content, pruned_content = content_edges(exact), content_edges(pruned)
-        assert set(pruned_content) == set(exact_content)
-        for key, score in pruned_content.items():
-            assert exact_content[key] == pytest.approx(score, abs=1e-9)
-        # Label edges never go through the ANN path and must be untouched.
-        assert {(e.column_a, e.column_b) for e in exact if e.kind == "label"} == {
-            (e.column_a, e.column_b) for e in pruned if e.kind == "label"
-        }
-
-    def test_small_groups_stay_exact(self):
-        profiles = self._wide_profiles(num_tables=3, columns_per_table=2)
-        builder = DataGlobalSchemaBuilder(ann_prune=True, ann_group_threshold=128)
-        builder.compute_incremental_similarities(profiles, ())
-        assert builder.pruning_stats["pruned_groups"] == 0
-        assert builder.last_pruning_ratio == 1.0
-
-    def test_hnsw_backend_runs(self):
-        profiles = self._wide_profiles(num_tables=6)
-        builder = DataGlobalSchemaBuilder(
-            ann_prune=True, ann_group_threshold=8, ann_top_k=8, ann_backend="hnsw"
-        )
-        edges = builder.compute_incremental_similarities(profiles, ())
-        assert builder.pruning_stats["pruned_groups"] >= 1
-        assert any(edge.kind == "content" for edge in edges)
-
-    def test_unknown_ann_backend_rejected(self):
-        with pytest.raises(ValueError):
-            DataGlobalSchemaBuilder(ann_backend="faiss")
+        types = [c.fine_grained_type for p in profiles for c in p.column_profiles]
+        assert max(types.count(fine_type) for fine_type in set(types)) >= 128
+        builder = DataGlobalSchemaBuilder()
+        one_shot = builder.compute_incremental_similarities(profiles, ())
+        first, second = profiles[:22], profiles[22:]
+        halves = builder.compute_incremental_similarities(
+            first, ()
+        ) + builder.compute_incremental_similarities(second, first)
+        reference = similarity_oracle.column_similarities(profiles)
+        content_matches = sum(edge.kind == "content" for edge in reference)
+        assert 2 * content_matches / len(types) > 32  # mean true matches per column
+        assert similarity_oracle.normalize(one_shot) == similarity_oracle.normalize(reference)
+        assert similarity_oracle.normalize(halves) == similarity_oracle.normalize(reference)
+        # Exact scoring: every candidate pair was scored, on both builds.
+        assert builder.pruning_stats["scored_pairs"] == builder.pruning_stats["candidate_pairs"] > 0
+        assert set(builder.pruning_stats) == {"scored_pairs", "candidate_pairs"}
 
 
 # -------------------------------------------------------- profile round-trip

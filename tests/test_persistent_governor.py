@@ -421,6 +421,18 @@ class TestRefreshTable:
         assert governor.table_profile("titanic", "train") is None
         assert not governor.retract_table("titanic", "train")
 
+    def test_refresh_of_a_datasets_only_table_matches_scratch(self):
+        """Retraction drops the emptied dataset node; the re-add restores it."""
+        governor = KGGovernor()
+        governor.add_data_lake(make_lake())
+        report = governor.refresh_table(make_lake().table("heart", "heart"), dataset_name="heart")
+        assert report.refreshed_tables == ["heart/heart"]
+        scratch = KGGovernor()
+        scratch.add_data_lake(make_lake())
+        assert serialize_nquads(governor.storage.graph) == serialize_nquads(
+            scratch.storage.graph
+        )
+
     def test_refresh_persists_through_save_reopen(self, tmp_path):
         governor = KGGovernor()
         governor.add_data_lake(make_lake())

@@ -624,6 +624,38 @@ class TestGovernorFaultSweeps:
             verify_scratch=scratch,
         )
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "sqlite"])
+    def test_last_table_of_a_dataset_takes_the_dataset_node(self, durable, tmp_path):
+        """A drifted lake equals a one-shot govern: no emptied dataset node stays."""
+
+        def governed(name, lake):
+            store, backend = faulted_store(tmp_path / name if durable else None)
+            governor = KGGovernor(storage=KGLiDSStorage(graph=store))
+            governor.add_data_lake(lake)
+            return governor, backend
+
+        lake = make_lake(num_tables=2)  # ds0/table_0 and ds1/table_1
+        fresh, _ = governed("fresh.sqlite", make_lake(num_tables=1))  # ds0/table_0 alone
+        expected = snap(fresh.storage.graph)
+        probe, probe_backend = governed("probe.sqlite", lake)
+        baseline = probe_backend.op_count
+        assert probe.retract_table("ds1", "table_1")
+        batch_points = probe_backend.op_count - baseline
+        assert snap(probe.storage.graph) == expected
+
+        # A fault at the commit boundary, after the node's triples were
+        # removed, undoes the whole retraction — the dataset node included.
+        governor, backend = governed("drifted.sqlite", lake)
+        pre = governor_state(governor)
+        backend.plan = FaultPlan(at=backend.op_count + batch_points)
+        with pytest.raises(InjectedFault):
+            governor.retract_table("ds1", "table_1")
+        assert governor_state(governor) == pre
+        assert governor.retract_table("ds1", "table_1")
+        assert snap(governor.storage.graph) == expected
+        for each in (fresh, probe, governor):
+            each.close()
+
     def test_add_pipelines_is_all_or_nothing(self, example_pipeline_source):
         scripts = [
             PipelineScript(
