@@ -13,10 +13,10 @@
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.automation.cleaning import CleaningRecommender
@@ -27,14 +27,149 @@ from repro.kg.ontology import DATASET_GRAPH, LiDSOntology, library_uri, table_ur
 from repro.kg.service import GovernorService
 from repro.kg.storage import KGLiDSStorage
 from repro.pipelines.abstraction import PipelineScript
-from repro.rdf import RDF, URIRef
-from repro.sparql import SelectResult
+from repro.rdf import RDF, Literal, URIRef
+from repro.sparql.expression import to_python
 from repro.tabular import Column, DataLake, Table
 
 #: Keyword search conditions: a flat string is one disjunctive term, a nested
 #: list is a conjunctive group of terms (paper example:
 #: ``[['heart', 'disease'], 'patients']``).
 KeywordConditions = Sequence[Union[str, Sequence[str]]]
+
+
+# ------------------------------------------------------------ derived views
+# Built once per version of the dataset graph (``QuadStore.derived_view``)
+# from the id columns the SPARQL engine already scans.
+def _text(dictionary: Any, term_id: int) -> str:
+    return str(to_python(dictionary.decode(term_id)))
+
+
+def _object_ids(columns: Any, index: Any, predicate: URIRef, subject_ids: np.ndarray) -> np.ndarray:
+    """Per subject id, the id of its ``predicate`` object in this graph (0 = none)."""
+    found = np.zeros(len(subject_ids), np.int64)
+    predicate_id = index.dictionary.lookup(predicate)
+    if predicate_id is None or not len(subject_ids):
+        return found
+    subjects, objects = columns.predicate_rows(predicate_id, index)
+    if not len(subjects):
+        return found
+    order = np.argsort(subjects, kind="stable")
+    rows = order[np.searchsorted(subjects, subject_ids, sorter=order).clip(max=len(order) - 1)]
+    return np.where(subjects[rows] == subject_ids, objects[rows], found)
+
+
+class JoinGraph(NamedTuple):
+    """The ``joinableWith`` edges as undirected CSR adjacency.
+
+    Nodes are numbered in ascending table-URI order and each node's
+    neighbours are stored ascending, so a traversal's choices never depend
+    on the store's physical layout.
+    """
+
+    node_of: Dict[str, int]
+    labels: List[str]
+    offsets: List[int]
+    neighbours: List[int]
+
+    def reach(self, start: int, hops: Optional[int], target: Optional[int] = None) -> Dict[int, int]:
+        """Breadth-first ``node -> predecessor`` map, in discovery order.
+
+        Expands at most ``hops`` levels (``None``: until exhausted) and stops
+        after the level that reaches ``target``.  The first discovery of a
+        node wins, so among equal-length paths the one through the
+        earliest-discovered predecessor — ties broken by URI — is kept.
+        """
+        predecessor = {start: start}
+        frontier = [start]
+        offsets, neighbours = self.offsets, self.neighbours
+        level = 0
+        while frontier and (hops is None or level < hops) and target not in predecessor:
+            level += 1
+            discovered = []
+            for node in frontier:
+                for neighbour in neighbours[offsets[node] : offsets[node + 1]]:
+                    if neighbour not in predecessor:
+                        predecessor[neighbour] = node
+                        discovered.append(neighbour)
+            frontier = discovered
+        return predecessor
+
+    def path_labels(self, predecessor: Dict[int, int], node: int) -> List[str]:
+        """Labels along the kept path from the traversal's start to ``node``."""
+        path = [node]
+        while predecessor[path[-1]] != path[-1]:
+            path.append(predecessor[path[-1]])
+        return [self.labels[step] for step in reversed(path)]
+
+
+def _build_join_graph(columns: Any, index: Any) -> JoinGraph:
+    dictionary = index.dictionary
+    predicate_id = dictionary.lookup(LiDSOntology.joinableWith)
+    subjects, objects = (
+        columns.predicate_rows(predicate_id, index) if predicate_id is not None else ((), ())
+    )
+    node_ids = np.unique(np.concatenate([subjects, objects])).astype(np.int64)
+    count = len(node_ids)
+    uris = [str(dictionary.decode(node_id)) for node_id in node_ids.tolist()]
+    by_uri = sorted(range(count), key=uris.__getitem__)
+    number = np.empty(count, np.int64)
+    number[by_uri] = np.arange(count)
+    sources = number[np.searchsorted(node_ids, subjects)]
+    targets = number[np.searchsorted(node_ids, objects)]
+    # Both directions of every edge as one sorted, de-duplicated code list.
+    edges = np.unique(np.concatenate([sources * count + targets, targets * count + sources]))
+    name_ids = _object_ids(columns, index, LiDSOntology.hasName, node_ids)
+    uris = [uris[position] for position in by_uri]
+    return JoinGraph(
+        node_of={uri: node for node, uri in enumerate(uris)},
+        labels=[
+            _text(dictionary, name_id) if name_id else uri
+            for name_id, uri in zip(name_ids[by_uri].tolist(), uris)
+        ],
+        offsets=np.searchsorted(edges // max(count, 1), np.arange(count + 1)).tolist(),
+        neighbours=(edges % max(count, 1)).tolist(),
+    )
+
+
+def _build_table_texts(columns: Any, index: Any) -> List[Dict[str, str]]:
+    """What keyword search reports of each table that has a name and a named
+    dataset, plus ``searchable`` (those names and the column names,
+    lower-cased) — in ascending table-URI order, column names ascending."""
+    ontology = LiDSOntology
+    dictionary = index.dictionary
+    lookup = dictionary.lookup
+    type_id, part_id = lookup(RDF.type), lookup(ontology.isPartOf)
+    if type_id is None or part_id is None:
+        return []
+    typed, types = columns.predicate_rows(type_id, index)
+    parts, wholes = columns.predicate_rows(part_id, index)
+    is_column = np.isin(parts, typed[types == (lookup(ontology.Column) or 0)])
+    column_names: Dict[int, List[str]] = defaultdict(list)
+    name_ids = _object_ids(columns, index, ontology.hasName, parts[is_column])
+    for table_id, name_id in zip(wholes[is_column].tolist(), name_ids.tolist()):
+        if name_id:
+            column_names[table_id].append(_text(dictionary, name_id))
+    table_ids = typed[types == (lookup(ontology.Table) or 0)]
+    dataset_ids = _object_ids(columns, index, ontology.isPartOf, table_ids)
+    texts = []
+    for table_id, name_id, dataset_name_id in zip(
+        table_ids.tolist(),
+        _object_ids(columns, index, ontology.hasName, table_ids).tolist(),
+        _object_ids(columns, index, ontology.hasName, dataset_ids).tolist(),
+    ):
+        if name_id and dataset_name_id:
+            table, dataset = _text(dictionary, name_id), _text(dictionary, dataset_name_id)
+            names = sorted(column_names.get(table_id, ()))
+            texts.append(
+                {
+                    "dataset": dataset,
+                    "table": table,
+                    "table_uri": str(dictionary.decode(table_id)),
+                    "columns": ", ".join(names),
+                    "searchable": " ".join([table, dataset] + names).lower(),
+                }
+            )
+    return sorted(texts, key=lambda text: text["table_uri"])
 
 
 class KGLiDS:
@@ -100,64 +235,33 @@ class KGLiDS:
         """Search tables whose names, dataset names or column names match.
 
         Nested lists are conjunctive (all terms must appear), top-level
-        entries are combined disjunctively.
+        entries are combined disjunctively; a bare string is one disjunctive
+        term and no condition at all matches every table.  Matching is
+        case-insensitive substring search.  Rows come in ascending table-URI
+        order and ``columns`` lists the column names ascending, whatever the
+        store's layout.
         """
-        with self.read_view():
-            return self._search_keywords(conditions)
-
-    def _search_keywords(self, conditions: KeywordConditions) -> Table:
-        result = self.storage.query(
-            """
-            SELECT DISTINCT ?table ?table_name ?dataset_name WHERE {
-              GRAPH <http://kglids.org/resource/data/graph/datasets> {
-                ?table a kglids:Table .
-                ?table kglids:hasName ?table_name .
-                ?table kglids:isPartOf ?dataset .
-                ?dataset kglids:hasName ?dataset_name .
-              }
-            }
-            """
-        )
-        rows = []
-        for row in result.rows:
-            searchable = self._searchable_text(row["table"], row["table_name"], row["dataset_name"])
-            if self._matches_conditions(searchable, conditions):
-                rows.append(
-                    {
-                        "dataset": row["dataset_name"],
-                        "table": row["table_name"],
-                        "table_uri": str(row["table"]),
-                        "columns": ", ".join(self._column_names(row["table"])),
-                    }
-                )
-        return self._rows_to_table("search_results", rows, ["dataset", "table", "table_uri", "columns"])
-
-    def _searchable_text(self, table_node: Any, table_name: Any, dataset_name: Any) -> str:
-        parts = [str(table_name), str(dataset_name)] + self._column_names(table_node)
-        return " ".join(parts).lower()
-
-    def _column_names(self, table_node: Any) -> List[str]:
-        ontology = LiDSOntology
-        names = []
-        for triple in self.storage.graph.triples(None, ontology.isPartOf, table_node, graph=DATASET_GRAPH):
-            if self.storage.graph.contains(triple.subject, RDF.type, ontology.Column, graph=DATASET_GRAPH):
-                name = self.storage.graph.value(triple.subject, ontology.hasName, graph=DATASET_GRAPH)
-                if name is not None:
-                    names.append(str(name))
-        return names
-
-    @staticmethod
-    def _matches_conditions(searchable: str, conditions: KeywordConditions) -> bool:
-        if not conditions:
-            return True
+        if isinstance(conditions, str):
+            conditions = [conditions]
+        groups: List[List[str]] = []
         for condition in conditions:
-            if isinstance(condition, str):
-                if condition.lower() in searchable:
-                    return True
-            else:
-                if all(term.lower() in searchable for term in condition):
-                    return True
-        return False
+            terms = [condition] if isinstance(condition, str) else condition
+            if not isinstance(terms, Sequence) or not all(isinstance(term, str) for term in terms):
+                raise TypeError(
+                    "a keyword condition is a string or a sequence of strings; "
+                    f"got {condition!r}"
+                )
+            groups.append([term.lower() for term in terms])
+        with self.read_view():
+            texts = self.storage.graph.derived_view(
+                DATASET_GRAPH, "interfaces.table_texts", _build_table_texts
+            )
+        rows = [
+            text
+            for text in texts
+            if not groups or any(all(term in text["searchable"] for term in group) for group in groups)
+        ]
+        return self._rows_to_table("search_results", rows, ["dataset", "table", "table_uri", "columns"])
 
     # ----------------------------------------------------------- discovery
     def get_unionable_tables(self, dataset: str, table: str, k: int = 10) -> Table:
@@ -241,103 +345,74 @@ class KGLiDS:
         )
 
     # ------------------------------------------------------------ join paths
-    def _join_graph(self) -> nx.Graph:
-        ontology = LiDSOntology
-        graph = nx.Graph()
-        for triple in self.storage.graph.triples(None, ontology.joinableWith, None, graph=DATASET_GRAPH):
-            if isinstance(triple.subject, URIRef) and isinstance(triple.object, URIRef):
-                score = self.storage.graph.annotation(
-                    triple.subject,
-                    ontology.joinableWith,
-                    triple.object,
-                    ontology.withCertainty,
-                    graph=DATASET_GRAPH,
-                    default=0.0,
-                )
-                graph.add_edge(str(triple.subject), str(triple.object), score=float(score))
-        return graph
+    def _join_graph(self) -> JoinGraph:
+        return self.storage.graph.derived_view(
+            DATASET_GRAPH, "interfaces.join_graph", _build_join_graph
+        )
 
     def get_path_to_table(self, dataset: str, table: str, hops: int = 2) -> Table:
-        """Join paths (up to ``hops`` edges) from the given table to other tables."""
-        start = str(table_uri(dataset, table))
-        with self.read_view():
-            return self._get_path_to_table(start, hops)
+        """Join paths (up to ``hops`` edges) from the given table to other tables.
 
-    def _get_path_to_table(self, start: str, hops: int) -> Table:
-        join_graph = self._join_graph()
+        One row per reachable table, carrying a shortest path to it.  The
+        answer is a function of the graph alone: neighbours are expanded in
+        ascending table-URI order and the first discovery of a table fixes
+        its path; rows are ordered by ``(hops, target_table, table URI)``.
+        """
+        with self.read_view():
+            join_graph = self._join_graph()
+        start = join_graph.node_of.get(str(table_uri(dataset, table)))
         rows = []
-        if start in join_graph:
-            lengths, paths = nx.single_source_dijkstra(join_graph, start, cutoff=None, weight=None)
-            for target, path in paths.items():
-                if target == start or len(path) - 1 > hops:
-                    continue
-                rows.append(
-                    {
-                        "target_table": self._table_label(target),
-                        "hops": len(path) - 1,
-                        "path": " -> ".join(self._table_label(node) for node in path),
-                    }
-                )
+        if start is not None:
+            predecessor = join_graph.reach(start, hops)
+            for target in sorted(predecessor):  # node numbers ascend with the URIs
+                if target != start:
+                    path = join_graph.path_labels(predecessor, target)
+                    rows.append(
+                        {"target_table": path[-1], "hops": len(path) - 1, "path": " -> ".join(path)}
+                    )
         rows.sort(key=lambda row: (row["hops"], row["target_table"]))
         return self._rows_to_table("join_paths", rows, ["target_table", "hops", "path"])
 
     def get_shortest_path_between_tables(
         self, dataset_a: str, table_a: str, dataset_b: str, table_b: str
     ) -> Optional[List[str]]:
-        """Shortest join path between two tables (labels), or ``None``."""
+        """Shortest join path between two tables (labels), or ``None``.
+
+        Among equal-length paths the choice follows :meth:`get_path_to_table`.
+        """
         with self.read_view():
             join_graph = self._join_graph()
-            source = str(table_uri(dataset_a, table_a))
-            target = str(table_uri(dataset_b, table_b))
-            if source not in join_graph or target not in join_graph:
-                return None
-            try:
-                path = nx.shortest_path(join_graph, source, target)
-            except nx.NetworkXNoPath:
-                return None
-            return [self._table_label(node) for node in path]
-
-    def _table_label(self, table_uri_str: str) -> str:
-        name = self.storage.graph.value(
-            URIRef(table_uri_str), LiDSOntology.hasName, graph=DATASET_GRAPH
-        )
-        return str(name) if name is not None else table_uri_str
+        source = join_graph.node_of.get(str(table_uri(dataset_a, table_a)))
+        target = join_graph.node_of.get(str(table_uri(dataset_b, table_b)))
+        if source is None or target is None:
+            return None
+        predecessor = join_graph.reach(source, None, target)
+        return join_graph.path_labels(predecessor, target) if target in predecessor else None
 
     # ----------------------------------------------------- library discovery
     def get_top_k_library_used(self, k: int = 10) -> Table:
-        """The top-k libraries by number of distinct pipelines calling them (Fig. 4)."""
-        result = self.storage.query(
-            f"""
-            SELECT ?library_name (COUNT(DISTINCT ?pipeline) AS ?num_pipelines) WHERE {{
-              GRAPH ?g {{
-                ?statement kglids:callsLibrary ?library .
-                ?statement kglids:isPartOf ?pipeline .
-              }}
-              ?library kglids:hasName ?library_name .
-            }}
-            GROUP BY ?library_name
-            ORDER BY DESC(?num_pipelines)
-            LIMIT {int(k)}
-            """
-        )
-        return result.to_table("top_libraries")
+        """The top-k libraries by number of distinct pipelines calling them (Fig. 4).
+
+        Libraries tying on the count rank by name, so the cut at ``k`` does
+        not depend on the store's layout.
+        """
+        return self.get_top_used_libraries(k)
 
     def get_top_used_libraries(self, k: int = 10, task: Optional[str] = None) -> Table:
-        """Top-k libraries restricted to pipelines of a given task."""
-        if task is None:
-            return self.get_top_k_library_used(k)
+        """Top-k libraries, optionally restricted to pipelines of a given task."""
+        of_task = "" if task is None else f"?pipeline kglids:hasTaskType {Literal(task).n3()} ."
         result = self.storage.query(
             f"""
             SELECT ?library_name (COUNT(DISTINCT ?pipeline) AS ?num_pipelines) WHERE {{
               GRAPH ?g {{
                 ?statement kglids:callsLibrary ?library .
                 ?statement kglids:isPartOf ?pipeline .
-                ?pipeline kglids:hasTaskType "{task}" .
+                {of_task}
               }}
               ?library kglids:hasName ?library_name .
             }}
             GROUP BY ?library_name
-            ORDER BY DESC(?num_pipelines)
+            ORDER BY DESC(?num_pipelines) ?library_name
             LIMIT {int(k)}
             """
         )

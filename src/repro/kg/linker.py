@@ -42,34 +42,18 @@ class GlobalGraphLinker:
         #: Confidence attached to materialized predicted links (the paper
         #: annotates predicted edges with a score, e.g. 0.92 in Figure 2).
         self.prediction_score = prediction_score
-        # Cached table resolution map, keyed by the store object and the
-        # dataset graph's mutation counter: any dataset-graph write (including
-        # remove-then-add sequences that leave the triple count unchanged)
-        # invalidates it even without an explicit invalidate_cache() call,
-        # while writes to pipeline graphs — like the linker's own annotate
-        # calls — keep it warm across link_pipelines.
-        self._known_tables_cache: Optional[Dict[Tuple[str, str], URIRef]] = None
-        self._cache_store: Optional[QuadStore] = None
-        self._cache_version: int = -1
-
-    def invalidate_cache(self) -> None:
-        """Drop the cached table map (call after dataset-graph writes)."""
-        self._known_tables_cache = None
-        self._cache_store = None
-        self._cache_version = -1
 
     def _known_tables_for(self, store: QuadStore) -> Dict[Tuple[str, str], URIRef]:
-        """The cached ``_known_tables(store)``, shared across link calls."""
-        version = store.graph_version(DATASET_GRAPH)
-        if (
-            self._known_tables_cache is None
-            or self._cache_store is not store
-            or self._cache_version != version
-        ):
-            self._known_tables_cache = self._known_tables(store)
-            self._cache_store = store
-            self._cache_version = version
-        return self._known_tables_cache
+        """``_known_tables(store)``, kept until the dataset graph next changes.
+
+        Any dataset-graph write (including remove-then-add sequences that
+        leave the triple count unchanged) drops it, while writes to pipeline
+        graphs — like the linker's own annotate calls — keep it warm across
+        link_pipelines.
+        """
+        return store.derived_view(
+            DATASET_GRAPH, "linker.known_tables", lambda *_: self._known_tables(store)
+        )
 
     # ------------------------------------------------------------------- API
     def link_pipeline(

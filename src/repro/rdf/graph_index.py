@@ -21,7 +21,7 @@ public API boundary.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,6 +32,9 @@ IdTriple = Tuple[int, int, int]
 
 #: Shared empty candidate set so missing index entries cost no allocation.
 _EMPTY_TRIPLES: Set[IdTriple] = frozenset()  # type: ignore[assignment]
+
+#: "Not built yet" in a snapshot's derived-view table (``None`` is a value).
+_UNBUILT = object()
 
 
 class TripleColumns:
@@ -54,7 +57,7 @@ class TripleColumns:
     instead of with what the next query actually scans.
     """
 
-    __slots__ = ("_index", "_version", "_count", "_matrix", "_predicate_rows", "_quoted_rows")
+    __slots__ = ("_index", "_version", "_count", "_matrix", "_derived")
 
     def __init__(self, index: "GraphIndex"):
         self._index = index
@@ -62,12 +65,10 @@ class TripleColumns:
         self._count = len(index.triples)
         #: Lazily-built ``(count, 3)`` id matrix backing the full columns.
         self._matrix: Optional[np.ndarray] = None
-        #: Per-predicate (subject, object) column pairs, built lazily from the
-        #: predicate bucket set to preserve its iteration order.
-        self._predicate_rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: Per-candidate-bucket quoted-scan rows, keyed by the bucket's
-        #: identity key — see :meth:`quoted_rows`.
-        self._quoted_rows: Dict[tuple, tuple] = {}
+        #: Views derived from this snapshot, each built on first use: the
+        #: per-predicate row blocks (int keys), the quoted-scan rows (tuple
+        #: keys) and whatever readers hang here through :meth:`derived`.
+        self._derived: Dict[Any, Any] = {}
 
     def _columns(self) -> np.ndarray:
         matrix = self._matrix
@@ -103,9 +104,23 @@ class TripleColumns:
     def __len__(self) -> int:
         return self._count
 
+    def derived(self, key: str, build: Callable[["TripleColumns", "GraphIndex"], Any]) -> Any:
+        """The view ``build(columns, index)``, built once per snapshot.
+
+        ``key`` names the view (a dotted string, the owning module first).
+        The graph discards its snapshot on every mutation
+        (:meth:`GraphIndex.columnar`), so a view lives exactly as long as the
+        state it was built from: nothing to invalidate, size or reset.  Two
+        readers racing on first use both build; the views are equal.
+        """
+        view = self._derived.get(key, _UNBUILT)
+        if view is _UNBUILT:
+            view = self._derived[key] = build(self, self._index)
+        return view
+
     def predicate_rows(self, predicate_id: int, index: "GraphIndex") -> Tuple[np.ndarray, np.ndarray]:
         """``(subjects, objects)`` of the predicate's triples, bucket-ordered."""
-        cached = self._predicate_rows.get(predicate_id)
+        cached = self._derived.get(predicate_id)
         if cached is None:
             bucket = index.by_predicate.get(predicate_id, _EMPTY_TRIPLES)
             count = len(bucket)
@@ -115,7 +130,7 @@ class TripleColumns:
                 2 * count,
             )
             pair = flat.reshape(count, 2)
-            cached = self._predicate_rows[predicate_id] = (pair[:, 0], pair[:, 1])
+            cached = self._derived[predicate_id] = (pair[:, 0], pair[:, 1])
         return cached
 
     def quoted_rows(self, key: tuple, candidates, dictionary) -> tuple:
@@ -132,7 +147,7 @@ class TripleColumns:
         are immutable once encoded.  Callers must not mutate the returned
         arrays — mask with non-inplace operators.
         """
-        cached = self._quoted_rows.get(key)
+        cached = self._derived.get(key)
         if cached is not None:
             return cached
         count = len(candidates)
@@ -153,7 +168,7 @@ class TripleColumns:
         else:
             valid = np.zeros(count, dtype=bool)
             parts = (subjects, subjects, subjects)
-        cached = self._quoted_rows[key] = (positional, parts, valid)
+        cached = self._derived[key] = (positional, parts, valid)
         return cached
 
     def match_rows(

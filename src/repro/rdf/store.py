@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.rdf.backend import InMemoryBackend, PathLike, QuadStoreBackend, SqliteBackend
 from repro.rdf.gate import ReadView, ReadWriteGate
-from repro.rdf.graph_index import IdTriple
+from repro.rdf.graph_index import GraphIndex, IdTriple
 from repro.rdf.terms import Literal, QuotedTriple, TermDictionary, Triple, URIRef, term_n3
 
 #: Name of the default graph (triples added without an explicit graph).
@@ -519,14 +519,25 @@ class QuadStore:
         return self._version
 
     def graph_version(self, graph: URIRef) -> int:
-        """Mutation counter of one named graph (0 for an absent graph).
-
-        Lets readers cache per-graph derived state (e.g. the linker's table
-        map over the dataset graph) without being invalidated by writes to
-        unrelated graphs.
-        """
+        """Mutation counter of one named graph (0 for an absent graph)."""
         index = self._backend.get_index(graph)
         return index.version if index is not None else 0
+
+    def derived_view(self, graph: URIRef, key: str, build) -> Any:
+        """``build(columns, index)`` over one graph, kept until that graph changes.
+
+        The one home for per-graph derived state (the discovery API's join
+        adjacency and keyword text, the linker's table map): the view hangs
+        on the graph's :class:`~repro.rdf.graph_index.TripleColumns`
+        snapshot, which any write to *this* graph discards and writes to
+        other graphs leave alone.  Call it inside a read view (or the write
+        batch doing the writing) like any other read; an absent graph builds
+        from an empty index and keeps nothing.
+        """
+        index = self._backend.get_index(graph)
+        if index is None:
+            index = GraphIndex(self._backend.dictionary)
+        return index.columnar().derived(key, build)
 
     # --------------------------------------------------------- id translation
     def _lookup_id(self, term: Any) -> Any:

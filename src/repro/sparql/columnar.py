@@ -154,8 +154,8 @@ class Relation:
     def concat(relations: Sequence["Relation"]) -> "Relation":
         """Union of relations, aligning layouts (missing slots pad unbound).
 
-        Used for UNION branches and per-graph GRAPH evaluations, whose
-        branches may have grown different variable sets.
+        Used for UNION branches, which may have grown different variable
+        sets.
         """
         if not relations:
             return Relation((), [])

@@ -9,6 +9,7 @@ expression evaluation.
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -127,9 +128,11 @@ def _join_pattern(
       narrow candidates far below the constant-only set.
 
     Extensions are precomputed id tuples concatenated onto rows — no
-    per-row dicts, no term decoding.  Shapes the compiler does not cover
-    (repeated variables, graph variables, nested quoted patterns) fall
-    back to the general per-key walk in :func:`_join_slow_rows`.
+    per-row dicts, no term decoding.  Under ``GRAPH ?g`` (``graph`` is the
+    variable) the pattern is matched across every named graph at once and
+    the graph id is one more join key or extension cell.  Shapes the
+    compiler does not cover (repeated variables, nested quoted patterns)
+    fall back to the general per-key walk in :func:`_join_slow_rows`.
     """
     graph_var = str(graph) if isinstance(graph, Var) else None
     graph_name = graph if graph is not None and graph_var is None else None
@@ -155,14 +158,16 @@ def _join_pattern(
             new_vars.append(name)
 
     plan = None
-    if graph_var is None and not has_duplicates:
-        plan = compile_join_plan(
-            ctx.store, pattern, key_names, new_vars, graph_name, ctx.encoder
-        )
+    if not has_duplicates:
+        plan = compile_join_plan(ctx, pattern, key_names, new_vars, graph)
 
     rows = relation.rows
     out_rows: List[tuple] = []
     append = out_rows.append
+    if len(key_slots) > 1:  # ``row -> key tuple`` at C speed
+        key_of = itemgetter(*key_slots)
+    else:
+        key_of = lambda row: tuple(row[slot] for slot in key_slots)  # noqa: E731
     #: Rows the compiled plan cannot serve: OPTIONAL-unbound shared cells
     #: (the unbound variable binds from the match) or no plan at all.
     slow_rows: List[tuple] = []
@@ -182,7 +187,7 @@ def _join_pattern(
                         append(row + extension if extension else row)
         else:
             for row in rows:
-                key = tuple(row[slot] for slot in key_slots)
+                key = key_of(row)
                 if None in key:
                     slow_rows.append(row)
                     continue
@@ -195,7 +200,7 @@ def _join_pattern(
         missing = memo.MISSING
         probe = compile_probe(ctx, plan) if plan is not None else None
         for row in rows:
-            key = tuple(row[slot] for slot in key_slots)
+            key = key_of(row)
             if probe is None or None in key:
                 slow_rows.append(row)
                 continue
@@ -286,33 +291,43 @@ def _left_join(
 def _named_graph(
     ctx: QueryContext, element: NamedGraphPattern, relation: Relation
 ) -> Relation:
-    if not isinstance(element.graph, Var):
-        return evaluate_group(ctx, element.group, relation, element.graph)
-    name = str(element.graph)
+    """``GRAPH <name> { … }`` / ``GRAPH ?g { … }``: the group, scoped.
+
+    A graph variable does not loop over the graphs: the group is planned and
+    evaluated once with the variable as its scope, and every pattern in it
+    joins on — or, for the first one, binds — the id of the graph its match
+    sits in.  Only a group that does not open with a triple pattern (empty,
+    or led by OPTIONAL / UNION / BIND / a nested GRAPH) needs ``?g`` bound
+    before it runs, one row per named graph.
+    """
+    graph = element.graph
+    if isinstance(graph, Var):
+        leading = next(
+            (item for item in element.group.elements if not isinstance(item, FilterClause)), None
+        )
+        if not isinstance(leading, TriplePattern):
+            relation = _seed_graphs(ctx, str(graph), relation)
+    return evaluate_group(ctx, element.group, relation, graph)
+
+
+def _seed_graphs(ctx: QueryContext, name: str, relation: Relation) -> Relation:
+    """Bind ``name`` to every named graph: unbound rows fan out graph-major,
+    rows already bound survive when their value names a graph."""
+    graph_ids = [ctx.encoder.encode(graph_name) for graph_name in ctx.store.graphs()]
     slot = relation.slot(name)
-    branches: List[Relation] = []
-    for graph_name in ctx.store.graphs():
-        graph_id = ctx.encoder.encode(graph_name)
-        if slot is None:
-            seeded = Relation(
-                relation.variables + (name,),
-                [row + (graph_id,) for row in relation.rows],
-            )
-        else:
-            rows: List[tuple] = []
-            for row in relation.rows:
-                if row[slot] == graph_id:
-                    rows.append(row)
-                elif row[slot] is UNBOUND:
-                    cells = list(row)
-                    cells[slot] = graph_id
-                    rows.append(tuple(cells))
-            seeded = Relation(relation.variables, rows)
-        if seeded.rows:
-            branches.append(evaluate_group(ctx, element.group, seeded, graph_name))
-    if not branches:
-        return Relation(relation.variables + ((name,) if slot is None else ()), [])
-    return Relation.concat(branches)
+    if slot is None:
+        return Relation(
+            relation.variables + (name,),
+            [row + (graph_id,) for graph_id in graph_ids for row in relation.rows],
+        )
+    rows: List[tuple] = []
+    for graph_id in graph_ids:
+        for row in relation.rows:
+            if row[slot] == graph_id:
+                rows.append(row)
+            elif row[slot] is UNBOUND:
+                rows.append(row[:slot] + (graph_id,) + row[slot + 1 :])
+    return Relation(relation.variables, rows)
 
 
 def _row_binder(ctx: QueryContext, relation: Relation, names: set):

@@ -20,7 +20,7 @@ from repro.sparql.algebra import (
     Var,
     expression_variables,
 )
-from repro.sparql.columnar import QueryEncoder
+from repro.sparql.columnar import QueryContext
 from repro.sparql.expression import Binding
 
 #: Fallback selectivity discount per bound-but-value-unknown term, used only
@@ -34,9 +34,12 @@ SRC_FREE = 2
 
 #: ``(source kind, constant id | key position | None)``.
 Source = Tuple[int, Optional[int]]
-#: Where an output id comes from in a match: a triple slot ``('t', 0..2)``
-#: or a quoted-subject part ``('q', 0..2)``.
+#: Where an output id comes from in a match: a triple slot ``('t', 0..2)``,
+#: the id of the graph the triple sits in (``GRAPH_PICK``, a fourth
+#: positional slot present only under ``GRAPH ?g``) or a quoted-subject part
+#: ``('q', 0..2)``.
 Pick = Tuple[str, int]
+GRAPH_PICK: Pick = ("t", 3)
 
 
 class JoinPlan(NamedTuple):
@@ -51,6 +54,12 @@ class JoinPlan(NamedTuple):
     sources: Tuple[Source, Source, Source]
     quoted_sources: Optional[List[Source]]
     indexes: List[Any]
+    #: Parallel to ``indexes``: ``(graph-name id,)`` under ``GRAPH ?g``, else
+    #: ``()`` — ``triple + tail`` is what the picks index, so the graph id
+    #: sits in slot 3 (:data:`GRAPH_PICK`) exactly when a variable reads it.
+    tails: List[tuple]
+    #: Key position of the graph variable when the relation already binds it.
+    graph_key: Optional[int]
     key_picks: List[Pick]
     picks: List[Pick]
     #: No pick reads a quoted-subject part.
@@ -305,19 +314,22 @@ def quoted_vars(pattern: QuotedPattern) -> set:
 
 # ---------------------------------------------------------------- join plan
 def compile_join_plan(
-    store: Any,
+    ctx: QueryContext,
     pattern: TriplePattern,
     key_names: List[str],
     new_vars: List[str],
-    graph_name: Optional[Any],
-    encoder: QueryEncoder,
+    graph: Optional[Any],
 ) -> Optional[JoinPlan]:
     """Resolve one pattern join into a :class:`JoinPlan`.
 
-    Returns ``None`` for shapes outside the fast cases (nested quoted
-    patterns, quoted terms off the subject position), which take the
-    general per-key walk instead.
+    ``graph`` is the enclosing ``GRAPH`` name, a :class:`Var` for ``GRAPH
+    ?g`` (the plan then spans every named graph and carries each one's id as
+    a fourth positional slot the variable joins on or binds from), or
+    ``None`` for the default graph.  Returns ``None`` for shapes outside the
+    fast cases (nested quoted patterns, quoted terms off the subject
+    position), which take the general per-key walk instead.
     """
+    encoder = ctx.encoder
     key_positions = {name: index for index, name in enumerate(key_names)}
 
     def source_of(term) -> Optional[Source]:
@@ -346,6 +358,14 @@ def compile_join_plan(
         return None
 
     first_positions: Dict[str, Pick] = {}
+    if isinstance(graph, Var):
+        first_positions[str(graph)] = GRAPH_PICK
+        named = ctx.store.backend.items()
+        indexes = [index for _, index in named]
+        tails = [(encoder.encode(name),) for name, _ in named]
+    else:
+        indexes = ctx.store.backend.indexes_for(graph)
+        tails = [()] * len(indexes)
     for position, term in enumerate((subject, predicate, obj)):
         if isinstance(term, Var):
             first_positions.setdefault(str(term), ("t", position))
@@ -360,7 +380,9 @@ def compile_join_plan(
     return JoinPlan(
         sources=(subject_source, predicate_source, object_source),
         quoted_sources=quoted_sources,
-        indexes=store.backend.indexes_for(graph_name),
+        indexes=indexes,
+        tails=tails,
+        graph_key=key_positions.get(str(graph)) if isinstance(graph, Var) else None,
         key_picks=key_picks,
         picks=picks,
         triple_only=all(kind == "t" for kind, _ in picks + key_picks),

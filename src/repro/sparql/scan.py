@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.sparql.algebra import QuotedPattern, TriplePattern, Var
 from repro.sparql.columnar import QueryContext, QueryEncoder
-from repro.sparql.plan import SRC_CONST, SRC_KEY, JoinPlan, Pick
+from repro.sparql.plan import GRAPH_PICK, SRC_CONST, SRC_KEY, JoinPlan, Pick
 
 #: Candidate buckets at least this large resolve quoted-subject parts
 #: array-at-a-time; smaller ones stay on the scalar loop, which wins under a
@@ -113,7 +113,7 @@ def scan_join_table(ctx: QueryContext, plan: JoinPlan) -> JoinTable:
     key_picker = compile_picker(plan.key_picks)
     ext_picker = compile_picker(plan.picks)
     table: JoinTable = {}
-    for index in plan.indexes:
+    for index, tail in zip(plan.indexes, plan.tails):
         candidates = _filtered_candidates(index, subject_id, predicate_id, object_id)
         if candidates is None:
             continue
@@ -124,6 +124,7 @@ def scan_join_table(ctx: QueryContext, plan: JoinPlan) -> JoinTable:
                 continue
             if object_id is not None and triple[2] != object_id:
                 continue
+            triple += tail
             key = triple[single_position] if single else key_picker(triple, None)
             extension = ext_picker(triple, None)
             bucket = table.get(key)
@@ -134,17 +135,44 @@ def scan_join_table(ctx: QueryContext, plan: JoinPlan) -> JoinTable:
     return table
 
 
-def _fill_table(
-    table: JoinTable, key_columns: List[np.ndarray], extension_columns: List[np.ndarray]
-) -> None:
-    """Hash id columns into ``table``: one C-level ``tolist`` per column, so
-    the per-candidate work is just the hash-table insert."""
-    key_lists = [column.tolist() for column in key_columns]
+#: One graph's scan candidates: ``(tail, positional s/p/o columns, quoted
+#: part columns or None, surviving row positions or None for all)``.
+Block = Tuple[tuple, tuple, Optional[tuple], Optional[np.ndarray]]
+
+
+def _hash_blocks(plan: JoinPlan, blocks: List[Block]) -> JoinTable:
+    """Hash the graphs' candidate blocks into one join table.
+
+    Every picked column is stitched across the blocks first, so a pattern
+    under ``GRAPH ?g`` costs one hash pass however many graphs it spans —
+    the graph id is just one more column (:data:`GRAPH_PICK`).  Blocks keep
+    their order and rows their order within a block, which keeps
+    row-order-sensitive results (float SUM, GROUP BY representatives)
+    reproducible.
+    """
+    table: JoinTable = {}
+    if not blocks:
+        return table
+
+    def column(pick: Pick) -> np.ndarray:
+        if pick == GRAPH_PICK:
+            return np.repeat(
+                np.array([tail[0] for tail, _, _, _ in blocks], np.int64),
+                [len(positional[0]) if rows is None else len(rows) for _, positional, _, rows in blocks],
+            )
+        kind, position = pick
+        pieces = []
+        for _, positional, parts, rows in blocks:
+            source = (parts if kind == "q" else positional)[position]
+            pieces.append(source if rows is None else source[rows])
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+    # One C-level ``tolist`` per column, so the per-candidate work is just
+    # the hash-table insert.
+    key_lists = [column(pick).tolist() for pick in plan.key_picks]
     keys = key_lists[0] if len(key_lists) == 1 else zip(*key_lists)
     extensions = (
-        zip(*(column.tolist() for column in extension_columns))
-        if extension_columns
-        else repeat(())
+        zip(*(column(pick).tolist() for pick in plan.picks)) if plan.picks else repeat(())
     )
     for key, extension in zip(keys, extensions):
         bucket = table.get(key)
@@ -152,6 +180,7 @@ def _fill_table(
             table[key] = [extension]
         else:
             bucket.append(extension)
+    return table
 
 
 def _scan_table_arrays(plan: JoinPlan, predicate_id: Optional[int]) -> JoinTable:
@@ -163,8 +192,8 @@ def _scan_table_arrays(plan: JoinPlan, predicate_id: Optional[int]) -> JoinTable
     order equals the set iteration order, which keeps row-order-sensitive
     results (float SUM, GROUP BY representatives) reproducible.
     """
-    table: JoinTable = {}
-    for index in plan.indexes:
+    blocks: List[Block] = []
+    for index, tail in zip(plan.indexes, plan.tails):
         columns = index.columnar()
         if predicate_id is None:
             positional = (columns.subjects, columns.predicates, columns.objects)
@@ -179,14 +208,9 @@ def _scan_table_arrays(plan: JoinPlan, predicate_id: Optional[int]) -> JoinTable
                 # array order (what set iteration would have yielded).
                 subjects, objects = columns.subjects, columns.objects
             positional = (subjects, None, objects)
-        if not len(positional[0]):
-            continue
-        _fill_table(
-            table,
-            [positional[position] for _, position in plan.key_picks],
-            [positional[position] for _, position in plan.picks],
-        )
-    return table
+        if len(positional[0]):
+            blocks.append((tail, positional, None, None))
+    return _hash_blocks(plan, blocks)
 
 
 def _scan_table_quoted_arrays(
@@ -206,24 +230,13 @@ def _scan_table_quoted_arrays(
     inner/outer constants apply as boolean masks (which preserve the
     candidate set's iteration order).
     """
-    table: JoinTable = {}
-    for index in plan.indexes:
+    blocks: List[Block] = []
+    for index, tail in zip(plan.indexes, plan.tails):
         candidates = index._quoted_candidates(inner[0], inner[2], predicate_id, object_id)
         masked = quoted_rows_arrays(ctx, index, candidates, inner, predicate_id, object_id)
-        if masked is None:
-            continue
-        positional, parts_columns, rows = masked
-
-        def column(pick: Pick) -> np.ndarray:
-            kind, position = pick
-            return (parts_columns if kind == "q" else positional)[position][rows]
-
-        _fill_table(
-            table,
-            [column(pick) for pick in plan.key_picks],
-            [column(pick) for pick in plan.picks],
-        )
-    return table
+        if masked is not None:
+            blocks.append((tail,) + masked)
+    return _hash_blocks(plan, blocks)
 
 
 def quoted_rows_arrays(
@@ -286,18 +299,22 @@ def compile_probe(ctx: QueryContext, plan: JoinPlan) -> Callable[[tuple], List[t
     """
     (s_mode, s_value), (p_mode, p_value), (o_mode, o_value) = plan.sources
     quoted_sources = plan.quoted_sources
-    indexes = plan.indexes
+    scope = list(zip(plan.indexes, plan.tails))
+    graph_key = plan.graph_key
+    if graph_key is not None:
+        # ``?g`` arrives bound in the key: each probe reads one graph.
+        scope_of = {tail[0]: [(index, ())] for index, tail in scope}
     picks = plan.picks
     triple_only = plan.triple_only
     ext_picker = compile_picker(picks)
     quoted_parts = ctx.encoder.quoted_parts
     quoted_id = ctx.encoder.quoted_id
 
-    def matches_into(results, subject_id, predicate_id, object_id, inner):
+    def matches_into(results, scope, subject_id, predicate_id, object_id, inner):
         """Scan candidates under the given bound ids, appending the
         extension tuple of every accepted match."""
         append = results.append
-        for index in indexes:
+        for index, tail in scope:
             if inner is None:
                 candidates = _filtered_candidates(index, subject_id, predicate_id, object_id)
                 if candidates is None:
@@ -310,12 +327,12 @@ def compile_probe(ctx: QueryContext, plan: JoinPlan) -> Callable[[tuple], List[t
                     if object_id is not None and triple[2] != object_id:
                         continue
                     if triple_only:
-                        append(ext_picker(triple, None))
+                        append(ext_picker(triple + tail, None))
                     else:
                         parts = quoted_parts(triple[0])
                         if parts is None:
                             continue
-                        append(ext_picker(triple, parts))
+                        append(ext_picker(triple + tail, parts))
                 continue
             candidates = index._quoted_candidates(inner[0], inner[2], predicate_id, object_id)
             if len(candidates) >= _ARRAY_PROBE_MIN:
@@ -329,7 +346,9 @@ def compile_probe(ctx: QueryContext, plan: JoinPlan) -> Callable[[tuple], List[t
                     results.extend(
                         zip(
                             *(
-                                (parts_columns if kind == "q" else positional)[position][
+                                repeat(tail[0], len(rows))
+                                if (kind, position) == GRAPH_PICK
+                                else (parts_columns if kind == "q" else positional)[position][
                                     rows
                                 ].tolist()
                                 for kind, position in picks
@@ -353,7 +372,7 @@ def compile_probe(ctx: QueryContext, plan: JoinPlan) -> Callable[[tuple], List[t
                     continue
                 if object_id is not None and triple[2] != object_id:
                     continue
-                append(ext_picker(triple, parts))
+                append(ext_picker(triple + tail, parts))
 
     def probe(key: tuple) -> List[tuple]:
         predicate_id = (
@@ -380,7 +399,11 @@ def compile_probe(ctx: QueryContext, plan: JoinPlan) -> Callable[[tuple], List[t
             else:
                 subject_id = None
         results: List[tuple] = []
-        matches_into(results, subject_id, predicate_id, object_id, inner)
+        matches_into(
+            results,
+            scope if graph_key is None else scope_of.get(key[graph_key], ()),
+            subject_id, predicate_id, object_id, inner,
+        )
         return results
 
     return probe

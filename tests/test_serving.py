@@ -317,6 +317,57 @@ def test_replica_server_lease_serves_fresh_reads(served_lake, tmp_path):
         replica_server.close()
 
 
+def test_replica_answers_view_backed_calls_like_the_writer(served_lake, tmp_path):
+    """``get_path_to_table``, ``search_keywords`` and ``get_top_k_library_used``
+    read structures derived per graph version and order their rows by URI /
+    name, so a caught-up replica — whose store was filled in another order,
+    from a snapshot plus row deltas — answers byte-identically after the
+    writer adds and retracts."""
+    from repro.datagen import generate_pipeline_corpus
+
+    service = served_lake["service"]
+    lake = make_lake(6)
+    service.submit_pipelines(generate_pipeline_corpus(lake, pipelines_per_table=2, seed=5)).result(
+        timeout=120
+    )
+    served_lake["governor"].save(served_lake["dir"])
+    replica = Replica(
+        served_lake["server"].address,
+        ship_snapshot(served_lake["dir"], tmp_path / "replica"),
+    )
+    writer = LiDSClient(service)
+
+    def answers(client):
+        calls = [client.get_path_to_table(f"ds{i % 2}", f"table_{i}", 3) for i in range(6)]
+        calls += [client.get_shortest_path_between_tables("ds0", "table_0", "ds1", "table_5")]
+        calls += [
+            client.search_keywords(conditions)
+            for conditions in ([], [["ds1", "amount"], "table_2"], "late", [["region"]])
+        ]
+        calls += [client.get_top_k_library_used(k) for k in (1, 3, 6, 100)]  # 6 cuts a tie
+        calls += [client.get_top_used_libraries(3, task="classification")]
+        return [canonical_json(answer) for answer in calls]
+
+    try:
+        before = answers(writer)
+        assert answers(replica.client) == before
+        late = DataLake("late")
+        for index in range(2):
+            columns = {"amount": [100.0 + index + row for row in range(8)], "late_note": list("abcdefgh")}
+            late.add_table("ds2", Table.from_dict(f"late_{index}", columns))
+        service.submit_lake(late).result(timeout=120)
+        service.submit_retract("ds1", "table_3").result(timeout=120)
+        service.submit_retract("ds0", "table_0").result(timeout=120)
+        service.drain()
+        assert replica.sync() is True
+        assert replica.stats["full_pulls"] == 0
+        after = answers(writer)
+        assert after != before
+        assert answers(replica.client) == after
+    finally:
+        replica.close()
+
+
 # ----------------------------------------------------------- lazy durability
 def test_lazy_applies_defer_durability_until_checkpoint(served_lake, tmp_path):
     """durable_applies=False: serve lazily-applied rows, checkpoint later,

@@ -74,6 +74,14 @@ def make_random_store(seed: int, store: QuadStore | None = None) -> QuadStore:
     has_name = _uri("name")
     for position, subject in enumerate(subjects):
         store.add(subject, has_name, Literal(f"node_{position}"), graph=graphs[0])
+    # Graph names as ordinary terms, so ``GRAPH ?g`` can meet a ``?g`` that an
+    # outer pattern bound (to a graph, or to g9 which is none) or that the
+    # group itself reuses as a subject.
+    for position, target in enumerate((graphs[1], graphs[0], _uri("g9"))):
+        store.add(subjects[position], _uri("livesIn"), target, graph=graphs[0])
+    store.add(graphs[0], has_name, Literal("first"), graph=graphs[0])
+    store.add(graphs[0], has_name, Literal("first, seen from g2"), graph=graphs[1])
+    store.add(graphs[1], has_name, Literal("second"), graph=graphs[0])
     return store
 
 
@@ -160,6 +168,43 @@ QUERY_SHAPES = [
     f"SELECT ?s (COUNT(?o) AS ?n) WHERE {{ ?s <{EX}p9> ?o . }} GROUP BY ?s",
     # SELECT * with an OPTIONAL tail
     f"SELECT * WHERE {{ ?s <{EX}p2> ?o . OPTIONAL {{ ?o <{EX}name> ?n . }} }}",
+    # --- GRAPH ?g shapes: the group runs once across the graphs ---
+    # two patterns sharing a variable: the join stays inside one graph
+    f"SELECT ?g ?a ?b ?c WHERE {{ GRAPH ?g {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?c . }} }}",
+    # disconnected patterns still share the graph
+    f"SELECT ?g ?a ?c WHERE {{ GRAPH ?g {{ ?a <{EX}p3> ?b . ?c <{EX}livesIn> ?d . }} }}",
+    # ?g pre-bound by an outer pattern (one value names no graph)
+    f"SELECT ?s ?g ?x ?o WHERE {{ ?s <{EX}livesIn> ?g . GRAPH ?g {{ ?x <{EX}p2> ?o . }} }}",
+    # ... and left unbound by an outer OPTIONAL
+    f"""SELECT ?s ?g ?x WHERE {{
+        ?s <{EX}p3> ?y . OPTIONAL {{ ?s <{EX}livesIn> ?g . }} GRAPH ?g {{ ?x <{EX}p2> ?s . }}
+    }}""",
+    # ?g reused as a subject and as an object
+    f"SELECT ?g ?n WHERE {{ GRAPH ?g {{ ?g <{EX}name> ?n . }} }}",
+    f"SELECT ?g ?s WHERE {{ GRAPH ?g {{ ?s <{EX}livesIn> ?g . }} }}",
+    # OPTIONAL and FILTER(?g …) inside the group
+    f"""SELECT ?g ?s ?x WHERE {{ GRAPH ?g {{
+        ?s <{EX}p1> ?o . OPTIONAL {{ ?s <{EX}p3> ?x . }} FILTER(?g != <{EX}g1>)
+    }} }}""",
+    # groups that do not open with a triple pattern: ?g is seeded per graph
+    f"SELECT ?g WHERE {{ GRAPH ?g {{ }} }}",
+    f"SELECT ?g ?s ?x WHERE {{ ?s <{EX}livesIn> ?t . GRAPH ?g {{ OPTIONAL {{ ?s <{EX}p3> ?x . }} }} }}",
+    f"SELECT ?g ?s ?x WHERE {{ ?s <{EX}livesIn> ?g . GRAPH ?g {{ OPTIONAL {{ ?s <{EX}p0> ?x . }} }} }}",
+    f"""SELECT ?g ?s ?o WHERE {{ GRAPH ?g {{
+        {{ ?s <{EX}p0> ?o . }} UNION {{ ?s <{EX}livesIn> ?o . }}
+    }} }}""",
+    # quoted annotations per graph; a float SUM grouped by ?g
+    f"""SELECT ?g ?a ?v WHERE {{ GRAPH ?g {{
+        << ?a <{EX}p0> ?b >> <{EX}certainty> ?v . ?a <{EX}p1> ?c .
+    }} }}""",
+    f"""SELECT ?g (SUM(?v) AS ?total) (COUNT(?a) AS ?n) WHERE {{ GRAPH ?g {{
+        << ?a <{EX}p0> ?b >> <{EX}certainty> ?v .
+    }} }} GROUP BY ?g ORDER BY ?g""",
+    # COUNT DISTINCT across graphs joined to the default graph (the
+    # top-k-libraries roll-up's shape)
+    f"""SELECT ?n (COUNT(DISTINCT ?b) AS ?k) WHERE {{
+        GRAPH ?g {{ ?a <{EX}p0> ?b . ?a <{EX}p2> ?c . }} ?c <{EX}name> ?n .
+    }} GROUP BY ?n ORDER BY DESC(?k) ?n""",
 ]
 
 
@@ -223,6 +268,32 @@ class TestRandomizedParity:
         for query, rows in expected.items():
             assert rows_key(assert_matches_oracle(reopened, query)) == rows
         reopened.close()
+
+
+class TestGraphVariableOverSparseGraphs:
+    """``GRAPH ?g`` over a store whose graphs are empty, tiny or absent."""
+
+    QUERIES = [
+        f"SELECT ?g ?s ?o WHERE {{ GRAPH ?g {{ ?s <{EX}p0> ?o . }} }}",
+        f"SELECT ?g ?s ?c WHERE {{ GRAPH ?g {{ ?s <{EX}p0> ?o . ?o <{EX}p1> ?c . }} }}",
+        f"SELECT ?g (COUNT(?s) AS ?n) WHERE {{ GRAPH ?g {{ ?s ?p ?o . }} }} GROUP BY ?g ORDER BY ?g",
+        f"SELECT ?g WHERE {{ GRAPH ?g {{ }} }}",
+    ]
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_empty_and_single_triple_graphs(self, backend, tmp_path):
+        store = QuadStore() if backend == "memory" else QuadStore.sqlite(tmp_path / "s.sqlite3")
+        for query in self.QUERIES:  # no graph at all
+            assert len(assert_matches_oracle(store, query)) == 0
+        a, b, c = _uri("a"), _uri("b"), _uri("c")
+        store.add(a, _uri("p0"), b, graph=_uri("single"))
+        store.add(a, _uri("p0"), b, graph=_uri("emptied"))
+        store.remove(a, _uri("p0"), b, graph=_uri("emptied"))
+        store.add(a, _uri("p0"), b, graph=_uri("pair"))
+        store.add(b, _uri("p1"), c, graph=_uri("pair"))
+        counts = [len(assert_matches_oracle(store, query)) for query in self.QUERIES]
+        assert counts[0] == 2 and counts[1] == 1
+        store.close()
 
 
 class TestDictionaryAwareDistinct:
