@@ -30,7 +30,7 @@ import numpy as np
 from repro.automl.evolution.genome import INPUT_NODE, PipelineGenome
 from repro.automl.search_space import instantiate_estimator
 from repro.ml.impute import IterativeImputer, KNNImputer, SimpleImputer
-from repro.ml.model_selection import DegenerateFoldWarning, cross_val_f1
+from repro.ml.model_selection import DegenerateFoldWarning, FitFailedWarning, cross_val_f1
 from repro.ml.preprocessing import (
     MinMaxScaler,
     RobustScaler,
@@ -82,7 +82,8 @@ def execute_plan(
         warnings.simplefilter("ignore", DegenerateFoldWarning)
         try:
             return float(cross_val_f1(pipeline, X, y, cv=cv, random_state=seed))
-        except Exception:
+        except Exception as error:  # noqa: BLE001 — the search outlives a broken plan
+            warnings.warn(FitFailedWarning(None, repr(error)), stacklevel=2)
             return 0.0
 
 

@@ -52,7 +52,11 @@ def clone(estimator: BaseEstimator) -> BaseEstimator:
 
 
 class ClassifierMixin:
-    """Adds a default ``score`` (accuracy) to classifiers."""
+    """Adds ``predict`` (most probable class) and ``score`` (accuracy) to classifiers."""
+
+    def predict(self, X):
+        probabilities = self.predict_proba(X)
+        return self.classes_[probabilities.argmax(axis=1)]
 
     def score(self, X, y) -> float:
         from repro.ml.metrics import accuracy_score

@@ -12,7 +12,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import _Tree, _grow
 
 
 class RandomForestClassifier(BaseEstimator, ClassifierMixin):
@@ -32,7 +32,7 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         self.max_features = max_features
         self.random_state = random_state
         self.classes_: Optional[np.ndarray] = None
-        self._trees: List[DecisionTreeClassifier] = []
+        self._trees: List[_Tree] = []
 
     def _resolve_max_features(self, n_features: int) -> Optional[int]:
         if self.max_features == "sqrt":
@@ -45,21 +45,16 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
 
     def fit(self, X, y) -> "RandomForestClassifier":
         X = np.asarray(X, dtype=float)
-        y = np.asarray(list(y))
-        self.classes_ = np.unique(y)
+        self.classes_, encoded = np.unique(np.asarray(list(y)), return_inverse=True)
         rng = np.random.RandomState(self.random_state)
         n_samples, n_features = X.shape
         max_features = self._resolve_max_features(n_features)
+        n_classes = len(self.classes_)
         self._trees = []
         for i in range(self.n_estimators):
             indices = rng.randint(0, n_samples, size=n_samples)
-            tree = DecisionTreeClassifier(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                max_features=max_features,
-                random_state=self.random_state + i,
-            )
-            tree.fit(X[indices], y[indices])
+            options = (self.max_depth, self.min_samples_split, max_features, self.random_state + i)
+            tree, _ = _grow(X[indices], encoded[indices], n_classes, *options)
             self._trees.append(tree)
         return self
 
@@ -68,17 +63,11 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             raise RuntimeError("RandomForestClassifier is not fitted")
         X = np.asarray(X, dtype=float)
         aggregate = np.zeros((X.shape[0], len(self.classes_)))
-        class_index = {label: i for i, label in enumerate(self.classes_)}
         for tree in self._trees:
-            tree_probabilities = tree.predict_proba(X)
-            for j, label in enumerate(tree.classes_):
-                aggregate[:, class_index[label]] += tree_probabilities[:, j]
+            counts = tree.value[tree.apply(X)]
+            aggregate += counts / counts.sum(axis=1, keepdims=True)
         aggregate /= len(self._trees)
         return aggregate
-
-    def predict(self, X) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]
 
 
 class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
@@ -101,52 +90,37 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         self.max_depth = max_depth
         self.random_state = random_state
         self.classes_: Optional[np.ndarray] = None
-        self._stages: List[List[DecisionTreeRegressor]] = []
+        self._stages: List[List[_Tree]] = []
         self._base_scores: Optional[np.ndarray] = None
 
     def fit(self, X, y) -> "GradientBoostingClassifier":
         X = np.asarray(X, dtype=float)
-        y = np.asarray(list(y))
-        self.classes_ = np.unique(y)
+        self.classes_, encoded = np.unique(np.asarray(list(y)), return_inverse=True)
         n_classes = len(self.classes_)
-        targets = np.zeros((len(y), n_classes))
-        for j, label in enumerate(self.classes_):
-            targets[:, j] = (y == label).astype(float)
+        targets = np.eye(n_classes)[encoded]
         priors = targets.mean(axis=0).clip(1e-6, 1 - 1e-6)
         self._base_scores = np.log(priors / (1 - priors))
-        scores = np.tile(self._base_scores, (len(y), 1))
+        scores = np.tile(self._base_scores, (len(encoded), 1))
         self._stages = [[] for _ in range(n_classes)]
         for stage in range(self.n_estimators):
             probabilities = 1.0 / (1.0 + np.exp(-scores))
             for j in range(n_classes):
                 residual = targets[:, j] - probabilities[:, j]
-                tree = DecisionTreeRegressor(
-                    max_depth=self.max_depth,
-                    random_state=self.random_state + stage * n_classes + j,
-                )
-                tree.fit(X, residual)
-                update = tree.predict(X)
-                scores[:, j] += self.learning_rate * update
+                # Every feature at every split: the tree draws no random numbers.
+                tree, leaf_of = _grow(X, residual, 0, self.max_depth)
+                scores[:, j] += self.learning_rate * tree.value[leaf_of]
                 self._stages[j].append(tree)
         return self
-
-    def _decision_scores(self, X: np.ndarray) -> np.ndarray:
-        scores = np.tile(self._base_scores, (X.shape[0], 1))
-        for j, trees in enumerate(self._stages):
-            for tree in trees:
-                scores[:, j] += self.learning_rate * tree.predict(X)
-        return scores
 
     def predict_proba(self, X) -> np.ndarray:
         if self._base_scores is None or self.classes_ is None:
             raise RuntimeError("GradientBoostingClassifier is not fitted")
         X = np.asarray(X, dtype=float)
-        scores = self._decision_scores(X)
+        scores = np.tile(self._base_scores, (X.shape[0], 1))
+        for j, trees in enumerate(self._stages):
+            for tree in trees:
+                scores[:, j] += self.learning_rate * tree.value[tree.apply(X)]
         probabilities = 1.0 / (1.0 + np.exp(-scores))
         totals = probabilities.sum(axis=1, keepdims=True)
         totals[totals == 0.0] = 1.0
         return probabilities / totals
-
-    def predict(self, X) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]

@@ -87,10 +87,6 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         probabilities /= probabilities.sum(axis=1, keepdims=True)
         return probabilities
 
-    def predict(self, X) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]
-
 
 class LinearRegression(BaseEstimator, RegressorMixin):
     """Ordinary least squares via the numpy least-squares solver."""

@@ -21,6 +21,20 @@ class DegenerateFoldWarning(UserWarning):
     """
 
 
+class FitFailedWarning(UserWarning):
+    """A fit or predict raised inside a cross-validation and scored 0.0.
+
+    The search outlives one broken candidate, but not silently: an estimator
+    bug would otherwise only show as a quietly worse result.  ``fold`` is
+    ``None`` for a failure outside the fold loop; ``error`` is its ``repr``.
+    """
+
+    def __init__(self, fold: Optional[int], error: str):
+        super().__init__(f"fold {fold} failed and scores 0.0: {error}")
+        self.fold = fold
+        self.error = error
+
+
 def train_test_split(
     X: np.ndarray,
     y: Sequence,
@@ -101,8 +115,9 @@ def cross_val_score(
 ) -> np.ndarray:
     """Evaluate ``estimator`` with k-fold cross-validation.
 
-    Folds where training fails (e.g. a single-class fold) score 0.0 so the
-    harness never crashes on degenerate synthetic datasets.
+    Degenerate folds and folds whose fit or predict raises score 0.0, with a
+    :class:`DegenerateFoldWarning` / :class:`FitFailedWarning`, so the harness
+    never crashes on degenerate synthetic datasets.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(list(y))
@@ -128,7 +143,8 @@ def cross_val_score(
             model.fit(X[train_idx], y[train_idx])
             predictions = model.predict(X[test_idx])
             scores.append(scorer(y[test_idx], predictions))
-        except Exception:
+        except Exception as error:  # noqa: BLE001 — any estimator, any failure
+            warnings.warn(FitFailedWarning(fold, repr(error)), stacklevel=2)
             scores.append(0.0)
     return np.asarray(scores, dtype=float)
 

@@ -1,123 +1,173 @@
-"""CART decision trees (classification and regression) used standalone and by
-the random forest / gradient boosting ensembles."""
+"""CART decision trees (classification and regression) as flat arrays, used
+standalone and by the random forest / gradient boosting ensembles.
+
+A fitted tree is five arrays indexed by node id, nodes numbered in preorder
+(node, left subtree, right subtree).  A node's split is found in one pass
+over a boolean tensor of candidate features x thresholds x rows; the first
+minimum in (candidate order, ascending threshold) wins.
+"""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin
 
-
-class _Node:
-    """A binary tree node; leaves carry a prediction value."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value=None):
-        self.feature: Optional[int] = None
-        self.threshold: float = 0.0
-        self.left: Optional["_Node"] = None
-        self.right: Optional["_Node"] = None
-        self.value = value
-
-    def is_leaf(self) -> bool:
-        return self.left is None
+_PERCENTILES = np.linspace(5, 95, 16)
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    proportions = counts / total
-    return 1.0 - float(np.sum(proportions**2))
+class _Tree(NamedTuple):
+    """``feature`` is -1 at a leaf; ``value`` holds class counts or means."""
 
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
-class _TreeBuilder:
-    """Shared recursive splitting logic for classification and regression trees."""
-
-    def __init__(
-        self,
-        max_depth: int,
-        min_samples_split: int,
-        max_features: Optional[int],
-        rng: np.random.RandomState,
-        classification: bool,
-        n_classes: int = 0,
-    ):
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.rng = rng
-        self.classification = classification
-        self.n_classes = n_classes
-
-    def build(self, X: np.ndarray, y: np.ndarray, depth: int = 0) -> _Node:
-        node = _Node(value=self._leaf_value(y))
-        if (
-            depth >= self.max_depth
-            or len(y) < self.min_samples_split
-            or self._is_pure(y)
-        ):
-            return node
-        feature, threshold = self._best_split(X, y)
-        if feature is None:
-            return node
-        mask = X[:, feature] <= threshold
-        if mask.all() or not mask.any():
-            return node
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self.build(X[mask], y[mask], depth + 1)
-        node.right = self.build(X[~mask], y[~mask], depth + 1)
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf id of every row of ``X``: the whole matrix descends a level at a time."""
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        inner = np.flatnonzero(self.feature[node] >= 0)
+        while inner.size:
+            at = node[inner]
+            goes_left = X[inner, self.feature[at]] <= self.threshold[at]
+            node[inner] = np.where(goes_left, self.left[at], self.right[at])
+            inner = inner[self.feature[node[inner]] >= 0]
         return node
 
-    def _is_pure(self, y: np.ndarray) -> bool:
-        if self.classification:
-            return len(np.unique(y)) <= 1
-        return float(np.var(y)) < 1e-12
 
-    def _leaf_value(self, y: np.ndarray):
-        if self.classification:
-            counts = np.bincount(y.astype(int), minlength=self.n_classes)
-            return counts
-        return float(y.mean()) if y.size else 0.0
+def _thresholds(columns: np.ndarray) -> np.ndarray:
+    """Candidate thresholds per feature row, ascending, padded with NaN.
 
-    def _candidate_features(self, n_features: int) -> np.ndarray:
-        if self.max_features is None or self.max_features >= n_features:
-            return np.arange(n_features)
-        return self.rng.choice(n_features, size=self.max_features, replace=False)
+    Midpoints of consecutive distinct values for up to 32 distinct values,
+    else the unique 16 percentiles 5..95.  NaNs sort last and never form a
+    threshold; a NaN slot compares false with every row, so it scores +inf.
+    """
+    ordered = np.sort(columns, axis=1)
+    below, above = ordered[:, :-1], ordered[:, 1:]
+    gaps = above > below
+    thresholds = np.where(gaps, (below + above) / 2.0, np.nan)
+    used = gaps.sum(axis=1)
+    # np.unique counts the NaNs of a column as one more distinct value.
+    wide = used + 1 + np.isnan(ordered[:, -1]) > 32
+    if wide.any():
+        quantiles = np.percentile(columns[wide], _PERCENTILES, axis=1).T
+        quantiles[:, 1:][quantiles[:, 1:] == quantiles[:, :-1]] = np.nan
+        thresholds[wide] = np.nan
+        thresholds[wide, :16] = quantiles
+        used[wide] = 16
+    return np.sort(thresholds, axis=1)[:, : used.max(initial=0)]
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray):
-        best_feature, best_threshold, best_score = None, 0.0, np.inf
-        for feature in self._candidate_features(X.shape[1]):
-            values = X[:, feature]
-            distinct = np.unique(values)
-            if len(distinct) < 2:
-                continue
-            if len(distinct) > 32:
-                quantiles = np.percentile(values, np.linspace(5, 95, 16))
-                thresholds = np.unique(quantiles)
-            else:
-                thresholds = (distinct[:-1] + distinct[1:]) / 2.0
-            for threshold in thresholds:
-                mask = values <= threshold
-                left, right = y[mask], y[~mask]
-                if left.size == 0 or right.size == 0:
-                    continue
-                score = self._impurity(left, right)
-                if score < best_score:
-                    best_feature, best_threshold, best_score = int(feature), float(threshold), score
-        return best_feature, best_threshold
 
-    def _impurity(self, left: np.ndarray, right: np.ndarray) -> float:
-        n = left.size + right.size
-        if self.classification:
-            left_counts = np.bincount(left.astype(int), minlength=self.n_classes)
-            right_counts = np.bincount(right.astype(int), minlength=self.n_classes)
-            return (left.size * _gini(left_counts) + right.size * _gini(right_counts)) / n
-        return (left.size * float(np.var(left)) + right.size * float(np.var(right))) / n
+def _gini_scores(goes_left: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """Weighted Gini impurity of every partition (row of ``goes_left``)."""
+    left = goes_left @ onehot
+    counts = np.stack([left, onehot.sum(axis=0) - left])
+    sizes = counts.sum(axis=2)
+    proportions = counts / np.maximum(sizes, 1.0)[:, :, None]
+    gini = 1.0 - (proportions * proportions).sum(axis=2)
+    scores = (sizes[0] * gini[0] + sizes[1] * gini[1]) / goes_left.shape[1]
+    scores[sizes.min(axis=0) == 0] = np.inf
+    return scores
+
+
+def _variance_scores(goes_left: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Weighted variance of every partition, as ``np.var`` of each side.
+
+    Each partition's targets are laid out as ``0, left.., 0, right..`` with
+    rows in their original order and summed segment by segment, so a side's
+    sum adds the same numbers in the same order as ``y[mask].sum()`` does:
+    partitions that tie exactly in boosting's two-valued first stage must
+    tie (or not) here too.
+    """
+    n_partitions, n = goes_left.shape
+    keys = np.empty((n_partitions, n + 2), dtype=np.int8)
+    keys[:, 0], keys[:, -1] = 0, 2
+    keys[:, 1:-1] = np.where(goes_left, 1, 3)
+    layout = np.argsort(keys, axis=1, kind="stable")
+    segments = np.concatenate(([0.0], y, [0.0]))[layout].ravel()
+    n_left = goes_left.sum(axis=1)
+    sizes = np.stack([n_left, n - n_left], axis=1)
+    lengths = sizes.ravel() + 1
+    starts = np.cumsum(lengths) - lengths
+    divisors = np.maximum(sizes.ravel(), 1).astype(float)
+    means = np.add.reduceat(segments, starts) / divisors
+    deviations = segments - np.repeat(means, lengths)
+    deviations *= deviations
+    deviations[starts] = 0.0
+    variances = np.add.reduceat(deviations, starts) / divisors
+    weighted = sizes * variances.reshape(n_partitions, 2)
+    scores = (weighted[:, 0] + weighted[:, 1]) / n
+    scores[sizes.min(axis=1) == 0] = np.inf
+    return scores
+
+
+def _grow(
+    X: np.ndarray,
+    y: np.ndarray,
+    n_classes: int,
+    max_depth: int,
+    min_samples_split: int = 2,
+    max_features: Optional[int] = None,
+    random_state: int = 0,
+) -> Tuple[_Tree, np.ndarray]:
+    """Grow one tree; returns it with the leaf id of every training row.
+
+    ``y`` holds class ids below ``n_classes``, or regression targets when
+    ``n_classes`` is 0.  Nodes are visited in preorder, which is the order
+    per-split feature subsampling draws from the generator.
+    """
+    n_samples, n_features = X.shape
+    columns = np.ascontiguousarray(X.T)
+    subsample = max_features is not None and max_features < n_features
+    rng = np.random.RandomState(random_state) if subsample else None
+    if n_classes:
+        # Impurity runs over the classes present at the root, as a tree
+        # fitted on a bootstrap that lacks a class would see them.
+        onehot = np.eye(n_classes)[y][:, np.bincount(y, minlength=n_classes) > 0]
+    feature, threshold, left, right, value = [], [], [], [], []
+    leaf_of = np.zeros(n_samples, dtype=np.intp)
+    stack = [(np.arange(n_samples), 0, -1)]
+    while stack:
+        rows, depth, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            (right if left[parent] >= 0 else left)[parent] = node
+        targets = y[rows]
+        if n_classes:
+            value.append(np.bincount(targets, minlength=n_classes))
+            pure = np.count_nonzero(value[node]) <= 1
+        else:
+            # np.mean and np.var: the same sums without the wrappers.
+            mean = np.add.reduce(targets) / max(rows.size, 1)
+            spread = targets - mean
+            value.append(float(mean))
+            pure = np.add.reduce(spread * spread) / max(rows.size, 1) < 1e-12
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        leaf_of[rows] = node
+        if depth >= max_depth or rows.size < min_samples_split or pure:
+            continue
+        candidates = rng.choice(n_features, size=max_features, replace=False) if subsample else np.arange(n_features)
+        values = columns[candidates][:, rows]
+        thresholds = _thresholds(values)
+        if not thresholds.size:
+            continue
+        goes_left = (values[:, None, :] <= thresholds[:, :, None]).reshape(-1, rows.size)
+        scores = _gini_scores(goes_left, onehot[rows]) if n_classes else _variance_scores(goes_left, targets)
+        best = int(np.argmin(scores))
+        if not scores[best] < np.inf:
+            continue
+        feature[node] = int(candidates[best // thresholds.shape[1]])
+        threshold[node] = float(thresholds.flat[best])
+        stack.append((rows[~goes_left[best]], depth + 1, node))
+        stack.append((rows[goes_left[best]], depth + 1, node))
+    return _Tree(*map(np.asarray, (feature, threshold, left, right, value))), leaf_of
 
 
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
@@ -135,45 +185,19 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self.max_features = max_features
         self.random_state = random_state
         self.classes_: Optional[np.ndarray] = None
-        self._root: Optional[_Node] = None
+        self._tree: Optional[_Tree] = None
 
     def fit(self, X, y) -> "DecisionTreeClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(list(y))
-        self.classes_ = np.unique(y)
-        index = {label: i for i, label in enumerate(self.classes_)}
-        encoded = np.asarray([index[label] for label in y])
-        builder = _TreeBuilder(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            max_features=self.max_features,
-            rng=np.random.RandomState(self.random_state),
-            classification=True,
-            n_classes=len(self.classes_),
-        )
-        self._root = builder.build(X, encoded)
+        self.classes_, encoded = np.unique(np.asarray(list(y)), return_inverse=True)
+        # The hyperparameters are exactly _grow's options.
+        self._tree, _ = _grow(np.asarray(X, dtype=float), encoded, len(self.classes_), **self.get_params())
         return self
 
-    def _leaf_for(self, row: np.ndarray) -> _Node:
-        node = self._root
-        while node is not None and not node.is_leaf():
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
-
     def predict_proba(self, X) -> np.ndarray:
-        if self._root is None or self.classes_ is None:
+        if self._tree is None or self.classes_ is None:
             raise RuntimeError("DecisionTreeClassifier is not fitted")
-        X = np.asarray(X, dtype=float)
-        probabilities = np.zeros((X.shape[0], len(self.classes_)))
-        for i in range(X.shape[0]):
-            counts = self._leaf_for(X[i]).value
-            total = counts.sum()
-            probabilities[i] = counts / total if total else 1.0 / len(self.classes_)
-        return probabilities
-
-    def predict(self, X) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]
+        counts = self._tree.value[self._tree.apply(np.asarray(X, dtype=float))]
+        return counts / counts.sum(axis=1, keepdims=True)
 
 
 class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
@@ -190,29 +214,13 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.random_state = random_state
-        self._root: Optional[_Node] = None
+        self._tree: Optional[_Tree] = None
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        builder = _TreeBuilder(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            max_features=self.max_features,
-            rng=np.random.RandomState(self.random_state),
-            classification=False,
-        )
-        self._root = builder.build(X, y)
+        self._tree, _ = _grow(np.asarray(X, dtype=float), np.asarray(y, dtype=float), 0, **self.get_params())
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self._root is None:
+        if self._tree is None:
             raise RuntimeError("DecisionTreeRegressor is not fitted")
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[0])
-        for i in range(X.shape[0]):
-            node = self._root
-            while not node.is_leaf():
-                node = node.left if X[i, node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        return self._tree.value[self._tree.apply(np.asarray(X, dtype=float))]

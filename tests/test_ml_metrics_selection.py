@@ -142,3 +142,38 @@ class TestDegenerateFolds:
         with pytest.warns(DegenerateFoldWarning):
             score = cross_val_f1(GaussianNB(), X, y, cv=3)
         assert score == 0.0
+
+
+class _FailsOnOddFolds(GaussianNB):
+    """Fits like GaussianNB, but raises when the training split's first row is odd-indexed."""
+
+    def fit(self, X, y):
+        if int(X[0, 0]) % 2:
+            raise ArithmeticError("injected")
+        return super().fit(X, y)
+
+
+class TestFailedFits:
+    def test_raising_fit_scores_zero_with_a_typed_warning(self):
+        from repro.ml.model_selection import FitFailedWarning
+
+        rng = np.random.RandomState(0)
+        X = np.column_stack([np.arange(40), rng.normal(size=40)]).astype(float)
+        y = rng.randint(0, 2, 40)
+        with pytest.warns(FitFailedWarning) as caught:
+            scores = cross_val_score(_FailsOnOddFolds(), X, y, cv=4)
+        failed = [warning.message for warning in caught if isinstance(warning.message, FitFailedWarning)]
+        assert 0 < len(failed) < 4, "the fixture must fail some folds, not all"
+        assert all(scores[message.fold] == 0.0 for message in failed)
+        assert all("ArithmeticError('injected')" == message.error for message in failed)
+        assert "ArithmeticError('injected')" in str(failed[0])
+
+    def test_broken_plan_scores_zero_with_a_typed_warning(self):
+        from repro.automl.evolution.fitness import execute_plan
+        from repro.ml.model_selection import FitFailedWarning
+
+        X = np.random.RandomState(0).normal(size=(12, 2))
+        with pytest.warns(FitFailedWarning) as caught:
+            # Not a plan at all: cross-validation itself cannot start.
+            assert execute_plan({}, X, np.arange(12) % 2, cv=1, seed=0) == 0.0
+        assert caught[0].message.fold is None
