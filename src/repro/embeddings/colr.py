@@ -16,6 +16,7 @@ relies on) or trained on column pairs with binary cross-entropy via
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -48,7 +49,10 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 # Value featurizers
 # --------------------------------------------------------------------------
+@functools.cache
 def _hash_bucket(text: str, buckets: int, salt: str) -> int:
+    """md5-defined bucket of an n-gram; a pure function over the data's 2/3-gram
+    alphabet, so it is computed once per gram and the memo is never dropped."""
     digest = hashlib.md5(f"{salt}:{text}".encode("utf-8")).hexdigest()
     return int(digest[:8], 16) % buckets
 
@@ -111,13 +115,14 @@ def string_value_features(value: str, salt: str = "string") -> np.ndarray:
     features[5] = sum(1 for c in text if not c.isalnum() and not c.isspace()) / length
     features[6] = 1.0 if text.istitle() else 0.0
     features[7] = 1.0 if text.isupper() else 0.0
-    lowered = text.lower()
-    padded = f"<{lowered}>"
+    padded = f"<{text.lower()}>"
     buckets = VALUE_FEATURE_DIMENSIONS - 8
+    # Occurrence counts are small integers, exact in float whatever the order.
+    counts = [0.0] * buckets
     for n in (2, 3):
         for i in range(max(0, len(padded) - n + 1)):
-            gram = padded[i : i + n]
-            features[8 + _hash_bucket(gram, buckets, salt)] += 1.0
+            counts[_hash_bucket(padded[i : i + n], buckets, salt)] += 1.0
+    features[8:] = counts
     gram_part = features[8:]
     norm = np.linalg.norm(gram_part)
     if norm > 0:
@@ -207,10 +212,21 @@ class ColRModel:
         """Average embedding of a sequence of values (a column sample)."""
         if not values:
             return np.zeros(self.dimensions)
-        features = np.vstack(
-            [featurize_value(value, self.fine_grained_type) for value in values]
-        )
-        return self.forward_features(features).mean(axis=0)
+        # Each distinct cell is featurized once and its row gathered wherever
+        # it occurs, into the matrix a featurizer call per cell would build.
+        # Featurizers see a cell only through ``float(value)`` / ``str(value)``,
+        # so type plus text identify it (``1``, ``1.0``, ``"1"`` stay apart).
+        distinct: List[np.ndarray] = []
+        row_of: Dict[Any, int] = {}
+        gather: List[int] = []
+        for value in values:
+            key = (type(value), str(value))
+            row = row_of.get(key)
+            if row is None:
+                row = row_of[key] = len(distinct)
+                distinct.append(featurize_value(value, self.fine_grained_type))
+            gather.append(row)
+        return self.forward_features(np.vstack(distinct)[gather]).mean(axis=0)
 
     # ------------------------------------------------------------- training
     def pair_probability(self, features_a: np.ndarray, features_b: np.ndarray) -> float:

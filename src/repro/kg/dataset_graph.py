@@ -18,6 +18,7 @@ matching columns and their similarity scores.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -35,7 +36,7 @@ from repro.kg.ontology import (
 )
 from repro.parallel import JobExecutor
 from repro.profiler.profile import ColumnProfile, TableProfile
-from repro.rdf import Literal, QuadStore, RDF, RDFS, URIRef
+from repro.rdf import Literal, QuadStore, QuotedTriple, RDF, RDFS, URIRef
 from repro.types import TYPE_BOOLEAN
 
 
@@ -169,59 +170,50 @@ class DataGlobalSchemaBuilder:
     ) -> None:
         ontology = LiDSOntology
         source = source_uri(self.source_name)
-        store.add(source, RDF.type, ontology.Source, graph=DATASET_GRAPH)
-        store.add(source, ontology.hasName, Literal(self.source_name), graph=DATASET_GRAPH)
+        rows: List[tuple] = [
+            (source, RDF.type, ontology.Source),
+            (source, ontology.hasName, Literal(self.source_name)),
+        ]
         for table_profile in table_profiles:
             dataset_node = dataset_uri(table_profile.dataset_name)
             table_node = table_uri(table_profile.dataset_name, table_profile.table_name)
-            store.add(dataset_node, RDF.type, ontology.Dataset, graph=DATASET_GRAPH)
-            store.add(dataset_node, ontology.hasName, Literal(table_profile.dataset_name), graph=DATASET_GRAPH)
-            store.add(dataset_node, ontology.hasSource, source, graph=DATASET_GRAPH)
-            store.add(table_node, RDF.type, ontology.Table, graph=DATASET_GRAPH)
-            store.add(table_node, ontology.hasName, Literal(table_profile.table_name), graph=DATASET_GRAPH)
-            store.add(table_node, RDFS.label, Literal(table_profile.table_name), graph=DATASET_GRAPH)
-            store.add(table_node, ontology.isPartOf, dataset_node, graph=DATASET_GRAPH)
             num_rows = (
                 table_profile.column_profiles[0].statistics.count
                 if table_profile.column_profiles
                 else 0
             )
-            store.add(table_node, ontology.hasTotalRows, Literal(num_rows), graph=DATASET_GRAPH)
-            store.add(
-                table_node,
-                ontology.hasTotalColumns,
-                Literal(len(table_profile.column_profiles)),
-                graph=DATASET_GRAPH,
-            )
+            rows += [
+                (dataset_node, RDF.type, ontology.Dataset),
+                (dataset_node, ontology.hasName, Literal(table_profile.dataset_name)),
+                (dataset_node, ontology.hasSource, source),
+                (table_node, RDF.type, ontology.Table),
+                (table_node, ontology.hasName, Literal(table_profile.table_name)),
+                (table_node, RDFS.label, Literal(table_profile.table_name)),
+                (table_node, ontology.isPartOf, dataset_node),
+                (table_node, ontology.hasTotalRows, Literal(num_rows)),
+                (table_node, ontology.hasTotalColumns, Literal(len(table_profile.column_profiles))),
+            ]
             for profile in table_profile.column_profiles:
-                self._write_column_metadata(profile, table_node, store)
+                rows += self._column_metadata_rows(profile, table_node)
+        store.add_many(rows, DATASET_GRAPH)
 
     @staticmethod
-    def _write_column_metadata(
-        profile: ColumnProfile, table_node: URIRef, store: QuadStore
-    ) -> None:
+    def _column_metadata_rows(profile: ColumnProfile, table_node: URIRef) -> List[tuple]:
         ontology = LiDSOntology
         column_node = column_uri(
             profile.dataset_name, profile.table_name, profile.column_name
         )
         statistics = profile.statistics
-        store.add(column_node, RDF.type, ontology.Column, graph=DATASET_GRAPH)
-        store.add(column_node, ontology.hasName, Literal(profile.column_name), graph=DATASET_GRAPH)
-        store.add(column_node, RDFS.label, Literal(profile.column_name), graph=DATASET_GRAPH)
-        store.add(column_node, ontology.isPartOf, table_node, graph=DATASET_GRAPH)
-        store.add(
-            column_node,
-            ontology.hasFineGrainedType,
-            Literal(profile.fine_grained_type),
-            graph=DATASET_GRAPH,
-        )
-        store.add(column_node, ontology.hasTotalRows, Literal(statistics.count), graph=DATASET_GRAPH)
-        store.add(
-            column_node, ontology.hasMissingCount, Literal(statistics.missing_count), graph=DATASET_GRAPH
-        )
-        store.add(
-            column_node, ontology.hasDistinctCount, Literal(statistics.distinct_count), graph=DATASET_GRAPH
-        )
+        rows = [
+            (column_node, RDF.type, ontology.Column),
+            (column_node, ontology.hasName, Literal(profile.column_name)),
+            (column_node, RDFS.label, Literal(profile.column_name)),
+            (column_node, ontology.isPartOf, table_node),
+            (column_node, ontology.hasFineGrainedType, Literal(profile.fine_grained_type)),
+            (column_node, ontology.hasTotalRows, Literal(statistics.count)),
+            (column_node, ontology.hasMissingCount, Literal(statistics.missing_count)),
+            (column_node, ontology.hasDistinctCount, Literal(statistics.distinct_count)),
+        ]
         optional_values = (
             (ontology.hasMinValue, statistics.minimum),
             (ontology.hasMaxValue, statistics.maximum),
@@ -230,9 +222,12 @@ class DataGlobalSchemaBuilder:
             (ontology.hasTrueRatio, statistics.true_ratio),
             (ontology.hasAverageLength, statistics.average_length),
         )
-        for predicate, value in optional_values:
-            if value is not None:
-                store.add(column_node, predicate, Literal(float(value)), graph=DATASET_GRAPH)
+        rows += [
+            (column_node, predicate, Literal(float(value)))
+            for predicate, value in optional_values
+            if value is not None
+        ]
+        return rows
 
     # ------------------------------------------------------------ similarity
     def compute_column_similarities(
@@ -429,34 +424,31 @@ class DataGlobalSchemaBuilder:
     def _write_similarity_edges(
         self, edges: Iterable[ColumnSimilarityEdge], store: QuadStore
     ) -> None:
-        ontology = LiDSOntology
-        for edge in edges:
-            subject = self._column_id_to_uri(edge.column_a)
-            obj = self._column_id_to_uri(edge.column_b)
-            predicate = (
-                ontology.hasLabelSimilarity if edge.kind == "label" else ontology.hasContentSimilarity
-            )
-            store.annotate(
-                subject,
-                predicate,
-                obj,
-                ontology.withCertainty,
-                Literal(round(edge.score, 4)),
-                graph=DATASET_GRAPH,
-            )
-            store.annotate(
-                obj,
-                predicate,
-                subject,
-                ontology.withCertainty,
-                Literal(round(edge.score, 4)),
-                graph=DATASET_GRAPH,
-            )
+        label, content = LiDSOntology.hasLabelSimilarity, LiDSOntology.hasContentSimilarity
+        self._write_scored_edges(
+            ((e.column_a, label if e.kind == "label" else content, e.column_b, e.score) for e in edges),
+            lambda column_id: column_uri(*column_id.split("/", 2)),
+            store,
+        )
 
     @staticmethod
-    def _column_id_to_uri(column_id: str) -> URIRef:
-        dataset_name, table_name, column_name = column_id.split("/", 2)
-        return column_uri(dataset_name, table_name, column_name)
+    def _write_scored_edges(edges, node_of, store: QuadStore) -> None:
+        """Write ``(id_a, predicate, id_b, score)`` edges, both ways, as one batch.
+
+        Each direction is the asserted triple followed by its RDF-star
+        ``withCertainty`` annotation.  ``node_of`` mints a node URI from an
+        id; it runs once per distinct id, and each distinct rounded score
+        becomes one ``Literal``.
+        """
+        certainty = LiDSOntology.withCertainty
+        node_of, literal = functools.cache(node_of), functools.cache(Literal)
+        rows: List[tuple] = []
+        for id_a, predicate, id_b, score in edges:
+            node_a, node_b, score = node_of(id_a), node_of(id_b), literal(round(score, 4))
+            for subject, obj in ((node_a, node_b), (node_b, node_a)):
+                rows.append((subject, predicate, obj))
+                rows.append((QuotedTriple(subject, predicate, obj), certainty, score))
+        store.add_many(rows, DATASET_GRAPH)
 
     # --------------------------------------------------- table relationships
     def derive_table_relationships(
@@ -523,17 +515,15 @@ class DataGlobalSchemaBuilder:
     def _write_table_relationships(
         self, table_scores: Dict[Tuple[str, str, str], float], store: QuadStore
     ) -> None:
-        ontology = LiDSOntology
-        for (table_a, table_b, kind), score in table_scores.items():
-            predicate = ontology.unionableWith if kind == "unionable" else ontology.joinableWith
-            subject = table_uri(*table_a.split("/", 1))
-            obj = table_uri(*table_b.split("/", 1))
-            store.annotate(
-                subject, predicate, obj, ontology.withCertainty, Literal(round(score, 4)), graph=DATASET_GRAPH
-            )
-            store.annotate(
-                obj, predicate, subject, ontology.withCertainty, Literal(round(score, 4)), graph=DATASET_GRAPH
-            )
+        unionable, joinable = LiDSOntology.unionableWith, LiDSOntology.joinableWith
+        self._write_scored_edges(
+            (
+                (table_a, unionable if kind == "unionable" else joinable, table_b, score)
+                for (table_a, table_b, kind), score in table_scores.items()
+            ),
+            lambda table_id: table_uri(*table_id.split("/", 1)),
+            store,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -528,7 +528,6 @@ class KGGovernor:
         undo entries ride that batch, so a failure later in the same batch
         resurrects the footprint.
         """
-        graph = self.storage.graph
         table_node = table_uri(dataset_name, table_name)
         column_nodes = [
             column_uri(p.dataset_name, p.table_name, p.column_name)
@@ -539,19 +538,7 @@ class KGGovernor:
         # means this was its dataset's last table (a refresh re-adds the node).
         if not any(dataset == dataset_name for dataset, _ in self._profiles_by_key):
             nodes.append(dataset_uri(dataset_name))
-        for node in nodes:
-            for triple, graph_name in list(graph.match(subject=node, graph=DATASET_GRAPH)):
-                graph.remove(triple.subject, triple.predicate, triple.object, graph=graph_name)
-            for triple, graph_name in list(graph.match(obj=node, graph=DATASET_GRAPH)):
-                graph.remove(triple.subject, triple.predicate, triple.object, graph=graph_name)
-            for triple, graph_name in list(
-                graph.match_quoted(inner_subject=node, graph=DATASET_GRAPH)
-            ):
-                graph.remove(triple.subject, triple.predicate, triple.object, graph=graph_name)
-            for triple, graph_name in list(
-                graph.match_quoted(inner_object=node, graph=DATASET_GRAPH)
-            ):
-                graph.remove(triple.subject, triple.predicate, triple.object, graph=graph_name)
+        self.storage.graph.retract_nodes(nodes, DATASET_GRAPH)
         self.storage.embeddings.remove("table", str(table_node))
         for column_node in column_nodes:
             self.storage.embeddings.remove("column", str(column_node))
@@ -600,10 +587,7 @@ class KGGovernor:
                     sidecar.unlink()
             snapshot = QuadStore.sqlite(graph_path)
             for graph_name in self.storage.graph.graphs():
-                for triple in self.storage.graph.triples(graph=graph_name):
-                    snapshot.add(
-                        triple.subject, triple.predicate, triple.object, graph=graph_name
-                    )
+                snapshot.add_many(self.storage.graph.triples(graph=graph_name), graph_name)
             snapshot.flush()
             self._write_delta_manifest(directory, snapshot)
             snapshot.close()

@@ -21,7 +21,7 @@ from repro.kg.ontology import (
     table_uri,
 )
 from repro.pipelines.abstraction import AbstractedPipeline
-from repro.rdf import Literal, QuadStore, RDF, URIRef
+from repro.rdf import Literal, QuadStore, QuotedTriple, RDF, URIRef
 
 
 @dataclass
@@ -65,6 +65,14 @@ class GlobalGraphLinker:
         graph = pipeline_graph_uri(abstraction.pipeline_id)
         pipeline_node = pipeline_uri(abstraction.pipeline_id)
         known_tables = self._known_tables_for(store)
+        score = Literal(self.prediction_score)
+        rows: List[tuple] = []
+
+        def read(predicate: URIRef, node: URIRef) -> None:
+            """A verified read: asserted, and annotated with the prediction score."""
+            rows.append((pipeline_node, predicate, node))
+            rows.append((QuotedTriple(pipeline_node, predicate, node), ontology.withCertainty, score))
+
         linked_table_nodes: List[URIRef] = []
         for dataset_name, table_name in abstraction.predicted_table_reads:
             resolved = self._resolve_table(dataset_name, table_name, known_tables)
@@ -72,14 +80,7 @@ class GlobalGraphLinker:
                 report.pruned_tables.append(f"{dataset_name}/{table_name}")
                 continue
             table_node = table_uri(*resolved)
-            store.annotate(
-                pipeline_node,
-                ontology.reads,
-                table_node,
-                ontology.withCertainty,
-                Literal(self.prediction_score),
-                graph=graph,
-            )
+            read(ontology.reads, table_node)
             linked_table_nodes.append(table_node)
             report.linked_tables.append("/".join(resolved))
         known_columns = self._known_columns(store, linked_table_nodes)
@@ -88,15 +89,9 @@ class GlobalGraphLinker:
             if resolved_column is None:
                 report.pruned_columns.append(column_name)
                 continue
-            store.annotate(
-                pipeline_node,
-                ontology.readsColumn,
-                resolved_column,
-                ontology.withCertainty,
-                Literal(self.prediction_score),
-                graph=graph,
-            )
+            read(ontology.readsColumn, resolved_column)
             report.linked_columns.append(column_name)
+        store.add_many(rows, graph)
         return report
 
     def link_pipelines(

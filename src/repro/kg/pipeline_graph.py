@@ -39,23 +39,24 @@ class PipelineGraphBuilder:
         graph = pipeline_graph_uri(abstraction.pipeline_id)
         pipeline_node = pipeline_uri(abstraction.pipeline_id)
         script = abstraction.script
-        store.add(pipeline_node, RDF.type, ontology.Pipeline, graph=graph)
-        store.add(pipeline_node, ontology.hasName, Literal(abstraction.pipeline_id), graph=graph)
-        store.add(pipeline_node, RDFS.label, Literal(abstraction.pipeline_id), graph=graph)
-        store.add(pipeline_node, ontology.hasAuthor, Literal(script.author), graph=graph)
-        store.add(pipeline_node, ontology.hasVotes, Literal(int(script.votes)), graph=graph)
+        rows: List[tuple] = [
+            (pipeline_node, RDF.type, ontology.Pipeline),
+            (pipeline_node, ontology.hasName, Literal(abstraction.pipeline_id)),
+            (pipeline_node, RDFS.label, Literal(abstraction.pipeline_id)),
+            (pipeline_node, ontology.hasAuthor, Literal(script.author)),
+            (pipeline_node, ontology.hasVotes, Literal(int(script.votes))),
+        ]
         if script.score is not None:
-            store.add(pipeline_node, ontology.hasScore, Literal(float(script.score)), graph=graph)
+            rows.append((pipeline_node, ontology.hasScore, Literal(float(script.score))))
         if script.task:
-            store.add(pipeline_node, ontology.hasTaskType, Literal(script.task), graph=graph)
+            rows.append((pipeline_node, ontology.hasTaskType, Literal(script.task)))
         if script.date:
-            store.add(pipeline_node, ontology.hasDate, Literal(script.date), graph=graph)
+            rows.append((pipeline_node, ontology.hasDate, Literal(script.date)))
         if script.dataset_name:
-            store.add(
-                pipeline_node, ontology.reads, dataset_uri(script.dataset_name), graph=graph
-            )
+            rows.append((pipeline_node, ontology.reads, dataset_uri(script.dataset_name)))
         for statement in abstraction.statements:
-            self._add_statement(abstraction, statement, pipeline_node, store, graph)
+            rows += self._statement_rows(abstraction, statement, pipeline_node)
+        store.add_many(rows, graph)
         self.add_call_hierarchy(abstraction, store)
         return graph
 
@@ -72,35 +73,27 @@ class PipelineGraphBuilder:
         return [self.add_pipeline(abstraction, store) for abstraction in abstractions]
 
     # -------------------------------------------------------------- internals
-    def _add_statement(self, abstraction, statement, pipeline_node, store, graph) -> None:
+    def _statement_rows(self, abstraction, statement, pipeline_node) -> List[tuple]:
         ontology = LiDSOntology
         statement_node = statement_uri(abstraction.pipeline_id, statement.index)
-        store.add(statement_node, RDF.type, ontology.Statement, graph=graph)
-        store.add(statement_node, ontology.isPartOf, pipeline_node, graph=graph)
-        store.add(statement_node, ontology.hasStatementText, Literal(statement.text), graph=graph)
-        store.add(
-            statement_node, ontology.hasControlFlowType, Literal(statement.control_flow), graph=graph
-        )
+        rows: List[tuple] = [
+            (statement_node, RDF.type, ontology.Statement),
+            (statement_node, ontology.isPartOf, pipeline_node),
+            (statement_node, ontology.hasStatementText, Literal(statement.text)),
+            (statement_node, ontology.hasControlFlowType, Literal(statement.control_flow)),
+        ]
         if statement.next_statement is not None:
-            store.add(
-                statement_node,
-                ontology.hasNextStatement,
-                statement_uri(abstraction.pipeline_id, statement.next_statement),
-                graph=graph,
-            )
-        for target in statement.data_flow_next:
-            store.add(
-                statement_node,
-                ontology.hasDataFlowTo,
-                statement_uri(abstraction.pipeline_id, target),
-                graph=graph,
-            )
+            following = statement_uri(abstraction.pipeline_id, statement.next_statement)
+            rows.append((statement_node, ontology.hasNextStatement, following))
+        rows += [
+            (statement_node, ontology.hasDataFlowTo, statement_uri(abstraction.pipeline_id, target))
+            for target in statement.data_flow_next
+        ]
         for call in statement.calls:
             if "." not in call.full_name:
                 continue
-            call_node = library_uri(call.full_name)
-            store.add(statement_node, ontology.callsFunction, call_node, graph=graph)
-            store.add(statement_node, ontology.callsLibrary, library_uri(call.library), graph=graph)
+            rows.append((statement_node, ontology.callsFunction, library_uri(call.full_name)))
+            rows.append((statement_node, ontology.callsLibrary, library_uri(call.library)))
             parameters = dict(call.parameter_names)
             parameters.update(call.keyword_arguments)
             if self.include_default_parameters:
@@ -108,31 +101,31 @@ class PipelineGraphBuilder:
                     parameters.setdefault(name, value)
             for name, value in parameters.items():
                 parameter_node = library_uri(f"{call.full_name}/{name}")
-                store.add(parameter_node, RDF.type, ontology.Parameter, graph=graph)
-                store.add(parameter_node, ontology.hasName, Literal(name), graph=graph)
-                store.add(statement_node, ontology.hasParameter, parameter_node, graph=graph)
-                store.add(
-                    parameter_node,
-                    ontology.hasParameterValue,
-                    Literal(repr(value)),
-                    graph=graph,
-                )
+                rows += [
+                    (parameter_node, RDF.type, ontology.Parameter),
+                    (parameter_node, ontology.hasName, Literal(name)),
+                    (statement_node, ontology.hasParameter, parameter_node),
+                    (parameter_node, ontology.hasParameterValue, Literal(repr(value))),
+                ]
+        return rows
 
     # ---------------------------------------------------------- library graph
     @staticmethod
     def add_library_hierarchy(edges: Iterable[Tuple[str, str]], store: QuadStore) -> None:
         """Write ``(child, parent)`` library hierarchy edges to the library graph."""
         ontology = LiDSOntology
+        rows: List[tuple] = []
         for child, parent in edges:
             child_node = library_uri(child)
             parent_node = library_uri(parent)
-            child_type = _library_element_type(child)
-            parent_type = _library_element_type(parent)
-            store.add(child_node, RDF.type, child_type, graph=LIBRARY_GRAPH)
-            store.add(child_node, ontology.hasName, Literal(child), graph=LIBRARY_GRAPH)
-            store.add(parent_node, RDF.type, parent_type, graph=LIBRARY_GRAPH)
-            store.add(parent_node, ontology.hasName, Literal(parent), graph=LIBRARY_GRAPH)
-            store.add(child_node, ontology.isSubElementOf, parent_node, graph=LIBRARY_GRAPH)
+            rows += [
+                (child_node, RDF.type, _library_element_type(child)),
+                (child_node, ontology.hasName, Literal(child)),
+                (parent_node, RDF.type, _library_element_type(parent)),
+                (parent_node, ontology.hasName, Literal(parent)),
+                (child_node, ontology.isSubElementOf, parent_node),
+            ]
+        store.add_many(rows, LIBRARY_GRAPH)
 
 
 def _library_element_type(qualified_name: str) -> URIRef:

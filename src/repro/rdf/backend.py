@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.rdf.graph_index import GraphIndex, IdTriple
-from repro.rdf.terms import TermDictionary, URIRef, parse_term, term_n3
+from repro.rdf.terms import QuotedTriple, TermDictionary, URIRef, parse_term, term_n3
 
 PathLike = Union[str, Path]
 
@@ -56,8 +56,8 @@ class QuadStoreBackend(ABC):
     The reader side hands out :class:`GraphIndex` objects (``get_index`` /
     ``ensure_index`` / ``items``) that share the backend's ``dictionary``;
     the writer side receives persistence hooks *after* the in-memory index
-    has been updated (``quad_added`` etc., all id-encoded), so a non-durable
-    backend can ignore them entirely.
+    has been updated (``quads_added`` etc., all id-encoded, one call per
+    row batch), so a non-durable backend can ignore them entirely.
     """
 
     #: Whether this backend survives process restarts.
@@ -105,11 +105,11 @@ class QuadStoreBackend(ABC):
         return [index for _, index in self.items()]
 
     # ------------------------------------------------------ persistence hooks
-    def quad_added(self, graph: URIRef, triple: IdTriple) -> None:
-        """Called after an id-triple was inserted into the graph's index."""
+    def quads_added(self, graph: URIRef, rows: List[IdTriple]) -> None:
+        """Called after id-triples were inserted into the graph's index (in order)."""
 
-    def quad_removed(self, graph: URIRef, triple: IdTriple) -> None:
-        """Called after an id-triple was removed from the graph's index."""
+    def quads_removed(self, graph: URIRef, rows: List[IdTriple]) -> None:
+        """Called after id-triples were removed from the graph's index (in order)."""
 
     def predicate_removed(self, graph: URIRef, predicate_id: int) -> None:
         """Called after all triples with ``predicate_id`` left the graph's index.
@@ -418,8 +418,8 @@ class PersistentTermDictionary(TermDictionary):
 
     # -------------------------------------------------------------- interning
     def _assign(self, term) -> int:
-        """Intern by N-Triples spelling (the base ``encode`` drives this:
-        quoted-part maps and inner-term interning are inherited unchanged).
+        """Intern by N-Triples spelling (the base ``encode`` drives this;
+        quoted triples come through :meth:`_assign_quoted` instead).
 
         Unlike the volatile base ``_assign``, the spelling may already hold a
         persisted id from an earlier process — reuse it and just register the
@@ -429,6 +429,21 @@ class PersistentTermDictionary(TermDictionary):
         self._term_to_id[term] = term_id
         self._id_to_term.setdefault(term_id, term)
         return term_id
+
+    def _assign_quoted(self, term, parts: Tuple[int, int, int]) -> int:
+        """Intern a quoted triple from its parts' stored spellings.
+
+        The canonical ``<< s p o >>`` text is the three inner spellings
+        joined by single spaces, so it is assembled from rows this dictionary
+        already holds instead of re-serializing the term object; the object
+        itself is parsed back from that text on first decode, like any
+        persisted term.
+        """
+        return self._intern_text(self._quoted_spelling(parts))
+
+    def _quoted_spelling(self, parts: Tuple[int, int, int]) -> str:
+        spelling = self._spelling
+        return f"<< {spelling(parts[0])} {spelling(parts[1])} {spelling(parts[2])} >>"
 
     def _intern_text(self, text: str) -> int:
         term_id = self._text_to_id.get(text)
@@ -442,6 +457,8 @@ class PersistentTermDictionary(TermDictionary):
 
     # ---------------------------------------------------------------- lookups
     def lookup(self, term) -> Optional[int]:
+        if isinstance(term, QuotedTriple):
+            return super().lookup(term)
         term_id = self._term_to_id.get(term)
         if term_id is None:
             term_id = self._text_to_id.get(term_n3(term))
@@ -472,9 +489,7 @@ class PersistentTermDictionary(TermDictionary):
                     self.encode(quoted.predicate),
                     self.encode(quoted.object),
                 )
-            self._quoted_parts[term_id] = parts
-            self._quoted_by_parts[parts] = term_id
-            self._note_quoted(term_id, parts)
+            self._register_quoted(term_id, parts)
         return parts
 
     def _split_quoted(self, text: str) -> Optional[Tuple[int, int, int]]:
@@ -510,15 +525,9 @@ class PersistentTermDictionary(TermDictionary):
         if term_id is None:
             # Reconstruct the persisted spelling from the part ids; a hit
             # registers the quoted maps so the next probe is one dict get.
-            text = (
-                f"<< {self._spelling(parts[0])} {self._spelling(parts[1])}"
-                f" {self._spelling(parts[2])} >>"
-            )
-            term_id = self._text_to_id.get(text)
+            term_id = self._text_to_id.get(self._quoted_spelling(parts))
             if term_id is not None:
-                self._quoted_parts[term_id] = parts
-                self._quoted_by_parts[parts] = term_id
-                self._note_quoted(term_id, parts)
+                self._register_quoted(term_id, parts)
         return term_id
 
     def _materialize_quoted(self) -> None:
@@ -553,8 +562,9 @@ class SqliteBackend(QuadStoreBackend):
     exactly the statistics the in-memory backend would produce.
 
     Writes are buffered (insert/delete order preserved; new dictionary rows
-    always land before the quad rows referencing them) and flushed every
-    ``flush_threshold`` operations, on :meth:`flush` and on :meth:`close`.
+    always land before the quad rows referencing them) and flushed once
+    ``flush_threshold`` operations are waiting (checked per hook call, so
+    after a whole row batch), on :meth:`flush` and on :meth:`close`.
 
     ``max_resident_graphs`` bounds how many loaded :class:`GraphIndex`es stay
     in RAM: loading a shard past the cap evicts the least-recently-used
@@ -799,16 +809,16 @@ class SqliteBackend(QuadStoreBackend):
         return int(row[0])
 
     # ------------------------------------------------------ persistence hooks
-    def quad_added(self, graph: URIRef, triple: IdTriple) -> None:
-        self._queue("insert", self._shards[graph], triple)
+    def quads_added(self, graph: URIRef, rows: List[IdTriple]) -> None:
+        self._queue_rows("insert", self._shards[graph], rows)
 
-    def quad_removed(self, graph: URIRef, triple: IdTriple) -> None:
-        self._queue("delete", self._shards[graph], triple)
+    def quads_removed(self, graph: URIRef, rows: List[IdTriple]) -> None:
+        self._queue_rows("delete", self._shards[graph], rows)
 
     def predicate_removed(self, graph: URIRef, predicate_id: int) -> None:
         shard_id = self._shards.get(graph)
         if shard_id is not None:
-            self._queue("delete_predicate", shard_id, (predicate_id,))
+            self._queue_rows("delete_predicate", shard_id, ((predicate_id,),))
 
     def delete_predicate_unloaded(self, graph: URIRef, predicate_id: int) -> Optional[int]:
         if graph in self._indexes:
@@ -1078,16 +1088,10 @@ class SqliteBackend(QuadStoreBackend):
             shard_id = self._ensure_shard(graph)
             index = self._indexes.get(graph)
             if index is not None:
-                for row in removed:
-                    if index.remove(row):
-                        self._queue("delete", shard_id, row)
-                for row in index.add_many(added):
-                    self._queue("insert", shard_id, row)
-            else:
-                for row in removed:
-                    self._queue("delete", shard_id, row)
-                for row in added:
-                    self._queue("insert", shard_id, row)
+                removed = index.remove_many(removed)
+                added = index.add_many(added)
+            self._queue_rows("delete", shard_id, removed)
+            self._queue_rows("insert", shard_id, added)
 
     def invalidate_resident(self, graph: URIRef) -> None:
         """Drop ``graph``'s resident index so the next reader rebuilds it.
@@ -1379,8 +1383,8 @@ class SqliteBackend(QuadStoreBackend):
             )
         return True
 
-    def _queue(self, op: str, shard_id: int, params: Tuple[int, ...]) -> None:
-        self._pending.append((op, shard_id, params))
+    def _queue_rows(self, op: str, shard_id: int, rows: Iterable[Tuple[int, ...]]) -> None:
+        self._pending.extend([(op, shard_id, params) for params in rows])
         if len(self._pending) >= self.flush_threshold:
             self.flush()
 
@@ -1447,11 +1451,9 @@ class SqliteBackend(QuadStoreBackend):
         # Writes require a loaded index, so a lazily-loaded shard normally has
         # no buffered ops — flush anyway so the read below is complete.
         index = GraphIndex(self.dictionary)
-        add = index.add
         with self._db_lock:
             self.flush()
-            for row in self._connection.execute(f"SELECT s, p, o FROM quads_{shard_id}"):
-                add(row)
+            index.add_many(self._connection.execute(f"SELECT s, p, o FROM quads_{shard_id}"))
         # Resume the mutation counter above any pre-eviction value so
         # version-keyed reader caches cannot mistake a reload for no change.
         index.version += self._version_base.get(graph, 0)

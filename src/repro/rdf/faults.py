@@ -62,11 +62,11 @@ class FaultPlan:
 class FaultInjectingBackend(QuadStoreBackend):
     """A delegating backend that fails on command (see module docstring).
 
-    Fault points tick on every mutation hook (``quad_added`` /
-    ``quad_removed`` / ``predicate_removed`` / ``delete_predicate_unloaded``
-    / graph drops) and on every durability boundary (``flush`` /
-    ``commit_batch``) — *before* the inner backend sees the operation, so a
-    fired fault models dying during the op.  ``op_count`` keeps counting
+    Fault points tick on every mutation hook (``quads_added`` /
+    ``quads_removed``, once per row; ``predicate_removed`` /
+    ``delete_predicate_unloaded`` / graph drops) and durability boundary
+    (``flush`` / ``commit_batch``) — *before* the inner backend sees the op, so
+    a fired fault models dying during the op.  ``op_count`` keeps counting
     with no plan armed; a sweep first runs fault-free to learn how many
     points one workload has, then replays it once per point.
     """
@@ -134,13 +134,23 @@ class FaultInjectingBackend(QuadStoreBackend):
         self._inner.close()
 
     # ------------------------------------------- faulting mutation delegation
-    def quad_added(self, graph: URIRef, triple: IdTriple) -> None:
-        self._tick("quad_added")
-        self._inner.quad_added(graph, triple)
+    def quads_added(self, graph: URIRef, rows: List[IdTriple]) -> None:
+        self._tick_rows("quad_added", self._inner.quads_added, graph, rows)
 
-    def quad_removed(self, graph: URIRef, triple: IdTriple) -> None:
-        self._tick("quad_removed")
-        self._inner.quad_removed(graph, triple)
+    def quads_removed(self, graph: URIRef, rows: List[IdTriple]) -> None:
+        self._tick_rows("quad_removed", self._inner.quads_removed, graph, rows)
+
+    def _tick_rows(self, operation: str, forward, graph: URIRef, rows: List[IdTriple]) -> None:
+        """One fault point per row: a plan armed inside the batch fires
+        mid-batch, after the inner backend took the rows ahead of that one."""
+        plan = self.plan
+        ahead = plan.at - self.op_count - 1 if plan is not None else -1
+        if 0 <= ahead < len(rows):
+            self.op_count += ahead
+            forward(graph, rows[:ahead])
+            self._tick(operation)
+        self.op_count += len(rows)
+        forward(graph, rows)
 
     def predicate_removed(self, graph: URIRef, predicate_id: int) -> None:
         self._tick("predicate_removed")

@@ -21,7 +21,7 @@ public API boundary.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -282,36 +282,18 @@ class GraphIndex:
         self._columnar: Optional[Tuple[int, TripleColumns]] = None
 
     def add(self, triple: IdTriple) -> bool:
-        if triple in self.triples:
-            return False
-        subject_id, predicate_id, object_id = triple
-        self.triples.add(triple)
-        self.by_subject[subject_id].add(triple)
-        self.by_predicate[predicate_id].add(triple)
-        self.by_object[object_id].add(triple)
-        quoted = self.dictionary.quoted_parts(subject_id)
-        if quoted is not None:
-            self.by_quoted_subject[quoted[0]].add(triple)
-            self.by_quoted_object[quoted[2]].add(triple)
-        stats = self.predicate_stats.get(predicate_id)
-        if stats is None:
-            stats = self.predicate_stats[predicate_id] = PredicateStats()
-        stats.add(subject_id, object_id)
-        self.version += 1
-        return True
+        return bool(self.add_many((triple,)))
 
-    def add_many(self, rows: "list[IdTriple]") -> "list[IdTriple]":
-        """Bulk :meth:`add`; returns the genuinely-new triples, in order.
+    def add_many(self, rows: "Iterable[IdTriple]") -> "list[IdTriple]":
+        """Bulk insert; returns the genuinely-new triples, in order.
 
-        The replication apply path feeds six-digit row batches through the
-        index, where per-row method dispatch and attribute traffic are a
-        third of the cost — this loop binds everything once and bumps the
+        The path of every writer: ``QuadStore.add_many`` feeds a table's few
+        hundred quads through here, a shard load its whole table, the
+        replication apply path six-digit row batches.  Per-row method
+        dispatch and attribute traffic are a third of the cost of inserting
+        one triple at a time — this loop binds everything once and bumps the
         graph version once per batch instead of per row (any snapshot
-        invalidation cares only that the version *moved*).  Large batches
-        resolve the quoted-subject probe for the whole batch with one
-        ``searchsorted`` against the dictionary's columnar snapshot (which
-        covers every registered quoted triple) instead of a dict probe per
-        row.
+        invalidation cares only that the version *moved*).
         """
         triples = self.triples
         by_subject = self.by_subject
@@ -320,82 +302,81 @@ class GraphIndex:
         by_quoted_subject = self.by_quoted_subject
         by_quoted_object = self.by_quoted_object
         predicate_stats = self.predicate_stats
+        quoted_parts = self.dictionary.quoted_parts
         added = []
-        append = added.append
-        quoted_rows = None
-        if len(rows) >= 1024:
-            quoted_ids, inner_s, _, inner_o = self.dictionary.quoted_columns()
-            if len(quoted_ids):
-                subjects = np.fromiter((row[0] for row in rows), np.int64, len(rows))
-                positions = np.searchsorted(quoted_ids, subjects).clip(
-                    0, len(quoted_ids) - 1
-                )
-                valid = quoted_ids[positions] == subjects
-                quoted_rows = (
-                    valid.tolist(),
-                    inner_s[positions].tolist(),
-                    inner_o[positions].tolist(),
-                )
-        if quoted_rows is not None:
-            valid, part_subjects, part_objects = quoted_rows
-            for position, triple in enumerate(rows):
-                if triple in triples:
-                    continue
-                subject_id, predicate_id, object_id = triple
-                triples.add(triple)
-                by_subject[subject_id].add(triple)
-                by_predicate[predicate_id].add(triple)
-                by_object[object_id].add(triple)
-                if valid[position]:
-                    by_quoted_subject[part_subjects[position]].add(triple)
-                    by_quoted_object[part_objects[position]].add(triple)
-                stats = predicate_stats.get(predicate_id)
-                if stats is None:
-                    stats = predicate_stats[predicate_id] = PredicateStats()
-                stats.add(subject_id, object_id)
-                append(triple)
-        else:
-            quoted_parts = self.dictionary.quoted_parts
-            for triple in rows:
-                if triple in triples:
-                    continue
-                subject_id, predicate_id, object_id = triple
-                triples.add(triple)
-                by_subject[subject_id].add(triple)
-                by_predicate[predicate_id].add(triple)
-                by_object[object_id].add(triple)
-                quoted = quoted_parts(subject_id)
-                if quoted is not None:
-                    by_quoted_subject[quoted[0]].add(triple)
-                    by_quoted_object[quoted[2]].add(triple)
-                stats = predicate_stats.get(predicate_id)
-                if stats is None:
-                    stats = predicate_stats[predicate_id] = PredicateStats()
-                stats.add(subject_id, object_id)
-                append(triple)
+        for triple in rows:
+            if triple in triples:
+                continue
+            subject_id, predicate_id, object_id = triple
+            triples.add(triple)
+            by_subject[subject_id].add(triple)
+            by_predicate[predicate_id].add(triple)
+            by_object[object_id].add(triple)
+            quoted = quoted_parts(subject_id)
+            if quoted is not None:
+                by_quoted_subject[quoted[0]].add(triple)
+                by_quoted_object[quoted[2]].add(triple)
+            stats = predicate_stats.get(predicate_id)
+            if stats is None:
+                stats = predicate_stats[predicate_id] = PredicateStats()
+            stats.add(subject_id, object_id)
+            added.append(triple)
         if added:
             self.version += 1
         return added
 
     def remove(self, triple: IdTriple) -> bool:
-        if triple not in self.triples:
-            return False
-        subject_id, predicate_id, object_id = triple
-        self.triples.discard(triple)
-        self.by_subject[subject_id].discard(triple)
-        self.by_predicate[predicate_id].discard(triple)
-        self.by_object[object_id].discard(triple)
-        quoted = self.dictionary.quoted_parts(subject_id)
-        if quoted is not None:
-            self.by_quoted_subject[quoted[0]].discard(triple)
-            self.by_quoted_object[quoted[2]].discard(triple)
-        stats = self.predicate_stats.get(predicate_id)
-        if stats is not None:
+        return bool(self.remove_many((triple,)))
+
+    def remove_many(self, rows: "Iterable[IdTriple]") -> "list[IdTriple]":
+        """Bulk removal; returns the triples that were present, in order.
+
+        A bucket that empties is deleted with its key, so the index's size
+        follows the graph and not the work done on it.  The graph version
+        bumps once per batch (see :meth:`add_many`).
+        """
+        triples = self.triples
+        by_subject = self.by_subject
+        by_predicate = self.by_predicate
+        by_object = self.by_object
+        quoted_parts = self.dictionary.quoted_parts
+        predicate_stats = self.predicate_stats
+        removed = []
+        for triple in rows:
+            if triple not in triples:
+                continue
+            subject_id, predicate_id, object_id = triple
+            triples.discard(triple)
+            bucket = by_subject[subject_id]
+            bucket.discard(triple)
+            if not bucket:
+                del by_subject[subject_id]
+            bucket = by_predicate[predicate_id]
+            bucket.discard(triple)
+            if not bucket:
+                del by_predicate[predicate_id]
+            bucket = by_object[object_id]
+            bucket.discard(triple)
+            if not bucket:
+                del by_object[object_id]
+            quoted = quoted_parts(subject_id)
+            if quoted is not None:
+                for by_part, part_id in (
+                    (self.by_quoted_subject, quoted[0]),
+                    (self.by_quoted_object, quoted[2]),
+                ):
+                    bucket = by_part[part_id]
+                    bucket.discard(triple)
+                    if not bucket:
+                        del by_part[part_id]
+            stats = predicate_stats[predicate_id]
             stats.remove(subject_id, object_id)
             if stats.count <= 0:
-                del self.predicate_stats[predicate_id]
-        self.version += 1
-        return True
+                del predicate_stats[predicate_id]
+            removed.append(triple)
+        if removed:
+            self.version += 1
+        return removed
 
     def match(
         self,

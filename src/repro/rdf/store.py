@@ -308,7 +308,7 @@ class QuadStore:
     def _end_write(self, depth: int) -> None:
         # A standalone op (no surrounding batch) is its own micro-commit:
         # bump the commit version, but skip the flush — buffered-backend
-        # write batching must not degrade to one fsync per triple.  The
+        # write batching must not degrade to one fsync per call.  The
         # backend notes the new version so the next durable commit stamps
         # its recovery marker with it.
         if depth == 1:
@@ -325,8 +325,9 @@ class QuadStore:
         Keeps the last ``capacity`` commits as ``(version, ops)`` entries so
         a follower pinned at any version at or above the log floor can be
         brought current by shipping ops instead of whole shards.  Only
-        replication *sources* enable this; the recording cost is a list
-        append per mutation.
+        replication *sources* enable this; the recording cost is one list
+        ``extend`` per row batch, with the row entries the undo log already
+        holds.
         """
         if capacity < 1:
             raise ValueError("delta log capacity must be >= 1")
@@ -355,11 +356,6 @@ class QuadStore:
         if log is None or self._delta_log_broken or version < self._delta_log_floor:
             return None
         return [entry for entry in log if entry[0] > version]
-
-    def _record_op(self, kind: str, graph: URIRef, payload: Any) -> None:
-        ops = self._pending_ops
-        if ops is not None:
-            ops.append((kind, graph, payload))
 
     def _log_commit(self, version: int) -> None:
         """Seal the pending ops as the log entry for ``version``."""
@@ -551,7 +547,51 @@ class QuadStore:
         decode = self._backend.dictionary.decode
         return Triple(decode(triple[0]), decode(triple[1]), decode(triple[2]))
 
-    # ------------------------------------------------------------------- add
+    # ------------------------------------------------------- insert / delete
+    def _insert_rows(self, graph: URIRef, rows: List[IdTriple]) -> List[IdTriple]:
+        """The one insert path (caller holds the write gate); returns the new rows.
+
+        Undo and delta-log entries are recorded before the backend hook runs,
+        so a hook failing mid-batch still unwinds every row the index took.
+        """
+        # An empty batch must not create the graph.
+        inserted = self._backend.ensure_index(graph).add_many(rows) if rows else []
+        if inserted:
+            self._log_rows("add", graph, inserted)
+            self._backend.quads_added(graph, inserted)
+        return inserted
+
+    def _delete_rows(
+        self,
+        graph: URIRef,
+        index: GraphIndex,
+        rows: Iterable[IdTriple],
+        whole_predicate: Optional[int] = None,
+    ) -> List[IdTriple]:
+        """The one delete path, :meth:`_insert_rows`'s mirror; returns the removed rows.
+
+        ``whole_predicate`` says the rows are *all* of that predicate's
+        triples, which a durable backend retracts as one scoped delete.
+        """
+        removed = index.remove_many(rows)
+        if removed:
+            self._log_rows("remove", graph, removed)
+            if whole_predicate is None:
+                self._backend.quads_removed(graph, removed)
+            else:
+                self._backend.predicate_removed(graph, whole_predicate)
+        return removed
+
+    def _log_rows(self, kind: str, graph: URIRef, rows: List[IdTriple]) -> None:
+        """Undo, delta-log, change-mark and version bookkeeping of one row batch."""
+        entries = [(kind, graph, row) for row in rows]
+        if self._undo is not None:
+            self._undo.extend(entries)
+        if self._pending_ops is not None:
+            self._pending_ops.extend(entries)
+        self._backend.graph_changed(graph, self._commit_version + 1)
+        self._version += len(rows)
+
     def add(
         self,
         subject: Any,
@@ -560,31 +600,31 @@ class QuadStore:
         graph: URIRef = DEFAULT_GRAPH,
     ) -> bool:
         """Add a triple to ``graph``; returns ``False`` if it already existed."""
+        return bool(self.add_many(((subject, predicate, obj),), graph))
+
+    def add_many(
+        self, triples: Iterable[Tuple[Any, Any, Any]], graph: URIRef = DEFAULT_GRAPH
+    ) -> int:
+        """Add triples to ``graph`` under one gate span; returns how many were new.
+
+        Atomic for concurrent readers, and one micro-commit when no
+        :meth:`write_batch` is open.  Terms are interned in row order, so a
+        batch assigns the ids the same rows added one by one would.
+        """
         depth = self._begin_write()
         try:
-            triple = self._backend.dictionary.encode_triple(subject, predicate, obj)
-            inserted = self._backend.ensure_index(graph).add(triple)
-            if inserted:
-                if self._undo is not None:
-                    self._undo.append(("add", graph, triple))
-                self._record_op("add", graph, triple)
-                self._backend.graph_changed(graph, self._commit_version + 1)
-                self._version += 1
-                self._backend.quad_added(graph, triple)
-            return inserted
+            encode = self._backend.dictionary.encode
+            rows = [(encode(s), encode(p), encode(o)) for s, p, o in triples]
+            return len(self._insert_rows(graph, rows))
         finally:
             self._end_write(depth)
 
     def add_triples(
         self, triples: Iterable[Tuple[Any, Any, Any]], graph: URIRef = DEFAULT_GRAPH
     ) -> int:
-        """Add many triples atomically; returns the number actually inserted."""
-        inserted = 0
+        """Add many triples as one durable commit; returns the number inserted."""
         with self.write_batch():
-            for subject, predicate, obj in triples:
-                if self.add(subject, predicate, obj, graph=graph):
-                    inserted += 1
-        return inserted
+            return self.add_many(triples, graph)
 
     def annotate(
         self,
@@ -601,16 +641,12 @@ class QuadStore:
         ``<< s p o >> annotation_predicate annotation_value`` is asserted.
         This is how Algorithm 3 attaches similarity scores to similarity edges.
         """
-        # One gate span (not a flushing batch) keeps the asserted triple and
-        # its annotation atomic for concurrent readers.
-        depth = self._begin_write()
-        try:
-            self.add(subject, predicate, obj, graph=graph)
-            quoted = QuotedTriple(subject, predicate, obj)
-            self.add(quoted, annotation_predicate, annotation_value, graph=graph)
-            return quoted
-        finally:
-            self._end_write(depth)
+        # One batch keeps the asserted triple and its annotation atomic for
+        # concurrent readers.
+        quoted = QuotedTriple(subject, predicate, obj)
+        rows = ((subject, predicate, obj), (quoted, annotation_predicate, annotation_value))
+        self.add_many(rows, graph)
+        return quoted
 
     def remove(
         self, subject: Any, predicate: Any, obj: Any, graph: URIRef = DEFAULT_GRAPH
@@ -619,24 +655,32 @@ class QuadStore:
         depth = self._begin_write()
         try:
             index = self._backend.get_index(graph)
+            lookup = self._backend.dictionary.lookup
+            triple = (lookup(subject), lookup(predicate), lookup(obj))
+            if index is None or None in triple:
+                return False
+            return bool(self._delete_rows(graph, index, (triple,)))
+        finally:
+            self._end_write(depth)
+
+    def retract_nodes(self, nodes: Iterable[Any], graph: URIRef = DEFAULT_GRAPH) -> int:
+        """Remove every triple of ``graph`` that touches one of ``nodes``.
+
+        A triple touches a node that is its subject or object, or the inner
+        subject or object of its quoted-triple subject (the score annotations
+        of the node's edges).  Runs in id space under one gate span: the
+        node's buckets are read off the graph index, nothing is decoded.
+        Returns the number removed.
+        """
+        depth = self._begin_write()
+        try:
+            index = self._backend.get_index(graph)
             if index is None:
-                return False
-            dictionary = self._backend.dictionary
-            subject_id = dictionary.lookup(subject)
-            predicate_id = dictionary.lookup(predicate)
-            object_id = dictionary.lookup(obj)
-            if subject_id is None or predicate_id is None or object_id is None:
-                return False
-            triple = (subject_id, predicate_id, object_id)
-            removed = index.remove(triple)
-            if removed:
-                if self._undo is not None:
-                    self._undo.append(("remove", graph, triple))
-                self._record_op("remove", graph, triple)
-                self._backend.graph_changed(graph, self._commit_version + 1)
-                self._version += 1
-                self._backend.quad_removed(graph, triple)
-            return removed
+                return 0
+            node_ids = [self._backend.dictionary.lookup(node) for node in nodes]
+            buckets = (index.by_subject, index.by_object, index.by_quoted_subject, index.by_quoted_object)
+            rows = [row for node_id in node_ids for by_id in buckets for row in by_id.get(node_id, ())]
+            return len(self._delete_rows(graph, index, rows))
         finally:
             self._end_write(depth)
 
@@ -652,7 +696,8 @@ class QuadStore:
             else:
                 dropped = self._backend.drop_graph(graph)
             if dropped:
-                self._record_op("drop", graph, None)
+                if self._pending_ops is not None:
+                    self._pending_ops.append(("drop", graph, None))
                 self._version += 1
             return dropped
         finally:
@@ -662,56 +707,39 @@ class QuadStore:
         """Remove every triple with ``predicate`` from the selected graph(s).
 
         A bulk retraction primitive (e.g. dropping one similarity-edge type
-        lake-wide): the in-memory indexes are updated per triple, but durable
-        backends persist the retraction as a single predicate-scoped delete
-        per shard instead of per-row deletes.  Returns the number of triples
-        removed.  (Table refresh uses node-scoped retraction via the hash /
-        quoted-triple indexes instead — see ``KGGovernor.retract_table``.)
+        lake-wide): the in-memory indexes drop the triples as one batch per
+        graph, and durable backends persist the retraction as a single
+        predicate-scoped delete per shard instead of per-row deletes.
+        Returns the number of triples removed.  (Table refresh uses
+        node-scoped retraction instead — see :meth:`retract_nodes`.)
         """
         depth = self._begin_write()
         try:
-            return self._remove_predicate_locked(predicate, graph)
+            predicate_id = self._backend.dictionary.lookup(predicate)
+            if predicate_id is None:
+                return 0
+            removed = 0
+            for graph_name in [graph] if graph is not None else self.graphs():
+                # Graphs whose index is not resident (lazily-stored sqlite
+                # shards) are retracted directly in durable storage — no point
+                # loading a shard just to delete from it.
+                unloaded = self._backend.delete_predicate_unloaded(graph_name, predicate_id)
+                if unloaded is not None:
+                    if unloaded:
+                        # The deleted rows were never enumerated — this commit
+                        # cannot be expressed as a row delta.
+                        self._delta_log_broken = True
+                        self._backend.graph_changed(graph_name, self._commit_version + 1)
+                        self._version += unloaded
+                    removed += unloaded
+                    continue
+                index = self._backend.get_index(graph_name)
+                if index is not None:
+                    victims = tuple(index.by_predicate.get(predicate_id, ()))
+                    removed += len(self._delete_rows(graph_name, index, victims, predicate_id))
+            return removed
         finally:
             self._end_write(depth)
-
-    def _remove_predicate_locked(
-        self, predicate: Any, graph: Optional[URIRef]
-    ) -> int:
-        predicate_id = self._backend.dictionary.lookup(predicate)
-        if predicate_id is None:
-            return 0
-        graphs = [graph] if graph is not None else self.graphs()
-        removed = 0
-        for graph_name in graphs:
-            # Graphs whose index is not resident (lazily-stored sqlite
-            # shards) are retracted directly in durable storage — no point
-            # loading a shard just to delete from it.
-            unloaded = self._backend.delete_predicate_unloaded(graph_name, predicate_id)
-            if unloaded is not None:
-                if unloaded:
-                    # The deleted rows were never enumerated — this commit
-                    # cannot be expressed as a row delta.
-                    self._delta_log_broken = True
-                    self._backend.graph_changed(graph_name, self._commit_version + 1)
-                removed += unloaded
-                continue
-            index = self._backend.get_index(graph_name)
-            if index is None:
-                continue
-            victims = tuple(index.by_predicate.get(predicate_id, ()))
-            if not victims:
-                continue
-            for triple in victims:
-                index.remove(triple)
-                if self._undo is not None:
-                    self._undo.append(("remove", graph_name, triple))
-                self._record_op("remove", graph_name, triple)
-            self._backend.graph_changed(graph_name, self._commit_version + 1)
-            self._backend.predicate_removed(graph_name, predicate_id)
-            removed += len(victims)
-        if removed:
-            self._version += removed
-        return removed
 
     # ----------------------------------------------------------------- query
     def graphs(self) -> List[URIRef]:

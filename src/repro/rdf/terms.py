@@ -315,10 +315,11 @@ class TermDictionary:
 
     # ------------------------------------------------------------- interning
     def encode(self, term: Any) -> int:
-        """The term's id, interning it (and any inner terms) if new."""
-        term_id = self._term_to_id.get(term)
-        if term_id is not None:
-            return term_id
+        """The term's id, interning it (and any inner terms) if new.
+
+        A quoted triple is keyed by its part ids alone — it is never hashed
+        as an object, and its spelling is only built when it is new.
+        """
         if isinstance(term, QuotedTriple):
             parts = (
                 self.encode(term.subject),
@@ -327,17 +328,11 @@ class TermDictionary:
             )
             term_id = self._quoted_by_parts.get(parts)
             if term_id is None:
-                term_id = self._assign(term)
-                self._quoted_parts[term_id] = parts
-                self._quoted_by_parts[parts] = term_id
-                self._note_quoted(term_id, parts)
-            else:
-                self._term_to_id[term] = term_id
+                term_id = self._assign_quoted(term, parts)
+                self._register_quoted(term_id, parts)
             return term_id
-        return self._assign(term)
-
-    def encode_triple(self, subject: Any, predicate: Any, obj: Any) -> "tuple[int, int, int]":
-        return (self.encode(subject), self.encode(predicate), self.encode(obj))
+        term_id = self._term_to_id.get(term)
+        return term_id if term_id is not None else self._assign(term)
 
     def _assign(self, term: Any) -> int:
         term_id = self._next_id
@@ -345,6 +340,18 @@ class TermDictionary:
         self._term_to_id[term] = term_id
         self._id_to_term[term_id] = term
         return term_id
+
+    def _assign_quoted(self, term: "QuotedTriple", parts: "tuple[int, int, int]") -> int:
+        """A fresh id for a quoted triple whose part ids are ``parts``."""
+        term_id = self._next_id
+        self._next_id += 1
+        self._id_to_term[term_id] = term
+        return term_id
+
+    def _register_quoted(self, term_id: int, parts: "tuple[int, int, int]") -> None:
+        self._quoted_parts[term_id] = parts
+        self._quoted_by_parts[parts] = term_id
+        self._note_quoted(term_id, parts)
 
     @property
     def next_id(self) -> int:
@@ -391,15 +398,10 @@ class TermDictionary:
     def register_quoted_rows(self, rows) -> None:
         """Adopt shipped ``(quoted id, s, p, o)`` registrations in bulk."""
         quoted_parts = self._quoted_parts
-        quoted_by_parts = self._quoted_by_parts
-        note = self._note_quoted
+        register = self._register_quoted
         for term_id, subject_id, predicate_id, object_id in rows:
-            if term_id in quoted_parts:
-                continue
-            parts = (subject_id, predicate_id, object_id)
-            quoted_parts[term_id] = parts
-            quoted_by_parts[parts] = term_id
-            note(term_id, parts)
+            if term_id not in quoted_parts:
+                register(term_id, (subject_id, predicate_id, object_id))
 
     # ---------------------------------------------------------------- undo
     def mark(self) -> int:
@@ -433,15 +435,14 @@ class TermDictionary:
     # --------------------------------------------------------------- lookups
     def lookup(self, term: Any) -> Optional[int]:
         """The term's id without interning; ``None`` for unknown terms."""
-        term_id = self._term_to_id.get(term)
-        if term_id is None and isinstance(term, QuotedTriple):
+        if isinstance(term, QuotedTriple):
             subject = self.lookup(term.subject)
             predicate = self.lookup(term.predicate)
             obj = self.lookup(term.object)
             if subject is None or predicate is None or obj is None:
                 return None
-            return self._quoted_by_parts.get((subject, predicate, obj))
-        return term_id
+            return self.quoted_id((subject, predicate, obj))
+        return self._term_to_id.get(term)
 
     def decode(self, term_id: int) -> Any:
         """The term interned under ``term_id``."""

@@ -5,10 +5,11 @@ job installs.  Every ``repro`` module is imported here in a subprocess with
 ``networkx`` blocked, so the check does not depend on what this machine
 happens to have installed.
 
-The same file holds the other "what ``src/`` may not contain" check: one tree
-implementation in ``repro.ml``.
+The same file holds the other "what ``src/`` may not contain" checks: one tree
+implementation in ``repro.ml``, one write path in ``repro.rdf`` / ``repro.kg``.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -51,3 +52,63 @@ def test_one_tree_implementation_in_src():
         source = (package / name).read_text()
         loops = re.findall(r"for\s+\w+\s+in\s+(?:range\((?:len\()?X\b|thresholds\b)[^\n]*", source)
         assert not loops, f"{name} loops over rows or thresholds in Python: {loops}"
+
+
+def _functions(path: Path):
+    """``(name, node, source)`` of every function defined in a module, nested too."""
+    source = path.read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, ast.get_source_segment(source, node)
+
+
+def _calls_in_loops(path: Path, pattern: str):
+    """Source of every call matching ``pattern`` that sits inside a ``for`` / ``while`` body."""
+    source = path.read_text()
+    found = []
+    for loop in ast.walk(ast.parse(source)):
+        if isinstance(loop, (ast.For, ast.While, ast.comprehension)):
+            body = loop.body + loop.orelse if not isinstance(loop, ast.comprehension) else []
+            for statement in body:
+                for node in ast.walk(statement):
+                    if isinstance(node, ast.Call):
+                        text = ast.get_source_segment(source, node)
+                        if re.match(pattern, text):
+                            found.append(text.splitlines()[0])
+    return found
+
+
+def test_one_write_path_in_store():
+    """No second write path in ``src/``: per-quad writers live on only as the oracle.
+
+    ``QuadStore`` has one insert internal and one delete internal; ``add``,
+    ``add_many``, ``add_triples``, ``annotate``, ``remove``, ``retract_nodes``
+    and ``remove_predicate`` are expressed over them, so the row bookkeeping
+    (undo entries, delta-log ops, change marks, the mutation counter) is
+    written once.  The KG writers build a row list and make one call;
+    ``tests/store_write_oracle.py`` keeps the per-quad loops, and
+    ``tests/colr_oracle.py`` the md5 per n-gram occurrence.
+    """
+    source = Path(__file__).resolve().parent.parent / "src" / "repro"
+    store = list(_functions(source / "rdf" / "store.py"))
+
+    def mentioning(pattern: str):
+        return {name for name, _, text in store if re.search(pattern, text)}
+
+    # Undo entries: rows in _log_rows, whole-graph drops in remove_graph.
+    assert mentioning(r"_undo\.(append|extend)\(") == {"_log_rows", "remove_graph"}
+    assert mentioning(r"_pending_ops\.(append|extend)\(") == {"_log_rows", "remove_graph"}
+    # Change marks: rows in _log_rows; a scoped delete on a shard that is not loaded.
+    assert mentioning(r"\.graph_changed\(") == {"_log_rows", "remove_predicate"}
+    assert mentioning(r"self\._log_rows\(") == {"_insert_rows", "_delete_rows"}
+    assert mentioning(r"_backend\.quads_added\(") == {"_insert_rows"}
+    assert mentioning(r"_backend\.(quads|predicate)_removed\(") == {"_delete_rows"}
+    for name in ("dataset_graph.py", "governor.py", "pipeline_graph.py", "linker.py"):
+        loops = _calls_in_loops(source / "kg" / name, r"(\w+\.)*\w*(store|graph|snapshot)\w*\.(add|annotate|remove)\(")
+        assert not loops, f"kg/{name} writes quad by quad inside a loop: {loops}"
+    colr = source / "embeddings" / "colr.py"
+    assert not _calls_in_loops(colr, r"hashlib\."), "embeddings/colr.py hashes inside a loop"
+    for name, node, text in _functions(colr):
+        if "hashlib." in text and _calls_in_loops(colr, rf"{name}\("):
+            decorators = [ast.unparse(decorator) for decorator in node.decorator_list]
+            assert "functools.cache" in decorators, f"colr.{name} hashes once per call, in a loop"

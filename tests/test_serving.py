@@ -171,6 +171,39 @@ def test_replica_bootstraps_then_pulls_deltas(served_lake, tmp_path):
         replica.close()
 
 
+def test_replica_follows_bulk_writes_by_delta_and_keeps_a_tight_index(served_lake, tmp_path):
+    """Governing writes one ``add_many`` batch per writer and retracting is
+    one ``retract_nodes`` call; a replica follows such commits by row delta
+    (no full dump), and neither side's index keeps a bucket that emptied."""
+    from store_write_oracle import assert_index_is_tight, index_contents
+
+    service = served_lake["service"]
+    replica = Replica(
+        served_lake["server"].address,
+        ship_snapshot(served_lake["dir"], tmp_path / "replica"),
+    )
+    try:
+        # Resident before the deltas land, so they are applied row by row.
+        mirror = replica.client.storage.graph
+        assert mirror.backend.get_index(DATASET_GRAPH) is not None
+        service.submit_lake(make_lake(3, seed=11, name="extra")).result(timeout=120)
+        for table in ("table_1", "table_4"):
+            service.submit_retract("ds0" if table == "table_4" else "ds1", table).result(timeout=120)
+        service.drain()
+        assert replica.sync() is True
+        assert replica.stats["delta_pulls"] >= 1 and replica.stats["full_pulls"] == 0
+        assert replica.commit_version == service.commit_version
+        source = served_lake["governor"].storage.graph
+        with source.read_view():
+            ours = source.backend.get_index(DATASET_GRAPH)
+            assert_index_is_tight(ours)
+            theirs = mirror.backend.get_index(DATASET_GRAPH)
+            assert_index_is_tight(theirs)
+            assert index_contents(theirs) == index_contents(ours)
+    finally:
+        replica.close()
+
+
 def test_delta_ships_only_changed_graphs(tmp_path):
     store = QuadStore.sqlite(tmp_path / "g.sqlite3")
     graph_a, graph_b = URIRef("urn:graph:a"), URIRef("urn:graph:b")

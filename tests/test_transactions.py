@@ -341,9 +341,9 @@ class TestSqliteCrashSafety:
 
         backend.begin_batch()
         store._in_batch = True  # emulate an open store batch for realism
-        triple = backend.dictionary.encode_triple(u("torn"), u("p1"), Literal("row"))
+        triple = tuple(map(backend.dictionary.encode, (u("torn"), u("p1"), Literal("row"))))
         backend.ensure_index(G1).add(triple)
-        backend.quad_added(G1, triple)
+        backend.quads_added(G1, [triple])
         backend._flush_rows()  # rows now sit in the open, uncommitted txn
         backend.crash()  # kill -9: no COMMIT ever runs
 
@@ -389,6 +389,89 @@ class TestSqliteCrashSafety:
         store.close()
         reopened = QuadStore(backend=SqliteBackend(path))
         assert reopened.commit_version == 3  # resumes, not resets
+        reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# Bulk writes: one hook call per batch, one fault point per row
+# ---------------------------------------------------------------------------
+BULK_ROWS = [(u(f"b{i}"), u("p1"), u(f"b{i + 1}")) for i in range(6)]
+
+
+def bulk_add(store: QuadStore) -> None:
+    store.add_many(BULK_ROWS, G1)
+
+
+def bulk_retract(store: QuadStore) -> None:
+    # s1 is a subject in G1 twice over; s2's edge carries an annotation.
+    store.retract_nodes([u("s1"), u("s2")], G1)
+    store.retract_nodes([u("s2")], G2)
+
+
+class TestBulkWriteFaults:
+    """A fault inside ``add_many`` / ``retract_nodes`` lands mid-batch: the
+    backend has taken the rows ahead of the firing one, and the store ends
+    byte-identical to never having seen the batch."""
+
+    def test_batch_hooks_tick_once_per_row(self):
+        store, backend = faulted_store()
+        seed_store(store)
+        start = backend.op_count
+        with store.write_batch():
+            bulk_add(store)
+        assert backend.op_count - start == len(BULK_ROWS) + 1  # rows + commit
+        start = backend.op_count
+        with store.write_batch():
+            bulk_retract(store)
+        assert backend.op_count - start == 2 + 3 + 1  # G1 rows; G2 edges + annotation; commit
+
+    def test_inner_backend_takes_the_rows_ahead_of_the_fault(self):
+        taken = []
+
+        class Recording(InMemoryBackend):
+            def quads_added(self, graph, rows):
+                taken.append(list(rows))
+
+        store = QuadStore(backend=FaultInjectingBackend(Recording(), FaultPlan(at=4)))
+        with pytest.raises(InjectedFault):
+            with store.write_batch():
+                store.add_many(BULK_ROWS, G1)
+        assert [len(rows) for rows in taken] == [3]
+        assert snap(store) == ""
+
+    @pytest.mark.parametrize("kind, error", [("raise", InjectedFault), ("crash", InjectedCrash)])
+    @pytest.mark.parametrize("workload, rows", [(bulk_add, 6), (bulk_retract, 5)])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_fault_inside_a_bulk_write_leaves_no_trace(
+        self, tmp_path, kind, error, workload, rows, position
+    ):
+        point = {"first": 1, "middle": rows // 2, "last": rows}[position]
+        path = tmp_path / "bulk.sqlite"
+        store, backend = faulted_store(path)
+        seed_store(store)
+        pre, pre_version = snap(store), store.commit_version
+        pre_terms = store.dictionary.export_rows(1)
+        backend.plan = FaultPlan(at=backend.op_count + point, kind=kind)
+        with pytest.raises(error):
+            with store.write_batch():
+                workload(store)
+        assert backend.fired == (
+            "quad_added" if workload is bulk_add else "quad_removed",
+            backend.op_count,
+        )
+        if kind == "raise":
+            assert snap(store) == pre
+            assert store.commit_version == pre_version
+            assert store.dictionary.export_rows(1) == pre_terms
+            store.close()
+        reopened = QuadStore(backend=SqliteBackend(path))
+        assert snap(reopened) == pre
+        assert reopened.commit_version == pre_version
+        assert reopened.dictionary.export_rows(1) == pre_terms
+        # The lost batch replays cleanly on the survivor.
+        with reopened.write_batch():
+            workload(reopened)
+        assert reopened.commit_version == pre_version + 1
         reopened.close()
 
 

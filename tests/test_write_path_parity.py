@@ -1,0 +1,268 @@
+"""The batched write path against the per-quad one, and CoLR against per-value.
+
+``tests/store_write_oracle.py`` keeps the writers that pushed one quad at a
+time through ``QuadStore.add`` / ``annotate`` / ``remove``;
+``tests/colr_oracle.py`` keeps the per-cell ``embed_values``.  Here the
+benchmark's generated lake (``benchmarks/e2e``: 32 tables of the TUS-style
+generator at lake seed 0, 3 pipelines a table) is governed and then drifted
+for 8 rounds — 2 tables retracted, 1 refreshed, 2 added, the ``ingest``
+workload's shape — once through production and once through the oracle, on
+both backends.  After every phase the two stores must agree on the N-Quads
+dump, on the dictionary rows *in id order* (what keeps the sqlite file
+byte-comparable), on the delta-log entries of every commit and on the
+``GraphIndex`` of every graph.  A failed assertion names backend × phase.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import colr_oracle
+from store_write_oracle import assert_index_is_tight, index_contents, oracle_governor
+
+from repro.datagen import generate_discovery_benchmark, generate_pipeline_corpus
+from repro.embeddings.colr import ColRModelSet
+from repro.kg import KGGovernor, KGLiDSStorage
+from repro.profiler.profile import DataProfiler
+from repro.rdf import Literal, QuadStore, QuotedTriple, URIRef
+from repro.rdf.serialize import serialize_nquads
+from repro.tabular import DataLake, Table
+from repro.types import COLR_TYPES
+
+LAKE_TABLES, ROUNDS = 32, 8
+NEW, CHANGED, DELETED = 2, 1, 2
+
+
+@pytest.fixture(scope="module")
+def lake_tables():
+    """The e2e lake plus the reserve 8 drift rounds bring in."""
+    count = LAKE_TABLES + ROUNDS * NEW
+    benchmark = generate_discovery_benchmark(
+        "tus_small", seed=0, base_tables=(count + 3) // 4, partitions=4, rows=60
+    )
+    return benchmark.lake.tables()[:count]
+
+
+def as_lake(tables) -> DataLake:
+    lake = DataLake("e2e")
+    for table in tables:
+        lake.add_table(table.dataset, table)
+    return lake
+
+
+def drift_rounds(tables):
+    """``(deleted keys, changed tables, new tables)`` per round, from seed 7."""
+    rng = random.Random(7)
+    present = {(table.dataset, table.name): table for table in tables[:LAKE_TABLES]}
+    reserve = tables[LAKE_TABLES:]
+    for first in range(0, ROUNDS * NEW, NEW):
+        deleted = rng.sample(sorted(present), DELETED)
+        for key in deleted:
+            del present[key]
+        changed = []
+        for key in rng.sample(sorted(present), CHANGED):
+            table = present[key]
+            row = rng.randrange(table.num_rows)
+            columns = {column.name: list(column.values) + [column.values[row]] for column in table.columns}
+            present[key] = Table.from_dict(table.name, columns, dataset=table.dataset)
+            changed.append(present[key])
+        new = reserve[first : first + NEW]
+        present.update(((table.dataset, table.name), table) for table in new)
+        yield deleted, changed, new
+
+
+def open_governor(make, backend, path):
+    store = QuadStore.sqlite(path) if backend == "sqlite" else QuadStore()
+    store.enable_delta_log(capacity=4096)
+    return make(KGLiDSStorage(graph=store))
+
+
+def sqlite_tables(governor) -> dict:
+    """Every catalog, term and quad row of a flushed sqlite store, by table."""
+    governor.storage.graph.flush()
+    connection = governor.storage.graph.backend._connection
+    names = [
+        name
+        for (name,) in connection.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        if name in ("graphs", "terms") or name.startswith("quads_")
+    ]
+    return {name: sorted(connection.execute(f"SELECT * FROM {name}")) for name in names}
+
+
+def assert_same_store(production: QuadStore, oracle: QuadStore, where: str) -> None:
+    assert serialize_nquads(production) == serialize_nquads(oracle), f"{where}: N-Quads dump"
+    assert production.dictionary.export_rows(1) == oracle.dictionary.export_rows(1), (
+        f"{where}: dictionary rows (ids or order)"
+    )
+    assert production.delta_log_since(0) == oracle.delta_log_since(0), f"{where}: delta-log entries"
+    assert production.commit_version == oracle.commit_version, f"{where}: commit version"
+    assert production.version == oracle.version, f"{where}: mutation counter"
+    assert production.graphs() == oracle.graphs(), f"{where}: graph catalog"
+    for graph in production.graphs():
+        ours = production.backend.get_index(graph)
+        assert index_contents(ours) == index_contents(oracle.backend.get_index(graph)), (
+            f"{where}: GraphIndex of {graph}"
+        )
+        assert_index_is_tight(ours)
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_batched_writers_match_per_quad_writers(backend, lake_tables, tmp_path):
+    production = open_governor(lambda storage: KGGovernor(storage=storage), backend, tmp_path / "p.sqlite3")
+    oracle = open_governor(oracle_governor, backend, tmp_path / "o.sqlite3")
+    governors = (production, oracle)
+    stores = (production.storage.graph, oracle.storage.graph)
+    try:
+        initial = lake_tables[:LAKE_TABLES]
+        for governor in governors:
+            governor.add_data_lake(as_lake(initial))
+        assert_same_store(*stores, f"{backend} × bulk govern")
+        scripts = generate_pipeline_corpus(as_lake(initial), pipelines_per_table=3, seed=0)
+        for governor in governors:
+            governor.add_pipelines(scripts)
+        assert_same_store(*stores, f"{backend} × pipelines")
+        for number, (deleted, changed, new) in enumerate(drift_rounds(lake_tables), 1):
+            for governor in governors:
+                for dataset, table in deleted:
+                    assert governor.retract_table(dataset, table)
+                for table in changed:
+                    governor.refresh_table(table)
+                for table in new:
+                    governor.add_table(table, table.dataset)
+            assert_same_store(*stores, f"{backend} × drift round {number}")
+        if backend == "sqlite":
+            # The files hold the same catalog, terms and rows under the same ids.
+            assert sqlite_tables(production) == sqlite_tables(oracle), "sqlite × final: table contents"
+    finally:
+        for governor in governors:
+            governor.close()
+
+
+# ------------------------------------------------------------------ rollback
+EX = "http://example.org/"
+G = URIRef(EX + "graph")
+
+
+def u(name: str) -> URIRef:
+    return URIRef(EX + name)
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_a_batch_raising_after_bulk_writes_rolls_back(backend, tmp_path):
+    store = QuadStore.sqlite(tmp_path / "g.sqlite3") if backend == "sqlite" else QuadStore()
+    with store.write_batch():
+        store.add_many([(u(f"s{i}"), u("p"), u(f"s{i + 1}")) for i in range(6)], G)
+        store.annotate(u("s0"), u("sim"), u("s3"), u("score"), Literal(0.9), graph=G)
+        store.annotate(u("s3"), u("sim"), u("s0"), u("score"), Literal(0.9), graph=G)
+    before = serialize_nquads(store)
+    rows = store.dictionary.export_rows(1)
+    contents = index_contents(store.backend.get_index(G))
+    version = store.commit_version
+    with pytest.raises(RuntimeError, match="after the bulk writes"):
+        with store.write_batch():
+            assert store.retract_nodes([u("s3"), u("absent")], G) == 6
+            assert store.add_many(
+                [
+                    (u("n1"), u("p"), u("n2")),
+                    (QuotedTriple(u("n1"), u("p"), u("n2")), u("score"), Literal(0.5)),
+                    (u("s0"), u("p"), u("s1")),  # already there
+                ],
+                G,
+            ) == 2
+            raise RuntimeError("after the bulk writes")
+    assert serialize_nquads(store) == before
+    assert store.dictionary.export_rows(1) == rows
+    assert index_contents(store.backend.get_index(G)) == contents
+    assert store.commit_version == version
+    store.close()
+
+
+def test_bulk_writes_equal_their_per_quad_spelling():
+    """``add_many`` / ``retract_nodes`` against ``add`` / ``remove`` on one store pair."""
+    bulk, single = QuadStore(), QuadStore()
+    for store in (bulk, single):
+        store.enable_delta_log()
+    triples = [(u(f"s{i % 5}"), u(f"p{i % 3}"), u(f"s{(i * 7) % 5}")) for i in range(20)]
+    quoted = [(QuotedTriple(*triple), u("score"), Literal(i / 10)) for i, triple in enumerate(triples[:6])]
+    assert bulk.add_many(triples + quoted, G) == sum(
+        single.add(*triple, graph=G) for triple in triples + quoted
+    )
+    assert bulk.retract_nodes([u("s1"), u("s4")], G) == sum(
+        single.remove(*triple, graph=G)
+        for node in (u("s1"), u("s4"))
+        for triple in (
+            list(single.triples(subject=node, graph=G))
+            + list(single.triples(obj=node, graph=G))
+            + [t for t, _ in single.match_quoted(inner_subject=node, graph=G)]
+            + [t for t, _ in single.match_quoted(inner_object=node, graph=G)]
+        )
+    )
+    assert serialize_nquads(bulk) == serialize_nquads(single)
+    assert bulk.dictionary.export_rows(1) == single.dictionary.export_rows(1)
+    bulk_ops, single_ops = (
+        [op for _, ops in store.delta_log_since(0) for op in ops] for store in (bulk, single)
+    )
+    assert bulk_ops == single_ops
+    assert_index_is_tight(bulk.backend.get_index(G))
+    assert bulk.add_many([], u("untouched")) == 0 and u("untouched") not in bulk.graphs()
+
+
+# ---------------------------------------------------------------- embeddings
+def test_column_embeddings_are_bit_equal_to_the_per_value_oracle(lake_tables):
+    from repro.datagen import (
+        generate_automl_datasets,
+        generate_cleaning_datasets,
+        generate_transformation_datasets,
+    )
+
+    sessions = [
+        generator(count=4, seed=0, base_rows=20)[0]
+        for generator in (generate_cleaning_datasets, generate_transformation_datasets, generate_automl_datasets)
+    ]
+    tables = list(lake_tables) + [session.table for session in sessions]
+    profiler = DataProfiler()
+    columns = 0
+    for table in tables:
+        for column, profile in zip(table.columns, profiler.profile_table(table).column_profiles):
+            size = max(
+                int(profiler.sample_fraction * len(column)), min(profiler.min_sample_size, len(column))
+            )
+            sample = column.sample(size, seed=profiler.seed)
+            model = profiler.colr_models.model_for(profile.fine_grained_type)
+            expected = colr_oracle.embed_values(model, sample)
+            assert np.array_equal(profile.embedding, expected), f"{table.name}.{column.name}"
+            assert np.array_equal(model.embed_values(tuple(sample)), expected)  # any Sequence
+            columns += 1
+    assert columns > 200
+
+
+CELLS = st.one_of(
+    st.sampled_from(["", " ", "\t \n", "1", "1.0", "True", "é", "é", "Ünïcödé", "東京", "a b", "A-1"]),
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, None, float("nan"), 2020, -3.5]),
+    st.text(max_size=12),
+    # No infinities: they overflow the numeric featurizer, the oracle's included.
+    st.floats(allow_nan=True, allow_infinity=False),
+    st.integers(min_value=-10**9, max_value=10**9),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(CELLS, max_size=12).flatmap(
+        lambda cells: st.lists(st.sampled_from(cells), min_size=len(cells), max_size=3 * len(cells))
+        if cells
+        else st.just([])
+    ),
+    fine_type=st.sampled_from(sorted(COLR_TYPES)),
+)
+def test_embed_values_matches_the_oracle_on_any_cell_mix(values, fine_type):
+    model = MODELS.model_for(fine_type)
+    assert np.array_equal(model.embed_values(values), colr_oracle.embed_values(model, values), equal_nan=True)
+
+
+MODELS = ColRModelSet.pretrained()
