@@ -20,6 +20,7 @@ import functools
 import hashlib
 import math
 import re
+import sys
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -62,7 +63,8 @@ def numeric_value_features(value: float) -> np.ndarray:
     features = np.zeros(VALUE_FEATURE_DIMENSIONS)
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return features
-    value = float(value)
+    # An infinite cell reads as the largest finite one of its sign.
+    value = max(-sys.float_info.max, min(float(value), sys.float_info.max))
     magnitude = math.log1p(abs(value))
     features[0] = math.copysign(1.0, value) if value != 0 else 0.0
     features[1] = magnitude

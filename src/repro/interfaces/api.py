@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from itertools import product
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -38,8 +39,8 @@ KeywordConditions = Sequence[Union[str, Sequence[str]]]
 
 
 # ------------------------------------------------------------ derived views
-# Built once per version of the dataset graph (``QuadStore.derived_view``)
-# from the id columns the SPARQL engine already scans.
+# Built once per version of a graph (``QuadStore.derived_view``) from the id
+# columns and index buckets the SPARQL engine already scans.
 def _text(dictionary: Any, term_id: int) -> str:
     return str(to_python(dictionary.decode(term_id)))
 
@@ -172,6 +173,73 @@ def _build_table_texts(columns: Any, index: Any) -> List[Dict[str, str]]:
     return sorted(texts, key=lambda text: text["table_uri"])
 
 
+class _RankedNeighbours(dict):
+    """``(relation, table URI) -> ranked rows`` over one dataset-graph snapshot.
+
+    Starts empty: the first ask for an anchor ranks the tables its
+    ``withCertainty``-annotated ``relation`` edges reach (from the anchor's
+    quoted-subject bucket), joined to their name and their dataset's name —
+    by score descending, then table URI — and later asks slice that list.
+    """
+
+    def __init__(self, columns: Any, index: Any):
+        super().__init__()
+        self.index = index
+
+    def __missing__(self, key: Tuple[URIRef, URIRef]) -> List[Dict[str, Any]]:
+        index = self.index
+        dictionary = index.dictionary
+        ontology = LiDSOntology
+        terms = (*key, ontology.withCertainty, ontology.hasName, ontology.isPartOf)
+        ids = [dictionary.lookup(term) for term in terms]
+        if None in ids:
+            return []  # an unknown anchor is not remembered
+        relation_id, anchor_id, certainty_id, name_id, part_id = ids
+
+        def objects(subject: int, predicate: int) -> List[int]:
+            return [o for _, p, o in index.by_subject.get(subject, ()) if p == predicate]
+
+        rows = []
+        for quoted, predicate, score in index.by_quoted_subject.get(anchor_id, ()):
+            _, quoted_relation, other = dictionary.quoted_parts(quoted)
+            if predicate != certainty_id or quoted_relation != relation_id:
+                continue
+            for dataset in objects(other, part_id):
+                for table_name, dataset_name in product(objects(other, name_id), objects(dataset, name_id)):
+                    rows.append(
+                        {
+                            "dataset": to_python(dictionary.decode(dataset_name)),
+                            "table": to_python(dictionary.decode(table_name)),
+                            "table_uri": str(dictionary.decode(other)),
+                            "score": float(to_python(dictionary.decode(score))),
+                        }
+                    )
+        rows.sort(key=lambda row: (-row["score"], row["table_uri"]))
+        self[key] = rows
+        return rows
+
+
+def _library_uses(columns: Any, index: Any) -> Tuple[Dict[int, Set[int]], ...]:
+    """One graph's share of the library roll-up, as id maps: ``library ->
+    pipelines`` (``?statement callsLibrary ?library . ?statement isPartOf
+    ?pipeline``), ``pipeline -> hasTaskType`` and ``subject -> hasName``."""
+    lookup = index.dictionary.lookup
+
+    def grouped(predicate: URIRef) -> Dict[int, Set[int]]:
+        objects: Dict[int, Set[int]] = defaultdict(set)
+        for subject, _, obj in index.by_predicate.get(lookup(predicate), ()):
+            objects[subject].add(obj)
+        return objects
+
+    ontology = LiDSOntology
+    part_of = grouped(ontology.isPartOf)
+    uses: Dict[int, Set[int]] = defaultdict(set)
+    for statement, libraries in grouped(ontology.callsLibrary).items():
+        for library in libraries:
+            uses[library] |= part_of.get(statement, set())
+    return uses, grouped(ontology.hasTaskType), grouped(ontology.hasName)
+
+
 class KGLiDS:
     """User-facing API over a bootstrapped LiDS graph."""
 
@@ -266,38 +334,23 @@ class KGLiDS:
     # ----------------------------------------------------------- discovery
     def get_unionable_tables(self, dataset: str, table: str, k: int = 10) -> Table:
         """Tables unionable with the given table, ranked by score."""
-        return self._related_tables(dataset, table, "unionableWith", k)
+        return self._related_tables(dataset, table, LiDSOntology.unionableWith, k)
 
     def get_joinable_tables(self, dataset: str, table: str, k: int = 10) -> Table:
         """Tables joinable with the given table, ranked by score."""
-        return self._related_tables(dataset, table, "joinableWith", k)
+        return self._related_tables(dataset, table, LiDSOntology.joinableWith, k)
 
-    def _related_tables(self, dataset: str, table: str, relation: str, k: int) -> Table:
-        subject = table_uri(dataset, table)
-        result = self.storage.query(
-            f"""
-            SELECT ?other ?other_name ?other_dataset ?score WHERE {{
-              GRAPH <http://kglids.org/resource/data/graph/datasets> {{
-                << <{subject}> kglids:{relation} ?other >> kglids:withCertainty ?score .
-                ?other kglids:hasName ?other_name .
-                ?other kglids:isPartOf ?d .
-                ?d kglids:hasName ?other_dataset .
-              }}
-            }}
-            ORDER BY DESC(?score)
-            LIMIT {int(k)}
-            """
+    def _related_tables(self, dataset: str, table: str, relation: URIRef, k: int) -> Table:
+        """The top ``k`` by score, ties broken by table URI.  The first call
+        for a table after a dataset-graph commit ranks its neighbours; later
+        calls slice that ranking."""
+        with self.read_view():
+            ranked = self.storage.graph.derived_view(
+                DATASET_GRAPH, "interfaces.ranked_neighbours", _RankedNeighbours
+            )[relation, table_uri(dataset, table)]
+        return self._rows_to_table(
+            "related_tables", ranked[: int(k)], ["dataset", "table", "table_uri", "score"]
         )
-        rows = [
-            {
-                "dataset": row["other_dataset"],
-                "table": row["other_name"],
-                "table_uri": str(row["other"]),
-                "score": float(row["score"]),
-            }
-            for row in result.rows
-        ]
-        return self._rows_to_table("related_tables", rows, ["dataset", "table", "table_uri", "score"])
 
     def find_unionable_columns(
         self, dataset_a: str, table_a: str, dataset_b: str, table_b: str
@@ -399,24 +452,36 @@ class KGLiDS:
         return self.get_top_used_libraries(k)
 
     def get_top_used_libraries(self, k: int = 10, task: Optional[str] = None) -> Table:
-        """Top-k libraries, optionally restricted to pipelines of a given task."""
-        of_task = "" if task is None else f"?pipeline kglids:hasTaskType {Literal(task).n3()} ."
-        result = self.storage.query(
-            f"""
-            SELECT ?library_name (COUNT(DISTINCT ?pipeline) AS ?num_pipelines) WHERE {{
-              GRAPH ?g {{
-                ?statement kglids:callsLibrary ?library .
-                ?statement kglids:isPartOf ?pipeline .
-                {of_task}
-              }}
-              ?library kglids:hasName ?library_name .
-            }}
-            GROUP BY ?library_name
-            ORDER BY DESC(?num_pipelines) ?library_name
-            LIMIT {int(k)}
-            """
-        )
-        return result.to_table("top_libraries")
+        """Top-k libraries, optionally restricted to pipelines of a given task.
+
+        Unites every graph's library-use view (rebuilt only when that graph
+        changes); a library's names come from any graph.
+        """
+        store = self.storage.graph
+        pipelines_of: Dict[int, Set[int]] = defaultdict(set)
+        names_of: Dict[int, Set[int]] = defaultdict(set)
+        with self.read_view():
+            task_id = None if task is None else store.dictionary.lookup(Literal(task))
+            views = [
+                store.derived_view(graph, "interfaces.library_uses", _library_uses)
+                for graph in store.graphs()
+            ]
+            for uses, tasks, _ in views:
+                for library, pipelines in uses.items():
+                    if task is not None:
+                        pipelines = {pipeline for pipeline in pipelines if task_id in tasks.get(pipeline, ())}
+                    if pipelines:
+                        pipelines_of[library] |= pipelines
+            for _, _, names in views:
+                for library in names.keys() & pipelines_of.keys():
+                    names_of[library] |= names[library]
+            counted: Dict[str, Set[int]] = defaultdict(set)
+            for library, name_ids in names_of.items():
+                for name_id in name_ids:
+                    counted[_text(store.dictionary, name_id)] |= pipelines_of[library]
+        ranked = sorted((-len(pipelines), name) for name, pipelines in counted.items())
+        rows = [{"library_name": name, "num_pipelines": -count} for count, name in ranked[: int(k)]]
+        return self._rows_to_table("top_libraries", rows, ["library_name", "num_pipelines"])
 
     def get_pipelines_calling_libraries(self, *qualified_calls: str) -> Table:
         """Pipelines whose statements call every one of the given functions."""

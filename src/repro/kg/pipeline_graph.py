@@ -61,9 +61,14 @@ class PipelineGraphBuilder:
         return graph
 
     def add_call_hierarchy(self, abstraction: AbstractedPipeline, store: QuadStore) -> None:
-        """Write the library-hierarchy edges implied by one pipeline's calls."""
+        """Write the library-hierarchy edges implied by one pipeline's calls.
+
+        Calls are walked sorted: ``calls_used`` is a set, and the order new
+        terms are interned in fixes their ids — which must not depend on the
+        interpreter's hash seed.
+        """
         self.add_library_hierarchy(
-            (edge for call in abstraction.calls_used for edge in _call_hierarchy(call)), store
+            (edge for call in sorted(abstraction.calls_used) for edge in _call_hierarchy(call)), store
         )
 
     def add_pipelines(

@@ -8,28 +8,62 @@ Slow and obviously right; ``tests/test_write_path_parity.py`` requires the
 production embedding to be bit-equal (``np.array_equal``), because CoLR
 cosines decide which content-similarity edges the governor writes.
 
-The numeric featurizer is the production one (it was not touched); the
-string and date featurizers are copied here so that a change to the memo or
-to the gram loop in ``src/`` cannot move both sides at once.
+The featurizers are copied here so that a change to the memo, the gram loop
+or the numeric clamp in ``src/`` cannot move both sides at once.  The
+numeric one is the seed's, which overflows on an infinite cell; this oracle
+reads ``±inf`` as ``±sys.float_info.max`` *before* calling it, so every
+finite cell takes exactly the seed's path.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
+import sys
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.embeddings.colr import (
-    VALUE_FEATURE_DIMENSIONS,
-    ColRModel,
-    numeric_value_features,
-)
+from repro.embeddings.colr import VALUE_FEATURE_DIMENSIONS, ColRModel
 from repro.types import TYPE_DATE, TYPE_FLOAT, TYPE_INT
 
 _YEAR_RE = re.compile(r"(19|20)\d{2}")
 _DIGIT_RE = re.compile(r"\d")
+
+
+def numeric_value_features(value: float) -> np.ndarray:
+    """The seed's numeric featurizer: finite values only."""
+    features = np.zeros(VALUE_FEATURE_DIMENSIONS)
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return features
+    value = float(value)
+    magnitude = math.log1p(abs(value))
+    features[0] = math.copysign(1.0, value) if value != 0 else 0.0
+    features[1] = magnitude
+    features[2] = magnitude**2 / 10.0
+    features[3] = value / (1.0 + abs(value))
+    features[4] = abs(value) % 1.0
+    features[5] = 1.0 if float(value).is_integer() else 0.0
+    features[6] = len(str(int(abs(value)))) / 10.0 if abs(value) >= 1 else 0.0
+    features[7] = 1.0 if 0.0 <= value <= 1.0 else 0.0
+    features[8] = 1.0 if 1900 <= value <= 2100 else 0.0
+    features[9] = 1.0 if value < 0 else 0.0
+    for k, frequency in enumerate((0.5, 1.0, 2.0, 4.0, 8.0)):
+        features[10 + 2 * k] = math.sin(frequency * magnitude)
+        features[11 + 2 * k] = math.cos(frequency * magnitude)
+    position = min(23.0, magnitude * 2.0)
+    lower = int(position)
+    fraction = position - lower
+    features[20 + lower] = 1.0 - fraction
+    if lower + 1 <= 23:
+        features[20 + lower + 1] = fraction
+    leading = str(abs(value)).lstrip("0.").replace(".", "")
+    if leading:
+        features[44 + min(9, int(leading[0]))] = 1.0
+    features[54] = math.sin(value / (1.0 + abs(value)) * math.pi)
+    features[55] = float(abs(value) % 10) / 10.0
+    return features
 
 
 def hash_bucket(text: str, buckets: int, salt: str) -> int:
@@ -88,9 +122,12 @@ def date_value_features(value: Any) -> np.ndarray:
 def featurize_value(value: Any, fine_grained_type: str) -> np.ndarray:
     if fine_grained_type in (TYPE_INT, TYPE_FLOAT):
         try:
-            return numeric_value_features(float(value))
+            number = float(value)
         except (TypeError, ValueError):
             return np.zeros(VALUE_FEATURE_DIMENSIONS)
+        if math.isinf(number):
+            number = math.copysign(sys.float_info.max, number)
+        return numeric_value_features(number)
     if fine_grained_type == TYPE_DATE:
         return date_value_features(value)
     return string_value_features(value, salt=fine_grained_type)

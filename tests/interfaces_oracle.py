@@ -9,15 +9,16 @@ Slow and obviously right; ``tests/test_interfaces.py`` compares the
 production API against it.
 
 Plain Python over the public ``QuadStore`` term API — no id columns, no
-numpy, no ``networkx``.
+numpy, no ``networkx`` — except the similarity and library calls, which are
+the SPARQL queries ``src/`` ran per call before those read views too.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Set
 
-from repro.kg.ontology import DATASET_GRAPH, LiDSOntology
-from repro.rdf import RDF, URIRef
+from repro.kg.ontology import DATASET_GRAPH, LiDSOntology, table_uri
+from repro.rdf import RDF, Literal, URIRef
 
 
 def join_graph(store) -> Dict[str, Set[str]]:
@@ -83,6 +84,55 @@ def column_names(store, table_node: Any) -> List[str]:
             if name is not None:
                 names.append(str(name))
     return names
+
+
+def related_tables(storage, dataset: str, table: str, relation: str, k: int) -> List[Dict[str, Any]]:
+    """``get_unionable_tables`` / ``get_joinable_tables`` as one SPARQL query
+    per call; ``?other`` in the ORDER BY makes the order total."""
+    result = storage.query(
+        f"""
+        SELECT ?other ?other_name ?other_dataset ?score WHERE {{
+          GRAPH <http://kglids.org/resource/data/graph/datasets> {{
+            << <{table_uri(dataset, table)}> kglids:{relation} ?other >> kglids:withCertainty ?score .
+            ?other kglids:hasName ?other_name .
+            ?other kglids:isPartOf ?d .
+            ?d kglids:hasName ?other_dataset .
+          }}
+        }}
+        ORDER BY DESC(?score) ?other
+        LIMIT {int(k)}
+        """
+    )
+    return [
+        {
+            "dataset": row["other_dataset"],
+            "table": row["other_name"],
+            "table_uri": str(row["other"]),
+            "score": float(row["score"]),
+        }
+        for row in result.rows
+    ]
+
+
+def top_libraries(storage, k: int, task=None) -> List[Dict[str, Any]]:
+    """``get_top_used_libraries`` as one SPARQL query per call."""
+    of_task = "" if task is None else f"?pipeline kglids:hasTaskType {Literal(task).n3()} ."
+    result = storage.query(
+        f"""
+        SELECT ?library_name (COUNT(DISTINCT ?pipeline) AS ?num_pipelines) WHERE {{
+          GRAPH ?g {{
+            ?statement kglids:callsLibrary ?library .
+            ?statement kglids:isPartOf ?pipeline .
+            {of_task}
+          }}
+          ?library kglids:hasName ?library_name .
+        }}
+        GROUP BY ?library_name
+        ORDER BY DESC(?num_pipelines) ?library_name
+        LIMIT {int(k)}
+        """
+    )
+    return result.rows
 
 
 def matches_conditions(searchable: str, conditions) -> bool:

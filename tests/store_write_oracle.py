@@ -159,7 +159,7 @@ class OraclePipelineGraphBuilder(PipelineGraphBuilder):
 
     def add_call_hierarchy(self, abstraction, store) -> None:
         self.add_library_hierarchy(
-            (edge for call in abstraction.calls_used for edge in _call_hierarchy(call)), store
+            (edge for call in sorted(abstraction.calls_used) for edge in _call_hierarchy(call)), store
         )
 
     def _add_statement(self, abstraction, statement, pipeline_node, store, graph) -> None:

@@ -6,7 +6,8 @@ job installs.  Every ``repro`` module is imported here in a subprocess with
 happens to have installed.
 
 The same file holds the other "what ``src/`` may not contain" checks: one tree
-implementation in ``repro.ml``, one write path in ``repro.rdf`` / ``repro.kg``.
+implementation in ``repro.ml``, one write path in ``repro.rdf`` / ``repro.kg``,
+no per-call SPARQL behind the similarity and library discovery calls.
 """
 
 import ast
@@ -112,3 +113,23 @@ def test_one_write_path_in_store():
         if "hashlib." in text and _calls_in_loops(colr, rf"{name}\("):
             decorators = [ast.unparse(decorator) for decorator in node.decorator_list]
             assert "functools.cache" in decorators, f"colr.{name} hashes once per call, in a loop"
+
+
+def test_discovery_calls_do_not_query():
+    """The similarity and library calls answer from snapshot views, not SPARQL.
+
+    ``_related_tables`` slices a per-anchor ranking memoised on the dataset
+    graph's snapshot and ``get_top_used_libraries`` unites per-graph use
+    views; the queries they used to run per call live on in
+    ``tests/interfaces_oracle.py``.
+    """
+    api = Path(__file__).resolve().parent.parent / "src" / "repro" / "interfaces" / "api.py"
+    reads = {"_related_tables", "get_top_used_libraries", "_RankedNeighbours", "_library_uses"}
+    source = api.read_text()
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in reads:
+            found[node.name] = ast.get_source_segment(source, node)
+    assert set(found) == reads
+    for name, text in found.items():
+        assert ".query(" not in text, f"{name} runs a SPARQL query per call"

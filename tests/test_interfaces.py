@@ -10,6 +10,7 @@ import interfaces_oracle
 from repro.interfaces import KGLiDS
 from repro.kg import KGGovernor
 from repro.kg.ontology import DATASET_GRAPH, LiDSOntology, table_uri
+from repro.pipelines.abstraction import PipelineScript
 from repro.rdf import RDF, Literal
 from repro.tabular import Table
 
@@ -90,6 +91,144 @@ def join_lake(edges, tables, order_seed=None) -> KGLiDS:
 
 def table_rows(table: Table):
     return list(zip(*(table.column(name) for name in table.column_names)))
+
+
+def row_dicts(table: Table):
+    return [dict(zip(table.column_names, row)) for row in table_rows(table)]
+
+
+RELATED_COLUMNS = ["dataset", "table", "table_uri", "score"]
+LIBRARY_COLUMNS = ["library_name", "num_pipelines"]
+RELATIONS = ("unionableWith", "joinableWith")
+
+
+def related_call(platform, relation):
+    return platform.get_unionable_tables if relation == "unionableWith" else platform.get_joinable_tables
+
+
+def assert_discovery_matches_oracle(platform, tables, ks=(0, 1, 3, 10, 10_000), tasks=(None, "classification")):
+    """Similarity and library answers equal the per-call SPARQL, row for row
+    in order; returns how many similarity answers hold a tied score."""
+    tied = 0
+    for dataset, table in tables:
+        for relation in RELATIONS:
+            for k in ks:
+                answer = related_call(platform, relation)(dataset, table, k)
+                assert answer.column_names == RELATED_COLUMNS
+                expected = interfaces_oracle.related_tables(platform.storage, dataset, table, relation, k)
+                assert row_dicts(answer) == expected, (dataset, table, relation, k)
+            scores = list(answer.column("score"))
+            tied += any(first == second for first, second in zip(scores, scores[1:]))
+    for task in tasks:
+        for k in ks:
+            answer = platform.get_top_used_libraries(k, task=task)
+            assert answer.column_names == LIBRARY_COLUMNS
+            assert row_dicts(answer) == interfaces_oracle.top_libraries(platform.storage, k, task), (task, k)
+    return tied
+
+
+@pytest.fixture(scope="module", params=["memory", "sqlite"])
+def governed_lake(request, tmp_path_factory):
+    """A 24-table lake (partitions of one base table tie on score) with 24
+    pipelines, live in memory or saved and reopened from sqlite."""
+    from repro.datagen import generate_discovery_benchmark, generate_pipeline_corpus
+
+    lake = generate_discovery_benchmark("tus_small", seed=0, base_tables=6, partitions=4, rows=40).lake
+    governor = KGGovernor()
+    governor.bootstrap(lake=lake, scripts=generate_pipeline_corpus(lake, pipelines_per_table=1, seed=3))
+    if request.param == "sqlite":
+        directory = tmp_path_factory.mktemp("governed")
+        governor.save(directory)
+        governor.close()
+        governor = KGGovernor.open(directory)
+    yield KGLiDS(governor), [(table.dataset, table.name) for table in lake.tables()]
+    governor.close()
+
+
+class TestSimilarityAndLibraryCallsAgainstOracle:
+    """``get_unionable_tables`` / ``get_joinable_tables`` /
+    ``get_top_used_libraries`` read snapshot views; the oracle runs the SPARQL
+    each call used to run, with a total ORDER BY."""
+
+    def test_every_table_both_relations_every_k(self, governed_lake):
+        platform, tables = governed_lake
+        assert len(tables) == 24
+        tied = assert_discovery_matches_oracle(platform, tables, tasks=())
+        assert tied >= len(tables), "the lake must exercise the URI tie-break"
+
+    @pytest.mark.parametrize("task", [None, "classification", "eda", 'no "such" task\\'])
+    def test_library_calls(self, governed_lake, task):
+        platform, _ = governed_lake
+        assert_discovery_matches_oracle(platform, (), ks=(0, 1, 2, 3, 5, 10, 10_000), tasks=(task,))
+        if task is None:
+            for k in (1, 3, 10):
+                top = platform.get_top_k_library_used(k)
+                assert row_dicts(top) == row_dicts(platform.get_top_used_libraries(k))
+
+    def test_absent_task_is_an_empty_two_column_table(self, governed_lake):
+        platform, _ = governed_lake
+        answer = platform.get_top_used_libraries(10, task="no such task")
+        assert answer.column_names == LIBRARY_COLUMNS and answer.num_rows == 0
+
+    @pytest.mark.parametrize("dataset, table", [("no_such_dataset", "t"), (None, "no_such_table")])
+    def test_unknown_table_is_an_empty_four_column_table(self, governed_lake, dataset, table):
+        platform, tables = governed_lake
+        dataset = dataset or tables[0][0]
+        for relation in RELATIONS:
+            answer = related_call(platform, relation)(dataset, table, 10)
+            assert answer.column_names == RELATED_COLUMNS and answer.num_rows == 0
+            assert interfaces_oracle.related_tables(platform.storage, dataset, table, relation, 10) == []
+
+    def test_concurrent_first_calls_after_a_commit(self, governed_lake):
+        """Readers racing to fill one snapshot's per-anchor memo (the server is
+        threaded) each get the single-threaded answer."""
+        import sys
+        import threading
+
+        platform, tables = governed_lake
+        store = platform.storage.graph
+        calls = [(relation, dataset, table) for dataset, table in tables for relation in RELATIONS]
+        expected = [
+            table_rows(related_call(platform, relation)(dataset, table, 10)) for relation, dataset, table in calls
+        ]
+        marker = (table_uri("zz", "marker"), RDF.type, LiDSOntology.Table)
+        store.add(*marker, graph=DATASET_GRAPH)  # a new snapshot, an empty memo
+        store.remove(*marker, graph=DATASET_GRAPH)
+        answers, errors = [], []
+
+        def read(worker):
+            try:
+                for relation, dataset, table in calls if worker % 2 else calls[::-1]:
+                    answer = table_rows(related_call(platform, relation)(dataset, table, 10))
+                    answers.append(((relation, dataset, table), answer))
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read, args=(worker,)) for worker in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers) and not errors
+        assert len(answers) == len(workers) * len(calls)
+        for call, answer in answers:
+            assert answer == expected[calls.index(call)]
+
+    def test_tied_library_counts_are_cut_by_name(self, governed_lake):
+        platform, _ = governed_lake
+        everything = table_rows(platform.get_top_used_libraries(10_000))
+        counts = [count for _, count in everything]
+        cuts = [k for k in range(1, len(counts)) if counts[k - 1] == counts[k]]
+        assert cuts, "the corpus must tie on a count"
+        for k in cuts:
+            cut = platform.get_top_used_libraries(k)
+            assert table_rows(cut) == sorted(everything, key=lambda row: (-row[1], row[0]))[:k]
+            assert row_dicts(cut) == interfaces_oracle.top_libraries(platform.storage, k)
 
 
 class TestJoinPathsAgainstOracle:
@@ -222,7 +361,9 @@ class TestKeywordSearchAgainstOracle:
 class TestDerivedViewsFollowTheGraph:
     """Views are rebuilt after add, refresh and retract — also for the reads
     of a thread inside its own uncommitted write batch (read-your-writes),
-    and again when that batch rolls back."""
+    and again when that batch rolls back.  The similarity and library answers
+    equal the oracle's at every step, and a rolled-back batch leaves them as
+    they were."""
 
     @staticmethod
     def people(name: str, shift: int = 0) -> Table:
@@ -236,23 +377,47 @@ class TestDerivedViewsFollowTheGraph:
             dataset="people",
         )
 
-    def test_add_refresh_retract(self):
+    TABLES = [("people", "first"), ("people", "second")]
+
+    def discovery(self, platform):
+        """Every similarity and library answer, after checking it against the oracle."""
+        assert_discovery_matches_oracle(platform, self.TABLES, ks=(1, 10), tasks=(None, "classification"))
+        answers = [
+            table_rows(related_call(platform, relation)(dataset, table, 10))
+            for dataset, table in self.TABLES
+            for relation in RELATIONS
+        ]
+        libraries = [platform.get_top_used_libraries(10, task) for task in (None, "classification")]
+        return answers + [table_rows(answer) for answer in libraries]
+
+    def test_add_refresh_retract(self, example_pipeline_source):
         governor = KGGovernor()
         platform = KGLiDS(governor)
         store = governor.storage.graph
+        pipeline = PipelineScript("people_pipeline", example_pipeline_source, "people", task="classification")
         governor.add_table(self.people("first"), dataset_name="people")
         assert platform.get_path_to_table("people", "first", 2).num_rows == 0
         assert platform.search_keywords("second").num_rows == 0
+        before = self.discovery(platform)
+        assert not any(before)
         with pytest.raises(ZeroDivisionError), store.write_batch():
             governor.add_table(self.people("second"), dataset_name="people")
+            governor.add_pipelines([pipeline])
             with platform.read_view():  # the writer reads its own uncommitted batch
                 assert platform.search_keywords("second_score").num_rows == 1
                 assert platform.get_path_to_table("people", "first", 2).num_rows == 1
+                assert list(platform.get_joinable_tables("people", "first").column("table")) == ["second"]
+                assert "pandas" in platform.get_top_used_libraries(10, "classification").column("library_name")
+                assert self.discovery(platform) != before
             1 / 0
         # Rolled back: the views built inside the batch are gone with it.
         assert platform.search_keywords("second").num_rows == 0
         assert platform.get_path_to_table("people", "first", 2).num_rows == 0
+        assert self.discovery(platform) == before
         governor.add_table(self.people("second"), dataset_name="people")
+        governor.add_pipelines([pipeline])
+        added = self.discovery(platform)
+        assert all(added)
         with platform.read_view():
             assert list(platform.search_keywords("second_score").column("table")) == ["second"]
             paths = platform.get_path_to_table("people", "first", 2)
@@ -273,10 +438,13 @@ class TestDerivedViewsFollowTheGraph:
         governor.refresh_table(refreshed, dataset_name="people")
         assert platform.search_keywords("second_score").num_rows == 0
         assert list(platform.search_keywords("second").column("columns")) == ["age, person_id"]
+        self.discovery(platform)
         governor.retract_table("people", "second")
         assert platform.search_keywords("second").num_rows == 0
         assert platform.get_path_to_table("people", "first", 2).num_rows == 0
         assert platform.get_shortest_path_between_tables("people", "first", "people", "second") is None
+        retracted = self.discovery(platform)
+        assert not any(retracted[:4]) and retracted[4:] == added[4:]  # the pipeline stays
 
 
 class TestPipelineInterfaces:

@@ -394,6 +394,48 @@ class TestRefreshTable:
         stale = str(column_uri("titanic", "train", "Fare"))
         assert governor.storage.embeddings.get("column", stale) is None
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+    def test_infinite_cells_govern_and_refresh_like_a_fresh_add(self, tmp_path):
+        """A float column holding ``±inf`` used to fail its whole batch (the
+        numeric featurizer overflowed at ``int(abs(value))``).  It governs
+        with finite embeddings, a refresh into it equals a fresh govern, and
+        the profile keeps what the statistics make of it."""
+        inf, nan = float("inf"), float("nan")
+        infinite = Table.from_dict(
+            "train",
+            {
+                "Age": [22, 38, 26, 35, 54, 2, 27, 14],
+                "Fare": [7.25, inf, -inf, 53.1, 51.86, nan, 11.13, 16.7],
+            },
+        )
+        governor = KGGovernor()
+        governor.add_data_lake(make_lake())
+        governor.refresh_table(infinite, dataset_name="titanic")
+        scratch_lake = DataLake("persist_lake")
+        scratch_lake.add_table("titanic", infinite.copy())
+        scratch_lake.add_table("titanic", make_lake().table("titanic", "test"))
+        scratch_lake.add_table("heart", make_lake().table("heart", "heart"))
+        scratch = KGGovernor()
+        scratch.add_data_lake(scratch_lake)
+        assert serialize_nquads(governor.storage.graph) == serialize_nquads(scratch.storage.graph)
+
+        profile = governor.table_profile("titanic", "train")
+        assert np.isfinite(profile.embedding).all()
+        fare = next(column for column in profile.column_profiles if column.column_name == "Fare")
+        assert fare.fine_grained_type == "float" and np.isfinite(fare.embedding).all()
+        stats = fare.statistics
+        assert (stats.count, stats.missing_count, stats.distinct_count) == (8, 1, 7)
+        assert (stats.minimum, stats.maximum) == (-inf, inf)
+        assert np.isnan(stats.mean) and np.isnan(stats.std)
+        uri = str(column_uri("titanic", "train", "Fare"))
+        assert np.array_equal(
+            governor.storage.embeddings.get("column", uri), scratch.storage.embeddings.get("column", uri)
+        )
+        governor.save(tmp_path / "lake")
+        reopened = KGGovernor.open(tmp_path / "lake")
+        assert serialize_nquads(reopened.storage.graph) == serialize_nquads(scratch.storage.graph)
+        reopened.close()
+
     def test_refresh_is_idempotent(self):
         governor = KGGovernor()
         governor.add_data_lake(make_lake())
@@ -708,3 +750,48 @@ class TestPipelinePersistence:
             "usecols": ("a", "b"),
             "sep": ",",
         }
+
+
+# --------------------------------------------------------------------------
+# Byte-identity across interpreters
+# --------------------------------------------------------------------------
+HASH_SEED_PROBE = """
+import hashlib, sqlite3, sys
+from repro.datagen import generate_discovery_benchmark, generate_pipeline_corpus
+from repro.kg import KGGovernor
+
+lake = generate_discovery_benchmark("tus_small", seed=5, base_tables=2, partitions=4, rows=20).lake
+governor = KGGovernor()
+governor.bootstrap(lake=lake, scripts=generate_pipeline_corpus(lake, pipelines_per_table=3, seed=3))
+governor.save(sys.argv[1])
+rows = governor.storage.graph.dictionary.export_rows(1)
+dump = sqlite3.connect(sys.argv[1] + "/graph.sqlite3").iterdump()
+print(hashlib.sha256(repr(rows).encode()).hexdigest())
+print(hashlib.sha256("\\n".join(line for line in dump if "store_uid" not in line).encode()).hexdigest())
+"""
+
+
+def test_term_ids_and_sqlite_dump_do_not_depend_on_the_hash_seed(tmp_path):
+    """Governing the same 8 tables and 24 pipelines under two ``PYTHONHASHSEED``
+    values interns the same terms under the same ids and writes the same
+    sqlite rows (the ``meta.store_uid`` row is a random uuid by design)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    source = Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for seed in ("1", "2"):
+        finished = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE, str(tmp_path / seed)],
+            env={**os.environ, "PYTHONPATH": str(source), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert finished.returncode == 0, finished.stderr
+        digests.append(finished.stdout.split())
+    (rows_1, dump_1), (rows_2, dump_2) = digests
+    assert rows_1 == rows_2, "dictionary.export_rows(1) differs across hash seeds"
+    assert dump_1 == dump_2, "the sqlite dump differs across hash seeds"

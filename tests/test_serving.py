@@ -401,6 +401,76 @@ def test_replica_answers_view_backed_calls_like_the_writer(served_lake, tmp_path
         replica.close()
 
 
+def test_replica_ranks_similar_tables_and_libraries_like_the_writer(served_lake, tmp_path):
+    """The similarity calls rank by score, then table URI, and the library
+    roll-up by count, then name — each a function of the graph — so a replica
+    that follows an add and a retract by row deltas answers row for row in
+    the writer's order, ties included."""
+    from repro.datagen import generate_pipeline_corpus
+
+    service = served_lake["service"]
+    service.submit_pipelines(generate_pipeline_corpus(make_lake(6), pipelines_per_table=2, seed=5)).result(
+        timeout=120
+    )
+    served_lake["governor"].save(served_lake["dir"])
+    replica = Replica(
+        served_lake["server"].address,
+        ship_snapshot(served_lake["dir"], tmp_path / "replica"),
+    )
+    writer = LiDSClient(service)
+    tables = [(f"ds{index % 2}", f"table_{index}") for index in range(6)] + [("ds0", "table_late")]
+
+    def answers(client):
+        calls = [
+            call(dataset, table, k)
+            for dataset, table in tables
+            for call in (client.get_unionable_tables, client.get_joinable_tables)
+            for k in (3, 10_000)
+        ]
+        calls += [client.get_top_k_library_used(k) for k in (1, 3, 10)]
+        calls += [client.get_top_used_libraries(10, task=task) for task in ("classification", "eda")]
+        return calls
+
+    def assert_replica_answers_like_the_writer():
+        ours = answers(writer)
+        assert [canonical_json(answer) for answer in answers(replica.client)] == [
+            canonical_json(answer) for answer in ours
+        ]
+        return ours
+
+    try:
+        before = assert_replica_answers_like_the_writer()
+        scores = [list(answer.column("score")) for answer in before[1:28:4]]  # unionable, k = 10 000
+        assert any(first == second for column in scores for first, second in zip(column, column[1:]))
+        late = DataLake("late")
+        rng = np.random.RandomState(29)
+        late.add_table(
+            "ds0",
+            Table.from_dict(
+                "table_late",
+                {
+                    "amount": list(rng.normal(100, 5, 8)),
+                    "quantity": list(rng.randint(1, 50, 8)),
+                    "region": ["north", "south", "east", "west"] * 2,
+                },
+            ),
+        )
+        steps = (
+            (lambda: service.submit_lake(late), True),
+            (lambda: service.submit_retract("ds0", "table_late"), False),
+        )
+        for submit, present in steps:
+            pulls = replica.stats["delta_pulls"]
+            submit().result(timeout=120)
+            service.drain()
+            assert replica.sync() is True
+            assert replica.stats["delta_pulls"] > pulls and replica.stats["full_pulls"] == 0
+            after = assert_replica_answers_like_the_writer()
+            assert (after[24].num_rows > 0) == present  # table_late's unionable tables, k = 3
+    finally:
+        replica.close()
+
+
 # ----------------------------------------------------------- lazy durability
 def test_lazy_applies_defer_durability_until_checkpoint(served_lake, tmp_path):
     """durable_applies=False: serve lazily-applied rows, checkpoint later,

@@ -16,6 +16,7 @@ byte-comparable), on the delta-log entries of every commit and on the
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ import colr_oracle
 from store_write_oracle import assert_index_is_tight, index_contents, oracle_governor
 
 from repro.datagen import generate_discovery_benchmark, generate_pipeline_corpus
-from repro.embeddings.colr import ColRModelSet
+from repro.embeddings.colr import ColRModelSet, numeric_value_features
 from repro.kg import KGGovernor, KGLiDSStorage
 from repro.profiler.profile import DataProfiler
 from repro.rdf import Literal, QuadStore, QuotedTriple, URIRef
@@ -244,9 +245,9 @@ def test_column_embeddings_are_bit_equal_to_the_per_value_oracle(lake_tables):
 CELLS = st.one_of(
     st.sampled_from(["", " ", "\t \n", "1", "1.0", "True", "é", "é", "Ünïcödé", "東京", "a b", "A-1"]),
     st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, None, float("nan"), 2020, -3.5]),
+    st.sampled_from([float("inf"), float("-inf"), "inf", "-Infinity", sys.float_info.max]),
     st.text(max_size=12),
-    # No infinities: they overflow the numeric featurizer, the oracle's included.
-    st.floats(allow_nan=True, allow_infinity=False),
+    st.floats(allow_nan=True, allow_infinity=True),
     st.integers(min_value=-10**9, max_value=10**9),
 )
 
@@ -266,3 +267,14 @@ def test_embed_values_matches_the_oracle_on_any_cell_mix(values, fine_type):
 
 
 MODELS = ColRModelSet.pretrained()
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.floats(allow_nan=True, allow_infinity=True))
+def test_numeric_featurizer_clamps_only_infinities(value):
+    """Finite cells featurize bit-equal to the seed's featurizer; an infinite
+    one like the largest finite float of its sign."""
+    ours = numeric_value_features(value)
+    assert np.isfinite(ours).all()
+    clamped = max(-sys.float_info.max, min(value, sys.float_info.max)) if value == value else value
+    assert np.array_equal(ours, colr_oracle.numeric_value_features(clamped))
