@@ -554,12 +554,14 @@ class SqliteBackend(QuadStoreBackend):
     Layout: a ``graphs`` catalog table maps graph names to shard ids; a
     ``terms`` dictionary table holds every distinct term once (``id``,
     N-Triples ``n3`` text); shard ``quads_<id>`` holds that graph's triples
-    as three integer id columns with an ``(s, p, o)`` primary key plus a
-    predicate index (for predicate-scoped deletes).  All matching still runs
-    on the shared :class:`GraphIndex`, rebuilt lazily per graph on first
-    touch — a pure integer scan, no term parsing — so the cardinality
-    statistics and partial quoted-triple indexes the SPARQL planner sees are
-    exactly the statistics the in-memory backend would produce.
+    as three integer id columns keyed by their ``(s, p, o)`` primary key.
+    There are no secondary indexes: term uniqueness is the in-memory
+    dictionary's job (terms are looked up there, never by SQL), and all
+    matching runs on the shared :class:`GraphIndex`, rebuilt lazily per
+    graph on first touch — a pure integer scan, no term parsing — so the
+    cardinality statistics and partial quoted-triple indexes the SPARQL
+    planner sees are exactly the statistics the in-memory backend would
+    produce.
 
     Writes are buffered (insert/delete order preserved; new dictionary rows
     always land before the quad rows referencing them) and flushed once
@@ -644,9 +646,11 @@ class SqliteBackend(QuadStoreBackend):
         self._version_base: Dict[URIRef, int] = {}
         #: Ordered write buffer: ``(op, shard_id, params)``.
         self._pending: List[Tuple[str, int, Tuple[int, ...]]] = []
-        #: Shipped term rows awaiting an ``INSERT OR REPLACE`` flush — filled
-        #: only by ``ingest_term_rows(durable=False)`` (lazy replication).
+        #: Shipped term rows awaiting an ``INSERT OR REPLACE`` flush, and the
+        #: lowest id they are authoritative from — both filled only by
+        #: :meth:`ingest_term_rows` (replication).
         self._pending_term_replaces: List[Tuple[int, str]] = []
+        self._term_floor: Optional[int] = None
         #: Re-entrant residency-pin depth (evictions paused while > 0).
         self._pin_depth = 0
         self._closed = False
@@ -676,7 +680,7 @@ class SqliteBackend(QuadStoreBackend):
         self._connection.execute(
             "CREATE TABLE IF NOT EXISTS terms ("
             " id INTEGER PRIMARY KEY,"
-            " n3 TEXT UNIQUE NOT NULL)"
+            " n3 TEXT NOT NULL)"
         )
         self._connection.execute(
             "CREATE TABLE IF NOT EXISTS meta ("
@@ -854,6 +858,7 @@ class SqliteBackend(QuadStoreBackend):
             dirty = (
                 bool(self._pending)
                 or bool(self._pending_term_replaces)
+                or self._term_floor is not None
                 or self.dictionary.has_pending()
                 or self._meta_dirty()
             )
@@ -888,7 +893,8 @@ class SqliteBackend(QuadStoreBackend):
         the buffers instead of rolling back through sqlite.  If a threshold
         flush already pushed some of them out, they stay durable — harmless,
         because replication ops are idempotent and the durable meta version
-        is still conservative, so the retry replays over them.
+        is still conservative, so the retry replays over them.  The stray
+        floor stays: the strays it covers left the dictionary either way.
         """
         with self._db_lock:
             del self._pending[mark[0]:]
@@ -896,9 +902,11 @@ class SqliteBackend(QuadStoreBackend):
 
     def _flush_rows(self) -> None:
         """Write buffered term and quad rows (no transaction control)."""
+        if self._term_floor is not None:
+            # Shipped rows first, after the local strays they supersede.
+            self._execute_retry("DELETE FROM terms WHERE id >= ?", (self._term_floor,))
+            self._term_floor = None
         if self._pending_term_replaces:
-            # Shipped rows first, and with REPLACE: they are authoritative
-            # for their ids even over a previously-flushed local stray.
             rows, self._pending_term_replaces = self._pending_term_replaces, []
             self._executemany_retry(
                 "INSERT OR REPLACE INTO terms (id, n3) VALUES (?, ?)", rows
@@ -959,6 +967,8 @@ class SqliteBackend(QuadStoreBackend):
                 return
             self._in_batch = False
             self._pending.clear()
+            self._pending_term_replaces.clear()
+            self._term_floor = None
             self.dictionary.rollback_to(self._dictionary_mark)
             if not self._closed:
                 try:
@@ -1024,29 +1034,24 @@ class SqliteBackend(QuadStoreBackend):
                 for graph, shard_id in self._shards.items()
             }
 
-    def ingest_term_rows(self, rows: List[Tuple[int, str]], durable: bool = True) -> None:
-        """Adopt shipped dictionary rows ``(id, n3)`` verbatim.
+    def ingest_term_rows(self, start: int, rows: List[Tuple[int, str]]) -> None:
+        """Adopt shipped dictionary rows ``(id, n3)``, authoritative from ``start``.
 
-        Ids are assigned by the replication *source*; ``INSERT OR REPLACE``
-        self-heals any stray local row occupying a shipped id (the caller
-        rolls back locally-interned strays first, so a conflict can only be
-        a re-ship of an identical row).  ``durable=False`` parks the rows in
-        a replace-buffer drained by the next flush instead of writing sqlite
-        now — the lazy-replication path.  They cannot ride the dictionary's
-        own pending queue: that flushes with ``INSERT OR IGNORE``, which
-        would let a previously-flushed stray shadow a shipped row forever.
+        Ids are assigned by the replication *source*, which ships every row
+        at or above ``start``; any id there that this side holds is a local
+        stray (a query constant interned between syncs).  Strays leave the
+        dictionary now, and their on-disk rows are deleted by the flush that
+        writes the shipped rows, just before them — inside the batch
+        transaction of a durable apply, at the next checkpoint of a lazy one.
+        The rows queue apart from the dictionary's own pending rows so
+        :meth:`discard_pending` can cut them at a replication mark.
         """
-        if not rows:
-            return
         with self._db_lock:
+            self.dictionary.rollback_to(start)
             self.dictionary.load_rows(rows)
-            if durable:
-                with self._autocommit():
-                    self._executemany_retry(
-                        "INSERT OR REPLACE INTO terms (id, n3) VALUES (?, ?)", rows
-                    )
-            else:
-                self._pending_term_replaces.extend(rows)
+            if self._term_floor is None or start < self._term_floor:
+                self._term_floor = start
+            self._pending_term_replaces.extend(rows)
 
     def replace_shard(self, graph: URIRef, rows: List[Tuple[int, int, int]]) -> None:
         """Overwrite ``graph``'s shard with exactly ``rows`` (id triples).
@@ -1210,6 +1215,7 @@ class SqliteBackend(QuadStoreBackend):
                 return
             self._pending.clear()
             self._pending_term_replaces.clear()
+            self._term_floor = None
             try:
                 self._connection.close()
             except sqlite3.Error:
@@ -1365,10 +1371,6 @@ class SqliteBackend(QuadStoreBackend):
             " PRIMARY KEY (s, p, o)"
             ") WITHOUT ROWID"
         )
-        self._connection.execute(
-            f"CREATE INDEX IF NOT EXISTS quads_{shard_id}_predicate"
-            f" ON quads_{shard_id} (p)"
-        )
 
     def _flush_term_rows(self) -> bool:
         """Persist newly interned dictionary rows (always ahead of quad rows).
@@ -1453,7 +1455,11 @@ class SqliteBackend(QuadStoreBackend):
         index = GraphIndex(self.dictionary)
         with self._db_lock:
             self.flush()
-            index.add_many(self._connection.execute(f"SELECT s, p, o FROM quads_{shard_id}"))
+            # Key order on every layout: a file written by older code still
+            # has a ``(p)`` index that would otherwise serve this scan.
+            index.add_many(
+                self._connection.execute(f"SELECT s, p, o FROM quads_{shard_id} ORDER BY s, p, o")
+            )
         # Resume the mutation counter above any pre-eviction value so
         # version-keyed reader caches cannot mistake a reload for no change.
         index.version += self._version_base.get(graph, 0)

@@ -70,9 +70,9 @@ class Replica:
             # flush, the threshold only bounds memory.
             self._store.backend.flush_threshold = 1_000_000
         #: Dictionary-id watermark: every id below it matches the writer's
-        #: dictionary byte-for-byte.  Ids above it are local strays (query
-        #: constants interned between syncs) and are rolled back before
-        #: each apply so shipped rows land at their authoritative ids.
+        #: dictionary byte-for-byte.  Ids at or above it are local strays
+        #: (query constants interned between syncs); each apply drops them,
+        #: flushed rows included, so shipped rows land at their own ids.
         self._synced_terms = self._store.dictionary.next_id
         #: Replication telemetry, reported via the ``stats`` RPC.  The
         #: ``*_seconds`` entries split a sync's cost into the round-trip
@@ -160,17 +160,16 @@ class Replica:
         )
         try:
             with store.replication_batch(version, durable=durable):
-                # Local strays first (see ``_synced_terms``), then the
-                # writer's rows — all inside the batch transaction, so a
-                # failed apply restores the dictionary too.
-                store.dictionary.rollback_to(self._synced_terms)
+                # The writer's rows replace every local stray (see
+                # ``_synced_terms``), in memory and on disk — inside the
+                # batch, so a failed apply restores the dictionary too.
                 raw_terms = payload["terms"]
                 if isinstance(raw_terms, dict):
                     ids = unpack_ids(raw_terms["ids"])
                     terms = list(zip(ids, raw_terms["texts"].split("\n"))) if ids else []
                 else:
                     terms = [(term_id, text) for term_id, text in raw_terms]
-                backend.ingest_term_rows(terms, durable=durable)
+                backend.ingest_term_rows(self._synced_terms, terms)
                 self.stats["terms_applied"] += len(terms)
                 quoted = payload.get("quoted")
                 if quoted:

@@ -7,7 +7,8 @@ happens to have installed.
 
 The same file holds the other "what ``src/`` may not contain" checks: one tree
 implementation in ``repro.ml``, one write path in ``repro.rdf`` / ``repro.kg``,
-no per-call SPARQL behind the similarity and library discovery calls.
+no sqlite index that nothing reads, no per-call SPARQL behind the similarity
+and library discovery calls.
 """
 
 import ast
@@ -113,6 +114,25 @@ def test_one_write_path_in_store():
         if "hashlib." in text and _calls_in_loops(colr, rf"{name}\("):
             decorators = [ast.unparse(decorator) for decorator in node.decorator_list]
             assert "functools.cache" in decorators, f"colr.{name} hashes once per call, in a loop"
+
+
+def test_sqlite_layout_has_no_unread_indexes():
+    """``SqliteBackend`` keeps no index that no statement reads.
+
+    Terms are looked up in the in-memory dictionary, which owns their
+    uniqueness, and triples are matched on the in-memory ``GraphIndex``;
+    sqlite only stores rows by their primary keys.  A ``CREATE INDEX`` or a
+    ``UNIQUE`` on ``terms`` would be paid by every write and read by nothing.
+    """
+    backend = Path(__file__).resolve().parent.parent / "src" / "repro" / "rdf" / "backend.py"
+    statements = [
+        node.value
+        for node in ast.walk(ast.parse(backend.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert not [text for text in statements if re.search(r"CREATE\s+(UNIQUE\s+)?INDEX", text, re.I)]
+    terms = [text for text in statements if re.match(r"CREATE TABLE IF NOT EXISTS terms\b", text)]
+    assert len(terms) == 1 and "UNIQUE" not in terms[0].upper(), terms
 
 
 def test_discovery_calls_do_not_query():

@@ -12,10 +12,15 @@ These tests pin the contracts of the pluggable-backend storage layer:
   from scratch, and re-adds with changed contents route through refresh;
 * the new retraction primitives (``remove_predicate``, ``FlatIndex.remove``,
   ``EmbeddingStore.remove``) and the embedding-store disk round-trip;
+* the sqlite layout holds no secondary index, and a file written in the
+  older layout (``terms.n3 UNIQUE``, a ``(p)`` index per shard) behaves
+  exactly like a new one;
 * ``HNSWIndex``'s beam-search construction agrees with ``FlatIndex`` top-k.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import numpy as np
 import pytest
@@ -250,6 +255,98 @@ class TestSqliteBackend:
         for position, value in enumerate(values):
             assert reopened.value(URIRef(f"http://x/s{position}"), predicate) == value
         reopened.close()
+
+    def test_layout_has_no_secondary_indexes(self, tmp_path):
+        """``terms`` is its integer key and its text, a shard its ``(s, p, o)``
+        key: terms are looked up in the in-memory dictionary and triples
+        matched on the in-memory index, so no SQL reads a second index."""
+        directory = tmp_path / "lake"
+        directory.mkdir()
+        governor = KGGovernor(
+            storage=KGLiDSStorage(graph=QuadStore.sqlite(directory / "graph.sqlite3"))
+        )
+        governor.add_data_lake(make_lake())
+        governor.save(directory)
+        governor.close()
+        connection = sqlite3.connect(directory / "graph.sqlite3")
+        try:
+            assert connection.execute("PRAGMA index_list('terms')").fetchall() == []
+            shards = [f"quads_{shard_id}" for (shard_id,) in connection.execute("SELECT id FROM graphs")]
+            assert len(shards) >= 2
+            for shard in shards:
+                origins = [row[3] for row in connection.execute(f"PRAGMA index_list('{shard}')")]
+                assert origins == ["pk"], f"{shard} has a secondary index: {origins}"
+        finally:
+            connection.close()
+
+    def test_files_in_the_older_layout_behave_like_new_ones(self, tmp_path):
+        """Older code wrote ``terms.n3 UNIQUE`` and a ``(p)`` index per shard.
+        Such a file keeps both, and today's code opens it, governs, refreshes,
+        retracts and reopens it with the same answers (row order included),
+        dictionary rows and shard rows as a file in today's layout."""
+
+        class OlderLayoutBackend(SqliteBackend):
+            def _ensure_layout(self):
+                self._connection.execute(
+                    "CREATE TABLE IF NOT EXISTS terms (id INTEGER PRIMARY KEY, n3 TEXT UNIQUE NOT NULL)"
+                )
+                super()._ensure_layout()
+
+            def _create_shard_table(self, shard_id):
+                super()._create_shard_table(shard_id)
+                self._connection.execute(
+                    f"CREATE INDEX IF NOT EXISTS quads_{shard_id}_predicate ON quads_{shard_id} (p)"
+                )
+
+        extra = Table.from_dict(
+            "extra",
+            {"Age": [30, 40, 50, 60, 20, 10, 45, 35], "Fare": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]},
+        )
+
+        def evolve(directory, backend_class):
+            directory.mkdir()
+            store = QuadStore(backend=backend_class(directory / "graph.sqlite3"))
+            governor = KGGovernor(storage=KGLiDSStorage(graph=store))
+            governor.add_data_lake(make_lake())
+            governor.save(directory)
+            governor.close()
+            governor = KGGovernor.open(directory)
+            governor.add_table(extra.copy(), dataset_name="titanic")
+            governor.refresh_table(make_lake(age_shift=5).table("titanic", "train"))
+            assert governor.retract_table("heart", "heart")
+            governor.save(directory)
+            governor.close()
+            reopened = KGGovernor.open(directory)
+            graph = reopened.storage.graph
+            answers = [list(map(str, SPARQLEngine(graph).select(query).rows)) for query in DISCOVERY_QUERIES.values()]
+            # Match order follows the order a shard's rows were loaded in.
+            answers += [list(map(str, graph.triples(graph=name))) for name in graph.graphs()]
+            terms = graph.dictionary.export_rows(1)
+            reopened.close()
+            connection = sqlite3.connect(directory / "graph.sqlite3")
+            try:
+                shards = {
+                    name: connection.execute(f"SELECT s, p, o FROM quads_{shard_id} ORDER BY s, p, o").fetchall()
+                    for shard_id, name in connection.execute("SELECT id, name FROM graphs")
+                }
+                indexes = {
+                    name
+                    for (name,) in connection.execute(
+                        "SELECT name FROM sqlite_master WHERE type = 'index'"
+                        " AND (tbl_name = 'terms' OR tbl_name LIKE 'quads_%')"
+                    )
+                    if not name.startswith("sqlite_autoindex_quads_")
+                }
+            finally:
+                connection.close()
+            return answers, terms, shards, indexes
+
+        *old, old_indexes = evolve(tmp_path / "old", OlderLayoutBackend)
+        *new, new_indexes = evolve(tmp_path / "new", SqliteBackend)
+        assert new_indexes == set()
+        assert "sqlite_autoindex_terms_1" in old_indexes
+        assert any(name.endswith("_predicate") for name in old_indexes)
+        assert old == new
 
     def test_version_counters_still_work(self, tmp_path):
         store = QuadStore.sqlite(tmp_path / "store.sqlite3")

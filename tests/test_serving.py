@@ -9,6 +9,8 @@ Pins the serving contracts:
 * replica refresh pulls *deltas* (row ops) when the writer's op log can
   bridge, full dumps of only the changed graphs otherwise, and applies
   them atomically: concurrent readers never observe a torn snapshot;
+* a replica's local strays (terms it interned between syncs) give way to
+  the writer's rows, in its dictionary and in its file;
 * ``LiDSClient.reopen`` re-opens a shipped snapshot in place — same
   interned dictionary, only changed ``GraphIndex``es invalidated;
 * ``RemoteLiDSClient`` retries with backoff through a flapping server and
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import shutil
 import socket
+import sqlite3
 import threading
 import time
 
@@ -514,6 +517,43 @@ def test_lazy_applies_defer_durability_until_checkpoint(served_lake, tmp_path):
         assert backend.committed_version() == replica.commit_version
     finally:
         replica.close()
+
+
+@pytest.mark.parametrize("durable_applies", [True, False], ids=["durable", "lazy"])
+def test_replica_strays_give_way_to_the_writers_rows(served_lake, tmp_path, durable_applies):
+    """Ids at or above the replica's synced watermark are local strays.  A
+    stray flushed to disk must not survive a sync that ships the same text at
+    the writer's (lower) id: not in the dictionary, and not in the file."""
+    writer_store = served_lake["governor"].storage.graph
+    replica_dir = ship_snapshot(served_lake["dir"], tmp_path / "replica")
+    replica = Replica(served_lake["server"].address, replica_dir, durable_applies=durable_applies)
+    replica_only, shared = Literal("a constant only the replica interns"), Literal("a constant both intern")
+    try:
+        start = replica.store.dictionary.next_id
+        assert writer_store.dictionary.next_id == start
+        assert replica.store.dictionary.encode(replica_only) == start
+        assert replica.store.dictionary.encode(shared) == start + 1
+        replica.checkpoint()
+        connection = sqlite3.connect(replica_dir / "graph.sqlite3")
+        flushed = connection.execute("SELECT n3 FROM terms WHERE id = ?", (start + 1,)).fetchone()
+        connection.close()
+        assert flushed == ('"a constant both intern"',)
+        anchor = next(iter(writer_store.triples(graph=DATASET_GRAPH)))
+        writer_store.add(anchor.subject, anchor.predicate, shared, graph=DATASET_GRAPH)
+        assert writer_store.dictionary.lookup(shared) == start
+        assert replica.sync() is True
+        writer_rows = writer_store.dictionary.export_rows(1)
+        assert replica.store.dictionary.lookup(shared) == start
+        assert replica.store.dictionary.lookup(replica_only) is None
+        assert replica.store.dictionary.export_rows(1) == writer_rows
+    finally:
+        replica.close()
+    reopened = QuadStore.sqlite(replica_dir / "graph.sqlite3")
+    try:
+        assert reopened.dictionary.lookup(shared) == start
+        assert reopened.dictionary.export_rows(1) == writer_rows
+    finally:
+        reopened.close()
 
 
 # ----------------------------------------------------------- reopen-in-place
