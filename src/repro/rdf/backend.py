@@ -18,10 +18,8 @@ differ only in durability:
   first decode) while a graph's index — per-predicate statistics and partial
   quoted-triple indexes included — is rebuilt lazily the first time the graph
   is touched, so reopening a governed lake never pays for graphs a query does
-  not read.  ``max_resident_graphs`` additionally caps how many loaded
-  indexes stay resident: beyond the cap the least-recently-used shard is
-  evicted (after a write-through flush), keeping a long-lived governor's
-  memory bounded by its working set instead of the lake.
+  not read.  A loaded index stays resident until its graph is dropped or
+  replaced underneath it (``replace_shard``, ``reopen``).
 
 Terms are persisted in their N-Triples text form (``term_n3``) and parsed
 back with :func:`repro.rdf.terms.parse_term`; plain Python values that the
@@ -111,43 +109,11 @@ class QuadStoreBackend(ABC):
     def quads_removed(self, graph: URIRef, rows: List[IdTriple]) -> None:
         """Called after id-triples were removed from the graph's index (in order)."""
 
-    def predicate_removed(self, graph: URIRef, predicate_id: int) -> None:
-        """Called after all triples with ``predicate_id`` left the graph's index.
-
-        Durable backends translate this into one predicate-scoped delete
-        instead of per-triple deletes — the cheap path for bulk schema
-        retractions (e.g. dropping a similarity-edge type lake-wide).
-        """
-
-    def delete_predicate_unloaded(self, graph: URIRef, predicate_id: int) -> Optional[int]:
-        """Predicate-scoped delete on a graph whose index is *not* resident.
-
-        Returns the number of triples removed when the backend could retract
-        directly in durable storage (sparing the index load), or ``None``
-        when the graph's index is resident (or the backend is volatile) and
-        the caller must retract through the index as usual.
-        """
-        return None
-
     def flush(self) -> None:
         """Make all buffered writes durable (no-op for volatile backends)."""
 
     def close(self) -> None:
         """Release any resources; the backend must not be used afterwards."""
-
-    # ------------------------------------------------------- residency pinning
-    def pin_residency(self) -> None:
-        """Suspend index eviction (re-entrant); no-op without a residency cap.
-
-        Cross-graph evaluation touches every shard many times (planner
-        estimates, pattern probes, full scans); pinning for the duration of
-        one query makes each missing shard load at most once, and
-        :meth:`unpin_residency` enforces the cap once at the end instead of
-        thrashing on every intermediate load.
-        """
-
-    def unpin_residency(self) -> None:
-        """Release one :meth:`pin_residency` level (enforces the cap at 0)."""
 
     # ------------------------------------------------------------ transactions
     def begin_batch(self) -> None:
@@ -179,7 +145,7 @@ class QuadStoreBackend(ABC):
         """The graph's index only if it is already in memory (no load).
 
         Undo replay targets exactly the state a failed batch touched: an
-        index evicted (or never loaded) during the batch is rebuilt from
+        index invalidated (or never loaded) during the batch is rebuilt from
         durable storage on next touch, which the backend rollback already
         restored — replaying into a fresh load would double-revert.
         """
@@ -568,14 +534,13 @@ class SqliteBackend(QuadStoreBackend):
     ``flush_threshold`` operations are waiting (checked per hook call, so
     after a whole row batch), on :meth:`flush` and on :meth:`close`.
 
-    ``max_resident_graphs`` bounds how many loaded :class:`GraphIndex`es stay
-    in RAM: loading a shard past the cap evicts the least-recently-used
-    resident index after a write-through :meth:`flush`, so no buffered write
-    can be lost and the evicted graph reloads faithfully on next touch.
-    ``shard_loads`` / ``shard_evictions`` count both events for tests and
-    benchmarks.  Per-graph mutation counters survive eviction: a reloaded
-    index resumes *above* its pre-eviction version, so version-keyed caches
-    (e.g. the Global Graph Linker's table map) never see a stale counter.
+    A loaded :class:`GraphIndex` stays resident until its graph is dropped or
+    replaced underneath it (:meth:`invalidate_resident`, via
+    :meth:`replace_shard`, :meth:`reopen` or a failed replica apply);
+    ``shard_loads`` counts the loads for tests and benchmarks.  Per-graph
+    mutation counters survive invalidation: a reloaded index resumes *above*
+    the dropped index's version, so version-keyed caches (e.g. the Global
+    Graph Linker's table map) never see a stale counter.
 
     The sqlite connection is shared across threads (created with
     ``check_same_thread=False``) and every use of it is serialized by an
@@ -591,22 +556,12 @@ class SqliteBackend(QuadStoreBackend):
     #: be truncated back to a mark — i.e. this one.
     supports_lazy_replication = True
 
-    def __init__(
-        self,
-        path: PathLike,
-        flush_threshold: int = 8192,
-        max_resident_graphs: Optional[int] = None,
-    ):
-        if max_resident_graphs is not None and max_resident_graphs < 1:
-            raise ValueError("max_resident_graphs must be >= 1 (or None for unbounded)")
+    def __init__(self, path: PathLike, flush_threshold: int = 8192):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.flush_threshold = flush_threshold
-        self.max_resident_graphs = max_resident_graphs
-        #: Shard loads (lazy first touches *and* post-eviction reloads).
+        #: Shard loads (lazy first touches *and* post-invalidation reloads).
         self.shard_loads = 0
-        #: Indexes evicted to honour ``max_resident_graphs``.
-        self.shard_evictions = 0
         #: Serializes every use of the shared sqlite connection.  The
         #: connection is created with ``check_same_thread=False`` so a
         #: governor-service scheduler thread can flush writes while readers
@@ -640,9 +595,9 @@ class SqliteBackend(QuadStoreBackend):
                 "SELECT id, name FROM graphs ORDER BY id"
             )
         }
-        #: Resident per-graph indexes in least- to most-recently-used order.
+        #: Resident per-graph indexes.
         self._indexes: Dict[URIRef, GraphIndex] = {}
-        #: Version offset carried across evictions, per graph (monotonicity).
+        #: Version offset carried across invalidations, per graph (monotonicity).
         self._version_base: Dict[URIRef, int] = {}
         #: Ordered write buffer: ``(op, shard_id, params)``.
         self._pending: List[Tuple[str, int, Tuple[int, ...]]] = []
@@ -651,8 +606,6 @@ class SqliteBackend(QuadStoreBackend):
         #: :meth:`ingest_term_rows` (replication).
         self._pending_term_replaces: List[Tuple[int, str]] = []
         self._term_floor: Optional[int] = None
-        #: Re-entrant residency-pin depth (evictions paused while > 0).
-        self._pin_depth = 0
         self._closed = False
         #: What :meth:`_recover` found and repaired on open (see that method).
         self.recovery: Dict[str, Any] = self._recover()
@@ -727,8 +680,6 @@ class SqliteBackend(QuadStoreBackend):
                     if shard_id is None:
                         return None
                     index = self._load_shard(graph, shard_id)
-        else:
-            self._touch(graph)
         return index
 
     def ensure_index(self, graph: URIRef) -> GraphIndex:
@@ -742,7 +693,6 @@ class SqliteBackend(QuadStoreBackend):
             with self._db_lock:
                 self._ensure_shard(graph)
                 index = self._indexes[graph] = GraphIndex(self.dictionary)
-            self._enforce_residency(keep=graph)
         return index
 
     def _ensure_shard(self, graph: URIRef) -> int:
@@ -782,21 +732,8 @@ class SqliteBackend(QuadStoreBackend):
         return True
 
     def items(self) -> Iterable[Tuple[URIRef, GraphIndex]]:
-        """All ``(name, index)`` pairs — a full-store scan.
-
-        The scan runs under a residency pin so enforcement cannot evict
-        shards loaded earlier in this very call; the cap re-applies when the
-        pin releases.  (The returned list necessarily references every index
-        at once; cross-graph scans are inherently at odds with a residency
-        cap, which pays off for graph-scoped access.  Query engines should
-        hold :meth:`pin_residency` across a whole evaluation so repeated
-        scans load each missing shard only once.)
-        """
-        self.pin_residency()
-        try:
-            return [(graph, self.get_index(graph)) for graph in self.graph_names()]
-        finally:
-            self.unpin_residency()
+        """All ``(name, index)`` pairs — a full-store scan (loads every shard)."""
+        return [(graph, self.get_index(graph)) for graph in self.graph_names()]
 
     def triple_count(self, graph: URIRef) -> int:
         index = self._indexes.get(graph)
@@ -819,50 +756,12 @@ class SqliteBackend(QuadStoreBackend):
     def quads_removed(self, graph: URIRef, rows: List[IdTriple]) -> None:
         self._queue_rows("delete", self._shards[graph], rows)
 
-    def predicate_removed(self, graph: URIRef, predicate_id: int) -> None:
-        shard_id = self._shards.get(graph)
-        if shard_id is not None:
-            self._queue_rows("delete_predicate", shard_id, ((predicate_id,),))
-
-    def delete_predicate_unloaded(self, graph: URIRef, predicate_id: int) -> Optional[int]:
-        if graph in self._indexes:
-            return None
-        shard_id = self._shards.get(graph)
-        if shard_id is None:
-            return 0
-        # Resident writes are ordered through the pending buffer; an
-        # unloaded shard has none, but flush anyway so the delete cannot
-        # overtake queued ops from other shards sharing the connection.
-        with self._db_lock:
-            self.flush()
-            with self._autocommit():
-                cursor = self._execute_retry(
-                    self._STATEMENTS["delete_predicate"].format(shard=shard_id),
-                    (predicate_id,),
-                )
-        removed = int(cursor.rowcount)
-        if removed:
-            # The mutation happened while no index was resident; advance the
-            # version floor so the next reload cannot repeat a version a
-            # reader observed before the shard was evicted (a graph shrinking
-            # by N and reloading would otherwise land exactly on its old
-            # counter, keeping version-keyed caches stale).
-            self._version_base[graph] = self._version_base.get(graph, 0) + removed
-        return removed
-
     def flush(self) -> None:
         with self._db_lock:
             if self._closed:
                 # A crashed/closed backend buffers nothing; nothing to lose.
                 return
-            dirty = (
-                bool(self._pending)
-                or bool(self._pending_term_replaces)
-                or self._term_floor is not None
-                or self.dictionary.has_pending()
-                or self._meta_dirty()
-            )
-            if not dirty:
+            if not self._dirty():
                 return
             if self._in_batch:
                 # Ride the open batch transaction; commit_batch owns the
@@ -991,10 +890,7 @@ class SqliteBackend(QuadStoreBackend):
             self._noted_version = None
 
     def resident_index(self, graph: URIRef) -> Optional[GraphIndex]:
-        index = self._indexes.get(graph)
-        if index is not None:
-            self._touch(graph)
-        return index
+        return self._indexes.get(graph)
 
     def drop_graph_for_undo(self, graph: URIRef) -> Optional[Tuple[int, Optional[GraphIndex]]]:
         with self._db_lock:
@@ -1137,13 +1033,14 @@ class SqliteBackend(QuadStoreBackend):
         foreign uid forces a full dictionary reload and drops everything
         resident.
 
-        Requires a clean backend: no buffered writes, no open batch.
-        Returns a small info dict for logging/tests.
+        Requires a clean backend: nothing :meth:`flush` would write (a
+        buffered stray floor would delete the new file's terms), no open
+        batch.  Returns a small info dict for logging/tests.
         """
         with self._db_lock:
             if self._in_batch:
                 raise RuntimeError("cannot reopen mid-batch")
-            if self._pending or self.dictionary.has_pending():
+            if self._dirty():
                 raise RuntimeError("cannot reopen with unflushed writes")
             if not self._closed:
                 try:
@@ -1227,6 +1124,16 @@ class SqliteBackend(QuadStoreBackend):
         return (
             self._noted_version is not None
             and self._noted_version != self._durable_version
+        )
+
+    def _dirty(self) -> bool:
+        """Whether :meth:`flush` has anything to write (caller holds the lock)."""
+        return (
+            bool(self._pending)
+            or bool(self._pending_term_replaces)
+            or self._term_floor is not None
+            or self.dictionary.has_pending()
+            or self._meta_dirty()
         )
 
     def _write_meta(self) -> None:
@@ -1359,7 +1266,6 @@ class SqliteBackend(QuadStoreBackend):
     _STATEMENTS = {
         "insert": "INSERT OR IGNORE INTO quads_{shard} (s, p, o) VALUES (?, ?, ?)",
         "delete": "DELETE FROM quads_{shard} WHERE s = ? AND p = ? AND o = ?",
-        "delete_predicate": "DELETE FROM quads_{shard} WHERE p = ?",
     }
 
     def _create_shard_table(self, shard_id: int) -> None:
@@ -1390,59 +1296,6 @@ class SqliteBackend(QuadStoreBackend):
         if len(self._pending) >= self.flush_threshold:
             self.flush()
 
-    def pin_residency(self) -> None:
-        with self._db_lock:
-            self._pin_depth += 1
-
-    def unpin_residency(self) -> None:
-        with self._db_lock:
-            self._pin_depth -= 1
-            if self._pin_depth <= 0:
-                self._pin_depth = 0
-                if self._indexes:
-                    self._enforce_residency(keep=next(reversed(self._indexes)))
-
-    def _touch(self, graph: URIRef) -> None:
-        """Mark a resident graph as most recently used (O(1)).
-
-        Concurrent readers may touch the same graph at once (the store gate
-        admits shared readers); the pop/reinsert pair runs under the backend
-        lock so two touches cannot race each other (or an eviction) into a
-        ``KeyError``.
-        """
-        if self.max_resident_graphs is None:
-            return
-        with self._db_lock:
-            index = self._indexes.pop(graph, None)
-            if index is not None:
-                self._indexes[graph] = index
-
-    def _enforce_residency(self, keep: URIRef) -> None:
-        """Evict least-recently-used indexes beyond ``max_resident_graphs``.
-
-        The write-through flush runs once before the first eviction, making
-        every resident index clean; eviction then just drops the dict entry.
-        ``keep`` (the graph being loaded) is never evicted, so a cap of 1
-        still works.
-        """
-        cap = self.max_resident_graphs
-        if cap is None:
-            return
-        with self._db_lock:
-            if self._pin_depth > 0 or len(self._indexes) <= cap:
-                return
-            self.flush()
-            for graph in list(self._indexes):
-                if len(self._indexes) <= cap:
-                    break
-                if graph == keep:
-                    continue
-                index = self._indexes.pop(graph)
-                # ``index.version`` is absolute (the load already folded any
-                # earlier base in), so it becomes the next reload's floor.
-                self._version_base[graph] = index.version
-                self.shard_evictions += 1
-
     def _load_shard(self, graph: URIRef, shard_id: int) -> GraphIndex:
         """Rebuild a graph's index (stats and quoted indexes included) from disk.
 
@@ -1460,10 +1313,9 @@ class SqliteBackend(QuadStoreBackend):
             index.add_many(
                 self._connection.execute(f"SELECT s, p, o FROM quads_{shard_id} ORDER BY s, p, o")
             )
-        # Resume the mutation counter above any pre-eviction value so
+        # Resume the mutation counter above any pre-invalidation value so
         # version-keyed reader caches cannot mistake a reload for no change.
         index.version += self._version_base.get(graph, 0)
         self._indexes[graph] = index
         self.shard_loads += 1
-        self._enforce_residency(keep=graph)
         return index

@@ -1,7 +1,8 @@
 """Fault injection for the storage layer: prove rollback, not just hope.
 
 :class:`FaultInjectingBackend` wraps any :class:`QuadStoreBackend` and
-counts *fault points* — mutation hooks, flushes, batch commits.  A
+counts *fault points* — row inserts and deletes (every delete is a row
+delete), graph drops, flushes, batch commits.  A
 :class:`FaultPlan` arms one point: when the counter reaches it, the wrapper
 either raises (:class:`InjectedFault` — an "application" failure the undo
 log must roll back) or severs the inner backend mid-write
@@ -63,8 +64,7 @@ class FaultInjectingBackend(QuadStoreBackend):
     """A delegating backend that fails on command (see module docstring).
 
     Fault points tick on every mutation hook (``quads_added`` /
-    ``quads_removed``, once per row; ``predicate_removed`` /
-    ``delete_predicate_unloaded`` / graph drops) and durability boundary
+    ``quads_removed``, once per row; graph drops) and durability boundary
     (``flush`` / ``commit_batch``) — *before* the inner backend sees the op, so
     a fired fault models dying during the op.  ``op_count`` keeps counting
     with no plan armed; a sweep first runs fault-free to learn how many
@@ -124,12 +124,6 @@ class FaultInjectingBackend(QuadStoreBackend):
     def triple_count(self, graph: URIRef) -> int:
         return self._inner.triple_count(graph)
 
-    def pin_residency(self) -> None:
-        self._inner.pin_residency()
-
-    def unpin_residency(self) -> None:
-        self._inner.unpin_residency()
-
     def close(self) -> None:
         self._inner.close()
 
@@ -151,16 +145,6 @@ class FaultInjectingBackend(QuadStoreBackend):
             self._tick(operation)
         self.op_count += len(rows)
         forward(graph, rows)
-
-    def predicate_removed(self, graph: URIRef, predicate_id: int) -> None:
-        self._tick("predicate_removed")
-        self._inner.predicate_removed(graph, predicate_id)
-
-    def delete_predicate_unloaded(
-        self, graph: URIRef, predicate_id: int
-    ) -> Optional[int]:
-        self._tick("delete_predicate_unloaded")
-        return self._inner.delete_predicate_unloaded(graph, predicate_id)
 
     def drop_graph(self, graph: URIRef) -> bool:
         self._tick("drop_graph")

@@ -73,25 +73,17 @@ class QuadStore:
         #: Followers at a version >= the floor can be bridged from the log.
         self._delta_log_floor = 0
         self._delta_log_cap = 0
-        #: Set when a mutation the log cannot express happened mid-commit
-        #: (bulk unloaded-shard deletes); the
-        #: next :meth:`_log_commit` resets the log instead of appending.
-        self._delta_log_broken = False
         #: Ops recorded for the commit currently being built (``None``
         #: outside a write span / when the log is disabled).
         self._pending_ops: Optional[List[Tuple[str, URIRef, Any]]] = None
 
     @classmethod
-    def sqlite(
-        cls, path: PathLike, max_resident_graphs: Optional[int] = None
-    ) -> "QuadStore":
+    def sqlite(cls, path: PathLike) -> "QuadStore":
         """Open (or create) a sqlite-backed store at ``path``.
 
-        ``max_resident_graphs`` caps how many lazily-loaded graph indexes
-        stay in RAM (LRU eviction with write-through); ``None`` keeps every
-        touched graph resident.
+        Graph indexes load lazily on first touch and stay resident.
         """
-        return cls(backend=SqliteBackend(path, max_resident_graphs=max_resident_graphs))
+        return cls(backend=SqliteBackend(path))
 
     @property
     def backend(self) -> QuadStoreBackend:
@@ -112,19 +104,6 @@ class QuadStore:
         """Make all buffered backend writes durable (no-op when in-memory)."""
         self._backend.note_commit_version(self._commit_version)
         self._backend.flush()
-
-    def pin_residency(self) -> None:
-        """Pause index eviction (see the backend hook); pair with unpin.
-
-        Query engines hold this across one evaluation so a residency-capped
-        backend loads each missing shard at most once per query instead of
-        thrashing on every cross-graph scan.
-        """
-        self._backend.pin_residency()
-
-    def unpin_residency(self) -> None:
-        """Release one pin level (the cap re-applies at depth 0)."""
-        self._backend.unpin_residency()
 
     # ------------------------------------------------- read views / write gate
     @property
@@ -240,7 +219,7 @@ class QuadStore:
         undo, self._undo = self._undo, None
         self._pending_ops = None
         # Replay inverses newest-first against *resident* indexes only: an
-        # index evicted (or never loaded) during the batch re-materializes
+        # index invalidated (or never loaded) during the batch re-materializes
         # from durable storage, which the backend rollback below restores —
         # replaying into a fresh load would double-revert.  Index replay
         # must run before the backend rollback because removing a quoted
@@ -335,7 +314,6 @@ class QuadStore:
             self._delta_log = deque()
             self._delta_log_floor = self._commit_version
             self._delta_log_cap = capacity
-            self._delta_log_broken = False
 
     @property
     def delta_log_floor(self) -> int:
@@ -348,12 +326,12 @@ class QuadStore:
         """Per-commit ops for every commit after ``version``.
 
         Returns ``None`` when the log cannot bridge (disabled, truncated
-        past ``version``, or reset by an unexpressible mutation) — the
+        past ``version``, or reset by a replication jump or reopen) — the
         caller falls back to full changed-shard shipping.  Call under a
         :meth:`read_view` so the log cannot advance mid-read.
         """
         log = self._delta_log
-        if log is None or self._delta_log_broken or version < self._delta_log_floor:
+        if log is None or version < self._delta_log_floor:
             return None
         return [entry for entry in log if entry[0] > version]
 
@@ -363,11 +341,6 @@ class QuadStore:
         log = self._delta_log
         if log is None:
             return
-        if self._delta_log_broken:
-            log.clear()
-            self._delta_log_floor = version
-            self._delta_log_broken = False
-            return
         log.append((version, ops or []))
         while len(log) > self._delta_log_cap:
             dropped_version, _ = log.popleft()
@@ -376,7 +349,6 @@ class QuadStore:
     def _break_delta_log(self) -> None:
         """Reset the log after a non-loggable state change (jump, reopen)."""
         self._pending_ops = None
-        self._delta_log_broken = False
         if self._delta_log is not None:
             self._delta_log.clear()
             self._delta_log_floor = self._commit_version
@@ -561,25 +533,12 @@ class QuadStore:
             self._backend.quads_added(graph, inserted)
         return inserted
 
-    def _delete_rows(
-        self,
-        graph: URIRef,
-        index: GraphIndex,
-        rows: Iterable[IdTriple],
-        whole_predicate: Optional[int] = None,
-    ) -> List[IdTriple]:
-        """The one delete path, :meth:`_insert_rows`'s mirror; returns the removed rows.
-
-        ``whole_predicate`` says the rows are *all* of that predicate's
-        triples, which a durable backend retracts as one scoped delete.
-        """
+    def _delete_rows(self, graph: URIRef, index: GraphIndex, rows: Iterable[IdTriple]) -> List[IdTriple]:
+        """The one delete path, :meth:`_insert_rows`'s mirror; returns the removed rows."""
         removed = index.remove_many(rows)
         if removed:
             self._log_rows("remove", graph, removed)
-            if whole_predicate is None:
-                self._backend.quads_removed(graph, removed)
-            else:
-                self._backend.predicate_removed(graph, whole_predicate)
+            self._backend.quads_removed(graph, removed)
         return removed
 
     def _log_rows(self, kind: str, graph: URIRef, rows: List[IdTriple]) -> None:
@@ -700,44 +659,6 @@ class QuadStore:
                     self._pending_ops.append(("drop", graph, None))
                 self._version += 1
             return dropped
-        finally:
-            self._end_write(depth)
-
-    def remove_predicate(self, predicate: Any, graph: Optional[URIRef] = None) -> int:
-        """Remove every triple with ``predicate`` from the selected graph(s).
-
-        A bulk retraction primitive (e.g. dropping one similarity-edge type
-        lake-wide): the in-memory indexes drop the triples as one batch per
-        graph, and durable backends persist the retraction as a single
-        predicate-scoped delete per shard instead of per-row deletes.
-        Returns the number of triples removed.  (Table refresh uses
-        node-scoped retraction instead — see :meth:`retract_nodes`.)
-        """
-        depth = self._begin_write()
-        try:
-            predicate_id = self._backend.dictionary.lookup(predicate)
-            if predicate_id is None:
-                return 0
-            removed = 0
-            for graph_name in [graph] if graph is not None else self.graphs():
-                # Graphs whose index is not resident (lazily-stored sqlite
-                # shards) are retracted directly in durable storage — no point
-                # loading a shard just to delete from it.
-                unloaded = self._backend.delete_predicate_unloaded(graph_name, predicate_id)
-                if unloaded is not None:
-                    if unloaded:
-                        # The deleted rows were never enumerated — this commit
-                        # cannot be expressed as a row delta.
-                        self._delta_log_broken = True
-                        self._backend.graph_changed(graph_name, self._commit_version + 1)
-                        self._version += unloaded
-                    removed += unloaded
-                    continue
-                index = self._backend.get_index(graph_name)
-                if index is not None:
-                    victims = tuple(index.by_predicate.get(predicate_id, ()))
-                    removed += len(self._delete_rows(graph_name, index, victims, predicate_id))
-            return removed
         finally:
             self._end_write(depth)
 

@@ -135,17 +135,11 @@ class SPARQLEngine:
         Evaluation runs inside one store read view, so the result reflects a
         single committed state even while a governor service is applying
         write batches on another thread — a query never observes a
-        half-applied ingestion batch.  The store's residency cap (if any) is
-        also pinned for the duration: evaluation scans graphs repeatedly,
-        and pinning makes a capped backend load each missing shard at most
-        once per query.
+        half-applied ingestion batch.  A shard the query touches loads once
+        and stays resident.
         """
         with self.store.read_view():
-            self.store.pin_residency()
-            try:
-                return self._evaluate(query)
-            finally:
-                self.store.unpin_residency()
+            return self._evaluate(query)
 
     def _evaluate(self, query: SelectQuery) -> SelectResult:
         ctx = QueryContext(self.store, self.DEFAULT_MEMO_CAPACITY)

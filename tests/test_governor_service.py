@@ -21,6 +21,7 @@ Pins the contracts of the service-API redesign:
 from __future__ import annotations
 
 import queue
+import sys
 import threading
 import time
 
@@ -408,14 +409,15 @@ class TestSqliteCrossThread:
         assert errors == []
         store.close()
 
-    def test_concurrent_readers_on_capped_backend(self, tmp_path):
-        """LRU touches/evictions survive concurrent readers (regression).
+    def test_concurrent_first_touch_loads_each_shard_once(self, tmp_path):
+        """Readers racing to first-touch dormant shards load each one once.
 
-        With ``max_resident_graphs`` every resident-graph read re-orders the
-        LRU dict; two readers touching the same graph used to race the
-        pop/reinsert pair into a ``KeyError``.
+        ``get_index`` re-checks the resident map under the backend lock, so
+        four threads asking for the same unloaded graph share one load and
+        every reader sees the full shard.
         """
-        store = QuadStore.sqlite(tmp_path / "capped.sqlite3", max_resident_graphs=2)
+        path = tmp_path / "dormant.sqlite3"
+        store = QuadStore.sqlite(path)
         predicate = URIRef("http://x/p")
         for graph_index in range(6):
             with store.write_batch():
@@ -426,10 +428,14 @@ class TestSqliteCrossThread:
                         Literal(index),
                         graph=URIRef(f"http://x/g{graph_index}"),
                     )
+        store.close()
+        store = QuadStore.sqlite(path)
         errors = []
+        start = threading.Barrier(4)
 
         def reader():
             try:
+                start.wait(timeout=30)
                 for _ in range(20):
                     for graph_index in range(6):
                         graph = URIRef(f"http://x/g{graph_index}")
@@ -439,12 +445,18 @@ class TestSqliteCrossThread:
                 errors.append(error)
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often enough to race the loads
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert store.backend.shard_evictions > 0
+        assert store.backend.shard_loads == 6
         store.close()
 
 

@@ -10,8 +10,11 @@ These tests pin the contracts of the pluggable-backend storage layer:
 * ``refresh_table`` retracts everything derived from a table's old contents
   — the refreshed graph is byte-identical to governing the modified lake
   from scratch, and re-adds with changed contents route through refresh;
-* the new retraction primitives (``remove_predicate``, ``FlatIndex.remove``,
+* the retraction primitives (``remove_graph``, ``FlatIndex.remove``,
   ``EmbeddingStore.remove``) and the embedding-store disk round-trip;
+* a loaded shard stays resident until it is replaced underneath it
+  (``replace_shard``, ``reopen``), the rebuilt index resumes above the old
+  version, and ``reopen`` refuses while anything is left to flush;
 * the sqlite layout holds no secondary index, and a file written in the
   older layout (``terms.n3 UNIQUE``, a ``(p)`` index per shard) behaves
   exactly like a new one;
@@ -20,6 +23,8 @@ These tests pin the contracts of the pluggable-backend storage layer:
 
 from __future__ import annotations
 
+import os
+import shutil
 import sqlite3
 
 import numpy as np
@@ -196,45 +201,78 @@ class TestSqliteBackend:
         assert reopened.num_triples() == 0
         reopened.close()
 
-    def test_remove_predicate_persists(self, tmp_path):
-        path = tmp_path / "store.sqlite3"
-        store = QuadStore.sqlite(path)
-        p, q = URIRef("http://x/p"), URIRef("http://x/q")
-        for index in range(5):
-            store.add(URIRef(f"http://x/s{index}"), p, Literal(index))
-        store.add(URIRef("http://x/s0"), q, Literal(99))
-        assert store.remove_predicate(p) == 5
-        assert store.predicate_statistics(p) is None
-        store.close()
-        reopened = QuadStore.sqlite(path)
-        assert reopened.num_triples() == 1
-        assert reopened.value(URIRef("http://x/s0"), q) == 99
-        reopened.close()
+    def test_versions_stay_monotonic_across_invalidation(self, tmp_path):
+        """A loaded index stays resident until its graph is replaced
+        underneath it — by ``replace_shard`` or ``reopen`` — and the index
+        rebuilt after that resumes above the dropped one's version, even at
+        an equal row count, so version-keyed caches see the change and
+        ``derived_view`` rebuilds."""
+        store = QuadStore.sqlite(tmp_path / "store.sqlite3")
+        backend = store.backend
+        graph, other, p = URIRef("http://x/g"), URIRef("http://x/other"), URIRef("http://x/p")
+        store.add_many([(URIRef(f"http://x/s{i}"), p, Literal(i)) for i in range(4)], graph)
+        store.add(URIRef("http://x/o"), p, Literal(0), graph=other)
+        encode = store.dictionary.encode
+        replacement = [(encode(URIRef(f"http://x/t{i}")), encode(p), encode(Literal(i))) for i in range(4)]
+        builds = []
 
-    def test_remove_predicate_on_unloaded_shard(self, tmp_path):
-        """Lake-wide predicate retraction must not load dormant shards."""
-        path = tmp_path / "store.sqlite3"
-        store = QuadStore.sqlite(path)
-        g1, g2 = URIRef("http://x/g1"), URIRef("http://x/g2")
-        p = URIRef("http://x/p")
-        store.add(URIRef("http://x/a"), p, Literal(1), graph=g1)
-        store.add(URIRef("http://x/b"), p, Literal(2), graph=g2)
-        store.add(URIRef("http://x/b"), URIRef("http://x/q"), Literal(3), graph=g2)
+        def build(columns, index):
+            builds.append(index)
+            return sorted(index.triples)
+
+        def rows_view():
+            with store.read_view():
+                return store.derived_view(graph, "rows", build)
+
+        for invalidation in ("replace_shard", "reopen"):
+            observed = store.graph_version(graph)
+            resident, before = backend.resident_index(graph), rows_view()
+            list(store.triples(graph=other))
+            assert rows_view() is before and backend.resident_index(graph) is resident
+            loads, built = backend.shard_loads, len(builds)
+            if invalidation == "replace_shard":
+                with store.replication_batch(store.commit_version + 1):
+                    backend.replace_shard(graph, replacement)
+            else:
+                store.reopen()
+            assert backend.resident_index(graph) is None, invalidation
+            assert store.graph_version(graph) > observed, invalidation
+            assert rows_view() == sorted(replacement) and len(builds) == built + 1, invalidation
+            assert backend.shard_loads == loads + 1, invalidation
         store.close()
 
-        reopened = QuadStore.sqlite(path)
-        backend = reopened.backend
-        assert isinstance(backend, SqliteBackend)
-        # Load only g1; g2 stays dormant and is retracted via SQL alone.
-        assert len(list(reopened.triples(graph=g1))) == 1
-        assert reopened.remove_predicate(p) == 2
-        assert g2 not in backend._indexes
-        assert reopened.num_triples() == 1
-        reopened.close()
-        final = QuadStore.sqlite(path)
-        assert final.num_triples() == 1
-        assert not list(final.triples(predicate=p))
-        final.close()
+    def test_reopen_refuses_a_buffered_stray_floor(self, tmp_path):
+        """A lazy replica apply buffers a stray floor (``ingest_term_rows``
+        deletes local terms at or above it at the next flush).  ``reopen``
+        used to accept it and the next flush deleted the *new* file's terms,
+        leaving shards whose ids no longer decode; it must refuse, like any
+        other unflushed write."""
+        writer_path, replica_path = tmp_path / "writer.sqlite3", tmp_path / "replica.sqlite3"
+        writer = QuadStore.sqlite(writer_path)
+        writer.add(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1))
+        writer.flush()
+        writer.backend.checkpoint()
+        shutil.copyfile(writer_path, replica_path)
+        replica = QuadStore.sqlite(replica_path)
+        with replica.replication_batch(replica.commit_version + 1, durable=False):
+            replica.backend.ingest_term_rows(replica.dictionary.next_id, [])
+        writer.add(URIRef("http://x/t"), URIRef("http://x/q"), Literal(2))
+        writer.flush()
+        writer.backend.checkpoint()
+        # A newer snapshot of the same lineage lands at the replica's path.
+        shutil.copyfile(writer_path, tmp_path / "landing.sqlite3")
+        os.replace(tmp_path / "landing.sqlite3", replica_path)
+        with pytest.raises(RuntimeError, match="unflushed"):
+            replica.reopen()
+        replica.close()
+        landed = QuadStore.sqlite(replica_path)
+        try:
+            assert landed.dictionary.export_rows(1) == writer.dictionary.export_rows(1)
+            assert len(landed.dictionary) == 6
+            assert serialize_nquads(landed) == serialize_nquads(writer)
+        finally:
+            landed.close()
+            writer.close()
 
     def test_literal_escapes_round_trip(self, tmp_path):
         """Backslash-then-n/r/t values must survive the text serialization.

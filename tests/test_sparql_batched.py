@@ -1,4 +1,4 @@
-"""The SPARQL executor against its oracle, term dictionary and shard eviction.
+"""The SPARQL executor against its oracle, term dictionary and lookup memo.
 
 Pins the contracts of the dictionary-encoded storage and the columnar
 executor:
@@ -9,10 +9,8 @@ executor:
   backends — in the same order wherever the query has an ORDER BY;
 * **Term dictionary** — term <-> id interning is bidirectional, quoted
   triples are first-class, and ids round-trip byte-stably through a sqlite
-  save/reopen;
-* **LRU shard eviction** — ``max_resident_graphs`` caps resident indexes
-  with write-through flushes, eviction counters, and per-graph version
-  monotonicity across evict/reload cycles;
+  save/reopen (shard residency and version monotonicity across
+  invalidation are pinned in ``tests/test_persistent_governor.py``);
 * **Bounded lookup memo** — the per-pattern memo evicts past capacity and
   reports hit/miss counters through the engine.
 """
@@ -27,7 +25,6 @@ from repro.rdf import (
     Literal,
     QuadStore,
     QuotedTriple,
-    SqliteBackend,
     TermDictionary,
     URIRef,
 )
@@ -397,117 +394,6 @@ class TestTermDictionary:
         dictionary = TermDictionary()
         assert dictionary.encode(_uri("x")) == dictionary.encode(str(_uri("x")))
         assert dictionary.encode(Literal("5")) != dictionary.encode("5")
-
-
-class TestShardEviction:
-    def _populated(self, path, cap):
-        store = QuadStore(backend=SqliteBackend(path, max_resident_graphs=cap))
-        for g in range(5):
-            for i in range(4):
-                store.add(_uri(f"s{i}"), _uri("p"), Literal(i), graph=_uri(f"g{g}"))
-        return store
-
-    def test_resident_set_is_capped(self, tmp_path):
-        store = self._populated(tmp_path / "e.sqlite3", cap=2)
-        backend = store.backend
-        assert isinstance(backend, SqliteBackend)
-        assert len(backend._indexes) <= 2
-        assert backend.shard_evictions >= 3
-        # Every graph still answers correctly after eviction + reload.
-        for g in range(5):
-            assert store.num_triples(_uri(f"g{g}")) == 4
-            assert len(list(store.triples(graph=_uri(f"g{g}")))) == 4
-        assert len(backend._indexes) <= 2
-        store.close()
-
-    def test_write_through_before_eviction(self, tmp_path):
-        """Buffered writes of a shard must be durable before it is evicted."""
-        path = tmp_path / "e.sqlite3"
-        store = self._populated(path, cap=1)
-        store.close()
-        reopened = QuadStore.sqlite(path)
-        assert reopened.num_triples() == 20
-        for g in range(5):
-            assert sorted(
-                str(t.object) for t in reopened.triples(graph=_uri(f"g{g}"))
-            ) == sorted(str(Literal(i)) for i in range(4))
-        reopened.close()
-
-    def test_eviction_counters_exposed(self, tmp_path):
-        store = self._populated(tmp_path / "e.sqlite3", cap=2)
-        backend = store.backend
-        loads_before = backend.shard_loads
-        evictions_before = backend.shard_evictions
-        # Touching an evicted graph reloads it (and evicts another).
-        victims = [g for g in store.graphs() if g not in backend._indexes]
-        assert victims
-        list(store.triples(graph=victims[0]))
-        assert backend.shard_loads == loads_before + 1
-        assert backend.shard_evictions == evictions_before + 1
-        store.close()
-
-    def test_graph_version_monotonic_across_eviction(self, tmp_path):
-        """Version-keyed reader caches must never see a reload as 'no change'."""
-        store = self._populated(tmp_path / "e.sqlite3", cap=1)
-        graph = _uri("g0")
-        version_before = store.graph_version(graph)  # forces a reload
-        # Touch the other graphs so g0 is evicted again.
-        for g in range(1, 5):
-            store.num_triples(_uri(f"g{g}"))
-            list(store.triples(graph=_uri(f"g{g}")))
-        store.add(_uri("sX"), _uri("p"), Literal(99), graph=graph)
-        assert store.graph_version(graph) > version_before
-        store.close()
-
-    def test_version_advances_for_unloaded_predicate_delete(self, tmp_path):
-        """A predicate delete on an evicted shard must advance the version
-        floor: shrinking by N and reloading would otherwise land exactly on
-        the pre-eviction counter and keep version-keyed caches stale."""
-        store = self._populated(tmp_path / "e.sqlite3", cap=1)
-        graph = _uri("g0")
-        observed = store.graph_version(graph)  # loads g0
-        list(store.triples(graph=_uri("g4")))  # evicts g0
-        backend = store.backend
-        assert graph not in backend._indexes
-        assert store.remove_predicate(_uri("p"), graph=graph) == 4
-        assert graph not in backend._indexes  # retracted in sqlite directly
-        assert store.graph_version(graph) > observed
-        assert store.num_triples(graph) == 0
-        store.close()
-
-    def test_cap_of_one_still_functions(self, tmp_path):
-        store = self._populated(tmp_path / "e.sqlite3", cap=1)
-        backend = store.backend
-        assert len(backend._indexes) <= 1
-        engine = SPARQLEngine(store)
-        result = engine.select(f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o . }}")
-        assert len(result) == 20
-        store.close()
-
-    def test_invalid_cap_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            SqliteBackend(tmp_path / "bad.sqlite3", max_resident_graphs=0)
-
-    def test_query_pins_residency_loading_each_shard_once(self, tmp_path):
-        """A cross-graph query on a capped store must load each missing
-        shard at most once (the engine pins residency for the evaluation),
-        and the cap must re-apply once the query finishes."""
-        path = tmp_path / "pin.sqlite3"
-        store = self._populated(path, cap=None)
-        store.close()
-        capped = QuadStore.sqlite(path, max_resident_graphs=2)
-        backend = capped.backend
-        engine = SPARQLEngine(capped)
-        query = f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o . ?s <{EX}p> ?o . }}"
-        # 4 distinct (s, o) pairs replicated in all 5 graphs: the first
-        # pattern binds 20 rows, the self-join matches each in 5 graphs.
-        assert len(engine.select(query)) == 100
-        first_loads = backend.shard_loads
-        assert first_loads == 5  # one load per shard, despite cap < graphs
-        assert len(backend._indexes) <= 2  # cap re-applied after the query
-        assert len(engine.select(query)) == 100
-        assert backend.shard_loads - first_loads <= 5
-        capped.close()
 
 
 class TestBoundedMemo:

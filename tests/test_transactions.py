@@ -112,7 +112,7 @@ def batch_workload(store: QuadStore) -> None:
     store.remove(u("s1"), u("p2"), Literal(7), graph=G1)  # pre-existing triple
     store.add(u("n3"), u("p1"), Literal(1), graph=URIRef(EX + "graph/created"))
     store.remove_graph(G2)  # pre-existing graph
-    store.remove_predicate(u("p3"))
+    store.retract_nodes([u("s3")])  # the default graph's one row
     store.add(u("n4"), u("p4"), Literal("tail"), graph=G1)
 
 
@@ -137,7 +137,7 @@ def count_batch_points(path=None) -> int:
 # ---------------------------------------------------------------------------
 class TestStoreRollbackSweep:
     def test_workload_has_enough_fault_points(self):
-        assert count_batch_points() >= 8  # adds, removes, drop, predicate, commit
+        assert count_batch_points() >= 8  # adds, removes, drop, retraction, commit
 
     def test_rollback_is_byte_identical_at_every_fault_point(self):
         total = count_batch_points()
@@ -233,7 +233,7 @@ op_strategy = st.one_of(
         st.sampled_from(GRAPHS),
     ),
     st.tuples(st.just("remove_graph"), st.sampled_from([G1, G2])),
-    st.tuples(st.just("remove_predicate"), st.sampled_from(PREDICATES)),
+    st.tuples(st.just("retract_nodes"), st.lists(st.sampled_from(SUBJECTS), max_size=2), st.sampled_from(GRAPHS)),
 )
 
 
@@ -247,8 +247,8 @@ def apply_ops(store: QuadStore, ops) -> None:
             store.annotate(op[1], op[2], Literal(op[3]), u("score"), Literal(0.5), graph=op[4])
         elif op[0] == "remove_graph":
             store.remove_graph(op[1])
-        elif op[0] == "remove_predicate":
-            store.remove_predicate(op[1])
+        elif op[0] == "retract_nodes":
+            store.retract_nodes(op[1], graph=op[2])
 
 
 class TestHypothesisRollback:
