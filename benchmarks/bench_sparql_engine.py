@@ -10,7 +10,7 @@ Measures the one production executor on a governed lake:
 * **Backend parity**: both backends must return the same rows (modulo
   order) — ids assigned by the persistent term dictionary round-trip
   (``rows_identical_across_backends``, gated by ``check_regressions.py``).
-* **Memo counters**: hits / misses / evictions of the pattern-lookup memos
+* **Memo counters**: hits / misses of the pattern-lookup memos
   and the FILTER verdict tables over one pass of the query set.
 * **Memory**: retained bytes of the id-encoded storage (int-triple indexes +
   one shared term dictionary) versus a seed-style term-triple store with

@@ -12,7 +12,6 @@ storage backends behind the :class:`QuadStore` interface:
 """
 
 from repro.rdf.backend import (
-    InMemoryBackend,
     PersistentTermDictionary,
     QuadStoreBackend,
     SqliteBackend,
@@ -56,7 +55,6 @@ __all__ = [
     "Triple",
     "QuadStore",
     "QuadStoreBackend",
-    "InMemoryBackend",
     "SqliteBackend",
     "GraphIndex",
     "IdTriple",

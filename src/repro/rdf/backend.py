@@ -1,25 +1,35 @@
-"""Pluggable quad-store backends: where the LiDS graph's quads live durably.
+"""Quad-store backends: where the LiDS graph's quads live.
 
-:class:`QuadStore` delegates all graph management to a
-:class:`QuadStoreBackend`.  Every backend owns one shared
-:class:`~repro.rdf.terms.TermDictionary` (term <-> integer-id interning) and
-hands out the same id-keyed :class:`~repro.rdf.graph_index.GraphIndex`
-structure for matching, so pattern semantics, cardinality statistics and
-therefore SPARQL ``explain()`` plans are identical across backends — backends
-differ only in durability:
+:class:`QuadStore` delegates all graph management to a backend, and there is
+one backend shape with one implementation behind it:
 
-* :class:`InMemoryBackend` — the seed behaviour: graphs live in a plain dict
-  and die with the process.
-* :class:`SqliteBackend` — terms are persisted once in a ``terms`` dictionary
-  table and quads are sharded into one sqlite table of integer id-triples per
-  named graph (the LiDS layout: one graph per pipeline plus the dataset /
-  library / ontology graphs).  Writes are buffered and flushed in batches; on
-  open, the term dictionary's text is loaded eagerly (terms parse lazily on
-  first decode) while a graph's index — per-predicate statistics and partial
+* :class:`QuadStoreBackend` — the in-memory store, and the base every durable
+  backend extends.  It owns the shared
+  :class:`~repro.rdf.terms.TermDictionary` (term <-> integer-id interning),
+  the resident ``graph -> GraphIndex`` map and every read over it
+  (``graph_names``, ``get_index``, ``ensure_index``, ``items``,
+  ``triple_count``, ``indexes_for``, ``resident_index``), the graphs created
+  in the open batch (discarded on rollback), the undoable drop
+  (``drop_graph_for_undo`` / ``restore_graph``) and the per-graph change marks
+  replication reads.  Its persistence hooks are no-ops and its graphs die with
+  the process.
+* :class:`SqliteBackend` — overrides only what durability needs: the shard
+  catalog, lazy shard load, shard create and drop, the row hooks, flush and
+  close, the batch transaction, and its replication / reopen / crash
+  primitives.  Terms are persisted once in a ``terms`` dictionary table and
+  quads are sharded into one sqlite table of integer id-triples per named
+  graph (the LiDS layout: one graph per pipeline plus the dataset / library /
+  ontology graphs).  Writes are buffered and flushed in batches; on open, the
+  term dictionary's text is loaded eagerly (terms parse lazily on first
+  decode) while a graph's index — per-predicate statistics and partial
   quoted-triple indexes included — is rebuilt lazily the first time the graph
   is touched, so reopening a governed lake never pays for graphs a query does
   not read.  A loaded index stays resident until its graph is dropped or
   replaced underneath it (``replace_shard``, ``reopen``).
+
+Both hand out the same id-keyed :class:`~repro.rdf.graph_index.GraphIndex`
+for matching, so pattern semantics, cardinality statistics and therefore
+SPARQL ``explain()`` plans do not depend on where the quads live.
 
 Terms are persisted in their N-Triples text form (``term_n3``) and parsed
 back with :func:`repro.rdf.terms.parse_term`; plain Python values that the
@@ -37,7 +47,6 @@ import random
 import sqlite3
 import threading
 import time
-from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -48,42 +57,81 @@ from repro.rdf.terms import QuotedTriple, TermDictionary, URIRef, parse_term, te
 PathLike = Union[str, Path]
 
 
-class QuadStoreBackend(ABC):
-    """Storage backend protocol behind :class:`~repro.rdf.store.QuadStore`.
+class QuadStoreBackend:
+    """The in-memory backend, and the base of every durable one.
 
     The reader side hands out :class:`GraphIndex` objects (``get_index`` /
     ``ensure_index`` / ``items``) that share the backend's ``dictionary``;
     the writer side receives persistence hooks *after* the in-memory index
     has been updated (``quads_added`` etc., all id-encoded, one call per
-    row batch), so a non-durable backend can ignore them entirely.
+    row batch), which this class ignores and a durable backend buffers.
+
+    A durable backend keeps ``_indexes`` as its *resident* subset and
+    overrides :attr:`_catalog` (every graph it holds, loaded or not),
+    ``get_index`` (lazy load), ``_create_graph`` (shard create) and
+    ``drop_graph`` (shard drop); everything else here reads those.
     """
 
     #: Whether this backend survives process restarts.
-    persistent: bool = False
+    persistent = False
 
-    #: The term dictionary shared by every graph of this backend.
-    dictionary: TermDictionary
+    #: Whether ``QuadStore.replication_batch(durable=False)`` may defer this
+    #: backend's durability work (see :class:`SqliteBackend`).
+    supports_lazy_replication = False
+
+    def __init__(self):
+        #: The term dictionary shared by every graph of this backend.
+        self.dictionary: TermDictionary = TermDictionary()
+        #: Resident per-graph indexes (here: every graph).
+        self._indexes: Dict[URIRef, GraphIndex] = {}
+        #: Indexes created by the open batch (``None`` outside a batch).
+        self._batch_created: Optional[Dict[URIRef, GraphIndex]] = None
+        #: Per-graph change high-water marks (see :meth:`graph_changed`).
+        self._graph_change_versions: Dict[URIRef, int] = {}
+        #: Versions at or below this may hide changes (see :meth:`changed_since`).
+        self._change_baseline = 0
+        #: What the backend verified and repaired on open.
+        self.recovery: Dict[str, Any] = {}
 
     # ----------------------------------------------------------------- graphs
-    @abstractmethod
+    @property
+    def _catalog(self) -> Dict[URIRef, Any]:
+        """``graph name -> entry`` for every graph held, in creation order.
+
+        The entry is what :meth:`restore_graph` puts back after an undoable
+        drop: here the index itself, a shard id on a durable backend.
+        """
+        return self._indexes
+
     def graph_names(self) -> List[URIRef]:
         """Names of all graphs currently holding triples (no index loads)."""
+        return list(self._catalog)
 
-    @abstractmethod
     def get_index(self, graph: URIRef) -> Optional[GraphIndex]:
         """The graph's index, loading it if necessary; ``None`` when absent."""
+        return self._indexes.get(graph)
 
-    @abstractmethod
     def ensure_index(self, graph: URIRef) -> GraphIndex:
         """The graph's index, creating the graph when absent."""
+        index = self.get_index(graph)
+        return index if index is not None else self._create_graph(graph)
 
-    @abstractmethod
+    def _create_graph(self, graph: URIRef) -> GraphIndex:
+        """A new empty graph, remembered by the open batch for rollback."""
+        index = self._indexes[graph] = GraphIndex(self.dictionary)
+        if self._batch_created is not None:
+            # The first index wins: a graph created, dropped and re-created
+            # in one batch gets its first index back from undo replay.
+            self._batch_created.setdefault(graph, index)
+        return index
+
     def drop_graph(self, graph: URIRef) -> bool:
         """Drop a whole named graph (a backend-level retraction primitive)."""
+        return self._indexes.pop(graph, None) is not None
 
-    @abstractmethod
     def items(self) -> Iterable[Tuple[URIRef, GraphIndex]]:
         """``(name, index)`` for every graph (loads all lazily-stored graphs)."""
+        return [(graph, self.get_index(graph)) for graph in self.graph_names()]
 
     def triple_count(self, graph: URIRef) -> int:
         """Number of triples in one graph, without forcing an index load."""
@@ -101,6 +149,16 @@ class QuadStoreBackend(ABC):
             index = self.get_index(graph)
             return [index] if index is not None else []
         return [index for _, index in self.items()]
+
+    def resident_index(self, graph: URIRef) -> Optional[GraphIndex]:
+        """The graph's index only if it is already in memory (no load).
+
+        Undo replay targets exactly the state a failed batch touched: an
+        index invalidated (or never loaded) during the batch is rebuilt from
+        durable storage on next touch, which the backend rollback already
+        restored — replaying into a fresh load would double-revert.
+        """
+        return self._indexes.get(graph)
 
     # ------------------------------------------------------ persistence hooks
     def quads_added(self, graph: URIRef, rows: List[IdTriple]) -> None:
@@ -121,35 +179,35 @@ class QuadStoreBackend(ABC):
 
         Everything mutated until :meth:`commit_batch` either lands as one
         durable commit or is wound back entirely by :meth:`rollback_batch`.
-        The default implementation only marks the term dictionary so an
-        aborted batch cannot leak interned ids (which would change the ids —
-        and therefore the durable byte layout — of later terms).
+        The term dictionary is marked so an aborted batch cannot leak
+        interned ids (which would change the ids — and therefore the durable
+        byte layout — of later terms).
         """
         self._dictionary_mark = self.dictionary.mark()
+        self._batch_created = {}
 
     def commit_batch(self, commit_version: int) -> None:
         """Make the open batch durable, stamped with ``commit_version``."""
         self.note_commit_version(commit_version)
         self.flush()
+        self._batch_created = None
 
     def rollback_batch(self) -> None:
-        """Discard the open batch's durable writes and dictionary entries.
+        """Discard the open batch's graphs, durable writes and dictionary entries.
 
         The store has already replayed its undo log against the resident
-        indexes; this only unwinds backend-owned state (buffered rows, the
-        sqlite transaction, terms interned during the batch).
+        indexes; this only unwinds backend-owned state: the graphs the batch
+        created and the terms it interned (a durable backend also drops its
+        buffered rows and the open transaction).
         """
+        created, self._batch_created = self._batch_created, None
+        for graph, index in (created or {}).items():
+            # Identity guard: a graph dropped and re-created during the batch
+            # may by now hold a *restored* pre-batch index (undo replay runs
+            # before this) — only discard the index this batch created.
+            if self._indexes.get(graph) is index:
+                del self._indexes[graph]
         self.dictionary.rollback_to(self._dictionary_mark)
-
-    def resident_index(self, graph: URIRef) -> Optional[GraphIndex]:
-        """The graph's index only if it is already in memory (no load).
-
-        Undo replay targets exactly the state a failed batch touched: an
-        index invalidated (or never loaded) during the batch is rebuilt from
-        durable storage on next touch, which the backend rollback already
-        restored — replaying into a fresh load would double-revert.
-        """
-        return self.get_index(graph)
 
     def drop_graph_for_undo(self, graph: URIRef) -> Optional[Any]:
         """Drop a graph, returning an opaque token that can restore it.
@@ -158,11 +216,23 @@ class QuadStoreBackend(ABC):
         is only valid within the current batch, passed to
         :meth:`restore_graph` during rollback.
         """
-        raise NotImplementedError
+        entry = self._catalog.get(graph)
+        if entry is None:
+            return None
+        token = (entry, self._indexes.get(graph))
+        self.drop_graph(graph)
+        return token
 
     def restore_graph(self, graph: URIRef, token: Any) -> None:
-        """Reinstate a graph dropped via :meth:`drop_graph_for_undo`."""
-        raise NotImplementedError
+        """Reinstate a graph dropped via :meth:`drop_graph_for_undo`.
+
+        Only the in-memory mappings come back: a durable backend's batch
+        rollback resurrects the shard itself.
+        """
+        entry, index = token
+        self._catalog[graph] = entry
+        if index is not None:
+            self._indexes[graph] = index
 
     def committed_version(self) -> int:
         """The last durably committed commit version (0 for volatile stores)."""
@@ -170,6 +240,10 @@ class QuadStoreBackend(ABC):
 
     def note_commit_version(self, commit_version: int) -> None:
         """Record the store's commit version for the next durable commit."""
+
+    def reopen(self, changed_graphs: Optional[Iterable[URIRef]] = None) -> Dict[str, Any]:
+        """Re-read durable state replaced underneath (durable backends only)."""
+        raise RuntimeError(f"{type(self).__name__} does not support reopen")
 
     # ------------------------------------------------------- change inspection
     def graph_changed(self, graph: URIRef, version: int) -> None:
@@ -181,47 +255,26 @@ class QuadStoreBackend(ABC):
         versions may stay recorded — over-reporting a change is safe (the
         follower re-pulls an identical shard), under-reporting is not.
         """
-        versions = getattr(self, "_graph_change_versions", None)
-        if versions is None:
-            versions = self._graph_change_versions = {}
-        previous = versions.get(graph, 0)
-        if version > previous:
-            versions[graph] = version
-
-    def change_baseline(self) -> int:
-        """Versions at or below this may hide changes (see :meth:`changed_since`).
-
-        A freshly created volatile store has seen every mutation, so its
-        baseline is 0; a durable backend reopened from disk cannot know when
-        its pre-existing graphs last changed, so its baseline is the durable
-        commit version at open — ``changed_since`` conservatively reports
-        every pre-existing graph to followers older than that.
-        """
-        return 0
+        if version > self._graph_change_versions.get(graph, 0):
+            self._graph_change_versions[graph] = version
 
     def changed_since(self, version: int) -> List[URIRef]:
         """Graphs that may hold changes committed after ``version``.
 
         Never under-reports: graphs with no recorded change version are
-        assumed changed at :meth:`change_baseline`.  Dropped graphs are not
-        listed (they are no longer in the catalog); followers diff the
-        catalog itself to observe drops.
+        assumed changed at the change baseline — 0 for a fresh store, which
+        has seen every mutation; the durable commit version at open for a
+        reopened one, which cannot know when its pre-existing graphs last
+        changed.  Dropped graphs are not listed (they are no longer in the
+        catalog); followers diff the catalog itself to observe drops.
         """
-        versions = getattr(self, "_graph_change_versions", {})
-        baseline = self.change_baseline()
-        return [
-            graph
-            for graph in self.graph_names()
-            if versions.get(graph, baseline) > version
-        ]
+        versions = self.change_versions()
+        return [graph for graph, changed in versions.items() if changed > version]
 
     def change_versions(self) -> Dict[URIRef, int]:
         """Per-graph change high-water marks (recorded or baseline)."""
-        versions = getattr(self, "_graph_change_versions", {})
-        baseline = self.change_baseline()
-        return {
-            graph: versions.get(graph, baseline) for graph in self.graph_names()
-        }
+        versions, baseline = self._graph_change_versions, self._change_baseline
+        return {graph: versions.get(graph, baseline) for graph in self.graph_names()}
 
     def shard_files(self) -> Dict[str, str]:
         """``graph name -> durable shard name`` (empty for volatile backends).
@@ -231,62 +284,6 @@ class QuadStoreBackend(ABC):
         backend internals.
         """
         return {}
-
-
-class InMemoryBackend(QuadStoreBackend):
-    """The seed storage: a dict of :class:`GraphIndex` per named graph."""
-
-    persistent = False
-
-    def __init__(self):
-        self.dictionary = TermDictionary()
-        self._graphs: Dict[URIRef, GraphIndex] = {}
-        self._batch_created: Optional[Dict[URIRef, GraphIndex]] = None
-
-    def graph_names(self) -> List[URIRef]:
-        return list(self._graphs.keys())
-
-    def get_index(self, graph: URIRef) -> Optional[GraphIndex]:
-        return self._graphs.get(graph)
-
-    def ensure_index(self, graph: URIRef) -> GraphIndex:
-        index = self._graphs.get(graph)
-        if index is None:
-            index = self._graphs[graph] = GraphIndex(self.dictionary)
-            if self._batch_created is not None:
-                self._batch_created.setdefault(graph, index)
-        return index
-
-    def drop_graph(self, graph: URIRef) -> bool:
-        return self._graphs.pop(graph, None) is not None
-
-    def items(self) -> Iterable[Tuple[URIRef, GraphIndex]]:
-        return list(self._graphs.items())
-
-    # ------------------------------------------------------------ transactions
-    def begin_batch(self) -> None:
-        super().begin_batch()
-        self._batch_created = {}
-
-    def commit_batch(self, commit_version: int) -> None:
-        self._batch_created = None
-        super().commit_batch(commit_version)
-
-    def rollback_batch(self) -> None:
-        created, self._batch_created = self._batch_created, None
-        for graph, index in (created or {}).items():
-            # Identity guard: a graph dropped and re-created during the batch
-            # may by now hold a *restored* pre-batch index (undo replay runs
-            # before this) — only discard the index this batch created.
-            if self._graphs.get(graph) is index:
-                del self._graphs[graph]
-        super().rollback_batch()
-
-    def drop_graph_for_undo(self, graph: URIRef) -> Optional[GraphIndex]:
-        return self._graphs.pop(graph, None)
-
-    def restore_graph(self, graph: URIRef, token: GraphIndex) -> None:
-        self._graphs[graph] = token
 
 
 class PersistentTermDictionary(TermDictionary):
@@ -557,6 +554,7 @@ class SqliteBackend(QuadStoreBackend):
     supports_lazy_replication = True
 
     def __init__(self, path: PathLike, flush_threshold: int = 8192):
+        super().__init__()
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.flush_threshold = flush_threshold
@@ -570,7 +568,6 @@ class SqliteBackend(QuadStoreBackend):
         #: lock (reentrant: ``flush`` runs inside other locked sections).
         self._db_lock = threading.RLock()
         self._in_batch = False
-        self._batch_created: Dict[URIRef, int] = {}
         self._shards_snapshot: Optional[Dict[URIRef, int]] = None
         self._crashed = False
         self._connection = self._connect()
@@ -583,7 +580,7 @@ class SqliteBackend(QuadStoreBackend):
         #: ``reopen`` refuses to splice incremental state across lineages.
         self._uid = self._read_meta("store_uid")
         #: Graphs existing at open changed at-or-before this version (see
-        #: ``change_baseline``): reopening loses the in-memory change marks.
+        #: ``changed_since``): reopening loses the in-memory change marks.
         self._change_baseline = self._durable_version
         self._noted_version: Optional[int] = None
         self.dictionary = PersistentTermDictionary()
@@ -595,8 +592,6 @@ class SqliteBackend(QuadStoreBackend):
                 "SELECT id, name FROM graphs ORDER BY id"
             )
         }
-        #: Resident per-graph indexes.
-        self._indexes: Dict[URIRef, GraphIndex] = {}
         #: Version offset carried across invalidations, per graph (monotonicity).
         self._version_base: Dict[URIRef, int] = {}
         #: Ordered write buffer: ``(op, shard_id, params)``.
@@ -608,7 +603,7 @@ class SqliteBackend(QuadStoreBackend):
         self._term_floor: Optional[int] = None
         self._closed = False
         #: What :meth:`_recover` found and repaired on open (see that method).
-        self.recovery: Dict[str, Any] = self._recover()
+        self.recovery = self._recover()
 
     def _connect(self) -> sqlite3.Connection:
         # ``isolation_level=None`` turns off the sqlite3 module's implicit
@@ -661,12 +656,10 @@ class SqliteBackend(QuadStoreBackend):
         """Lineage identity of the database file (stable across flushes)."""
         return self._uid
 
-    def change_baseline(self) -> int:
-        return self._change_baseline
-
     # ----------------------------------------------------------------- graphs
-    def graph_names(self) -> List[URIRef]:
-        return list(self._shards.keys())
+    @property
+    def _catalog(self) -> Dict[URIRef, int]:
+        return self._shards
 
     def get_index(self, graph: URIRef) -> Optional[GraphIndex]:
         index = self._indexes.get(graph)
@@ -682,18 +675,15 @@ class SqliteBackend(QuadStoreBackend):
                     index = self._load_shard(graph, shard_id)
         return index
 
-    def ensure_index(self, graph: URIRef) -> GraphIndex:
-        index = self.get_index(graph)
-        if index is None:
-            # Publish the catalog/index entries under the same lock as the
-            # DDL so a concurrent reader can never see the shard id without
-            # its table (or vice versa).  Inside a batch the DDL rides the
-            # batch transaction (sqlite DDL is transactional), so a rollback
-            # removes the catalog row and the shard table together.
-            with self._db_lock:
-                self._ensure_shard(graph)
-                index = self._indexes[graph] = GraphIndex(self.dictionary)
-        return index
+    def _create_graph(self, graph: URIRef) -> GraphIndex:
+        # Publish the catalog/index entries under the same lock as the DDL so
+        # a concurrent reader can never see the shard id without its table
+        # (or vice versa).  Inside a batch the DDL rides the batch
+        # transaction (sqlite DDL is transactional), so a rollback removes
+        # the catalog row and the shard table together.
+        with self._db_lock:
+            self._ensure_shard(graph)
+            return super()._create_graph(graph)
 
     def _ensure_shard(self, graph: URIRef) -> int:
         """Create the catalog row + shard table for ``graph`` if missing.
@@ -709,8 +699,6 @@ class SqliteBackend(QuadStoreBackend):
                 shard_id = int(cursor.lastrowid)
                 self._create_shard_table(shard_id)
             self._shards[graph] = shard_id
-            if self._in_batch:
-                self._batch_created[graph] = shard_id
         return shard_id
 
     def drop_graph(self, graph: URIRef) -> bool:
@@ -730,10 +718,6 @@ class SqliteBackend(QuadStoreBackend):
                     "DELETE FROM graphs WHERE id = ?", (shard_id,)
                 )
         return True
-
-    def items(self) -> Iterable[Tuple[URIRef, GraphIndex]]:
-        """All ``(name, index)`` pairs — a full-store scan (loads every shard)."""
-        return [(graph, self.get_index(graph)) for graph in self.graph_names()]
 
     def triple_count(self, graph: URIRef) -> int:
         index = self._indexes.get(graph)
@@ -846,7 +830,6 @@ class SqliteBackend(QuadStoreBackend):
             self.flush()
             super().begin_batch()
             self._shards_snapshot = dict(self._shards)
-            self._batch_created = {}
             self._txn_begin()
             self._in_batch = True
 
@@ -857,7 +840,7 @@ class SqliteBackend(QuadStoreBackend):
             self._write_meta()
             self._txn_commit()
             self._in_batch = False
-            self._batch_created = {}
+            self._batch_created = None
             self._shards_snapshot = None
 
     def rollback_batch(self) -> None:
@@ -868,47 +851,13 @@ class SqliteBackend(QuadStoreBackend):
             self._pending.clear()
             self._pending_term_replaces.clear()
             self._term_floor = None
-            self.dictionary.rollback_to(self._dictionary_mark)
             if not self._closed:
-                try:
-                    self._connection.execute("ROLLBACK")
-                except sqlite3.OperationalError:
-                    # No transaction open — an injected "crash" already tore
-                    # it down; the journal rollback happens on reopen.
-                    pass
-            for graph in self._batch_created:
-                # Discard indexes of graphs created by the aborted batch —
-                # unless the graph pre-existed (drop-then-recreate), in which
-                # case undo replay restored the pre-batch index and it must
-                # stay resident.
-                if self._shards_snapshot is None or graph not in self._shards_snapshot:
-                    self._indexes.pop(graph, None)
-            if self._shards_snapshot is not None:
-                self._shards = dict(self._shards_snapshot)
-            self._batch_created = {}
-            self._shards_snapshot = None
+                # No transaction is open after an injected "crash" tore it
+                # down; the journal rollback then happens on reopen.
+                self._txn_rollback()
+            super().rollback_batch()
+            self._shards, self._shards_snapshot = self._shards_snapshot, None
             self._noted_version = None
-
-    def resident_index(self, graph: URIRef) -> Optional[GraphIndex]:
-        return self._indexes.get(graph)
-
-    def drop_graph_for_undo(self, graph: URIRef) -> Optional[Tuple[int, Optional[GraphIndex]]]:
-        with self._db_lock:
-            shard_id = self._shards.get(graph)
-            if shard_id is None:
-                return None
-            index = self._indexes.get(graph)
-            self.drop_graph(graph)
-            return (shard_id, index)
-
-    def restore_graph(self, graph: URIRef, token: Tuple[int, Optional[GraphIndex]]) -> None:
-        shard_id, index = token
-        with self._db_lock:
-            # The sqlite ROLLBACK resurrects the shard table and catalog row;
-            # only the in-memory mappings need reinstating here.
-            self._shards[graph] = shard_id
-            if index is not None:
-                self._indexes[graph] = index
 
     def committed_version(self) -> int:
         return self._durable_version

@@ -9,6 +9,10 @@ log must roll back) or severs the inner backend mid-write
 (:class:`InjectedCrash` — buffered writes dropped, the open sqlite
 transaction left uncommitted, as a ``kill -9`` would).
 
+The wrapper is not a backend of its own: it defines only the fault points
+and forwards every other attribute to the backend it wraps, so what a
+wrapped store reads, replicates or reports is the inner backend's answer.
+
 The crash-point sweep tests drive a governed ingestion once per fault
 point and assert the store afterwards is byte-identical to one that never
 saw the failed batch — at *every* point, which is what makes the batch
@@ -18,11 +22,11 @@ saw the failed batch — at *every* point, which is what makes the batch
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.rdf.backend import QuadStoreBackend
-from repro.rdf.graph_index import GraphIndex, IdTriple
-from repro.rdf.terms import TermDictionary, URIRef
+from repro.rdf.graph_index import IdTriple
+from repro.rdf.terms import URIRef
 
 
 class InjectedFault(RuntimeError):
@@ -60,8 +64,8 @@ class FaultPlan:
             raise ValueError("fault point counts are 1-based")
 
 
-class FaultInjectingBackend(QuadStoreBackend):
-    """A delegating backend that fails on command (see module docstring).
+class FaultInjectingBackend:
+    """A backend wrapper that fails on command (see module docstring).
 
     Fault points tick on every mutation hook (``quads_added`` /
     ``quads_removed``, once per row; graph drops) and durability boundary
@@ -69,6 +73,12 @@ class FaultInjectingBackend(QuadStoreBackend):
     a fired fault models dying during the op.  ``op_count`` keeps counting
     with no plan armed; a sweep first runs fault-free to learn how many
     points one workload has, then replays it once per point.
+
+    Every other attribute — reads, batch begin / rollback, undo restore
+    (which must never fault: a failed rollback is corruption), change
+    inspection, replication primitives — is the inner backend's own,
+    forwarded by :meth:`__getattr__`, so the wrapper answers exactly what the
+    backend it wraps answers.
     """
 
     def __init__(self, inner: QuadStoreBackend, plan: Optional[FaultPlan] = None):
@@ -78,6 +88,9 @@ class FaultInjectingBackend(QuadStoreBackend):
         self.op_count = 0
         #: ``(operation, count)`` of the last fired fault, if any.
         self.fired: Optional[Tuple[str, int]] = None
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._inner, name)
 
     # ------------------------------------------------------------ fault engine
     def _tick(self, operation: str) -> None:
@@ -95,45 +108,6 @@ class FaultInjectingBackend(QuadStoreBackend):
             raise InjectedCrash(f"injected crash at {operation} #{self.op_count}")
         raise InjectedFault(f"injected fault at {operation} #{self.op_count}")
 
-    # -------------------------------------------------------------- delegation
-    @property
-    def persistent(self) -> bool:  # type: ignore[override]
-        return self._inner.persistent
-
-    @property
-    def dictionary(self) -> TermDictionary:  # type: ignore[override]
-        return self._inner.dictionary
-
-    @property
-    def inner(self) -> QuadStoreBackend:
-        """The wrapped backend (e.g. to reach ``SqliteBackend.path``)."""
-        return self._inner
-
-    def graph_names(self) -> List[URIRef]:
-        return self._inner.graph_names()
-
-    def get_index(self, graph: URIRef) -> Optional[GraphIndex]:
-        return self._inner.get_index(graph)
-
-    def ensure_index(self, graph: URIRef) -> GraphIndex:
-        return self._inner.ensure_index(graph)
-
-    def items(self) -> Iterable[Tuple[URIRef, GraphIndex]]:
-        return self._inner.items()
-
-    def triple_count(self, graph: URIRef) -> int:
-        return self._inner.triple_count(graph)
-
-    def close(self) -> None:
-        self._inner.close()
-
-    # ------------------------------------------- faulting mutation delegation
-    def quads_added(self, graph: URIRef, rows: List[IdTriple]) -> None:
-        self._tick_rows("quad_added", self._inner.quads_added, graph, rows)
-
-    def quads_removed(self, graph: URIRef, rows: List[IdTriple]) -> None:
-        self._tick_rows("quad_removed", self._inner.quads_removed, graph, rows)
-
     def _tick_rows(self, operation: str, forward, graph: URIRef, rows: List[IdTriple]) -> None:
         """One fault point per row: a plan armed inside the batch fires
         mid-batch, after the inner backend took the rows ahead of that one."""
@@ -146,6 +120,13 @@ class FaultInjectingBackend(QuadStoreBackend):
         self.op_count += len(rows)
         forward(graph, rows)
 
+    # ------------------------------------------------------------ fault points
+    def quads_added(self, graph: URIRef, rows: List[IdTriple]) -> None:
+        self._tick_rows("quad_added", self._inner.quads_added, graph, rows)
+
+    def quads_removed(self, graph: URIRef, rows: List[IdTriple]) -> None:
+        self._tick_rows("quad_removed", self._inner.quads_removed, graph, rows)
+
     def drop_graph(self, graph: URIRef) -> bool:
         self._tick("drop_graph")
         return self._inner.drop_graph(graph)
@@ -154,34 +135,10 @@ class FaultInjectingBackend(QuadStoreBackend):
         self._tick("drop_graph")
         return self._inner.drop_graph_for_undo(graph)
 
-    def restore_graph(self, graph: URIRef, token: Any) -> None:
-        # Undo replay must never fault: a failed rollback is corruption.
-        self._inner.restore_graph(graph, token)
-
     def flush(self) -> None:
         self._tick("flush")
         self._inner.flush()
 
-    # ---------------------------------------------------- transaction protocol
-    def begin_batch(self) -> None:
-        self._inner.begin_batch()
-
     def commit_batch(self, commit_version: int) -> None:
         self._tick("commit_batch")
         self._inner.commit_batch(commit_version)
-
-    def rollback_batch(self) -> None:
-        self._inner.rollback_batch()
-
-    def resident_index(self, graph: URIRef) -> Optional[GraphIndex]:
-        return self._inner.resident_index(graph)
-
-    def committed_version(self) -> int:
-        return self._inner.committed_version()
-
-    def note_commit_version(self, commit_version: int) -> None:
-        self._inner.note_commit_version(commit_version)
-
-    @property
-    def recovery(self) -> Any:
-        return getattr(self._inner, "recovery", {})

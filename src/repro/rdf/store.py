@@ -25,7 +25,7 @@ from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tu
 
 import numpy as np
 
-from repro.rdf.backend import InMemoryBackend, PathLike, QuadStoreBackend, SqliteBackend
+from repro.rdf.backend import PathLike, QuadStoreBackend, SqliteBackend
 from repro.rdf.gate import ReadView, ReadWriteGate
 from repro.rdf.graph_index import GraphIndex, IdTriple
 from repro.rdf.terms import Literal, QuotedTriple, TermDictionary, Triple, URIRef, term_n3
@@ -49,7 +49,7 @@ class QuadStore:
     """
 
     def __init__(self, backend: Optional[QuadStoreBackend] = None):
-        self._backend = backend or InMemoryBackend()
+        self._backend = backend or QuadStoreBackend()
         self._version = 0
         #: Readers-writer gate making writes batch-atomic w.r.t. read views.
         self._gate = ReadWriteGate()
@@ -275,7 +275,7 @@ class QuadStore:
     @property
     def recovery(self) -> Dict[str, Any]:
         """What the backend verified/repaired on open (empty when volatile)."""
-        return getattr(self._backend, "recovery", {})
+        return self._backend.recovery
 
     def _begin_write(self) -> int:
         """Gate one standalone mutation (reentrant under an open batch)."""
@@ -392,9 +392,7 @@ class QuadStore:
         terms interned by this apply are discarded instead of rolled back
         through sqlite.
         """
-        lazy = not durable and getattr(
-            self._backend, "supports_lazy_replication", False
-        )
+        lazy = not durable and self._backend.supports_lazy_replication
         depth = self._gate.acquire_write()
         try:
             if depth != 1:
@@ -455,12 +453,7 @@ class QuadStore:
         try:
             if depth != 1:
                 raise RuntimeError("reopen requires exclusive access, not a nested write")
-            reopen = getattr(self._backend, "reopen", None)
-            if reopen is None:
-                raise RuntimeError(
-                    f"{type(self._backend).__name__} does not support reopen"
-                )
-            info = reopen(changed_graphs=changed_graphs)
+            info = self._backend.reopen(changed_graphs=changed_graphs)
             self._commit_version = self._backend.committed_version()
             self._version += 1
             self._break_delta_log()

@@ -61,8 +61,8 @@ class Replica:
         #: restarts at its last checkpoint and replays forward — and it moves
         #: per-commit durability work out of the serving window, which is the
         #: point: a serving slot's loss story is "re-pull", not "fsync".
-        self._durable_applies = durable_applies or not getattr(
-            self._store.backend, "supports_lazy_replication", False
+        self._durable_applies = (
+            durable_applies or not self._store.backend.supports_lazy_replication
         )
         if not self._durable_applies:
             # Threshold flushes mid-apply would make a torn apply partially

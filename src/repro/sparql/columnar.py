@@ -237,68 +237,6 @@ class ColumnRelation:
         return taken
 
 
-class BoundedMemo:
-    """A capacity-bounded LRU memo for pattern-lookup results.
-
-    Evicts least-recently-used entries past ``capacity`` and counts hits /
-    misses / evictions so the engine can expose cache effectiveness to tests
-    and benchmarks.  A ``capacity`` of
-    ``None`` disables eviction (but keeps the counters).
-    """
-
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_entries")
-
-    #: Sentinel distinguishing "absent" from a memoized empty result.
-    _MISSING = object()
-
-    def __init__(self, capacity: Optional[int]):
-        if capacity is not None and capacity < 1:
-            raise ValueError("memo capacity must be >= 1 (or None for unbounded)")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: Dict[Any, Any] = {}
-
-    def get(self, key: Any) -> Any:
-        """The memoized value or :data:`BoundedMemo.MISSING`; refreshes recency."""
-        entries = self._entries
-        value = entries.get(key, self._MISSING)
-        if value is self._MISSING:
-            self.misses += 1
-            return self._MISSING
-        self.hits += 1
-        if self.capacity is not None:
-            # Python dicts iterate in insertion order; re-inserting refreshes
-            # this key's position in the eviction queue at O(1).
-            del entries[key]
-            entries[key] = value
-        return value
-
-    def put(self, key: Any, value: Any) -> None:
-        entries = self._entries
-        if self.capacity is not None and len(entries) >= self.capacity:
-            victim = next(iter(entries))
-            del entries[victim]
-            self.evictions += 1
-        entries[key] = value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def MISSING(self) -> Any:
-        return self._MISSING
-
-    def counters(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-        }
-
-
 class QueryContext:
     """Everything one query evaluation owns, passed through the executor.
 
@@ -309,48 +247,25 @@ class QueryContext:
     totals once, when the evaluation ends.
     """
 
-    __slots__ = (
-        "store", "encoder", "capacity", "pattern_memo", "filter_memos", "_provenance",
-    )
+    __slots__ = ("store", "encoder", "counters", "filter_verdicts", "_provenance")
 
-    def __init__(self, store: Any, capacity: Optional[int]):
+    def __init__(self, store: Any):
         self.store = store
         self.encoder = QueryEncoder(store.dictionary)
-        #: Bound on every memo of this evaluation (see :class:`BoundedMemo`).
-        self.capacity = capacity
-        #: Summed counters of the per-pattern lookup memos already retired.
-        self.pattern_memo = {"hits": 0, "misses": 0, "evictions": 0}
+        #: Memo lookups of this evaluation, in :meth:`SPARQLEngine.stats`
+        #: shape: a hit found the key already answered, a miss computed it.
+        self.counters: Dict[str, Dict[str, int]] = {
+            kind: {"hits": 0, "misses": 0} for kind in ("pattern_memo", "filter_memo")
+        }
         #: Verdict tables (id -> bool), keyed by filter-clause identity.
-        self.filter_memos: Dict[int, BoundedMemo] = {}
+        self.filter_verdicts: Dict[int, Dict[int, bool]] = {}
         self._provenance = 0
 
-    def new_memo(self) -> BoundedMemo:
-        return BoundedMemo(self.capacity)
-
-    def retire_memo(self, memo: BoundedMemo) -> None:
-        """Fold a finished pattern-lookup memo's counters into the query's."""
-        self.pattern_memo["hits"] += memo.hits
-        self.pattern_memo["misses"] += memo.misses
-        self.pattern_memo["evictions"] += memo.evictions
-
-    def filter_memo(self, filter_clause: Any) -> BoundedMemo:
-        """The verdict table of one FILTER clause, shared across its uses."""
-        memo = self.filter_memos.get(id(filter_clause))
-        if memo is None:
-            memo = self.filter_memos[id(filter_clause)] = self.new_memo()
-        return memo
-
-    def counters(self) -> Dict[str, Dict[str, int]]:
-        """This evaluation's memo counters, in :meth:`SPARQLEngine.stats` shape."""
-        memos = self.filter_memos.values()
-        return {
-            "pattern_memo": self.pattern_memo,
-            "filter_memo": {
-                "hits": sum(memo.hits for memo in memos),
-                "misses": sum(memo.misses for memo in memos),
-                "evictions": sum(memo.evictions for memo in memos),
-            },
-        }
+    def count(self, kind: str, lookups: int, misses: int) -> None:
+        """Record ``lookups`` probes of one memo, ``misses`` of them new keys."""
+        counters = self.counters[kind]
+        counters["hits"] += lookups - misses
+        counters["misses"] += misses
 
     def provenance_column(self) -> str:
         """A fresh hidden column name (``#`` cannot start a SPARQL variable)."""

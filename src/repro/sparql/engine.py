@@ -88,26 +88,21 @@ class SPARQLEngine:
     and only the cumulative :meth:`stats` counters are shared (under a lock).
     """
 
-    #: Capacity of each per-pattern lookup memo and FILTER verdict table
-    #: (distinct keys cached; least-recently-used entries evict beyond this).
-    DEFAULT_MEMO_CAPACITY = 4096
-
     def __init__(self, store: QuadStore, prefixes=None):
         self.store = store
         self.prefixes = prefixes or DEFAULT_PREFIXES
         self._stats_lock = threading.Lock()
         self._stats = {
-            kind: {"hits": 0, "misses": 0, "evictions": 0}
-            for kind in ("pattern_memo", "filter_memo")
+            kind: {"hits": 0, "misses": 0} for kind in ("pattern_memo", "filter_memo")
         }
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Snapshot of the engine's cumulative cache counters.
 
-        ``pattern_memo`` counts the per-pattern join-lookup memos;
-        ``filter_memo`` counts the per-filter verdict tables of FILTER
-        pushdown (one predicate evaluation per distinct id).  Each holds
-        ``hits`` / ``misses`` / ``evictions`` summed over finished queries.
+        ``pattern_memo`` counts the per-join lookup memos (one probe per
+        distinct join key); ``filter_memo`` counts the per-filter verdict
+        tables of FILTER pushdown (one predicate evaluation per distinct id).
+        Each holds ``hits`` / ``misses`` summed over finished queries.
         """
         with self._stats_lock:
             return {kind: dict(counters) for kind, counters in self._stats.items()}
@@ -142,7 +137,7 @@ class SPARQLEngine:
             return self._evaluate(query)
 
     def _evaluate(self, query: SelectQuery) -> SelectResult:
-        ctx = QueryContext(self.store, self.DEFAULT_MEMO_CAPACITY)
+        ctx = QueryContext(self.store)
         # The executor's intermediates are acyclic (tuples of ints inside
         # plain lists), so reference counting reclaims them fully; pausing
         # the cyclic collector stops it re-scanning the growing row lists on
@@ -161,7 +156,7 @@ class SPARQLEngine:
 
     def _absorb(self, ctx: QueryContext) -> None:
         """Add one finished evaluation's memo counters to the totals."""
-        finished = ctx.counters()
+        finished = ctx.counters
         with self._stats_lock:
             for kind, counters in finished.items():
                 totals = self._stats[kind]

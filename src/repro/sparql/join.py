@@ -124,7 +124,7 @@ def _join_pattern(
       ``join key -> extension tuples`` and join every row with a dict
       get.  One index pass total, classic hash join.
     * **probe mode** — otherwise, one direct index lookup per *distinct*
-      key (memoized, capacity-bounded), which wins when per-row bindings
+      key (memoized in one dict per join), which wins when per-row bindings
       narrow candidates far below the constant-only set.
 
     Extensions are precomputed id tuples concatenated onto rows — no
@@ -196,8 +196,7 @@ def _join_pattern(
                     for extension in extensions:
                         append(row + extension if extension else row)
     else:
-        memo = ctx.new_memo()
-        missing = memo.MISSING
+        memo: Dict[tuple, List[tuple]] = {}
         probe = compile_probe(ctx, plan) if plan is not None else None
         for row in rows:
             key = key_of(row)
@@ -205,12 +204,11 @@ def _join_pattern(
                 slow_rows.append(row)
                 continue
             extensions = memo.get(key)
-            if extensions is missing:
-                extensions = probe(key)
-                memo.put(key, extensions)
+            if extensions is None:
+                extensions = memo[key] = probe(key)
             for extension in extensions:
                 append(row + extension if extension else row)
-        ctx.retire_memo(memo)
+        ctx.count("pattern_memo", len(rows) - len(slow_rows), len(memo))
     if slow_rows:
         _join_slow_rows(
             ctx, pattern, slow_rows, key_names, key_slots, new_vars,
@@ -231,17 +229,15 @@ def _join_slow_rows(
     out_rows: List[tuple],
 ) -> None:
     """General per-key walk for rows the compiled plans cannot serve."""
-    memo = ctx.new_memo()
-    missing = memo.MISSING
+    memo: Dict[tuple, List[Tuple[tuple, tuple]]] = {}
     update_slots = dict(zip(key_names, key_slots))
     for row in rows:
         key = tuple(row[slot] for slot in key_slots)
         probed = memo.get(key)
-        if probed is missing:
-            probed = probe_pattern(
+        if probed is None:
+            probed = memo[key] = probe_pattern(
                 ctx, pattern, dict(zip(key_names, key)), graph_var, graph_name, new_vars
             )
-            memo.put(key, probed)
         for updates, extension in probed:
             if updates:
                 cells = list(row)
@@ -250,7 +246,7 @@ def _join_slow_rows(
                 out_rows.append(tuple(cells) + extension)
             else:
                 out_rows.append(row + extension)
-    ctx.retire_memo(memo)
+    ctx.count("pattern_memo", len(rows), len(memo))
 
 
 # ------------------------------------------------------------------ barriers
@@ -371,7 +367,7 @@ def _push_filter(
     """Apply a single-variable FILTER via a memoized id verdict table.
 
     The predicate evaluates once per *distinct id* (memoized across the
-    query in a :class:`BoundedMemo`), then the verdicts broadcast over
+    query in the clause's verdict table), then the verdicts broadcast over
     the rows with one numpy gather.  Mid-group (``final=False``) rows
     with an unbound cell always survive — a later pattern may still bind
     the shared variable (OPTIONAL padding re-binds), and the group-end
@@ -387,22 +383,26 @@ def _push_filter(
         if not final or truth(evaluate_expression(expression, {})):
             return relation
         return Relation(relation.variables, [])
-    memo = ctx.filter_memo(filter_clause)
-    missing = memo.MISSING
+    table = ctx.filter_verdicts.setdefault(id(filter_clause), {})
+    known = len(table)
     decode = ctx.encoder.decode
     distinct, inverse = np.unique(column_ids(rows, slot), return_inverse=True)
     verdicts = np.empty(len(distinct), bool)
+    lookups = 0
     for position, term_id in enumerate(distinct.tolist()):
         if term_id == UNBOUND_ID:
             verdicts[position] = (
                 truth(evaluate_expression(expression, {})) if final else True
             )
             continue
-        verdict = memo.get(term_id)
-        if verdict is missing:
-            verdict = truth(evaluate_expression(expression, {variable: decode(term_id)}))
-            memo.put(term_id, verdict)
+        lookups += 1
+        verdict = table.get(term_id)
+        if verdict is None:
+            verdict = table[term_id] = truth(
+                evaluate_expression(expression, {variable: decode(term_id)})
+            )
         verdicts[position] = verdict
+    ctx.count("filter_memo", lookups, len(table) - known)
     keep = verdicts[inverse]
     if keep.all():
         return relation

@@ -10,7 +10,25 @@ import pytest
 
 from repro.datagen import generate_discovery_benchmark, generate_pipeline_corpus
 from repro.interfaces import KGLiDS
+from repro.rdf import FaultInjectingBackend, QuadStore, QuadStoreBackend, SqliteBackend
 from repro.tabular import DataLake, Table
+
+
+@pytest.fixture(scope="session")
+def open_store():
+    """``open_store(configuration, path)``: a store on one backend configuration.
+
+    ``"memory"`` or ``"sqlite"`` (a file at ``path``), bare or with a
+    ``"faulted-"`` prefix: behind an unarmed :class:`FaultInjectingBackend`,
+    which must answer exactly what the backend it wraps answers.
+    """
+
+    def open_configuration(configuration: str, path) -> QuadStore:
+        inner = SqliteBackend(path) if configuration.endswith("sqlite") else QuadStoreBackend()
+        faulted = configuration.startswith("faulted-")
+        return QuadStore(backend=FaultInjectingBackend(inner) if faulted else inner)
+
+    return open_configuration
 
 
 @pytest.fixture()

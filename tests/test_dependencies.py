@@ -9,7 +9,8 @@ The same file holds the other "what ``src/`` may not contain" checks: one tree
 implementation in ``repro.ml``, one write path in ``repro.rdf`` / ``repro.kg``,
 a line budget for ``repro.rdf`` + ``repro.sparql``, no sqlite index that
 nothing reads, no per-call SPARQL behind the similarity and library discovery
-calls.
+calls, one backend base class that a durable backend and the fault wrapper do
+not restate, no capacity-bounded memo in the query engine.
 """
 
 import ast
@@ -130,7 +131,60 @@ def test_rdf_sparql_line_budget():
         for name in ("rdf", "sparql")
         for path in (package / name).glob("*.py")
     )
-    assert lines <= 7050, f"rdf/ + sparql/ is {lines} lines (budget 7,050)"
+    assert lines <= 6830, f"rdf/ + sparql/ is {lines} lines (budget 6,830)"
+
+
+def _classes(path: Path):
+    """``name -> (base names, method names)`` of every class a module defines."""
+    return {
+        node.name: (
+            [ast.unparse(base) for base in node.bases],
+            {item.name for item in node.body if isinstance(item, ast.FunctionDef)},
+        )
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def test_one_backend_base_class():
+    """The in-memory store is the backend base class; nothing restates it.
+
+    ``QuadStoreBackend`` is concrete and owns the resident indexes, the
+    batch-created graphs, the undoable drop and the change marks;
+    ``SqliteBackend`` overrides durability only; ``FaultInjectingBackend``
+    is no backend at all — it defines its fault points and forwards every
+    other attribute, so it cannot answer differently from what it wraps.
+    """
+    source = Path(__file__).resolve().parent.parent / "src" / "repro"
+    backends = _classes(source / "rdf" / "backend.py")
+    assert sorted(name for name in backends if name.endswith("Backend")) == ["QuadStoreBackend", "SqliteBackend"]
+    assert backends["QuadStoreBackend"][0] == [] and backends["SqliteBackend"][0] == ["QuadStoreBackend"]
+    assert "abstractmethod" not in (source / "rdf" / "backend.py").read_text()
+
+    bases, methods = _classes(source / "rdf" / "faults.py")["FaultInjectingBackend"]
+    assert bases == []
+    fault_points = {"quads_added", "quads_removed", "drop_graph", "drop_graph_for_undo", "flush", "commit_batch"}
+    assert methods - fault_points == {"__init__", "__getattr__", "_tick", "_tick_rows"}
+
+    # Index access and the undoable drop live in the two storage classes
+    # only (the wrapper's ``drop_graph_for_undo`` is a fault point).
+    restated = {
+        (name, method)
+        for path in sorted(source.rglob("*.py"))
+        for name, (_, defined) in _classes(path).items()
+        for method in defined & {"get_index", "ensure_index", "drop_graph_for_undo", "restore_graph"}
+        if name not in ("QuadStoreBackend", "SqliteBackend", "FaultInjectingBackend")
+    }
+    assert not restated, restated
+    assert "getattr(self._backend" not in (source / "rdf" / "store.py").read_text()
+
+
+def test_query_memos_are_plain_dicts():
+    """One lookup memo per join and one verdict table per FILTER clause,
+    each a dict living as long as its query: no capacity, no eviction."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro" / "sparql"
+    for path in sorted(package.glob("*.py")):
+        assert "BoundedMemo" not in path.read_text(), f"sparql/{path.name} still uses BoundedMemo"
 
 
 def test_sqlite_layout_has_no_unread_indexes():

@@ -11,8 +11,8 @@ executor:
   triples are first-class, and ids round-trip byte-stably through a sqlite
   save/reopen (shard residency and version monotonicity across
   invalidation are pinned in ``tests/test_persistent_governor.py``);
-* **Bounded lookup memo** — the per-pattern memo evicts past capacity and
-  reports hit/miss counters through the engine.
+* **Lookup memo** — a probe-mode join probes the index once per distinct
+  key and reports hit/miss counters through the engine.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from repro.rdf import (
 )
 from repro.rdf.serialize import serialize_nquads
 from repro.sparql import SPARQLEngine
-from repro.sparql.columnar import UNBOUND, BoundedMemo, Relation
+from repro.sparql import join
+from repro.sparql.columnar import UNBOUND, Relation
 
 import sparql_oracle
 
@@ -230,16 +231,16 @@ def assert_matches_oracle(store, query):
 
 @pytest.fixture(
     scope="module",
-    params=[("memory", 3), ("memory", 11), ("memory", 42), ("sqlite", 7), ("sqlite", 19)],
+    params=[
+        ("memory", 3), ("memory", 11), ("memory", 42), ("sqlite", 7), ("sqlite", 19),
+        ("faulted-memory", 3), ("faulted-sqlite", 7),
+    ],
     ids=lambda param: f"{param[0]}-{param[1]}",
 )
-def random_store(request, tmp_path_factory):
+def random_store(request, tmp_path_factory, open_store):
     backend, seed = request.param
-    if backend == "memory":
-        yield make_random_store(seed)
-        return
     store = make_random_store(
-        seed, QuadStore.sqlite(tmp_path_factory.mktemp("parity") / "s.sqlite3")
+        seed, open_store(backend, tmp_path_factory.mktemp("parity") / "s.sqlite3")
     )
     assert serialize_nquads(store) == serialize_nquads(make_random_store(seed))
     yield store
@@ -277,9 +278,9 @@ class TestGraphVariableOverSparseGraphs:
         f"SELECT ?g WHERE {{ GRAPH ?g {{ }} }}",
     ]
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_empty_and_single_triple_graphs(self, backend, tmp_path):
-        store = QuadStore() if backend == "memory" else QuadStore.sqlite(tmp_path / "s.sqlite3")
+    @pytest.mark.parametrize("backend", ["memory", "sqlite", "faulted-memory", "faulted-sqlite"])
+    def test_empty_and_single_triple_graphs(self, backend, tmp_path, open_store):
+        store = open_store(backend, tmp_path / "s.sqlite3")
         for query in self.QUERIES:  # no graph at all
             assert len(assert_matches_oracle(store, query)) == 0
         a, b, c = _uri("a"), _uri("b"), _uri("c")
@@ -396,47 +397,39 @@ class TestTermDictionary:
         assert dictionary.encode(Literal("5")) != dictionary.encode("5")
 
 
-class TestBoundedMemo:
-    def test_lru_eviction_and_counters(self):
-        memo = BoundedMemo(capacity=2)
-        missing = memo.MISSING
-        assert memo.get("a") is missing
-        memo.put("a", 1)
-        memo.put("b", 2)
-        assert memo.get("a") == 1  # refreshes "a"; "b" is now LRU
-        memo.put("c", 3)  # evicts "b"
-        assert memo.get("b") is missing
-        assert memo.get("a") == 1
-        assert memo.get("c") == 3
-        counters = memo.counters()
-        assert counters["evictions"] == 1
-        assert counters["hits"] == 3
-        assert counters["misses"] == 2
-        assert len(memo) == 2
-
-    def test_unbounded_memo_keeps_counters(self):
-        memo = BoundedMemo(capacity=None)
-        for position in range(100):
-            memo.put(position, position)
-        assert len(memo) == 100
-        assert memo.counters()["evictions"] == 0
-
+class TestLookupMemo:
     def test_engine_exposes_memo_counters(self):
         store = make_random_store(3)
         engine = SPARQLEngine(store)
         engine.select(QUERY_SHAPES[0])
         assert engine.stats()["pattern_memo"]["misses"] > 0
 
-    def test_tiny_capacity_does_not_change_results(self, monkeypatch):
-        store = make_random_store(11)
-        roomy = {query: rows_key(SPARQLEngine(store).select(query)) for query in QUERY_SHAPES}
-        monkeypatch.setattr(SPARQLEngine, "DEFAULT_MEMO_CAPACITY", 1)
-        cramped = SPARQLEngine(store)
-        for query in QUERY_SHAPES:
-            assert rows_key(cramped.select(query)) == roomy[query]
-        stats = cramped.stats()
-        assert stats["pattern_memo"]["evictions"] > 0
-        assert stats["filter_memo"]["evictions"] > 0
+    def test_probe_mode_join_probes_once_per_distinct_key(self, monkeypatch):
+        """20 rows over 3 hubs join a 203-row predicate: probe mode, 3 probes."""
+        store = QuadStore()
+        for position in range(20):
+            store.add(_uri(f"a{position}"), _uri("p0"), _uri(f"hub{position % 3}"))
+        for hub in range(3):
+            store.add(_uri(f"hub{hub}"), _uri("p1"), Literal(hub))
+        for position in range(200):
+            store.add(_uri(f"x{position}"), _uri("p1"), Literal(position))
+        probed = []
+
+        def counting_probe(ctx, plan):
+            probe = compile_probe(ctx, plan)
+            return lambda key: probed.append(key) or probe(key)
+
+        compile_probe = join.compile_probe
+        monkeypatch.setattr(join, "compile_probe", counting_probe)
+        query = f"SELECT ?a ?c WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?c . }}"
+        engine = SPARQLEngine(store)
+        result = engine.select(query)
+        assert len(result) == 20
+        assert rows_key(result) == rows_key(sparql_oracle.select(store, query))
+        # The leading pattern probes once, with the empty key.
+        assert probed[0] == () and sorted(probed[1:]) == sorted(set(probed[1:]))
+        assert len(probed) == 1 + 3
+        assert engine.stats()["pattern_memo"] == {"hits": 20 - 3, "misses": 1 + 3}
 
 
 class TestGroupKeyTyping:
@@ -497,7 +490,7 @@ class TestFilterPushdown:
         assert stats["filter_memo"]["misses"] > 0
         # The group-end re-check of already-pushed rows is pure memo hits.
         assert stats["filter_memo"]["hits"] > 0
-        assert set(stats["pattern_memo"]) == {"hits", "misses", "evictions"}
+        assert set(stats["pattern_memo"]) == {"hits", "misses"}
 
     def test_explain_annotates_pushdown(self):
         store = make_random_store(3)

@@ -11,6 +11,9 @@ Pins the contracts of the transactional-writes redesign:
   commit on reopen, with the ``commit_version`` marker intact;
 * hypothesis drives random batch workloads through random fault points and
   the rolled-back store is byte-identical, version-identical, and retryable;
+* the fault wrapper defines only its fault points and forwards the rest, so
+  a wrapped store reports the same changed graphs and shard files as a bare
+  one;
 * the governor service retries :class:`TransientError` with capped backoff,
   quarantines repeat offenders (:class:`PoisonTableError` fast-fail), and
   fails — never hangs — tickets stuck behind a dead scheduler;
@@ -45,9 +48,9 @@ from repro.rdf import (
     FaultPlan,
     InjectedCrash,
     InjectedFault,
-    InMemoryBackend,
     Literal,
     QuadStore,
+    QuadStoreBackend,
     SqliteBackend,
     URIRef,
 )
@@ -117,7 +120,7 @@ def batch_workload(store: QuadStore) -> None:
 
 
 def faulted_store(path=None):
-    inner = SqliteBackend(path) if path is not None else InMemoryBackend()
+    inner = SqliteBackend(path) if path is not None else QuadStoreBackend()
     backend = FaultInjectingBackend(inner)
     return QuadStore(backend=backend), backend
 
@@ -379,6 +382,23 @@ class TestSqliteCrashSafety:
         assert snap(reopened) == pre
         reopened.close()
 
+    def test_rolled_back_drop_and_recreate_keeps_an_unloaded_graph(self, tmp_path):
+        """The batch's new index goes with the rollback even though the graph
+        existed before it, so the next read loads the shard's rows."""
+        path = tmp_path / "recreate.sqlite"
+        store = QuadStore(backend=SqliteBackend(path))
+        seed_store(store)
+        pre = snap(store)
+        store.close()
+        reopened = QuadStore(backend=SqliteBackend(path))  # nothing resident
+        with pytest.raises(RuntimeError, match="abort"):
+            with reopened.write_batch():
+                reopened.remove_graph(G2)
+                reopened.add(u("n1"), u("p1"), Literal("new"), graph=G2)
+                raise RuntimeError("abort")
+        assert snap(reopened) == pre
+        reopened.close()
+
     def test_commit_version_marker_survives_reopen(self, tmp_path):
         path = tmp_path / "marker.sqlite"
         store = QuadStore(backend=SqliteBackend(path))
@@ -390,6 +410,35 @@ class TestSqliteCrashSafety:
         reopened = QuadStore(backend=SqliteBackend(path))
         assert reopened.commit_version == 3  # resumes, not resets
         reopened.close()
+
+
+
+# ---------------------------------------------------------------------------
+# The wrapper defines the fault points and forwards everything else
+# ---------------------------------------------------------------------------
+class TestFaultWrapper:
+    @pytest.mark.parametrize("backend", ["faulted-memory", "faulted-sqlite"])
+    def test_faulted_batch_workload_has_nine_fault_points(self, tmp_path, backend):
+        # 5 rows added, 2 removed, 1 graph drop, 1 commit.
+        path = tmp_path / "count.sqlite" if backend == "faulted-sqlite" else None
+        assert count_batch_points(path) == 9
+
+    def test_faulted_sqlite_reopen_reports_what_its_backend_reports(self, tmp_path):
+        """Change inspection and shard files reach through the wrapper: a
+        reopened file's graphs are all changed at its durable version."""
+        path = tmp_path / "two.sqlite"
+        store = QuadStore(backend=SqliteBackend(path))
+        store.add(u("s1"), u("p1"), Literal(1), graph=G1)
+        store.add(u("s2"), u("p1"), Literal(2), graph=G2)
+        store.close()
+        inner = SqliteBackend(path)
+        plain, faulted = QuadStore(backend=inner), QuadStore(backend=FaultInjectingBackend(inner))
+        assert plain.graphs_changed_since(0) == [G1, G2]
+        assert faulted.graphs_changed_since(0) == plain.graphs_changed_since(0)
+        assert faulted.graph_change_versions() == plain.graph_change_versions() == {G1: 2, G2: 2}
+        assert faulted.backend.shard_files() == plain.backend.shard_files()
+        assert len(plain.backend.shard_files()) == 2
+        inner.close()
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +477,7 @@ class TestBulkWriteFaults:
     def test_inner_backend_takes_the_rows_ahead_of_the_fault(self):
         taken = []
 
-        class Recording(InMemoryBackend):
+        class Recording(QuadStoreBackend):
             def quads_added(self, graph, rows):
                 taken.append(list(rows))
 
@@ -599,7 +648,7 @@ class TestEmbeddingTransactions:
 # Governor-level sweeps: add / refresh / retract / pipelines
 # ---------------------------------------------------------------------------
 def faulted_governor():
-    backend = FaultInjectingBackend(InMemoryBackend())
+    backend = FaultInjectingBackend(QuadStoreBackend())
     governor = KGGovernor(storage=KGLiDSStorage(graph=QuadStore(backend=backend)))
     return governor, backend
 

@@ -153,9 +153,9 @@ def u(name: str) -> URIRef:
     return URIRef(EX + name)
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_a_batch_raising_after_bulk_writes_rolls_back(backend, tmp_path):
-    store = QuadStore.sqlite(tmp_path / "g.sqlite3") if backend == "sqlite" else QuadStore()
+@pytest.mark.parametrize("backend", ["memory", "sqlite", "faulted-memory", "faulted-sqlite"])
+def test_a_batch_raising_after_bulk_writes_rolls_back(backend, tmp_path, open_store):
+    store = open_store(backend, tmp_path / "g.sqlite3")
     with store.write_batch():
         store.add_many([(u(f"s{i}"), u("p"), u(f"s{i + 1}")) for i in range(6)], G)
         store.annotate(u("s0"), u("sim"), u("s3"), u("score"), Literal(0.9), graph=G)
