@@ -1,15 +1,27 @@
-"""The collation tail: GROUP BY / ORDER BY / DISTINCT / projection.
+"""The collation tail: GROUP BY / ORDER BY / DISTINCT / OFFSET / LIMIT /
+projection.
 
 Works on int64 id columns (:class:`~repro.sparql.columnar.ColumnRelation`)
-via ``np.unique`` / ``argsort``, decoding only the distinct ids a query
-actually reads.  Grouping and sorting happen in id space with a
-value-collision fallback: distinct ids decoding to equal typed values (``5``
-vs ``5.0``) collate together, exactly as keying on the decoded values would.
+via ``np.unique`` / ``argsort``.  An id decodes at most once per query, into
+one id -> value memo that sort keys, group keys and projected cells share,
+and only when the answer reads it.  Grouping and sorting happen in id space
+with a value-collision fallback: distinct ids decoding to equal typed values
+(``5`` vs ``5.0``) collate together, exactly as keying on the decoded values
+would.
+
+Rows that OFFSET / LIMIT drop are not paid for.  Under ``ORDER BY … LIMIT``
+the first sort key is ranked over every row; only rows ranked within the
+``OFFSET + LIMIT`` smallest survive (ties at the boundary all do), still in
+relation order, so the full sort over the survivors is exactly the prefix of
+the full sort over all rows.  Without DISTINCT, OFFSET / LIMIT slice the id
+rows before any cell decodes.  DISTINCT is exempt from both, since which rows
+reach the window is known only after deduplication; ``SELECT *`` is exempt
+from the cut, since its variable list comes from *all* sorted solutions.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +32,6 @@ from repro.sparql.columnar import (
     ColumnRelation,
     QueryEncoder,
     Relation,
-    column_ids,
     row_codes,
 )
 from repro.sparql.expression import to_python
@@ -32,43 +43,52 @@ Row = Dict[str, Any]
 #: group per *object*; a shared sentinel keeps every NaN in one group.
 _NAN_GROUP_KEY = object()
 
-#: Below this many rows DISTINCT dedups id tuples with a Python set; above,
-#: with one dense numpy row code per tuple.
+#: Below this many rows DISTINCT dedups id tuples with a dict; above, with
+#: one dense numpy row code per row before any tuple is built.
 _ARRAY_DISTINCT_MIN = 64
+
+
+class _Values(dict):
+    """id -> Python value; an id decodes on its first read, once per query."""
+
+    __slots__ = ("_decode",)
+
+    def __init__(self, encoder: QueryEncoder):
+        super().__init__()
+        self._decode = encoder.decode
+
+    def __missing__(self, term_id: int) -> Any:
+        value = self[term_id] = to_python(self._decode(term_id))
+        return value
 
 
 def collate(
     query: SelectQuery, relation: Relation, encoder: QueryEncoder
 ) -> Tuple[List[str], List[Row]]:
     """Turn the WHERE clause's solutions into ``(variables, result rows)``."""
+    values = _Values(encoder)
     if query.has_aggregates():
-        rows = _order_rows(query, _aggregate(query, relation, encoder))
+        rows = _order_rows(query, _aggregate(query, relation, values))
         variables = [
             str(item.alias if isinstance(item, Aggregate) else item)
             for item in query.variables
         ]
         projected = [{name: row.get(name) for name in variables} for row in rows]
-        return variables, _window(query, projected)
+        return variables, _window(query, _distinct(projected) if query.distinct else projected)
     columns = ColumnRelation(relation)
+    star = query.is_select_star()
     if query.order_by:
-        columns = _order_columns(query, columns, encoder)
-    variables = (
-        _star_variables(columns)
-        if query.is_select_star()
-        else [str(item) for item in query.variables]
-    )
-    return variables, _project(query, columns.relation, encoder, variables)
+        cut = query.limit is not None and not query.distinct and not star
+        keep = query.offset + query.limit if cut else None
+        columns = _order_columns(query, columns, values, keep)
+    variables = _star_variables(columns) if star else [str(item) for item in query.variables]
+    return variables, _project(query, columns, variables, values)
 
 
-def _window(query: SelectQuery, rows: List[Row]) -> List[Row]:
-    """DISTINCT, then OFFSET / LIMIT, over projected rows."""
-    if query.distinct:
-        rows = _distinct(rows)
-    if query.offset:
-        rows = rows[query.offset :]
-    if query.limit is not None:
-        rows = rows[: query.limit]
-    return rows
+def _window(query: SelectQuery, rows: list) -> list:
+    """OFFSET / LIMIT over rows in result order."""
+    end = None if query.limit is None else query.offset + query.limit
+    return rows[query.offset : end]
 
 
 def _distinct(rows: List[Row]) -> List[Row]:
@@ -84,59 +104,38 @@ def _distinct(rows: List[Row]) -> List[Row]:
 
 # --------------------------------------------------------------- projection
 def _project(
-    query: SelectQuery, relation: Relation, encoder: QueryEncoder, variables: List[str]
+    query: SelectQuery, columns: ColumnRelation, variables: List[str], values: _Values
 ) -> List[Row]:
-    """Project a result relation directly to Python-value rows.
+    """Project the ordered solutions directly to Python-value rows.
 
-    One decode per selected cell (memoized id -> Python value).  DISTINCT
-    is dictionary-aware: duplicate rows are eliminated on the projected
-    *id* tuples first — integer hashing, no term decoding, no string
-    keys — so only the surviving distinct rows are ever decoded.  A
-    value-level pass then guards the rare id-distinct / value-equal
-    collisions (two interned terms projecting to the same Python value,
-    e.g. ``Literal(5)`` vs ``Literal("5")``).
+    Without DISTINCT, OFFSET / LIMIT slice the id rows first, so only the
+    returned cells decode.  DISTINCT is dictionary-aware: duplicate rows are
+    eliminated on the projected *id* tuples first — integer hashing, no
+    term decoding, no string keys — so only the surviving distinct rows are
+    ever decoded.  A value-level pass then guards the rare id-distinct /
+    value-equal collisions (two interned terms projecting to the same
+    Python value, e.g. ``Literal(5)`` vs ``Literal("5")``) before the window.
     """
-    rows = relation.rows
-    slots = [relation.slot(name) for name in variables]
-    id_rows: Iterable[tuple] = (
-        tuple(row[slot] if slot is not None else UNBOUND for slot in slots) for row in rows
-    )
-    if query.distinct:
-        if len(rows) > _ARRAY_DISTINCT_MIN:
-            # First occurrences kept in row order.
-            columns = [
-                column_ids(rows, slot) if slot is not None else np.zeros(len(rows), np.int64)
+    rows = columns.rows if query.distinct else _window(query, columns.rows)
+    slots = [columns.slot(name) for name in variables]
+    if query.distinct and len(rows) > _ARRAY_DISTINCT_MIN:
+        # First occurrences kept in row order.
+        codes = row_codes(
+            [
+                columns.column(slot) if slot is not None else np.zeros(len(rows), np.int64)
                 for slot in slots
-            ]
-            _, first = np.unique(row_codes(columns, len(rows)), return_index=True)
-            id_rows = [
-                tuple(rows[i][slot] if slot is not None else UNBOUND for slot in slots)
-                for i in np.sort(first).tolist()
-            ]
-        else:
-            seen: Set[tuple] = set()
-            deduplicated: List[tuple] = []
-            for id_row in id_rows:
-                if id_row not in seen:
-                    seen.add(id_row)
-                    deduplicated.append(id_row)
-            id_rows = deduplicated
-    decode = encoder.decode
-    #: id -> projected Python value, shared across rows.
-    values: Dict[int, Any] = {}
-    projected: List[Row] = []
-    for id_row in id_rows:
-        row: Row = {}
-        for name, cell in zip(variables, id_row):
-            if cell is None:
-                row[name] = None
-                continue
-            value = values.get(cell)
-            if value is None:
-                value = values[cell] = to_python(decode(cell))
-            row[name] = value
-        projected.append(row)
-    return _window(query, projected)
+            ],
+            len(rows),
+        )
+        rows = [rows[i] for i in np.sort(np.unique(codes, return_index=True)[1]).tolist()]
+    id_rows = [tuple(row[slot] if slot is not None else UNBOUND for slot in slots) for row in rows]
+    if query.distinct:
+        id_rows = list(dict.fromkeys(id_rows))
+    projected = [
+        {name: None if cell is None else values[cell] for name, cell in zip(variables, id_row)}
+        for id_row in id_rows
+    ]
+    return _window(query, _distinct(projected)) if query.distinct else projected
 
 
 def _star_variables(columns: ColumnRelation) -> List[str]:
@@ -171,36 +170,42 @@ def _order_rows(query: SelectQuery, rows: List[Row]) -> List[Row]:
 
 
 def _order_columns(
-    query: SelectQuery, columns: ColumnRelation, encoder: QueryEncoder
+    query: SelectQuery, columns: ColumnRelation, values: _Values, keep: Optional[int]
 ) -> ColumnRelation:
-    """ORDER BY as successive stable argsorts over id-space rank columns.
+    """ORDER BY as one stable lexicographic sort over id-space rank columns.
 
     Each sort key decodes once per *distinct id* into its :func:`rank_key`;
     equal keys (including value collisions across distinct ids) share one
-    integer rank, so stable argsorts over ranks order rows exactly as
-    ``sorted`` over decoded values would — descending keys negate the rank,
-    which under a stable sort preserves the original order of ties just
-    like ``sorted(reverse=True)``.
+    integer rank, so a stable sort over ranks orders rows exactly as
+    successive ``sorted`` calls over decoded values would — descending keys
+    negate the rank, which under a stable sort preserves the original order
+    of ties just like ``sorted(reverse=True)``.
+
+    With ``keep`` (OFFSET + LIMIT) the first key's ranks cut the rows first:
+    a row ranked after the ``keep``-th smallest cannot reach the result, so
+    the other keys rank, and decode, only the survivors.
     """
-    if len(columns) <= 1:
+    keys = [(columns.slot(str(variable)), ascending) for variable, ascending in query.order_by]
+    # A constant (unbound) key is a no-op under a stable sort.
+    keys = [(slot, ascending) for slot, ascending in keys if slot is not None]
+    if len(columns) <= 1 or not keys:
         return columns
-    order = np.arange(len(columns))
-    for variable, ascending in reversed(query.order_by):
-        slot = columns.slot(str(variable))
-        if slot is None:
-            continue  # constant (unbound) key: stable sort is a no-op
-        ranks = _column_ranks(columns.column(slot), encoder)
-        key = ranks if ascending else -ranks
-        order = order[np.argsort(key[order], kind="stable")]
-    return columns.take(order)
+    (slot, ascending), *others = keys
+    first = _column_ranks(columns.column(slot), values, ascending)
+    if keep is not None and 0 < keep < len(columns):
+        survivors = np.flatnonzero(first <= np.partition(first, keep - 1)[keep - 1])
+        columns, first = columns.take(survivors), first[survivors]
+    ranks = [_column_ranks(columns.column(slot), values, ascending) for slot, ascending in others]
+    # np.lexsort is stable and sorts by its *last* key first.
+    return columns.take(np.lexsort([*reversed(ranks), first]))
 
 
-def _column_ranks(column: np.ndarray, encoder: QueryEncoder) -> np.ndarray:
-    """Dense sort ranks per row: equal sort keys share one rank."""
+def _column_ranks(column: np.ndarray, values: _Values, ascending: bool) -> np.ndarray:
+    """Dense sort ranks per row, negated for a descending key: equal sort
+    keys share one rank."""
     distinct, inverse = np.unique(column, return_inverse=True)
-    decode = encoder.decode
     keys = [
-        rank_key(None if term_id == UNBOUND_ID else to_python(decode(term_id)))
+        rank_key(None if term_id == UNBOUND_ID else values[term_id])
         for term_id in distinct.tolist()
     ]
     ranks = np.empty(len(keys), np.int64)
@@ -212,7 +217,7 @@ def _column_ranks(column: np.ndarray, encoder: QueryEncoder) -> np.ndarray:
             rank += 1
             previous = key
         ranks[position] = rank
-    return ranks[inverse]
+    return ranks[inverse] if ascending else -ranks[inverse]
 
 
 # ---------------------------------------------------------------- GROUP BY
@@ -229,7 +234,7 @@ def _group_key(value: Any) -> Any:
     return value
 
 
-def _aggregate(query: SelectQuery, relation: Relation, encoder: QueryEncoder) -> List[Row]:
+def _aggregate(query: SelectQuery, relation: Relation, values: _Values) -> List[Row]:
     """GROUP BY + aggregates in id space.
 
     Group keys combine per-column canonical codes: each distinct id
@@ -254,15 +259,6 @@ def _aggregate(query: SelectQuery, relation: Relation, encoder: QueryEncoder) ->
         ]
 
     columns = ColumnRelation(relation)
-    value_cache: Dict[int, Any] = {}
-    decode = encoder.decode
-
-    def decode_value(term_id: int) -> Any:
-        if term_id in value_cache:
-            return value_cache[term_id]
-        value = value_cache[term_id] = to_python(decode(term_id))
-        return value
-
     group_columns: List[np.ndarray] = []
     for variable in query.group_by:
         slot = relation.slot(str(variable))
@@ -273,7 +269,7 @@ def _aggregate(query: SelectQuery, relation: Relation, encoder: QueryEncoder) ->
         canonical: Dict[Any, int] = {}
         codes = np.empty(len(distinct), np.int64)
         for position, term_id in enumerate(distinct.tolist()):
-            value = None if term_id == UNBOUND_ID else decode_value(term_id)
+            value = None if term_id == UNBOUND_ID else values[term_id]
             codes[position] = canonical.setdefault(_group_key(value), len(canonical))
         group_columns.append(codes[inverse])
     combined = row_codes(group_columns, count)
@@ -284,31 +280,10 @@ def _aggregate(query: SelectQuery, relation: Relation, encoder: QueryEncoder) ->
     member_rows = np.split(np.argsort(inverse_codes, kind="stable"), np.cumsum(counts)[:-1])
     group_order = np.argsort(first_index, kind="stable")
 
-    # Aggregate argument columns and their decoded id -> value maps,
-    # built once per referenced variable.
-    argument_columns: Dict[str, Optional[Tuple[np.ndarray, Dict[int, Any]]]] = {}
-    for item in query.variables:
-        if not isinstance(item, Aggregate) or item.argument is None:
-            continue
-        name = str(item.argument)
-        if name in argument_columns:
-            continue
-        slot = relation.slot(name)
-        if slot is None:
-            argument_columns[name] = None
-            continue
-        column = columns.column(slot)
-        decoded = {
-            term_id: decode_value(term_id)
-            for term_id in np.unique(column).tolist()
-            if term_id != UNBOUND_ID
-        }
-        argument_columns[name] = (column, decoded)
-
     def first_value(first_row: tuple, name: str) -> Any:
         slot = relation.slot(name)
         cell = first_row[slot] if slot is not None else None
-        return decode_value(cell) if cell is not None else None
+        return values[cell] if cell is not None else None
 
     group_names = [str(variable) for variable in query.group_by]
     results: List[Row] = []
@@ -319,19 +294,12 @@ def _aggregate(query: SelectQuery, relation: Relation, encoder: QueryEncoder) ->
         for item in query.variables:
             if isinstance(item, Aggregate):
                 if item.argument is None:
-                    values: List[Any] = [1] * len(members)
+                    arguments: List[Any] = [1] * len(members)
                 else:
-                    entry = argument_columns[str(item.argument)]
-                    if entry is None:
-                        values = []
-                    else:
-                        column, decoded = entry
-                        values = [
-                            decoded[term_id]
-                            for term_id in column[members].tolist()
-                            if term_id != UNBOUND_ID
-                        ]
-                row[str(item.alias)] = aggregate_values(item, values)
+                    slot = relation.slot(str(item.argument))
+                    cells = [] if slot is None else columns.column(slot)[members].tolist()
+                    arguments = [values[cell] for cell in cells if cell != UNBOUND_ID]
+                row[str(item.alias)] = aggregate_values(item, arguments)
             elif str(item) not in row:
                 row[str(item)] = first_value(first_row, str(item))
         results.append(row)

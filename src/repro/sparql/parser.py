@@ -7,7 +7,8 @@ Supported grammar (enough for every query the KGLiDS interfaces issue):
 * ``WHERE { ... }`` with triple patterns (``;`` and ``,`` abbreviations),
   ``FILTER``, ``OPTIONAL``, ``UNION``, ``GRAPH``, ``BIND (expr AS ?v)``,
   and RDF-star quoted-triple patterns ``<< ?s :p ?o >>`` in subject position.
-* ``GROUP BY``, ``ORDER BY [ASC|DESC](?var)``, ``LIMIT``, ``OFFSET``.
+* ``GROUP BY``, ``ORDER BY [ASC|DESC](?var)``, and at most one each of
+  ``LIMIT n`` / ``OFFSET n`` with ``n`` an unsigned integer.
 """
 
 from __future__ import annotations
@@ -205,8 +206,7 @@ class _Parser:
         where = self._parse_group()
         group_by: List[Var] = []
         order_by: List[Tuple[Any, bool]] = []
-        limit: Optional[int] = None
-        offset = 0
+        window: Dict[str, int] = {}
         while self._peek() is not None:
             if self._at_word("group"):
                 self._next()
@@ -217,12 +217,16 @@ class _Parser:
                 self._next()
                 self._expect_word("by")
                 order_by.extend(self._parse_order_conditions())
-            elif self._at_word("limit"):
-                self._next()
-                limit = int(self._next().text)
-            elif self._at_word("offset"):
-                self._next()
-                offset = int(self._next().text)
+            elif self._at_word("limit") or self._at_word("offset"):
+                clause = self._next().text.upper()
+                count = self._next()
+                if clause in window:
+                    raise SPARQLSyntaxError(f"duplicate {clause} clause")
+                if count.kind != "number" or not count.text.isdecimal():
+                    raise SPARQLSyntaxError(
+                        f"{clause} takes an unsigned integer, found {count.text!r}"
+                    )
+                window[clause] = int(count.text)
             else:
                 break
         return SelectQuery(
@@ -231,8 +235,8 @@ class _Parser:
             where=where,
             group_by=group_by,
             order_by=order_by,
-            limit=limit,
-            offset=offset,
+            limit=window.get("LIMIT"),
+            offset=window.get("OFFSET", 0),
         )
 
     def _parse_order_conditions(self) -> List[Tuple[Any, bool]]:

@@ -71,6 +71,31 @@ class TestParser:
         with pytest.raises(SPARQLSyntaxError):
             parse_query("SELECT ?s WHERE { ?s ?p ?o } garbage garbage")
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            "LIMIT -1",
+            "OFFSET -2",
+            "LIMIT +3",
+            "LIMIT 2.5",
+            "LIMIT 1e2",
+            "LIMIT abc",
+            "LIMIT ?s",
+            "LIMIT",
+            "LIMIT 2 LIMIT 3",
+            "OFFSET 1 LIMIT 2 OFFSET 1",
+        ],
+    )
+    def test_limit_and_offset_take_exactly_one_unsigned_integer(self, window):
+        with pytest.raises(SPARQLSyntaxError):
+            parse_query(f"SELECT ?s WHERE {{ ?s ?p ?o }} ORDER BY ?s {window}")
+
+    def test_limit_and_offset_in_either_order(self):
+        for window in ("LIMIT 0 OFFSET 3", "OFFSET 3 LIMIT 0"):
+            query = parse_query(f"SELECT ?s WHERE {{ ?s ?p ?o }} {window}")
+            assert (query.limit, query.offset) == (0, 3)
+        assert parse_query("SELECT ?s WHERE { ?s ?p ?o }").offset == 0
+
 
 class TestEvaluation:
     def test_basic_match_and_filter(self, engine):

@@ -31,7 +31,7 @@ from repro.rdf import (
 from repro.rdf.serialize import serialize_nquads
 from repro.sparql import SPARQLEngine
 from repro.sparql import join
-from repro.sparql.columnar import UNBOUND, Relation
+from repro.sparql.columnar import UNBOUND, QueryEncoder, Relation
 
 import sparql_oracle
 
@@ -203,6 +203,31 @@ QUERY_SHAPES = [
     f"""SELECT ?n (COUNT(DISTINCT ?b) AS ?k) WHERE {{
         GRAPH ?g {{ ?a <{EX}p0> ?b . ?a <{EX}p2> ?c . }} ?c <{EX}name> ?n .
     }} GROUP BY ?n ORDER BY DESC(?k) ?n""",
+    # --- ORDER BY … LIMIT / OFFSET: the top-k cut and the window ---
+    # the serve workload's ranked-annotation shape; the ?c fan-out repeats
+    # each ?v, so on most stores the cut lands inside a run of ties
+    f"""SELECT ?a ?b ?v WHERE {{
+        << ?a <{EX}p0> ?b >> <{EX}certainty> ?v . ?a <{EX}p1> ?c .
+    }} ORDER BY DESC(?v) ?a ?b LIMIT 4""",
+    f"""SELECT ?a ?b ?v WHERE {{
+        << ?a <{EX}p0> ?b >> <{EX}certainty> ?v . ?a <{EX}p1> ?c .
+    }} ORDER BY DESC(?v) ?a ?b OFFSET 1 LIMIT 4""",
+    # first key sometimes unbound (OPTIONAL), a descending second key
+    f"""SELECT ?s ?n ?x WHERE {{
+        ?s <{EX}name> ?n . OPTIONAL {{ ?s <{EX}p3> ?x . }}
+    }} ORDER BY ?x DESC(?n) LIMIT 5""",
+    f"SELECT ?s ?o WHERE {{ ?s <{EX}p1> ?o . }} ORDER BY ?o ?s OFFSET 2 LIMIT 3",
+    f"SELECT ?s ?o WHERE {{ ?s <{EX}p1> ?o . }} ORDER BY ?o ?s LIMIT 0",
+    # OFFSET past the end, with and without LIMIT
+    f"SELECT ?s ?o WHERE {{ ?s <{EX}p1> ?o . }} ORDER BY DESC(?o) ?s OFFSET 500 LIMIT 3",
+    f"SELECT ?s ?o WHERE {{ ?s <{EX}p1> ?o . }} ORDER BY DESC(?o) ?s OFFSET 500",
+    # DISTINCT: the window counts distinct rows, so no cut before dedup
+    f"SELECT DISTINCT ?a WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?c . }} ORDER BY ?a LIMIT 3",
+    # SELECT *: ?o is bound only in rows past the LIMIT (an unbound ?n ranks
+    # as the string "None", below every name), yet it is a result variable
+    f"""SELECT * WHERE {{
+        {{ ?s <{EX}name> ?n . }} UNION {{ ?s <{EX}p2> ?o . }}
+    }} ORDER BY DESC(?n) LIMIT 2""",
 ]
 
 
@@ -574,6 +599,74 @@ class TestVectorizedCollation:
         result = SPARQLEngine(store).select(query)
         assert result.rows == sparql_oracle.select(store, query).rows
         assert len(result) == 7
+
+
+class TestTopKCollation:
+    """``ORDER BY … LIMIT`` sorts and decodes only rows that can reach the
+    result, and answers exactly the prefix of the full sort."""
+
+    def test_value_collision_at_the_cut(self):
+        """5 and 5.0 share a rank (and "5" does not) wherever the cut falls;
+        rows tied on every key keep their order from the full sort."""
+        store = QuadStore()
+        objects = [
+            Literal(7), Literal(5), Literal("5"), Literal(5.0),
+            Literal(3), Literal(5), Literal("10"), Literal(5.0),
+        ]
+        for position, obj in enumerate(objects):
+            store.add(_uri(f"s{position}"), _uri("p"), obj)
+        engine = SPARQLEngine(store)
+        for order in ("?o ?s", "DESC(?o) ?s", "?o DESC(?s)", "?o", "DESC(?o)"):
+            query = f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o . }} ORDER BY {order}"
+            full = ordered_key(engine.select(query))
+            for offset in (0, 2):
+                for limit in range(len(objects) + 1):
+                    window = f"{query} OFFSET {offset} LIMIT {limit}"
+                    assert ordered_key(engine.select(window)) == full[offset : offset + limit]
+                    if "?s" in order:  # a total order: the oracle agrees row for row
+                        assert_matches_oracle(store, window)
+
+    @pytest.mark.parametrize(
+        "window, start, end",
+        [("LIMIT 1", 0, 1), ("LIMIT 7", 0, 7), ("OFFSET 3 LIMIT 5", 3, 8), ("OFFSET 4", 4, None)],
+    )
+    def test_limit_without_order_by_is_a_prefix(self, random_store, window, start, end):
+        """Without ORDER BY the window slices the relation's own order."""
+        query = f"SELECT ?a ?c WHERE {{ ?a <{EX}p0> ?b . ?b <{EX}p1> ?c . }}"
+        engine = SPARQLEngine(random_store)
+        full = ordered_key(engine.select(query))
+        assert len(full) > 8
+        assert ordered_key(engine.select(f"{query} {window}")) == full[start:end]
+
+    def test_each_id_decodes_once_and_cut_rows_never_decode(self, monkeypatch):
+        """120 ranked annotations, LIMIT 10: the ?v run of ties at the cut
+        survives (12 rows), and only those rows' ?a / ?b ever decode."""
+        store = QuadStore()
+        for position in range(120):
+            score = Literal((position * 7) % 40 / 40)  # each score three times
+            store.annotate(
+                _uri(f"a{position}"), _uri("p0"), _uri(f"b{position}"), _uri("certainty"), score
+            )
+        query = f"""SELECT ?a ?b ?v WHERE {{
+            << ?a <{EX}p0> ?b >> <{EX}certainty> ?v .
+        }} ORDER BY DESC(?v) ?a ?b"""
+        ranked = sparql_oracle.select(store, query).rows
+        boundary = ranked[9]["v"]
+        survivors = {str(row[name]) for row in ranked if row["v"] >= boundary for name in "ab"}
+        assert len(ranked) == 120 and len(survivors) == 2 * 12
+
+        decoded = []
+        decode = QueryEncoder.decode
+        monkeypatch.setattr(
+            QueryEncoder, "decode", lambda self, term_id: decoded.append(term_id) or decode(self, term_id)
+        )
+        result = SPARQLEngine(store).select(f"{query} LIMIT 10")
+        monkeypatch.undo()
+        assert ordered_key(result) == ordered_key(sparql_oracle.select(store, f"{query} LIMIT 10"))
+        assert len(decoded) == len(set(decoded)), "an id decoded twice in one query"
+        terms = [store.dictionary.decode(term_id) for term_id in decoded]
+        assert {str(term) for term in terms if isinstance(term, URIRef)} <= survivors
+        assert sum(isinstance(term, URIRef) for term in terms) == len(survivors)
 
 
 class TestIdArrayScans:
