@@ -152,22 +152,32 @@ class DataGlobalSchemaBuilder:
         new_profiles: Sequence[TableProfile],
         plan: IncrementalBuildPlan,
         store: QuadStore,
+        replacing: Sequence[URIRef] = (),
     ) -> List[ColumnSimilarityEdge]:
         """Write a planned increment into ``store`` (the cheap, write-only half).
 
-        Callers wanting batch atomicity wrap this single call in
-        ``store.write_batch()``; the triples written are exactly those
-        :meth:`build_incremental` would write.
+        The metadata subgraphs, similarity edges and table relationships go
+        to the dataset graph as one :meth:`QuadStore.replace_nodes` call that
+        also takes the place of every triple touching ``replacing`` — a
+        refresh passes the stale tables' footprint nodes, so only the rows
+        that differ are deleted and inserted.  Callers wanting batch
+        atomicity wrap this single call in ``store.write_batch()``; the
+        triples written are exactly those :meth:`build_incremental` would
+        write.
         """
-        self._write_metadata_subgraphs(new_profiles, store)
-        self._write_similarity_edges(plan.edges, store)
-        self._write_table_relationships(plan.table_scores, store)
+
+        def rows():
+            # One writer's list at a time: each is encoded and freed before
+            # the next is built, so a bulk govern never holds all three.
+            yield from self._metadata_rows(new_profiles)
+            yield from self._similarity_edge_rows(plan.edges)
+            yield from self._table_relationship_rows(plan.table_scores)
+
+        store.replace_nodes(replacing, rows(), DATASET_GRAPH)
         return plan.edges
 
     # ---------------------------------------------------- metadata subgraphs
-    def _write_metadata_subgraphs(
-        self, table_profiles: Sequence[TableProfile], store: QuadStore
-    ) -> None:
+    def _metadata_rows(self, table_profiles: Sequence[TableProfile]) -> List[tuple]:
         ontology = LiDSOntology
         source = source_uri(self.source_name)
         rows: List[tuple] = [
@@ -195,7 +205,7 @@ class DataGlobalSchemaBuilder:
             ]
             for profile in table_profile.column_profiles:
                 rows += self._column_metadata_rows(profile, table_node)
-        store.add_many(rows, DATASET_GRAPH)
+        return rows
 
     @staticmethod
     def _column_metadata_rows(profile: ColumnProfile, table_node: URIRef) -> List[tuple]:
@@ -421,19 +431,16 @@ class DataGlobalSchemaBuilder:
             for i, j in np.argwhere(hits)
         ]
 
-    def _write_similarity_edges(
-        self, edges: Iterable[ColumnSimilarityEdge], store: QuadStore
-    ) -> None:
+    def _similarity_edge_rows(self, edges: Iterable[ColumnSimilarityEdge]) -> List[tuple]:
         label, content = LiDSOntology.hasLabelSimilarity, LiDSOntology.hasContentSimilarity
-        self._write_scored_edges(
+        return self._scored_edge_rows(
             ((e.column_a, label if e.kind == "label" else content, e.column_b, e.score) for e in edges),
             lambda column_id: column_uri(*column_id.split("/", 2)),
-            store,
         )
 
     @staticmethod
-    def _write_scored_edges(edges, node_of, store: QuadStore) -> None:
-        """Write ``(id_a, predicate, id_b, score)`` edges, both ways, as one batch.
+    def _scored_edge_rows(edges, node_of) -> List[tuple]:
+        """The rows of ``(id_a, predicate, id_b, score)`` edges, both ways.
 
         Each direction is the asserted triple followed by its RDF-star
         ``withCertainty`` annotation.  ``node_of`` mints a node URI from an
@@ -448,7 +455,7 @@ class DataGlobalSchemaBuilder:
             for subject, obj in ((node_a, node_b), (node_b, node_a)):
                 rows.append((subject, predicate, obj))
                 rows.append((QuotedTriple(subject, predicate, obj), certainty, score))
-        store.add_many(rows, DATASET_GRAPH)
+        return rows
 
     # --------------------------------------------------- table relationships
     def derive_table_relationships(
@@ -512,17 +519,14 @@ class DataGlobalSchemaBuilder:
             total += score
         return total
 
-    def _write_table_relationships(
-        self, table_scores: Dict[Tuple[str, str, str], float], store: QuadStore
-    ) -> None:
+    def _table_relationship_rows(self, table_scores: Dict[Tuple[str, str, str], float]) -> List[tuple]:
         unionable, joinable = LiDSOntology.unionableWith, LiDSOntology.joinableWith
-        self._write_scored_edges(
+        return self._scored_edge_rows(
             (
                 (table_a, unionable if kind == "unionable" else joinable, table_b, score)
                 for (table_a, table_b, kind), score in table_scores.items()
             ),
             lambda table_id: table_uri(*table_id.split("/", 1)),
-            store,
         )
 
 

@@ -35,7 +35,7 @@ from repro.kg.storage import KGLiDSStorage
 from repro.parallel import JobExecutor
 from repro.pipelines.abstraction import AbstractedPipeline, PipelineAbstractor, PipelineScript
 from repro.profiler.profile import DataProfiler, TableProfile
-from repro.rdf import QuadStore, SqliteBackend
+from repro.rdf import QuadStore, SqliteBackend, URIRef
 from repro.tabular import DataLake, Table
 
 PathLike = Union[str, Path]
@@ -57,8 +57,9 @@ class GovernorReport:
     num_columns_profiled: int = 0
     num_pipelines_abstracted: int = 0
     num_similarity_edges: int = 0
-    #: ``dataset/table`` ids that went through the refresh path (retract +
-    #: re-profile) because their contents changed since they were governed.
+    #: ``dataset/table`` ids that went through the refresh path (re-profile,
+    #: then replace the footprint) because their contents changed since they
+    #: were governed.
     refreshed_tables: List[str] = field(default_factory=list)
     #: ``dataset/table`` ids removed from the graph by retraction requests.
     retracted_tables: List[str] = field(default_factory=list)
@@ -254,8 +255,9 @@ class KGGovernor:
         Re-adding a table whose *contents* changed (detected via the content
         fingerprint recorded when it was first governed) takes the refresh
         path: its stale metadata triples, similarity edges and embeddings
-        are retracted and the re-governed footprint written *in the same
-        commit* (readers observe old state or new, never neither), logged in
+        give way to the re-governed footprint *in the same commit* (readers
+        observe old state or new, never neither), which writes only the
+        rows that differ; it is logged in
         ``GovernorReport.refreshed_tables``.  Change detection costs one
         hash pass over each already-governed table's values per re-add —
         far cheaper than profiling, but no longer the O(1) key lookup the
@@ -277,7 +279,7 @@ class KGGovernor:
         fresh_tables: List[Table] = []
         fingerprints: Dict[Tuple[str, str], str] = {}
         #: ``(dataset, table, stale_profile)`` of re-adds whose contents
-        #: changed — retracted inside the same commit that re-governs them.
+        #: changed — replaced inside the same commit that re-governs them.
         stale: List[Tuple[str, str, TableProfile]] = []
         for table in lake.tables():
             key = (table.dataset or "default", table.name)
@@ -299,7 +301,7 @@ class KGGovernor:
             return report
         # Drop the stale profiles from the python registries *before*
         # planning so similarity is never scored against a profile being
-        # retracted; the graph-side retraction happens inside the single
+        # replaced; the graph-side replacement happens inside the single
         # transaction below.  The snapshot restores everything if the batch
         # (or profiling itself) fails.
         snapshot = self._profile_state_snapshot()
@@ -317,18 +319,17 @@ class KGGovernor:
             raise
         report.num_tables_profiled += len(new_profiles)
         report.num_columns_profiled += sum(len(p.column_profiles) for p in new_profiles)
-        # One transaction covers stale-footprint retraction, embeddings and
-        # graph writes: a refresh is all-or-nothing, and readers see the old
-        # table state replaced by the new in a single commit.
+        # One transaction covers the stale footprints, embeddings and graph
+        # writes: a refresh is all-or-nothing, and readers see the old table
+        # state replaced by the new in a single commit.
         with self.storage.transaction():
             self._register_state_rollback(
                 lambda: self._restore_profile_state(snapshot)
             )
-            for dataset_name, table_name, profile in stale:
-                self._retract_graph_footprint(dataset_name, table_name, profile)
+            replacing = [node for entry in stale for node in self._retire_footprint(*entry)]
             self._store_embeddings(new_profiles)
             edges = self.schema_builder.apply_incremental(
-                new_profiles, plan, self.storage.graph
+                new_profiles, plan, self.storage.graph, replacing=replacing
             )
             self.table_profiles.extend(new_profiles)
             for profile in new_profiles:
@@ -453,20 +454,23 @@ class KGGovernor:
 
     # ---------------------------------------------------------------- refresh
     def refresh_table(self, table: Table, dataset_name: Optional[str] = None) -> GovernorReport:
-        """Retract a governed table's graph footprint and re-govern it.
+        """Re-govern a table, writing the difference in one commit.
 
-        Everything derived from the table's old contents is removed — its
-        metadata triples, the similarity / unionability / joinability edges
-        (and their RDF-star score annotations) touching its column and table
-        nodes, and its stored embeddings — and the re-profiled footprint is
-        written *in the same commit*: concurrent readers observe the old
-        table state or the new one, never the gap in between, and a failure
-        anywhere (profiling included) rolls everything back to the
-        pre-refresh state.  The result is byte-identical to governing the
-        modified lake from scratch: no stale triples, edges or embeddings
-        survive.  Refreshing a table that was never governed degrades to a
-        plain add.  Profiling still runs outside the write gate — only the
-        retract-and-apply phase holds it.
+        Everything derived from the table's old contents — its metadata
+        triples, the similarity / unionability / joinability edges (and
+        their RDF-star score annotations) touching its column and table
+        nodes, and its stored embeddings — gives way to the re-profiled
+        footprint *in the same commit*.  The graph write is one
+        ``QuadStore.replace_nodes`` call: rows the new footprint shares with
+        the old stay put, so a changed score swaps one ``withCertainty``
+        literal and an unchanged table changes no row at all.  Concurrent
+        readers observe the old table state or the new one, never the gap
+        in between, and a failure anywhere (profiling included) rolls
+        everything back to the pre-refresh state.  The result is
+        byte-identical to governing the modified lake from scratch: no stale
+        triples, edges or embeddings survive.  Refreshing a table that was
+        never governed degrades to a plain add.  Profiling still runs
+        outside the write gate — only the apply phase holds it.
         """
         self._ensure_writable()
         service = self._route_to_service()
@@ -477,7 +481,7 @@ class KGGovernor:
         lake.add_table(dataset_name, table)
         # Force the refresh path even when the content fingerprint matches
         # (the caller explicitly asked for a re-govern): the stale footprint
-        # is retracted inside the same commit that re-adds the table.
+        # is replaced inside the same commit that re-adds the table.
         return self.add_data_lake(
             lake, _force_refresh=frozenset([(dataset_name, table.name)])
         )
@@ -485,10 +489,11 @@ class KGGovernor:
     def retract_table(self, dataset_name: str, table_name: str) -> bool:
         """Remove a table's triples, similarity edges and embeddings.
 
-        Uses the store's retraction primitives: node-scoped matches over the
-        dataset graph's hash indexes plus the partial quoted-triple indexes
-        (for the RDF-star score annotations), so retraction never scans the
-        whole graph.  Dataset / source nodes shared with other tables are
+        The graph side is ``QuadStore.replace_nodes(nodes, ())`` over the
+        table's footprint nodes: node-scoped buckets of the dataset graph's
+        hash indexes plus the partial quoted-triple indexes (for the RDF-star
+        score annotations), so retraction never scans the whole graph.
+        Dataset / source nodes shared with other tables are
         left in place, but a dataset's node goes with its last table (a
         one-shot govern of the remaining lake never creates it); pipeline
         graphs are untouched (their ``reads`` edges reference the table node
@@ -516,17 +521,20 @@ class KGGovernor:
             self._register_state_rollback(
                 lambda: self._restore_profile_state(snapshot)
             )
-            self._retract_graph_footprint(dataset_name, table_name, profile)
+            nodes = self._retire_footprint(dataset_name, table_name, profile)
+            self.storage.graph.replace_nodes(nodes, (), DATASET_GRAPH)
         return True
 
-    def _retract_graph_footprint(
+    def _retire_footprint(
         self, dataset_name: str, table_name: str, profile: TableProfile
-    ) -> None:
-        """Remove one table's triples, edges and embeddings (in-batch body).
+    ) -> List[URIRef]:
+        """Drop one table's embeddings; return the dataset-graph nodes it owns.
 
-        Callers hold an open ``storage.transaction()``; the retraction's
-        undo entries ride that batch, so a failure later in the same batch
-        resurrects the footprint.
+        Every triple touching the returned nodes is the table's footprint:
+        a retraction replaces it with nothing, a refresh with the
+        re-governed rows (``QuadStore.replace_nodes``).  Callers hold an
+        open ``storage.transaction()``, so a failure later in the same batch
+        restores the embeddings with the graph.
         """
         table_node = table_uri(dataset_name, table_name)
         column_nodes = [
@@ -538,10 +546,10 @@ class KGGovernor:
         # means this was its dataset's last table (a refresh re-adds the node).
         if not any(dataset == dataset_name for dataset, _ in self._profiles_by_key):
             nodes.append(dataset_uri(dataset_name))
-        self.storage.graph.retract_nodes(nodes, DATASET_GRAPH)
         self.storage.embeddings.remove("table", str(table_node))
         for column_node in column_nodes:
             self.storage.embeddings.remove("column", str(column_node))
+        return nodes
 
     # ------------------------------------------------------------ persistence
     def save(self, directory: PathLike) -> Path:

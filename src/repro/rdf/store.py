@@ -563,13 +563,7 @@ class QuadStore:
         :meth:`write_batch` is open.  Terms are interned in row order, so a
         batch assigns the ids the same rows added one by one would.
         """
-        depth = self._begin_write()
-        try:
-            encode = self._backend.dictionary.encode
-            rows = [(encode(s), encode(p), encode(o)) for s, p, o in triples]
-            return len(self._insert_rows(graph, rows))
-        finally:
-            self._end_write(depth)
+        return self.replace_nodes((), triples, graph)[1]
 
     def add_triples(
         self, triples: Iterable[Tuple[Any, Any, Any]], graph: URIRef = DEFAULT_GRAPH
@@ -620,19 +614,44 @@ class QuadStore:
 
         A triple touches a node that is its subject or object, or the inner
         subject or object of its quoted-triple subject (the score annotations
-        of the node's edges).  Runs in id space under one gate span: the
-        node's buckets are read off the graph index, nothing is decoded.
-        Returns the number removed.
+        of the node's edges).  Returns the number removed.
+        """
+        return self.replace_nodes(nodes, (), graph)[0]
+
+    def replace_nodes(
+        self,
+        nodes: Iterable[Any],
+        triples: Iterable[Tuple[Any, Any, Any]],
+        graph: URIRef = DEFAULT_GRAPH,
+    ) -> Tuple[int, int]:
+        """Swap the triples touching ``nodes`` for ``triples``, writing only the difference.
+
+        Leaves the store exactly as :meth:`retract_nodes` followed by
+        :meth:`add_many` would — the same triples under the same term ids,
+        since every row of ``triples`` is encoded in order — but a row of
+        the old footprint that ``triples`` writes again is neither deleted
+        nor re-inserted, so the undo log, the delta log, the backend and
+        every replica see only the rows that change: deletes first, in the
+        footprint's walk order, then inserts in ``triples``' order.  Runs in
+        id space under one gate span: the nodes' buckets are read off the
+        graph index, nothing is decoded.  Returns ``(removed, inserted)``.
         """
         depth = self._begin_write()
         try:
-            index = self._backend.get_index(graph)
-            if index is None:
-                return 0
-            node_ids = [self._backend.dictionary.lookup(node) for node in nodes]
-            buckets = (index.by_subject, index.by_object, index.by_quoted_subject, index.by_quoted_object)
-            rows = [row for node_id in node_ids for by_id in buckets for row in by_id.get(node_id, ())]
-            return len(self._delete_rows(graph, index, rows))
+            dictionary = self._backend.dictionary
+            node_ids = [dictionary.lookup(node) for node in nodes]
+            index = self._backend.get_index(graph) if node_ids else None
+            footprint: List[IdTriple] = []
+            if index is not None:
+                buckets = (index.by_subject, index.by_object, index.by_quoted_subject, index.by_quoted_object)
+                footprint = [row for node_id in node_ids for by_id in buckets for row in by_id.get(node_id, ())]
+            encode = dictionary.encode
+            rows = [(encode(s), encode(p), encode(o)) for s, p, o in triples]
+            removed = 0
+            if footprint:
+                kept = set(rows)
+                removed = len(self._delete_rows(graph, index, [row for row in footprint if row not in kept]))
+            return removed, len(self._insert_rows(graph, rows))
         finally:
             self._end_write(depth)
 

@@ -1,15 +1,18 @@
 """The per-quad write path of the KG writers: the differential oracle.
 
 What ``DataGlobalSchemaBuilder``, ``PipelineGraphBuilder``,
-``GlobalGraphLinker`` and ``KGGovernor._retract_graph_footprint`` did before
-they wrote by the batch, moved out of ``src/``: one ``store.add`` /
+``GlobalGraphLinker`` and the governor's table retraction did before they
+wrote by the batch, moved out of ``src/``: one ``store.add`` /
 ``store.annotate`` per quad — a fresh URI and a fresh score ``Literal`` per
 edge — and a retraction that walks ``store.match`` (id triple → decoded
-``Term``s) only to hand the same three terms to ``store.remove``.  Slow and
-obviously right; ``tests/test_write_path_parity.py`` drives a governor
-through these writers and through the production ones and requires the same
-N-Quads dump, the same dictionary rows in the same id order, the same
-delta-log entries per commit and the same ``GraphIndex`` contents.
+``Term``s) only to hand the same three terms to ``store.remove``.  A refresh
+here is the old spelling: retract the table's whole footprint, then write the
+re-governed one back, where production writes only the difference
+(``QuadStore.replace_nodes``).  Slow and obviously right;
+``tests/test_write_path_parity.py`` drives a governor through these writers
+and through the production ones and requires the same N-Quads dump, the same
+dictionary rows in the same id order, the same ``GraphIndex`` contents, and
+delta-log entries per commit equal to the net of this oracle's (:func:`net_ops`).
 
 :func:`oracle_governor` builds a ``KGGovernor`` whose writers are the ones in
 this file; everything that is not a store write (profiling, similarity
@@ -44,6 +47,14 @@ from repro.rdf import Literal, RDF, RDFS
 
 class OracleSchemaBuilder(DataGlobalSchemaBuilder):
     """Algorithm 3's writers, one quad at a time."""
+
+    def apply_incremental(self, new_profiles, plan, store, replacing=()):
+        # The oracle governor retracted the stale footprints already.
+        assert not replacing
+        self._write_metadata_subgraphs(new_profiles, store)
+        self._write_similarity_edges(plan.edges, store)
+        self._write_table_relationships(plan.table_scores, store)
+        return plan.edges
 
     def _write_metadata_subgraphs(self, table_profiles, store) -> None:
         ontology = LiDSOntology
@@ -255,10 +266,15 @@ class OracleLinker(GlobalGraphLinker):
 
 
 class OracleGovernor(KGGovernor):
-    """A governor that retracts by match → decode → ``remove``."""
+    """A governor that retracts by match → decode → ``remove``, up front.
 
-    def _retract_graph_footprint(self, dataset_name, table_name, profile) -> None:
-        graph = self.storage.graph
+    Retraction and refresh both ask ``_retire_footprint`` for the nodes whose
+    triples to replace; this one removes those triples quad by quad right
+    away and hands the production code no nodes, so a refresh is the whole
+    footprint retracted and then written back.
+    """
+
+    def _retire_footprint(self, dataset_name, table_name, profile):
         table_node = table_uri(dataset_name, table_name)
         column_nodes = [
             column_uri(p.dataset_name, p.table_name, p.column_name)
@@ -267,18 +283,25 @@ class OracleGovernor(KGGovernor):
         nodes = [table_node] + column_nodes
         if not any(dataset == dataset_name for dataset, _ in self._profiles_by_key):
             nodes.append(dataset_uri(dataset_name))
-        for node in nodes:
-            for triple, graph_name in list(graph.match(subject=node, graph=DATASET_GRAPH)):
-                graph.remove(triple.subject, triple.predicate, triple.object, graph=graph_name)
-            for triple, graph_name in list(graph.match(obj=node, graph=DATASET_GRAPH)):
-                graph.remove(triple.subject, triple.predicate, triple.object, graph=graph_name)
-            for triple, graph_name in list(graph.match_quoted(inner_subject=node, graph=DATASET_GRAPH)):
-                graph.remove(triple.subject, triple.predicate, triple.object, graph=graph_name)
-            for triple, graph_name in list(graph.match_quoted(inner_object=node, graph=DATASET_GRAPH)):
-                graph.remove(triple.subject, triple.predicate, triple.object, graph=graph_name)
+        retract_per_quad(self.storage.graph, nodes, DATASET_GRAPH)
         self.storage.embeddings.remove("table", str(table_node))
         for column_node in column_nodes:
             self.storage.embeddings.remove("column", str(column_node))
+        return []
+
+
+def retract_per_quad(store, nodes, graph) -> None:
+    """Every triple of ``graph`` touching ``nodes``, removed one quad at a time:
+    per node its subject, object, quoted-subject and quoted-object matches."""
+    for node in nodes:
+        for matches in (
+            store.match(subject=node, graph=graph),
+            store.match(obj=node, graph=graph),
+            store.match_quoted(inner_subject=node, graph=graph),
+            store.match_quoted(inner_object=node, graph=graph),
+        ):
+            for triple, graph_name in list(matches):
+                store.remove(triple.subject, triple.predicate, triple.object, graph=graph_name)
 
 
 def oracle_governor(storage) -> OracleGovernor:
@@ -287,6 +310,27 @@ def oracle_governor(storage) -> OracleGovernor:
     governor.pipeline_builder = OraclePipelineGraphBuilder()
     governor.linker = OracleLinker()
     return governor
+
+
+def net_ops(ops) -> list:
+    """One commit's delta-log ops with each remove-then-add of a row cancelled.
+
+    What the commit changed, in the order it was written: a row the oracle
+    retracted and wrote back is in neither list, every other op keeps its
+    place.  A ``drop`` cancels nothing and ends pairing in its graph.
+    """
+    keep = [True] * len(ops)
+    open_ops = {}  # (graph, row) -> position of its last unpaired op
+    for position, (kind, graph, row) in enumerate(ops):
+        if kind == "drop":
+            open_ops = {key: at for key, at in open_ops.items() if key[0] != graph}
+            continue
+        earlier = open_ops.pop((graph, row), None)
+        if earlier is not None and ops[earlier][0] != kind:
+            keep[earlier] = keep[position] = False
+        else:
+            open_ops[(graph, row)] = position
+    return [op for op, kept in zip(ops, keep) if kept]
 
 
 # ------------------------------------------------------------ index contents

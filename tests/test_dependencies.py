@@ -86,10 +86,10 @@ def test_one_write_path_in_store():
     """No second write path in ``src/``: per-quad writers live on only as the oracle.
 
     ``QuadStore`` has one insert internal and one delete internal; ``add``,
-    ``add_many``, ``add_triples``, ``annotate``, ``remove`` and
-    ``retract_nodes`` are expressed over them, so the row bookkeeping (undo
-    entries, delta-log ops, change marks, the mutation counter) is written
-    once, and every delete is a row delete.  The KG writers build a row list
+    ``add_many``, ``add_triples``, ``annotate``, ``remove``,
+    ``retract_nodes`` and ``replace_nodes`` are expressed over them, so the
+    row bookkeeping (undo entries, delta-log ops, change marks, the mutation
+    counter) is written once, and every delete is a row delete.  The KG writers build a row list
     and make one call;
     ``tests/store_write_oracle.py`` keeps the per-quad loops, and
     ``tests/colr_oracle.py`` the md5 per n-gram occurrence.
@@ -116,6 +116,19 @@ def test_one_write_path_in_store():
         if "hashlib." in text and _calls_in_loops(colr, rf"{name}\("):
             decorators = [ast.unparse(decorator) for decorator in node.decorator_list]
             assert "functools.cache" in decorators, f"colr.{name} hashes once per call, in a loop"
+
+
+def test_dataset_graph_is_written_through_replace_nodes():
+    """A refresh has one code path: every dataset-graph write in ``kg/`` —
+    add, refresh, retract — is one ``QuadStore.replace_nodes`` call, and
+    none retracts a footprint to write it back."""
+    kg = Path(__file__).resolve().parent.parent / "src" / "repro" / "kg"
+    for path in kg.glob("*.py"):
+        source = path.read_text()
+        assert "retract_nodes(" not in source, f"kg/{path.name} retracts outside replace_nodes"
+        assert not re.search(r"add_many\([^)]*DATASET_GRAPH", source), f"kg/{path.name} adds to the dataset graph"
+    for name in ("dataset_graph.py", "governor.py"):
+        assert "replace_nodes(" in (kg / name).read_text()
 
 
 def test_rdf_sparql_line_budget():

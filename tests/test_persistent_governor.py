@@ -610,6 +610,56 @@ class TestRefreshTable:
             scratch.storage.graph
         )
 
+    def test_forced_refresh_of_an_unchanged_table_changes_no_row(self):
+        governor = KGGovernor()
+        store = governor.storage.graph
+        store.enable_delta_log()
+        governor.add_data_lake(make_lake())
+        before, terms = serialize_nquads(store), store.dictionary.export_rows(1)
+        version, commit = store.version, store.commit_version
+        report = governor.refresh_table(make_lake().table("titanic", "train"))
+        assert report.refreshed_tables == ["titanic/train"]
+        assert store.delta_log_since(commit) == [(commit + 1, [])]  # one commit, no row
+        assert store.version == version
+        assert serialize_nquads(store) == before
+        assert store.dictionary.export_rows(1) == terms
+
+    def test_a_score_only_change_swaps_only_the_certainty_literals(self):
+        """``t1.amount`` keeps its count, distinct count, min, max, mean and
+        std; only its values' embedding, and so its similarity scores, move.
+        The edges and their quoted triples stay under their ids, and each
+        changed score is one literal deleted and one inserted."""
+        region = ["north", "south", "east", "west"] * 2
+
+        def score_lake(amount) -> DataLake:
+            lake = DataLake("scores")
+            lake.add_table("ds", Table.from_dict("t1", {"amount": amount, "region": region}))
+            lake.add_table("ds", Table.from_dict("t2", {"amount": [11, 21, 31, 41, 51, 61, 71, 81], "region": region}))
+            lake.add_table("ds", Table.from_dict("t3", {"amount": [12, 19, 33, 38, 52, 58, 72, 79], "zone": region}))
+            return lake
+
+        moved = [10, 19, 30, 41, 50, 63, 67, 80]  # same sum and sum of squares as below
+        governor = KGGovernor()
+        store = governor.storage.graph
+        store.enable_delta_log()
+        governor.add_data_lake(score_lake([10, 20, 30, 40, 50, 60, 70, 80]))
+        certainty = store.dictionary.lookup(LiDSOntology.withCertainty)
+        index = store.backend.get_index(DATASET_GRAPH)
+        unscored = {row for row in index.triples if row[1] != certainty}
+        commit = store.commit_version
+        governor.refresh_table(score_lake(moved).table("ds", "t1"))
+        [(_, ops)] = store.delta_log_since(commit)
+        removed = [row for kind, _, row in ops if kind == "remove"]
+        added = [row for kind, _, row in ops if kind == "add"]
+        assert ops == [("remove", DATASET_GRAPH, row) for row in removed] + [("add", DATASET_GRAPH, row) for row in added]
+        assert removed and all(row[1] == certainty for row in removed + added)
+        assert sorted(row[0] for row in removed) == sorted(row[0] for row in added)
+        assert len({row[0] for row in removed}) == len(removed)  # one swap per score
+        assert {row for row in index.triples if row[1] != certainty} == unscored
+        scratch = KGGovernor()
+        scratch.add_data_lake(score_lake(moved))
+        assert serialize_nquads(store) == serialize_nquads(scratch.storage.graph)
+
     def test_refresh_persists_through_save_reopen(self, tmp_path):
         governor = KGGovernor()
         governor.add_data_lake(make_lake())

@@ -33,7 +33,7 @@ import pytest
 from repro.interfaces import LiDSClient
 from repro.kg import GovernorService, KGGovernor
 from repro.kg.errors import TransientError
-from repro.kg.ontology import DATASET_GRAPH, ONTOLOGY_GRAPH
+from repro.kg.ontology import DATASET_GRAPH, ONTOLOGY_GRAPH, column_uri, table_uri
 from repro.kg.storage import KGLiDSStorage
 from repro.rdf import Literal, QuadStore, URIRef
 from repro.serving import (
@@ -470,6 +470,58 @@ def test_replica_ranks_similar_tables_and_libraries_like_the_writer(served_lake,
             assert replica.stats["delta_pulls"] > pulls and replica.stats["full_pulls"] == 0
             after = assert_replica_answers_like_the_writer()
             assert (after[24].num_rows > 0) == present  # table_late's unionable tables, k = 3
+    finally:
+        replica.close()
+
+
+def test_replica_follows_a_refresh_by_its_net_rows(served_lake, tmp_path):
+    """A refresh writes only the rows that differ, and that is all a replica
+    pulls and applies: one delta, no full dump, fewer rows than the table's
+    old footprint — after which it answers unionable, joinable and path
+    calls byte-identically to the writer."""
+    service = served_lake["service"]
+    source = served_lake["governor"].storage.graph
+    replica = Replica(
+        served_lake["server"].address,
+        ship_snapshot(served_lake["dir"], tmp_path / "replica"),
+    )
+    writer = LiDSClient(service)
+    tables = [(f"ds{index % 2}", f"table_{index}") for index in range(6)]
+
+    def answers(client):
+        calls = [
+            call(dataset, table, k)
+            for dataset, table in tables
+            for call in (client.get_unionable_tables, client.get_joinable_tables)
+            for k in (3, 10_000)
+        ]
+        calls += [client.get_path_to_table(dataset, table, 3) for dataset, table in tables]
+        return [canonical_json(answer) for answer in calls]
+
+    try:
+        assert answers(replica.client) == answers(writer)
+        # table_0 loses ``quantity`` and gains ``price``; amount and region stay.
+        original = make_lake(6).table("ds0", "table_0")
+        columns = {column.name: list(column.values) for column in original.columns if column.name != "quantity"}
+        columns["price"] = [round(value * 1.5, 2) for value in columns["amount"]]
+        nodes = [table_uri("ds0", "table_0")] + [column_uri("ds0", "table_0", name) for name in original.column_names]
+        with source.read_view():
+            index = source.backend.get_index(DATASET_GRAPH)
+            buckets = (index.by_subject, index.by_object, index.by_quoted_subject, index.by_quoted_object)
+            footprint = {
+                row for node in nodes for by_id in buckets for row in by_id.get(source.dictionary.lookup(node), ())
+            }
+            version = source.version
+        pulls, applied = replica.stats["delta_pulls"], replica.stats["rows_applied"]
+        service.submit_refresh(Table.from_dict("table_0", columns), dataset_name="ds0").result(timeout=120)
+        service.drain()
+        assert replica.sync() is True
+        assert replica.stats["delta_pulls"] == pulls + 1 and replica.stats["full_pulls"] == 0
+        assert replica.commit_version == service.commit_version
+        net = source.version - version
+        assert 0 < replica.stats["rows_applied"] - applied == net < len(footprint)
+        after = answers(writer)
+        assert answers(replica.client) == after
     finally:
         replica.close()
 

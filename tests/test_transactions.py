@@ -23,6 +23,7 @@ Pins the contracts of the transactional-writes redesign:
 
 from __future__ import annotations
 
+import itertools
 import sqlite3
 import threading
 import time
@@ -237,6 +238,15 @@ op_strategy = st.one_of(
     ),
     st.tuples(st.just("remove_graph"), st.sampled_from([G1, G2])),
     st.tuples(st.just("retract_nodes"), st.lists(st.sampled_from(SUBJECTS), max_size=2), st.sampled_from(GRAPHS)),
+    st.tuples(
+        st.just("replace_nodes"),
+        st.lists(st.sampled_from(SUBJECTS), max_size=2),
+        st.lists(
+            st.tuples(st.sampled_from(SUBJECTS), st.sampled_from(PREDICATES), st.integers(min_value=0, max_value=5)),
+            max_size=4,
+        ),
+        st.sampled_from(GRAPHS),
+    ),
 )
 
 
@@ -252,6 +262,8 @@ def apply_ops(store: QuadStore, ops) -> None:
             store.remove_graph(op[1])
         elif op[0] == "retract_nodes":
             store.retract_nodes(op[1], graph=op[2])
+        elif op[0] == "replace_nodes":
+            store.replace_nodes(op[1], [(s, p, Literal(value)) for s, p, value in op[2]], graph=op[3])
 
 
 class TestHypothesisRollback:
@@ -647,10 +659,9 @@ class TestEmbeddingTransactions:
 # ---------------------------------------------------------------------------
 # Governor-level sweeps: add / refresh / retract / pipelines
 # ---------------------------------------------------------------------------
-def faulted_governor():
-    backend = FaultInjectingBackend(QuadStoreBackend())
-    governor = KGGovernor(storage=KGLiDSStorage(graph=QuadStore(backend=backend)))
-    return governor, backend
+def faulted_governor(path=None):
+    store, backend = faulted_store(path)
+    return KGGovernor(storage=KGLiDSStorage(graph=store)), backend
 
 
 def strided(total: int, samples: int = 8):
@@ -672,14 +683,15 @@ def governor_state(governor: KGGovernor):
     )
 
 
-def sweep_governor_mutation(prepare, mutate, verify_scratch):
+def sweep_governor_mutation(prepare, mutate, verify_scratch, make=faulted_governor):
     """Drive ``mutate`` once per strided fault point over fresh governors.
 
     ``prepare(governor)`` builds committed pre-state; ``mutate(governor)``
     is the faulted operation; ``verify_scratch()`` returns the expected
-    post-state of a successful retry (a scratch governor that never failed).
+    post-state of a successful retry (a scratch governor that never failed);
+    ``make()`` opens a fresh faulted governor and its backend.
     """
-    probe, probe_backend = faulted_governor()
+    probe, probe_backend = make()
     prepare(probe)
     baseline = probe_backend.op_count
     mutate(probe)
@@ -688,7 +700,7 @@ def sweep_governor_mutation(prepare, mutate, verify_scratch):
 
     expected_after_retry = verify_scratch()
     for point in strided(total):
-        governor, backend = faulted_governor()
+        governor, backend = make()
         prepare(governor)
         pre = governor_state(governor)
         backend.plan = FaultPlan(at=backend.op_count + point)
@@ -700,6 +712,32 @@ def sweep_governor_mutation(prepare, mutate, verify_scratch):
         assert (snap(governor.storage.graph), embed_state(governor.storage)) == (
             expected_after_retry
         ), f"retry after fault point {point} diverged"
+        governor.close()
+    probe.close()
+
+
+def reshaped_table_0() -> Table:
+    """:func:`make_lake`'s ``table_0`` with ``quantity`` dropped and a new
+    ``price`` column.  Refreshing to it keeps the amount and region rows,
+    deletes quantity's, inserts price's and swaps the unionable scores."""
+    original = next(table for table in make_lake().tables() if table.name == "table_0")
+    columns = {column.name: list(column.values) for column in original.columns if column.name != "quantity"}
+    columns["price"] = [round(value * 1.5, 2) for value in columns["amount"]]
+    return Table.from_dict("table_0", columns)
+
+
+def one_shot(lake: DataLake):
+    """Graph and embeddings of a scratch governor that governs ``lake`` once."""
+    governor, _ = faulted_governor()
+    governor.add_data_lake(lake)
+    return snap(governor.storage.graph), embed_state(governor.storage)
+
+
+def reshaped_lake() -> DataLake:
+    lake = DataLake("txn")
+    for table in make_lake().tables():
+        lake.add_table(table.dataset, reshaped_table_0() if table.name == "table_0" else table)
+    return lake
 
 
 class TestGovernorFaultSweeps:
@@ -715,30 +753,50 @@ class TestGovernorFaultSweeps:
             verify_scratch=scratch,
         )
 
-    def test_refresh_table_is_one_atomic_commit(self):
-        changed = Table.from_dict(
-            "table_0",
-            {
-                "amount": [1.0, 2.0, 3.0, 4.0],
-                "quantity": [9, 9, 9, 9],
-                "region": ["north", "south", "east", "west"],
-            },
-        )
-
-        def prepare(governor):
-            governor.add_data_lake(make_lake())
-
-        def scratch():
-            governor, _ = faulted_governor()
-            prepare(governor)
-            governor.refresh_table(changed, dataset_name="ds0")
-            return snap(governor.storage.graph), embed_state(governor.storage)
-
+    @pytest.mark.parametrize("durable", [False, True], ids=["faulted-memory", "faulted-sqlite"])
+    def test_refresh_table_is_one_atomic_commit(self, durable, tmp_path):
+        """Every fault point of a refresh whose diff keeps, deletes and
+        inserts rows: the governor is left as it was, and a retry lands on a
+        scratch govern of the reshaped lake."""
+        paths = (tmp_path / f"refresh_{number}.sqlite" for number in itertools.count())
         sweep_governor_mutation(
-            prepare=prepare,
-            mutate=lambda governor: governor.refresh_table(changed, dataset_name="ds0"),
-            verify_scratch=scratch,
+            prepare=lambda governor: governor.add_data_lake(make_lake()),
+            mutate=lambda governor: governor.refresh_table(reshaped_table_0(), dataset_name="ds0"),
+            verify_scratch=lambda: one_shot(reshaped_lake()),
+            make=(lambda: faulted_governor(next(paths))) if durable else faulted_governor,
         )
+
+    def test_crashed_refresh_recovers_to_the_previous_commit(self, tmp_path):
+        """A process killed at any point of that refresh reopens at the
+        commit before it, and the restarted governor's retry lands on a
+        scratch govern of the reshaped lake."""
+        probe, probe_backend = faulted_governor(tmp_path / "probe.sqlite")
+        probe.add_data_lake(make_lake())
+        baseline = probe_backend.op_count
+        probe.refresh_table(reshaped_table_0(), dataset_name="ds0")
+        total = probe_backend.op_count - baseline
+        probe.close()
+        expected = one_shot(reshaped_lake())
+        for point in strided(total):
+            path = tmp_path / f"crash_{point}.sqlite"
+            governor, backend = faulted_governor(path)
+            governor.add_data_lake(make_lake())
+            # Profiles and embeddings as of the last commit, for the restart.
+            saved = governor.save(tmp_path / f"saved_{point}")
+            pre, pre_version = snap(governor.storage.graph), governor.storage.graph.commit_version
+            backend.plan = FaultPlan(at=backend.op_count + point, kind="crash")
+            with pytest.raises(InjectedCrash):
+                governor.refresh_table(reshaped_table_0(), dataset_name="ds0")
+            assert backend.fired is not None
+            restarted = KGGovernor.open(saved, graph=QuadStore(backend=SqliteBackend(path)))
+            graph = restarted.storage.graph
+            assert snap(graph) == pre, f"torn state after crash point {point}"
+            assert graph.commit_version == pre_version
+            restarted.refresh_table(reshaped_table_0(), dataset_name="ds0")
+            assert (snap(graph), embed_state(restarted.storage)) == expected, (
+                f"retry after crash point {point} diverged"
+            )
+            restarted.close()
 
     def test_retract_table_is_all_or_nothing(self):
         def prepare(governor):

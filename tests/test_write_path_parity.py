@@ -9,14 +9,19 @@ for 8 rounds — 2 tables retracted, 1 refreshed, 2 added, the ``ingest``
 workload's shape — once through production and once through the oracle, on
 both backends.  After every phase the two stores must agree on the N-Quads
 dump, on the dictionary rows *in id order* (what keeps the sqlite file
-byte-comparable), on the delta-log entries of every commit and on the
-``GraphIndex`` of every graph.  A failed assertion names backend × phase.
+byte-comparable), on the ``GraphIndex`` of every graph and on the sqlite
+tables.  Every production commit must log the net of the oracle's ops — the
+oracle's refresh retracts the whole footprint and writes it back, production
+writes the difference — and every add or retract commit exactly the
+oracle's.  A failed assertion names backend × phase.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import colr_oracle
-from store_write_oracle import assert_index_is_tight, index_contents, oracle_governor
+from store_write_oracle import assert_index_is_tight, index_contents, net_ops, oracle_governor, retract_per_quad
 
 from repro.datagen import generate_discovery_benchmark, generate_pipeline_corpus
 from repro.embeddings.colr import ColRModelSet, numeric_value_features
@@ -83,10 +88,10 @@ def open_governor(make, backend, path):
     return make(KGLiDSStorage(graph=store))
 
 
-def sqlite_tables(governor) -> dict:
+def sqlite_tables(store: QuadStore) -> dict:
     """Every catalog, term and quad row of a flushed sqlite store, by table."""
-    governor.storage.graph.flush()
-    connection = governor.storage.graph.backend._connection
+    store.flush()
+    connection = store.backend._connection
     names = [
         name
         for (name,) in connection.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
@@ -95,21 +100,71 @@ def sqlite_tables(governor) -> dict:
     return {name: sorted(connection.execute(f"SELECT * FROM {name}")) for name in names}
 
 
-def assert_same_store(production: QuadStore, oracle: QuadStore, where: str) -> None:
-    assert serialize_nquads(production) == serialize_nquads(oracle), f"{where}: N-Quads dump"
-    assert production.dictionary.export_rows(1) == oracle.dictionary.export_rows(1), (
+def assert_same_store(production, oracle, where: str) -> None:
+    """Both governors' stores hold the same state (sqlite: the same file rows)."""
+    ours, theirs = production.storage.graph, oracle.storage.graph
+    assert serialize_nquads(ours) == serialize_nquads(theirs), f"{where}: N-Quads dump"
+    assert ours.dictionary.export_rows(1) == theirs.dictionary.export_rows(1), (
         f"{where}: dictionary rows (ids or order)"
     )
-    assert production.delta_log_since(0) == oracle.delta_log_since(0), f"{where}: delta-log entries"
-    assert production.commit_version == oracle.commit_version, f"{where}: commit version"
-    assert production.version == oracle.version, f"{where}: mutation counter"
-    assert production.graphs() == oracle.graphs(), f"{where}: graph catalog"
-    for graph in production.graphs():
-        ours = production.backend.get_index(graph)
-        assert index_contents(ours) == index_contents(oracle.backend.get_index(graph)), (
+    assert ours.commit_version == theirs.commit_version, f"{where}: commit version"
+    assert ours.graphs() == theirs.graphs(), f"{where}: graph catalog"
+    for graph in ours.graphs():
+        index = ours.backend.get_index(graph)
+        assert index_contents(index) == index_contents(theirs.backend.get_index(graph)), (
             f"{where}: GraphIndex of {graph}"
         )
-        assert_index_is_tight(ours)
+        assert_index_is_tight(index)
+    if ours.persistent:
+        # The files hold the same catalog, terms and rows under the same ids.
+        assert sqlite_tables(ours) == sqlite_tables(theirs), f"{where}: sqlite table contents"
+
+
+def settled(ops) -> list:
+    """A commit's ops with each run of removes sorted.
+
+    Removes come in the order of a walk over hash buckets, and a set's
+    iteration order follows its history: once a refresh has kept rows the
+    oracle deleted and re-inserted, the two stores walk equal buckets in
+    different orders.  Which rows each run removes, and every other op in
+    its place, still compare exactly.
+    """
+    out, removes = [], []
+    for op in ops:
+        if op[0] == "remove":
+            removes.append(op)
+            continue
+        out += sorted(removes) + [op]
+        removes = []
+    return out + sorted(removes)
+
+
+def drive(governors, act, where: str, refresh: bool = False) -> list:
+    """Run ``act`` on both governors, compare the commits it made, return its results.
+
+    Each production commit logs the net of the oracle's ops for it — on the
+    add and retract paths nothing cancels, so the two logs are equal — and
+    moves the mutation counter by ``|old − new| + |new − old|``, ``old`` and
+    ``new`` being the rows the oracle removed and added.
+    """
+    production, oracle = (governor.storage.graph for governor in governors)
+    since, version = production.commit_version, production.version
+    results = [act(governor) for governor in governors]
+    ours, theirs = production.delta_log_since(since), oracle.delta_log_since(since)
+    assert [commit for commit, _ in ours] == [commit for commit, _ in theirs], f"{where}: commits"
+    changed = 0
+    for (commit, our_ops), (_, their_ops) in zip(ours, theirs):
+        net = net_ops(their_ops)
+        assert settled(our_ops) == settled(net), f"{where}: delta-log entry of commit {commit}"
+        if refresh:
+            assert len(our_ops) < len(their_ops), f"{where}: commit {commit} rewrote its whole footprint"
+        else:
+            assert net == their_ops, f"{where}: commit {commit} wrote a row twice"
+        old = {op[1:] for op in their_ops if op[0] == "remove"}
+        new = {op[1:] for op in their_ops if op[0] == "add"}
+        changed += len(old - new) + len(new - old) + sum(op[0] == "drop" for op in their_ops)
+    assert production.version - version == changed, f"{where}: mutation counter"
+    return results
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
@@ -117,28 +172,22 @@ def test_batched_writers_match_per_quad_writers(backend, lake_tables, tmp_path):
     production = open_governor(lambda storage: KGGovernor(storage=storage), backend, tmp_path / "p.sqlite3")
     oracle = open_governor(oracle_governor, backend, tmp_path / "o.sqlite3")
     governors = (production, oracle)
-    stores = (production.storage.graph, oracle.storage.graph)
     try:
         initial = lake_tables[:LAKE_TABLES]
-        for governor in governors:
-            governor.add_data_lake(as_lake(initial))
-        assert_same_store(*stores, f"{backend} × bulk govern")
+        drive(governors, lambda governor: governor.add_data_lake(as_lake(initial)), f"{backend} × bulk govern")
+        assert_same_store(*governors, f"{backend} × bulk govern")
         scripts = generate_pipeline_corpus(as_lake(initial), pipelines_per_table=3, seed=0)
-        for governor in governors:
-            governor.add_pipelines(scripts)
-        assert_same_store(*stores, f"{backend} × pipelines")
+        drive(governors, lambda governor: governor.add_pipelines(scripts), f"{backend} × pipelines")
+        assert_same_store(*governors, f"{backend} × pipelines")
         for number, (deleted, changed, new) in enumerate(drift_rounds(lake_tables), 1):
-            for governor in governors:
-                for dataset, table in deleted:
-                    assert governor.retract_table(dataset, table)
-                for table in changed:
-                    governor.refresh_table(table)
-                for table in new:
-                    governor.add_table(table, table.dataset)
-            assert_same_store(*stores, f"{backend} × drift round {number}")
-        if backend == "sqlite":
-            # The files hold the same catalog, terms and rows under the same ids.
-            assert sqlite_tables(production) == sqlite_tables(oracle), "sqlite × final: table contents"
+            where = f"{backend} × drift round {number}"
+            for dataset, table in deleted:
+                assert all(drive(governors, lambda governor: governor.retract_table(dataset, table), f"{where} retract"))
+            for table in changed:
+                drive(governors, lambda governor: governor.refresh_table(table), f"{where} refresh", refresh=True)
+            for table in new:
+                drive(governors, lambda governor: governor.add_table(table, table.dataset), f"{where} add")
+            assert_same_store(*governors, where)
     finally:
         for governor in governors:
             governor.close()
@@ -211,6 +260,87 @@ def test_bulk_writes_equal_their_per_quad_spelling():
     assert bulk_ops == single_ops
     assert_index_is_tight(bulk.backend.get_index(G))
     assert bulk.add_many([], u("untouched")) == 0 and u("untouched") not in bulk.graphs()
+
+
+# ------------------------------------------------------------ replace_nodes
+NODES = [u(f"n{i}") for i in range(5)]
+PREDICATES = [u("p0"), u("p1"), u("sim")]
+OTHER = u("other")
+CONFIGURATIONS = [
+    ("memory", 3), ("memory", 11), ("memory", 42), ("sqlite", 7), ("sqlite", 19),
+    ("faulted-memory", 3), ("faulted-sqlite", 7),
+]
+
+
+def rows_over(objects):
+    """Plain rows and ``<< s p o >> score v`` annotations over the node vocabulary."""
+    node = st.sampled_from(NODES)
+    predicate = st.sampled_from(PREDICATES)
+    return st.one_of(
+        st.tuples(node, predicate, objects),
+        st.builds(
+            lambda s, p, o, value: (QuotedTriple(s, p, o), u("score"), value), node, predicate, node, objects
+        ),
+    )
+
+
+SCORES = st.builds(Literal, st.integers(0, 3))
+FRESH = st.builds(lambda k: Literal(f"fresh {k}"), st.integers(0, 2))
+
+
+@pytest.mark.parametrize("configuration, seed", CONFIGURATIONS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_replace_nodes_writes_the_net_of_retract_then_add(configuration, seed, open_store, data):
+    """``replace_nodes`` leaves the store exactly as ``retract_nodes`` +
+    ``add_many`` do — triples, term ids, index, file rows — and its commit
+    logs only the net change of the per-quad spelling (``match`` →
+    ``remove``, then ``add``): deletes in walk order, then inserts."""
+    objects = st.one_of(st.sampled_from(NODES), SCORES)
+    base = data.draw(st.lists(rows_over(objects), max_size=30), label="graph")
+    nodes = data.draw(st.lists(st.sampled_from(NODES + [u("absent")]), max_size=4), label="nodes")
+    new = data.draw(st.lists(rows_over(st.one_of(objects, FRESH)), max_size=20), label="new")
+    new += data.draw(st.lists(st.sampled_from(base + new), max_size=8) if base + new else st.just([]), label="dup")
+    rng = random.Random(seed)
+    other = [(rng.choice(NODES), rng.choice(PREDICATES), rng.choice(NODES)) for _ in range(8)]
+    with tempfile.TemporaryDirectory() as directory:
+        ours, reference, per_quad = (
+            open_store(configuration, Path(directory) / f"{name}.sqlite3") for name in ("ours", "reference", "per_quad")
+        )
+        for store in (ours, reference, per_quad):
+            store.enable_delta_log()
+            with store.write_batch():
+                store.add_many(other, OTHER)
+                store.add_many(base, G)
+        version = ours.version
+        counts = ours.replace_nodes(nodes, new, G)
+        with reference.write_batch():
+            reference.retract_nodes(nodes, G)
+            reference.add_many(new, G)
+        with per_quad.write_batch():
+            retract_per_quad(per_quad, nodes, G)
+            for triple in new:
+                per_quad.add(*triple, graph=G)
+        assert serialize_nquads(ours) == serialize_nquads(reference)
+        assert ours.dictionary.export_rows(1) == reference.dictionary.export_rows(1)
+        assert ours.graphs() == reference.graphs()
+        for graph in ours.graphs():
+            index = ours.backend.get_index(graph)
+            assert index_contents(index) == index_contents(reference.backend.get_index(graph))
+            assert_index_is_tight(index)
+        if ours.persistent:
+            assert sqlite_tables(ours) == sqlite_tables(reference)
+        (_, ops), (_, reference_ops), (_, per_quad_ops) = (
+            store.delta_log_since(0)[-1] for store in (ours, reference, per_quad)
+        )
+        assert reference_ops == per_quad_ops
+        assert ops == net_ops(per_quad_ops)
+        kinds = [kind for kind, _, _ in ops]
+        assert kinds == sorted(kinds, reverse=True)  # every "remove" before every "add"
+        assert counts == (kinds.count("remove"), kinds.count("add"))
+        assert ours.version - version == len(ops)
+        for store in (ours, reference, per_quad):
+            store.close()
 
 
 # ---------------------------------------------------------------- embeddings
