@@ -21,7 +21,7 @@ work wherever the graph is served from.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -192,6 +192,18 @@ class PriorBook:
                 continue
         book.informed = observed
         return book
+
+    def copy(self) -> "PriorBook":
+        """An independent book: weights folded into it leave this one unchanged.
+
+        Every weight dict keeps its insertion order, which the seeded
+        ``rng.choice`` draws depend on.
+        """
+        return replace(
+            self,
+            operation_weights={stage: dict(w) for stage, w in self.operation_weights.items()},
+            value_weights={key: dict(w) for key, w in self.value_weights.items()},
+        )
 
     # ----------------------------------------------------------------- drawing
     def choose_operation(self, rng: np.random.RandomState, stage: str) -> str:

@@ -108,6 +108,8 @@ class KGpipAutoML:
         self.use_lids_priors = use_lids_priors
         self.random_state = random_state
         self.executor = executor or JobExecutor()
+        #: ``(store, store.version, book)`` of the last kept corpus harvest.
+        self._corpus: Optional[Tuple[Any, int, PriorBook]] = None
 
     # --------------------------------------------------------- recommendation
     def most_similar_table(self, table: Table) -> Optional[Tuple[str, float]]:
@@ -217,15 +219,16 @@ class KGpipAutoML:
         """The :class:`PriorBook` driving the evolutionary strategy.
 
         Corpus-wide operation/value weights are harvested by SPARQL from the
-        storage; when a ``table`` is given, the table-similarity estimator
-        recommendation (votes of pipelines reading the most similar dataset)
-        is folded on top, so the book carries both the global and the
-        dataset-local signal.  With ``use_lids_priors`` off this is the
-        uniform book — the ``Pip_G4C`` baseline.
+        storage, once per store version (:meth:`_corpus_book`); each call
+        gets its own copy.  When a ``table`` is given, the table-similarity
+        estimator recommendation (votes of pipelines reading the most similar
+        dataset) is folded into that copy, so the book carries both the
+        global and the dataset-local signal.  With ``use_lids_priors`` off
+        this is the uniform book — the ``Pip_G4C`` baseline.
         """
         if not self.use_lids_priors:
             return PriorBook.uniform()
-        book = PriorBook.from_client(self.storage)
+        book = self._corpus_book().copy()
         if table is None:
             return book
         for recommendation in self.recommend_ml_models(table):
@@ -248,6 +251,28 @@ class KGpipAutoML:
                     bucket[value] = bucket.get(value, 0.0) + 2.0
                 except TypeError:
                     continue
+        return book
+
+    def _corpus_book(self) -> PriorBook:
+        """The corpus-wide :class:`PriorBook`, harvested at most once per store version.
+
+        :attr:`QuadStore.version` moves on every write, a rollback restores
+        it together with the state, and ``reopen`` bumps it, so a book kept
+        under a version holds exactly that version's pipelines.  The version
+        is read under the harvest's own read view, so no commit lands between
+        the two.  Only an informed book is kept: an uninformed one may be
+        what a failed harvest fell back to.  Nor is a harvest made inside
+        this thread's own open write batch, which may yet roll back.
+        """
+        store = self.storage.graph
+        with store.read_view():
+            version = store.version
+            kept = self._corpus
+            if kept is not None and kept[0] is store and kept[1] == version:
+                return kept[2]
+            book = PriorBook.from_client(self.storage)
+            if book.informed and not store.in_write_batch:
+                self._corpus = (store, version, book)
         return book
 
     # ----------------------------------------------------------------- search

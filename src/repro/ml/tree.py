@@ -113,17 +113,18 @@ def _grow(
     min_samples_split: int = 2,
     max_features: Optional[int] = None,
     random_state: int = 0,
+    rng: Optional[np.random.RandomState] = None,
 ) -> Tuple[_Tree, np.ndarray]:
     """Grow one tree; returns it with the leaf id of every training row.
 
     ``y`` holds class ids below ``n_classes``, or regression targets when
-    ``n_classes`` is 0.  Nodes are visited in preorder, which is the order
-    per-split feature subsampling draws from the generator.
+    ``n_classes`` is 0.  Per-split feature subsampling draws in preorder from
+    ``rng`` as the caller seeded it, else from a new generator seeded ``random_state``.
     """
     n_samples, n_features = X.shape
     columns = np.ascontiguousarray(X.T)
     subsample = max_features is not None and max_features < n_features
-    rng = np.random.RandomState(random_state) if subsample else None
+    rng = (rng or np.random.RandomState(random_state)) if subsample else None
     if n_classes:
         # Impurity runs over the classes present at the root, as a tree
         # fitted on a bootstrap that lacks a class would see them.

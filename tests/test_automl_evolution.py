@@ -21,8 +21,18 @@ from repro.automl.evolution import (
 )
 from repro.automl.evolution.genome import MAX_NODES, STAGE_CAPACITY
 from repro.automl.kgpip import KGpipAutoML
-from repro.datagen import generate_classification_dataset
+from repro.datagen import (
+    generate_automl_datasets,
+    generate_classification_dataset,
+    generate_cleaning_datasets,
+    generate_discovery_benchmark,
+    generate_pipeline_corpus,
+    generate_transformation_datasets,
+)
+from repro.interfaces import KGLiDS, LiDSClient
+from repro.kg.ontology import LiDSOntology, library_uri
 from repro.parallel import JobExecutor
+from repro.rdf import Literal, URIRef
 
 
 def _chain_genome() -> PipelineGenome:
@@ -408,3 +418,208 @@ class TestKGpipIntegration:
         )
         with pytest.raises(ValueError):
             bootstrapped_platform.automl(table, target, strategy="annealing")
+
+
+# ------------------------------------------------------------- prior cache
+def _fresh_platform(pipelines=None):
+    """The shared fixture's lake and corpus (``pipelines``: the first N scripts), bootstrapped privately."""
+    benchmark = generate_discovery_benchmark("tus_small", seed=11, base_tables=3, partitions=3, rows=50)
+    scripts = generate_pipeline_corpus(benchmark.lake, pipelines_per_table=2, seed=3)
+    platform = KGLiDS.bootstrap(lake=benchmark.lake, scripts=scripts[:pipelines], train_models=False)
+    return platform, scripts[pipelines:] if pipelines else []
+
+
+def _pool():
+    """The ``automate`` benchmark's three unseen 20-row tables."""
+    generators = (generate_cleaning_datasets, generate_transformation_datasets, generate_automl_datasets)
+    return [generator(count=4, seed=0, base_rows=20)[0] for generator in generators]
+
+
+def _search(searcher, dataset):
+    return searcher.search(dataset.table, dataset.target, time_budget_seconds=None, max_evaluations=3, cv=2)
+
+
+def _outcome(result):
+    """Everything a search decides (not its elapsed time)."""
+    return (
+        result.best_genome, result.best_score, result.evaluations, result.evaluations_spent,
+        result.generations_run, result.stopped_because, result.cache_stats, result.fidelity_stats,
+        result.operator_stats,
+    )
+
+
+def _new_searcher(platform):
+    return KGpipAutoML(
+        storage=platform.storage, profiler=platform.governor.profiler, colr_models=platform.governor.colr_models
+    )
+
+
+@pytest.fixture()
+def harvests(monkeypatch):
+    """The clients ``PriorBook.from_client`` was called with; the real harvest still runs."""
+    calls = []
+    harvest = PriorBook.from_client.__func__
+
+    def counted(cls, client, prior_probability=0.6):
+        calls.append(client)
+        return harvest(cls, client, prior_probability)
+
+    monkeypatch.setattr(PriorBook, "from_client", classmethod(counted))
+    return calls
+
+
+class TestPriorCache:
+    """The corpus-wide book is harvested once per ``QuadStore.version``."""
+
+    def test_unchanged_store_harvests_once_and_searches_as_if_fresh(self, harvests):
+        platform, _ = _fresh_platform()
+        pool = _pool()
+        kept = [_outcome(_search(platform.kgpip, dataset)) for dataset in pool + pool]
+        assert len(harvests) == 1
+        fresh = [_outcome(_search(_new_searcher(platform), dataset)) for dataset in pool + pool]
+        assert len(harvests) == 1 + len(fresh)
+        assert kept == fresh
+
+    def test_a_governor_write_harvests_again(self, harvests):
+        platform, later = _fresh_platform(pipelines=6)
+        before = platform.kgpip.prior_book()
+        assert platform.kgpip.prior_book() == before and len(harvests) == 1
+        version = platform.storage.graph.version
+        platform.governor.add_pipelines(later)
+        assert platform.storage.graph.version > version
+        after = platform.kgpip.prior_book()
+        assert len(harvests) == 2
+        assert after != before
+        assert after == PriorBook.from_client(platform.storage)
+
+    def test_a_harvest_inside_a_rolled_back_batch_is_not_kept(self):
+        """The rollback restores the version, so a later write can reach the batch's version again."""
+        platform, _ = _fresh_platform()
+        store = platform.storage.graph
+        graph = URIRef("http://kglids.org/test/rolled-back")
+        call = (URIRef("http://kglids.org/test/statement"), LiDSOntology.callsFunction,
+                library_uri("sklearn.naive_bayes.GaussianNB"))
+        with pytest.raises(RuntimeError):
+            with store.write_batch():
+                store.add(*call, graph=graph)
+                inside = platform.kgpip.prior_book()
+                raise RuntimeError("roll back")
+        version = store.version
+        store.add(call[0], LiDSOntology.hasName, Literal("unrelated"), graph=graph)
+        assert store.version == version + 1
+        after = platform.kgpip.prior_book()
+        assert after != inside
+        assert after == PriorBook.from_client(platform.storage)
+
+    def test_another_store_at_the_same_version_harvests_again(self, harvests):
+        platform, _ = _fresh_platform()
+        twin, _ = _fresh_platform()
+        assert twin.storage.graph.version == platform.storage.graph.version
+        searcher = _new_searcher(platform)
+        searcher.prior_book()
+        searcher.storage = twin.storage
+        searcher.prior_book()
+        assert harvests == [platform.storage, twin.storage]
+
+    def test_reopen_harvests_again(self, harvests, tmp_path):
+        platform, _ = _fresh_platform()
+        client = LiDSClient.open(platform.governor.save(tmp_path / "saved_lake"))
+        try:
+            first = client.kgpip.prior_book()
+            client.kgpip.prior_book()
+            assert len(harvests) == 1
+            client.reopen()
+            assert client.kgpip.prior_book() == first
+            assert len(harvests) == 2
+        finally:
+            client.close()
+
+    def test_a_tables_folded_recommendations_stay_in_its_own_book(self):
+        platform, _ = _fresh_platform()
+        first, second = _pool()[:2]
+        corpus = platform.kgpip.prior_book()
+        folded = platform.kgpip.prior_book(first.table)
+        assert folded != corpus, "the fixture must fold a recommendation into the book"
+        assert platform.kgpip.prior_book(second.table) == _new_searcher(platform).prior_book(second.table)
+        assert platform.kgpip.prior_book() == corpus
+        assert platform.kgpip.prior_book(first.table) == folded
+
+    def test_a_raising_harvest_is_not_kept(self, harvests, monkeypatch):
+        platform, _ = _fresh_platform()
+        harvest = PriorBook.from_client.__func__
+        failures = [RuntimeError("transient")]
+
+        def flaky(cls, client, prior_probability=0.6):
+            if failures:
+                raise failures.pop()
+            return harvest(cls, client, prior_probability)
+
+        monkeypatch.setattr(PriorBook, "from_client", classmethod(flaky))
+        with pytest.raises(RuntimeError):
+            platform.kgpip.prior_book()
+        assert not harvests
+        assert platform.kgpip.prior_book().informed
+        assert len(harvests) == 1
+        platform.kgpip.prior_book()
+        assert len(harvests) == 1
+
+    def test_a_failed_query_falls_back_and_is_not_kept(self, harvests, monkeypatch):
+        platform, _ = _fresh_platform()
+        storage = platform.storage
+        query = storage.query
+        failures = [RuntimeError("transient")]
+
+        def flaky(sparql):
+            if failures:
+                raise failures.pop()
+            return query(sparql)
+
+        monkeypatch.setattr(storage, "query", flaky)
+        assert platform.kgpip.prior_book() == PriorBook.uniform()
+        assert platform.kgpip.prior_book() == PriorBook.from_client(storage)
+        assert platform.kgpip.prior_book().informed
+        assert len(harvests) == 3
+
+    def test_mutating_a_copy_leaves_the_original(self):
+        platform, _ = _fresh_platform()
+        original = PriorBook.from_client(platform.storage)
+        snapshot = PriorBook.from_client(platform.storage)
+        copy = original.copy()
+        assert copy == original
+        copy.operation_weights["estimator"]["sklearn.naive_bayes.GaussianNB"] = 1e6
+        copy.value_weights.setdefault(("sklearn.neighbors.KNeighborsClassifier", "n_neighbors"), {})[3] = 1e6
+        for bucket in copy.value_weights.values():
+            bucket["injected"] = 1.0
+        copy.prior_probability = 1.0
+        assert original == snapshot
+
+
+class TestSearchPin:
+    """The ``automate`` pool's searches, as recorded before the corpus book was kept."""
+
+    EXPECTED = {
+        "cleaning_1": (
+            "(((input)->sklearn.preprocessing.StandardScaler[])->numpy.log1p[]"
+            "|((input)->sklearn.preprocessing.StandardScaler[])->numpy.sqrt[])"
+            "->xgboost.XGBClassifier[learning_rate=0.1,max_depth=4,n_estimators=10]",
+            0.27444444444444444,
+        ),
+        "transform_1": (
+            "(input)->xgboost.XGBClassifier[learning_rate=0.3,max_depth=6,n_estimators=40]",
+            0.359920634920635,
+        ),
+        "automl_1": (
+            "(input)->xgboost.XGBClassifier[learning_rate=0.3,max_depth=6,n_estimators=40]",
+            0.7999999999999999,
+        ),
+    }
+
+    def test_pool_searches_repeat_the_recorded_results(self):
+        platform, _ = _fresh_platform()
+        pool = _pool()
+        assert [dataset.name for dataset in pool] == list(self.EXPECTED)
+        for dataset in pool + pool:
+            result = _search(platform.kgpip, dataset)
+            assert (result.best_genome, result.best_score) == self.EXPECTED[dataset.name], dataset.name
+            assert result.evaluations == 3, dataset.name
+            assert result.cache_stats == {"hits": 0, "misses": 3, "entries": 3}, dataset.name

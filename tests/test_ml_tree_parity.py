@@ -10,7 +10,9 @@ and quietly change which pipeline an AutoML search returns.
 """
 
 import itertools
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import ml_tree_oracle as oracle
 import numpy as np
@@ -227,6 +229,31 @@ def test_predictions_match_on_unseen_rows():
         ours.fit(X, y), theirs.fit(X, y)
         assert np.array_equal(ours.predict_proba(unseen), theirs.predict_proba(unseen)), type(ours).__name__
         assert np.array_equal(ours.predict(unseen), theirs.predict(unseen)), type(ours).__name__
+
+
+def test_forests_fitted_on_four_threads_equal_serial_fits_and_the_oracle():
+    """Each fit owns its trees' generator: concurrent fits cannot draw from one another's."""
+    X, y = FIXTURES["blobs-binary"]
+    seeds = range(8)
+
+    def fit(seed):
+        return RandomForestClassifier(n_estimators=10, random_state=seed).fit(X, y)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave the trees
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent = list(pool.map(fit, seeds))
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, forest in zip(seeds, concurrent):
+        serial = fit(seed)
+        reference = oracle.RandomForestClassifier(n_estimators=10, random_state=seed).fit(X, y)
+        assert len(forest._trees) == len(serial._trees) == len(reference._trees)
+        for index, (tree, again, fitted) in enumerate(zip(forest._trees, serial._trees, reference._trees)):
+            where = f"random_state={seed} tree {index}"
+            assert all(np.array_equal(mine, theirs) for mine, theirs in zip(tree, again)), f"{where}: differs from the serial fit"
+            assert_same_tree(tree, fitted._root, where, np.isin(forest.classes_, fitted.classes_))
 
 
 def test_forest_with_a_class_missing_from_a_bootstrap():
