@@ -74,9 +74,10 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
 class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
     """Gradient-boosted regression trees on the logistic loss.
 
-    Binary targets are boosted directly on log-odds; multi-class targets fall
-    back to one-vs-rest boosting.  This estimator stands in for XGBoost's
-    ``XGBClassifier`` in the pipeline corpus and the AutoML search space.
+    Every target, binary included, is boosted one-vs-rest: each stage grows
+    one tree per class on that class's residuals against its own log-odds.
+    This estimator stands in for XGBoost's ``XGBClassifier`` in the pipeline
+    corpus and the AutoML search space.
     """
 
     def __init__(
@@ -103,14 +104,19 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         self._base_scores = np.log(priors / (1 - priors))
         scores = np.tile(self._base_scores, (len(encoded), 1))
         self._stages = [[] for _ in range(n_classes)]
+        # Row sets' split state, kept for the stage that used them and the
+        # next: a stage's trees mostly split the row sets the last one did.
+        previous: dict = {}
         for stage in range(self.n_estimators):
             probabilities = 1.0 / (1.0 + np.exp(-scores))
+            current: dict = {}
             for j in range(n_classes):
                 residual = targets[:, j] - probabilities[:, j]
                 # Every feature at every split: the tree draws no random numbers.
-                tree, leaf_of = _grow(X, residual, 0, self.max_depth)
+                tree, leaf_of = _grow(X, residual, 0, self.max_depth, cache=(current, previous))
                 scores[:, j] += self.learning_rate * tree.value[leaf_of]
                 self._stages[j].append(tree)
+            previous = current
         return self
 
     def predict_proba(self, X) -> np.ndarray:

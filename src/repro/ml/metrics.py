@@ -45,43 +45,41 @@ def _resolve_positive(y_true: np.ndarray, y_pred: np.ndarray, pos_label):
     return labels[-1] if labels else 1
 
 
-def precision_score(
-    y_true: Sequence, y_pred: Sequence, average: str = "binary", pos_label=None
-) -> float:
+def _per_class_scores(y_true: Sequence, y_pred: Sequence, average: str, pos_label) -> tuple:
+    """``(precisions, recalls, f1s, supports)`` of the positive class alone for
+    ``average='binary'``, else of every true label; all empty when ``y_true`` is."""
+    y_true, y_pred = _as_labels(y_true), _as_labels(y_pred)
+    if y_true.size == 0:
+        return [], [], [], []
+    if average == "binary":
+        labels = [_resolve_positive(y_true, y_pred, pos_label)]
+    else:
+        labels = sorted(set(y_true.tolist()), key=str)
+    rows = []
+    for label in labels:
+        tp, fp, fn = _per_class_counts(y_true, y_pred, label)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        rows.append((precision, recall, f1, int(np.sum(y_true == label))))
+    return tuple(zip(*rows))
+
+
+def _mean(scores: Sequence) -> float:
+    return float(np.mean(scores)) if scores else 0.0
+
+
+def precision_score(y_true: Sequence, y_pred: Sequence, average: str = "binary", pos_label=None) -> float:
     """Precision for binary (``average='binary'``) or macro averaging."""
-    y_true, y_pred = _as_labels(y_true), _as_labels(y_pred)
-    if average == "binary":
-        label = _resolve_positive(y_true, y_pred, pos_label)
-        tp, fp, _ = _per_class_counts(y_true, y_pred, label)
-        return tp / (tp + fp) if tp + fp else 0.0
-    labels = sorted(set(y_true.tolist()), key=str)
-    scores = []
-    for label in labels:
-        tp, fp, _ = _per_class_counts(y_true, y_pred, label)
-        scores.append(tp / (tp + fp) if tp + fp else 0.0)
-    return float(np.mean(scores)) if scores else 0.0
+    return _mean(_per_class_scores(y_true, y_pred, average, pos_label)[0])
 
 
-def recall_score(
-    y_true: Sequence, y_pred: Sequence, average: str = "binary", pos_label=None
-) -> float:
+def recall_score(y_true: Sequence, y_pred: Sequence, average: str = "binary", pos_label=None) -> float:
     """Recall for binary or macro averaging."""
-    y_true, y_pred = _as_labels(y_true), _as_labels(y_pred)
-    if average == "binary":
-        label = _resolve_positive(y_true, y_pred, pos_label)
-        tp, _, fn = _per_class_counts(y_true, y_pred, label)
-        return tp / (tp + fn) if tp + fn else 0.0
-    labels = sorted(set(y_true.tolist()), key=str)
-    scores = []
-    for label in labels:
-        tp, _, fn = _per_class_counts(y_true, y_pred, label)
-        scores.append(tp / (tp + fn) if tp + fn else 0.0)
-    return float(np.mean(scores)) if scores else 0.0
+    return _mean(_per_class_scores(y_true, y_pred, average, pos_label)[1])
 
 
-def f1_score(
-    y_true: Sequence, y_pred: Sequence, average: str = "binary", pos_label=None
-) -> float:
+def f1_score(y_true: Sequence, y_pred: Sequence, average: str = "binary", pos_label=None) -> float:
     """F1 score.
 
     ``average='binary'`` scores the positive class only (like scikit-learn's
@@ -89,35 +87,8 @@ def f1_score(
     class support.  The cleaning/AutoML experiments report macro/weighted F1
     for multi-class tasks and binary F1 otherwise.
     """
-    y_true, y_pred = _as_labels(y_true), _as_labels(y_pred)
-    if y_true.size == 0:
-        return 0.0
-    if average == "binary":
-        label = _resolve_positive(y_true, y_pred, pos_label)
-        tp, fp, fn = _per_class_counts(y_true, y_pred, label)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        if precision + recall == 0.0:
-            return 0.0
-        return 2 * precision * recall / (precision + recall)
-    labels = sorted(set(y_true.tolist()), key=str)
-    f1s, supports = [], []
-    for label in labels:
-        tp, fp, fn = _per_class_counts(y_true, y_pred, label)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
-        f1s.append(f1)
-        supports.append(int(np.sum(y_true == label)))
-    if not f1s:
-        return 0.0
-    if average == "weighted":
+    _, _, f1s, supports = _per_class_scores(y_true, y_pred, average, pos_label)
+    if average == "weighted" and f1s:
         total = sum(supports)
-        if total == 0:
-            return 0.0
-        return float(sum(f * s for f, s in zip(f1s, supports)) / total)
-    return float(np.mean(f1s))
+        return float(sum(f * s for f, s in zip(f1s, supports)) / total) if total else 0.0
+    return _mean(f1s)

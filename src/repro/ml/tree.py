@@ -74,8 +74,8 @@ def _gini_scores(goes_left: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _variance_scores(goes_left: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Weighted variance of every partition, as ``np.var`` of each side.
+def _variance_layout(goes_left: np.ndarray) -> tuple:
+    """Where ``_variance_scores`` puts each row of every partition; no targets needed.
 
     Each partition's targets are laid out as ``0, left.., 0, right..`` with
     rows in their original order and summed segment by segment, so a side's
@@ -87,21 +87,27 @@ def _variance_scores(goes_left: np.ndarray, y: np.ndarray) -> np.ndarray:
     keys = np.empty((n_partitions, n + 2), dtype=np.int8)
     keys[:, 0], keys[:, -1] = 0, 2
     keys[:, 1:-1] = np.where(goes_left, 1, 3)
-    layout = np.argsort(keys, axis=1, kind="stable")
-    segments = np.concatenate(([0.0], y, [0.0]))[layout].ravel()
+    order = np.argsort(keys, axis=1, kind="stable").astype(np.int32)  # half the bytes a cached split keeps
     n_left = goes_left.sum(axis=1)
     sizes = np.stack([n_left, n - n_left], axis=1)
     lengths = sizes.ravel() + 1
     starts = np.cumsum(lengths) - lengths
     divisors = np.maximum(sizes.ravel(), 1).astype(float)
+    return order, sizes, lengths, starts, divisors, sizes.min(axis=1) == 0
+
+
+def _variance_scores(layout: tuple, y: np.ndarray) -> np.ndarray:
+    """Weighted variance of every partition in ``layout``, as ``np.var`` of each side of ``y``."""
+    order, sizes, lengths, starts, divisors, empty = layout
+    segments = np.concatenate(([0.0], y, [0.0]))[order].ravel()
     means = np.add.reduceat(segments, starts) / divisors
     deviations = segments - np.repeat(means, lengths)
     deviations *= deviations
     deviations[starts] = 0.0
     variances = np.add.reduceat(deviations, starts) / divisors
-    weighted = sizes * variances.reshape(n_partitions, 2)
-    scores = (weighted[:, 0] + weighted[:, 1]) / n
-    scores[sizes.min(axis=1) == 0] = np.inf
+    weighted = sizes * variances.reshape(-1, 2)
+    scores = (weighted[:, 0] + weighted[:, 1]) / y.size
+    scores[empty] = np.inf
     return scores
 
 
@@ -114,12 +120,19 @@ def _grow(
     max_features: Optional[int] = None,
     random_state: int = 0,
     rng: Optional[np.random.RandomState] = None,
+    cache: Optional[Tuple[dict, dict]] = None,
 ) -> Tuple[_Tree, np.ndarray]:
     """Grow one tree; returns it with the leaf id of every training row.
 
     ``y`` holds class ids below ``n_classes``, or regression targets when
     ``n_classes`` is 0.  Per-split feature subsampling draws in preorder from
     ``rng`` as the caller seeded it, else from a new generator seeded ``random_state``.
+
+    ``cache`` is a pair of dicts ``(current, previous)`` that map a row set's
+    bytes to its split state ``(candidates, thresholds, goes_left, layout)``:
+    none of it depends on ``y``, so trees grown on the same ``X`` with every
+    feature a candidate share it.  A lookup reads either dict; every row set
+    split here is stored in ``current``.
     """
     n_samples, n_features = X.shape
     columns = np.ascontiguousarray(X.T)
@@ -154,13 +167,21 @@ def _grow(
         leaf_of[rows] = node
         if depth >= max_depth or rows.size < min_samples_split or pure:
             continue
-        candidates = rng.choice(n_features, size=max_features, replace=False) if subsample else np.arange(n_features)
-        values = columns[candidates][:, rows]
-        thresholds = _thresholds(values)
+        if cache is not None:
+            key = rows.tobytes()
+            split = cache[0].get(key) or cache[1].get(key)
+        if cache is None or split is None:
+            candidates = rng.choice(n_features, size=max_features, replace=False) if subsample else np.arange(n_features)
+            values = columns[candidates][:, rows]
+            thresholds = _thresholds(values)
+            goes_left = (values[:, None, :] <= thresholds[:, :, None]).reshape(-1, rows.size)
+            split = candidates, thresholds, goes_left, None if n_classes else _variance_layout(goes_left)
+        if cache is not None:
+            cache[0][key] = split
+        candidates, thresholds, goes_left, layout = split
         if not thresholds.size:
             continue
-        goes_left = (values[:, None, :] <= thresholds[:, :, None]).reshape(-1, rows.size)
-        scores = _gini_scores(goes_left, onehot[rows]) if n_classes else _variance_scores(goes_left, targets)
+        scores = _gini_scores(goes_left, onehot[rows]) if n_classes else _variance_scores(layout, targets)
         best = int(np.argmin(scores))
         if not scores[best] < np.inf:
             continue

@@ -297,8 +297,8 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
 class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
     """Gradient-boosted regression trees on the logistic loss.
 
-    Binary targets are boosted directly on log-odds; multi-class targets fall
-    back to one-vs-rest boosting.  This estimator stands in for XGBoost's
+    Every target, binary included, is boosted one-vs-rest: each stage grows
+    one tree per class on that class's residuals against its own log-odds.  This estimator stands in for XGBoost's
     ``XGBClassifier`` in the pipeline corpus and the AutoML search space.
     """
 

@@ -29,6 +29,8 @@ from repro.datagen import (
     generate_transformation_datasets,
 )
 from repro.ml import DecisionTreeClassifier, GradientBoostingClassifier, RandomForestClassifier
+from repro.ml import ensemble as ml_ensemble
+from repro.ml import tree as ml_tree
 from repro.ml.model_selection import DegenerateFoldWarning, FitFailedWarning, KFold, cross_val_score
 from repro.ml.tree import DecisionTreeRegressor
 
@@ -256,6 +258,77 @@ def test_forests_fitted_on_four_threads_equal_serial_fits_and_the_oracle():
             assert_same_tree(tree, fitted._root, where, np.isin(forest.classes_, fitted.classes_))
 
 
+def test_boosting_fitted_on_four_threads_equals_serial_fits_and_the_oracle():
+    """Each fit owns its split cache: concurrent fits on other data cannot read one another's row sets."""
+    names = [*SESSIONS, "blobs-3class", "nan-columns"]
+    params = {"n_estimators": 10, "max_depth": 4}
+
+    def fit(name):
+        return GradientBoostingClassifier(**params).fit(*FIXTURES[name])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave the stages
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent = list(pool.map(fit, names))
+    finally:
+        sys.setswitchinterval(interval)
+    for name, model in zip(names, concurrent):
+        serial = fit(name)
+        for j, (grown, again) in enumerate(zip(model._stages, serial._stages)):
+            for stage, (ours, theirs) in enumerate(zip(grown, again)):
+                where = f"{name} class {j} stage {stage}"
+                assert all(np.array_equal(mine, other) for mine, other in zip(ours, theirs)), f"{where}: differs from the serial fit"
+        X, y = FIXTURES[name]
+        reference = oracle.GradientBoostingClassifier(**params).fit(X, y)
+        assert_parity(model, reference, X, y, name)
+
+
+def _spy_on_split_caches(monkeypatch):
+    """Per stage of the next boosting fit: ``[current dict, split nodes grown]`` and, after each tree,
+    ``(row sets held, split nodes of this stage so far + the last stage's)``."""
+    stages, held = [], []
+    grow = ml_ensemble._grow
+
+    def spy(*args, cache, **kwargs):
+        fitted, leaf_of = grow(*args, cache=cache, **kwargs)
+        current, previous = cache
+        if not stages or stages[-1][0] is not current:
+            assert not stages or previous is stages[-1][0], "an older stage's row sets were kept"
+            stages.append([current, 0])
+        stages[-1][1] += int((fitted.feature >= 0).sum())
+        held.append((len(current) + len(previous), stages[-1][1] + (stages[-2][1] if len(stages) > 1 else 0)))
+        return fitted, leaf_of
+
+    monkeypatch.setattr(ml_ensemble, "_grow", spy)
+    return stages, held
+
+
+def test_boosting_split_cache_holds_at_most_two_stages_of_row_sets(monkeypatch):
+    """Fig 9 scale: the cache is bounded by two stages' split nodes, not by ``n_estimators``."""
+    rng = np.random.RandomState(0)
+    X, y = rng.normal(size=(240, 12)), rng.randint(0, 3, 240)
+    stages, held = _spy_on_split_caches(monkeypatch)
+    GradientBoostingClassifier(n_estimators=40, max_depth=6).fit(X, y)
+    assert len(stages) == 40 and len(held) == 120
+    for index, (row_sets, bound) in enumerate(held):
+        assert row_sets <= bound, f"tree {index}: {row_sets} row sets held, two stages split {bound} nodes"
+
+
+def test_boosting_computes_each_row_set_once_on_an_automate_table(monkeypatch):
+    """A 10-row, 3-class session table: 240 split nodes over 40 stages, at most 4 distinct row sets."""
+    computed = []
+    layout = ml_tree._variance_layout
+    monkeypatch.setattr(ml_tree, "_variance_layout", lambda goes_left: computed.append(1) or layout(goes_left))
+    stages, _ = _spy_on_split_caches(monkeypatch)
+    X, y = SESSIONS["cleaning_1-fold0"]
+    model = GradientBoostingClassifier(n_estimators=40, max_depth=6).fit(X, y)
+    assert sum(split_nodes for _, split_nodes in stages) == 240
+    assert len(computed) <= 4
+    reference = oracle.GradientBoostingClassifier(n_estimators=40, max_depth=6).fit(X, y)
+    assert np.array_equal(model.predict_proba(X), reference.predict_proba(X))
+
+
 def test_forest_with_a_class_missing_from_a_bootstrap():
     """The trees share the forest's label encoding; an absent class is a zero column."""
     rng = np.random.RandomState(4)
@@ -295,11 +368,14 @@ def _small_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(_small_problems())
 def test_array_tree_equals_oracle_on_random_problems(problem):
-    """Duplicated values, NaNs and tied targets: the array tree is the oracle's tree."""
+    """Duplicated values, NaNs and tied targets: the array tree (and boosting's trees) are the oracle's."""
     X, labels, targets, max_features, max_depth = problem
     params = {"max_depth": max_depth, "max_features": max_features, "random_state": 1}
     assert_parity(DecisionTreeClassifier(**params), oracle.DecisionTreeClassifier(**params), X, labels, "classifier")
     assert_parity(DecisionTreeRegressor(**params), oracle.DecisionTreeRegressor(**params), X, targets, "regressor")
+    # Ten stages: the later ones split row sets an earlier stage already cached.
+    boosting = {"n_estimators": 10, "max_depth": max_depth}
+    assert_parity(GradientBoostingClassifier(**boosting), oracle.GradientBoostingClassifier(**boosting), X, labels, "boosting")
 
 
 # ------------------------------------------------------------- no silent 0.0
