@@ -218,18 +218,19 @@ class EmbeddingStore:
         )
 
     # ------------------------------------------------------------ persistence
-    def save(self, path: PathLike) -> Path:
+    def save(self, path: PathLike, extra: Optional[Dict[str, np.ndarray]] = None) -> Path:
         """Write the store to one ``.npz`` file (per-namespace matrices).
 
         Keys go into a JSON manifest embedded in the archive (npz member
         names cannot carry arbitrary URI characters); vectors are stacked
         into one matrix per namespace.  :meth:`load` is the exact inverse —
         vectors round-trip at full float precision and the ANN indexes are
-        rebuilt on load.
+        rebuilt on load.  ``extra`` arrays ride along as members of their
+        own, which :meth:`load` ignores.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        arrays: Dict[str, np.ndarray] = {}
+        arrays: Dict[str, np.ndarray] = dict(extra or {})
         manifest: List[Dict[str, object]] = []
         for position, namespace in enumerate(sorted(self._vectors)):
             bucket = self._vectors[namespace]

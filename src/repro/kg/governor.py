@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> governor)
     from repro.kg.service import GovernorService
 
@@ -557,9 +559,10 @@ class KGGovernor:
 
         The LiDS graph lands in a sqlite file (just a flush when the governor
         already runs on a sqlite backend at that path, a full copy
-        otherwise), embeddings in one ``.npz`` archive, and table profiles /
-        content fingerprints in JSON.  :meth:`open` restores the governor
-        from such a directory in a fresh process.  The whole save runs under
+        otherwise), every vector in one ``.npz`` archive — the embedding
+        store plus the column label vectors — and table profiles (names,
+        types, statistics) / content fingerprints in JSON.  :meth:`open`
+        restores the governor from such a directory in a fresh process.  The whole save runs under
         one read view, so a governor being fed by a background service saves
         a consistent committed state (no half-applied batch can land in the
         snapshot).
@@ -599,10 +602,38 @@ class KGGovernor:
             snapshot.flush()
             self._write_delta_manifest(directory, snapshot)
             snapshot.close()
-        self.storage.embeddings.save(directory / _EMBEDDINGS_FILE)
+        # ``to_dict`` less its vector fields: a profile's content and table
+        # vectors are the embedding store's rows, and only its label vectors
+        # join the archive apart from them.
+        profiles = [
+            {
+                "dataset": profile.dataset_name,
+                "table": profile.table_name,
+                "column_profiles": [
+                    {
+                        "dataset": column.dataset_name,
+                        "table": column.table_name,
+                        "column": column.column_name,
+                        "fine_grained_type": column.fine_grained_type,
+                        "statistics": column.statistics.to_dict(),
+                    }
+                    for column in profile.column_profiles
+                ],
+            }
+            for profile in self.table_profiles
+        ]
+        columns = [column for profile in self.table_profiles for column in profile.column_profiles]
+        labelled = [
+            position for position, column in enumerate(columns) if column.label_embedding is not None
+        ]
+        labels = [np.asarray(columns[position].label_embedding, dtype=float).ravel() for position in labelled]
+        self.storage.embeddings.save(
+            directory / _EMBEDDINGS_FILE,
+            extra={"label_columns": np.array(labelled, dtype=np.int64), "label_vectors": np.array(labels)},
+        )
         profiles_payload = {
-            "format": 1,
-            "profiles": [profile.to_dict() for profile in self.table_profiles],
+            "format": 2,
+            "profiles": profiles,
             "fingerprints": [
                 [dataset, table, fingerprint]
                 for (dataset, table), fingerprint in self._fingerprints_by_key.items()
@@ -690,7 +721,27 @@ class KGGovernor:
         profiles_path = directory / _PROFILES_FILE
         if profiles_path.exists():
             payload = json.loads(profiles_path.read_text())
+            labels = {}
+            if embeddings_path.exists():
+                with np.load(embeddings_path) as archive:
+                    # A format-1 save kept its label vectors in the JSON; they
+                    # are left to be recomputed from the column names.
+                    if "label_columns" in archive:
+                        labels = dict(zip(archive["label_columns"].tolist(), archive["label_vectors"]))
+            position = 0
             for entry in payload.get("profiles", []):
+                # Vectors come back as the embedding store's own rows, so a
+                # reopened profile holds the very floats that were saved.
+                entry["embedding"] = embeddings.get(
+                    "table", str(table_uri(entry["dataset"], entry["table"]))
+                )
+                for column_entry in entry["column_profiles"]:
+                    column_entry["embedding"] = embeddings.get(
+                        "column",
+                        str(column_uri(entry["dataset"], entry["table"], column_entry["column"])),
+                    )
+                    column_entry["label_embedding"] = labels.get(position)
+                    position += 1
                 profile = TableProfile.from_dict(entry)
                 governor.table_profiles.append(profile)
                 governor._profiles_by_key[

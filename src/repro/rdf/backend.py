@@ -16,10 +16,11 @@ one backend shape with one implementation behind it:
 * :class:`SqliteBackend` — overrides only what durability needs: the shard
   catalog, lazy shard load, shard create and drop, the row hooks, flush and
   close, the batch transaction, and its replication / reopen / crash
-  primitives.  Terms are persisted once in a ``terms`` dictionary table and
-  quads are sharded into one sqlite table of integer id-triples per named
-  graph (the LiDS layout: one graph per pipeline plus the dataset / library /
-  ontology graphs).  Writes are buffered and flushed in batches; on open, the
+  primitives.  Terms are persisted once in a ``terms`` dictionary table (a
+  quoted triple as its three part ids in ``quoted``) and quads are sharded
+  into one sqlite table of integer id-triples per named graph (the LiDS
+  layout: one graph per pipeline plus the dataset / library / ontology
+  graphs).  Writes are buffered and flushed in batches; on open, the
   term dictionary's text is loaded eagerly (terms parse lazily on first
   decode) while a graph's index — per-predicate statistics and partial
   quoted-triple indexes included — is rebuilt lazily the first time the graph
@@ -290,50 +291,54 @@ class PersistentTermDictionary(TermDictionary):
     """A :class:`TermDictionary` whose entries round-trip through sqlite.
 
     The backend loads the ``terms`` table eagerly as *text* (one cheap scan
-    of ``id, n3`` rows); term objects are parsed lazily on first decode and
-    cached, so reopening a lake never re-parses terms that no query touches.
-    Newly assigned ids queue ``(id, n3)`` rows that the owning backend
-    flushes ahead of any quad rows referencing them.
+    of ``id, n3`` rows) and the ``quoted`` table as integer part rows; term
+    objects are parsed lazily on first decode and cached, so reopening a
+    lake never re-parses terms that no query touches.  Newly assigned ids
+    queue ``(id, n3)`` rows — ``(id, s, p, o)`` for a quoted triple — that
+    the owning backend flushes ahead of any quad rows referencing them.
 
     Interning goes through the N-Triples spelling, which is what makes saved
     governors round-trip ids: the id a term had when written is the id its
-    text row decodes to forever after.
+    text row decodes to forever after.  A quoted triple is keyed by its part
+    ids alone and has no spelling of its own.
     """
 
-    __slots__ = ("_text_to_id", "_id_to_text", "_pending")
+    __slots__ = ("_text_to_id", "_id_to_text", "_pending", "_pending_quoted")
 
     def __init__(self):
         super().__init__()
         self._text_to_id: Dict[str, int] = {}
         self._id_to_text: Dict[int, str] = {}
         self._pending: List[Tuple[int, str]] = []
+        self._pending_quoted: List[Tuple[int, int, int, int]] = []
 
     # ---------------------------------------------------------------- loading
-    def load_rows(self, rows: Iterable[Tuple[int, str]]) -> None:
-        """Ingest persisted ``(id, n3)`` rows (text only; no parsing)."""
-        quoted: List[int] = []
+    def load_rows(
+        self, rows: Iterable[Tuple[int, str]], quoted: Iterable[Tuple[int, int, int, int]] = ()
+    ) -> None:
+        """Ingest persisted ``(id, n3)`` rows (text only; no parsing) and
+        ``(id, s, p, o)`` quoted rows.
+
+        With a columnar snapshot live, each quoted registration queues an
+        incremental append instead of invalidating it: replication ships
+        rows through here on every applied commit, and a full rebuild per
+        commit would scale with the whole dictionary rather than the delta.
+        """
+        last = self._next_id - 1
         for term_id, text in rows:
             self._text_to_id[text] = term_id
             self._id_to_text[term_id] = text
-            if term_id >= self._next_id:
-                self._next_id = term_id + 1
-            if text.startswith("<<"):
-                quoted.append(term_id)
-        if quoted and self._quoted_columns is not None:
-            # A columnar snapshot is live: register the incoming quoted rows
-            # now — each registration queues an incremental append — instead
-            # of invalidating the snapshot.  Replication ships terms through
-            # here on every applied commit, and a full rebuild per commit
-            # would scale with the whole dictionary rather than the delta.
-            # Registration runs after the loop so inner-part texts arriving
-            # in the same batch are probeable.
-            for term_id in quoted:
-                self.quoted_parts(term_id)
+            last = max(last, term_id)
+        for term_id, subject, predicate, obj in quoted:
+            self._register_quoted(term_id, (subject, predicate, obj))
+            last = max(last, term_id)
+        self._next_id = last + 1
 
-    def drain_pending(self) -> List[Tuple[int, str]]:
-        """New ``(id, n3)`` rows awaiting persistence (clears the queue)."""
+    def drain_pending(self) -> Tuple[List[Tuple[int, str]], List[Tuple[int, int, int, int]]]:
+        """New term and quoted rows awaiting persistence (clears the queues)."""
         pending, self._pending = self._pending, []
-        return pending
+        quoted, self._pending_quoted = self._pending_quoted, []
+        return pending, quoted
 
     def export_rows(self, start: int) -> List[Tuple[int, str]]:
         """Replication rows straight from the text map — no term parsing."""
@@ -345,7 +350,7 @@ class PersistentTermDictionary(TermDictionary):
         ]
 
     def has_pending(self) -> bool:
-        return bool(self._pending)
+        return bool(self._pending) or bool(self._pending_quoted)
 
     def rollback_to(self, mark: int) -> None:
         """Forget every term interned at or after ``mark``.
@@ -373,42 +378,22 @@ class PersistentTermDictionary(TermDictionary):
         self._term_to_id = {
             term: term_id for term, term_id in self._term_to_id.items() if term_id < mark
         }
-        self._pending = [(term_id, text) for term_id, text in self._pending if term_id < mark]
+        self._pending = [row for row in self._pending if row[0] < mark]
+        self._pending_quoted = [row for row in self._pending_quoted if row[0] < mark]
         self._next_id = mark
 
     def __len__(self) -> int:
-        return len(self._id_to_text)
+        return len(self._id_to_text) + len(self._quoted_parts)
 
     # -------------------------------------------------------------- interning
     def _assign(self, term) -> int:
-        """Intern by N-Triples spelling (the base ``encode`` drives this;
-        quoted triples come through :meth:`_assign_quoted` instead).
+        """Intern by N-Triples spelling (the base ``encode`` drives this).
 
         Unlike the volatile base ``_assign``, the spelling may already hold a
         persisted id from an earlier process — reuse it and just register the
         live term object against it.
         """
-        term_id = self._intern_text(term_n3(term))
-        self._term_to_id[term] = term_id
-        self._id_to_term.setdefault(term_id, term)
-        return term_id
-
-    def _assign_quoted(self, term, parts: Tuple[int, int, int]) -> int:
-        """Intern a quoted triple from its parts' stored spellings.
-
-        The canonical ``<< s p o >>`` text is the three inner spellings
-        joined by single spaces, so it is assembled from rows this dictionary
-        already holds instead of re-serializing the term object; the object
-        itself is parsed back from that text on first decode, like any
-        persisted term.
-        """
-        return self._intern_text(self._quoted_spelling(parts))
-
-    def _quoted_spelling(self, parts: Tuple[int, int, int]) -> str:
-        spelling = self._spelling
-        return f"<< {spelling(parts[0])} {spelling(parts[1])} {spelling(parts[2])} >>"
-
-    def _intern_text(self, text: str) -> int:
+        text = term_n3(term)
         term_id = self._text_to_id.get(text)
         if term_id is None:
             term_id = self._next_id
@@ -416,6 +401,13 @@ class PersistentTermDictionary(TermDictionary):
             self._text_to_id[text] = term_id
             self._id_to_text[term_id] = text
             self._pending.append((term_id, text))
+        self._term_to_id[term] = term_id
+        self._id_to_term.setdefault(term_id, term)
+        return term_id
+
+    def _assign_quoted(self, term, parts: Tuple[int, int, int]) -> int:
+        term_id = super()._assign_quoted(term, parts)
+        self._pending_quoted.append((term_id, *parts))
         return term_id
 
     # ---------------------------------------------------------------- lookups
@@ -433,82 +425,14 @@ class PersistentTermDictionary(TermDictionary):
     def decode(self, term_id: int):
         term = self._id_to_term.get(term_id)
         if term is None:
-            term = parse_term(self._id_to_text[term_id])
+            parts = self._quoted_parts.get(term_id)
+            if parts is not None:
+                term = QuotedTriple(*map(self.decode, parts))
+            else:
+                term = parse_term(self._id_to_text[term_id])
+                self._term_to_id.setdefault(term, term_id)
             self._id_to_term[term_id] = term
-            self._term_to_id.setdefault(term, term_id)
         return term
-
-    def quoted_parts(self, term_id: int) -> Optional[Tuple[int, int, int]]:
-        parts = self._quoted_parts.get(term_id)
-        if parts is None:
-            text = self._id_to_text.get(term_id)
-            if text is None or not text.startswith("<<"):
-                return None
-            parts = self._split_quoted(text)
-            if parts is None:
-                quoted = self.decode(term_id)
-                parts = (
-                    self.encode(quoted.subject),
-                    self.encode(quoted.predicate),
-                    self.encode(quoted.object),
-                )
-            self._register_quoted(term_id, parts)
-        return parts
-
-    def _split_quoted(self, text: str) -> Optional[Tuple[int, int, int]]:
-        """Inner part ids straight from the canonical ``<< s p o >>`` spelling.
-
-        Index loads call :meth:`quoted_parts` once per annotation subject, so
-        the full parse + re-encode round trip (term object construction plus
-        three ``term_n3`` serializations) dominates cold shard rebuilds.  The
-        canonical spelling joins the three inner spellings with single
-        spaces, so when no token can itself contain a space — no literal
-        (``"``) and no nested quoted triple (``<<``) — splitting and probing
-        the text map yields the same ids the parse would.  Anything fancier
-        falls back to the parser.
-        """
-        if not text.endswith(" >>") or not text.startswith("<< "):
-            return None
-        inner = text[3:-3]
-        if '"' in inner or "<<" in inner:
-            return None
-        tokens = inner.split(" ")
-        if len(tokens) != 3:
-            return None
-        text_to_id = self._text_to_id
-        subject = text_to_id.get(tokens[0])
-        predicate = text_to_id.get(tokens[1])
-        obj = text_to_id.get(tokens[2])
-        if subject is None or predicate is None or obj is None:
-            return None
-        return (subject, predicate, obj)
-
-    def quoted_id(self, parts: Tuple[int, int, int]) -> Optional[int]:
-        term_id = self._quoted_by_parts.get(parts)
-        if term_id is None:
-            # Reconstruct the persisted spelling from the part ids; a hit
-            # registers the quoted maps so the next probe is one dict get.
-            term_id = self._text_to_id.get(self._quoted_spelling(parts))
-            if term_id is not None:
-                self._register_quoted(term_id, parts)
-        return term_id
-
-    def _materialize_quoted(self) -> None:
-        """Decode every persisted-but-untouched quoted spelling so the
-        columnar snapshot covers the full quoted population (the maps here
-        fill lazily, one id per :meth:`quoted_parts` probe)."""
-        quoted_parts = self._quoted_parts
-        pending = [
-            term_id
-            for term_id, text in self._id_to_text.items()
-            if text.startswith("<<") and term_id not in quoted_parts
-        ]
-        for term_id in pending:
-            self.quoted_parts(term_id)
-
-    def _spelling(self, term_id: int) -> str:
-        text = self._id_to_text.get(term_id)
-        return text if text is not None else term_n3(self.decode(term_id))
 
 
 class SqliteBackend(QuadStoreBackend):
@@ -516,8 +440,11 @@ class SqliteBackend(QuadStoreBackend):
 
     Layout: a ``graphs`` catalog table maps graph names to shard ids; a
     ``terms`` dictionary table holds every distinct term once (``id``,
-    N-Triples ``n3`` text); shard ``quads_<id>`` holds that graph's triples
-    as three integer id columns keyed by their ``(s, p, o)`` primary key.
+    N-Triples ``n3`` text) but quoted triples, which ``quoted`` holds as
+    ``(id, s, p, o)`` part ids; ``meta`` holds the commit version, the
+    lineage uid and the layout version; shard ``quads_<id>`` holds that
+    graph's triples as three integer id columns keyed by their ``(s, p, o)``
+    primary key.
     There are no secondary indexes: term uniqueness is the in-memory
     dictionary's job (terms are looked up there, never by SQL), and all
     matching runs on the shared :class:`GraphIndex`, rebuilt lazily per
@@ -583,8 +510,6 @@ class SqliteBackend(QuadStoreBackend):
         #: ``changed_since``): reopening loses the in-memory change marks.
         self._change_baseline = self._durable_version
         self._noted_version: Optional[int] = None
-        self.dictionary = PersistentTermDictionary()
-        self.dictionary.load_rows(self._connection.execute("SELECT id, n3 FROM terms"))
         #: graph name -> shard id, in catalog order (deterministic reopen).
         self._shards: Dict[URIRef, int] = {
             URIRef(name): shard_id
@@ -596,14 +521,17 @@ class SqliteBackend(QuadStoreBackend):
         self._version_base: Dict[URIRef, int] = {}
         #: Ordered write buffer: ``(op, shard_id, params)``.
         self._pending: List[Tuple[str, int, Tuple[int, ...]]] = []
-        #: Shipped term rows awaiting an ``INSERT OR REPLACE`` flush, and the
-        #: lowest id they are authoritative from — both filled only by
-        #: :meth:`ingest_term_rows` (replication).
+        #: Shipped term and quoted rows awaiting an ``INSERT OR REPLACE``
+        #: flush, and the lowest id they are authoritative from — all filled
+        #: only by :meth:`ingest_term_rows` (replication).
         self._pending_term_replaces: List[Tuple[int, str]] = []
+        self._pending_quoted_replaces: List[Tuple[int, int, int, int]] = []
         self._term_floor: Optional[int] = None
         self._closed = False
         #: What :meth:`_recover` found and repaired on open (see that method).
         self.recovery = self._recover()
+        self.dictionary = PersistentTermDictionary()
+        self._load_dictionary(1)
 
     def _connect(self) -> sqlite3.Connection:
         # ``isolation_level=None`` turns off the sqlite3 module's implicit
@@ -618,6 +546,10 @@ class SqliteBackend(QuadStoreBackend):
         connection.execute("PRAGMA synchronous=NORMAL")
         return connection
 
+    #: ``meta.layout`` of files this code writes: 2 keeps a quoted triple as
+    #: its part ids in ``quoted``; 1 (no ``layout`` row) spelled it in ``terms``.
+    _LAYOUT = 2
+
     def _ensure_layout(self) -> None:
         self._txn_begin()
         self._connection.execute(
@@ -631,6 +563,13 @@ class SqliteBackend(QuadStoreBackend):
             " n3 TEXT NOT NULL)"
         )
         self._connection.execute(
+            "CREATE TABLE IF NOT EXISTS quoted ("
+            " id INTEGER PRIMARY KEY,"
+            " s INTEGER NOT NULL,"
+            " p INTEGER NOT NULL,"
+            " o INTEGER NOT NULL)"
+        )
+        self._connection.execute(
             "CREATE TABLE IF NOT EXISTS meta ("
             " key TEXT PRIMARY KEY,"
             " value INTEGER NOT NULL)"
@@ -638,11 +577,25 @@ class SqliteBackend(QuadStoreBackend):
         self._connection.execute(
             "INSERT OR IGNORE INTO meta (key, value) VALUES ('commit_version', 0)"
         )
+        # Drawn from [2^61, 2^62): always 19 decimal digits, so manifests
+        # that spell the uid out have one length whatever the draw.
         self._connection.execute(
             "INSERT OR IGNORE INTO meta (key, value) VALUES ('store_uid', ?)",
-            (random.getrandbits(62) or 1,),
+            ((1 << 61) | random.getrandbits(61),),
         )
+        # A file without the row is in layout 1 (a new one is too, with no
+        # term to move yet): :meth:`_migrate_layout` brings it to today's.
+        self._connection.execute("INSERT OR IGNORE INTO meta (key, value) VALUES ('layout', 1)")
         self._txn_commit()
+
+    def _load_dictionary(self, start: int) -> None:
+        """Load the persisted term and quoted rows at ids >= ``start``."""
+        self.dictionary.load_rows(
+            self._connection.execute("SELECT id, n3 FROM terms WHERE id >= ?", (start,)),
+            self._connection.execute(
+                "SELECT id, s, p, o FROM quoted WHERE id >= ?", (start,)
+            ).fetchall(),
+        )
 
     def _read_meta(self, key: str) -> int:
         return int(
@@ -758,7 +711,7 @@ class SqliteBackend(QuadStoreBackend):
                     self._flush_rows()
                     self._write_meta()
 
-    def pending_mark(self) -> Tuple[int, int]:
+    def pending_mark(self) -> Tuple[int, int, int]:
         """Write-buffer positions for :meth:`discard_pending`.
 
         Only meaningful while nothing between mark and discard reorders the
@@ -767,9 +720,13 @@ class SqliteBackend(QuadStoreBackend):
         through the durable batch path instead.
         """
         with self._db_lock:
-            return (len(self._pending), len(self._pending_term_replaces))
+            return (
+                len(self._pending),
+                len(self._pending_term_replaces),
+                len(self._pending_quoted_replaces),
+            )
 
-    def discard_pending(self, mark: Tuple[int, int]) -> None:
+    def discard_pending(self, mark: Tuple[int, int, int]) -> None:
         """Drop buffered ops and term rows queued since :meth:`pending_mark`.
 
         The lazy-replication failure path: a torn apply's ops vanish from
@@ -782,18 +739,18 @@ class SqliteBackend(QuadStoreBackend):
         with self._db_lock:
             del self._pending[mark[0]:]
             del self._pending_term_replaces[mark[1]:]
+            del self._pending_quoted_replaces[mark[2]:]
 
     def _flush_rows(self) -> None:
         """Write buffered term and quad rows (no transaction control)."""
         if self._term_floor is not None:
             # Shipped rows first, after the local strays they supersede.
             self._execute_retry("DELETE FROM terms WHERE id >= ?", (self._term_floor,))
+            self._execute_retry("DELETE FROM quoted WHERE id >= ?", (self._term_floor,))
             self._term_floor = None
-        if self._pending_term_replaces:
-            rows, self._pending_term_replaces = self._pending_term_replaces, []
-            self._executemany_retry(
-                "INSERT OR REPLACE INTO terms (id, n3) VALUES (?, ?)", rows
-            )
+        rows, self._pending_term_replaces = self._pending_term_replaces, []
+        quoted, self._pending_quoted_replaces = self._pending_quoted_replaces, []
+        self._write_term_rows("INSERT OR REPLACE", rows, quoted)
         self._flush_term_rows()
         if self._pending:
             pending, self._pending = self._pending, []
@@ -850,6 +807,7 @@ class SqliteBackend(QuadStoreBackend):
             self._in_batch = False
             self._pending.clear()
             self._pending_term_replaces.clear()
+            self._pending_quoted_replaces.clear()
             self._term_floor = None
             if not self._closed:
                 # No transaction is open after an injected "crash" tore it
@@ -879,8 +837,14 @@ class SqliteBackend(QuadStoreBackend):
                 for graph, shard_id in self._shards.items()
             }
 
-    def ingest_term_rows(self, start: int, rows: List[Tuple[int, str]]) -> None:
-        """Adopt shipped dictionary rows ``(id, n3)``, authoritative from ``start``.
+    def ingest_term_rows(
+        self,
+        start: int,
+        rows: List[Tuple[int, str]],
+        quoted: List[Tuple[int, int, int, int]] = (),
+    ) -> None:
+        """Adopt shipped dictionary rows, authoritative from ``start``:
+        ``(id, n3)`` term rows and ``(id, s, p, o)`` quoted rows.
 
         Ids are assigned by the replication *source*, which ships every row
         at or above ``start``; any id there that this side holds is a local
@@ -893,10 +857,11 @@ class SqliteBackend(QuadStoreBackend):
         """
         with self._db_lock:
             self.dictionary.rollback_to(start)
-            self.dictionary.load_rows(rows)
+            self.dictionary.load_rows(rows, quoted)
             if self._term_floor is None or start < self._term_floor:
                 self._term_floor = start
             self._pending_term_replaces.extend(rows)
+            self._pending_quoted_replaces.extend(quoted)
 
     def replace_shard(self, graph: URIRef, rows: List[Tuple[int, int, int]]) -> None:
         """Overwrite ``graph``'s shard with exactly ``rows`` (id triples).
@@ -1000,15 +965,11 @@ class SqliteBackend(QuadStoreBackend):
             self._crashed = False
             self._connection = self._connect()
             self._ensure_layout()
+            self._migrate_layout()
             new_uid = self._read_meta("store_uid")
             same_lineage = new_uid == self._uid
             if same_lineage:
-                self.dictionary.load_rows(
-                    self._connection.execute(
-                        "SELECT id, n3 FROM terms WHERE id >= ?",
-                        (self.dictionary.next_id,),
-                    )
-                )
+                self._load_dictionary(self.dictionary.next_id)
                 if changed_graphs is None:
                     invalidate = set(self._indexes)
                 else:
@@ -1016,9 +977,7 @@ class SqliteBackend(QuadStoreBackend):
             else:
                 self._uid = new_uid
                 self.dictionary = PersistentTermDictionary()
-                self.dictionary.load_rows(
-                    self._connection.execute("SELECT id, n3 FROM terms")
-                )
+                self._load_dictionary(1)
                 invalidate = set(self._indexes)
             old_shards = self._shards
             self._shards = {
@@ -1061,6 +1020,7 @@ class SqliteBackend(QuadStoreBackend):
                 return
             self._pending.clear()
             self._pending_term_replaces.clear()
+            self._pending_quoted_replaces.clear()
             self._term_floor = None
             try:
                 self._connection.close()
@@ -1080,6 +1040,7 @@ class SqliteBackend(QuadStoreBackend):
         return (
             bool(self._pending)
             or bool(self._pending_term_replaces)
+            or bool(self._pending_quoted_replaces)
             or self._term_floor is not None
             or self.dictionary.has_pending()
             or self._meta_dirty()
@@ -1174,14 +1135,17 @@ class SqliteBackend(QuadStoreBackend):
             self._txn_commit()
 
     def _recover(self) -> Dict[str, Any]:
-        """Verify the on-disk layout against the committed marker on open.
+        """Bring the file to today's layout and verify it against the
+        committed marker on open.
 
+        A file in layout 1 is migrated first (:meth:`_migrate_layout`).
         With journaled transactions a crash cannot tear a commit, but a
         database written by older code (or meddled with externally) may hold
         catalog rows without shard tables or orphan shard tables without
         catalog rows.  Both are discarded — the catalog is the source of
         truth for what the last commit contained.
         """
+        migrated = self._migrate_layout()
         existing = {
             name
             for (name,) in self._connection.execute(
@@ -1209,7 +1173,34 @@ class SqliteBackend(QuadStoreBackend):
             "commit_version": self._durable_version,
             "discarded_shards": [str(graph) for graph in torn],
             "dropped_orphan_tables": orphans,
+            "migrated_quoted_terms": migrated,
         }
+
+    def _migrate_layout(self) -> int:
+        """Move layout 1's quoted spellings out of ``terms`` into ``quoted``
+        part rows, in one transaction; returns how many moved.
+
+        Each part's id is the ``terms`` row of its canonical spelling (a
+        nested quoted part is itself a row), so ids do not change.
+        """
+        if self._read_meta("layout") >= self._LAYOUT:
+            return 0
+        with self._db_lock, self._autocommit():
+            # Another connection may have migrated the file meanwhile.
+            if self._read_meta("layout") >= self._LAYOUT:
+                return 0
+            text_to_id = {
+                text: term_id for term_id, text in self._connection.execute("SELECT id, n3 FROM terms")
+            }
+            rows = []
+            for text, term_id in text_to_id.items():
+                if text.startswith("<<"):
+                    triple = parse_term(text).as_triple()
+                    rows.append((term_id, *(text_to_id[term_n3(part)] for part in triple)))
+            self._write_term_rows("INSERT", [], rows)
+            self._executemany_retry("DELETE FROM terms WHERE id = ?", [row[:1] for row in rows])
+            self._execute_retry("UPDATE meta SET value = ? WHERE key = 'layout'", (self._LAYOUT,))
+        return len(rows)
 
     # -------------------------------------------------------------- internals
     _STATEMENTS = {
@@ -1227,18 +1218,18 @@ class SqliteBackend(QuadStoreBackend):
             ") WITHOUT ROWID"
         )
 
-    def _flush_term_rows(self) -> bool:
+    def _flush_term_rows(self) -> None:
         """Persist newly interned dictionary rows (always ahead of quad rows).
 
         No transaction control: the caller owns the commit boundary."""
         with self._db_lock:
-            rows = self.dictionary.drain_pending()
-            if not rows:
-                return False
-            self._executemany_retry(
-                "INSERT OR IGNORE INTO terms (id, n3) VALUES (?, ?)", rows
-            )
-        return True
+            self._write_term_rows("INSERT OR IGNORE", *self.dictionary.drain_pending())
+
+    def _write_term_rows(self, verb: str, rows: List[Tuple], quoted: List[Tuple]) -> None:
+        if rows:
+            self._executemany_retry(f"{verb} INTO terms (id, n3) VALUES (?, ?)", rows)
+        if quoted:
+            self._executemany_retry(f"{verb} INTO quoted (id, s, p, o) VALUES (?, ?, ?, ?)", quoted)
 
     def _queue_rows(self, op: str, shard_id: int, rows: Iterable[Tuple[int, ...]]) -> None:
         self._pending.extend([(op, shard_id, params) for params in rows])
@@ -1249,8 +1240,7 @@ class SqliteBackend(QuadStoreBackend):
         """Rebuild a graph's index (stats and quoted indexes included) from disk.
 
         A pure integer scan: the shard rows are already id-triples, and the
-        quoted-triple structure comes from the shared dictionary (parsed
-        lazily, only for ids whose text is a quoted term).
+        quoted-triple structure is the shared dictionary's part-id map.
         """
         # Writes require a loaded index, so a lazily-loaded shard normally has
         # no buffered ops — flush anyway so the read below is complete.

@@ -364,44 +364,33 @@ class TermDictionary:
         return self._next_id
 
     def export_rows(self, start: int) -> "list[tuple[int, str]]":
-        """``(id, n3_text)`` rows for every id in ``[start, next_id)``.
+        """``(id, n3_text)`` rows for every non-quoted id in ``[start, next_id)``.
 
         The wire format of dictionary replication: ids are contiguous from
         1, so a follower's ``next_id`` names exactly the rows it is
-        missing.  Rows come back in id order.
+        missing.  Rows come back in id order.  A quoted triple has no text
+        row: it travels as its part ids (:meth:`export_quoted_rows`).
         """
-        id_to_term = self._id_to_term
+        id_to_term, quoted_parts = self._id_to_term, self._quoted_parts
         return [
             (term_id, term_n3(id_to_term[term_id]))
             for term_id in range(max(start, 1), self._next_id)
-            if term_id in id_to_term
+            if term_id in id_to_term and term_id not in quoted_parts
         ]
 
     def export_quoted_rows(self, start: int) -> "list[int]":
         """Flat ``(quoted id, s, p, o)`` runs for quoted ids in ``[start, next_id)``.
 
-        Replication's sidecar to :meth:`export_rows`: shipping the part
-        table spares every follower re-deriving it from the ``<< s p o >>``
-        spellings (a parse per annotation term, paid once per replica per
-        delta otherwise).  Probing via :meth:`quoted_parts` keeps this
-        correct for lazily-registering subclasses.
-        """
+        Replication's sidecar to :meth:`export_rows`, and the only form a
+        quoted triple travels in."""
         out: list = []
         extend = out.extend
-        quoted_parts = self.quoted_parts
+        quoted_parts = self._quoted_parts
         for term_id in range(max(start, 1), self._next_id):
-            parts = quoted_parts(term_id)
+            parts = quoted_parts.get(term_id)
             if parts is not None:
                 extend((term_id, parts[0], parts[1], parts[2]))
         return out
-
-    def register_quoted_rows(self, rows) -> None:
-        """Adopt shipped ``(quoted id, s, p, o)`` registrations in bulk."""
-        quoted_parts = self._quoted_parts
-        register = self._register_quoted
-        for term_id, subject_id, predicate_id, object_id in rows:
-            if term_id not in quoted_parts:
-                register(term_id, (subject_id, predicate_id, object_id))
 
     # ---------------------------------------------------------------- undo
     def mark(self) -> int:
@@ -468,8 +457,7 @@ class TermDictionary:
         always extend the sorted arrays with one concatenate, so a stream
         of small commits pays O(new quoted terms) here rather than a full
         O(total) re-sort per commit.  Rollbacks and out-of-order
-        registrations (lazy persistent decodes of old ids) still force the
-        full rebuild.
+        registrations still force the full rebuild.
         """
         cached = self._quoted_columns
         if cached is not None and not self._quoted_appends:
@@ -478,10 +466,8 @@ class TermDictionary:
 
         if cached is not None:
             # Incremental merge.  Every quoted registration since the
-            # snapshot went through ``_note_quoted`` (intern, shipped-row
-            # load, lazy persistent decode), so the append queue *is* the
-            # complete diff — no ``_materialize_quoted`` sweep of the whole
-            # text map is needed on this path.
+            # snapshot went through ``_note_quoted`` (intern or shipped-row
+            # load), so the append queue *is* the complete diff.
             appends = self._quoted_appends
             chunk = np.array(appends, dtype=np.int64).reshape(len(appends), 4)
             chunk = chunk[np.argsort(chunk[:, 0], kind="stable")]
@@ -495,11 +481,9 @@ class TermDictionary:
                 self._quoted_appends = []
                 self._quoted_columns = cached
                 return cached
-            # Out-of-order ids (e.g. a lazy decode of an old persisted
-            # quoted term from before the snapshot): full rebuild below.
+            # Out-of-order ids: full rebuild below.
             self._quoted_columns = None
         self._quoted_appends.clear()
-        self._materialize_quoted()
         count = len(self._quoted_parts)
         ids = np.fromiter(self._quoted_parts.keys(), np.int64, count)
         parts = np.fromiter(
@@ -527,8 +511,3 @@ class TermDictionary:
         """
         if self._quoted_columns is not None:
             self._quoted_appends.append((term_id, parts[0], parts[1], parts[2]))
-
-    def _materialize_quoted(self) -> None:
-        """Hook for subclasses whose quoted-part maps fill lazily: ensure
-        ``_quoted_parts`` covers every interned quoted triple before a
-        columnar snapshot is taken."""

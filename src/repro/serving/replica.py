@@ -169,16 +169,11 @@ class Replica:
                     terms = list(zip(ids, raw_terms["texts"].split("\n"))) if ids else []
                 else:
                     terms = [(term_id, text) for term_id, text in raw_terms]
-                backend.ingest_term_rows(self._synced_terms, terms)
-                self.stats["terms_applied"] += len(terms)
-                quoted = payload.get("quoted")
-                if quoted:
-                    # The writer's quoted-part table rides along so the
-                    # apply never re-parses ``<< s p o >>`` spellings.
-                    parts = iter(unpack_ids(quoted))
-                    store.dictionary.register_quoted_rows(
-                        zip(parts, parts, parts, parts)
-                    )
+                # A quoted triple ships only as its ``(id, s, p, o)`` run.
+                parts = iter(unpack_ids(payload["quoted"]))
+                quoted = list(zip(parts, parts, parts, parts))
+                backend.ingest_term_rows(self._synced_terms, terms, quoted)
+                self.stats["terms_applied"] += len(terms) + len(quoted)
                 if payload["full"]:
                     self.stats["full_pulls"] += 1
                     keep = {URIRef(name) for name in payload["all_graphs"]}

@@ -70,10 +70,11 @@ def compute_delta(store: QuadStore, since_version: int, since_terms: int) -> Dic
     * ``{"changed": False}`` — the follower is current;
     * ``ops`` — the delta log bridged the gap: dictionary rows at ids >=
       ``since_terms`` (packed ids + newline-joined spellings, with a plain
-      ``[id, text]`` list fallback) and the writer's quoted-part rows for
-      them, plus per-row ops (``["add"|"remove", graph, flat s,p,o id
-      runs]`` with consecutive same-graph ops coalesced, and ``["drop",
-      graph, None]``), to be replayed in order — id runs ship packed
+      ``[id, text]`` list fallback; a quoted triple has no spelling and
+      travels only as its ``(id, s, p, o)`` run in ``quoted``), plus
+      per-row ops (``["add"|"remove", graph, flat s,p,o id runs]`` with
+      consecutive same-graph ops coalesced, and ``["drop", graph, None]``),
+      to be replayed in order — id runs ship packed
       (:func:`~repro.serving.protocol.pack_ids`);
     * ``full`` — the log could not bridge (truncated, reset, or the
       follower is from a plain file copy): complete row dumps of every
@@ -85,7 +86,7 @@ def compute_delta(store: QuadStore, since_version: int, since_terms: int) -> Dic
         if since_version >= version:
             return {"version": version, "changed": False}
         term_rows = store.dictionary.export_rows(since_terms)
-        quoted = store.dictionary.export_quoted_rows(since_terms) if term_rows else []
+        quoted = store.dictionary.export_quoted_rows(since_terms)
         if term_rows and all("\n" not in text for _, text in term_rows):
             # Packed shape: ids as one int64 buffer, spellings newline-joined
             # — decodes as one split instead of one JSON array per term.

@@ -334,6 +334,13 @@ def net_ops(ops) -> list:
 
 
 # ------------------------------------------------------------ index contents
+def dictionary_rows(store) -> tuple:
+    """A store's whole term dictionary: its ``(id, n3)`` text rows and its
+    flat ``(id, s, p, o)`` quoted-triple runs, both in id order."""
+    dictionary = store.dictionary
+    return dictionary.export_rows(1), dictionary.export_quoted_rows(1)
+
+
 def index_contents(index) -> dict:
     """Everything a ``GraphIndex`` holds, as plain comparable values."""
     return {

@@ -15,20 +15,30 @@ These tests pin the contracts of the pluggable-backend storage layer:
 * a loaded shard stays resident until it is replaced underneath it
   (``replace_shard``, ``reopen``), the rebuilt index resumes above the old
   version, and ``reopen`` refuses while anything is left to flush;
-* the sqlite layout holds no secondary index, and a file written in the
-  older layout (``terms.n3 UNIQUE``, a ``(p)`` index per shard) behaves
-  exactly like a new one;
+* the sqlite layout holds no secondary index, and a file written in an
+  older layout (``terms.n3 UNIQUE``, a ``(p)`` index per shard; quoted
+  triples spelled out in ``terms``) behaves exactly like a new one — the
+  spelled layout migrates once on open or ``reopen``, also after a crash
+  mid-migration;
+* a saved lake holds each vector once: ``profiles.json`` carries none, and
+  a reopened profile's vectors are bit-identical to the saved ones;
 * ``HNSWIndex``'s beam-search construction agrees with ``FlatIndex`` top-k.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from store_write_oracle import dictionary_rows
 
 from repro.embeddings.index import FlatIndex, HNSWIndex
 from repro.embeddings.store import EmbeddingStore
@@ -103,6 +113,26 @@ DISCOVERY_QUERIES = {
 
 def rows_of(store: QuadStore, query: str):
     return sorted(map(str, SPARQLEngine(store).select(query).rows))
+
+
+def spell_quoted_terms(path) -> int:
+    """Rewrite a closed sqlite file into layout 1, the layout before quoted
+    triples were stored as part ids: each quoted triple is a ``terms`` row
+    spelled ``<< s p o >>`` from its parts' stored spellings, there is no
+    ``quoted`` table and no ``meta.layout`` row.  Returns the rows spelled."""
+    connection = sqlite3.connect(path)
+    try:
+        texts = dict(connection.execute("SELECT id, n3 FROM terms"))
+        quoted = connection.execute("SELECT id, s, p, o FROM quoted ORDER BY id").fetchall()
+        for term_id, subject, predicate, obj in quoted:
+            texts[term_id] = f"<< {texts[subject]} {texts[predicate]} {texts[obj]} >>"
+            connection.execute("INSERT INTO terms (id, n3) VALUES (?, ?)", (term_id, texts[term_id]))
+        connection.execute("DROP TABLE quoted")
+        connection.execute("DELETE FROM meta WHERE key = 'layout'")
+        connection.commit()
+    finally:
+        connection.close()
+    return len(quoted)
 
 
 # --------------------------------------------------------------------------
@@ -267,7 +297,7 @@ class TestSqliteBackend:
         replica.close()
         landed = QuadStore.sqlite(replica_path)
         try:
-            assert landed.dictionary.export_rows(1) == writer.dictionary.export_rows(1)
+            assert dictionary_rows(landed) == dictionary_rows(writer)
             assert len(landed.dictionary) == 6
             assert serialize_nquads(landed) == serialize_nquads(writer)
         finally:
@@ -318,8 +348,10 @@ class TestSqliteBackend:
             connection.close()
 
     def test_files_in_the_older_layout_behave_like_new_ones(self, tmp_path):
-        """Older code wrote ``terms.n3 UNIQUE`` and a ``(p)`` index per shard.
-        Such a file keeps both, and today's code opens it, governs, refreshes,
+        """Older code wrote ``terms.n3 UNIQUE`` and a ``(p)`` index per shard,
+        and, until layout 2, spelled every quoted triple out in ``terms``.
+        An indexed file keeps its indexes; a spelled file migrates once, on
+        its first open.  Today's code opens either, governs, refreshes,
         retracts and reopens it with the same answers (row order included),
         dictionary rows and shard rows as a file in today's layout."""
 
@@ -341,14 +373,16 @@ class TestSqliteBackend:
             {"Age": [30, 40, 50, 60, 20, 10, 45, 35], "Fare": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]},
         )
 
-        def evolve(directory, backend_class):
+        def evolve(directory, backend_class, spelled=False):
             directory.mkdir()
             store = QuadStore(backend=backend_class(directory / "graph.sqlite3"))
             governor = KGGovernor(storage=KGLiDSStorage(graph=store))
             governor.add_data_lake(make_lake())
             governor.save(directory)
             governor.close()
+            spelled_rows = spell_quoted_terms(directory / "graph.sqlite3") if spelled else 0
             governor = KGGovernor.open(directory)
+            assert governor.storage.graph.backend.recovery["migrated_quoted_terms"] == spelled_rows
             governor.add_table(extra.copy(), dataset_name="titanic")
             governor.refresh_table(make_lake(age_shift=5).table("titanic", "train"))
             assert governor.retract_table("heart", "heart")
@@ -356,10 +390,12 @@ class TestSqliteBackend:
             governor.close()
             reopened = KGGovernor.open(directory)
             graph = reopened.storage.graph
+            # A second open finds the file migrated already.
+            assert graph.backend.recovery["migrated_quoted_terms"] == 0
             answers = [list(map(str, SPARQLEngine(graph).select(query).rows)) for query in DISCOVERY_QUERIES.values()]
             # Match order follows the order a shard's rows were loaded in.
             answers += [list(map(str, graph.triples(graph=name))) for name in graph.graphs()]
-            terms = graph.dictionary.export_rows(1)
+            terms = (graph.dictionary.export_rows(1), graph.dictionary.export_quoted_rows(1), graph.dictionary.next_id)
             reopened.close()
             connection = sqlite3.connect(directory / "graph.sqlite3")
             try:
@@ -380,11 +416,104 @@ class TestSqliteBackend:
             return answers, terms, shards, indexes
 
         *old, old_indexes = evolve(tmp_path / "old", OlderLayoutBackend)
+        *spelled, spelled_indexes = evolve(tmp_path / "spelled", SqliteBackend, spelled=True)
         *new, new_indexes = evolve(tmp_path / "new", SqliteBackend)
-        assert new_indexes == set()
+        assert new_indexes == spelled_indexes == set()
         assert "sqlite_autoindex_terms_1" in old_indexes
         assert any(name.endswith("_predicate") for name in old_indexes)
+        assert new[1][1], "the lake holds no quoted triple to migrate"
         assert old == new
+        assert spelled == new
+
+    def test_reopen_onto_a_spelled_file_migrates_it(self, tmp_path):
+        """A layout-1 file replaced underneath an open store goes through the
+        same migration on ``reopen`` as on a cold open."""
+        spelled, served = tmp_path / "spelled.sqlite3", tmp_path / "served.sqlite3"
+        writer = QuadStore.sqlite(spelled)
+        writer.annotate(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1), URIRef("http://x/score"), Literal(0.5))
+        expected = (serialize_nquads(writer), writer.dictionary.export_quoted_rows(1))
+        writer.close()
+        assert spell_quoted_terms(spelled) == 1
+        store = QuadStore.sqlite(served)
+        store.backend.checkpoint()
+        shutil.copyfile(spelled, served)
+        try:
+            store.reopen()
+            assert (serialize_nquads(store), store.dictionary.export_quoted_rows(1)) == expected
+        finally:
+            store.close()
+
+    def test_a_file_another_connection_migrated_first_is_not_migrated_again(self, tmp_path):
+        """Two connections open one layout-1 file: the one that takes the
+        write lock second finds the file migrated and moves nothing."""
+        path = tmp_path / "spelled.sqlite3"
+        writer = QuadStore.sqlite(path)
+        writer.annotate(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1), URIRef("http://x/score"), Literal(0.5))
+        expected = (serialize_nquads(writer), dictionary_rows(writer))
+        writer.close()
+        assert spell_quoted_terms(path) == 1
+
+        class OvertakenBackend(SqliteBackend):
+            # A rival connection migrates the file between this one's layout
+            # check and its BEGIN IMMEDIATE.
+            racing = False
+
+            def _migrate_layout(self):
+                self.racing = True
+                return super()._migrate_layout()
+
+            def _txn_begin(self):
+                if self.racing:
+                    self.racing = False
+                    rival = SqliteBackend(self.path)
+                    assert rival.recovery["migrated_quoted_terms"] == 1
+                    rival.close()
+                super()._txn_begin()
+
+        store = QuadStore(backend=OvertakenBackend(path))
+        try:
+            assert store.backend.recovery["migrated_quoted_terms"] == 0
+            assert (serialize_nquads(store), dictionary_rows(store)) == expected
+        finally:
+            store.close()
+
+    def test_a_crash_inside_the_migration_leaves_a_file_that_opens_to_the_same_graph(self, tmp_path):
+        """Layout 1 migrates in one transaction: a process killed before any
+        statement of it (``os._exit``, no rollback, no close) leaves a file
+        that a later open migrates and reads as the same graph."""
+        path = tmp_path / "spelled.sqlite3"
+        governor = KGGovernor(storage=KGLiDSStorage(graph=QuadStore.sqlite(path)))
+        governor.add_data_lake(make_lake())
+        graph = governor.storage.graph
+        expected = (serialize_nquads(graph), graph.dictionary.export_rows(1), graph.dictionary.export_quoted_rows(1))
+        governor.close()
+        spelled_rows = spell_quoted_terms(path)
+        assert spelled_rows > 0
+        source = Path(__file__).resolve().parent.parent / "src"
+        crashes = 0
+        for point in range(1, 20):
+            copy = tmp_path / f"crash_{point}.sqlite3"
+            shutil.copyfile(path, copy)
+            finished = subprocess.run(
+                [sys.executable, "-c", MIGRATION_CRASH_PROBE, str(copy), str(point)],
+                env={**os.environ, "PYTHONPATH": str(source)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            if finished.returncode == 0:
+                break
+            assert finished.returncode == 17, finished.stderr
+            crashes += 1
+            store = QuadStore.sqlite(copy)
+            try:
+                assert store.backend.recovery["migrated_quoted_terms"] == spelled_rows, point
+                dictionary = store.dictionary
+                assert (serialize_nquads(store), dictionary.export_rows(1), dictionary.export_quoted_rows(1)) == expected, point
+            finally:
+                store.close()
+        # BEGIN, the quoted rows, the terms delete, the layout stamp, COMMIT.
+        assert crashes == 5
 
     def test_version_counters_still_work(self, tmp_path):
         store = QuadStore.sqlite(tmp_path / "store.sqlite3")
@@ -400,6 +529,63 @@ class TestSqliteBackend:
 # Governor save / reopen
 # --------------------------------------------------------------------------
 class TestGovernorPersistence:
+    def test_each_vector_is_saved_once_and_reopens_bit_identical(self, tmp_path):
+        """``profiles.json`` carries no vector: content and table vectors are
+        the embedding store's rows, label vectors their own archive member.
+        Reopened, every one equals the saved float64 bits."""
+        governor = KGGovernor()
+        governor.add_data_lake(make_lake())
+        directory = tmp_path / "lake"
+        governor.save(directory)
+
+        def keys(value):
+            if isinstance(value, dict):
+                return set(value) | {key for item in value.values() for key in keys(item)}
+            if isinstance(value, list):
+                return {key for item in value for key in keys(item)}
+            return set()
+
+        payload = json.loads((directory / "profiles.json").read_text())
+        assert not keys(payload) & {"embedding", "label_embedding"}
+        with np.load(directory / "embeddings.npz") as archive:
+            assert archive["label_vectors"].dtype == np.float64
+
+        def bits(vector):
+            return np.asarray(vector, dtype=float).tobytes()
+
+        reopened = KGGovernor.open(directory)
+        assert len(reopened.table_profiles) == len(governor.table_profiles) == 3
+        for saved, loaded in zip(governor.table_profiles, reopened.table_profiles):
+            assert (loaded.dataset_name, loaded.table_name) == (saved.dataset_name, saved.table_name)
+            assert loaded.embedding.dtype == np.float64
+            assert bits(loaded.embedding) == bits(saved.embedding)
+            assert len(loaded.column_profiles) == len(saved.column_profiles)
+            for saved_column, loaded_column in zip(saved.column_profiles, loaded.column_profiles):
+                assert loaded_column.to_dict() == saved_column.to_dict()
+                for field in ("embedding", "label_embedding"):
+                    vector = getattr(loaded_column, field)
+                    assert vector.dtype == np.float64, field
+                    assert bits(vector) == bits(getattr(saved_column, field)), field
+        reopened.close()
+
+    def test_store_uid_has_one_length_whatever_the_draw(self, tmp_path, monkeypatch):
+        """The lineage uid is spelled out in ``delta.json``; drawn from
+        [2^61, 2^62) it always has 19 digits, so the lowest and the highest
+        draw write manifests of one length (and one store ratio)."""
+        import random
+
+        governor = KGGovernor()
+        governor.add_data_lake(make_lake())
+        manifests = []
+        for draw in (0, (1 << 61) - 1):
+            monkeypatch.setattr(random, "getrandbits", lambda bits, draw=draw: draw)
+            directory = governor.save(tmp_path / str(draw))
+            manifests.append((directory / "delta.json").read_bytes())
+        uids = [json.loads(manifest)["store_uid"] for manifest in manifests]
+        assert uids == [1 << 61, (1 << 62) - 1]
+        assert [len(str(uid)) for uid in uids] == [19, 19]
+        assert len(manifests[0]) == len(manifests[1])
+
     def test_save_reopen_round_trip(self, tmp_path):
         governor = KGGovernor()
         governor.add_data_lake(make_lake())
@@ -615,14 +801,14 @@ class TestRefreshTable:
         store = governor.storage.graph
         store.enable_delta_log()
         governor.add_data_lake(make_lake())
-        before, terms = serialize_nquads(store), store.dictionary.export_rows(1)
+        before, terms = serialize_nquads(store), dictionary_rows(store)
         version, commit = store.version, store.commit_version
         report = governor.refresh_table(make_lake().table("titanic", "train"))
         assert report.refreshed_tables == ["titanic/train"]
         assert store.delta_log_since(commit) == [(commit + 1, [])]  # one commit, no row
         assert store.version == version
         assert serialize_nquads(store) == before
-        assert store.dictionary.export_rows(1) == terms
+        assert dictionary_rows(store) == terms
 
     def test_a_score_only_change_swaps_only_the_certainty_literals(self):
         """``t1.amount`` keeps its count, distinct count, min, max, mean and
@@ -940,33 +1126,84 @@ class TestPipelinePersistence:
 # --------------------------------------------------------------------------
 # Byte-identity across interpreters
 # --------------------------------------------------------------------------
+MIGRATION_CRASH_PROBE = """
+import os, sys
+from repro.rdf import SqliteBackend
+
+class CrashingBackend(SqliteBackend):
+    # Dies before the n-th sqlite statement of the layout migration.
+    left = None
+
+    def _migrate_layout(self):
+        CrashingBackend.left = int(sys.argv[2])
+        return super()._migrate_layout()
+
+    def _tick(self):
+        if CrashingBackend.left is not None:
+            CrashingBackend.left -= 1
+            if CrashingBackend.left == 0:
+                os._exit(17)
+
+    def _execute_retry(self, sql, params=()):
+        self._tick()
+        return super()._execute_retry(sql, params)
+
+    def _executemany_retry(self, sql, rows):
+        self._tick()
+        return super()._executemany_retry(sql, rows)
+
+CrashingBackend(sys.argv[1])
+os._exit(0)
+"""
+
 HASH_SEED_PROBE = """
-import hashlib, sqlite3, sys
+import hashlib, json, sqlite3, sys
+from pathlib import Path
+import numpy as np
 from repro.datagen import generate_discovery_benchmark, generate_pipeline_corpus
 from repro.kg import KGGovernor
 
 lake = generate_discovery_benchmark("tus_small", seed=5, base_tables=2, partitions=4, rows=20).lake
 governor = KGGovernor()
 governor.bootstrap(lake=lake, scripts=generate_pipeline_corpus(lake, pipelines_per_table=3, seed=3))
-governor.save(sys.argv[1])
-rows = governor.storage.graph.dictionary.export_rows(1)
-dump = sqlite3.connect(sys.argv[1] + "/graph.sqlite3").iterdump()
-print(hashlib.sha256(repr(rows).encode()).hexdigest())
-print(hashlib.sha256("\\n".join(line for line in dump if "store_uid" not in line).encode()).hexdigest())
+directory = governor.save(sys.argv[1])
+dictionary = governor.storage.graph.dictionary
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+print(digest(repr(dictionary.export_rows(1))))
+print(digest(repr(dictionary.export_quoted_rows(1))))
+dump = sqlite3.connect(directory / "graph.sqlite3").iterdump()
+print(digest("\\n".join(line for line in dump if "store_uid" not in line)))
+# Every other snapshot file: its JSON without the random lineage uid, an
+# archive member by member (the zip stamps its members with the clock).
+for path in sorted(Path(directory).iterdir()):
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text())
+        payload.pop("store_uid", None)
+        print(path.name, digest(json.dumps(payload, sort_keys=True)))
+    elif path.suffix == ".npz":
+        with np.load(path) as archive:
+            for name in sorted(archive.files):
+                array = archive[name]
+                print(path.name, name, digest(repr((array.dtype.str, array.shape)) + array.tobytes().hex()))
 """
 
 
 def test_term_ids_and_sqlite_dump_do_not_depend_on_the_hash_seed(tmp_path):
     """Governing the same 8 tables and 24 pipelines under two ``PYTHONHASHSEED``
-    values interns the same terms under the same ids and writes the same
-    sqlite rows (the ``meta.store_uid`` row is a random uuid by design)."""
+    values interns the same terms (and quoted triples) under the same ids
+    and writes the same snapshot: the same sqlite rows, the same JSON files
+    and the same archive members (the ``store_uid`` is random by design),
+    so a saved lake's size, the store ratio, does not move with the seed."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     source = Path(__file__).resolve().parent.parent / "src"
-    digests = []
+    outputs = []
     for seed in ("1", "2"):
         finished = subprocess.run(
             [sys.executable, "-c", HASH_SEED_PROBE, str(tmp_path / seed)],
@@ -976,7 +1213,17 @@ def test_term_ids_and_sqlite_dump_do_not_depend_on_the_hash_seed(tmp_path):
             timeout=300,
         )
         assert finished.returncode == 0, finished.stderr
-        digests.append(finished.stdout.split())
-    (rows_1, dump_1), (rows_2, dump_2) = digests
+        outputs.append(finished.stdout)
+    (rows_1, quoted_1, dump_1, *files_1), (rows_2, quoted_2, dump_2, *files_2) = (
+        out.splitlines() for out in outputs
+    )
     assert rows_1 == rows_2, "dictionary.export_rows(1) differs across hash seeds"
+    assert quoted_1 == quoted_2, "dictionary.export_quoted_rows(1) differs across hash seeds"
     assert dump_1 == dump_2, "the sqlite dump differs across hash seeds"
+    names = [line.rsplit(" ", 1)[0] for line in files_1]
+    assert {name.split()[0] for name in names} == {
+        "delta.json", "embeddings.npz", "manifest.json", "pipelines.json", "profiles.json"
+    }
+    assert "embeddings.npz label_vectors" in names
+    for line_1, line_2 in zip(files_1, files_2, strict=True):
+        assert line_1 == line_2, f"{line_1.rsplit(' ', 1)[0]} differs across hash seeds"

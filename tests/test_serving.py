@@ -11,6 +11,9 @@ Pins the serving contracts:
   them atomically: concurrent readers never observe a torn snapshot;
 * a replica's local strays (terms it interned between syncs) give way to
   the writer's rows, in its dictionary and in its file;
+* a quoted triple crosses the wire only as its ``(id, s, p, o)`` part ids,
+  never as a ``<< s p o >>`` spelling, on the log-bridged and full-dump
+  paths alike, and the replica persists exactly the writer's part rows;
 * ``LiDSClient.reopen`` re-opens a shipped snapshot in place — same
   interned dictionary, only changed ``GraphIndex``es invalidated;
 * ``RemoteLiDSClient`` retries with backoff through a flapping server and
@@ -30,12 +33,14 @@ import time
 import numpy as np
 import pytest
 
+from store_write_oracle import dictionary_rows
+
 from repro.interfaces import LiDSClient
 from repro.kg import GovernorService, KGGovernor
 from repro.kg.errors import TransientError
 from repro.kg.ontology import DATASET_GRAPH, ONTOLOGY_GRAPH, column_uri, table_uri
 from repro.kg.storage import KGLiDSStorage
-from repro.rdf import Literal, QuadStore, URIRef
+from repro.rdf import Literal, QuadStore, QuotedTriple, URIRef
 from repro.serving import (
     LiDSServer,
     RemoteError,
@@ -47,6 +52,7 @@ from repro.serving import (
     decode_value,
     encode_value,
 )
+from repro.serving.protocol import unpack_ids
 from repro.tabular import Column, DataLake, Table
 
 
@@ -594,18 +600,75 @@ def test_replica_strays_give_way_to_the_writers_rows(served_lake, tmp_path, dura
         writer_store.add(anchor.subject, anchor.predicate, shared, graph=DATASET_GRAPH)
         assert writer_store.dictionary.lookup(shared) == start
         assert replica.sync() is True
-        writer_rows = writer_store.dictionary.export_rows(1)
+        writer_rows = dictionary_rows(writer_store)
         assert replica.store.dictionary.lookup(shared) == start
         assert replica.store.dictionary.lookup(replica_only) is None
-        assert replica.store.dictionary.export_rows(1) == writer_rows
+        assert dictionary_rows(replica.store) == writer_rows
     finally:
         replica.close()
     reopened = QuadStore.sqlite(replica_dir / "graph.sqlite3")
     try:
         assert reopened.dictionary.lookup(shared) == start
-        assert reopened.dictionary.export_rows(1) == writer_rows
+        assert dictionary_rows(reopened) == writer_rows
     finally:
         reopened.close()
+
+
+@pytest.mark.parametrize("path", ["log", "full"])
+def test_quoted_triples_replicate_as_part_ids(served_lake, tmp_path, path):
+    """After a governed table, the delta frame spells no quoted triple: the
+    similarity annotations' quoted subjects ship only as part-id runs.  The
+    replica ends with the writer's quoted rows in memory and in sqlite, and
+    a quoted constant it interned between syncs is gone from both."""
+    service = served_lake["service"]
+    writer_store = served_lake["governor"].storage.graph
+    replica_dir = ship_snapshot(served_lake["dir"], tmp_path / "replica")
+    replica = Replica(served_lake["server"].address, replica_dir)
+    stray = QuotedTriple(URIRef("urn:stray:s"), URIRef("urn:stray:p"), Literal("a stray constant"))
+    try:
+        pinned_version, pinned_terms = replica.commit_version, replica.store.dictionary.next_id
+        stray_id = replica.store.dictionary.encode(stray)
+        replica.checkpoint()
+        connection = sqlite3.connect(replica_dir / "graph.sqlite3")
+        assert connection.execute("SELECT COUNT(*) FROM quoted WHERE id = ?", (stray_id,)).fetchone() == (1,)
+        connection.close()
+
+        # New table names: their similarity edges annotate new quoted triples.
+        fresh = DataLake("quoted")
+        for table in make_lake(2, seed=13).tables():
+            fresh.add_table("ds_quoted", table.copy(name=f"fresh_{table.name}"))
+        service.submit_lake(fresh).result(timeout=120)
+        service.drain()
+        if path == "full":
+            # Reset the op log past the replica's version: it cannot bridge.
+            writer_store.enable_delta_log()
+        payload = compute_delta(writer_store, pinned_version, pinned_terms)
+        assert payload["full"] is (path == "full")
+        assert "<<" not in canonical_json(payload["terms"])
+        shipped = unpack_ids(payload["quoted"])
+        assert shipped and shipped == writer_store.dictionary.export_quoted_rows(pinned_terms)
+
+        assert replica.sync() is True
+        assert replica.stats["full_pulls" if path == "full" else "delta_pulls"] == 1
+        writer_dictionary, dictionary = writer_store.dictionary, replica.store.dictionary
+        writer_quoted = writer_dictionary.export_quoted_rows(1)
+        assert dictionary.export_quoted_rows(1) == writer_quoted
+        assert dictionary.export_rows(1) == writer_dictionary.export_rows(1)
+        assert dictionary.next_id == writer_dictionary.next_id
+        assert dictionary.lookup(stray) is None
+        replica.checkpoint()
+        connection = sqlite3.connect(replica_dir / "graph.sqlite3")
+        try:
+            rows = connection.execute("SELECT id, s, p, o FROM quoted ORDER BY id").fetchall()
+            terms = connection.execute("SELECT id, n3 FROM terms ORDER BY id").fetchall()
+        finally:
+            connection.close()
+        assert [part for row in rows for part in row] == writer_quoted
+        assert terms == writer_dictionary.export_rows(1)
+        ordered = "SELECT ?c1 ?c2 ?score WHERE { << ?c1 kglids:hasContentSimilarity ?c2 >> kglids:withCertainty ?score } ORDER BY ?c1 ?c2 ?score"
+        assert canonical_json(replica.client.query(ordered)) == canonical_json(LiDSClient(service).query(ordered))
+    finally:
+        replica.close()
 
 
 # ----------------------------------------------------------- reopen-in-place

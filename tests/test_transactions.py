@@ -33,6 +33,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from store_write_oracle import dictionary_rows
+
 from repro.interfaces import LiDSClient
 from repro.kg import (
     GovernanceError,
@@ -511,7 +513,7 @@ class TestBulkWriteFaults:
         store, backend = faulted_store(path)
         seed_store(store)
         pre, pre_version = snap(store), store.commit_version
-        pre_terms = store.dictionary.export_rows(1)
+        pre_terms = dictionary_rows(store)
         backend.plan = FaultPlan(at=backend.op_count + point, kind=kind)
         with pytest.raises(error):
             with store.write_batch():
@@ -523,12 +525,12 @@ class TestBulkWriteFaults:
         if kind == "raise":
             assert snap(store) == pre
             assert store.commit_version == pre_version
-            assert store.dictionary.export_rows(1) == pre_terms
+            assert dictionary_rows(store) == pre_terms
             store.close()
         reopened = QuadStore(backend=SqliteBackend(path))
         assert snap(reopened) == pre
         assert reopened.commit_version == pre_version
-        assert reopened.dictionary.export_rows(1) == pre_terms
+        assert dictionary_rows(reopened) == pre_terms
         # The lost batch replays cleanly on the survivor.
         with reopened.write_batch():
             workload(reopened)

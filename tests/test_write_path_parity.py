@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import colr_oracle
-from store_write_oracle import assert_index_is_tight, index_contents, net_ops, oracle_governor, retract_per_quad
+from store_write_oracle import assert_index_is_tight, dictionary_rows, index_contents, net_ops, oracle_governor, retract_per_quad
 
 from repro.datagen import generate_discovery_benchmark, generate_pipeline_corpus
 from repro.embeddings.colr import ColRModelSet, numeric_value_features
@@ -89,13 +89,13 @@ def open_governor(make, backend, path):
 
 
 def sqlite_tables(store: QuadStore) -> dict:
-    """Every catalog, term and quad row of a flushed sqlite store, by table."""
+    """Every catalog, term, quoted-triple and quad row of a flushed sqlite store, by table."""
     store.flush()
     connection = store.backend._connection
     names = [
         name
         for (name,) in connection.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
-        if name in ("graphs", "terms") or name.startswith("quads_")
+        if name in ("graphs", "terms", "quoted") or name.startswith("quads_")
     ]
     return {name: sorted(connection.execute(f"SELECT * FROM {name}")) for name in names}
 
@@ -104,7 +104,7 @@ def assert_same_store(production, oracle, where: str) -> None:
     """Both governors' stores hold the same state (sqlite: the same file rows)."""
     ours, theirs = production.storage.graph, oracle.storage.graph
     assert serialize_nquads(ours) == serialize_nquads(theirs), f"{where}: N-Quads dump"
-    assert ours.dictionary.export_rows(1) == theirs.dictionary.export_rows(1), (
+    assert dictionary_rows(ours) == dictionary_rows(theirs), (
         f"{where}: dictionary rows (ids or order)"
     )
     assert ours.commit_version == theirs.commit_version, f"{where}: commit version"
@@ -210,7 +210,7 @@ def test_a_batch_raising_after_bulk_writes_rolls_back(backend, tmp_path, open_st
         store.annotate(u("s0"), u("sim"), u("s3"), u("score"), Literal(0.9), graph=G)
         store.annotate(u("s3"), u("sim"), u("s0"), u("score"), Literal(0.9), graph=G)
     before = serialize_nquads(store)
-    rows = store.dictionary.export_rows(1)
+    rows = dictionary_rows(store)
     contents = index_contents(store.backend.get_index(G))
     version = store.commit_version
     with pytest.raises(RuntimeError, match="after the bulk writes"):
@@ -226,7 +226,7 @@ def test_a_batch_raising_after_bulk_writes_rolls_back(backend, tmp_path, open_st
             ) == 2
             raise RuntimeError("after the bulk writes")
     assert serialize_nquads(store) == before
-    assert store.dictionary.export_rows(1) == rows
+    assert dictionary_rows(store) == rows
     assert index_contents(store.backend.get_index(G)) == contents
     assert store.commit_version == version
     store.close()
@@ -253,7 +253,7 @@ def test_bulk_writes_equal_their_per_quad_spelling():
         )
     )
     assert serialize_nquads(bulk) == serialize_nquads(single)
-    assert bulk.dictionary.export_rows(1) == single.dictionary.export_rows(1)
+    assert dictionary_rows(bulk) == dictionary_rows(single)
     bulk_ops, single_ops = (
         [op for _, ops in store.delta_log_since(0) for op in ops] for store in (bulk, single)
     )
@@ -322,7 +322,7 @@ def test_replace_nodes_writes_the_net_of_retract_then_add(configuration, seed, o
             for triple in new:
                 per_quad.add(*triple, graph=G)
         assert serialize_nquads(ours) == serialize_nquads(reference)
-        assert ours.dictionary.export_rows(1) == reference.dictionary.export_rows(1)
+        assert dictionary_rows(ours) == dictionary_rows(reference)
         assert ours.graphs() == reference.graphs()
         for graph in ours.graphs():
             index = ours.backend.get_index(graph)
