@@ -12,7 +12,9 @@ is the client's own ``automl(...)`` entry point, while the uninformed run
 uses a ``KGpipAutoML`` with ``use_lids_priors=False`` over the same storage.
 Both searches pin ``strategy="random"`` so that — exactly as in the paper's
 figure — the *only* difference is the recorded hyperparameter values; the
-evolution-vs-random comparison lives in ``bench_automl_evolution.py``.  The
+evolution-vs-random comparison at an equal budget is the tier-1 test
+``tests/test_automl_evolution.py::TestKGpipIntegration::
+test_evolution_with_priors_matches_or_beats_random_at_equal_budget``.  The
 timing probe at the end runs the client's default (evolutionary) strategy.
 """
 

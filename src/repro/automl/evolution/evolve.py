@@ -174,13 +174,14 @@ class EvolutionarySearch:
             else:
                 self.pool.reward(operator_name, improved)
 
-    def _spend_leftover_budget(self) -> None:
+    def _spend_leftover_budget(self, started: float) -> None:
         """Promote best screened-only genomes with whatever budget remains.
 
         Fan-out truncation can strand a sub-generation remainder of the
         evaluation budget; spending it on full evaluations of the
         best-screened unpromoted genomes keeps the comparison with the
         random baseline honest — both strategies use the whole ceiling.
+        Promotions run ``promote_top_k`` at a time and stop at the deadline.
         """
         evaluator, config = self.evaluator, self.config
         remaining = config.max_evaluations - evaluator.spent
@@ -200,8 +201,11 @@ class EvolutionarySearch:
             for _, genome_hash in candidates[: int(remaining + 1e-9)]
             if genome_hash in self.seen
         ]
-        if promote:
-            evaluator.promote_screened(promote)
+        step = max(1, evaluator.promote_top_k)
+        for at in range(0, len(promote), step):
+            if self._out_of_time(started):
+                break
+            evaluator.promote_screened(promote[at : at + step])
 
     def _budget_left_for_generation(self, started: float) -> Optional[str]:
         """``None`` when another generation fits the budgets, else the reason.
@@ -214,10 +218,13 @@ class EvolutionarySearch:
         if config.max_evaluations is not None:
             if evaluator.spent + evaluator.screen_cost > config.max_evaluations:
                 return "evaluation budget"
-        if config.time_budget_seconds is not None:
-            if time.monotonic() - started > config.time_budget_seconds:
-                return "time budget"
+        if self._out_of_time(started):
+            return "time budget"
         return None
+
+    def _out_of_time(self, started: float) -> bool:
+        budget = self.config.time_budget_seconds
+        return budget is not None and time.monotonic() - started > budget
 
     # --------------------------------------------------------------------- run
     def run(self) -> EvolutionResult:
@@ -255,7 +262,7 @@ class EvolutionarySearch:
             else:
                 stale += 1
         if config.max_evaluations is not None:
-            self._spend_leftover_budget()
+            self._spend_leftover_budget(started)
         best_hash, best_score = self._best()
         best_genome = self.seen.get(best_hash) if best_hash else None
         operator_stats = self.pool.stats()

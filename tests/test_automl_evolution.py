@@ -1,5 +1,7 @@
 """Tests for the evolutionary pipeline-graph optimizer (repro.automl.evolution)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,63 @@ class TestEvolutionLoop:
         assert outcome.fidelity_stats["promotions"] >= 1
         assert "crossover" in outcome.operator_stats
 
+    @pytest.mark.parametrize(
+        "population_size, generations, stopped_because",
+        [(6, 1000, "time budget"), (40, 0, "generations")],
+        ids=["clock-stops-the-loop", "clock-stops-the-mop-up"],
+    )
+    def test_time_budget_bounds_the_search(
+        self, population_size, generations, stopped_because
+    ):
+        """Past the deadline nothing more is evaluated, the budget mop-up included.
+
+        The mop-up promotes at most ``promote_top_k`` genomes a slice, and no
+        generation or slice starts after the deadline. The one running when
+        the clock runs out may overrun it; the search then returns. So wall
+        time stays under the budget plus the longest generation or mop-up
+        slice, however much evaluation budget is left.
+        """
+        X, y = _small_xy(seed=7, n_rows=140)
+        evaluator = FitnessEvaluator(X, y, cv=3, random_state=1)
+        steps = []  # (start, duration) of each generation and mop-up slice
+        slice_sizes = []
+
+        def timed(evaluate):
+            def run(genomes):
+                start = time.monotonic()
+                fitness = evaluate(genomes)
+                steps.append((start, time.monotonic() - start))
+                return fitness
+
+            return run
+
+        evaluator.evaluate_population = timed(evaluator.evaluate_population)
+        promote_slice = timed(evaluator.promote_screened)
+
+        def promote_screened(genomes):
+            slice_sizes.append(len(genomes))
+            return promote_slice(genomes)
+
+        evaluator.promote_screened = promote_screened
+        config = EvolutionConfig(
+            population_size=population_size,
+            generations=generations,
+            max_evaluations=10**6,
+            time_budget_seconds=1.0,
+            early_stopping_rounds=1000,
+            seed=1,
+        )
+        started = time.monotonic()
+        outcome = EvolutionarySearch(evaluator, PriorBook.uniform(), config).run()
+        elapsed = time.monotonic() - started
+        assert outcome.stopped_because == stopped_because
+        assert max(slice_sizes, default=0) <= evaluator.promote_top_k
+        slack = 0.05
+        latest_start = max(start for start, _ in steps) - started
+        assert latest_start < config.time_budget_seconds + slack
+        longest_step = max(duration for _, duration in steps)
+        assert elapsed < config.time_budget_seconds + longest_step + slack
+
     def test_early_stopping(self):
         X, y = _small_xy(seed=11, n_rows=80)
         evaluator = FitnessEvaluator(X, y, cv=2, random_state=1)
@@ -379,6 +438,38 @@ class TestKGpipIntegration:
         assert result.duplicate_samples > 0
         assert result.evaluations_spent <= 20.0
         assert result.cache_stats["entries"] == result.evaluations
+
+    def test_evolution_with_priors_matches_or_beats_random_at_equal_budget(
+        self, bootstrapped_platform
+    ):
+        """KG-prior evolution vs deduped random search, same evaluation budget.
+
+        On skewed, scale-spread datasets (where pipeline structure moves the
+        score) evolution's mean best score is within ``parity_slack`` of
+        random's or above it; neither strategy overdraws the budget, and
+        evolution's fitness cache serves repeated genomes.
+        """
+        budget, parity_slack = 8, 0.01
+        best = {"evolution": [], "random": []}
+        cache_hits = 0
+        for dataset in generate_transformation_datasets(count=3, base_rows=110):
+            for strategy in best:
+                searcher = KGpipAutoML(
+                    storage=bootstrapped_platform.storage,
+                    profiler=bootstrapped_platform.governor.profiler,
+                    colr_models=bootstrapped_platform.governor.colr_models,
+                    random_state=11,
+                )
+                result = searcher.search(
+                    dataset.table, dataset.target, time_budget_seconds=None,
+                    max_evaluations=budget, cv=2, strategy=strategy,
+                )
+                assert result.evaluations_spent <= budget + 1e-9, (dataset.name, strategy)
+                best[strategy].append(result.best_score)
+                if strategy == "evolution":
+                    cache_hits += result.cache_stats["hits"]
+        assert np.mean(best["evolution"]) >= np.mean(best["random"]) - parity_slack, best
+        assert cache_hits > 0
 
     def test_evolution_strategy_via_client(self, bootstrapped_platform):
         table, target = generate_classification_dataset(

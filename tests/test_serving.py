@@ -24,11 +24,16 @@ Pins the serving contracts:
 
 from __future__ import annotations
 
+import json
+import os
 import shutil
 import socket
 import sqlite3
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,6 +483,103 @@ def test_replica_ranks_similar_tables_and_libraries_like_the_writer(served_lake,
             assert (after[24].num_rows > 0) == present  # table_late's unionable tables, k = 3
     finally:
         replica.close()
+
+
+REPLICA_PROCESS = """
+import sys
+from repro.serving import serve_replica
+serve_replica(sys.argv[1], int(sys.argv[2]), sys.argv[3], ready_file=sys.argv[4])
+"""
+
+
+def spawn_replica_process(writer_address, snapshot_dir, workdir):
+    """``serve_replica`` in its own interpreter on a copy of the snapshot.
+
+    Returns the process and its bound address once the replica has
+    bootstrapped (it writes ``ready_file``)."""
+    replica_dir = ship_snapshot(snapshot_dir, workdir / "replica")
+    ready = workdir / "ready.json"
+    source = Path(__file__).resolve().parent.parent / "src"
+    with open(workdir / "stderr.txt", "w") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-c", REPLICA_PROCESS, writer_address[0], str(writer_address[1]), str(replica_dir), str(ready)],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+        )
+    deadline = time.monotonic() + 120.0
+    while time.monotonic() < deadline:
+        if ready.exists():
+            try:
+                info = json.loads(ready.read_text())
+                return process, (info["host"], int(info["port"]))
+            except (ValueError, KeyError):
+                pass  # partially written
+        assert process.poll() is None, (workdir / "stderr.txt").read_text()
+        time.sleep(0.05)
+    process.kill()
+    raise AssertionError("replica process never became ready")
+
+
+def test_two_replica_processes_converge_under_a_write_stream(served_lake, tmp_path):
+    """Two ``serve_replica`` processes follow the writer while it governs
+    four more tables one commit at a time, serving reads in between.  Both
+    reach the writer's final commit version and then answer the unionable,
+    joinable and path calls byte-identically to it."""
+    service = served_lake["service"]
+    writer = served_lake["client"]
+
+    def answers(client):
+        calls = []
+        for dataset, table in (("ds0", "table_0"), ("ds1", "table_3"), ("ds2", "stream_1")):
+            calls.append(client.get_unionable_tables(dataset, table, k=5))
+            calls.append(client.get_joinable_tables(dataset, table, k=5))
+            calls.append(client.get_path_to_table(dataset, table, 3))
+        calls.append(client.query("SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o"))
+        return [canonical_json(encode_value(answer)) for answer in calls]
+
+    processes, remotes = [], []
+    try:
+        for slot in range(2):
+            workdir = tmp_path / f"slot{slot}"
+            workdir.mkdir()
+            process, address = spawn_replica_process(served_lake["server"].address, served_lake["dir"], workdir)
+            processes.append(process)
+            remotes.append(RemoteLiDSClient(address, pool_size=1))
+        pinned = [remote.commit_version for remote in remotes]
+        before = answers(writer)
+        stream = make_lake(4, seed=29, name="stream").tables()
+        for index, table in enumerate(stream):
+            service.submit_table(table.copy(name=f"stream_{index}"), "ds2").result(timeout=120)
+            for remote in remotes:
+                remote.get_unionable_tables("ds0", "table_0", k=5)
+        service.drain()
+        final_version = writer.commit_version
+        assert all(version < final_version for version in pinned)
+        for remote in remotes:
+            deadline = time.monotonic() + 60.0
+            while remote.commit_version < final_version:
+                assert time.monotonic() < deadline, "a replica never caught up with the writer"
+                time.sleep(0.05)
+            assert remote.commit_version == final_version
+
+        expected = answers(writer)
+        assert expected != before
+        assert all(remote_answers == expected for remote_answers in map(answers, remotes))
+    finally:
+        for remote in remotes:
+            try:
+                remote.shutdown_server()
+            except Exception:
+                pass
+            remote.close()
+        for process in processes:
+            try:
+                process.wait(timeout=15.0)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
 
 
 def test_replica_follows_a_refresh_by_its_net_rows(served_lake, tmp_path):
