@@ -29,7 +29,7 @@ from repro.kg.errors import (
     TableReadError,
     TransientError,
 )
-from repro.kg.governor import GovernorReport, KGGovernor
+from repro.kg.governor import GovernorReport, KGGovernor, SnapshotFormatError
 from repro.kg.linker import GlobalGraphLinker
 from repro.kg.ontology import LiDSOntology, column_uri, dataset_uri, pipeline_graph_uri, table_uri
 from repro.kg.pipeline_graph import PipelineGraphBuilder
@@ -48,6 +48,7 @@ __all__ = [
     "GlobalGraphLinker",
     "KGGovernor",
     "GovernorReport",
+    "SnapshotFormatError",
     "GovernorService",
     "IngestTicket",
     "KGLiDSStorage",

@@ -49,6 +49,33 @@ _PROFILES_FILE = "profiles.json"
 _PIPELINES_FILE = "pipelines.json"
 _MANIFEST_FILE = "manifest.json"
 _DELTA_FILE = "delta.json"
+#: Newest ``format`` of each JSON file :meth:`KGGovernor.open` can read.
+_PROFILES_FORMAT = 2
+_PIPELINES_FORMAT = 2
+
+
+class SnapshotFormatError(ValueError):
+    """A saved file was written in a format newer than this code reads."""
+
+    def __init__(self, path: Path, found: object, supported: int):
+        self.path = path
+        self.found = found
+        self.supported = supported
+        super().__init__(
+            f"{path} has format {found!r}; this code reads formats up to {supported}"
+        )
+
+
+def _read_payload(path: Path, supported: int) -> Optional[Dict]:
+    """Load a saved JSON file (``None`` if absent), refusing a format newer
+    than ``supported``."""
+    if not path.exists():
+        return None
+    payload = json.loads(path.read_text())
+    found = payload.get("format", 1)
+    if not isinstance(found, int) or found > supported:
+        raise SnapshotFormatError(path, found, supported)
+    return payload
 
 
 @dataclass
@@ -355,10 +382,13 @@ class KGGovernor:
         The add is incremental, mirroring :meth:`add_data_lake`: scripts whose
         ``pipeline_id`` is already governed with identical source code are
         skipped outright (re-adding a script collection is idempotent and
-        cheap — this survives :meth:`save`/:meth:`open` because the
-        abstractions round-trip through the saved directory), while scripts
-        re-added with *changed* source have their stale named graph dropped
-        before being abstracted and written afresh.
+        cheap — this survives :meth:`save`/:meth:`open` because each
+        abstraction's script, calls and predicted reads round-trip through
+        the saved directory), while scripts re-added with *changed* source
+        have their stale named graph dropped before being abstracted and
+        written afresh.  A fresh abstraction's statements are read once, to
+        write its named graph, and then dropped: the governor keeps the same
+        statement-free abstractions a reopened governor loads.
 
         Like :meth:`add_data_lake`, abstraction (the expensive static
         analysis) runs outside the store's write gate; stale-graph removal
@@ -410,6 +440,8 @@ class KGGovernor:
             for abstraction in abstractions:
                 self._abstractions_by_id[abstraction.pipeline_id] = abstraction
             self.pipeline_builder.add_pipelines(abstractions, self.storage.graph)
+            for abstraction in abstractions:
+                abstraction.statements = []
             self.pipeline_builder.add_library_hierarchy(
                 self.abstractor.library_hierarchy_edges(), self.storage.graph
             )
@@ -561,11 +593,13 @@ class KGGovernor:
         already runs on a sqlite backend at that path, a full copy
         otherwise), every vector in one ``.npz`` archive — the embedding
         store plus the column label vectors — and table profiles (names,
-        types, statistics) / content fingerprints in JSON.  :meth:`open`
-        restores the governor from such a directory in a fresh process.  The whole save runs under
-        one read view, so a governor being fed by a background service saves
-        a consistent committed state (no half-applied batch can land in the
-        snapshot).
+        types, statistics) / content fingerprints and pipeline abstractions
+        (script, libraries, calls and predicted reads; the statements live
+        only in each pipeline's named graph) in JSON.  :meth:`open` restores
+        the governor from such a directory in a fresh process.  The whole
+        save runs under one read view, so a governor being fed by a
+        background service saves a consistent committed state (no
+        half-applied batch can land in the snapshot).
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -632,7 +666,7 @@ class KGGovernor:
             extra={"label_columns": np.array(labelled, dtype=np.int64), "label_vectors": np.array(labels)},
         )
         profiles_payload = {
-            "format": 2,
+            "format": _PROFILES_FORMAT,
             "profiles": profiles,
             "fingerprints": [
                 [dataset, table, fingerprint]
@@ -641,7 +675,7 @@ class KGGovernor:
         }
         (directory / _PROFILES_FILE).write_text(json.dumps(profiles_payload))
         pipelines_payload = {
-            "format": 1,
+            "format": _PIPELINES_FORMAT,
             "abstractions": [
                 abstraction.to_dict() for abstraction in self.abstractions
             ],
@@ -706,8 +740,17 @@ class KGGovernor:
         ``graph`` lets a caller adopt a store it already opened on the
         directory's graph file (the serving tier's replica pre-syncs its
         store against the writer before the governor constructs).
+
+        Raises :class:`SnapshotFormatError` when ``profiles.json`` or
+        ``pipelines.json`` was written in a format newer than this code
+        reads; older formats open (a format-1 ``pipelines.json``'s statement
+        lists are ignored).
         """
         directory = Path(directory)
+        # Both JSON files are checked before the graph file is opened, so a
+        # refused directory leaves no connection behind.
+        profiles = _read_payload(directory / _PROFILES_FILE, _PROFILES_FORMAT)
+        pipelines = _read_payload(directory / _PIPELINES_FILE, _PIPELINES_FORMAT)
         if graph is None:
             graph = QuadStore.sqlite(directory / _GRAPH_FILE)
         embeddings_path = directory / _EMBEDDINGS_FILE
@@ -718,9 +761,7 @@ class KGGovernor:
         )
         storage = KGLiDSStorage(graph=graph, embeddings=embeddings)
         governor = cls(storage=storage, **governor_kwargs)
-        profiles_path = directory / _PROFILES_FILE
-        if profiles_path.exists():
-            payload = json.loads(profiles_path.read_text())
+        if profiles is not None:
             labels = {}
             if embeddings_path.exists():
                 with np.load(embeddings_path) as archive:
@@ -729,7 +770,7 @@ class KGGovernor:
                     if "label_columns" in archive:
                         labels = dict(zip(archive["label_columns"].tolist(), archive["label_vectors"]))
             position = 0
-            for entry in payload.get("profiles", []):
+            for entry in profiles.get("profiles", []):
                 # Vectors come back as the embedding store's own rows, so a
                 # reopened profile holds the very floats that were saved.
                 entry["embedding"] = embeddings.get(
@@ -747,16 +788,14 @@ class KGGovernor:
                 governor._profiles_by_key[
                     (profile.dataset_name, profile.table_name)
                 ] = profile
-            for dataset, table, fingerprint in payload.get("fingerprints", []):
+            for dataset, table, fingerprint in profiles.get("fingerprints", []):
                 governor._fingerprints_by_key[(dataset, table)] = fingerprint
-        pipelines_path = directory / _PIPELINES_FILE
-        if pipelines_path.exists():
-            payload = json.loads(pipelines_path.read_text())
-            for entry in payload.get("abstractions", []):
+        if pipelines is not None:
+            for entry in pipelines.get("abstractions", []):
                 abstraction = AbstractedPipeline.from_dict(entry)
                 governor.abstractions.append(abstraction)
                 governor._abstractions_by_id[abstraction.pipeline_id] = abstraction
-            for child, parent in payload.get("library_hierarchy", []):
+            for child, parent in pipelines.get("library_hierarchy", []):
                 governor.abstractor.library_hierarchy.add((child, parent))
         # The linker's table-resolution cache is *not* warmed eagerly: doing
         # so would force the dataset shard to load even when the reopened

@@ -52,6 +52,8 @@ class AbstractedPipeline:
     """The abstraction of one pipeline script (one named graph's worth)."""
 
     script: PipelineScript
+    #: The abstracted statements; empty once the governor has written the
+    #: pipeline's named graph from them (they are never saved).
     statements: List[Statement] = field(default_factory=list)
     #: Libraries called anywhere in the pipeline (root library names).
     libraries_used: Set[str] = field(default_factory=set)
@@ -67,11 +69,16 @@ class AbstractedPipeline:
         return self.script.pipeline_id
 
     def to_dict(self) -> Dict:
-        """JSON-serializable form; ``KGGovernor.save`` persists these so
-        pipeline re-adds after reopen stay incremental."""
+        """JSON-serializable form without ``statements`` (``pipelines.json``).
+
+        The statements are only read to write a fresh pipeline's named graph;
+        once that graph exists, re-adds compare ``script.source_code`` and the
+        library graph and linker read the fields kept here, so
+        ``KGGovernor.add_pipelines`` drops them and ``KGGovernor.save``
+        persists this form.
+        """
         return {
             "script": self.script.to_dict(),
-            "statements": [statement.to_dict() for statement in self.statements],
             "libraries_used": sorted(self.libraries_used),
             "calls_used": sorted(self.calls_used),
             "predicted_table_reads": [list(read) for read in self.predicted_table_reads],
@@ -80,9 +87,9 @@ class AbstractedPipeline:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "AbstractedPipeline":
+        """Inverse of :meth:`to_dict`; a format-1 entry's ``statements`` are ignored."""
         return cls(
             script=PipelineScript.from_dict(payload["script"]),
-            statements=[Statement.from_dict(s) for s in payload["statements"]],
             libraries_used=set(payload["libraries_used"]),
             calls_used=set(payload["calls_used"]),
             predicted_table_reads=[

@@ -34,61 +34,6 @@ CONTROL_FLOW_IMPORT = "import"
 CONTROL_FLOW_FUNCTION = "user_function"
 
 
-def _encode_value(value: Any) -> str:
-    """JSON-safe spelling of a call-argument value (inverse: :func:`_decode_value`)."""
-    return repr(value)
-
-
-#: ``repr`` spellings of floats that are not Python literals.
-_SPECIAL_FLOATS = {"nan": float("nan"), "inf": float("inf")}
-
-
-def _eval_literal_node(node: ast.AST) -> Any:
-    """``ast.literal_eval`` semantics extended with the ``nan``/``inf`` names.
-
-    ``repr`` spells non-finite floats as bare names (also *inside*
-    containers, e.g. ``(nan, 1)`` for a documentation default), which
-    ``literal_eval`` rejects; everything else stays restricted to literal
-    nodes, so decoding a saved file can never execute code.
-    """
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name) and node.id in _SPECIAL_FLOATS:
-        return _SPECIAL_FLOATS[node.id]
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        value = _eval_literal_node(node.operand)
-        return -value if isinstance(node.op, ast.USub) else +value
-    if isinstance(node, ast.Tuple):
-        return tuple(_eval_literal_node(element) for element in node.elts)
-    if isinstance(node, ast.List):
-        return [_eval_literal_node(element) for element in node.elts]
-    if isinstance(node, ast.Set):
-        return {_eval_literal_node(element) for element in node.elts}
-    if isinstance(node, ast.Dict):
-        return {
-            _eval_literal_node(key): _eval_literal_node(value)
-            for key, value in zip(node.keys, node.values)
-        }
-    raise ValueError(f"not a literal: {ast.dump(node)}")
-
-
-def _decode_value(text: str) -> Any:
-    """Inverse of :func:`_encode_value`.
-
-    Argument values are Python literals (or ``ast.unparse`` strings for
-    non-literal expressions), so ``repr`` round-trips them exactly through
-    :func:`_eval_literal_node` — including tuples, which a plain JSON
-    encoding would flatten to lists and thereby change their ``repr`` in the
-    pipeline graph, and NaN / infinities bare or inside containers.
-    Anything that does not parse as a literal comes back as the string it
-    was (the ``ast.unparse`` fallback for non-literal expressions).
-    """
-    try:
-        return _eval_literal_node(ast.parse(text, mode="eval").body)
-    except (ValueError, SyntaxError):
-        return text
-
-
 @dataclass
 class CallInfo:
     """One resolved library call inside a statement."""
@@ -111,38 +56,6 @@ class CallInfo:
         combined.update(self.keyword_arguments)
         return combined
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (see ``KGGovernor.save``)."""
-        return {
-            "full_name": self.full_name,
-            "library": self.library,
-            "positional_arguments": [_encode_value(v) for v in self.positional_arguments],
-            "keyword_arguments": {k: _encode_value(v) for k, v in self.keyword_arguments.items()},
-            "parameter_names": {k: _encode_value(v) for k, v in self.parameter_names.items()},
-            "default_parameters": {
-                k: _encode_value(v) for k, v in self.default_parameters.items()
-            },
-            "return_type": self.return_type,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CallInfo":
-        return cls(
-            full_name=payload["full_name"],
-            library=payload["library"],
-            positional_arguments=[_decode_value(v) for v in payload["positional_arguments"]],
-            keyword_arguments={
-                k: _decode_value(v) for k, v in payload["keyword_arguments"].items()
-            },
-            parameter_names={
-                k: _decode_value(v) for k, v in payload["parameter_names"].items()
-            },
-            default_parameters={
-                k: _decode_value(v) for k, v in payload["default_parameters"].items()
-            },
-            return_type=payload.get("return_type"),
-        )
-
 
 @dataclass
 class Statement:
@@ -158,36 +71,6 @@ class Statement:
     data_flow_next: List[int] = field(default_factory=list)  # data flow
     dataset_reads: List[str] = field(default_factory=list)
     column_reads: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (see ``KGGovernor.save``)."""
-        return {
-            "index": self.index,
-            "text": self.text,
-            "control_flow": self.control_flow,
-            "calls": [call.to_dict() for call in self.calls],
-            "defined_variables": sorted(self.defined_variables),
-            "used_variables": sorted(self.used_variables),
-            "next_statement": self.next_statement,
-            "data_flow_next": list(self.data_flow_next),
-            "dataset_reads": list(self.dataset_reads),
-            "column_reads": list(self.column_reads),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Statement":
-        return cls(
-            index=payload["index"],
-            text=payload["text"],
-            control_flow=payload["control_flow"],
-            calls=[CallInfo.from_dict(call) for call in payload["calls"]],
-            defined_variables=set(payload["defined_variables"]),
-            used_variables=set(payload["used_variables"]),
-            next_statement=payload.get("next_statement"),
-            data_flow_next=list(payload["data_flow_next"]),
-            dataset_reads=list(payload["dataset_reads"]),
-            column_reads=list(payload["column_reads"]),
-        )
 
 
 def _literal(node: ast.AST) -> Any:

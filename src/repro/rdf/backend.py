@@ -172,7 +172,14 @@ class QuadStoreBackend:
         """Make all buffered writes durable (no-op for volatile backends)."""
 
     def close(self) -> None:
-        """Release any resources; the backend must not be used afterwards."""
+        """Release any resources; the backend must not be used afterwards.
+
+        Drops each resident index's column snapshot: it and the views built
+        on it refer back to the index, a cycle that would hold a closed
+        store's memory until the cycle collector's next full pass.
+        """
+        for index in self._indexes.values():
+            index._columnar = None
 
     # ------------------------------------------------------------ transactions
     def begin_batch(self) -> None:
@@ -777,6 +784,7 @@ class SqliteBackend(QuadStoreBackend):
             self.flush()
             self._connection.close()
             self._closed = True
+            super().close()
 
     # ------------------------------------------------------------ transactions
     def begin_batch(self) -> None:

@@ -91,10 +91,6 @@ class ReadWriteGate:
                 self._writers_turn.notify()
 
     # ---------------------------------------------------------------- writers
-    def write_held(self) -> bool:
-        """Whether *this thread* currently holds the write side."""
-        return self._writer == threading.get_ident()
-
     def acquire_write(self) -> int:
         """Take (or deepen) the write side; returns the new nesting depth."""
         me = threading.get_ident()

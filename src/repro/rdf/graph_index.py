@@ -391,18 +391,18 @@ class GraphIndex:
         The candidate set is snapshotted so callers may mutate the index
         while iterating (e.g. retraction loops).
         """
-        candidates: Set[IdTriple] = self.triples
+        candidates: Optional[Set[IdTriple]] = None
         if subject is not None:
             candidates = self.by_subject.get(subject, _EMPTY_TRIPLES)
         if predicate is not None:
             by_predicate = self.by_predicate.get(predicate, _EMPTY_TRIPLES)
-            if len(by_predicate) < len(candidates):
+            if candidates is None or len(by_predicate) < len(candidates):
                 candidates = by_predicate
         if obj is not None:
             by_object = self.by_object.get(obj, _EMPTY_TRIPLES)
-            if len(by_object) < len(candidates):
+            if candidates is None or len(by_object) < len(candidates):
                 candidates = by_object
-        for triple in tuple(candidates):
+        for triple in tuple(self.triples if candidates is None else candidates):
             if subject is not None and triple[0] != subject:
                 continue
             if predicate is not None and triple[1] != predicate:

@@ -315,11 +315,6 @@ class QuadStore:
             self._delta_log_floor = self._commit_version
             self._delta_log_cap = capacity
 
-    @property
-    def delta_log_floor(self) -> int:
-        """Lowest follower version the op log can still bridge from."""
-        return self._delta_log_floor
-
     def delta_log_since(
         self, version: int
     ) -> Optional[List[Tuple[int, List[Tuple[str, URIRef, Any]]]]]:

@@ -22,6 +22,10 @@ These tests pin the contracts of the pluggable-backend storage layer:
   mid-migration;
 * a saved lake holds each vector once: ``profiles.json`` carries none, and
   a reopened profile's vectors are bit-identical to the saved ones;
+* a saved ``pipelines.json`` (format 2) holds each abstraction without its
+  statements; re-adds after a reopen build the graph a fresh govern builds,
+  a format-1 file with statement lists still opens, and a file newer than
+  the code is refused with a ``SnapshotFormatError`` naming it;
 * ``HNSWIndex``'s beam-search construction agrees with ``FlatIndex`` top-k.
 """
 
@@ -568,6 +572,37 @@ class TestGovernorPersistence:
                     assert bits(vector) == bits(getattr(saved_column, field)), field
         reopened.close()
 
+    def test_a_closed_lake_is_freed_without_the_cycle_collector(self, tmp_path):
+        """A graph index caches its column snapshot, and the snapshot and the
+        views built on it refer back to the index; closing the store cuts
+        that cycle, so a dropped lake's indexes are freed at once, not at
+        the cycle collector's next full pass."""
+        import gc
+
+        from repro.interfaces import LiDSClient
+        from repro.rdf.graph_index import GraphIndex
+
+        governor = KGGovernor()
+        governor.add_data_lake(make_lake())
+        governor.save(tmp_path / "lake")
+        client = LiDSClient.open(tmp_path / "lake")
+        assert client.get_unionable_tables("titanic", "train", k=3).num_rows > 0
+        index = client.storage.graph.backend.get_index(DATASET_GRAPH)
+        assert index.columnar() is index.columnar()
+        del index
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            client.close()
+            del client
+            gc.collect()
+            assert not [item for item in gc.garbage if isinstance(item, GraphIndex)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
     def test_store_uid_has_one_length_whatever_the_draw(self, tmp_path, monkeypatch):
         """The lineage uid is spelled out in ``delta.json``; drawn from
         [2^61, 2^62) it always has 19 digits, so the lowest and the highest
@@ -989,6 +1024,68 @@ class TestHNSWConstruction:
 # --------------------------------------------------------------------------
 # Pipeline abstraction persistence
 # --------------------------------------------------------------------------
+#: ``(v1, v2)`` sources of one pipeline: v2 changes v1 and drops its
+#: ``sklearn.svm`` import.  ``tuple-nan`` calls with a tuple argument and a
+#: NaN documentation default (``SimpleImputer(missing_values=nan)``).
+CHANGED_SOURCES = {
+    "plain": (
+        "import pandas as pd\nfrom sklearn.svm import SVC\nclf = SVC()\nclf.fit([[1]], [1])\n",
+        "import pandas as pd\ndf = pd.read_csv('x.csv')\n",
+    ),
+    "tuple-nan": (
+        "import pandas as pd\n"
+        "import numpy as np\n"
+        "from sklearn.impute import SimpleImputer\n"
+        "from sklearn.svm import SVC\n"
+        "df = pd.read_csv('titanic/train.csv', usecols=('Age', 'Fare'))\n"
+        "weights = np.zeros((3, 2))\n"
+        "imputer = SimpleImputer(strategy='median')\n"
+        "df['Age'] = imputer.fit_transform(df['Age'])\n"
+        "clf = SVC(C=0.5)\n"
+        "clf.fit(df, weights)\n",
+        "import pandas as pd\n"
+        "import numpy as np\n"
+        "from sklearn.impute import SimpleImputer\n"
+        "df = pd.read_csv('titanic/train.csv', usecols=('Age', 'Fare'))\n"
+        "weights = np.zeros((3, 2))\n"
+        "imputer = SimpleImputer(strategy='median')\n"
+        "df['Age'] = imputer.fit_transform(df['Age'])\n",
+    ),
+}
+
+
+def format_1_statement(statement) -> dict:
+    """A statement as a format-1 ``pipelines.json`` spelled it (argument
+    values as their ``repr``)."""
+
+    def spelled(values: dict) -> dict:
+        return {name: repr(value) for name, value in values.items()}
+
+    return {
+        "index": statement.index,
+        "text": statement.text,
+        "control_flow": statement.control_flow,
+        "calls": [
+            {
+                "full_name": call.full_name,
+                "library": call.library,
+                "positional_arguments": [repr(value) for value in call.positional_arguments],
+                "keyword_arguments": spelled(call.keyword_arguments),
+                "parameter_names": spelled(call.parameter_names),
+                "default_parameters": spelled(call.default_parameters),
+                "return_type": call.return_type,
+            }
+            for call in statement.calls
+        ],
+        "defined_variables": sorted(statement.defined_variables),
+        "used_variables": sorted(statement.used_variables),
+        "next_statement": statement.next_statement,
+        "data_flow_next": list(statement.data_flow_next),
+        "dataset_reads": list(statement.dataset_reads),
+        "column_reads": list(statement.column_reads),
+    }
+
+
 class TestPipelinePersistence:
     def _scripts(self, source):
         from repro.pipelines.abstraction import PipelineScript
@@ -1017,14 +1114,34 @@ class TestPipelinePersistence:
         assert restored.libraries_used == original.libraries_used
         assert restored.calls_used == original.calls_used
         assert restored.predicted_table_reads == original.predicted_table_reads
-        assert [s.to_dict() for s in restored.statements] == [
-            s.to_dict() for s in original.statements
-        ]
+        # The saving process and the reopened one hold the same pipeline
+        # state: the statements went into the named graph and nowhere else.
+        assert original.statements == [] and restored.statements == []
+        assert restored.to_dict() == original.to_dict()
         assert (
             reopened.abstractor.library_hierarchy_edges()
             == governor.abstractor.library_hierarchy_edges()
         )
         reopened.close()
+
+    def test_saved_abstractions_hold_only_what_a_reopen_reads(
+        self, tmp_path, example_pipeline_source
+    ):
+        governor = KGGovernor()
+        governor.add_pipelines(self._scripts(example_pipeline_source))
+        governor.save(tmp_path / "lake")
+        payload = json.loads((tmp_path / "lake" / "pipelines.json").read_text())
+        assert set(payload) == {"format", "abstractions", "library_hierarchy"}
+        assert payload["format"] == 2
+        assert [set(entry) for entry in payload["abstractions"]] == [
+            {
+                "script",
+                "libraries_used",
+                "calls_used",
+                "predicted_table_reads",
+                "predicted_column_reads",
+            }
+        ]
 
     def test_unchanged_pipeline_readd_is_skipped_after_reopen(
         self, tmp_path, example_pipeline_source
@@ -1086,41 +1203,117 @@ class TestPipelinePersistence:
             scratch.storage.graph
         )
 
-    def test_nan_inside_containers_round_trips(self):
+    @pytest.mark.parametrize("sources", CHANGED_SOURCES.values(), ids=list(CHANGED_SOURCES))
+    def test_changed_source_readd_after_reopen_matches_a_fresh_govern(self, tmp_path, sources):
+        from repro.pipelines.abstraction import PipelineScript
+
+        v1, _ = sources
+        governor = KGGovernor()
+        governor.add_data_lake(make_lake())
+        governor.add_pipelines([PipelineScript("p1", v1, dataset_name="titanic")])
+        governor.save(tmp_path / "lake")
+        reopened = KGGovernor.open(tmp_path / "lake")
+        changed = v1 + "df = df.dropna(axis=0, subset=('Fare',))\n"
+        report = reopened.add_pipelines([PipelineScript("p1", changed, dataset_name="titanic")])
+        assert report.num_pipelines_abstracted == 1
+
+        scratch = KGGovernor()
+        scratch.add_data_lake(make_lake())
+        scratch.add_pipelines([PipelineScript("p1", changed, dataset_name="titanic")])
+        assert serialize_nquads(reopened.storage.graph) == serialize_nquads(scratch.storage.graph)
+        reopened.close()
+
+    @pytest.mark.parametrize("sources", CHANGED_SOURCES.values(), ids=list(CHANGED_SOURCES))
+    def test_dropped_import_after_reopen_leaves_no_stale_library_triples(self, tmp_path, sources):
+        from repro.kg.ontology import library_uri
+        from repro.pipelines.abstraction import PipelineScript
+
+        v1, v2 = sources
+        governor = KGGovernor()
+        governor.add_data_lake(make_lake())
+        governor.add_pipelines([PipelineScript("p1", v1, dataset_name="titanic")])
+        governor.save(tmp_path / "lake")
+        reopened = KGGovernor.open(tmp_path / "lake")
+        reopened.add_pipelines([PipelineScript("p1", v2, dataset_name="titanic")])
+
+        scratch = KGGovernor()
+        scratch.add_data_lake(make_lake())
+        scratch.add_pipelines([PipelineScript("p1", v2, dataset_name="titanic")])
+        assert serialize_nquads(reopened.storage.graph) == serialize_nquads(scratch.storage.graph)
+        dropped = {library_uri("sklearn.svm"), library_uri("sklearn.svm.SVC")}
+        graph = reopened.storage.graph
+        assert not [row for row in graph.triples() if dropped & {row[0], row[2]}]
+        reopened.close()
+
+    def test_the_tuple_nan_script_calls_with_a_tuple_and_a_nan(self):
+        """Precondition of the ``tuple-nan`` cases above: its calls' argument
+        values hold a tuple and a NaN (a documentation default)."""
         import math
 
-        from repro.pipelines.static_analysis import CallInfo
-
-        call = CallInfo(
-            full_name="x.f",
-            library="x",
-            keyword_arguments={"weights": (float("nan"), 1), "bound": float("-inf")},
-        )
-        restored = CallInfo.from_dict(call.to_dict())
-        weights = restored.keyword_arguments["weights"]
-        assert isinstance(weights, tuple) and math.isnan(weights[0]) and weights[1] == 1
-        assert restored.keyword_arguments["bound"] == float("-inf")
-
-    def test_statement_and_call_serialization_round_trip(self, example_pipeline_source):
-        from repro.pipelines.abstraction import AbstractedPipeline, PipelineAbstractor
+        from repro.pipelines.abstraction import PipelineAbstractor, PipelineScript
 
         abstraction = PipelineAbstractor().abstract_script(
-            self._scripts(example_pipeline_source)[0]
+            PipelineScript("p1", CHANGED_SOURCES["tuple-nan"][0])
         )
-        restored = AbstractedPipeline.from_dict(abstraction.to_dict())
-        assert restored.to_dict() == abstraction.to_dict()
-        # Tuples in argument values survive (JSON alone would flatten them).
-        from repro.pipelines.static_analysis import CallInfo
+        values = [
+            value
+            for statement in abstraction.statements
+            for call in statement.calls
+            for value in list(call.positional_arguments) + list(call.all_parameters().values())
+        ]
+        assert any(isinstance(value, tuple) for value in values)
+        assert any(isinstance(value, float) and math.isnan(value) for value in values)
 
-        call = CallInfo(
-            full_name="pandas.read_csv",
-            library="pandas",
-            keyword_arguments={"usecols": ("a", "b"), "sep": ","},
-        )
-        assert CallInfo.from_dict(call.to_dict()).keyword_arguments == {
-            "usecols": ("a", "b"),
-            "sep": ",",
-        }
+    def test_a_format_1_file_opens_and_is_rewritten_as_format_2(
+        self, tmp_path, example_pipeline_source
+    ):
+        """A ``pipelines.json`` written before format 2 carries each
+        abstraction's ``statements``; it opens with them ignored, an
+        unchanged re-add changes nothing, and the next save drops them."""
+        from repro.pipelines.abstraction import PipelineAbstractor
+
+        scripts = self._scripts(example_pipeline_source)
+        governor = KGGovernor()
+        governor.add_data_lake(make_lake())
+        governor.add_pipelines(scripts)
+        directory = tmp_path / "lake"
+        governor.save(directory)
+        path = directory / "pipelines.json"
+        payload = json.loads(path.read_text())
+        payload["format"] = 1
+        for entry, script in zip(payload["abstractions"], scripts):
+            statements = PipelineAbstractor().abstract_script(script).statements
+            assert statements
+            entry["statements"] = [format_1_statement(statement) for statement in statements]
+        path.write_text(json.dumps(payload))
+        before = serialize_nquads(governor.storage.graph)
+
+        reopened = KGGovernor.open(directory)
+        assert [a.to_dict() for a in reopened.abstractions] == [
+            a.to_dict() for a in governor.abstractions
+        ]
+        assert reopened.add_pipelines(scripts).num_pipelines_abstracted == 0
+        assert serialize_nquads(reopened.storage.graph) == before
+        reopened.save(directory)
+        rewritten = json.loads(path.read_text())
+        assert rewritten["format"] == 2
+        assert not [entry for entry in rewritten["abstractions"] if "statements" in entry]
+        reopened.close()
+
+    @pytest.mark.parametrize("name", ["profiles.json", "pipelines.json"])
+    def test_a_file_newer_than_the_code_is_refused_by_name(self, tmp_path, name):
+        from repro.kg import SnapshotFormatError
+
+        governor = KGGovernor()
+        governor.add_data_lake(make_lake())
+        governor.save(tmp_path / "lake")
+        path = tmp_path / "lake" / name
+        payload = json.loads(path.read_text())
+        payload["format"] = 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SnapshotFormatError, match=rf"{name} has format 3; .* up to 2") as caught:
+            KGGovernor.open(tmp_path / "lake")
+        assert (caught.value.path, caught.value.found, caught.value.supported) == (path, 3, 2)
 
 
 # --------------------------------------------------------------------------

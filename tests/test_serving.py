@@ -14,6 +14,9 @@ Pins the serving contracts:
 * a quoted triple crosses the wire only as its ``(id, s, p, o)`` part ids,
   never as a ``<< s p o >>`` spelling, on the log-bridged and full-dump
   paths alike, and the replica persists exactly the writer's part rows;
+* a replica bootstrapped from a saved snapshot (no statement lists) answers
+  the library calls like the writer, also after a changed-source pipeline
+  re-add reaches it by delta;
 * ``LiDSClient.reopen`` re-opens a shipped snapshot in place — same
   interned dictionary, only changed ``GraphIndex``es invalidated;
 * ``RemoteLiDSClient`` retries with backoff through a flapping server and
@@ -481,6 +484,58 @@ def test_replica_ranks_similar_tables_and_libraries_like_the_writer(served_lake,
             assert replica.stats["delta_pulls"] > pulls and replica.stats["full_pulls"] == 0
             after = assert_replica_answers_like_the_writer()
             assert (after[24].num_rows > 0) == present  # table_late's unionable tables, k = 3
+    finally:
+        replica.close()
+
+
+def test_replica_from_a_saved_snapshot_answers_library_calls_like_the_writer(served_lake, tmp_path):
+    """A saved snapshot keeps no statement lists; a replica bootstrapped from
+    it answers the library calls as the writer does, also after the writer
+    re-adds a pipeline with changed source and the replica pulls the delta."""
+    from dataclasses import replace
+
+    from repro.datagen import generate_pipeline_corpus
+
+    service = served_lake["service"]
+    scripts = generate_pipeline_corpus(make_lake(6), pipelines_per_table=2, seed=5)
+    service.submit_pipelines(scripts).result(timeout=120)
+    served_lake["governor"].save(served_lake["dir"])
+    payload = json.loads((served_lake["dir"] / "pipelines.json").read_text())
+    assert payload["format"] == 2
+    assert not [entry for entry in payload["abstractions"] if "statements" in entry]
+    replica = Replica(
+        served_lake["server"].address,
+        ship_snapshot(served_lake["dir"], tmp_path / "replica"),
+    )
+    writer = LiDSClient(service)
+    calls = sorted({call for entry in payload["abstractions"] for call in entry["calls_used"]})
+    calls += ["sklearn.naive_bayes.GaussianNB"]
+
+    def answers(client):
+        results = [client.get_top_used_libraries(k) for k in (1, 3, 100)]
+        results += [client.get_top_used_libraries(100, task=task) for task in ("classification", "eda")]
+        results += [client.get_pipelines_calling_libraries(call) for call in calls]
+        results += [client.get_pipelines_calling_libraries("pandas.read_csv", call) for call in calls]
+        return [canonical_json(result) for result in results]
+
+    try:
+        before = answers(writer)
+        assert answers(replica.client) == before
+        changed = replace(
+            scripts[0],
+            source_code=scripts[0].source_code
+            + "\nfrom sklearn.naive_bayes import GaussianNB\nGaussianNB().fit(X, y)\n",
+        )
+        pulls = replica.stats["delta_pulls"]
+        service.submit_pipelines([changed]).result(timeout=120)
+        service.drain()
+        assert replica.sync() is True
+        assert replica.stats["delta_pulls"] > pulls and replica.stats["full_pulls"] == 0
+        after = answers(writer)
+        assert after != before
+        assert answers(replica.client) == after
+        nb = replica.client.get_pipelines_calling_libraries("sklearn.naive_bayes.GaussianNB")
+        assert list(nb.column("name")) == [scripts[0].pipeline_id]
     finally:
         replica.close()
 

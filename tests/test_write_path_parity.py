@@ -343,6 +343,32 @@ def test_replace_nodes_writes_the_net_of_retract_then_add(configuration, seed, o
             store.close()
 
 
+def test_a_retraction_walks_a_bucket_that_holds_the_whole_graph_in_bucket_order(open_store):
+    """An example the property above drew: once ``n0``'s rows are gone,
+    ``n1``'s object bucket holds every row left in the graph.  ``match``
+    still walks that bucket, not the graph's triple set, so the per-quad
+    spelling deletes in the order ``replace_nodes`` logs."""
+    n0, n1, p0 = u("n0"), u("n1"), u("p0")
+    base = [
+        (n0, p0, n0), (n0, p0, n1), (u("n2"), p0, n1),
+        (QuotedTriple(n0, p0, n0), u("score"), n0), (QuotedTriple(n1, p0, n1), u("score"), n1),
+    ]
+    rng = random.Random(3)
+    other = [(rng.choice(NODES), rng.choice(PREDICATES), rng.choice(NODES)) for _ in range(8)]
+    stores = [open_store("memory", None) for _ in range(2)]
+    for store in stores:
+        store.enable_delta_log()
+        with store.write_batch():
+            store.add_many(other, OTHER)
+            store.add_many(base, G)
+    reference, per_quad = stores
+    with reference.write_batch():
+        reference.retract_nodes([n0, n1], G)
+    with per_quad.write_batch():
+        retract_per_quad(per_quad, [n0, n1], G)
+    assert reference.delta_log_since(0)[-1] == per_quad.delta_log_since(0)[-1]
+
+
 # ---------------------------------------------------------------- embeddings
 def test_column_embeddings_are_bit_equal_to_the_per_value_oracle(lake_tables):
     from repro.datagen import (
