@@ -324,13 +324,7 @@ class PersistentTermDictionary(TermDictionary):
         self, rows: Iterable[Tuple[int, str]], quoted: Iterable[Tuple[int, int, int, int]] = ()
     ) -> None:
         """Ingest persisted ``(id, n3)`` rows (text only; no parsing) and
-        ``(id, s, p, o)`` quoted rows.
-
-        With a columnar snapshot live, each quoted registration queues an
-        incremental append instead of invalidating it: replication ships
-        rows through here on every applied commit, and a full rebuild per
-        commit would scale with the whole dictionary rather than the delta.
-        """
+        ``(id, s, p, o)`` quoted rows."""
         last = self._next_id - 1
         for term_id, text in rows:
             self._text_to_id[text] = term_id
@@ -380,8 +374,6 @@ class PersistentTermDictionary(TermDictionary):
             parts = self._quoted_parts.pop(term_id, None)
             if parts is not None:
                 self._quoted_by_parts.pop(parts, None)
-        self._quoted_columns = None
-        self._quoted_appends.clear()
         self._term_to_id = {
             term: term_id for term, term_id in self._term_to_id.items() if term_id < mark
         }

@@ -47,7 +47,7 @@ class TripleColumns:
     (:meth:`predicate_rows`) preserve the predicate bucket's own iteration
     order — so executors fed from arrays see candidates in the same order as
     executors iterating the sets, keeping row-order-sensitive results (e.g.
-    left-to-right float SUMs) byte-identical across paths.
+    GROUP BY representatives) byte-identical across paths.
 
     Every piece is built on first touch: planner paths that only need one
     predicate's bucket (the common shape) never pay the full-graph
@@ -66,8 +66,8 @@ class TripleColumns:
         #: Lazily-built ``(count, 3)`` id matrix backing the full columns.
         self._matrix: Optional[np.ndarray] = None
         #: Views derived from this snapshot, each built on first use: the
-        #: per-predicate row blocks (int keys), the quoted-scan rows (tuple
-        #: keys) and whatever readers hang here through :meth:`derived`.
+        #: per-predicate row blocks (int keys) and whatever readers hang here
+        #: through :meth:`derived`.
         self._derived: Dict[Any, Any] = {}
 
     def _columns(self) -> np.ndarray:
@@ -131,44 +131,6 @@ class TripleColumns:
             )
             pair = flat.reshape(count, 2)
             cached = self._derived[predicate_id] = (pair[:, 0], pair[:, 1])
-        return cached
-
-    def quoted_rows(self, key: tuple, candidates, dictionary) -> tuple:
-        """Quoted-scan columns for one candidate bucket, cached per bucket.
-
-        Returns ``(positional s/p/o columns, inner s/p/o part columns,
-        quoted-subject validity mask)`` in the bucket's own iteration order.
-        ``key`` identifies the bucket within this snapshot (e.g. ``("p",
-        predicate_id)`` for a predicate bucket) so repeated annotation scans
-        and probes — the dashboard pattern — skip the array rebuild and the
-        ``searchsorted`` part resolution entirely.  Safe for the snapshot's
-        lifetime: bucket membership only changes with a graph-version bump
-        (which discards this snapshot), and a quoted term id's inner parts
-        are immutable once encoded.  Callers must not mutate the returned
-        arrays — mask with non-inplace operators.
-        """
-        cached = self._derived.get(key)
-        if cached is not None:
-            return cached
-        count = len(candidates)
-        flat = np.fromiter(
-            (part for triple in candidates for part in triple),
-            np.int64,
-            3 * count,
-        ).reshape(count, 3)
-        positional = (flat[:, 0], flat[:, 1], flat[:, 2])
-        subjects = positional[0]
-        quoted_ids, inner_s, inner_p, inner_o = dictionary.quoted_columns()
-        if len(quoted_ids):
-            positions = np.searchsorted(quoted_ids, subjects).clip(
-                0, len(quoted_ids) - 1
-            )
-            valid = quoted_ids[positions] == subjects
-            parts = (inner_s[positions], inner_p[positions], inner_o[positions])
-        else:
-            valid = np.zeros(count, dtype=bool)
-            parts = (subjects, subjects, subjects)
-        cached = self._derived[key] = (positional, parts, valid)
         return cached
 
     def match_rows(

@@ -290,8 +290,6 @@ class TermDictionary:
         "_id_to_term",
         "_quoted_parts",
         "_quoted_by_parts",
-        "_quoted_columns",
-        "_quoted_appends",
         "_next_id",
     )
 
@@ -302,12 +300,6 @@ class TermDictionary:
         self._quoted_parts: dict = {}
         #: Inverse of ``_quoted_parts`` for O(1) quoted-term lookups by parts.
         self._quoted_by_parts: dict = {}
-        #: Cached :meth:`quoted_columns` arrays; ``None`` after any mutation
-        #: the cache cannot absorb (rollback), otherwise extended in place.
-        self._quoted_columns = None
-        #: ``(quoted id, s, p, o)`` registrations made since the cached
-        #: snapshot was taken; merged into it on the next columns request.
-        self._quoted_appends: list = []
         self._next_id: int = 1
 
     def __len__(self) -> int:
@@ -351,7 +343,6 @@ class TermDictionary:
     def _register_quoted(self, term_id: int, parts: "tuple[int, int, int]") -> None:
         self._quoted_parts[term_id] = parts
         self._quoted_by_parts[parts] = term_id
-        self._note_quoted(term_id, parts)
 
     @property
     def next_id(self) -> int:
@@ -369,7 +360,7 @@ class TermDictionary:
         The wire format of dictionary replication: ids are contiguous from
         1, so a follower's ``next_id`` names exactly the rows it is
         missing.  Rows come back in id order.  A quoted triple has no text
-        row: it travels as its part ids (:meth:`export_quoted_rows`).
+        row: it travels as its part ids (:meth:`export_quoted_parts`).
         """
         id_to_term, quoted_parts = self._id_to_term, self._quoted_parts
         return [
@@ -378,7 +369,7 @@ class TermDictionary:
             if term_id in id_to_term and term_id not in quoted_parts
         ]
 
-    def export_quoted_rows(self, start: int) -> "list[int]":
+    def export_quoted_parts(self, start: int) -> "list[int]":
         """Flat ``(quoted id, s, p, o)`` runs for quoted ids in ``[start, next_id)``.
 
         Replication's sidecar to :meth:`export_rows`, and the only form a
@@ -417,8 +408,6 @@ class TermDictionary:
             parts = self._quoted_parts.pop(term_id, None)
             if parts is not None:
                 self._quoted_by_parts.pop(parts, None)
-        self._quoted_columns = None
-        self._quoted_appends.clear()
         self._next_id = mark
 
     # --------------------------------------------------------------- lookups
@@ -444,70 +433,3 @@ class TermDictionary:
     def quoted_id(self, parts: "tuple[int, int, int]") -> Optional[int]:
         """The id of the quoted triple with these inner ids, if interned."""
         return self._quoted_by_parts.get(parts)
-
-    def quoted_columns(self):
-        """Every quoted triple as four parallel int64 arrays, sorted by id:
-        ``(quoted ids, inner subjects, inner predicates, inner objects)``.
-
-        The vectorized annotation scan resolves a whole candidate column of
-        quoted-subject ids with one ``searchsorted`` against these arrays
-        instead of a dict probe per row.  The snapshot is cached; quoted
-        registrations made since it was taken land in ``_quoted_appends``
-        and — because interned ids are monotonically increasing — almost
-        always extend the sorted arrays with one concatenate, so a stream
-        of small commits pays O(new quoted terms) here rather than a full
-        O(total) re-sort per commit.  Rollbacks and out-of-order
-        registrations still force the full rebuild.
-        """
-        cached = self._quoted_columns
-        if cached is not None and not self._quoted_appends:
-            return cached
-        import numpy as np
-
-        if cached is not None:
-            # Incremental merge.  Every quoted registration since the
-            # snapshot went through ``_note_quoted`` (intern or shipped-row
-            # load), so the append queue *is* the complete diff.
-            appends = self._quoted_appends
-            chunk = np.array(appends, dtype=np.int64).reshape(len(appends), 4)
-            chunk = chunk[np.argsort(chunk[:, 0], kind="stable")]
-            if len(cached[0]) == 0 or chunk[0, 0] > cached[0][-1]:
-                cached = (
-                    np.concatenate([cached[0], chunk[:, 0]]),
-                    np.concatenate([cached[1], chunk[:, 1]]),
-                    np.concatenate([cached[2], chunk[:, 2]]),
-                    np.concatenate([cached[3], chunk[:, 3]]),
-                )
-                self._quoted_appends = []
-                self._quoted_columns = cached
-                return cached
-            # Out-of-order ids: full rebuild below.
-            self._quoted_columns = None
-        self._quoted_appends.clear()
-        count = len(self._quoted_parts)
-        ids = np.fromiter(self._quoted_parts.keys(), np.int64, count)
-        parts = np.fromiter(
-            (part for triple in self._quoted_parts.values() for part in triple),
-            np.int64,
-            3 * count,
-        ).reshape(count, 3)
-        order = np.argsort(ids, kind="stable")
-        cached = (
-            ids[order],
-            np.ascontiguousarray(parts[order, 0]),
-            np.ascontiguousarray(parts[order, 1]),
-            np.ascontiguousarray(parts[order, 2]),
-        )
-        self._quoted_columns = cached
-        return cached
-
-    def _note_quoted(self, term_id: int, parts: "tuple[int, int, int]") -> None:
-        """Record one fresh quoted-part registration against the cache.
-
-        With a columnar snapshot outstanding the registration is queued for
-        the incremental merge in :meth:`quoted_columns`; with no snapshot
-        there is nothing to patch and the eventual full build reads the
-        maps directly.
-        """
-        if self._quoted_columns is not None:
-            self._quoted_appends.append((term_id, parts[0], parts[1], parts[2]))

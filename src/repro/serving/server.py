@@ -86,7 +86,7 @@ def compute_delta(store: QuadStore, since_version: int, since_terms: int) -> Dic
         if since_version >= version:
             return {"version": version, "changed": False}
         term_rows = store.dictionary.export_rows(since_terms)
-        quoted = store.dictionary.export_quoted_rows(since_terms)
+        quoted = store.dictionary.export_quoted_parts(since_terms)
         if term_rows and all("\n" not in text for _, text in term_rows):
             # Packed shape: ids as one int64 buffer, spellings newline-joined
             # — decodes as one split instead of one JSON array per term.

@@ -21,6 +21,7 @@ from the cut, since its variable list comes from *all* sorted solutions.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -241,8 +242,8 @@ def _aggregate(query: SelectQuery, relation: Relation, values: _Values) -> List[
     decodes once, and distinct ids whose typed values are equal (the
     ``5`` vs ``5.0`` collision) share one code.  Groups emit in
     first-occurrence row order with members in row order, and SUM / AVG
-    reduce with left-to-right Python float addition, so results do not
-    depend on how rows were batched.
+    are exactly rounded (:func:`_float_sum`), so results do not depend on
+    the order a store's index yields its rows in.
     """
     rows = relation.rows
     count = len(rows)
@@ -307,10 +308,7 @@ def _aggregate(query: SelectQuery, relation: Relation, values: _Values) -> List[
 
 
 def aggregate_values(aggregate: Aggregate, values: List[Any]) -> Any:
-    """Reduce one group's (None-filtered) argument values.
-
-    SUM / AVG use Python's left-to-right float addition.
-    """
+    """Reduce one group's (None-filtered) argument values."""
     if aggregate.distinct:
         seen = set()
         unique = []
@@ -325,9 +323,9 @@ def aggregate_values(aggregate: Aggregate, values: List[Any]) -> Any:
     if not values:
         return None
     if aggregate.function == "sum":
-        return sum(float(v) for v in values)
+        return _float_sum(values)
     if aggregate.function == "avg":
-        return sum(float(v) for v in values) / len(values)
+        return _float_sum(values) / len(values)
     if aggregate.function == "min":
         return min(values)
     if aggregate.function == "max":
@@ -335,3 +333,18 @@ def aggregate_values(aggregate: Aggregate, values: List[Any]) -> Any:
     if aggregate.function == "sample":
         return values[0]
     raise ValueError(f"unknown aggregate {aggregate.function!r}")
+
+
+def _float_sum(values: List[Any]) -> float:
+    """The values' sum as floats, exactly rounded whatever their order.
+
+    A live store, the same graph reopened and a replica iterate one set of
+    rows in different orders, so left-to-right addition let their SUMs
+    differ in the last digit.  What ``math.fsum`` refuses (infinities of
+    both signs, partial sums past the float range) adds in sorted order.
+    """
+    floats = [float(value) for value in values]
+    try:
+        return math.fsum(floats)
+    except (OverflowError, ValueError):
+        return sum(sorted(floats))

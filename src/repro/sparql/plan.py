@@ -62,8 +62,6 @@ class JoinPlan(NamedTuple):
     graph_key: Optional[int]
     key_picks: List[Pick]
     picks: List[Pick]
-    #: No pick reads a quoted-subject part.
-    triple_only: bool
 
     def constants(self) -> Tuple[Optional[int], Optional[int], Optional[int]]:
         """The constant subject / predicate / object ids (``None`` = not constant)."""
@@ -385,5 +383,4 @@ def compile_join_plan(
         graph_key=key_positions.get(str(graph)) if isinstance(graph, Var) else None,
         key_picks=key_picks,
         picks=picks,
-        triple_only=all(kind == "t" for kind, _ in picks + key_picks),
     )

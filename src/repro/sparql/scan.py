@@ -18,11 +18,6 @@ from repro.sparql.algebra import QuotedPattern, TriplePattern, Var
 from repro.sparql.columnar import QueryContext, QueryEncoder
 from repro.sparql.plan import GRAPH_PICK, SRC_CONST, SRC_KEY, JoinPlan, Pick
 
-#: Candidate buckets at least this large resolve quoted-subject parts
-#: array-at-a-time; smaller ones stay on the scalar loop, which wins under a
-#: few dozen rows.
-_ARRAY_PROBE_MIN = 64
-
 JoinTable = Dict[Any, List[tuple]]
 
 
@@ -78,6 +73,46 @@ def _filtered_candidates(index, subject_id, predicate_id, object_id):
     return candidates
 
 
+def _matches(index, subject_id, predicate_id, object_id, inner, quoted_parts):
+    """``(triple, parts)`` for each triple of ``index`` under the bound ids,
+    in the candidate set's iteration order.
+
+    ``inner`` holds a quoted subject's bound inner ids (``None`` where
+    unbound), or is ``None`` when the subject is matched by id alone.  With
+    ``quoted_parts`` (the dictionary's) each candidate's subject parts are
+    read and checked against ``inner``, and a subject that is no quoted
+    triple does not match; without it (a plain subject) ``parts`` is ``None``.
+    """
+    if inner is None:
+        candidates = _filtered_candidates(index, subject_id, predicate_id, object_id)
+        if candidates is None:
+            return
+        inner = (None, None, None)
+    else:
+        candidates = index._quoted_candidates(inner[0], inner[2], predicate_id, object_id)
+    inner_s, inner_p, inner_o = inner
+    for triple in candidates:
+        if subject_id is not None and triple[0] != subject_id:
+            continue
+        if predicate_id is not None and triple[1] != predicate_id:
+            continue
+        if object_id is not None and triple[2] != object_id:
+            continue
+        if quoted_parts is None:
+            yield triple, None
+            continue
+        parts = quoted_parts(triple[0])
+        if parts is None:
+            continue
+        if (
+            (inner_s is not None and parts[0] != inner_s)
+            or (inner_p is not None and parts[1] != inner_p)
+            or (inner_o is not None and parts[2] != inner_o)
+        ):
+            continue
+        yield triple, parts
+
+
 # --------------------------------------------------------------- scan mode
 def scan_cost(plan: JoinPlan) -> float:
     """Upper bound on the candidates a constant-only scan would touch."""
@@ -101,32 +136,27 @@ def scan_join_table(ctx: QueryContext, plan: JoinPlan) -> JoinTable:
     """
     subject_id, predicate_id, object_id = plan.constants()
     inner = plan.quoted_constants()
-    if inner is not None:
-        return _scan_table_quoted_arrays(ctx, plan, inner, predicate_id, object_id)
-    if subject_id is None and object_id is None:
+    if inner is None and subject_id is None and object_id is None:
         return _scan_table_arrays(plan, predicate_id)
 
-    # A constant subject or object: candidates come from the smallest
-    # constant-bound index entry, already a small set.
-    single = len(plan.key_picks) == 1
-    single_position = plan.key_picks[0][1]
-    key_picker = compile_picker(plan.key_picks)
+    # A constant subject or object, or a quoted subject: candidates come
+    # from the smallest constant-bound index entry.
+    quoted_parts = None if inner is None else ctx.store.dictionary.quoted_parts
+    if len(plan.key_picks) == 1:
+        (kind, position), = plan.key_picks
+        quoted = kind == "q"
+        key_of = lambda triple, parts: (parts if quoted else triple)[position]  # noqa: E731
+    else:
+        key_of = compile_picker(plan.key_picks)
     ext_picker = compile_picker(plan.picks)
     table: JoinTable = {}
     for index, tail in zip(plan.indexes, plan.tails):
-        candidates = _filtered_candidates(index, subject_id, predicate_id, object_id)
-        if candidates is None:
-            continue
-        for triple in candidates:
-            if subject_id is not None and triple[0] != subject_id:
-                continue
-            if predicate_id is not None and triple[1] != predicate_id:
-                continue
-            if object_id is not None and triple[2] != object_id:
-                continue
+        for triple, parts in _matches(
+            index, subject_id, predicate_id, object_id, inner, quoted_parts
+        ):
             triple += tail
-            key = triple[single_position] if single else key_picker(triple, None)
-            extension = ext_picker(triple, None)
+            key = key_of(triple, parts)
+            extension = ext_picker(triple, parts)
             bucket = table.get(key)
             if bucket is None:
                 table[key] = [extension]
@@ -135,9 +165,8 @@ def scan_join_table(ctx: QueryContext, plan: JoinPlan) -> JoinTable:
     return table
 
 
-#: One graph's scan candidates: ``(tail, positional s/p/o columns, quoted
-#: part columns or None, surviving row positions or None for all)``.
-Block = Tuple[tuple, tuple, Optional[tuple], Optional[np.ndarray]]
+#: One graph's scan candidates: ``(tail, positional s/p/o columns)``.
+Block = Tuple[tuple, tuple]
 
 
 def _hash_blocks(plan: JoinPlan, blocks: List[Block]) -> JoinTable:
@@ -147,8 +176,8 @@ def _hash_blocks(plan: JoinPlan, blocks: List[Block]) -> JoinTable:
     under ``GRAPH ?g`` costs one hash pass however many graphs it spans —
     the graph id is just one more column (:data:`GRAPH_PICK`).  Blocks keep
     their order and rows their order within a block, which keeps
-    row-order-sensitive results (float SUM, GROUP BY representatives)
-    reproducible.
+    row-order-sensitive results (GROUP BY representatives, unordered
+    result rows) reproducible.
     """
     table: JoinTable = {}
     if not blocks:
@@ -157,14 +186,10 @@ def _hash_blocks(plan: JoinPlan, blocks: List[Block]) -> JoinTable:
     def column(pick: Pick) -> np.ndarray:
         if pick == GRAPH_PICK:
             return np.repeat(
-                np.array([tail[0] for tail, _, _, _ in blocks], np.int64),
-                [len(positional[0]) if rows is None else len(rows) for _, positional, _, rows in blocks],
+                np.array([tail[0] for tail, _ in blocks], np.int64),
+                [len(positional[0]) for _, positional in blocks],
             )
-        kind, position = pick
-        pieces = []
-        for _, positional, parts, rows in blocks:
-            source = (parts if kind == "q" else positional)[position]
-            pieces.append(source if rows is None else source[rows])
+        pieces = [positional[pick[1]] for _, positional in blocks]
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     # One C-level ``tolist`` per column, so the per-candidate work is just
@@ -190,7 +215,7 @@ def _scan_table_arrays(plan: JoinPlan, predicate_id: Optional[int]) -> JoinTable
     :class:`~repro.rdf.graph_index.TripleColumns` snapshot instead of
     per-triple set iteration.  Restricted to the two shapes where the array
     order equals the set iteration order, which keeps row-order-sensitive
-    results (float SUM, GROUP BY representatives) reproducible.
+    results (GROUP BY representatives, unordered result rows) reproducible.
     """
     blocks: List[Block] = []
     for index, tail in zip(plan.indexes, plan.tails):
@@ -209,85 +234,8 @@ def _scan_table_arrays(plan: JoinPlan, predicate_id: Optional[int]) -> JoinTable
                 subjects, objects = columns.subjects, columns.objects
             positional = (subjects, None, objects)
         if len(positional[0]):
-            blocks.append((tail, positional, None, None))
+            blocks.append((tail, positional))
     return _hash_blocks(plan, blocks)
-
-
-def _scan_table_quoted_arrays(
-    ctx: QueryContext,
-    plan: JoinPlan,
-    inner: Tuple[Optional[int], ...],
-    predicate_id: Optional[int],
-    object_id: Optional[int],
-) -> JoinTable:
-    """Array-fed scan-table build for quoted-subject annotation patterns.
-
-    A scalar loop would pay a ``quoted_parts`` dict probe (plus structural
-    comparisons) per candidate — the dominant cost of dashboard queries
-    over ~100k similarity annotations.  Here the candidate triples become
-    three id columns, their quoted-subject parts resolve via one
-    ``searchsorted`` into :meth:`TermDictionary.quoted_columns`, and the
-    inner/outer constants apply as boolean masks (which preserve the
-    candidate set's iteration order).
-    """
-    blocks: List[Block] = []
-    for index, tail in zip(plan.indexes, plan.tails):
-        candidates = index._quoted_candidates(inner[0], inner[2], predicate_id, object_id)
-        masked = quoted_rows_arrays(ctx, index, candidates, inner, predicate_id, object_id)
-        if masked is not None:
-            blocks.append((tail,) + masked)
-    return _hash_blocks(plan, blocks)
-
-
-def quoted_rows_arrays(
-    ctx: QueryContext,
-    index,
-    candidates,
-    inner: Tuple[Optional[int], ...],
-    predicate_id: Optional[int],
-    object_id: Optional[int],
-) -> Optional[Tuple[Tuple[Optional[np.ndarray], ...], Tuple[np.ndarray, ...], np.ndarray]]:
-    """Candidate triples surviving quoted-structure masks, as arrays.
-
-    Returns ``(positional columns, (inner s, p, o) columns, surviving
-    row positions)`` — or ``None`` when nothing survives.  Surviving
-    rows keep the candidate set's iteration order.  The per-bucket columns
-    (and the ``searchsorted`` quoted-part resolution) come from the index's
-    version-scoped :class:`~repro.rdf.graph_index.TripleColumns`
-    snapshot cache, so only the bound-id masks are recomputed when the
-    same annotation bucket is scanned or probed again.
-    """
-    if not len(candidates):
-        return None
-    # Identify which bucket _quoted_candidates picked so the snapshot
-    # cache can key its arrays to it; every branch of that selection is
-    # covered, but fall back to an uncached build if identity ever fails.
-    if candidates is index.triples:
-        key = ("t",)
-    elif inner[0] is not None and candidates is index.by_quoted_subject.get(inner[0]):
-        key = ("qs", inner[0])
-    elif inner[2] is not None and candidates is index.by_quoted_object.get(inner[2]):
-        key = ("qo", inner[2])
-    elif predicate_id is not None and candidates is index.by_predicate.get(predicate_id):
-        key = ("p", predicate_id)
-    elif object_id is not None and candidates is index.by_object.get(object_id):
-        key = ("o", object_id)
-    else:  # pragma: no cover — defensive; selection always matches above
-        key = ("anon", id(candidates), len(candidates))
-    positional, parts_columns, mask = index.columnar().quoted_rows(
-        key, candidates, ctx.store.dictionary
-    )
-    for part_index, bound in enumerate(inner):
-        if bound is not None:
-            mask = mask & (parts_columns[part_index] == bound)
-    if predicate_id is not None:
-        mask = mask & (positional[1] == predicate_id)
-    if object_id is not None:
-        mask = mask & (positional[2] == object_id)
-    rows = np.nonzero(mask)[0]
-    if not len(rows):
-        return None
-    return positional, parts_columns, rows
 
 
 # -------------------------------------------------------------- probe mode
@@ -304,75 +252,9 @@ def compile_probe(ctx: QueryContext, plan: JoinPlan) -> Callable[[tuple], List[t
     if graph_key is not None:
         # ``?g`` arrives bound in the key: each probe reads one graph.
         scope_of = {tail[0]: [(index, ())] for index, tail in scope}
-    picks = plan.picks
-    triple_only = plan.triple_only
-    ext_picker = compile_picker(picks)
-    quoted_parts = ctx.encoder.quoted_parts
+    ext_picker = compile_picker(plan.picks)
+    quoted_parts = None if quoted_sources is None else ctx.store.dictionary.quoted_parts
     quoted_id = ctx.encoder.quoted_id
-
-    def matches_into(results, scope, subject_id, predicate_id, object_id, inner):
-        """Scan candidates under the given bound ids, appending the
-        extension tuple of every accepted match."""
-        append = results.append
-        for index, tail in scope:
-            if inner is None:
-                candidates = _filtered_candidates(index, subject_id, predicate_id, object_id)
-                if candidates is None:
-                    continue
-                for triple in candidates:
-                    if subject_id is not None and triple[0] != subject_id:
-                        continue
-                    if predicate_id is not None and triple[1] != predicate_id:
-                        continue
-                    if object_id is not None and triple[2] != object_id:
-                        continue
-                    if triple_only:
-                        append(ext_picker(triple + tail, None))
-                    else:
-                        parts = quoted_parts(triple[0])
-                        if parts is None:
-                            continue
-                        append(ext_picker(triple + tail, parts))
-                continue
-            candidates = index._quoted_candidates(inner[0], inner[2], predicate_id, object_id)
-            if len(candidates) >= _ARRAY_PROBE_MIN:
-                masked = quoted_rows_arrays(
-                    ctx, index, candidates, inner, predicate_id, object_id
-                )
-                if masked is None:
-                    continue
-                positional, parts_columns, rows = masked
-                if picks:
-                    results.extend(
-                        zip(
-                            *(
-                                repeat(tail[0], len(rows))
-                                if (kind, position) == GRAPH_PICK
-                                else (parts_columns if kind == "q" else positional)[position][
-                                    rows
-                                ].tolist()
-                                for kind, position in picks
-                            )
-                        )
-                    )
-                else:
-                    results.extend([()] * len(rows))
-                continue
-            for triple in candidates:
-                parts = quoted_parts(triple[0])
-                if parts is None:
-                    continue
-                if inner[0] is not None and parts[0] != inner[0]:
-                    continue
-                if inner[1] is not None and parts[1] != inner[1]:
-                    continue
-                if inner[2] is not None and parts[2] != inner[2]:
-                    continue
-                if predicate_id is not None and triple[1] != predicate_id:
-                    continue
-                if object_id is not None and triple[2] != object_id:
-                    continue
-                append(ext_picker(triple + tail, parts))
 
     def probe(key: tuple) -> List[tuple]:
         predicate_id = (
@@ -399,11 +281,12 @@ def compile_probe(ctx: QueryContext, plan: JoinPlan) -> Callable[[tuple], List[t
             else:
                 subject_id = None
         results: List[tuple] = []
-        matches_into(
-            results,
-            scope if graph_key is None else scope_of.get(key[graph_key], ()),
-            subject_id, predicate_id, object_id, inner,
-        )
+        append = results.append
+        for index, tail in scope if graph_key is None else scope_of.get(key[graph_key], ()):
+            for triple, parts in _matches(
+                index, subject_id, predicate_id, object_id, inner, quoted_parts
+            ):
+                append(ext_picker(triple + tail, parts))
         return results
 
     return probe

@@ -12,6 +12,7 @@ evaluator; nothing else from the engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -221,9 +222,9 @@ def _reduce(aggregate: Aggregate, members: List[Binding]) -> Any:
     if not values:
         return None
     if aggregate.function == "sum":
-        return sum(float(value) for value in values)
+        return _float_sum(values)
     if aggregate.function == "avg":
-        return sum(float(value) for value in values) / len(values)
+        return _float_sum(values) / len(values)
     if aggregate.function == "min":
         return min(values)
     if aggregate.function == "max":
@@ -231,3 +232,12 @@ def _reduce(aggregate: Aggregate, members: List[Binding]) -> Any:
     if aggregate.function == "sample":
         return values[0]
     raise ValueError(f"unknown aggregate {aggregate.function!r}")
+
+
+def _float_sum(values: List[Any]) -> float:
+    """Exactly rounded, so the sum does not depend on the rows' order."""
+    floats = [float(value) for value in values]
+    try:
+        return math.fsum(floats)
+    except (OverflowError, ValueError):  # infinities of both signs, overflow
+        return sum(sorted(floats))

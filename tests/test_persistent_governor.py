@@ -399,7 +399,7 @@ class TestSqliteBackend:
             answers = [list(map(str, SPARQLEngine(graph).select(query).rows)) for query in DISCOVERY_QUERIES.values()]
             # Match order follows the order a shard's rows were loaded in.
             answers += [list(map(str, graph.triples(graph=name))) for name in graph.graphs()]
-            terms = (graph.dictionary.export_rows(1), graph.dictionary.export_quoted_rows(1), graph.dictionary.next_id)
+            terms = (graph.dictionary.export_rows(1), graph.dictionary.export_quoted_parts(1), graph.dictionary.next_id)
             reopened.close()
             connection = sqlite3.connect(directory / "graph.sqlite3")
             try:
@@ -435,7 +435,7 @@ class TestSqliteBackend:
         spelled, served = tmp_path / "spelled.sqlite3", tmp_path / "served.sqlite3"
         writer = QuadStore.sqlite(spelled)
         writer.annotate(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1), URIRef("http://x/score"), Literal(0.5))
-        expected = (serialize_nquads(writer), writer.dictionary.export_quoted_rows(1))
+        expected = (serialize_nquads(writer), writer.dictionary.export_quoted_parts(1))
         writer.close()
         assert spell_quoted_terms(spelled) == 1
         store = QuadStore.sqlite(served)
@@ -443,7 +443,7 @@ class TestSqliteBackend:
         shutil.copyfile(spelled, served)
         try:
             store.reopen()
-            assert (serialize_nquads(store), store.dictionary.export_quoted_rows(1)) == expected
+            assert (serialize_nquads(store), store.dictionary.export_quoted_parts(1)) == expected
         finally:
             store.close()
 
@@ -489,7 +489,7 @@ class TestSqliteBackend:
         governor = KGGovernor(storage=KGLiDSStorage(graph=QuadStore.sqlite(path)))
         governor.add_data_lake(make_lake())
         graph = governor.storage.graph
-        expected = (serialize_nquads(graph), graph.dictionary.export_rows(1), graph.dictionary.export_quoted_rows(1))
+        expected = (serialize_nquads(graph), graph.dictionary.export_rows(1), graph.dictionary.export_quoted_parts(1))
         governor.close()
         spelled_rows = spell_quoted_terms(path)
         assert spelled_rows > 0
@@ -513,7 +513,7 @@ class TestSqliteBackend:
             try:
                 assert store.backend.recovery["migrated_quoted_terms"] == spelled_rows, point
                 dictionary = store.dictionary
-                assert (serialize_nquads(store), dictionary.export_rows(1), dictionary.export_quoted_rows(1)) == expected, point
+                assert (serialize_nquads(store), dictionary.export_rows(1), dictionary.export_quoted_parts(1)) == expected, point
             finally:
                 store.close()
         # BEGIN, the quoted rows, the terms delete, the layout stamp, COMMIT.
@@ -1366,7 +1366,7 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 print(digest(repr(dictionary.export_rows(1))))
-print(digest(repr(dictionary.export_quoted_rows(1))))
+print(digest(repr(dictionary.export_quoted_parts(1))))
 dump = sqlite3.connect(directory / "graph.sqlite3").iterdump()
 print(digest("\\n".join(line for line in dump if "store_uid" not in line)))
 # Every other snapshot file: its JSON without the random lineage uid, an
@@ -1411,7 +1411,7 @@ def test_term_ids_and_sqlite_dump_do_not_depend_on_the_hash_seed(tmp_path):
         out.splitlines() for out in outputs
     )
     assert rows_1 == rows_2, "dictionary.export_rows(1) differs across hash seeds"
-    assert quoted_1 == quoted_2, "dictionary.export_quoted_rows(1) differs across hash seeds"
+    assert quoted_1 == quoted_2, "dictionary.export_quoted_parts(1) differs across hash seeds"
     assert dump_1 == dump_2, "the sqlite dump differs across hash seeds"
     names = [line.rsplit(" ", 1)[0] for line in files_1]
     assert {name.split()[0] for name in names} == {

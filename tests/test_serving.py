@@ -11,6 +11,9 @@ Pins the serving contracts:
   them atomically: concurrent readers never observe a torn snapshot;
 * a replica's local strays (terms it interned between syncs) give way to
   the writer's rows, in its dictionary and in its file;
+* a float SUM / AVG over annotation scores reads the same on the live
+  writer, on its file reopened and on a replica fed by delta, though their
+  indexes yield the rows in different orders;
 * a quoted triple crosses the wire only as its ``(id, s, p, o)`` part ids,
   never as a ``<< s p o >>`` spelling, on the log-bridged and full-dump
   paths alike, and the replica persists exactly the writer's part rows;
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import socket
 import sqlite3
@@ -46,7 +50,7 @@ from store_write_oracle import dictionary_rows
 from repro.interfaces import LiDSClient
 from repro.kg import GovernorService, KGGovernor
 from repro.kg.errors import TransientError
-from repro.kg.ontology import DATASET_GRAPH, ONTOLOGY_GRAPH, column_uri, table_uri
+from repro.kg.ontology import DATASET_GRAPH, ONTOLOGY_GRAPH, LiDSOntology, column_uri, table_uri
 from repro.kg.storage import KGLiDSStorage
 from repro.rdf import Literal, QuadStore, QuotedTriple, URIRef
 from repro.serving import (
@@ -61,6 +65,7 @@ from repro.serving import (
     encode_value,
 )
 from repro.serving.protocol import unpack_ids
+from repro.sparql import SPARQLEngine
 from repro.tabular import Column, DataLake, Table
 
 
@@ -803,13 +808,13 @@ def test_quoted_triples_replicate_as_part_ids(served_lake, tmp_path, path):
         assert payload["full"] is (path == "full")
         assert "<<" not in canonical_json(payload["terms"])
         shipped = unpack_ids(payload["quoted"])
-        assert shipped and shipped == writer_store.dictionary.export_quoted_rows(pinned_terms)
+        assert shipped and shipped == writer_store.dictionary.export_quoted_parts(pinned_terms)
 
         assert replica.sync() is True
         assert replica.stats["full_pulls" if path == "full" else "delta_pulls"] == 1
         writer_dictionary, dictionary = writer_store.dictionary, replica.store.dictionary
-        writer_quoted = writer_dictionary.export_quoted_rows(1)
-        assert dictionary.export_quoted_rows(1) == writer_quoted
+        writer_quoted = writer_dictionary.export_quoted_parts(1)
+        assert dictionary.export_quoted_parts(1) == writer_quoted
         assert dictionary.export_rows(1) == writer_dictionary.export_rows(1)
         assert dictionary.next_id == writer_dictionary.next_id
         assert dictionary.lookup(stray) is None
@@ -826,6 +831,65 @@ def test_quoted_triples_replicate_as_part_ids(served_lake, tmp_path, path):
         assert canonical_json(replica.client.query(ordered)) == canonical_json(LiDSClient(service).query(ordered))
     finally:
         replica.close()
+
+
+SCORE_AGGREGATES = [
+    f"""SELECT ?{group} (SUM(?v) AS ?total) (AVG(?v) AS ?mean) WHERE {{
+        << ?a kglids:hasContentSimilarity ?b >> kglids:withCertainty ?v .
+    }} GROUP BY ?{group} ORDER BY ?{group}"""
+    for group in ("a", "b")
+]
+
+
+def test_float_aggregates_answer_alike_on_writer_reopened_and_replica(tmp_path):
+    """600 similarity scores over 24 columns, the last 200 reaching the
+    replica by delta: the live writer, its reopened file and the replica
+    give equal SUMs and AVGs to the last digit.  Each builds its indexes in
+    another order (insertion, sqlite key order, snapshot plus delta), so
+    left-to-right float addition made them differ."""
+    writer_dir = tmp_path / "writer"
+    writer_dir.mkdir()
+    graph = QuadStore.sqlite(writer_dir / "graph.sqlite3")
+    governor = KGGovernor(storage=KGLiDSStorage(graph=graph))
+    rng = random.Random(3)
+    columns = [URIRef(f"urn:column:{index}") for index in range(24)]
+
+    def score(count):
+        for _ in range(count):
+            first, second = rng.sample(columns, 2)
+            graph.annotate(
+                first,
+                LiDSOntology.hasContentSimilarity,
+                second,
+                LiDSOntology.withCertainty,
+                Literal(rng.random()),
+                graph=DATASET_GRAPH,
+            )
+
+    def answers(store):
+        return [SPARQLEngine(store).select(query).rows for query in SCORE_AGGREGATES]
+
+    score(400)
+    governor.save(writer_dir)
+    server = LiDSServer(LiDSClient(governor))
+    try:
+        replica = Replica(server.address, ship_snapshot(writer_dir, tmp_path / "replica"))
+        try:
+            score(200)
+            assert replica.sync() and replica.stats["delta_pulls"] == 1
+            live, replicated = answers(graph), answers(replica.store)
+        finally:
+            replica.close()
+    finally:
+        server.close()
+        governor.close()
+    reopened = QuadStore.sqlite(writer_dir / "graph.sqlite3")
+    try:
+        assert answers(reopened) == live
+    finally:
+        reopened.close()
+    assert replicated == live
+    assert [len(rows) for rows in live] == [24, 24]
 
 
 # ----------------------------------------------------------- reopen-in-place

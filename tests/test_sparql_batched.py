@@ -17,6 +17,7 @@ executor:
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -31,6 +32,8 @@ from repro.rdf import (
 from repro.rdf.serialize import serialize_nquads
 from repro.sparql import SPARQLEngine
 from repro.sparql import join
+from repro.sparql.algebra import Aggregate, Var
+from repro.sparql.collate import aggregate_values
 from repro.sparql.columnar import UNBOUND, QueryEncoder, Relation
 
 import sparql_oracle
@@ -42,7 +45,9 @@ def _uri(name: str) -> URIRef:
     return URIRef(f"{EX}{name}")
 
 
-def make_random_store(seed: int, store: QuadStore | None = None) -> QuadStore:
+def make_random_store(
+    seed: int, store: QuadStore | None = None, annotations: int = 15
+) -> QuadStore:
     """A small random multi-graph store with literals and annotations."""
     rng = random.Random(seed)
     if store is None:  # NB: an empty QuadStore is falsy (len() == 0)
@@ -55,9 +60,9 @@ def make_random_store(seed: int, store: QuadStore | None = None) -> QuadStore:
         predicate = rng.choice(predicates)
         obj = rng.choice(subjects) if rng.random() < 0.6 else Literal(rng.randint(0, 9))
         store.add(subject, predicate, obj, graph=rng.choice(graphs))
-    # RDF-star annotations on a handful of edges.
+    # RDF-star annotations: a handful by default, or enough for large buckets.
     annotation = _uri("certainty")
-    for _ in range(15):
+    for _ in range(annotations):
         subject = rng.choice(subjects)
         obj = rng.choice(subjects)
         store.annotate(
@@ -228,6 +233,34 @@ QUERY_SHAPES = [
     f"""SELECT * WHERE {{
         {{ ?s <{EX}name> ?n . }} UNION {{ ?s <{EX}p2> ?o . }}
     }} ORDER BY DESC(?n) LIMIT 2""",
+    # --- quoted subjects with a constant inner part: the scan and the probe
+    # read one quoted-subject or quoted-object bucket ---
+    f"""SELECT ?b (SUM(?v) AS ?total) (AVG(?v) AS ?mean) WHERE {{
+        << <{EX}s1> <{EX}p0> ?b >> <{EX}certainty> ?v .
+    }} GROUP BY ?b ORDER BY ?b""",
+    f"""SELECT ?a (SUM(?v) AS ?total) (AVG(?v) AS ?mean) WHERE {{
+        << ?a <{EX}p0> <{EX}s2> >> <{EX}certainty> ?v .
+    }} GROUP BY ?a ORDER BY ?a""",
+    f"""SELECT (SUM(?v) AS ?total) (COUNT(?b) AS ?n) WHERE {{
+        << <{EX}s1> <{EX}p0> ?b >> <{EX}certainty> ?v .
+    }}""",
+    # constant inner parts joined with plain patterns
+    f"""SELECT ?b ?v ?n WHERE {{
+        << <{EX}s1> <{EX}p0> ?b >> <{EX}certainty> ?v . ?b <{EX}name> ?n .
+    }}""",
+    f"""SELECT ?a ?v WHERE {{
+        << ?a <{EX}p0> <{EX}s2> >> <{EX}certainty> ?v . ?a <{EX}p1> ?c .
+    }} ORDER BY DESC(?v) ?a LIMIT 4""",
+    # two annotation patterns: the second probes with its inner subject
+    # bound by the first and its inner object constant
+    f"""SELECT ?b (SUM(?w) AS ?total) WHERE {{
+        << <{EX}s1> <{EX}p0> ?b >> <{EX}certainty> ?v .
+        << ?b <{EX}p0> <{EX}s2> >> <{EX}certainty> ?w .
+    }} GROUP BY ?b ORDER BY ?b""",
+    # per graph, with a float SUM
+    f"""SELECT ?g (SUM(?v) AS ?total) (COUNT(?a) AS ?n) WHERE {{ GRAPH ?g {{
+        << ?a <{EX}p0> <{EX}s2> >> <{EX}certainty> ?v .
+    }} }} GROUP BY ?g ORDER BY ?g""",
 ]
 
 
@@ -259,15 +292,22 @@ def assert_matches_oracle(store, query):
     params=[
         ("memory", 3), ("memory", 11), ("memory", 42), ("sqlite", 7), ("sqlite", 19),
         ("faulted-memory", 3), ("faulted-sqlite", 7),
+        # Every quoted-subject and quoted-object bucket in each graph holds
+        # over 64 annotations (~100).
+        ("memory", 23, 2400), ("sqlite", 23, 2400),
     ],
-    ids=lambda param: f"{param[0]}-{param[1]}",
+    ids=lambda param: "-".join(map(str, param)),
 )
 def random_store(request, tmp_path_factory, open_store):
-    backend, seed = request.param
+    backend, seed, *annotations = request.param
     store = make_random_store(
-        seed, open_store(backend, tmp_path_factory.mktemp("parity") / "s.sqlite3")
+        seed, open_store(backend, tmp_path_factory.mktemp("parity") / "s.sqlite3"), *annotations
     )
-    assert serialize_nquads(store) == serialize_nquads(make_random_store(seed))
+    assert serialize_nquads(store) == serialize_nquads(make_random_store(seed, None, *annotations))
+    if annotations:
+        for _, index in store.backend.items():
+            buckets = [*index.by_quoted_subject.values(), *index.by_quoted_object.values()]
+            assert min(map(len, buckets)) > 64
     yield store
     store.close()
 
@@ -497,6 +537,36 @@ class TestGroupKeyTyping:
         for result in self._results(store):
             assert len(result) == 1
             assert result.rows[0]["n"] == 2
+
+
+class TestFloatSums:
+    """SUM / AVG over values that ``math.fsum`` refuses: an answer, not an
+    error, and one that does not depend on the rows' order."""
+
+    SUM_QUERY = f"SELECT (SUM(?o) AS ?total) (AVG(?o) AS ?mean) WHERE {{ ?s <{EX}p> ?o . }}"
+
+    @pytest.mark.parametrize(
+        "values, answer",
+        [
+            ((float("inf"), float("-inf"), 1.0), ["nan", "nan"]),
+            ((1e308, 1e308), ["inf", "inf"]),
+            # 1e308 + 1e308 overflows, 1e308 - 1e308 does not: sorted order
+            ((1e308, 1e308, -1e308), ["1e+308", "3.333333333333333e+307"]),
+        ],
+        ids=["opposite-infinities", "overflow", "overflowing-partial"],
+    )
+    def test_sums_past_exact_rounding(self, values, answer):
+        store = QuadStore()
+        for position, value in enumerate(values):
+            store.add(_uri(f"s{position}"), _uri("p"), Literal(value))
+        for result in (
+            SPARQLEngine(store).select(self.SUM_QUERY),
+            sparql_oracle.select(store, self.SUM_QUERY),
+        ):
+            assert [repr(result.rows[0]["total"]), repr(result.rows[0]["mean"])] == answer
+        total, mean = (Aggregate(name, Var("o"), False, Var(name)) for name in ("sum", "avg"))
+        for order in itertools.permutations(values):
+            assert [repr(aggregate_values(total, order)), repr(aggregate_values(mean, order))] == answer
 
 
 class TestFilterPushdown:
