@@ -240,6 +240,27 @@ def _library_uses(columns: Any, index: Any) -> Tuple[Dict[int, Set[int]], ...]:
     return uses, grouped(ontology.hasTaskType), grouped(ontology.hasName)
 
 
+def _rank_libraries(dictionary: Any, views: List[Any], task_id: Optional[int] = None) -> List[Tuple[int, str]]:
+    """``(-pipelines, name)`` ascending over the per-graph library-use views.
+
+    A library's pipelines are united over the graphs (with ``task_id``, only
+    pipelines that graph gives that task); its names come from any graph.
+    """
+    pipelines_of: Dict[int, Set[int]] = defaultdict(set)
+    for uses, tasks, _ in views:
+        for library, pipelines in uses.items():
+            if task_id is not None:
+                pipelines = {pipeline for pipeline in pipelines if task_id in tasks.get(pipeline, ())}
+            if pipelines:
+                pipelines_of[library] |= pipelines
+    counted: Dict[str, Set[int]] = defaultdict(set)
+    for _, _, names in views:
+        for library in names.keys() & pipelines_of.keys():
+            for name_id in names[library]:
+                counted[_text(dictionary, name_id)] |= pipelines_of[library]
+    return sorted((-len(pipelines), name) for name, pipelines in counted.items())
+
+
 class KGLiDS:
     """User-facing API over a bootstrapped LiDS graph."""
 
@@ -257,6 +278,8 @@ class KGLiDS:
             profiler=governor.profiler,
             colr_models=governor.colr_models,
         )
+        #: ``(store, version, roll-up)`` of :meth:`_library_rollup`.
+        self._libraries: Optional[Tuple[Any, int, Any]] = None
 
     # ------------------------------------------------------------ bootstrap
     @classmethod
@@ -454,34 +477,39 @@ class KGLiDS:
     def get_top_used_libraries(self, k: int = 10, task: Optional[str] = None) -> Table:
         """Top-k libraries, optionally restricted to pipelines of a given task.
 
-        Unites every graph's library-use view (rebuilt only when that graph
-        changes); a library's names come from any graph.
+        Slices the store-wide ranking, built once per store version
+        (:meth:`_library_rollup`); a ``task`` ranks that roll-up's per-graph
+        views again, counting only that task's pipelines.
         """
         store = self.storage.graph
-        pipelines_of: Dict[int, Set[int]] = defaultdict(set)
-        names_of: Dict[int, Set[int]] = defaultdict(set)
         with self.read_view():
-            task_id = None if task is None else store.dictionary.lookup(Literal(task))
-            views = [
-                store.derived_view(graph, "interfaces.library_uses", _library_uses)
-                for graph in store.graphs()
-            ]
-            for uses, tasks, _ in views:
-                for library, pipelines in uses.items():
-                    if task is not None:
-                        pipelines = {pipeline for pipeline in pipelines if task_id in tasks.get(pipeline, ())}
-                    if pipelines:
-                        pipelines_of[library] |= pipelines
-            for _, _, names in views:
-                for library in names.keys() & pipelines_of.keys():
-                    names_of[library] |= names[library]
-            counted: Dict[str, Set[int]] = defaultdict(set)
-            for library, name_ids in names_of.items():
-                for name_id in name_ids:
-                    counted[_text(store.dictionary, name_id)] |= pipelines_of[library]
-        ranked = sorted((-len(pipelines), name) for name, pipelines in counted.items())
+            views, ranked = self._library_rollup()
+            if task is not None:
+                task_id = store.dictionary.lookup(Literal(task))
+                ranked = [] if task_id is None else _rank_libraries(store.dictionary, views, task_id)
         rows = [{"library_name": name, "num_pipelines": -count} for count, name in ranked[: int(k)]]
         return self._rows_to_table("top_libraries", rows, ["library_name", "num_pipelines"])
+
+    def _library_rollup(self) -> Tuple[List[Any], List[Tuple[int, str]]]:
+        """Every graph's library-use view (rebuilt only when that graph
+        changes) and their ranking over all tasks.
+
+        Built once per :attr:`QuadStore.version`, inside the caller's read
+        view; one built inside an open write batch, which may yet roll back,
+        is not kept.
+        """
+        store = self.storage.graph
+        kept = self._libraries
+        if kept is not None and kept[0] is store and kept[1] == store.version:
+            return kept[2]
+        views = [
+            store.derived_view(graph, "interfaces.library_uses", _library_uses)
+            for graph in store.graphs()
+        ]
+        rollup = (views, _rank_libraries(store.dictionary, views))
+        if not store.in_write_batch:
+            self._libraries = (store, store.version, rollup)
+        return rollup
 
     def get_pipelines_calling_libraries(self, *qualified_calls: str) -> Table:
         """Pipelines whose statements call every one of the given functions."""
@@ -711,11 +739,14 @@ class LiDSClient(KGLiDS):
         return 0
 
     def stats(self) -> Dict[str, Any]:
-        """Serving-tier telemetry: versions, staleness, service counters."""
+        """Serving-tier telemetry: versions, staleness, SPARQL engine and
+        service counters (``engine`` is :meth:`SPARQLEngine.stats`, so a
+        replica's answer-memo hit ratio reads over the ``stats`` RPC)."""
         payload: Dict[str, Any] = {
             "commit_version": self.commit_version,
             "replication_lag": self.replication_lag,
             "read_only": self.read_only,
+            "engine": self.storage.engine.stats(),
         }
         if self.service is not None:
             payload["service"] = self.service.stats

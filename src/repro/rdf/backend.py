@@ -130,9 +130,13 @@ class QuadStoreBackend:
         """Drop a whole named graph (a backend-level retraction primitive)."""
         return self._indexes.pop(graph, None) is not None
 
-    def items(self) -> Iterable[Tuple[URIRef, GraphIndex]]:
-        """``(name, index)`` for every graph (loads all lazily-stored graphs)."""
-        return [(graph, self.get_index(graph)) for graph in self.graph_names()]
+    def items(self, graph: Optional[URIRef] = None) -> List[Tuple[URIRef, GraphIndex]]:
+        """``(name, index)`` of ``graph`` (none when absent), or of every graph
+        when ``graph`` is ``None`` (loads all lazily-stored graphs)."""
+        if graph is None:
+            return [(name, self.get_index(name)) for name in self.graph_names()]
+        index = self.get_index(graph)
+        return [(graph, index)] if index is not None else []
 
     def triple_count(self, graph: URIRef) -> int:
         """Number of triples in one graph, without forcing an index load."""
@@ -146,10 +150,7 @@ class QuadStoreBackend:
         default-graph wildcard.  The SPARQL planner's single entry point for
         resolving a pattern's graph scope to concrete indexes.
         """
-        if graph is not None:
-            index = self.get_index(graph)
-            return [index] if index is not None else []
-        return [index for _, index in self.items()]
+        return [index for _, index in self.items(graph)]
 
     def resident_index(self, graph: URIRef) -> Optional[GraphIndex]:
         """The graph's index only if it is already in memory (no load).
@@ -1084,34 +1085,23 @@ class SqliteBackend(QuadStoreBackend):
         ``database is busy`` — transient conditions worth a few short sleeps
         before giving up.
         """
-        delay = self.lock_retry_delay
-        for attempt in range(self.lock_retries):
-            try:
-                return self._connection.execute(sql, params)
-            except sqlite3.OperationalError as error:
-                message = str(error).lower()
-                if "locked" not in message and "busy" not in message:
-                    raise
-                if attempt == self.lock_retries - 1:
-                    raise
-                time.sleep(delay)
-                delay = min(delay * 2, 0.25)
-        raise AssertionError("unreachable")
+        return self._retry(self._connection.execute, sql, params)
 
     def _executemany_retry(self, sql: str, rows: List[Tuple]) -> sqlite3.Cursor:
+        return self._retry(self._connection.executemany, sql, rows)
+
+    def _retry(self, run, sql: str, args) -> sqlite3.Cursor:
         delay = self.lock_retry_delay
-        for attempt in range(self.lock_retries):
+        for _ in range(1, self.lock_retries):
             try:
-                return self._connection.executemany(sql, rows)
+                return run(sql, args)
             except sqlite3.OperationalError as error:
                 message = str(error).lower()
                 if "locked" not in message and "busy" not in message:
                     raise
-                if attempt == self.lock_retries - 1:
-                    raise
-                time.sleep(delay)
-                delay = min(delay * 2, 0.25)
-        raise AssertionError("unreachable")
+            time.sleep(delay)
+            delay = min(delay * 2, 0.25)
+        return run(sql, args)
 
     @contextmanager
     def _autocommit(self):

@@ -682,14 +682,10 @@ class QuadStore:
         graph: Optional[URIRef] = None,
     ) -> Iterator[Tuple[Triple, URIRef]]:
         """Iterate ``(triple, graph)`` pairs matching the quad pattern."""
-        subject_id = self._lookup_id(subject)
-        predicate_id = self._lookup_id(predicate)
-        object_id = self._lookup_id(obj)
-        if _ABSENT in (subject_id, predicate_id, object_id):
+        ids = (self._lookup_id(subject), self._lookup_id(predicate), self._lookup_id(obj))
+        if _ABSENT in ids:
             return
-        for triple, graph_name in self.match_ids(
-            subject_id, predicate_id, object_id, graph
-        ):
+        for triple, graph_name in self.match_ids(*ids, graph):
             yield self._decode_triple(triple), graph_name
 
     def match_ids(
@@ -705,14 +701,7 @@ class QuadStore:
         so joins compare machine ints and nothing is decoded until FILTER
         evaluation / final projection.
         """
-        if graph is not None:
-            index = self._backend.get_index(graph)
-            if index is None:
-                return
-            for triple in index.match(subject_id, predicate_id, object_id):
-                yield triple, graph
-            return
-        for graph_name, index in self._backend.items():
+        for graph_name, index in self._backend.items(graph):
             for triple in index.match(subject_id, predicate_id, object_id):
                 yield triple, graph_name
 
@@ -756,18 +745,13 @@ class QuadStore:
         The SPARQL engine uses this as the selectivity estimate when ordering
         triple patterns; it never materializes candidates.
         """
-        subject_id = self._lookup_id(subject)
-        predicate_id = self._lookup_id(predicate)
-        object_id = self._lookup_id(obj)
-        if _ABSENT in (subject_id, predicate_id, object_id):
+        ids = (self._lookup_id(subject), self._lookup_id(predicate), self._lookup_id(obj))
+        if _ABSENT in ids:
             return 0
-        if graph is not None:
+        if graph is not None:  # the planner's hot path: one index, no generator
             index = self._backend.get_index(graph)
-            return index.estimate(subject_id, predicate_id, object_id) if index else 0
-        return sum(
-            index.estimate(subject_id, predicate_id, object_id)
-            for _, index in self._backend.items()
-        )
+            return index.estimate(*ids) if index else 0
+        return sum(index.estimate(*ids) for _, index in self._backend.items())
 
     def match_quoted(
         self,
@@ -804,27 +788,9 @@ class QuadStore:
         graph: Optional[URIRef] = None,
     ) -> Iterator[Tuple[IdTriple, URIRef]]:
         """Id-level :meth:`match_quoted` (see :meth:`match_ids`)."""
-        if graph is not None:
-            index = self._backend.get_index(graph)
-            if index is None:
-                return
-            for triple in index.match_quoted(
-                inner_subject_id,
-                inner_predicate_id,
-                inner_object_id,
-                predicate_id,
-                object_id,
-            ):
-                yield triple, graph
-            return
-        for graph_name, index in self._backend.items():
-            for triple in index.match_quoted(
-                inner_subject_id,
-                inner_predicate_id,
-                inner_object_id,
-                predicate_id,
-                object_id,
-            ):
+        ids = (inner_subject_id, inner_predicate_id, inner_object_id, predicate_id, object_id)
+        for graph_name, index in self._backend.items(graph):
+            for triple in index.match_quoted(*ids):
                 yield triple, graph_name
 
     def estimate_quoted_matches(
@@ -964,14 +930,8 @@ class QuadStore:
         predicate_id = self._backend.dictionary.lookup(predicate)
         if predicate_id is None:
             return None
-        if graph is not None:
-            index = self._backend.get_index(graph)
-            if index is None:
-                return None
-            stats = index.predicate_stats.get(predicate_id)
-            return stats.to_dict() if stats is not None else None
         combined: Optional[Dict[str, int]] = None
-        for _, index in self._backend.items():
+        for _, index in self._backend.items(graph):
             stats = index.predicate_stats.get(predicate_id)
             if stats is None:
                 continue
@@ -990,12 +950,8 @@ class QuadStore:
     ) -> Dict[Any, Dict[str, int]]:
         """Per-predicate cardinality statistics over the selected graph(s)."""
         predicate_ids: Set[int] = set()
-        if graph is not None:
-            index = self._backend.get_index(graph)
-            predicate_ids = set(index.predicate_stats) if index else set()
-        else:
-            for _, index in self._backend.items():
-                predicate_ids.update(index.predicate_stats)
+        for _, index in self._backend.items(graph):
+            predicate_ids.update(index.predicate_stats)
         decode = self._backend.dictionary.decode
         return {
             decode(predicate_id): self.predicate_statistics(decode(predicate_id), graph)

@@ -20,7 +20,8 @@ Module map (plain functions, one per-evaluation
 * :mod:`~repro.sparql.collate` — GROUP BY / ORDER BY / DISTINCT /
   projection in id space;
 * :mod:`~repro.sparql.expression` — FILTER / BIND expression evaluation;
-* this module — :class:`SPARQLEngine` and :class:`SelectResult`.
+* this module — :class:`SPARQLEngine` (and its answer memo) and
+  :class:`SelectResult`.
 
 ``tests/sparql_oracle.py`` holds a deliberately naive reference evaluator
 (written pattern order, one store lookup per binding) that the parity tests
@@ -41,6 +42,10 @@ from repro.sparql.columnar import QueryContext, Relation
 from repro.sparql.join import evaluate_group
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import describe_element, reorder_elements
+
+#: The most answer rows one engine's memo holds; an answer that would
+#: overfill it empties the memo first, and a larger answer is not kept.
+ANSWER_MEMO_ROWS = 20_000
 
 
 class SelectResult:
@@ -83,9 +88,13 @@ class SPARQLEngine:
     hash-index lookups, and identical lookups across solutions are answered
     from a per-pattern memo instead of re-scanning.
 
+    It also answers a repeated query text from the answers it keeps for the
+    current :attr:`QuadStore.version` (see :meth:`evaluate`).
+
     One engine may serve concurrent readers: an evaluation keeps all its
-    mutable state in its own :class:`~repro.sparql.columnar.QueryContext`,
-    and only the cumulative :meth:`stats` counters are shared (under a lock).
+    mutable state in its own :class:`~repro.sparql.columnar.QueryContext`;
+    only the :meth:`stats` counters and the answer memo are shared (under a
+    lock).
     """
 
     def __init__(self, store: QuadStore, prefixes=None):
@@ -93,16 +102,21 @@ class SPARQLEngine:
         self.prefixes = prefixes or DEFAULT_PREFIXES
         self._stats_lock = threading.Lock()
         self._stats = {
-            kind: {"hits": 0, "misses": 0} for kind in ("pattern_memo", "filter_memo")
+            kind: {"hits": 0, "misses": 0} for kind in ("pattern_memo", "filter_memo", "answers")
         }
+        self._answers: Dict[str, SelectResult] = {}
+        self._answers_version = -1
+        self._answer_rows = 0
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Snapshot of the engine's cumulative cache counters.
 
         ``pattern_memo`` counts the per-join lookup memos (one probe per
         distinct join key); ``filter_memo`` counts the per-filter verdict
-        tables of FILTER pushdown (one predicate evaluation per distinct id).
-        Each holds ``hits`` / ``misses`` summed over finished queries.
+        tables of FILTER pushdown (one predicate evaluation per distinct id);
+        ``answers`` counts evaluations answered from the answer memo (hits)
+        and evaluations that planned and joined (misses).  Each holds
+        ``hits`` / ``misses`` summed over finished queries.
         """
         with self._stats_lock:
             return {kind: dict(counters) for kind, counters in self._stats.items()}
@@ -132,9 +146,41 @@ class SPARQLEngine:
         write batches on another thread — a query never observes a
         half-applied ingestion batch.  A shard the query touches loads once
         and stays resident.
+
+        The answer memo: a query :func:`~repro.sparql.parser.parse_query`
+        read under this engine's prefixes is answered from it when its text
+        was answered at the current :attr:`QuadStore.version`, read in the
+        view.  Every commit, replica apply and ``reopen`` moves the version
+        and empties the memo.  Nothing is kept or served inside an open
+        write batch (a rollback winds the version back) or kept from a query
+        that raised; at most :data:`ANSWER_MEMO_ROWS` rows are kept, and a
+        result shares no row or list with the memo.
         """
-        with self.store.read_view():
-            return self._evaluate(query)
+        store = self.store
+        with store.read_view():
+            key = query.text if query.prefixes is self.prefixes and not store.in_write_batch else None
+            with self._stats_lock:
+                if self._answers_version != store.version:
+                    self._answers, self._answers_version, self._answer_rows = {}, store.version, 0
+                kept = self._answers.get(key)
+                self._stats["answers"]["misses" if kept is None else "hits"] += 1
+            if kept is None:
+                kept = self._evaluate(query)
+                if key is None or not self._keep(key, kept):
+                    return kept
+        return SelectResult(list(kept.variables), [dict(row) for row in kept.rows])
+
+    def _keep(self, key: str, answer: SelectResult) -> bool:
+        """Memoize ``answer`` (caller holds the read view); ``False`` if too large."""
+        rows = len(answer.rows)
+        if rows > ANSWER_MEMO_ROWS:
+            return False
+        with self._stats_lock:
+            if self._answer_rows + rows > ANSWER_MEMO_ROWS:
+                self._answers, self._answer_rows = {}, 0
+            if self._answers.setdefault(key, answer) is answer:
+                self._answer_rows += rows
+        return True
 
     def _evaluate(self, query: SelectQuery) -> SelectResult:
         ctx = QueryContext(self.store)

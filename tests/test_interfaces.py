@@ -11,7 +11,7 @@ from repro.interfaces import KGLiDS
 from repro.kg import KGGovernor
 from repro.kg.ontology import DATASET_GRAPH, LiDSOntology, table_uri
 from repro.pipelines.abstraction import PipelineScript
-from repro.rdf import RDF, Literal
+from repro.rdf import RDF, Literal, URIRef
 from repro.tabular import Table
 
 
@@ -164,6 +164,46 @@ class TestSimilarityAndLibraryCallsAgainstOracle:
             for k in (1, 3, 10):
                 top = platform.get_top_k_library_used(k)
                 assert row_dicts(top) == row_dicts(platform.get_top_used_libraries(k))
+
+    def test_library_rollup_follows_commits_and_rollbacks(self, governed_lake):
+        """The cross-graph roll-up is built once per store version: a use
+        read inside a batch that rolls back is gone after it, also when a
+        commit brings the store back to that version with other uses."""
+        platform, _ = governed_lake
+        store = platform.storage.graph
+        ontology, resource = LiDSOntology, "http://kglids.org/resource/rollup-test/"
+        graph = URIRef(resource + "graph")
+
+        def uses(name, task):
+            library, pipeline, statement = (URIRef(resource + part + name) for part in ("library/", "pipeline/", "s/"))
+            return [
+                (statement, ontology.callsLibrary, library),
+                (statement, ontology.isPartOf, pipeline),
+                (pipeline, ontology.hasTaskType, Literal(task)),
+                (library, ontology.hasName, Literal(name)),
+            ]
+
+        def names():
+            assert_discovery_matches_oracle(platform, (), ks=(3, 10_000))
+            return set(platform.get_top_used_libraries(10_000).column("library_name"))
+
+        def rolled_back():
+            with pytest.raises(RuntimeError, match="roll back"):
+                with store.write_batch():
+                    store.add_many(uses("zz_rolled_back", "classification"), graph)
+                    assert "zz_rolled_back" in names()
+                    raise RuntimeError("roll back")
+            return store.version + 4
+
+        assert not names() & {"zz_rolled_back", "zz_committed"}
+        rolled_back()
+        assert "zz_rolled_back" not in names()
+        inside = rolled_back()
+        store.add_many(uses("zz_committed", "regression"), graph)
+        assert store.version == inside
+        assert "zz_committed" in names() and "zz_rolled_back" not in names()
+        store.remove_graph(graph)
+        assert "zz_committed" not in names()
 
     def test_absent_task_is_an_empty_two_column_table(self, governed_lake):
         platform, _ = governed_lake

@@ -25,7 +25,10 @@ Pins the serving contracts:
 * ``RemoteLiDSClient`` retries with backoff through a flapping server and
   surfaces ``TransientError`` once the endpoint is genuinely down;
 * staleness is reported in commit versions (client ``stats()``, service
-  ``stats`` and the replica's ``replication_lag``).
+  ``stats`` and the replica's ``replication_lag``);
+* a replica answers a repeated query from its engine's answer memo until a
+  delta pull moves its store, and the ``stats`` RPC carries the engine's
+  counters.
 """
 
 from __future__ import annotations
@@ -369,6 +372,59 @@ def test_replica_server_lease_serves_fresh_reads(served_lake, tmp_path):
         assert canonical_json(remote.query(ordered)) == canonical_json(local)
     finally:
         remote.close()
+        replica_server.close()
+
+
+TABLES_QUERY = "SELECT ?table WHERE { ?table a kglids:Table } ORDER BY ?table"
+
+
+@pytest.mark.parametrize("durable_applies", [True, False], ids=["durable", "lazy"])
+def test_replica_answers_the_next_versions_rows_after_a_delta_pull(served_lake, tmp_path, durable_applies):
+    """A replica's engine answers a repeated query from its answer memo
+    until a delta pull moves the store; then it answers the new rows."""
+    service = served_lake["service"]
+    replica = Replica(
+        served_lake["server"].address,
+        ship_snapshot(served_lake["dir"], tmp_path / "replica"),
+        durable_applies=durable_applies,
+    )
+    try:
+        before = replica.client.query(TABLES_QUERY)
+        assert canonical_json(replica.client.query(TABLES_QUERY)) == canonical_json(before)
+        lake = DataLake("next")
+        lake.add_table("ds9", Table.from_dict("fresh", {"amount": [1.5, 2.5, 3.5, 4.5], "region": list("abcd")}))
+        service.submit_lake(lake).result(timeout=120)
+        service.drain()
+        assert replica.sync() is True
+        assert replica.stats["delta_pulls"] >= 1 and replica.stats["full_pulls"] == 0
+        after = replica.client.query(TABLES_QUERY)
+        assert after.num_rows == before.num_rows + 1
+        assert canonical_json(after) == canonical_json(LiDSClient(service).query(TABLES_QUERY))
+        assert replica.client.storage.engine.stats()["answers"] == {"hits": 1, "misses": 2}
+    finally:
+        replica.close()
+
+
+def test_stats_rpc_carries_the_engines_answer_counters(served_lake, tmp_path):
+    """The ``stats`` RPC carries ``SPARQLEngine.stats()``, so a replica's (and
+    the writer's) answer-memo hit ratio reads over the wire."""
+    replica = Replica(
+        served_lake["server"].address,
+        ship_snapshot(served_lake["dir"], tmp_path / "replica"),
+    )
+    replica_server = ReplicaServer(replica, lease=0.0)
+    remotes = [RemoteLiDSClient(replica_server.address), RemoteLiDSClient(served_lake["server"].address)]
+    try:
+        for remote in remotes:
+            before = remote.server_stats()["engine"]["answers"]
+            first = remote.query(TABLES_QUERY)
+            assert canonical_json(remote.query(TABLES_QUERY)) == canonical_json(first)
+            engine = remote.server_stats()["engine"]
+            assert set(engine) == {"pattern_memo", "filter_memo", "answers"}
+            assert engine["answers"] == {"hits": before["hits"] + 1, "misses": before["misses"] + 1}
+    finally:
+        for remote in remotes:
+            remote.close()
         replica_server.close()
 
 

@@ -201,7 +201,11 @@ class TestConcurrentReaders:
 
     def test_concurrent_filter_queries_share_one_engine(self):
         """FILTER verdict tables are per evaluation, not per engine: queries
-        racing on one engine neither crash nor lose counter updates."""
+        racing on one engine neither crash nor lose counter updates.
+
+        Every call sends a distinct text (a trailing comment), so each one
+        evaluates; a second race repeats one text, and its evaluations are
+        exactly the answer memo's misses."""
         store = QuadStore()
         for position in range(400):
             store.add(
@@ -221,29 +225,43 @@ class TestConcurrentReaders:
         engine = SPARQLEngine(store)
         failures = []
 
-        def reader(query):
-            for _ in range(self.CALLS):
+        def reader(query, distinct):
+            for call in range(self.CALLS):
                 try:
-                    rows = len(engine.select(query))
+                    text = f"{query} # {threading.get_ident()} {call}" if distinct else query
+                    rows = len(engine.select(text))
                     if rows != expected_rows[query]:
                         failures.append(f"{rows} rows, expected {expected_rows[query]}")
                 except Exception as error:  # noqa: BLE001 - the test reports any crash
                     failures.append(repr(error))
 
+        def race(queries, distinct):
+            threads = [threading.Thread(target=reader, args=(query, distinct)) for query in queries]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+
+        def filter_lookups():
+            counters = engine.stats()["filter_memo"]
+            return counters["hits"] + counters["misses"]
+
         queries = [many_filters if k % 2 else one_filter for k in range(self.THREADS)]
-        threads = [threading.Thread(target=reader, args=(query,)) for query in queries]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
-        counters = engine.stats()["filter_memo"]
-        assert counters["hits"] + counters["misses"] == self.CALLS * sum(
-            lookups[query] for query in queries
-        )
+        race(queries, distinct=True)
+        assert filter_lookups() == self.CALLS * sum(lookups[query] for query in queries)
+        assert engine.stats()["answers"] == {"hits": 0, "misses": self.THREADS * self.CALLS}
+
+        before = filter_lookups()
+        race([many_filters] * self.THREADS, distinct=False)
+        answers = engine.stats()["answers"]
+        assert answers["hits"] + answers["misses"] == 2 * self.THREADS * self.CALLS
+        evaluations = answers["misses"] - self.THREADS * self.CALLS
+        assert 1 <= evaluations <= self.THREADS  # a thread misses at most on its first call
+        assert filter_lookups() - before == evaluations * lookups[many_filters]

@@ -12,15 +12,21 @@ executor:
   save/reopen (shard residency and version monotonicity across
   invalidation are pinned in ``tests/test_persistent_governor.py``);
 * **Lookup memo** — a probe-mode join probes the index once per distinct
-  key and reports hit/miss counters through the engine.
+  key and reports hit/miss counters through the engine;
+* **Answer memo** — a repeated text at one store version is answered from
+  the engine's memo, and every answer still equals the oracle's across
+  adds, removes, committed and rolled-back batches and a ``reopen``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.rdf import (
     Literal,
@@ -29,12 +35,15 @@ from repro.rdf import (
     TermDictionary,
     URIRef,
 )
+from repro.rdf.namespace import DEFAULT_PREFIXES, Namespace
 from repro.rdf.serialize import serialize_nquads
 from repro.sparql import SPARQLEngine
+from repro.sparql import engine as engine_module
 from repro.sparql import join
 from repro.sparql.algebra import Aggregate, Var
 from repro.sparql.collate import aggregate_values
 from repro.sparql.columnar import UNBOUND, QueryEncoder, Relation
+from repro.sparql.parser import SPARQLSyntaxError, parse_query
 
 import sparql_oracle
 
@@ -604,11 +613,23 @@ class TestFilterPushdown:
         engine = SPARQLEngine(store)
         engine.select(self.FILTER_QUERY)
         first = engine.stats()["filter_memo"]
+        # A distinct text (a trailing comment) at the same version, then the
+        # first text at a new version: each is a fresh evaluation.
+        engine.select(self.FILTER_QUERY + " # again")
+        store.add(_uri("s0"), _uri("unrelated"), Literal(0), graph=_uri("g1"))
         engine.select(self.FILTER_QUERY)
-        # Verdict tables are per query, so the second run repeats the first.
+        # Verdict tables are per evaluation, so each run repeats the first.
         assert engine.stats()["filter_memo"] == {
-            name: 2 * value for name, value in first.items()
+            name: 3 * value for name, value in first.items()
         }
+        assert engine.stats()["answers"] == {"hits": 0, "misses": 3}
+        # A repeated text at one version is answered from the answer memo:
+        # no verdict is looked up again.
+        engine.select(self.FILTER_QUERY)
+        assert engine.stats()["filter_memo"] == {
+            name: 3 * value for name, value in first.items()
+        }
+        assert engine.stats()["answers"] == {"hits": 1, "misses": 3}
 
 
 class TestConcatFastPath:
@@ -795,3 +816,219 @@ class TestIdArrayScans:
         store = QuadStore()
         subjects, predicates, objects = store.match_id_arrays()
         assert len(subjects) == len(predicates) == len(objects) == 0
+
+
+CONFIGURATIONS = ["memory", "sqlite", "faulted-memory", "faulted-sqlite"]
+
+
+def assert_answer_is_the_oracles(store, result, query):
+    expected = sparql_oracle.select(store, query)
+    assert result.variables == expected.variables
+    key = ordered_key if "ORDER BY" in query else rows_key
+    assert key(result) == key(expected), query
+
+
+class TestAnswerMemo:
+    """``SPARQLEngine.evaluate`` answers a repeated text at one store version
+    from its memo, and never serves an answer the store has moved past."""
+
+    MEMO_QUERY = f"SELECT ?o WHERE {{ GRAPH <{EX}g1> {{ <{EX}s0> <{EX}memo> ?o }} }}"
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    def test_an_answer_read_inside_a_rolled_back_batch_is_not_served_after_it(
+        self, configuration, open_store, tmp_path
+    ):
+        store = make_random_store(3, open_store(configuration, tmp_path / "s.sqlite3"))
+        engine = SPARQLEngine(store)
+
+        def rolled_back(value):
+            with pytest.raises(RuntimeError, match="roll back"):
+                with store.write_batch():
+                    store.add(_uri("s0"), _uri("memo"), Literal(value), graph=_uri("g1"))
+                    assert engine.select(self.MEMO_QUERY).column("o") == [value]
+                    raise RuntimeError("roll back")
+            return store.version + 1
+
+        assert engine.select(self.MEMO_QUERY).rows == []
+        rolled_back("rolled back")
+        assert engine.select(self.MEMO_QUERY).rows == []
+        # Not asked after the rollback: one committed row brings the store
+        # back to the version the batch's answer was read at, with other
+        # contents.
+        inside = rolled_back("rolled back again")
+        store.add(_uri("s0"), _uri("memo"), Literal("committed"), graph=_uri("g1"))
+        assert store.version == inside
+        assert engine.select(self.MEMO_QUERY).column("o") == ["committed"]
+        assert engine.select(self.MEMO_QUERY).column("o") == ["committed"]
+        assert engine.stats()["answers"] == {"hits": 1, "misses": 5}
+        store.close()
+
+    def test_reopen_onto_a_replaced_file_answers_that_file(self, tmp_path):
+        served, replacement = tmp_path / "served.sqlite3", tmp_path / "replacement.sqlite3"
+        other = make_random_store(5, QuadStore.sqlite(replacement))
+        expected = {query: rows_key(SPARQLEngine(other).select(query)) for query in QUERY_SHAPES[:8]}
+        other.close()
+        store = make_random_store(3, QuadStore.sqlite(served))
+        engine = SPARQLEngine(store)
+        before = {query: rows_key(engine.select(query)) for query in expected}
+        assert before != expected
+        store.flush()
+        store.backend.checkpoint()
+        shutil.copyfile(replacement, served)
+        try:
+            store.reopen()
+            for query, rows in expected.items():
+                assert rows_key(engine.select(query)) == rows
+                assert_answer_is_the_oracles(store, engine.select(query), query)
+            assert engine.stats()["answers"] == {"hits": len(expected), "misses": 2 * len(expected)}
+        finally:
+            store.close()
+
+    def test_a_returned_result_is_the_callers_own(self):
+        engine = SPARQLEngine(make_random_store(11))
+        query = QUERY_SHAPES[1]
+        first = engine.select(query)
+        expected = (list(first.variables), ordered_key(first))
+        assert expected[1]
+        for result in (first, engine.select(query)):
+            result.rows[0][result.variables[0]] = "mutated"
+            result.rows.append({})
+            result.variables.append("extra")
+            again = engine.select(query)
+            assert (again.variables, ordered_key(again)) == expected
+        assert engine.stats()["answers"] == {"hits": 3, "misses": 1}
+
+    def test_only_texts_read_under_the_engines_prefixes_are_memoized(self):
+        """The key is the text: a text read under another prefix map, or a
+        query built without text, always evaluates."""
+        store = make_random_store(3)
+        ours = {**DEFAULT_PREFIXES, "ex": Namespace(EX)}
+        engine = SPARQLEngine(store, prefixes=ours)
+        text = "SELECT ?o WHERE { ex:s0 ex:p0 ?o }"
+        answer = engine.select(text)
+        assert answer.rows and rows_key(engine.select(text)) == rows_key(answer)
+        elsewhere = parse_query(text, {**DEFAULT_PREFIXES, "ex": Namespace("http://elsewhere.org/")})
+        assert engine.evaluate(elsewhere).rows == []
+        hand_built = parse_query(text, ours)
+        hand_built.text = None
+        for _ in range(2):
+            assert rows_key(engine.evaluate(hand_built)) == rows_key(answer)
+        assert engine.stats()["answers"] == {"hits": 1, "misses": 4}
+
+    def test_a_malformed_query_raises_on_every_call(self):
+        engine = SPARQLEngine(make_random_store(3))
+        for _ in range(3):
+            with pytest.raises(SPARQLSyntaxError):
+                engine.select(f"SELECT ?s WHERE {{ ?s <{EX}p0> ")
+        assert engine.stats()["answers"] == {"hits": 0, "misses": 0}
+
+    def test_a_query_that_raised_is_not_memoized(self, monkeypatch):
+        store = make_random_store(3)
+        engine = SPARQLEngine(store)
+        collate, failures = engine_module.collate, [RuntimeError("collation failed")]
+
+        def failing_once(*args):
+            if failures:
+                raise failures.pop()
+            return collate(*args)
+
+        monkeypatch.setattr(engine_module, "collate", failing_once)
+        with pytest.raises(RuntimeError, match="collation failed"):
+            engine.select(QUERY_SHAPES[0])
+        assert_answer_is_the_oracles(store, engine.select(QUERY_SHAPES[0]), QUERY_SHAPES[0])
+        assert engine.stats()["answers"] == {"hits": 0, "misses": 2}
+
+    def test_the_memo_holds_at_most_its_row_bound(self, monkeypatch):
+        engine = SPARQLEngine(make_random_store(11))
+        small, other, large = QUERY_SHAPES[1], QUERY_SHAPES[5], QUERY_SHAPES[0]  # 28, 4, 56 rows
+        monkeypatch.setattr(engine_module, "ANSWER_MEMO_ROWS", 30)
+        for query in (small, small, other, small, large, large):
+            engine.select(query)
+        # small is kept; other overfills the memo, which empties and keeps
+        # other alone; large alone is over the bound and never kept.
+        assert engine.stats()["answers"] == {"hits": 1, "misses": 5}
+        assert engine._answer_rows <= 30
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    def test_answers_equal_the_oracle_across_interleaved_writes(self, configuration, open_store, tmp_path):
+        """Queries interleaved with adds, removes, committed batches and
+        rolled-back batches (queried inside too): every answer is the oracle's.
+
+        A ``rewind`` step reads inside a batch that rolls back, then commits
+        as many other new rows, so the store is back at the version the
+        rolled-back read saw, with other contents."""
+        subjects = st.integers(0, 11).map(lambda i: _uri(f"s{i}"))
+        objects = st.one_of(subjects, st.integers(0, 9).map(Literal))
+        triples = st.tuples(
+            subjects, st.integers(0, 3).map(lambda i: _uri(f"p{i}")), objects,
+            st.sampled_from([_uri("g1"), _uri("g2")]),
+        )
+        # A query step names one of the example's few shapes, so texts repeat
+        # across the writes between them.
+        queries = st.integers(0, 2)
+        operations = st.lists(
+            st.one_of(
+                st.tuples(st.just("query"), queries),
+                st.tuples(st.just("add"), triples),
+                st.tuples(st.just("remove"), triples),
+                st.tuples(st.just("annotate"), triples, st.integers(0, 9)),
+                st.tuples(st.just("batch"), st.lists(triples, max_size=3), queries, st.booleans(), st.booleans()),
+                st.tuples(st.just("rewind"), st.lists(triples, min_size=1, max_size=3), queries),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+        paths, fresh, hits = itertools.count(), itertools.count(), []
+
+        @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(st.lists(st.integers(0, len(QUERY_SHAPES) - 1), min_size=3, max_size=3), operations)
+        def run(shapes, steps):
+            store = make_random_store(3, open_store(configuration, tmp_path / f"s{next(paths)}.sqlite3"), 4)
+            engine = SPARQLEngine(store)
+            try:
+                for step in steps:
+                    kind = step[0]
+                    if kind == "query":  # asked twice: the second is a memo hit
+                        query = QUERY_SHAPES[shapes[step[1]]]
+                        for _ in range(2):
+                            assert_answer_is_the_oracles(store, engine.select(query), query)
+                    elif kind == "add":
+                        store.add(*step[1])
+                    elif kind == "remove":
+                        store.remove(*step[1])
+                    elif kind == "annotate":
+                        subject, _, obj, graph = step[1]
+                        store.annotate(subject, _uri("p0"), obj, _uri("certainty"), Literal(step[2] / 10), graph)
+                    elif kind == "rewind":
+                        query = QUERY_SHAPES[shapes[step[2]]]
+                        for outcome in ("roll back", "commit"):
+                            try:
+                                with store.write_batch():
+                                    for subject, predicate, _, graph in step[1]:
+                                        store.add(subject, predicate, Literal(f"new {next(fresh)}"), graph)
+                                    if outcome == "roll back":
+                                        assert_answer_is_the_oracles(store, engine.select(query), query)
+                                        raise KeyError(outcome)
+                            except KeyError:
+                                pass
+                        assert_answer_is_the_oracles(store, engine.select(query), query)
+                    else:
+                        _, rows, shape, commit, ask_after = step
+                        query = QUERY_SHAPES[shapes[shape]]
+                        try:
+                            with store.write_batch():
+                                for row in rows:
+                                    store.add(*row)
+                                assert_answer_is_the_oracles(store, engine.select(query), query)
+                                if not commit:
+                                    raise KeyError("roll back")
+                        except KeyError:
+                            pass
+                        if ask_after:
+                            assert_answer_is_the_oracles(store, engine.select(query), query)
+                hits.append(engine.stats()["answers"]["hits"])
+            finally:
+                store.close()
+
+        run()
+        assert sum(hits) > 0, "no example answered from the memo"
