@@ -49,10 +49,10 @@ class PreparedFrame:
     """A response serialized to frame-body bytes ahead of time.
 
     :func:`send_frame` ships the bytes verbatim, skipping the per-send
-    ``json.dumps``.  The writer's delta cache leans on this: one replication
-    window is serialized once and the same bytes fan out to every replica
-    pulling it — the dominant cost of a multi-megabyte delta response is the
-    serialization, not the loopback transfer.
+    ``json.dumps``.  The dispatcher's frame memo leans on this: a repeated
+    request at one store version — a replication window pulled by N
+    replicas, a discovery call asked again — is serialized once and the
+    same bytes are sent to every asker.
     """
 
     __slots__ = ("body",)

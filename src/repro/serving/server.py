@@ -12,6 +12,10 @@ families share the connection:
   per-commit row ops (when the store's delta log can bridge the gap) or
   full row dumps of just the changed graphs.
 
+A ``delta`` pull and a call of :data:`MEMOIZED_CALLS` are answered from the
+dispatcher's frame memo when the same request was answered at the current
+``store.version`` (see :meth:`RequestDispatcher._memoized`).
+
 Mutations never cross this wire: replicas are read-only by construction
 and the writer's ingestion arrives through the governor service / crawler,
 not RPC.
@@ -19,6 +23,7 @@ not RPC.
 
 from __future__ import annotations
 
+import json
 import socket
 import socketserver
 import sys
@@ -59,6 +64,33 @@ READ_METHODS = frozenset(
         "stats",
     }
 )
+
+#: The ``call`` names whose answer is a function of the committed graph
+#: alone, so a repeat at one ``store.version`` is served the frame the first
+#: ask built.  ``query`` and ``get_pipelines_calling_libraries`` stay out:
+#: the SPARQL engine's answer memo owns SPARQL, so every query still reaches
+#: ``SPARQLEngine.evaluate``.  ``statistics`` stays out because it counts
+#: models and embeddings, which live outside the store.
+MEMOIZED_CALLS = frozenset(
+    {
+        "search_keywords",
+        "get_unionable_tables",
+        "get_joinable_tables",
+        "find_unionable_columns",
+        "get_path_to_table",
+        "get_shortest_path_between_tables",
+        "get_top_k_library_used",
+        "get_top_used_libraries",
+        "recommend_hyperparameters",
+    }
+)
+
+#: The most frame bytes one dispatcher keeps; a frame that would overfill
+#: the memo empties it first, and a larger frame is not kept.
+FRAME_MEMO_BYTES = 8 << 20
+
+#: The canonical text of a request's params: the frame memo's key.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def compute_delta(store: QuadStore, since_version: int, since_terms: int) -> Dict[str, Any]:
@@ -162,28 +194,26 @@ class RequestDispatcher:
         self.store = store if store is not None else client.storage.graph
         self.extra_stats = extra_stats
         self.on_shutdown = on_shutdown
-        #: Delta responses already serialized to frame bytes, keyed by the
-        #: follower's ``(since_version, since_terms)`` position and stamped
-        #: with the writer version they describe.  N replicas syncing on the
-        #: same cadence ask for the same window within one commit's
-        #: lifetime; serializing that window once turns the writer's delta
-        #: fan-out cost from O(replicas) into O(1) per commit.
-        self._delta_cache: Dict[Tuple[int, int], Tuple[int, PreparedFrame]] = {}
-        self._delta_lock = threading.Lock()
-        self.delta_cache_hits = 0
-        self.delta_cache_misses = 0
+        #: Answered requests as frame bytes, keyed by method and canonical
+        #: params, for one ``store.version`` (:meth:`_memoized`).
+        self._frames: Dict[str, PreparedFrame] = {}
+        self._frames_version = -1
+        self._frames_lock = threading.Lock()
+        self.frame_hits = self.frame_misses = self.frame_bytes = 0
 
     def dispatch(self, request: Any) -> Any:
         """One decoded request frame in, one response in.
 
         Usually a response *object* for :func:`send_frame` to serialize; a
-        hot delta pull returns a :class:`PreparedFrame` of cached bytes.
+        memoized request returns a :class:`PreparedFrame`.
         """
         try:
             if not isinstance(request, dict):
                 raise ProtocolError("request frame must be an object")
             method = request.get("method")
             params = request.get("params") or {}
+            if method == "delta" or (method == "call" and params.get("name") in MEMOIZED_CALLS):
+                return self._memoized(method, params)
             if method == "ping":
                 result: Any = {
                     "role": self.role,
@@ -191,8 +221,6 @@ class RequestDispatcher:
                 }
             elif method == "stats":
                 result = self._stats()
-            elif method == "delta":
-                return self._delta_response(params)
             elif method == "call":
                 result = self._call(params)
             elif method == "shutdown":
@@ -212,37 +240,55 @@ class RequestDispatcher:
                 },
             }
 
-    def _delta_response(self, params: Dict[str, Any]) -> PreparedFrame:
-        """One delta pull, answered from the serialized-frame cache when hot.
+    def _memoized(self, method: str, params: Dict[str, Any]) -> PreparedFrame:
+        """One memoizable request, answered from the frame memo when hot.
 
-        A cached frame is served only while the writer still sits at the
-        version the frame describes, so a follower can never observe a
-        rolled-forward writer through stale bytes — at worst it re-pulls on
-        its next lease tick.
+        The key is the method plus the canonical text of its params; the
+        memo holds frames for one ``store.version``, read inside a read view
+        that spans the work, so a frame is served only at the state it was
+        built from.  Every commit, replica apply and ``reopen`` moves the
+        version and empties the memo.  Nothing is kept or served inside an
+        open write batch (a rollback winds the version back; such a request
+        counts as neither hit nor miss), and a request that raised keeps
+        nothing: its error frame is built anew on every call.  N replicas
+        pulling one window get one serialization per commit.
         """
-        since = (int(params.get("since_version", 0)), int(params.get("since_terms", 1)))
-        with self._delta_lock:
-            cached = self._delta_cache.get(since)
-            if cached is not None and cached[0] == self.store.commit_version:
-                self.delta_cache_hits += 1
-                return cached[1]
-        payload = compute_delta(self.store, *since)
-        frame = PreparedFrame({"ok": True, "result": payload})
-        with self._delta_lock:
-            self.delta_cache_misses += 1
-            if payload["changed"]:
-                # Noop responses are cheaper to recompute than to track.
-                if len(self._delta_cache) >= 8:
-                    self._delta_cache.pop(next(iter(self._delta_cache)))
-                self._delta_cache[since] = (int(payload["version"]), frame)
+        key = method + _canonical(params)
+        store = self.store
+        with store.read_view():
+            memo = not store.in_write_batch
+            if memo:
+                with self._frames_lock:
+                    if self._frames_version != store.version:
+                        self._frames, self._frames_version, self.frame_bytes = {}, store.version, 0
+                    frame = self._frames.get(key)
+                    if frame is not None:
+                        self.frame_hits += 1
+                        return frame
+                    self.frame_misses += 1
+            if method == "delta":
+                payload = compute_delta(
+                    store, int(params.get("since_version", 0)), int(params.get("since_terms", 1))
+                )
+            else:
+                payload = encode_value(self._call(params))
+            frame = PreparedFrame({"ok": True, "result": payload})
+            size = len(frame.body)
+            if memo and size <= FRAME_MEMO_BYTES:
+                with self._frames_lock:
+                    if self.frame_bytes + size > FRAME_MEMO_BYTES:
+                        self._frames, self.frame_bytes = {}, 0
+                    if self._frames.setdefault(key, frame) is frame:
+                        self.frame_bytes += size
         return frame
 
     def _stats(self) -> Dict[str, Any]:
         payload = self.client.stats()
         payload["role"] = self.role
-        payload["delta_cache"] = {
-            "hits": self.delta_cache_hits,
-            "misses": self.delta_cache_misses,
+        payload["frames"] = {
+            "hits": self.frame_hits,
+            "misses": self.frame_misses,
+            "bytes": self.frame_bytes,
         }
         if self.extra_stats is not None:
             payload.update(self.extra_stats())

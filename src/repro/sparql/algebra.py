@@ -124,8 +124,6 @@ class SelectQuery:
     order_by: List[Tuple[Any, bool]] = field(default_factory=list)  # (Var|Aggregate alias, ascending)
     limit: Optional[int] = None
     offset: int = 0
-    text: Optional[str] = None  # set by parse_query, with the prefix map it read the text under
-    prefixes: Any = None
 
     def is_select_star(self) -> bool:
         return not self.variables

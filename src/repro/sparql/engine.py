@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import gc
 import threading
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Union
 
 from repro.rdf.namespace import DEFAULT_PREFIXES
 from repro.rdf.store import QuadStore
@@ -122,8 +122,8 @@ class SPARQLEngine:
             return {kind: dict(counters) for kind, counters in self._stats.items()}
 
     def select(self, query: str) -> SelectResult:
-        """Parse and evaluate a SELECT query."""
-        return self.evaluate(parse_query(query, self.prefixes))
+        """Evaluate a SELECT query text; it is parsed only on a memo miss."""
+        return self.evaluate(query)
 
     def explain(self, query) -> List[str]:
         """The planned evaluation order of the query's top-level group.
@@ -138,8 +138,8 @@ class SPARQLEngine:
         elements = reorder_elements(self.store, parsed.where.elements, {}, None)
         return [describe_element(element) for element in elements]
 
-    def evaluate(self, query: SelectQuery) -> SelectResult:
-        """Evaluate an already-parsed query.
+    def evaluate(self, query: Union[str, SelectQuery]) -> SelectResult:
+        """Evaluate a query text (read under this engine's prefixes) or a parsed query.
 
         Evaluation runs inside one store read view, so the result reflects a
         single committed state even while a governor service is applying
@@ -147,25 +147,31 @@ class SPARQLEngine:
         half-applied ingestion batch.  A shard the query touches loads once
         and stays resident.
 
-        The answer memo: a query :func:`~repro.sparql.parser.parse_query`
-        read under this engine's prefixes is answered from it when its text
-        was answered at the current :attr:`QuadStore.version`, read in the
-        view.  Every commit, replica apply and ``reopen`` moves the version
-        and empties the memo.  Nothing is kept or served inside an open
-        write batch (a rollback winds the version back) or kept from a query
-        that raised; at most :data:`ANSWER_MEMO_ROWS` rows are kept, and a
-        result shares no row or list with the memo.
+        The answer memo: a text is answered from it when it was answered at
+        the current :attr:`QuadStore.version`, read in the view, and is
+        parsed only on a miss; a parsed :class:`SelectQuery` always
+        evaluates.  Every commit, replica apply and ``reopen`` moves the
+        version and empties the memo.  Nothing is kept or served inside an
+        open write batch (a rollback winds the version back) or kept from a
+        query that raised; a text that fails to parse raises on every call
+        and counts as neither hit nor miss.  At most
+        :data:`ANSWER_MEMO_ROWS` rows are kept, and a result shares no row
+        or list with the memo.
         """
         store = self.store
         with store.read_view():
-            key = query.text if query.prefixes is self.prefixes and not store.in_write_batch else None
+            key = query if isinstance(query, str) and not store.in_write_batch else None
             with self._stats_lock:
                 if self._answers_version != store.version:
                     self._answers, self._answers_version, self._answer_rows = {}, store.version, 0
                 kept = self._answers.get(key)
-                self._stats["answers"]["misses" if kept is None else "hits"] += 1
+                if kept is not None:
+                    self._stats["answers"]["hits"] += 1
             if kept is None:
-                kept = self._evaluate(query)
+                parsed = parse_query(query, self.prefixes) if isinstance(query, str) else query
+                with self._stats_lock:
+                    self._stats["answers"]["misses"] += 1
+                kept = self._evaluate(parsed)
                 if key is None or not self._keep(key, kept):
                     return kept
         return SelectResult(list(kept.variables), [dict(row) for row in kept.rows])

@@ -482,12 +482,5 @@ class _Parser:
 
 
 def parse_query(query: str, prefixes: Optional[Dict[str, Namespace]] = None) -> SelectQuery:
-    """Parse a SPARQL SELECT query into its algebra representation.
-
-    The result records ``query`` and the prefix map it was read under: the
-    key of :meth:`~repro.sparql.engine.SPARQLEngine.evaluate`'s answer memo.
-    """
-    prefixes = prefixes or DEFAULT_PREFIXES
-    parsed = _Parser(_tokenize(query), prefixes).parse()
-    parsed.text, parsed.prefixes = query, prefixes
-    return parsed
+    """Parse a SPARQL SELECT query into its algebra representation."""
+    return _Parser(_tokenize(query), prefixes or DEFAULT_PREFIXES).parse()

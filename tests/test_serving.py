@@ -28,7 +28,12 @@ Pins the serving contracts:
   ``stats`` and the replica's ``replication_lag``);
 * a replica answers a repeated query from its engine's answer memo until a
   delta pull moves its store, and the ``stats`` RPC carries the engine's
-  counters.
+  counters;
+* the writer and a replica answer a repeated discovery call or delta pull
+  at one store version with the frame they already built: never a frame
+  built inside a rolled-back batch or at an older version, never an error
+  frame kept, ``stats`` and ``statistics`` never kept, and the memo within
+  its byte bound.
 """
 
 from __future__ import annotations
@@ -67,7 +72,9 @@ from repro.serving import (
     decode_value,
     encode_value,
 )
-from repro.serving.protocol import unpack_ids
+from repro.serving import server as server_module
+from repro.serving.protocol import PreparedFrame, unpack_ids
+from repro.serving.server import MEMOIZED_CALLS, RequestDispatcher
 from repro.sparql import SPARQLEngine
 from repro.tabular import Column, DataLake, Table
 
@@ -1122,3 +1129,284 @@ def test_staleness_is_reported_in_versions(served_lake, tmp_path):
         assert replica.replication_lag == 0
     finally:
         replica.close()
+
+
+# ---------------------------------------------------------------- frame memo
+#: One call of each memoized method over ``served_corpus``; the arguments
+#: name ``table_late``, which the memo tests govern between two asks.
+MEMO_CALLS = {
+    "search_keywords": ([["ds0", "amount"], "table_late"],),
+    "get_unionable_tables": ("ds0", "table_0", 10_000),
+    "get_joinable_tables": ("ds0", "table_0", 10_000),
+    "find_unionable_columns": ("ds0", "table_late", "ds0", "table_0"),
+    "get_path_to_table": ("ds0", "table_late", 3),
+    "get_shortest_path_between_tables": ("ds0", "table_late", "ds1", "table_5"),
+    "get_top_k_library_used": (10,),
+    "get_top_used_libraries": (10, "classification"),
+    "recommend_hyperparameters": ("sklearn.ensemble.RandomForestClassifier",),
+}
+
+
+def late_lake() -> DataLake:
+    """One table shaped like ``make_lake``'s, so it is unionable with them."""
+    lake = DataLake("late")
+    rng = np.random.RandomState(29)
+    lake.add_table(
+        "ds0",
+        Table.from_dict(
+            "table_late",
+            {
+                "amount": list(rng.normal(100, 5, 8)),
+                "quantity": list(rng.randint(1, 50, 8)),
+                "region": ["north", "south", "east", "west"] * 2,
+            },
+        ),
+    )
+    return lake
+
+
+@pytest.fixture
+def served_corpus(served_lake):
+    """``served_lake`` with a pipeline corpus, saved for replicas to ship."""
+    from repro.datagen import generate_pipeline_corpus
+
+    served_lake["service"].submit_pipelines(
+        generate_pipeline_corpus(make_lake(6), pipelines_per_table=2, seed=5)
+    ).result(timeout=120)
+    served_lake["governor"].save(served_lake["dir"])
+    return served_lake
+
+
+def call_request(name, *args):
+    return {"method": "call", "params": {"name": name, "args": encode_value(list(args)), "kwargs": {}}}
+
+
+def answer_of(response):
+    """The decoded result of one dispatched response (object or frame bytes)."""
+    if isinstance(response, PreparedFrame):
+        response = json.loads(response.body)
+    assert response["ok"], response
+    return decode_value(response["result"])
+
+
+@pytest.fixture
+def dispatcher():
+    """A dispatcher over an in-process governor of four tables."""
+    governor = KGGovernor()
+    governor.add_data_lake(make_lake(4))
+    yield RequestDispatcher(LiDSClient(governor))
+    governor.close()
+
+
+class TestFrameMemo:
+    """``RequestDispatcher`` answers a repeated delta pull or memoized call at
+    one ``store.version`` with the frame it already built, and never serves a
+    frame the store has moved past."""
+
+    def test_the_calls_here_are_the_allow_list(self):
+        assert set(MEMO_CALLS) == MEMOIZED_CALLS
+        assert not MEMOIZED_CALLS & {"query", "statistics", "stats", "get_pipelines_calling_libraries"}
+
+    @pytest.mark.parametrize("side", ["writer", "replica"])
+    @pytest.mark.parametrize("method", sorted(MEMO_CALLS))
+    def test_a_repeated_call_is_a_hit_until_a_commit_reaches_the_endpoint(
+        self, served_corpus, tmp_path, method, side
+    ):
+        """Asked twice, the second ask is a hit and both answers are the
+        in-process client's; after a commit (and, on a replica, the delta
+        pull its zero lease makes) the first ask is a miss that answers the
+        new graph."""
+        from repro.datagen import generate_pipeline_corpus
+
+        service, writer = served_corpus["service"], served_corpus["client"]
+        replica_server = None
+        address = served_corpus["server"].address
+        if side == "replica":
+            replica = Replica(address, ship_snapshot(served_corpus["dir"], tmp_path / "replica"))
+            replica_server = ReplicaServer(replica, lease=0.0)
+            address = replica_server.address
+        remote = RemoteLiDSClient(address)
+        args = MEMO_CALLS[method]
+        try:
+            expected = []
+            for step in ("before", "after"):
+                if step == "after":
+                    service.submit_lake(late_lake()).result(timeout=120)
+                    service.submit_pipelines(
+                        generate_pipeline_corpus(late_lake(), pipelines_per_table=3, seed=7)
+                    ).result(timeout=120)
+                    service.drain()
+                frames = remote.server_stats()["frames"]
+                answers = [canonical_json(getattr(remote, method)(*args)) for _ in range(2)]
+                counted = remote.server_stats()["frames"]
+                assert (counted["hits"] - frames["hits"], counted["misses"] - frames["misses"]) == (1, 1)
+                expected.append(canonical_json(getattr(writer, method)(*args)))
+                assert answers == [expected[-1]] * 2
+            if method != "recommend_hyperparameters":  # its argmax need not move
+                assert expected[0] != expected[1]
+        finally:
+            remote.close()
+            if replica_server is not None:
+                replica_server.close()
+
+    def test_statistics_is_not_memoized(self, served_lake):
+        remote = RemoteLiDSClient(served_lake["server"].address)
+        try:
+            first = remote.statistics()
+            assert remote.statistics() == first
+            served_lake["governor"].storage.register_model("late_model", object())
+            assert remote.statistics()["num_models"] == first["num_models"] + 1
+            assert canonical_json(remote.statistics()) == canonical_json(served_lake["client"].statistics())
+            assert remote.server_stats()["frames"] == {"hits": 0, "misses": 0, "bytes": 0}
+        finally:
+            remote.close()
+
+    def test_followers_pulling_one_window_share_its_frame_until_the_writer_commits(self, served_lake):
+        service, store = served_lake["service"], served_lake["governor"].storage.graph
+        since = (store.commit_version, store.dictionary.next_id)
+        service.submit_lake(late_lake()).result(timeout=120)
+        service.drain()
+        followers = [RemoteLiDSClient(served_lake["server"].address) for _ in range(2)]
+        try:
+            pulls = [json.dumps(follower.delta(*since), sort_keys=True) for follower in followers]
+            assert pulls[0] == pulls[1]
+            first = json.loads(pulls[0])
+            assert first["changed"] and first["version"] == store.commit_version
+            assert followers[0].server_stats()["frames"]["hits"] == 1
+            service.submit_retract("ds0", "table_late").result(timeout=120)
+            service.drain()
+            third = followers[1].delta(*since)
+            assert third["version"] == store.commit_version > first["version"]
+            frames = followers[1].server_stats()["frames"]
+            assert (frames["hits"], frames["misses"]) == (1, 2)
+        finally:
+            for follower in followers:
+                follower.close()
+
+    def test_a_frame_built_inside_a_rolled_back_batch_is_not_served_after_it(self, dispatcher):
+        store = dispatcher.store
+        request = call_request("search_keywords", "ghost")
+        dataset = store.value(table_uri("ds0", "table_0"), LiDSOntology.isPartOf, graph=DATASET_GRAPH)
+
+        def ghost_rows(name):
+            ghost = URIRef(f"http://example.org/{name}")
+            return [
+                (ghost, URIRef("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"), LiDSOntology.Table),
+                (ghost, LiDSOntology.hasName, Literal(name)),
+                (ghost, LiDSOntology.isPartOf, dataset),
+            ]
+
+        def tables(response):
+            return list(answer_of(response).column("table"))
+
+        assert tables(dispatcher.dispatch(request)) == []
+        with pytest.raises(RuntimeError, match="roll back"):
+            with store.write_batch():
+                for row in ghost_rows("ghost_table"):
+                    store.add(*row, graph=DATASET_GRAPH)
+                inside = store.version
+                assert tables(dispatcher.dispatch(request)) == ["ghost_table"]
+                raise RuntimeError("roll back")
+        # The inside ask was neither kept nor counted.
+        assert (dispatcher.frame_hits, dispatcher.frame_misses) == (0, 1)
+        assert tables(dispatcher.dispatch(request)) == []
+        # As many committed rows as the batch held bring the store back to
+        # the version the batch's frame was built at, with other contents.
+        for index, row in enumerate(ghost_rows("other")):
+            store.add(row[0], LiDSOntology.hasName, Literal(f"unrelated {index}"), graph=URIRef("http://example.org/g"))
+        assert store.version == inside
+        assert tables(dispatcher.dispatch(request)) == []
+        assert tables(dispatcher.dispatch(request)) == []
+        assert (dispatcher.frame_hits, dispatcher.frame_misses) == (2, 2)
+
+    def test_a_call_that_raised_answers_its_error_on_every_call(self, dispatcher):
+        request = call_request("search_keywords", 5)
+        for _ in range(3):
+            response = dispatcher.dispatch(request)
+            assert not isinstance(response, PreparedFrame)
+            assert response["ok"] is False and response["error"]["type"] == "TypeError"
+        assert (dispatcher.frame_hits, dispatcher.frame_misses, dispatcher.frame_bytes) == (0, 3, 0)
+
+    def test_stats_is_never_memoized(self, dispatcher):
+        for k, request in enumerate(({"method": "stats"}, call_request("stats"))):
+            first = dispatcher.dispatch(request)
+            dispatcher.dispatch(call_request("get_unionable_tables", "ds0", "table_0", k + 1))
+            second = dispatcher.dispatch(request)
+            assert not isinstance(first, PreparedFrame) and not isinstance(second, PreparedFrame)
+            assert answer_of(second)["frames"]["misses"] == answer_of(first)["frames"]["misses"] + 1
+
+    def test_the_memo_holds_at_most_its_byte_bound(self, dispatcher, monkeypatch):
+        small, other = (call_request("get_unionable_tables", "ds0", "table_0", k) for k in (1, 2))
+        large = call_request("search_keywords", [])
+        sizes = {
+            name: len(dispatcher.dispatch(request).body)
+            for name, request in (("small", small), ("other", other), ("large", large))
+        }
+        bound = sizes["small"] + sizes["other"] - 1
+        assert sizes["large"] > bound
+        monkeypatch.setattr(server_module, "FRAME_MEMO_BYTES", bound)
+        dispatcher = RequestDispatcher(dispatcher.client)
+        for request in (small, small, other, small, large, large):
+            dispatcher.dispatch(request)
+            assert dispatcher.frame_bytes <= bound
+        # small is kept and hit; other overfills, so the memo empties and
+        # keeps other alone; small again empties it once more; large is
+        # over the bound and never kept.
+        assert (dispatcher.frame_hits, dispatcher.frame_misses) == (1, 5)
+        assert dispatcher.frame_bytes == sizes["small"]
+
+    def test_racing_readers_answer_like_the_in_process_client_once_commits_stop(self, served_lake):
+        """Eight client threads call the memoized methods while the service
+        governs and retracts tables: no call fails, and once the writer is
+        quiet every answer is the in-process client's."""
+        service, writer = served_lake["service"], served_lake["client"]
+        address = served_lake["server"].address
+        calls = [
+            ("get_unionable_tables", ("ds0", "table_0", 10_000)),
+            ("get_joinable_tables", ("ds1", "table_1", 10_000)),
+            ("search_keywords", ([],)),
+            ("get_path_to_table", ("ds0", "table_late", 3)),
+            ("find_unionable_columns", ("ds0", "table_late", "ds0", "table_2")),
+        ]
+        stop, errors, asked = threading.Event(), [], []
+
+        def reader():
+            remote = RemoteLiDSClient(address)
+            try:
+                while not stop.is_set():
+                    for method, args in calls:
+                        getattr(remote, method)(*args)
+                        asked.append(method)
+            except BaseException as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+            finally:
+                remote.close()
+
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        for thread in threads:
+            thread.start()
+        try:
+            for _ in range(2):
+                service.submit_lake(late_lake()).result(timeout=120)
+                service.submit_retract("ds0", "table_late").result(timeout=120)
+            service.submit_lake(late_lake()).result(timeout=120)
+            service.drain()
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert len(asked) > len(calls) * len(threads)
+        remote = RemoteLiDSClient(address)
+        try:
+            for method, args in calls:
+                assert canonical_json(getattr(remote, method)(*args)) == canonical_json(getattr(writer, method)(*args))
+            assert remote.server_stats()["frames"]["hits"] > 0
+        finally:
+            remote.close()
+        memo = served_lake["server"].dispatcher
+        assert memo.frame_bytes == sum(len(frame.body) for frame in memo._frames.values())

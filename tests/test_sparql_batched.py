@@ -899,20 +899,20 @@ class TestAnswerMemo:
         assert engine.stats()["answers"] == {"hits": 3, "misses": 1}
 
     def test_only_texts_read_under_the_engines_prefixes_are_memoized(self):
-        """The key is the text: a text read under another prefix map, or a
-        query built without text, always evaluates."""
+        """The key is the text the engine reads under its own prefixes: a
+        parsed query, under another prefix map or under the engine's own,
+        always evaluates."""
         store = make_random_store(3)
         ours = {**DEFAULT_PREFIXES, "ex": Namespace(EX)}
         engine = SPARQLEngine(store, prefixes=ours)
         text = "SELECT ?o WHERE { ex:s0 ex:p0 ?o }"
         answer = engine.select(text)
-        assert answer.rows and rows_key(engine.select(text)) == rows_key(answer)
+        assert answer.rows and rows_key(engine.evaluate(text)) == rows_key(answer)
         elsewhere = parse_query(text, {**DEFAULT_PREFIXES, "ex": Namespace("http://elsewhere.org/")})
         assert engine.evaluate(elsewhere).rows == []
-        hand_built = parse_query(text, ours)
-        hand_built.text = None
+        parsed = parse_query(text, ours)
         for _ in range(2):
-            assert rows_key(engine.evaluate(hand_built)) == rows_key(answer)
+            assert rows_key(engine.evaluate(parsed)) == rows_key(answer)
         assert engine.stats()["answers"] == {"hits": 1, "misses": 4}
 
     def test_a_malformed_query_raises_on_every_call(self):
