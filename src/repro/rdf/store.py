@@ -11,10 +11,9 @@ Terms are dictionary-encoded: the backend's shared
 :class:`~repro.rdf.terms.TermDictionary` interns every distinct term to one
 integer id and the indexes store id-triples.  This class is the translation
 boundary — the public API stays term-based (``add``/``match``/``triples``
-accept and yield term objects exactly as before), while the SPARQL engine's
-batched executor talks to the id-level API (:meth:`match_ids`,
-:meth:`match_quoted_ids`, :attr:`dictionary`) and only decodes ids at FILTER
-evaluation and final projection.
+accept and yield term objects exactly as before), while the SPARQL engine
+reads the backend's id-level indexes and :attr:`dictionary` directly and only
+decodes ids at FILTER evaluation and final projection.
 """
 
 from __future__ import annotations
@@ -775,23 +774,9 @@ class QuadStore:
         )
         if _ABSENT in ids:
             return
-        for triple, graph_name in self.match_quoted_ids(*ids, graph=graph):
-            yield self._decode_triple(triple), graph_name
-
-    def match_quoted_ids(
-        self,
-        inner_subject_id: Optional[int] = None,
-        inner_predicate_id: Optional[int] = None,
-        inner_object_id: Optional[int] = None,
-        predicate_id: Optional[int] = None,
-        object_id: Optional[int] = None,
-        graph: Optional[URIRef] = None,
-    ) -> Iterator[Tuple[IdTriple, URIRef]]:
-        """Id-level :meth:`match_quoted` (see :meth:`match_ids`)."""
-        ids = (inner_subject_id, inner_predicate_id, inner_object_id, predicate_id, object_id)
         for graph_name, index in self._backend.items(graph):
             for triple in index.match_quoted(*ids):
-                yield triple, graph_name
+                yield self._decode_triple(triple), graph_name
 
     def estimate_quoted_matches(
         self,

@@ -95,12 +95,6 @@ class QueryEncoder:
             return self._local_values[-term_id - 1]
         return self.dictionary.decode(term_id)
 
-    def quoted_parts(self, term_id: int) -> Optional[Tuple[int, int, int]]:
-        """Inner part ids when ``term_id`` denotes a quoted triple."""
-        if term_id < 0:
-            return None
-        return self.dictionary.quoted_parts(term_id)
-
     def quoted_id(self, parts: Tuple[int, int, int]) -> Optional[int]:
         """The store id of the quoted triple with these inner ids, if any."""
         if any(part < 0 for part in parts):

@@ -12,9 +12,10 @@ Module map (plain functions, one per-evaluation
 :class:`~repro.sparql.columnar.QueryContext` passed through them):
 
 * :mod:`~repro.sparql.plan` — pattern reordering by live cardinality
-  statistics, cost estimates, compiled join plans, ``explain`` lines;
+  statistics, cost estimates, the compiled join plan every pattern joins
+  through, ``explain`` lines;
 * :mod:`~repro.sparql.scan` — index access for one pattern: scan-mode hash
-  tables, id-array feeds, per-key probes, the general per-key walk;
+  tables, id-array feeds, per-key probes;
 * :mod:`~repro.sparql.join` — group evaluation: joins, OPTIONAL, UNION,
   GRAPH, BIND, FILTER pushdown;
 * :mod:`~repro.sparql.collate` — GROUP BY / ORDER BY / DISTINCT /

@@ -39,7 +39,7 @@ from repro.sparql.plan import (
     single_filter_var,
     term_vars,
 )
-from repro.sparql.scan import compile_probe, probe_pattern, scan_cost, scan_join_table
+from repro.sparql.scan import compile_probe, scan_cost, scan_join_table
 
 #: Scan-vs-probe crossover: one per-key index probe costs roughly this many
 #: single-candidate scan steps, so scan mode is picked whenever the
@@ -128,14 +128,17 @@ def _join_pattern(
       narrow candidates far below the constant-only set.
 
     Extensions are precomputed id tuples concatenated onto rows — no
-    per-row dicts, no term decoding.  Under ``GRAPH ?g`` (``graph`` is the
-    variable) the pattern is matched across every named graph at once and
-    the graph id is one more join key or extension cell.  Shapes the
-    compiler does not cover (repeated variables, nested quoted patterns)
-    fall back to the general per-key walk in :func:`_join_slow_rows`.
+    per-row dicts, no term decoding.  One compiled plan
+    (:func:`~repro.sparql.plan.compile_join_plan`) serves every pattern the
+    parser accepts: constants and variables in any position, a quoted
+    subject, a variable repeated in the pattern (its later positions are
+    checked equal to its first), and ``GRAPH ?g`` (``graph`` is the
+    variable), where the pattern is matched across every named graph at
+    once and the graph id is one more join key or extension cell.  Rows
+    whose shared cell an OPTIONAL left unbound join in
+    :func:`_join_unbound_keys`.
     """
     graph_var = str(graph) if isinstance(graph, Var) else None
-    graph_name = graph if graph is not None and graph_var is None else None
 
     # Pattern variables in binding order: the graph variable first, then
     # subject / predicate / object (quoted-pattern inner variables recurse
@@ -143,7 +146,6 @@ def _join_pattern(
     ordered_vars: List[str] = [graph_var] if graph_var is not None else []
     for term in (pattern.subject, pattern.predicate, pattern.object):
         term_vars(term, ordered_vars)
-    has_duplicates = len(ordered_vars) != len(set(ordered_vars))
 
     key_names: List[str] = []
     key_slots: List[int] = []
@@ -157,10 +159,7 @@ def _join_pattern(
         elif name not in new_vars:
             new_vars.append(name)
 
-    plan = None
-    if not has_duplicates:
-        plan = compile_join_plan(ctx, pattern, key_names, new_vars, graph)
-
+    plan = compile_join_plan(ctx, pattern, key_names, new_vars, graph)
     rows = relation.rows
     out_rows: List[tuple] = []
     append = out_rows.append
@@ -168,18 +167,18 @@ def _join_pattern(
         key_of = itemgetter(*key_slots)
     else:
         key_of = lambda row: tuple(row[slot] for slot in key_slots)  # noqa: E731
-    #: Rows the compiled plan cannot serve: OPTIONAL-unbound shared cells
-    #: (the unbound variable binds from the match) or no plan at all.
-    slow_rows: List[tuple] = []
+    #: Rows with an OPTIONAL-unbound key cell: that variable binds from the
+    #: match.
+    unbound_rows: List[tuple] = []
 
-    if plan is not None and key_names and scan_cost(plan) <= SCAN_FACTOR * len(rows):
+    if key_names and scan_cost(plan) <= SCAN_FACTOR * len(rows):
         table_get = scan_join_table(ctx, plan).get
         if len(key_slots) == 1:
             only_slot = key_slots[0]
             for row in rows:
                 cell = row[only_slot]
                 if cell is None:
-                    slow_rows.append(row)
+                    unbound_rows.append(row)
                     continue
                 extensions = table_get(cell)
                 if extensions:
@@ -189,7 +188,7 @@ def _join_pattern(
             for row in rows:
                 key = key_of(row)
                 if None in key:
-                    slow_rows.append(row)
+                    unbound_rows.append(row)
                     continue
                 extensions = table_get(key)
                 if extensions:
@@ -197,56 +196,60 @@ def _join_pattern(
                         append(row + extension if extension else row)
     else:
         memo: Dict[tuple, List[tuple]] = {}
-        probe = compile_probe(ctx, plan) if plan is not None else None
+        probe = compile_probe(ctx, plan)
         for row in rows:
             key = key_of(row)
-            if probe is None or None in key:
-                slow_rows.append(row)
+            if None in key:
+                unbound_rows.append(row)
                 continue
             extensions = memo.get(key)
             if extensions is None:
                 extensions = memo[key] = probe(key)
             for extension in extensions:
                 append(row + extension if extension else row)
-        ctx.count("pattern_memo", len(rows) - len(slow_rows), len(memo))
-    if slow_rows:
-        _join_slow_rows(
-            ctx, pattern, slow_rows, key_names, key_slots, new_vars,
-            graph_var, graph_name, out_rows,
+        ctx.count("pattern_memo", len(rows) - len(unbound_rows), len(memo))
+    layout = relation.variables + tuple(new_vars)
+    if unbound_rows:
+        out_rows += _join_unbound_keys(
+            ctx, pattern, relation, unbound_rows, key_slots, graph, layout
         )
-    return Relation(relation.variables + tuple(new_vars), out_rows)
+    return Relation(layout, out_rows)
 
 
-def _join_slow_rows(
+def _join_unbound_keys(
     ctx: QueryContext,
     pattern: TriplePattern,
+    relation: Relation,
     rows: List[tuple],
-    key_names: List[str],
     key_slots: List[int],
-    new_vars: List[str],
-    graph_var: Optional[str],
-    graph_name: Optional[Any],
-    out_rows: List[tuple],
-) -> None:
-    """General per-key walk for rows the compiled plans cannot serve."""
-    memo: Dict[tuple, List[Tuple[tuple, tuple]]] = {}
-    update_slots = dict(zip(key_names, key_slots))
+    graph: Optional[Any],
+    layout: Tuple[str, ...],
+) -> List[tuple]:
+    """Join the rows whose key cells an OPTIONAL left unbound, in ``layout``.
+
+    The rows split by which key cells are unbound.  Each group joins as a
+    relation without those slots, so its plan moves the unbound names from
+    the key to the picks under the same scan-vs-probe choice and probe memo;
+    each match's ids then fill the row's unbound slots.
+    """
+    groups: Dict[Tuple[int, ...], List[tuple]] = {}
     for row in rows:
-        key = tuple(row[slot] for slot in key_slots)
-        probed = memo.get(key)
-        if probed is None:
-            probed = memo[key] = probe_pattern(
-                ctx, pattern, dict(zip(key_names, key)), graph_var, graph_name, new_vars
-            )
-        for updates, extension in probed:
-            if updates:
-                cells = list(row)
-                for name, value in updates:
-                    cells[update_slots[name]] = value
-                out_rows.append(tuple(cells) + extension)
-            else:
-                out_rows.append(row + extension)
-    ctx.count("pattern_memo", len(rows), len(memo))
+        groups.setdefault(tuple(slot for slot in key_slots if row[slot] is None), []).append(row)
+    out_rows: List[tuple] = []
+    for unbound, group in groups.items():
+        kept = [slot for slot in range(len(relation.variables)) if slot not in unbound]
+        joined = _join_pattern(
+            ctx,
+            pattern,
+            Relation(
+                tuple(relation.variables[slot] for slot in kept),
+                [tuple(row[slot] for slot in kept) for row in group],
+            ),
+            graph,
+        )
+        order = [joined.slot(name) for name in layout]
+        out_rows.extend(tuple(row[slot] for slot in order) for row in joined.rows)
+    return out_rows
 
 
 # ------------------------------------------------------------------ barriers

@@ -6,7 +6,8 @@ Supported grammar (enough for every query the KGLiDS interfaces issue):
 * ``SELECT [DISTINCT] (?var | (AGG(?var) AS ?alias))+ | *``
 * ``WHERE { ... }`` with triple patterns (``;`` and ``,`` abbreviations),
   ``FILTER``, ``OPTIONAL``, ``UNION``, ``GRAPH``, ``BIND (expr AS ?v)``,
-  and RDF-star quoted-triple patterns ``<< ?s :p ?o >>`` in subject position.
+  and RDF-star quoted-triple patterns ``<< ?s :p ?o >>`` in subject position
+  only (not nested, not as an object).
 * ``GROUP BY``, ``ORDER BY [ASC|DESC](?var)``, and at most one each of
   ``LIMIT n`` / ``OFFSET n`` with ``n`` an unsigned integer.
 """
@@ -346,11 +347,11 @@ class _Parser:
         patterns: List[TriplePattern] = []
         while True:
             predicate = self._parse_term(as_predicate=True)
-            obj = self._parse_term(allow_quoted=True)
+            obj = self._parse_term()
             patterns.append(TriplePattern(subject, predicate, obj))
             while self._at_punct(","):
                 self._next()
-                obj = self._parse_term(allow_quoted=True)
+                obj = self._parse_term()
                 patterns.append(TriplePattern(subject, predicate, obj))
             if self._at_punct(";"):
                 self._next()

@@ -4,12 +4,13 @@ Nothing here touches solution rows.  :func:`reorder_elements` decides the
 order a group's triple patterns join in, from the store's live cardinality
 statistics; :func:`compile_join_plan` resolves one pattern against the
 accumulated relation's layout into the plain data (:class:`JoinPlan`) that
-``scan`` turns into a hash table or a per-key probe.
+``scan`` turns into a hash table or a per-key probe — the one way a triple
+pattern joins.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.rdf.terms import QuotedTriple, URIRef
 from repro.sparql.algebra import (
@@ -22,6 +23,7 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.columnar import QueryContext
 from repro.sparql.expression import Binding
+from repro.sparql.parser import SPARQLSyntaxError
 
 #: Fallback selectivity discount per bound-but-value-unknown term, used only
 #: when the store has no cardinality statistics for the predicate.
@@ -62,6 +64,10 @@ class JoinPlan(NamedTuple):
     graph_key: Optional[int]
     key_picks: List[Pick]
     picks: List[Pick]
+    #: ``(first pick, later pick)`` of each variable repeated in the
+    #: pattern: a match is kept only where both read one id.  Empty for
+    #: every pattern without a repeated variable.
+    checks: List[Tuple[Pick, Pick]]
 
     def constants(self) -> Tuple[Optional[int], Optional[int], Optional[int]]:
         """The constant subject / predicate / object ids (``None`` = not constant)."""
@@ -206,7 +212,7 @@ def pattern_cost(
                 free += 1
                 lookup.append(None)
         elif isinstance(term, QuotedPattern):
-            unresolved = [name for name in quoted_vars(term) if name not in representative]
+            unresolved = [name for name in pattern_vars(term) if name not in representative]
             free += sum(1 for name in unresolved if name not in bound)
             quoted_unknown_bound += sum(1 for name in unresolved if name in bound)
             lookup.append(_resolve_quoted(term, representative) if not unresolved else None)
@@ -263,8 +269,6 @@ def _quoted_lookup_parts(
         value = part
         if isinstance(part, Var):
             value = binding.get(str(part))
-        if isinstance(value, QuotedPattern):
-            value = _resolve_quoted(value, binding)
         parts.append(value)
     if all(part is None for part in parts):
         return None
@@ -280,10 +284,6 @@ def _resolve_quoted(pattern: QuotedPattern, binding: Binding) -> Optional[Quoted
             value = binding.get(str(part))
             if value is None:
                 return None
-        if isinstance(value, QuotedPattern):
-            value = _resolve_quoted(value, binding)
-            if value is None:
-                return None
         parts.append(value)
     return QuotedTriple(*parts)
 
@@ -297,16 +297,10 @@ def term_vars(term: Any, ordered: List[str]) -> None:
             term_vars(part, ordered)
 
 
-def pattern_vars(pattern: TriplePattern) -> set:
+def pattern_vars(pattern: Union[TriplePattern, QuotedPattern]) -> set:
     names: List[str] = []
     for term in (pattern.subject, pattern.predicate, pattern.object):
         term_vars(term, names)
-    return set(names)
-
-
-def quoted_vars(pattern: QuotedPattern) -> set:
-    names: List[str] = []
-    term_vars(pattern, names)
     return set(names)
 
 
@@ -317,47 +311,54 @@ def compile_join_plan(
     key_names: List[str],
     new_vars: List[str],
     graph: Optional[Any],
-) -> Optional[JoinPlan]:
+) -> JoinPlan:
     """Resolve one pattern join into a :class:`JoinPlan`.
 
-    ``graph`` is the enclosing ``GRAPH`` name, a :class:`Var` for ``GRAPH
-    ?g`` (the plan then spans every named graph and carries each one's id as
-    a fourth positional slot the variable joins on or binds from), or
-    ``None`` for the default graph.  Returns ``None`` for shapes outside the
-    fast cases (nested quoted patterns, quoted terms off the subject
-    position), which take the general per-key walk instead.
+    ``key_names`` are the variables the relation binds (read from the join
+    key), ``new_vars`` the ones a match binds (picked from it).  ``graph`` is
+    the enclosing ``GRAPH`` name, a :class:`Var` for ``GRAPH ?g`` (the plan
+    then spans every named graph and carries each one's id as a fourth
+    positional slot the variable joins on or binds from), or ``None`` for
+    the default graph.  The plan serves every pattern the parser accepts:
+
+    * constants and variables in subject, predicate and object position;
+    * a quoted subject ``<< s p o >>`` of constants and variables;
+    * a variable repeated in the pattern (``?g`` included): a key variable
+      reads the key at every position; a new one is picked at its first
+      position and checked equal at each later one (:attr:`JoinPlan.checks`).
+
+    A quoted pattern anywhere else (off the subject, or nested) raises
+    :class:`SPARQLSyntaxError`, as it does in a query text.
     """
     encoder = ctx.encoder
     key_positions = {name: index for index, name in enumerate(key_names)}
 
-    def source_of(term) -> Optional[Source]:
+    def source_of(term) -> Source:
+        if isinstance(term, QuotedPattern):
+            raise SPARQLSyntaxError(
+                f"quoted triple pattern outside subject position: {describe_element(pattern)}"
+            )
         if isinstance(term, Var):
             position = key_positions.get(str(term))
             return (SRC_KEY, position) if position is not None else (SRC_FREE, None)
-        if isinstance(term, QuotedPattern):
-            return None
         return (SRC_CONST, encoder.encode(term))
 
     subject, predicate, obj = pattern.subject, pattern.predicate, pattern.object
     quoted_sources: Optional[List[Source]] = None
+    subject_source: Source = (SRC_FREE, None)
     if isinstance(subject, QuotedPattern):
-        quoted_sources = []
-        for part in (subject.subject, subject.predicate, subject.object):
-            source = source_of(part)
-            if source is None:  # nested quoted pattern: general walk
-                return None
-            quoted_sources.append(source)
-        subject_source: Optional[Source] = (SRC_FREE, None)
+        quoted_sources = [
+            source_of(part) for part in (subject.subject, subject.predicate, subject.object)
+        ]
     else:
         subject_source = source_of(subject)
-    predicate_source = source_of(predicate)
-    object_source = source_of(obj)
-    if subject_source is None or predicate_source is None or object_source is None:
-        return None
+    sources = (subject_source, source_of(predicate), source_of(obj))
 
-    first_positions: Dict[str, Pick] = {}
+    # Every variable occurrence, in binding order: the graph variable, then
+    # subject / predicate / object, then the quoted subject's parts.
+    occurrences: List[Tuple[str, Pick]] = []
     if isinstance(graph, Var):
-        first_positions[str(graph)] = GRAPH_PICK
+        occurrences.append((str(graph), GRAPH_PICK))
         named = ctx.store.backend.items()
         indexes = [index for _, index in named]
         tails = [(encoder.encode(name),) for name, _ in named]
@@ -366,21 +367,26 @@ def compile_join_plan(
         tails = [()] * len(indexes)
     for position, term in enumerate((subject, predicate, obj)):
         if isinstance(term, Var):
-            first_positions.setdefault(str(term), ("t", position))
+            occurrences.append((str(term), ("t", position)))
     if quoted_sources is not None:
         for part_index, part in enumerate(
             (subject.subject, subject.predicate, subject.object)
         ):
             if isinstance(part, Var):
-                first_positions.setdefault(str(part), ("q", part_index))
-    picks = [first_positions[name] for name in new_vars]
-    key_picks = [first_positions[name] for name in key_names]
+                occurrences.append((str(part), ("q", part_index)))
+    first_positions: Dict[str, Pick] = {}
+    checks: List[Tuple[Pick, Pick]] = []
+    for name, pick in occurrences:
+        first = first_positions.setdefault(name, pick)
+        if first != pick:
+            checks.append((first, pick))
     return JoinPlan(
-        sources=(subject_source, predicate_source, object_source),
+        sources=sources,
         quoted_sources=quoted_sources,
         indexes=indexes,
         tails=tails,
         graph_key=key_positions.get(str(graph)) if isinstance(graph, Var) else None,
-        key_picks=key_picks,
-        picks=picks,
+        key_picks=[first_positions[name] for name in key_names],
+        picks=[first_positions[name] for name in new_vars],
+        checks=checks,
     )

@@ -1,21 +1,20 @@
 """Index access for one triple pattern: scan tables, id-array feeds, probes.
 
 The two strategies a compiled :class:`~repro.sparql.plan.JoinPlan` can run
-with — :func:`scan_join_table` (one constant-only index pass hashed by the
-join key) and :func:`compile_probe` (one index lookup per distinct key) —
-plus :func:`probe_pattern`, the general per-key walk for shapes and rows the
-compiled plans do not cover.  Everything stays in id space.
+with: :func:`scan_join_table` (one constant-only index pass hashed by the
+join key) and :func:`compile_probe` (one index lookup per distinct key).
+Both drop the candidates that fail the plan's equality checks.  Everything
+stays in id space.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sparql.algebra import QuotedPattern, TriplePattern, Var
-from repro.sparql.columnar import QueryContext, QueryEncoder
+from repro.sparql.columnar import QueryContext
 from repro.sparql.plan import GRAPH_PICK, SRC_CONST, SRC_KEY, JoinPlan, Pick
 
 JoinTable = Dict[Any, List[tuple]]
@@ -48,6 +47,27 @@ def compile_picker(picks: List[Pick]) -> Callable[[tuple, Optional[tuple]], tupl
         )
     return lambda triple, parts: tuple(
         (parts if quoted else triple)[position] for quoted, position in selectors
+    )
+
+
+Matches = Iterator[Tuple[tuple, Optional[tuple]]]
+
+
+def compile_check(checks: List[Tuple[Pick, Pick]]) -> Callable[[Matches, tuple], Matches]:
+    """``(matches, tail) -> matches`` without the candidates that fail a check.
+
+    A check pairs a repeated variable's first pick with a later one; both
+    read ``triple + tail``, as the plan's picks do.  Without checks the
+    matches pass through untouched.
+    """
+    if not checks:
+        return lambda matches, tail: matches
+    left = compile_picker([first for first, _ in checks])
+    right = compile_picker([later for _, later in checks])
+    return lambda matches, tail: (
+        (triple, parts)
+        for triple, parts in matches
+        if left(triple + tail, parts) == right(triple + tail, parts)
     )
 
 
@@ -149,10 +169,11 @@ def scan_join_table(ctx: QueryContext, plan: JoinPlan) -> JoinTable:
     else:
         key_of = compile_picker(plan.key_picks)
     ext_picker = compile_picker(plan.picks)
+    check = compile_check(plan.checks)
     table: JoinTable = {}
     for index, tail in zip(plan.indexes, plan.tails):
-        for triple, parts in _matches(
-            index, subject_id, predicate_id, object_id, inner, quoted_parts
+        for triple, parts in check(
+            _matches(index, subject_id, predicate_id, object_id, inner, quoted_parts), tail
         ):
             triple += tail
             key = key_of(triple, parts)
@@ -192,13 +213,21 @@ def _hash_blocks(plan: JoinPlan, blocks: List[Block]) -> JoinTable:
         pieces = [positional[pick[1]] for _, positional in blocks]
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
-    # One C-level ``tolist`` per column, so the per-candidate work is just
-    # the hash-table insert.
-    key_lists = [column(pick).tolist() for pick in plan.key_picks]
+    keep = None
+    if plan.checks:  # candidates whose repeated variable reads one id
+        keep = np.logical_and.reduce(
+            [column(first) == column(later) for first, later in plan.checks]
+        )
+
+    def values(pick: Pick) -> list:
+        # One C-level ``tolist`` per column, so the per-candidate work is
+        # just the hash-table insert.
+        picked = column(pick)
+        return (picked if keep is None else picked[keep]).tolist()
+
+    key_lists = [values(pick) for pick in plan.key_picks]
     keys = key_lists[0] if len(key_lists) == 1 else zip(*key_lists)
-    extensions = (
-        zip(*(column(pick).tolist() for pick in plan.picks)) if plan.picks else repeat(())
-    )
+    extensions = zip(*(values(pick) for pick in plan.picks)) if plan.picks else repeat(())
     for key, extension in zip(keys, extensions):
         bucket = table.get(key)
         if bucket is None:
@@ -242,8 +271,10 @@ def _scan_table_arrays(plan: JoinPlan, predicate_id: Optional[int]) -> JoinTable
 def compile_probe(ctx: QueryContext, plan: JoinPlan) -> Callable[[tuple], List[tuple]]:
     """``join key -> extension tuples`` by direct index lookup.
 
-    The key carries no :data:`~repro.sparql.columnar.UNBOUND` cells (the
-    join routes those rows to :func:`probe_pattern`).
+    The key carries no :data:`~repro.sparql.columnar.UNBOUND` cells: the
+    join compiles a plan without the unbound names in the key for those
+    rows.  A key variable repeated in the pattern reads the key at every
+    position, so only the checks of new variables run here.
     """
     (s_mode, s_value), (p_mode, p_value), (o_mode, o_value) = plan.sources
     quoted_sources = plan.quoted_sources
@@ -253,6 +284,7 @@ def compile_probe(ctx: QueryContext, plan: JoinPlan) -> Callable[[tuple], List[t
         # ``?g`` arrives bound in the key: each probe reads one graph.
         scope_of = {tail[0]: [(index, ())] for index, tail in scope}
     ext_picker = compile_picker(plan.picks)
+    check = compile_check([pair for pair in plan.checks if pair[0] not in plan.key_picks])
     quoted_parts = None if quoted_sources is None else ctx.store.dictionary.quoted_parts
     quoted_id = ctx.encoder.quoted_id
 
@@ -283,135 +315,10 @@ def compile_probe(ctx: QueryContext, plan: JoinPlan) -> Callable[[tuple], List[t
         results: List[tuple] = []
         append = results.append
         for index, tail in scope if graph_key is None else scope_of.get(key[graph_key], ()):
-            for triple, parts in _matches(
-                index, subject_id, predicate_id, object_id, inner, quoted_parts
+            for triple, parts in check(
+                _matches(index, subject_id, predicate_id, object_id, inner, quoted_parts), tail
             ):
                 append(ext_picker(triple + tail, parts))
         return results
 
     return probe
-
-
-# ------------------------------------------------------------ general walk
-def probe_pattern(
-    ctx: QueryContext,
-    pattern: TriplePattern,
-    bind: Dict[str, Optional[int]],
-    graph_var: Optional[str],
-    graph_name: Optional[Any],
-    new_vars: List[str],
-) -> List[Tuple[tuple, tuple]]:
-    """All pattern matches under one join key, as ``(updates, extension)``.
-
-    ``extension`` carries the ids of the pattern's new variables (in
-    ``new_vars`` order); ``updates`` re-binds shared variables whose cell
-    was unbound in this key (OPTIONAL padding), as ``(name, id)`` pairs.
-    The result is shared by every build row in the key's group — the
-    memoized unit of work.
-    """
-    encoder = ctx.encoder
-    store = ctx.store
-    # Shared variables that are unbound *in this key* bind from the match.
-    unbound_shared = [name for name, value in bind.items() if value is None]
-
-    lookup_graph = graph_name
-    if graph_var is not None and bind.get(graph_var) is not None:
-        lookup_graph = encoder.decode(bind[graph_var])
-    capture_graph = graph_var is not None and bind.get(graph_var) is None
-
-    subject = pattern.subject
-    predicate = pattern.predicate
-    obj = pattern.object
-    quoted_lookup: Optional[Tuple[Optional[int], Optional[int], Optional[int]]] = None
-    if isinstance(subject, Var):
-        subject_id = bind.get(str(subject))
-    elif isinstance(subject, QuotedPattern):
-        parts = _resolve_quoted_ids(subject, bind, encoder)
-        if None not in parts:
-            subject_id = encoder.quoted_id(parts)  # type: ignore[arg-type]
-            if subject_id is None:
-                return []
-        elif any(part is not None for part in parts):
-            subject_id = None
-            quoted_lookup = parts
-        else:
-            subject_id = None
-    else:
-        subject_id = encoder.encode(subject)
-    predicate_id = (
-        bind.get(str(predicate)) if isinstance(predicate, Var) else encoder.encode(predicate)
-    )
-    object_id = bind.get(str(obj)) if isinstance(obj, Var) else encoder.encode(obj)
-
-    if quoted_lookup is not None:
-        matches = store.match_quoted_ids(
-            quoted_lookup[0],
-            quoted_lookup[1],
-            quoted_lookup[2],
-            predicate_id,
-            object_id,
-            graph=lookup_graph,
-        )
-    else:
-        matches = store.match_ids(subject_id, predicate_id, object_id, graph=lookup_graph)
-
-    results: List[Tuple[tuple, tuple]] = []
-    for triple, triple_graph in matches:
-        local: Dict[str, int] = {}
-        if capture_graph:
-            local[graph_var] = encoder.encode(triple_graph)
-        if not (
-            _match_term_id(subject, triple[0], bind, local, encoder)
-            and _match_term_id(predicate, triple[1], bind, local, encoder)
-            and _match_term_id(obj, triple[2], bind, local, encoder)
-        ):
-            continue
-        updates = tuple((name, local[name]) for name in unbound_shared if name in local)
-        extension = tuple(local[name] for name in new_vars)
-        results.append((updates, extension))
-    return results
-
-
-def _resolve_quoted_ids(
-    pattern: QuotedPattern, bind: Dict[str, Optional[int]], encoder: QueryEncoder
-) -> Tuple[Optional[int], Optional[int], Optional[int]]:
-    """Inner part ids of a quoted pattern under ``bind`` (``None`` holes)."""
-    parts: List[Optional[int]] = []
-    for part in (pattern.subject, pattern.predicate, pattern.object):
-        if isinstance(part, Var):
-            parts.append(bind.get(str(part)))
-        elif isinstance(part, QuotedPattern):
-            inner = _resolve_quoted_ids(part, bind, encoder)
-            parts.append(encoder.quoted_id(inner) if None not in inner else None)  # type: ignore[arg-type]
-        else:
-            parts.append(encoder.encode(part))
-    return (parts[0], parts[1], parts[2])
-
-
-def _match_term_id(
-    term: Any,
-    term_id: int,
-    bind: Dict[str, Optional[int]],
-    local: Dict[str, int],
-    encoder: QueryEncoder,
-) -> bool:
-    """Match one pattern term against a matched id, extending ``local``."""
-    if isinstance(term, Var):
-        name = str(term)
-        value = local.get(name)
-        if value is None:
-            value = bind.get(name)
-        if value is None:
-            local[name] = term_id
-            return True
-        return value == term_id
-    if isinstance(term, QuotedPattern):
-        parts = encoder.quoted_parts(term_id)
-        if parts is None:
-            return False
-        return (
-            _match_term_id(term.subject, parts[0], bind, local, encoder)
-            and _match_term_id(term.predicate, parts[1], bind, local, encoder)
-            and _match_term_id(term.object, parts[2], bind, local, encoder)
-        )
-    return encoder.encode(term) == term_id

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import shutil
 
 import pytest
@@ -40,7 +41,14 @@ from repro.rdf.serialize import serialize_nquads
 from repro.sparql import SPARQLEngine
 from repro.sparql import engine as engine_module
 from repro.sparql import join
-from repro.sparql.algebra import Aggregate, Var
+from repro.sparql.algebra import (
+    Aggregate,
+    GroupPattern,
+    QuotedPattern,
+    SelectQuery,
+    TriplePattern,
+    Var,
+)
 from repro.sparql.collate import aggregate_values
 from repro.sparql.columnar import UNBOUND, QueryEncoder, Relation
 from repro.sparql.parser import SPARQLSyntaxError, parse_query
@@ -270,7 +278,26 @@ QUERY_SHAPES = [
     f"""SELECT ?g (SUM(?v) AS ?total) (COUNT(?a) AS ?n) WHERE {{ GRAPH ?g {{
         << ?a <{EX}p0> <{EX}s2> >> <{EX}certainty> ?v .
     }} }} GROUP BY ?g ORDER BY ?g""",
+    # --- one join path: shapes the compiled plan serves with equality checks
+    # and unbound-slot writes (rows on every store: add_join_path_rows) ---
+    # a new variable repeated in one pattern
+    f"SELECT ?a WHERE {{ ?a <{EX}p0> ?a . }}",
+    # ... inside a quoted subject
+    f"SELECT ?a ?v WHERE {{ << ?a <{EX}p0> ?a >> <{EX}certainty> ?v . }}",
+    # ... between a quoted part and the outer object
+    f"SELECT ?a ?b ?p WHERE {{ << ?a <{EX}p0> ?b >> ?p ?a . }}",
+    # an OPTIONAL-unbound cell as one of two join keys: the rows without ?x
+    # join in scan mode (a 3-row constant-only scan) ...
+    f"""SELECT ?s ?n ?x WHERE {{
+        ?s <{EX}name> ?n . OPTIONAL {{ ?s <{EX}p3> ?x . }} ?s <{EX}livesIn> ?x .
+    }}""",
+    # ... and in probe mode (no constant: every triple is a candidate)
+    f"""SELECT ?s ?p ?x WHERE {{
+        ?s <{EX}livesIn> ?t . OPTIONAL {{ ?s <{EX}p3> ?x . }} ?s ?p ?x .
+    }}""",
 ]
+#: Where the one-join-path shapes start in :data:`QUERY_SHAPES`.
+JOIN_PATH_SHAPES = range(56, len(QUERY_SHAPES))
 
 
 def ordered_key(result):
@@ -1032,3 +1059,148 @@ class TestAnswerMemo:
 
         run()
         assert sum(hits) > 0, "no example answered from the memo"
+
+
+def add_join_path_rows(store: QuadStore) -> QuadStore:
+    """Rows that give every one-join-path shape an answer on any store.
+
+    A self-loop, an annotation on a self-loop, an annotation whose object is
+    its quoted subject's subject, and a named node that lives somewhere but
+    has no ``p3`` edge (its OPTIONAL ``?x`` stays unbound).
+    """
+    g1, g2 = _uri("g1"), _uri("g2")
+    store.add(_uri("s3"), _uri("p0"), _uri("s3"), graph=g1)
+    store.annotate(_uri("s4"), _uri("p0"), _uri("s4"), _uri("certainty"), Literal(0.25), graph=g2)
+    store.annotate(_uri("s5"), _uri("p0"), _uri("s6"), _uri("about"), _uri("s5"), graph=g1)
+    store.add(_uri("loner"), _uri("name"), Literal("loner"), graph=g1)
+    store.add(_uri("loner"), _uri("livesIn"), g2, graph=g2)
+    return store
+
+
+def make_tiny_store(seed: int, store: QuadStore) -> QuadStore:
+    """A handful of quads over five nodes, so random patterns meet often.
+
+    Self-loops, a node that is also a predicate, a graph name used as a
+    term, and ``p1`` annotations whose values are nodes too.
+    """
+    rng = random.Random(seed)
+    graphs = [_uri("g1"), _uri("g2")]
+    nodes = [_uri("s0"), _uri("s1"), _uri("s2"), graphs[0], _uri("p0")]
+    predicates = [_uri("p0"), _uri("p1")]
+    for _ in range(rng.randint(1, 16)):
+        obj = rng.choice(nodes + [Literal(rng.randint(0, 1))])
+        store.add(rng.choice(nodes), rng.choice(predicates), obj, graph=rng.choice(graphs))
+    for _ in range(rng.randint(0, 4)):
+        value = rng.choice(nodes + [Literal(1)])
+        store.annotate(
+            rng.choice(nodes), predicates[0], rng.choice(nodes), predicates[1], value,
+            graph=rng.choice(graphs),
+        )
+    return store
+
+
+class TestOneJoinPath:
+    """Every pattern the parser accepts joins through the compiled plan.
+
+    The shapes the plan serves with equality checks (a repeated variable)
+    and unbound-slot writes (an OPTIONAL-unbound join key) equal the oracle
+    on every backend configuration; a quoted pattern off the subject
+    position is a syntax error in the text and in a hand-built query.
+    """
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    def test_join_path_shapes_match_the_oracle_with_rows(self, configuration, open_store, tmp_path):
+        store = add_join_path_rows(make_random_store(3, open_store(configuration, tmp_path / "s.sqlite3")))
+        try:
+            for shape in JOIN_PATH_SHAPES:
+                assert len(assert_matches_oracle(store, QUERY_SHAPES[shape])) > 0, shape
+        finally:
+            store.close()
+
+    def test_unbound_key_rows_join_in_scan_and_probe_mode(self, monkeypatch):
+        """The rows without ``?x`` join through a plan keyed on ``?s`` alone
+        that picks ``?x`` from the match: a scan for the ``livesIn`` shape,
+        a probe for the ``?s ?p ?x`` shape."""
+        store = add_join_path_rows(make_random_store(3))
+        calls = []
+        scan_join_table, compile_probe = join.scan_join_table, join.compile_probe
+
+        def scanning(ctx, plan):
+            calls.append(("scan", plan.key_picks, plan.picks))
+            return scan_join_table(ctx, plan)
+
+        def probing(ctx, plan):
+            calls.append(("probe", plan.key_picks, plan.picks))
+            return compile_probe(ctx, plan)
+
+        monkeypatch.setattr(join, "scan_join_table", scanning)
+        monkeypatch.setattr(join, "compile_probe", probing)
+        scan_shape, probe_shape = QUERY_SHAPES[JOIN_PATH_SHAPES[-2]], QUERY_SHAPES[JOIN_PATH_SHAPES[-1]]
+        assert_matches_oracle(store, scan_shape)
+        assert ("scan", [("t", 0)], [("t", 2)]) in calls
+        calls.clear()
+        assert_matches_oracle(store, probe_shape)
+        assert ("probe", [("t", 0)], [("t", 1), ("t", 2)]) in calls
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [
+            f"?a <{EX}p0> << ?s <{EX}p0> ?o >> .",
+            f"?a <{EX}p0> ?b , << ?s <{EX}p0> ?o >> .",
+            f"?a <{EX}p0> ?b ; <{EX}p1> << ?s <{EX}p0> ?o >> .",
+            f"<< << ?s <{EX}p0> ?o >> <{EX}p0> ?a >> <{EX}certainty> ?v .",
+        ],
+        ids=["object", "object-list", "predicate-object-list", "nested"],
+    )
+    def test_a_quoted_pattern_off_the_subject_is_a_syntax_error(self, patterns):
+        query = f"SELECT ?a WHERE {{ {patterns} }}"
+        with pytest.raises(SPARQLSyntaxError):
+            parse_query(query)
+        with pytest.raises(SPARQLSyntaxError):
+            SPARQLEngine(make_random_store(3)).select(query)
+
+    def test_a_hand_built_quoted_pattern_off_the_subject_raises_in_the_compiler(self):
+        quoted = QuotedPattern(Var("s"), _uri("p0"), Var("o"))
+        engine = SPARQLEngine(make_random_store(3))
+        for pattern in (
+            TriplePattern(Var("a"), _uri("p0"), quoted),
+            TriplePattern(QuotedPattern(quoted, _uri("p0"), Var("a")), _uri("certainty"), Var("v")),
+        ):
+            query = SelectQuery([Var("a")], False, GroupPattern([pattern]))
+            with pytest.raises(SPARQLSyntaxError, match="outside subject position"):
+                engine.evaluate(query)
+
+    def test_random_groups_match_the_oracle_on_every_configuration(self, open_store, tmp_path):
+        """Random 1-3 element groups over three variables on random tiny
+        stores: repeated variables, quoted subjects, OPTIONALs whose variable
+        a later pattern reuses, and ``GRAPH ?g`` around the group or its
+        last element (``?g`` is also a pattern variable)."""
+        nodes = st.sampled_from(["?a", "?b", "?g", f"<{EX}s0>", f"<{EX}g1>"])
+        predicates = st.sampled_from(["?a", "?b", f"<{EX}p0>", f"<{EX}p1>"])
+        quoted = st.builds("<< {} {} {} >>".format, nodes, predicates, nodes)
+        patterns = st.builds("{} {} {} .".format, st.one_of(nodes, quoted), predicates, nodes)
+        elements = st.lists(
+            st.one_of(patterns, patterns.map("OPTIONAL {{ {} }}".format)), min_size=1, max_size=3
+        )
+        paths = itertools.count()
+
+        @settings(
+            max_examples=60, deadline=None, derandomize=True,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(st.integers(0, 10**6), elements, st.sampled_from(["none", "group", "last"]))
+        def run(seed, body, graph_scope):
+            if graph_scope == "group":
+                body = [f"GRAPH ?g {{ {' '.join(body)} }}"]
+            elif graph_scope == "last":
+                body = body[:-1] + [f"GRAPH ?g {{ {body[-1]} }}"]
+            text = " ".join(body)
+            query = f"SELECT {' '.join(sorted(set(re.findall(r'[?][a-z]+', text))))} WHERE {{ {text} }}"
+            for configuration in CONFIGURATIONS:
+                store = make_tiny_store(seed, open_store(configuration, tmp_path / f"s{next(paths)}.sqlite3"))
+                try:
+                    assert_matches_oracle(store, query)
+                finally:
+                    store.close()
+
+        run()
