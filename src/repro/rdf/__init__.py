@@ -11,11 +11,7 @@ storage backends behind the :class:`QuadStore` interface:
   lazily reloaded on open (see :mod:`repro.rdf.backend`).
 """
 
-from repro.rdf.backend import (
-    PersistentTermDictionary,
-    QuadStoreBackend,
-    SqliteBackend,
-)
+from repro.rdf.backend import QuadStoreBackend, SqliteBackend
 from repro.rdf.faults import (
     FaultInjectingBackend,
     FaultPlan,
@@ -66,7 +62,6 @@ __all__ = [
     "InjectedFault",
     "InjectedCrash",
     "TermDictionary",
-    "PersistentTermDictionary",
     "DEFAULT_GRAPH",
     "Namespace",
     "RDF",

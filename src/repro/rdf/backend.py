@@ -32,14 +32,12 @@ Both hand out the same id-keyed :class:`~repro.rdf.graph_index.GraphIndex`
 for matching, so pattern semantics, cardinality statistics and therefore
 SPARQL ``explain()`` plans do not depend on where the quads live.
 
-Terms are persisted in their N-Triples text form (``term_n3``) and parsed
-back with :func:`repro.rdf.terms.parse_term`; plain Python values that the
-in-memory backend would keep raw are therefore normalized to
-:class:`~repro.rdf.terms.Literal` objects on reload — and two in-memory
-terms whose spelling differs only in that respect (``"5"`` vs
-``Literal("5")``) alias to the *same* dictionary id, so their triples
-collapse to one durable row.  The product layers always write proper term
-objects; mixed raw/term graphs should stay on the in-memory backend.
+Both backends intern a term by its N-Triples spelling (``term_n3``), which
+is also what the sqlite ``terms`` table stores and replication ships, so a
+plain Python value is the :class:`~repro.rdf.terms.Literal` it spells on
+every backend, live and reopened: ``"5"`` and ``Literal("5")`` are one term
+and read back as ``Literal("5")``, while ``URIRef("x")``, ``BNode("x")`` and
+``"x"`` are three.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.rdf.graph_index import GraphIndex, IdTriple
-from repro.rdf.terms import QuotedTriple, TermDictionary, URIRef, parse_term, term_n3
+from repro.rdf.terms import TermDictionary, URIRef, parse_term, term_n3
 
 PathLike = Union[str, Path]
 
@@ -295,146 +293,6 @@ class QuadStoreBackend:
         return {}
 
 
-class PersistentTermDictionary(TermDictionary):
-    """A :class:`TermDictionary` whose entries round-trip through sqlite.
-
-    The backend loads the ``terms`` table eagerly as *text* (one cheap scan
-    of ``id, n3`` rows) and the ``quoted`` table as integer part rows; term
-    objects are parsed lazily on first decode and cached, so reopening a
-    lake never re-parses terms that no query touches.  Newly assigned ids
-    queue ``(id, n3)`` rows — ``(id, s, p, o)`` for a quoted triple — that
-    the owning backend flushes ahead of any quad rows referencing them.
-
-    Interning goes through the N-Triples spelling, which is what makes saved
-    governors round-trip ids: the id a term had when written is the id its
-    text row decodes to forever after.  A quoted triple is keyed by its part
-    ids alone and has no spelling of its own.
-    """
-
-    __slots__ = ("_text_to_id", "_id_to_text", "_pending", "_pending_quoted")
-
-    def __init__(self):
-        super().__init__()
-        self._text_to_id: Dict[str, int] = {}
-        self._id_to_text: Dict[int, str] = {}
-        self._pending: List[Tuple[int, str]] = []
-        self._pending_quoted: List[Tuple[int, int, int, int]] = []
-
-    # ---------------------------------------------------------------- loading
-    def load_rows(
-        self, rows: Iterable[Tuple[int, str]], quoted: Iterable[Tuple[int, int, int, int]] = ()
-    ) -> None:
-        """Ingest persisted ``(id, n3)`` rows (text only; no parsing) and
-        ``(id, s, p, o)`` quoted rows."""
-        last = self._next_id - 1
-        for term_id, text in rows:
-            self._text_to_id[text] = term_id
-            self._id_to_text[term_id] = text
-            last = max(last, term_id)
-        for term_id, subject, predicate, obj in quoted:
-            self._register_quoted(term_id, (subject, predicate, obj))
-            last = max(last, term_id)
-        self._next_id = last + 1
-
-    def drain_pending(self) -> Tuple[List[Tuple[int, str]], List[Tuple[int, int, int, int]]]:
-        """New term and quoted rows awaiting persistence (clears the queues)."""
-        pending, self._pending = self._pending, []
-        quoted, self._pending_quoted = self._pending_quoted, []
-        return pending, quoted
-
-    def export_rows(self, start: int) -> List[Tuple[int, str]]:
-        """Replication rows straight from the text map — no term parsing."""
-        id_to_text = self._id_to_text
-        return [
-            (term_id, id_to_text[term_id])
-            for term_id in range(max(start, 1), self._next_id)
-            if term_id in id_to_text
-        ]
-
-    def has_pending(self) -> bool:
-        return bool(self._pending) or bool(self._pending_quoted)
-
-    def rollback_to(self, mark: int) -> None:
-        """Forget every term interned at or after ``mark``.
-
-        Unlike the volatile base, several live term objects can alias one
-        persisted id (``"5"`` and ``Literal("5")`` share an n3 spelling), so
-        ``_term_to_id`` is filter-rebuilt rather than popped per id; pending
-        rows for unwound ids are dropped so they never reach sqlite.
-        """
-        if mark >= self._next_id:
-            # Nothing interned at or past the mark — skip the rebuild.  The
-            # replica sync path rolls back before every apply, so the no-op
-            # case runs once per replicated commit.
-            return
-        for term_id in range(mark, self._next_id):
-            text = self._id_to_text.pop(term_id, None)
-            if text is not None:
-                self._text_to_id.pop(text, None)
-            self._id_to_term.pop(term_id, None)
-            parts = self._quoted_parts.pop(term_id, None)
-            if parts is not None:
-                self._quoted_by_parts.pop(parts, None)
-        self._term_to_id = {
-            term: term_id for term, term_id in self._term_to_id.items() if term_id < mark
-        }
-        self._pending = [row for row in self._pending if row[0] < mark]
-        self._pending_quoted = [row for row in self._pending_quoted if row[0] < mark]
-        self._next_id = mark
-
-    def __len__(self) -> int:
-        return len(self._id_to_text) + len(self._quoted_parts)
-
-    # -------------------------------------------------------------- interning
-    def _assign(self, term) -> int:
-        """Intern by N-Triples spelling (the base ``encode`` drives this).
-
-        Unlike the volatile base ``_assign``, the spelling may already hold a
-        persisted id from an earlier process — reuse it and just register the
-        live term object against it.
-        """
-        text = term_n3(term)
-        term_id = self._text_to_id.get(text)
-        if term_id is None:
-            term_id = self._next_id
-            self._next_id += 1
-            self._text_to_id[text] = term_id
-            self._id_to_text[term_id] = text
-            self._pending.append((term_id, text))
-        self._term_to_id[term] = term_id
-        self._id_to_term.setdefault(term_id, term)
-        return term_id
-
-    def _assign_quoted(self, term, parts: Tuple[int, int, int]) -> int:
-        term_id = super()._assign_quoted(term, parts)
-        self._pending_quoted.append((term_id, *parts))
-        return term_id
-
-    # ---------------------------------------------------------------- lookups
-    def lookup(self, term) -> Optional[int]:
-        if isinstance(term, QuotedTriple):
-            return super().lookup(term)
-        term_id = self._term_to_id.get(term)
-        if term_id is None:
-            term_id = self._text_to_id.get(term_n3(term))
-            if term_id is not None:
-                self._term_to_id[term] = term_id
-                self._id_to_term.setdefault(term_id, term)
-        return term_id
-
-    def decode(self, term_id: int):
-        term = self._id_to_term.get(term_id)
-        if term is None:
-            parts = self._quoted_parts.get(term_id)
-            if parts is not None:
-                term = QuotedTriple(*map(self.decode, parts))
-            else:
-                term = parse_term(self._id_to_text[term_id])
-                self._term_to_id.setdefault(term, term_id)
-            self._id_to_term[term_id] = term
-        return term
-
-
 class SqliteBackend(QuadStoreBackend):
     """A sqlite-backed quad store with one shard table per named graph.
 
@@ -453,10 +311,14 @@ class SqliteBackend(QuadStoreBackend):
     planner sees are exactly the statistics the in-memory backend would
     produce.
 
-    Writes are buffered (insert/delete order preserved; new dictionary rows
-    always land before the quad rows referencing them) and flushed once
-    ``flush_threshold`` operations are waiting (checked per hook call, so
-    after a whole row batch), on :meth:`flush` and on :meth:`close`.
+    Quad writes are buffered (insert/delete order preserved) and flushed
+    once ``flush_threshold`` operations are waiting (checked per hook call,
+    so after a whole row batch), on :meth:`flush` and on :meth:`close`.  The
+    dictionary keeps no write queue: the backend remembers one watermark
+    below which every id is on disk exactly as the dictionary holds it, and
+    a flush writes the rows from there up to ``dictionary.next_id`` — ahead
+    of the quad rows referencing them — with the same ``export_rows`` /
+    ``export_quoted_parts`` replication ships.
 
     A loaded :class:`GraphIndex` stays resident until its graph is dropped or
     replaced underneath it (:meth:`invalidate_resident`, via
@@ -521,16 +383,16 @@ class SqliteBackend(QuadStoreBackend):
         self._version_base: Dict[URIRef, int] = {}
         #: Ordered write buffer: ``(op, shard_id, params)``.
         self._pending: List[Tuple[str, int, Tuple[int, ...]]] = []
-        #: Shipped term and quoted rows awaiting an ``INSERT OR REPLACE``
-        #: flush, and the lowest id they are authoritative from — all filled
-        #: only by :meth:`ingest_term_rows` (replication).
-        self._pending_term_replaces: List[Tuple[int, str]] = []
-        self._pending_quoted_replaces: List[Tuple[int, int, int, int]] = []
-        self._term_floor: Optional[int] = None
+        #: Dictionary ids below this are in ``terms`` / ``quoted`` exactly as
+        #: the dictionary holds them (set by :meth:`_load_dictionary`).
+        self._terms_written = 1
+        #: Whether rows at or above ``_terms_written`` may sit on disk — a
+        #: replica's replaced strays, a discarded apply's flushed terms.  The
+        #: next flush deletes them before writing the dictionary's rows.
+        self._stale_terms = False
         self._closed = False
         #: What :meth:`_recover` found and repaired on open (see that method).
         self.recovery = self._recover()
-        self.dictionary = PersistentTermDictionary()
         self._load_dictionary(1)
 
     def _connect(self) -> sqlite3.Connection:
@@ -596,6 +458,12 @@ class SqliteBackend(QuadStoreBackend):
                 "SELECT id, s, p, o FROM quoted WHERE id >= ?", (start,)
             ).fetchall(),
         )
+        self._terms_written, self._stale_terms = self.dictionary.next_id, False
+
+    def _forget_terms_from(self, start: int) -> None:
+        """Lower the watermark: ids from ``start`` up no longer match disk."""
+        if start < self._terms_written:
+            self._terms_written, self._stale_terms = start, True
 
     def _read_meta(self, key: str) -> int:
         return int(
@@ -665,7 +533,6 @@ class SqliteBackend(QuadStoreBackend):
             # reader-triggered flush from re-running ops it already drained.
             self._pending = [op for op in self._pending if op[1] != shard_id]
             with self._autocommit():
-                self._flush_term_rows()
                 self._connection.execute(f"DROP TABLE IF EXISTS quads_{shard_id}")
                 self._connection.execute(
                     "DELETE FROM graphs WHERE id = ?", (shard_id,)
@@ -702,56 +569,58 @@ class SqliteBackend(QuadStoreBackend):
                 return
             if self._in_batch:
                 # Ride the open batch transaction; commit_batch owns the
-                # COMMIT (and the meta marker) so a mid-batch flush — e.g.
-                # the buffer hitting ``flush_threshold`` — stays atomic with
-                # the rest of the batch.
-                self._flush_rows()
+                # COMMIT, the dictionary rows and the meta marker, so a
+                # mid-batch flush — e.g. the buffer hitting
+                # ``flush_threshold`` — stays atomic with the rest of the
+                # batch and the watermark moves only at commit or rollback.
+                self._flush_quads()
             else:
                 with self._autocommit():
                     self._flush_rows()
                     self._write_meta()
 
-    def pending_mark(self) -> Tuple[int, int, int]:
-        """Write-buffer positions for :meth:`discard_pending`.
+    def pending_mark(self) -> Tuple[int, int]:
+        """The quad-buffer position and dictionary mark for :meth:`discard_pending`.
 
         Only meaningful while nothing between mark and discard reorders the
-        buffers — ``drop_graph`` purges matching ops in place, so lazy
+        buffer — ``drop_graph`` purges matching ops in place, so lazy
         replication must route deltas containing drops (or full dumps)
         through the durable batch path instead.
         """
         with self._db_lock:
-            return (
-                len(self._pending),
-                len(self._pending_term_replaces),
-                len(self._pending_quoted_replaces),
-            )
+            return len(self._pending), self.dictionary.mark()
 
-    def discard_pending(self, mark: Tuple[int, int, int]) -> None:
-        """Drop buffered ops and term rows queued since :meth:`pending_mark`.
+    def discard_pending(self, mark: Tuple[int, int]) -> None:
+        """Drop the quad ops and dictionary ids added since :meth:`pending_mark`.
 
         The lazy-replication failure path: a torn apply's ops vanish from
-        the buffers instead of rolling back through sqlite.  If a threshold
-        flush already pushed some of them out, they stay durable — harmless,
+        the buffer instead of rolling back through sqlite.  If a threshold
+        flush already pushed some ops out, they stay durable — harmless,
         because replication ops are idempotent and the durable meta version
-        is still conservative, so the retry replays over them.  The stray
-        floor stays: the strays it covers left the dictionary either way.
+        is still conservative, so the retry replays over them — while the
+        terms it wrote past the mark are stale and the next flush deletes
+        them.
         """
         with self._db_lock:
             del self._pending[mark[0]:]
-            del self._pending_term_replaces[mark[1]:]
-            del self._pending_quoted_replaces[mark[2]:]
+            self.dictionary.rollback_to(mark[1])
+            self._forget_terms_from(mark[1])
 
     def _flush_rows(self) -> None:
-        """Write buffered term and quad rows (no transaction control)."""
-        if self._term_floor is not None:
-            # Shipped rows first, after the local strays they supersede.
-            self._execute_retry("DELETE FROM terms WHERE id >= ?", (self._term_floor,))
-            self._execute_retry("DELETE FROM quoted WHERE id >= ?", (self._term_floor,))
-            self._term_floor = None
-        rows, self._pending_term_replaces = self._pending_term_replaces, []
-        quoted, self._pending_quoted_replaces = self._pending_quoted_replaces, []
-        self._write_term_rows("INSERT OR REPLACE", rows, quoted)
-        self._flush_term_rows()
+        """Write the dictionary rows past the watermark, then the buffered
+        quad rows (no transaction control)."""
+        dictionary, start = self.dictionary, self._terms_written
+        if self._stale_terms:
+            self._execute_retry("DELETE FROM terms WHERE id >= ?", (start,))
+            self._execute_retry("DELETE FROM quoted WHERE id >= ?", (start,))
+        self._executemany_retry(self._STATEMENTS["terms"], dictionary.export_rows(start))
+        parts = iter(dictionary.export_quoted_parts(start))
+        self._executemany_retry(self._STATEMENTS["quoted"], list(zip(parts, parts, parts, parts)))
+        self._flush_quads()
+        self._terms_written, self._stale_terms = dictionary.next_id, False
+
+    def _flush_quads(self) -> None:
+        """Write the buffered quad rows in order (no transaction control)."""
         if self._pending:
             pending, self._pending = self._pending, []
             position = 0
@@ -807,14 +676,15 @@ class SqliteBackend(QuadStoreBackend):
                 return
             self._in_batch = False
             self._pending.clear()
-            self._pending_term_replaces.clear()
-            self._pending_quoted_replaces.clear()
-            self._term_floor = None
             if not self._closed:
                 # No transaction is open after an injected "crash" tore it
                 # down; the journal rollback then happens on reopen.
                 self._txn_rollback()
             super().rollback_batch()
+            # The batch wrote no dictionary row, so only the watermark moves;
+            # a stale flag set by a shipped apply stays (the strays it
+            # replaced below the mark are on disk, not in the dictionary).
+            self._terms_written = min(self._terms_written, self.dictionary.next_id)
             self._shards, self._shards_snapshot = self._shards_snapshot, None
             self._noted_version = None
 
@@ -850,19 +720,15 @@ class SqliteBackend(QuadStoreBackend):
         Ids are assigned by the replication *source*, which ships every row
         at or above ``start``; any id there that this side holds is a local
         stray (a query constant interned between syncs).  Strays leave the
-        dictionary now, and their on-disk rows are deleted by the flush that
-        writes the shipped rows, just before them — inside the batch
-        transaction of a durable apply, at the next checkpoint of a lazy one.
-        The rows queue apart from the dictionary's own pending rows so
-        :meth:`discard_pending` can cut them at a replication mark.
+        dictionary now, and the watermark drops to ``start``, so the flush
+        that writes the shipped rows deletes the strays' on-disk rows just
+        before them — inside the batch transaction of a durable apply, at
+        the next checkpoint of a lazy one.
         """
         with self._db_lock:
             self.dictionary.rollback_to(start)
             self.dictionary.load_rows(rows, quoted)
-            if self._term_floor is None or start < self._term_floor:
-                self._term_floor = start
-            self._pending_term_replaces.extend(rows)
-            self._pending_quoted_replaces.extend(quoted)
+            self._forget_terms_from(start)
 
     def replace_shard(self, graph: URIRef, rows: List[Tuple[int, int, int]]) -> None:
         """Overwrite ``graph``'s shard with exactly ``rows`` (id triples).
@@ -948,9 +814,9 @@ class SqliteBackend(QuadStoreBackend):
         foreign uid forces a full dictionary reload and drops everything
         resident.
 
-        Requires a clean backend: nothing :meth:`flush` would write (a
-        buffered stray floor would delete the new file's terms), no open
-        batch.  Returns a small info dict for logging/tests.
+        Requires a clean backend: nothing :meth:`flush` would write (stale
+        term rows it would delete are the new file's terms), no open batch.
+        Returns a small info dict for logging/tests.
         """
         with self._db_lock:
             if self._in_batch:
@@ -977,7 +843,7 @@ class SqliteBackend(QuadStoreBackend):
                     invalidate = {URIRef(str(g)) for g in changed_graphs}
             else:
                 self._uid = new_uid
-                self.dictionary = PersistentTermDictionary()
+                self.dictionary = TermDictionary()
                 self._load_dictionary(1)
                 invalidate = set(self._indexes)
             old_shards = self._shards
@@ -1020,9 +886,6 @@ class SqliteBackend(QuadStoreBackend):
             if self._closed:
                 return
             self._pending.clear()
-            self._pending_term_replaces.clear()
-            self._pending_quoted_replaces.clear()
-            self._term_floor = None
             try:
                 self._connection.close()
             except sqlite3.Error:
@@ -1040,10 +903,8 @@ class SqliteBackend(QuadStoreBackend):
         """Whether :meth:`flush` has anything to write (caller holds the lock)."""
         return (
             bool(self._pending)
-            or bool(self._pending_term_replaces)
-            or bool(self._pending_quoted_replaces)
-            or self._term_floor is not None
-            or self.dictionary.has_pending()
+            or self._stale_terms
+            or self.dictionary.next_id > self._terms_written
             or self._meta_dirty()
         )
 
@@ -1187,7 +1048,7 @@ class SqliteBackend(QuadStoreBackend):
                 if text.startswith("<<"):
                     triple = parse_term(text).as_triple()
                     rows.append((term_id, *(text_to_id[term_n3(part)] for part in triple)))
-            self._write_term_rows("INSERT", [], rows)
+            self._executemany_retry(self._STATEMENTS["quoted"], rows)
             self._executemany_retry("DELETE FROM terms WHERE id = ?", [row[:1] for row in rows])
             self._execute_retry("UPDATE meta SET value = ? WHERE key = 'layout'", (self._LAYOUT,))
         return len(rows)
@@ -1196,6 +1057,8 @@ class SqliteBackend(QuadStoreBackend):
     _STATEMENTS = {
         "insert": "INSERT OR IGNORE INTO quads_{shard} (s, p, o) VALUES (?, ?, ?)",
         "delete": "DELETE FROM quads_{shard} WHERE s = ? AND p = ? AND o = ?",
+        "terms": "INSERT INTO terms (id, n3) VALUES (?, ?)",
+        "quoted": "INSERT INTO quoted (id, s, p, o) VALUES (?, ?, ?, ?)",
     }
 
     def _create_shard_table(self, shard_id: int) -> None:
@@ -1207,19 +1070,6 @@ class SqliteBackend(QuadStoreBackend):
             " PRIMARY KEY (s, p, o)"
             ") WITHOUT ROWID"
         )
-
-    def _flush_term_rows(self) -> None:
-        """Persist newly interned dictionary rows (always ahead of quad rows).
-
-        No transaction control: the caller owns the commit boundary."""
-        with self._db_lock:
-            self._write_term_rows("INSERT OR IGNORE", *self.dictionary.drain_pending())
-
-    def _write_term_rows(self, verb: str, rows: List[Tuple], quoted: List[Tuple]) -> None:
-        if rows:
-            self._executemany_retry(f"{verb} INTO terms (id, n3) VALUES (?, ?)", rows)
-        if quoted:
-            self._executemany_retry(f"{verb} INTO quoted (id, s, p, o) VALUES (?, ?, ?, ?)", quoted)
 
     def _queue_rows(self, op: str, shard_id: int, rows: Iterable[Tuple[int, ...]]) -> None:
         self._pending.extend([(op, shard_id, params) for params in rows])

@@ -400,7 +400,6 @@ class QuadStore:
                 )
             if lazy:
                 pending_mark = self._backend.pending_mark()
-                dictionary_mark = self.dictionary.mark()
             else:
                 self._backend.begin_batch()
             self._in_batch = True
@@ -410,7 +409,6 @@ class QuadStore:
                 self._in_batch = False
                 if lazy:
                     self._backend.discard_pending(pending_mark)
-                    self.dictionary.rollback_to(dictionary_mark)
                 else:
                     self._backend.rollback_batch()
                 raise

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Any, Iterator, NamedTuple, Optional, Union
+from typing import Any, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 
 class URIRef(str):
@@ -30,12 +30,25 @@ class URIRef(str):
 
 
 class BNode(str):
-    """A blank node identified by a local label."""
+    """A blank node identified by a local label.
+
+    Unlike :class:`URIRef` it does not compare or hash as its text: a blank
+    node is a different term from the IRI or the string of the same label.
+    """
 
     __slots__ = ()
 
     def n3(self) -> str:
         return f"_:{self}"
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is BNode and str.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    def __hash__(self) -> int:
+        return hash(("_:", str(self)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"BNode({str(self)!r})"
@@ -260,42 +273,50 @@ def iter_terms(text: str) -> Iterator[Term]:
 
 
 # ------------------------------------------------------- dictionary encoding
+#: Term classes whose equal objects always spell alike, so an object of one
+#: of them may key the dictionary's object cache.  A plain Python value may
+#: not: ``"x"`` equals ``URIRef("x")`` as a dict key but spells a literal.
+_CACHED_CLASSES = frozenset((URIRef, Literal, BNode))
+
+
 class TermDictionary:
-    """Bidirectional term <-> integer-id interning.
+    """Bidirectional term <-> integer-id interning, one per backend.
 
-    Every serious triple store dictionary-encodes terms: each distinct term
-    gets one small integer id, triples become id-tuples, and joins compare
-    machine ints instead of hashing/comparing Python strings and literal
-    objects.  One dictionary is shared by all named graphs of a backend, so
-    ids are stable across graphs and a term's text is stored exactly once
-    regardless of how many triples reference it.
+    Each distinct term gets one small integer id shared by every named graph,
+    triples become id-tuples, and joins compare machine ints.  Ids start at
+    1 (sqlite's ``INTEGER PRIMARY KEY`` row ids, stored verbatim); 0 is never
+    assigned and negative ids are the SPARQL engine's query-local values.
 
-    Ids start at 1 (matching sqlite's ``INTEGER PRIMARY KEY`` row ids so the
-    persistent subclass can reuse them verbatim); id 0 is never assigned, and
-    negative ids are reserved for the SPARQL engine's query-local values.
+    A term's identity is its N-Triples spelling (:func:`term_n3`) — what the
+    sqlite backend stores and replication ships — on every backend.  So
+    ``URIRef("x")``, ``BNode("x")`` and ``"x"`` are three terms, and a plain
+    Python value is the :class:`Literal` it spells: ``"5"`` and
+    ``Literal("5")`` share one id, which decodes to ``Literal("5")``.
 
-    Quoted (RDF-star) triples are first-class terms: encoding one interns its
-    inner terms first and records the ``id -> (s, p, o)`` part mapping, so
-    the graph index can maintain its partial quoted-triple indexes — and the
-    engine can structurally match quoted patterns — without ever decoding.
+    Spellings are the rows; term objects are a cache over them.  Rows loaded
+    from disk or the wire (:meth:`load_rows`) stay text until their first
+    :meth:`decode`.  A :class:`URIRef`, :class:`Literal` or :class:`BNode`
+    object, once seen, keys its id directly, so a known term's lookup is a
+    class check and one dict get.
 
-    Equality follows Python ``dict`` key semantics, exactly like the seed's
-    triple sets did: terms that compare equal (e.g. ``URIRef("x")`` and the
-    plain string ``"x"``) alias to one id, terms that do not (``Literal("5")``
-    vs ``"5"``) stay distinct.
+    A quoted (RDF-star) triple is keyed by its part ids alone and has no
+    spelling row: encoding one interns its inner terms and records the
+    ``id -> (s, p, o)`` parts, so the graph index's quoted-triple indexes and
+    the engine's quoted patterns never decode.
     """
 
     __slots__ = (
-        "_term_to_id",
-        "_id_to_term",
-        "_quoted_parts",
-        "_quoted_by_parts",
-        "_next_id",
+        "_term_to_id", "_id_to_term", "_text_to_id", "_id_to_text", "_quoted_parts", "_quoted_by_parts", "_next_id",
     )
 
     def __init__(self):
+        #: Object cache: ``term -> id`` for exactly the non-quoted terms in
+        #: ``_id_to_term`` (so :meth:`rollback_to` can pop both per id).
         self._term_to_id: dict = {}
+        #: ``id -> term`` for the ids decoded or interned from an object.
         self._id_to_term: dict = {}
+        self._text_to_id: dict = {}
+        self._id_to_text: dict = {}
         #: ``quoted term id -> (subject id, predicate id, object id)``.
         self._quoted_parts: dict = {}
         #: Inverse of ``_quoted_parts`` for O(1) quoted-term lookups by parts.
@@ -303,16 +324,16 @@ class TermDictionary:
         self._next_id: int = 1
 
     def __len__(self) -> int:
-        return len(self._id_to_term)
+        return len(self._id_to_text) + len(self._quoted_parts)
 
     # ------------------------------------------------------------- interning
     def encode(self, term: Any) -> int:
-        """The term's id, interning it (and any inner terms) if new.
-
-        A quoted triple is keyed by its part ids alone — it is never hashed
-        as an object, and its spelling is only built when it is new.
-        """
-        if isinstance(term, QuotedTriple):
+        """The term's id, interning it (and any inner terms) if new."""
+        if term.__class__ in _CACHED_CLASSES:
+            term_id = self._term_to_id.get(term)
+            if term_id is not None:
+                return term_id
+        elif term.__class__ is QuotedTriple:
             parts = (
                 self.encode(term.subject),
                 self.encode(term.predicate),
@@ -320,29 +341,42 @@ class TermDictionary:
             )
             term_id = self._quoted_by_parts.get(parts)
             if term_id is None:
-                term_id = self._assign_quoted(term, parts)
-                self._register_quoted(term_id, parts)
+                term_id = self._next_id
+                self._next_id += 1
+                self._id_to_term[term_id] = term
+                self._quoted_parts[term_id] = parts
+                self._quoted_by_parts[parts] = term_id
             return term_id
-        term_id = self._term_to_id.get(term)
-        return term_id if term_id is not None else self._assign(term)
-
-    def _assign(self, term: Any) -> int:
-        term_id = self._next_id
-        self._next_id += 1
-        self._term_to_id[term] = term_id
-        self._id_to_term[term_id] = term
+        text = term_n3(term)
+        term_id = self._text_to_id.get(text)
+        if term_id is None:
+            term_id = self._next_id
+            self._next_id += 1
+            self._text_to_id[text] = term_id
+            self._id_to_text[term_id] = text
+        self._remember(term, term_id)
         return term_id
 
-    def _assign_quoted(self, term: "QuotedTriple", parts: "tuple[int, int, int]") -> int:
-        """A fresh id for a quoted triple whose part ids are ``parts``."""
-        term_id = self._next_id
-        self._next_id += 1
-        self._id_to_term[term_id] = term
-        return term_id
+    def _remember(self, term: Any, term_id: int) -> None:
+        """Cache ``term`` as the object of ``term_id`` if the id has none yet."""
+        if term.__class__ in _CACHED_CLASSES and self._id_to_term.setdefault(term_id, term) is term:
+            self._term_to_id[term] = term_id
 
-    def _register_quoted(self, term_id: int, parts: "tuple[int, int, int]") -> None:
-        self._quoted_parts[term_id] = parts
-        self._quoted_by_parts[parts] = term_id
+    def load_rows(
+        self, rows: Iterable[Tuple[int, str]], quoted: Iterable[Tuple[int, int, int, int]] = ()
+    ) -> None:
+        """Adopt ``(id, n3)`` spelling rows (kept as text) and ``(id, s, p, o)``
+        quoted rows, as read from disk or shipped by replication."""
+        last = self._next_id - 1
+        for term_id, text in rows:
+            self._text_to_id[text] = term_id
+            self._id_to_text[term_id] = text
+            last = max(last, term_id)
+        for term_id, subject, predicate, obj in quoted:
+            self._quoted_parts[term_id] = parts = (subject, predicate, obj)
+            self._quoted_by_parts[parts] = term_id
+            last = max(last, term_id)
+        self._next_id = last + 1
 
     @property
     def next_id(self) -> int:
@@ -354,26 +388,22 @@ class TermDictionary:
         """
         return self._next_id
 
-    def export_rows(self, start: int) -> "list[tuple[int, str]]":
-        """``(id, n3_text)`` rows for every non-quoted id in ``[start, next_id)``.
+    def export_rows(self, start: int) -> List[Tuple[int, str]]:
+        """``(id, n3_text)`` rows for every non-quoted id in ``[start, next_id)``,
+        in id order: the sqlite ``terms`` rows and replication's wire format.
 
-        The wire format of dictionary replication: ids are contiguous from
-        1, so a follower's ``next_id`` names exactly the rows it is
-        missing.  Rows come back in id order.  A quoted triple has no text
-        row: it travels as its part ids (:meth:`export_quoted_parts`).
+        A follower's ``next_id`` names exactly the rows it is missing.  A
+        quoted triple travels as its parts (:meth:`export_quoted_parts`).
         """
-        id_to_term, quoted_parts = self._id_to_term, self._quoted_parts
+        id_to_text = self._id_to_text
         return [
-            (term_id, term_n3(id_to_term[term_id]))
+            (term_id, id_to_text[term_id])
             for term_id in range(max(start, 1), self._next_id)
-            if term_id in id_to_term and term_id not in quoted_parts
+            if term_id in id_to_text
         ]
 
-    def export_quoted_parts(self, start: int) -> "list[int]":
-        """Flat ``(quoted id, s, p, o)`` runs for quoted ids in ``[start, next_id)``.
-
-        Replication's sidecar to :meth:`export_rows`, and the only form a
-        quoted triple travels in."""
+    def export_quoted_parts(self, start: int) -> List[int]:
+        """Flat ``(quoted id, s, p, o)`` runs for quoted ids in ``[start, next_id)``."""
         out: list = []
         extend = out.extend
         quoted_parts = self._quoted_parts
@@ -387,49 +417,65 @@ class TermDictionary:
     def mark(self) -> int:
         """A rollback point: the next id that would be assigned.
 
-        ``QuadStore.write_batch`` takes a mark when the outermost batch
-        opens; :meth:`rollback_to` discards every id interned since, so an
-        aborted batch cannot leak dictionary entries (which would make the
-        ids of later terms — and therefore the durable byte layout — depend
-        on batches that never committed).
+        An aborted batch rolls back to its mark, so it cannot change the ids
+        of later terms — and therefore the durable byte layout.
         """
         return self._next_id
 
     def rollback_to(self, mark: int) -> None:
-        """Forget every term interned at or after ``mark``.
+        """Forget every term interned at or after ``mark``, cached objects included.
 
         Safe only while the caller holds the store's write gate and after
         the triples referencing those ids have been rolled back.
         """
         for term_id in range(mark, self._next_id):
+            text = self._id_to_text.pop(term_id, None)
+            if text is not None:
+                del self._text_to_id[text]
             term = self._id_to_term.pop(term_id, None)
-            if term is not None:
-                self._term_to_id.pop(term, None)
             parts = self._quoted_parts.pop(term_id, None)
             if parts is not None:
-                self._quoted_by_parts.pop(parts, None)
-        self._next_id = mark
+                del self._quoted_by_parts[parts]
+            elif term is not None:
+                del self._term_to_id[term]
+        self._next_id = min(mark, self._next_id)
 
     # --------------------------------------------------------------- lookups
     def lookup(self, term: Any) -> Optional[int]:
         """The term's id without interning; ``None`` for unknown terms."""
-        if isinstance(term, QuotedTriple):
+        if term.__class__ in _CACHED_CLASSES:
+            term_id = self._term_to_id.get(term)
+            if term_id is not None:
+                return term_id
+        elif term.__class__ is QuotedTriple:
             subject = self.lookup(term.subject)
             predicate = self.lookup(term.predicate)
             obj = self.lookup(term.object)
             if subject is None or predicate is None or obj is None:
                 return None
-            return self.quoted_id((subject, predicate, obj))
-        return self._term_to_id.get(term)
+            return self._quoted_by_parts.get((subject, predicate, obj))
+        term_id = self._text_to_id.get(term_n3(term))
+        if term_id is not None:
+            self._remember(term, term_id)
+        return term_id
 
     def decode(self, term_id: int) -> Any:
-        """The term interned under ``term_id``."""
-        return self._id_to_term[term_id]
+        """The term interned under ``term_id`` (parsed and cached on first use)."""
+        term = self._id_to_term.get(term_id)
+        if term is None:
+            parts = self._quoted_parts.get(term_id)
+            if parts is not None:
+                term = QuotedTriple(*map(self.decode, parts))
+            else:
+                term = parse_term(self._id_to_text[term_id])
+                self._term_to_id[term] = term_id
+            self._id_to_term[term_id] = term
+        return term
 
-    def quoted_parts(self, term_id: int) -> Optional["tuple[int, int, int]"]:
+    def quoted_parts(self, term_id: int) -> Optional[Tuple[int, int, int]]:
         """Inner ``(s, p, o)`` ids of a quoted-triple id, else ``None``."""
         return self._quoted_parts.get(term_id)
 
-    def quoted_id(self, parts: "tuple[int, int, int]") -> Optional[int]:
+    def quoted_id(self, parts: Tuple[int, int, int]) -> Optional[int]:
         """The id of the quoted triple with these inner ids, if interned."""
         return self._quoted_by_parts.get(parts)

@@ -8,12 +8,12 @@ variables; ids only decode back to terms at FILTER evaluation and final
 projection.
 
 Two id spaces meet here: the store's :class:`~repro.rdf.terms.TermDictionary`
-assigns positive ids to interned terms, and a per-query :class:`QueryEncoder`
-assigns *negative* ids to query-local values (BIND results, graph names or
-constants the store never interned).  Equality of ids coincides with the
-seed engine's value equality: a local id is only assigned when the store
-dictionary has no id for the value, and local interning uses the same
-``dict``-key equality the seed's ``==`` comparisons reduce to.
+assigns positive ids to interned terms, one per N-Triples spelling (a BIND
+result ``"x"`` finds the stored ``Literal("x")``), and a per-query
+:class:`QueryEncoder` assigns *negative* ids to query-local values (BIND
+results, graph names or constants the store never interned).  A local id is
+only assigned when the store has no id for the value, and local interning
+keeps ``dict``-key equality.
 """
 
 from __future__ import annotations

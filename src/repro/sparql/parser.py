@@ -42,7 +42,25 @@ from repro.sparql.algebra import (
 
 
 class SPARQLSyntaxError(ValueError):
-    """Raised when a query cannot be parsed."""
+    """Raised when a query cannot be parsed.
+
+    ``line`` and ``column`` (1-based, also in the message) locate the
+    offending token, or the end of the text when the query stops early;
+    both are ``None`` for an error found in an algebra built in code.
+    """
+
+    def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
+        if line is not None:
+            message = f"{message} at line {line}, column {column}"
+        super().__init__(message)
+        self.line = line
+        self.column = column
+
+
+def _syntax_error(message: str, text: str, offset: int) -> SPARQLSyntaxError:
+    """A :class:`SPARQLSyntaxError` located at ``offset`` in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SPARQLSyntaxError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 _TOKEN_RE = re.compile(
@@ -94,11 +112,12 @@ _KEYWORDS = {
 
 
 class _Token:
-    __slots__ = ("kind", "text")
+    __slots__ = ("kind", "text", "offset")
 
-    def __init__(self, kind: str, text: str):
+    def __init__(self, kind: str, text: str, offset: int):
         self.kind = kind
         self.text = text
+        self.offset = offset
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"Token({self.kind}, {self.text!r})"
@@ -110,22 +129,24 @@ def _tokenize(query: str) -> List[_Token]:
     while position < len(query):
         match = _TOKEN_RE.match(query, position)
         if not match:
-            raise SPARQLSyntaxError(
-                f"cannot tokenize query at position {position}: {query[position:position + 20]!r}"
-            )
-        position = match.end()
+            raise _syntax_error(f"cannot tokenize {query[position:position + 20]!r}", query, position)
         kind = match.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        tokens.append(_Token(kind, match.group(0)))
+        if kind not in ("ws", "comment"):
+            tokens.append(_Token(kind, match.group(0), position))
+        position = match.end()
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], prefixes: Dict[str, Namespace]):
-        self._tokens = tokens
+    def __init__(self, query: str, prefixes: Dict[str, Namespace]):
+        self._text = query
+        self._tokens = _tokenize(query)
         self._position = 0
         self._prefixes = dict(prefixes)
+
+    def _error(self, message: str, token: Optional[_Token]) -> SPARQLSyntaxError:
+        """A syntax error at ``token``, or at the end of the text for ``None``."""
+        return _syntax_error(message, self._text, len(self._text) if token is None else token.offset)
 
     # ----------------------------------------------------------- token utils
     def _peek(self, offset: int = 0) -> Optional[_Token]:
@@ -135,19 +156,19 @@ class _Parser:
     def _next(self) -> _Token:
         token = self._peek()
         if token is None:
-            raise SPARQLSyntaxError("unexpected end of query")
+            raise self._error("unexpected end of query", None)
         self._position += 1
         return token
 
     def _expect_word(self, word: str) -> None:
         token = self._next()
         if token.kind != "word" or token.text.lower() != word:
-            raise SPARQLSyntaxError(f"expected {word!r}, found {token.text!r}")
+            raise self._error(f"expected {word!r}, found {token.text!r}", token)
 
     def _expect_punct(self, punct: str) -> None:
         token = self._next()
         if token.text != punct:
-            raise SPARQLSyntaxError(f"expected {punct!r}, found {token.text!r}")
+            raise self._error(f"expected {punct!r}, found {token.text!r}", token)
 
     def _at_word(self, word: str) -> bool:
         token = self._peek()
@@ -161,8 +182,9 @@ class _Parser:
     def parse(self) -> SelectQuery:
         self._parse_prologue()
         query = self._parse_select()
-        if self._peek() is not None:
-            raise SPARQLSyntaxError(f"trailing tokens after query: {self._peek().text!r}")
+        token = self._peek()
+        if token is not None:
+            raise self._error(f"trailing tokens after query: {token.text!r}", token)
         return query
 
     def _parse_prologue(self) -> None:
@@ -176,10 +198,10 @@ class _Parser:
                 if self._at_punct(":"):
                     self._next()
             else:
-                raise SPARQLSyntaxError(f"malformed PREFIX declaration near {name_token.text!r}")
+                raise self._error(f"malformed PREFIX declaration near {name_token.text!r}", name_token)
             iri_token = self._next()
             if iri_token.kind != "iri":
-                raise SPARQLSyntaxError("PREFIX declaration requires an IRI")
+                raise self._error("PREFIX declaration requires an IRI", iri_token)
             self._prefixes[prefix] = Namespace(iri_token.text[1:-1])
 
     def _parse_select(self) -> SelectQuery:
@@ -195,7 +217,7 @@ class _Parser:
             while True:
                 token = self._peek()
                 if token is None:
-                    raise SPARQLSyntaxError("unexpected end of SELECT clause")
+                    raise self._error("unexpected end of SELECT clause", None)
                 if token.kind == "var":
                     variables.append(Var(self._next().text[1:]))
                 elif token.text == "(":
@@ -219,14 +241,13 @@ class _Parser:
                 self._expect_word("by")
                 order_by.extend(self._parse_order_conditions())
             elif self._at_word("limit") or self._at_word("offset"):
-                clause = self._next().text.upper()
+                clause_token = self._next()
+                clause = clause_token.text.upper()
                 count = self._next()
                 if clause in window:
-                    raise SPARQLSyntaxError(f"duplicate {clause} clause")
+                    raise self._error(f"duplicate {clause} clause", clause_token)
                 if count.kind != "number" or not count.text.isdecimal():
-                    raise SPARQLSyntaxError(
-                        f"{clause} takes an unsigned integer, found {count.text!r}"
-                    )
+                    raise self._error(f"{clause} takes an unsigned integer, found {count.text!r}", count)
                 window[clause] = int(count.text)
             else:
                 break
@@ -253,13 +274,13 @@ class _Parser:
                 self._expect_punct("(")
                 variable_token = self._next()
                 if variable_token.kind != "var":
-                    raise SPARQLSyntaxError("ORDER BY ASC/DESC expects a variable")
+                    raise self._error("ORDER BY ASC/DESC expects a variable", variable_token)
                 self._expect_punct(")")
                 conditions.append((Var(variable_token.text[1:]), ascending))
             else:
                 break
         if not conditions:
-            raise SPARQLSyntaxError("empty ORDER BY clause")
+            raise self._error("empty ORDER BY clause", self._peek())
         return conditions
 
     def _parse_aggregate(self) -> Aggregate:
@@ -273,7 +294,7 @@ class _Parser:
             "max",
             "sample",
         ):
-            raise SPARQLSyntaxError(f"unknown aggregate {function_token.text!r}")
+            raise self._error(f"unknown aggregate {function_token.text!r}", function_token)
         function = function_token.text.lower()
         self._expect_punct("(")
         distinct = False
@@ -286,13 +307,13 @@ class _Parser:
         else:
             variable_token = self._next()
             if variable_token.kind != "var":
-                raise SPARQLSyntaxError("aggregate argument must be a variable or *")
+                raise self._error("aggregate argument must be a variable or *", variable_token)
             argument = Var(variable_token.text[1:])
         self._expect_punct(")")
         self._expect_word("as")
         alias_token = self._next()
         if alias_token.kind != "var":
-            raise SPARQLSyntaxError("aggregate alias must be a variable")
+            raise self._error("aggregate alias must be a variable", alias_token)
         self._expect_punct(")")
         return Aggregate(
             function=function, argument=argument, distinct=distinct, alias=Var(alias_token.text[1:])
@@ -305,7 +326,7 @@ class _Parser:
         while not self._at_punct("}"):
             token = self._peek()
             if token is None:
-                raise SPARQLSyntaxError("unterminated group pattern")
+                raise self._error("unterminated group pattern", None)
             if self._at_word("filter"):
                 self._next()
                 self._expect_punct("(")
@@ -322,7 +343,7 @@ class _Parser:
                 self._expect_word("as")
                 variable_token = self._next()
                 if variable_token.kind != "var":
-                    raise SPARQLSyntaxError("BIND requires a variable alias")
+                    raise self._error("BIND requires a variable alias", variable_token)
                 self._expect_punct(")")
                 group.elements.append(BindClause(expression, Var(variable_token.text[1:])))
             elif self._at_word("graph"):
@@ -365,25 +386,22 @@ class _Parser:
         token = self._next()
         if token.kind == "quoted_open":
             if not allow_quoted:
-                raise SPARQLSyntaxError("quoted triple not allowed here")
+                raise self._error("quoted triple not allowed here", token)
             subject = self._parse_term()
             predicate = self._parse_term(as_predicate=True)
             obj = self._parse_term()
             closing = self._next()
             if closing.kind != "quoted_close":
-                raise SPARQLSyntaxError("unterminated quoted triple pattern")
+                raise self._error("unterminated quoted triple pattern", closing)
             return QuotedPattern(subject, predicate, obj)
         if token.kind == "var":
             return Var(token.text[1:])
         if token.kind == "iri":
             return URIRef(token.text[1:-1])
         if token.kind == "pname":
-            prefix, local = token.text.split(":", 1)
-            if prefix not in self._prefixes:
-                raise SPARQLSyntaxError(f"unknown prefix {prefix!r}")
-            return self._prefixes[prefix].term(local)
+            return self._prefixed_name(token)
         if token.kind == "string":
-            return self._finish_literal(token.text)
+            return Literal(Literal.unescape(token.text[1:-1]))
         if token.kind == "number":
             return Literal(float(token.text)) if "." in token.text or "e" in token.text.lower() else Literal(int(token.text))
         if token.kind == "word":
@@ -396,13 +414,13 @@ class _Parser:
                 return Literal(True)
             if lowered == "false":
                 return Literal(False)
-        raise SPARQLSyntaxError(f"unexpected token {token.text!r} in pattern")
+        raise self._error(f"unexpected token {token.text!r} in pattern", token)
 
-    def _finish_literal(self, text: str) -> Literal:
-        value = Literal.unescape(text[1:-1])
-        if self._peek() is not None and self._peek().text == "^":  # pragma: no cover
-            raise SPARQLSyntaxError("typed literals with ^^ are not supported in queries")
-        return Literal(value)
+    def _prefixed_name(self, token: _Token) -> URIRef:
+        prefix, local = token.text.split(":", 1)
+        if prefix not in self._prefixes:
+            raise self._error(f"unknown prefix {prefix!r}", token)
+        return self._prefixes[prefix].term(local)
 
     # ---------------------------------------------------------- expressions
     def _parse_expression(self) -> Expression:
@@ -436,7 +454,7 @@ class _Parser:
     def _parse_primary_expression(self) -> Expression:
         token = self._peek()
         if token is None:
-            raise SPARQLSyntaxError("unexpected end of expression")
+            raise self._error("unexpected end of expression", None)
         if token.text == "!":
             self._next()
             return NotExpr(self._parse_primary_expression())
@@ -459,10 +477,7 @@ class _Parser:
             return ConstExpr(URIRef(token.text[1:-1]))
         if token.kind == "pname":
             self._next()
-            prefix, local = token.text.split(":", 1)
-            if prefix not in self._prefixes:
-                raise SPARQLSyntaxError(f"unknown prefix {prefix!r}")
-            return ConstExpr(self._prefixes[prefix].term(local))
+            return ConstExpr(self._prefixed_name(token))
         if token.kind == "word":
             lowered = token.text.lower()
             if lowered in ("true", "false"):
@@ -479,9 +494,9 @@ class _Parser:
                     arguments.append(self._parse_expression())
             self._expect_punct(")")
             return FunctionCall(lowered, arguments)
-        raise SPARQLSyntaxError(f"unexpected token {token.text!r} in expression")
+        raise self._error(f"unexpected token {token.text!r} in expression", token)
 
 
 def parse_query(query: str, prefixes: Optional[Dict[str, Namespace]] = None) -> SelectQuery:
     """Parse a SPARQL SELECT query into its algebra representation."""
-    return _Parser(_tokenize(query), prefixes or DEFAULT_PREFIXES).parse()
+    return _Parser(query, prefixes or DEFAULT_PREFIXES).parse()

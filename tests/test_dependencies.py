@@ -10,7 +10,7 @@ implementation in ``repro.ml``, one write path in ``repro.rdf`` / ``repro.kg``,
 a line budget for ``repro.rdf`` + ``repro.sparql``, no sqlite index that
 nothing reads, no per-call SPARQL behind the similarity and library discovery
 calls, one backend base class that a durable backend and the fault wrapper do
-not restate, no capacity-bounded memo in the query engine.
+not restate, one term dictionary, no capacity-bounded memo in the query engine.
 """
 
 import ast
@@ -144,7 +144,7 @@ def test_rdf_sparql_line_budget():
         for name in ("rdf", "sparql")
         for path in (package / name).glob("*.py")
     )
-    assert lines <= 6449, f"rdf/ + sparql/ is {lines} lines (budget 6,449)"
+    assert lines <= 6353, f"rdf/ + sparql/ is {lines} lines (budget 6,353)"
 
 
 def _classes(path: Path):
@@ -157,6 +157,27 @@ def _classes(path: Path):
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ClassDef)
     }
+
+
+def test_one_term_dictionary():
+    """``TermDictionary`` is the only term dictionary class in ``src/``.
+
+    Every backend interns a term by its N-Triples spelling through this one
+    class: nothing subclasses it or defines another dictionary, and it takes
+    no option that could switch the identity rule.
+    """
+    source = Path(__file__).resolve().parent.parent / "src" / "repro"
+    dictionaries = {
+        (path.relative_to(source).as_posix(), name)
+        for path in sorted(source.rglob("*.py"))
+        for name, (bases, _) in _classes(path).items()
+        if name.endswith("Dictionary") or "TermDictionary" in bases
+    }
+    assert dictionaries == {("rdf/terms.py", "TermDictionary")}, dictionaries
+    module = ast.parse((source / "rdf" / "terms.py").read_text())
+    dictionary = next(node for node in module.body if isinstance(node, ast.ClassDef) and node.name == "TermDictionary")
+    init = next(item for item in dictionary.body if isinstance(item, ast.FunctionDef) and item.name == "__init__")
+    assert ast.unparse(init.args) == "self"
 
 
 def test_one_backend_base_class():

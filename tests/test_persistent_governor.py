@@ -276,11 +276,12 @@ class TestSqliteBackend:
         store.close()
 
     def test_reopen_refuses_a_buffered_stray_floor(self, tmp_path):
-        """A lazy replica apply buffers a stray floor (``ingest_term_rows``
-        deletes local terms at or above it at the next flush).  ``reopen``
-        used to accept it and the next flush deleted the *new* file's terms,
-        leaving shards whose ids no longer decode; it must refuse, like any
-        other unflushed write."""
+        """A lazy replica apply that ships rows from below a local stray (a
+        term the replica interned and flushed past its synced watermark)
+        leaves the stray's on-disk row for the next flush to delete.
+        ``reopen`` used to accept that and the next flush deleted the *new*
+        file's terms, leaving shards whose ids no longer decode; it must
+        refuse, like any other unflushed write."""
         writer_path, replica_path = tmp_path / "writer.sqlite3", tmp_path / "replica.sqlite3"
         writer = QuadStore.sqlite(writer_path)
         writer.add(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1))
@@ -288,8 +289,16 @@ class TestSqliteBackend:
         writer.backend.checkpoint()
         shutil.copyfile(writer_path, replica_path)
         replica = QuadStore.sqlite(replica_path)
+        synced = replica.dictionary.next_id
+        assert replica.dictionary.encode(URIRef("http://x/stray")) == synced
+        replica.flush()
+        replica.backend.checkpoint()
+        connection = sqlite3.connect(replica_path)
+        assert connection.execute("SELECT n3 FROM terms WHERE id = ?", (synced,)).fetchall() == [("<http://x/stray>",)]
+        connection.close()
         with replica.replication_batch(replica.commit_version + 1, durable=False):
-            replica.backend.ingest_term_rows(replica.dictionary.next_id, [])
+            replica.backend.ingest_term_rows(synced, [])
+        assert replica.dictionary.lookup(URIRef("http://x/stray")) is None
         writer.add(URIRef("http://x/t"), URIRef("http://x/q"), Literal(2))
         writer.flush()
         writer.backend.checkpoint()
@@ -298,6 +307,11 @@ class TestSqliteBackend:
         os.replace(tmp_path / "landing.sqlite3", replica_path)
         with pytest.raises(RuntimeError, match="unflushed"):
             replica.reopen()
+        assert replica.dictionary.next_id == synced
+        # Any flush now (a close, a count, a shard load) would delete the
+        # stale rows through the replaced path's WAL, in the landed file: the
+        # replica is dropped without one.
+        replica.backend.crash()
         replica.close()
         landed = QuadStore.sqlite(replica_path)
         try:
@@ -306,6 +320,47 @@ class TestSqliteBackend:
             assert serialize_nquads(landed) == serialize_nquads(writer)
         finally:
             landed.close()
+            writer.close()
+
+    def test_a_failed_durable_apply_over_a_stray_leaves_the_file_matching_the_dictionary(self, tmp_path):
+        """A durable apply ships rows over a flushed local stray, flushes its
+        quads mid-batch and fails.  The rollback takes the quads back and the
+        stray row stays on disk while the dictionary keeps the shipped row at
+        that id, so the next flush must replace the row: the file then holds
+        what the dictionary holds, live and reopened."""
+        writer_path, replica_path = tmp_path / "writer.sqlite3", tmp_path / "replica.sqlite3"
+        writer = QuadStore.sqlite(writer_path)
+        writer.add(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1))
+        writer.flush()
+        writer.backend.checkpoint()
+        shutil.copyfile(writer_path, replica_path)
+        replica = QuadStore.sqlite(replica_path)
+        replica.backend.flush_threshold = 1
+        synced = replica.dictionary.next_id
+        replica.dictionary.encode(URIRef("http://x/stray"))
+        replica.flush()
+        writer.add(URIRef("http://x/t"), URIRef("http://x/q"), Literal(2))
+        shipped = writer.dictionary.export_rows(synced)
+        with pytest.raises(RuntimeError, match="torn"):
+            with replica.replication_batch(replica.commit_version + 1):
+                replica.backend.ingest_term_rows(synced, shipped)
+                replica.backend.apply_row_delta(URIRef("http://x/g"), [(synced, synced + 1, synced + 2)], [])
+                raise RuntimeError("torn")
+        assert replica.dictionary.export_rows(1) == writer.dictionary.export_rows(1)[:synced]
+        replica.flush()
+        connection = sqlite3.connect(replica_path)
+        try:
+            on_disk = connection.execute("SELECT id, n3 FROM terms ORDER BY id").fetchall()
+        finally:
+            connection.close()
+        assert on_disk == replica.dictionary.export_rows(1)
+        assert replica.graphs() == writer.graphs()
+        replica.close()
+        reopened = QuadStore.sqlite(replica_path)
+        try:
+            assert reopened.dictionary.export_rows(1) == on_disk
+        finally:
+            reopened.close()
             writer.close()
 
     def test_literal_escapes_round_trip(self, tmp_path):

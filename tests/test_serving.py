@@ -61,6 +61,7 @@ from repro.kg.errors import TransientError
 from repro.kg.ontology import DATASET_GRAPH, ONTOLOGY_GRAPH, LiDSOntology, column_uri, table_uri
 from repro.kg.storage import KGLiDSStorage
 from repro.rdf import Literal, QuadStore, QuotedTriple, URIRef
+from repro.rdf.serialize import serialize_nquads
 from repro.serving import (
     LiDSServer,
     RemoteError,
@@ -800,6 +801,76 @@ def test_lazy_applies_defer_durability_until_checkpoint(served_lake, tmp_path):
         assert backend.committed_version() == replica.commit_version
     finally:
         replica.close()
+
+
+def disk_dictionary(path) -> tuple:
+    """A sqlite file's ``terms`` and ``quoted`` rows, shaped like ``dictionary_rows``."""
+    connection = sqlite3.connect(path)
+    try:
+        terms = connection.execute("SELECT id, n3 FROM terms ORDER BY id").fetchall()
+        quoted = [part for row in connection.execute("SELECT id, s, p, o FROM quoted ORDER BY id") for part in row]
+    finally:
+        connection.close()
+    return terms, quoted
+
+
+def test_a_torn_lazy_apply_answers_the_pre_apply_version_and_the_retry_converges(
+    served_lake, tmp_path, monkeypatch
+):
+    """A lazy delta apply raises after its shipped term rows landed in the
+    dictionary and one graph's rows were patched in.  Reads answer the
+    pre-apply version, a checkpoint leaves ``terms`` / ``quoted`` as they
+    were, and the retried sync converges on the writer byte for byte."""
+    service = served_lake["service"]
+    writer_store = served_lake["governor"].storage.graph
+    replica_dir = ship_snapshot(served_lake["dir"], tmp_path / "replica")
+    replica_file = replica_dir / "graph.sqlite3"
+    replica = Replica(served_lake["server"].address, replica_dir, durable_applies=False)
+    try:
+        store, backend = replica.store, replica.store.backend
+        replica.checkpoint()
+        durable_before = backend.committed_version()
+        # Every graph resident, so the first shipped op patches an index.
+        before = (serialize_nquads(store), dictionary_rows(store), store.commit_version)
+        disk_before, synced = disk_dictionary(replica_file), store.dictionary.next_id
+        service.submit_lake(make_lake(2, seed=29, name="torn")).result(timeout=120)
+        service.drain()
+
+        apply_row_delta = backend.apply_row_delta
+        torn = []
+
+        def apply_then_tear(graph, added, removed):
+            assert store.dictionary.next_id > synced, "shipped rows have not landed"
+            apply_row_delta(graph, added, removed)
+            torn.append(graph)
+            raise RuntimeError("torn apply")
+
+        monkeypatch.setattr(backend, "apply_row_delta", apply_then_tear)
+        with pytest.raises(RuntimeError, match="torn apply"):
+            replica.sync()
+        monkeypatch.undo()
+        assert torn and replica.stats["sync_failures"] == 1
+        assert (serialize_nquads(store), dictionary_rows(store), store.commit_version) == before
+        assert store.dictionary.next_id == synced
+        replica.checkpoint()
+        assert disk_dictionary(replica_file) == disk_before
+
+        assert replica.sync() is True
+        assert backend.committed_version() == durable_before  # the retry applied lazily
+        replica.checkpoint()
+        writer_rows = dictionary_rows(writer_store)
+        assert store.commit_version == service.commit_version
+        assert dictionary_rows(store) == writer_rows
+        assert disk_dictionary(replica_file) == writer_rows
+        assert serialize_nquads(store) == serialize_nquads(writer_store)
+    finally:
+        replica.close()
+    reopened = QuadStore.sqlite(replica_file)
+    try:
+        assert dictionary_rows(reopened) == writer_rows
+        assert serialize_nquads(reopened) == serialize_nquads(writer_store)
+    finally:
+        reopened.close()
 
 
 @pytest.mark.parametrize("durable_applies", [True, False], ids=["durable", "lazy"])

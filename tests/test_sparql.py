@@ -1,6 +1,7 @@
 """Unit tests for the SPARQL parser and evaluator."""
 
 import inspect
+import re
 import sys
 import threading
 
@@ -95,6 +96,32 @@ class TestParser:
             query = parse_query(f"SELECT ?s WHERE {{ ?s ?p ?o }} {window}")
             assert (query.limit, query.offset) == (0, 3)
         assert parse_query("SELECT ?s WHERE { ?s ?p ?o }").offset == 0
+
+
+class TestSyntaxErrorPositions:
+    """A syntax error names the 1-based line and column of the offending
+    token, or of the end of the text, as attributes and in its message."""
+
+    MALFORMED = [
+        ("SELECT ?s WHERE {\n  ?s ?p ?o .\n  FILTER(?o > )\n}", 3, 15, "unexpected token ')'"),
+        ("SELECT ?s WHERE { ?s ?p ?o", 1, 27, "unterminated group pattern"),
+        ("SELECT ?s WHERE {\n ?s ?p ?o ; $ }", 2, 13, "cannot tokenize"),
+        ("SELECT ?s WHERE {\n\t?s nope:p ?o }", 2, 5, "unknown prefix 'nope'"),
+    ]
+
+    @pytest.mark.parametrize("text, line, column, message", MALFORMED)
+    def test_parse_query_locates_the_error(self, text, line, column, message):
+        with pytest.raises(SPARQLSyntaxError) as raised:
+            parse_query(text)
+        assert (raised.value.line, raised.value.column) == (line, column)
+        assert str(raised.value).startswith(message)
+        assert str(raised.value).endswith(f"at line {line}, column {column}")
+
+    @pytest.mark.parametrize("text, line, column, message", MALFORMED)
+    def test_engine_select_surfaces_the_position(self, engine, text, line, column, message):
+        with pytest.raises(SPARQLSyntaxError, match=f"{re.escape(message)}.* at line {line}, column {column}$") as raised:
+            engine.select(text)
+        assert (raised.value.line, raised.value.column) == (line, column)
 
 
 class TestEvaluation:

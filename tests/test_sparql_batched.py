@@ -30,6 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.rdf import (
+    BNode,
     Literal,
     QuadStore,
     QuotedTriple,
@@ -490,12 +491,73 @@ class TestTermDictionary:
         )
         reopened.close()
 
-    def test_value_equal_terms_share_one_id(self):
-        """Dict-key equality semantics: URIRef("x") and "x" alias (as the
-        seed's triple sets did), Literal("5") and "5" stay distinct."""
-        dictionary = TermDictionary()
-        assert dictionary.encode(_uri("x")) == dictionary.encode(str(_uri("x")))
-        assert dictionary.encode(Literal("5")) != dictionary.encode("5")
+    #: Every ``open_store`` configuration, plus a sqlite store closed and
+    #: reopened before it is read.
+    ONE_RULE_CONFIGURATIONS = ["memory", "sqlite", "faulted-memory", "faulted-sqlite", "reopened-sqlite"]
+
+    @staticmethod
+    def _one_rule_store(configuration, path, open_store, triples) -> QuadStore:
+        store = open_store(configuration.replace("reopened-", ""), path)
+        for triple in triples:
+            store.add(*triple)
+        if configuration.startswith("reopened-"):
+            store.close()
+            store = QuadStore.sqlite(path)
+        return store
+
+    @pytest.mark.parametrize("configuration", ONE_RULE_CONFIGURATIONS)
+    def test_different_kinds_never_share_an_id(self, configuration, open_store, tmp_path):
+        """``URIRef("x")``, ``BNode("x")`` and ``"x"`` are three terms: three
+        ids, and the triples they are the objects of stay apart."""
+        s, p, q = _uri("s"), _uri("p"), _uri("q")
+        triples = [(s, p, URIRef("x")), (s, q, BNode("x")), (s, q, "x")]
+        store = self._one_rule_store(configuration, tmp_path / "s.sqlite3", open_store, triples)
+        try:
+            ids = [store.dictionary.lookup(term) for term in (URIRef("x"), BNode("x"), "x")]
+            assert None not in ids and len(set(ids)) == 3
+            assert len(store) == 3
+            assert [term.n3() for term in store.objects(s, p)] == ["<x>"]
+            assert sorted(term.n3() for term in store.objects(s, q)) == ['"x"', "_:x"]
+            assert sorted(type(term).__name__ for term in store.objects(s, q)) == ["BNode", "Literal"]
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("configuration", ONE_RULE_CONFIGURATIONS)
+    def test_a_plain_value_is_the_literal_it_spells(self, configuration, open_store, tmp_path):
+        """``"5"`` and ``Literal("5")`` share one id that decodes to
+        ``Literal("5")``; ``URIRef("5")`` is another term."""
+        s, p = _uri("s"), _uri("p")
+        triples = [(s, p, "5"), (s, p, Literal("5")), (s, p, URIRef("5"))]
+        store = self._one_rule_store(configuration, tmp_path / "s.sqlite3", open_store, triples)
+        try:
+            dictionary = store.dictionary
+            literal_id = dictionary.lookup("5")
+            assert literal_id == dictionary.lookup(Literal("5")) != dictionary.lookup(URIRef("5"))
+            decoded = dictionary.decode(literal_id)
+            assert decoded.__class__ is Literal and decoded == Literal("5")
+            assert len(store) == 2
+            objects = store.objects(s, p)
+            assert sorted((type(term).__name__, term.n3()) for term in objects) == [
+                ("Literal", '"5"'),
+                ("URIRef", "<5>"),
+            ]
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("configuration", ONE_RULE_CONFIGURATIONS)
+    def test_a_bound_value_joins_the_literal_it_spells(self, configuration, open_store, tmp_path):
+        """A BIND result is a plain value; it joins the stored literal of the
+        same spelling on every configuration."""
+        triples = [
+            (_uri("a"), _uri("name"), Literal("node_1")),
+            (_uri("b"), _uri("label"), Literal("NODE_1")),
+        ]
+        store = self._one_rule_store(configuration, tmp_path / "s.sqlite3", open_store, triples)
+        query = f"SELECT ?s ?t ?u WHERE {{ ?s <{EX}name> ?n . BIND(ucase(?n) AS ?u) ?t <{EX}label> ?u }}"
+        try:
+            assert SPARQLEngine(store).select(query).rows == [{"s": _uri("a"), "t": _uri("b"), "u": "NODE_1"}]
+        finally:
+            store.close()
 
 
 class TestLookupMemo:
