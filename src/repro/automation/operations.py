@@ -7,7 +7,7 @@ recommendation without writing code (Section 4.1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -152,18 +152,3 @@ def apply_unary_transformation(table: Table, column_name: str, operation: str) -
             new_values.append(float(np.sqrt(max(0.0, as_float - shift))))
     transformed.set_column(Column(column_name, new_values))
     return transformed
-
-
-def cleaning_operation_index(operation: str) -> int:
-    """Class index of a cleaning operation (label encoding for the GNN)."""
-    return CLEANING_OPERATIONS.index(operation)
-
-
-def scaling_operation_index(operation: str) -> int:
-    """Class index of a scaling operation."""
-    return SCALING_OPERATIONS.index(operation)
-
-
-def unary_operation_index(operation: str) -> int:
-    """Class index of a unary transformation."""
-    return UNARY_OPERATIONS.index(operation)

@@ -257,7 +257,7 @@ class KGpipAutoML:
         """The corpus-wide :class:`PriorBook`, harvested at most once per store version.
 
         :attr:`QuadStore.version` moves on every write, a rollback restores
-        it together with the state, and ``reopen`` bumps it, so a book kept
+        it together with the state, and a replica apply bumps it, so a book kept
         under a version holds exactly that version's pipelines.  The version
         is read under the harvest's own read view, so no commit lands between
         the two.  Only an informed book is kept: an uninformed one may be

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.pipelines.abstraction import PipelineScript
-from repro.rdf import KGLIDS_RESOURCE, Literal, QuadStore, RDF, URIRef
+from repro.rdf import Literal, QuadStore, RDF, URIRef
 from repro.rdf.namespace import Namespace
 
 #: Namespace used by the generated general-purpose code graphs.
@@ -44,10 +44,6 @@ class G4CReport:
 
     num_pipelines: int = 0
     triples_by_aspect: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_triples(self) -> int:
-        return sum(self.triples_by_aspect.values())
 
 
 class GraphGen4Code:

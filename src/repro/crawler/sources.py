@@ -67,10 +67,6 @@ class TableRef:
         """The governance identity: ``(dataset, table name)``."""
         return (self.dataset, self.name)
 
-    def same_version(self, other: "TableRef") -> bool:
-        """Whether two scans saw the same file version (mtime + size)."""
-        return self.size == other.size and self.mtime_ns == other.mtime_ns
-
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
             f"TableRef(dataset={self.dataset!r}, name={self.name!r}, "

@@ -61,9 +61,6 @@ class FeatureGraph:
     def node_ids(self) -> List[object]:
         return list(self._node_ids)
 
-    def index_of(self, node_id) -> int:
-        return self._node_index[node_id]
-
     def features_matrix(self) -> np.ndarray:
         """Node features stacked as an ``(n_nodes, n_features)`` matrix."""
         if not self._features:

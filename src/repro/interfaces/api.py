@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from itertools import product
 from pathlib import Path
@@ -648,10 +647,6 @@ class LiDSClient(KGLiDS):
                 "LiDSClient fronts a GovernorService or a KGGovernor; "
                 f"got {type(source).__name__}"
             )
-        #: Set by :meth:`open` — the saved directory this client fronts
-        #: (enables :meth:`reopen`) and its delta manifest at open time.
-        self._directory: Optional[Path] = None
-        self._manifest: Optional[Dict[str, Any]] = None
         super().__init__(governor)
 
     @classmethod
@@ -662,58 +657,9 @@ class LiDSClient(KGLiDS):
         governor rejects mutations (``read_only``), so the directory's
         graph, embeddings and profiles stay exactly as saved.
         """
-        directory = Path(directory)
         governor = KGGovernor.open(directory, **governor_kwargs)
         governor.read_only = True
-        client = cls(governor)
-        client._directory = directory
-        client._manifest = cls._read_delta_manifest(directory)
-        return client
-
-    @staticmethod
-    def _read_delta_manifest(directory: Path) -> Optional[Dict[str, Any]]:
-        from repro.kg.governor import _DELTA_FILE
-
-        path = directory / _DELTA_FILE
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-
-    def reopen(self) -> Dict[str, Any]:
-        """Cheaply re-open this directory-backed client in place.
-
-        For clients created with :meth:`open` whose directory was updated
-        underneath them (a replica pulling a fresh snapshot): re-reads the
-        sqlite file through the existing backend, *reusing* the interned
-        term dictionary and invalidating only the ``GraphIndex``es of
-        graphs whose shard changed according to the delta manifests — a
-        fraction of a cold reopen.  In-flight read views finish on the old
-        snapshot first (the swap runs under the write gate).  Returns the
-        backend's info dict.
-        """
-        if self._directory is None:
-            raise RuntimeError("reopen() requires a client created by LiDSClient.open")
-        old = self._manifest
-        new = self._read_delta_manifest(self._directory)
-        changed: Optional[List[URIRef]] = None
-        if (
-            old is not None
-            and new is not None
-            and old.get("store_uid") is not None
-            and old.get("store_uid") == new.get("store_uid")
-        ):
-            old_graphs = old.get("graphs", {})
-            changed = [
-                URIRef(name)
-                for name, entry in new.get("graphs", {}).items()
-                if old_graphs.get(name) != entry
-            ]
-        info = self.storage.graph.reopen(changed_graphs=changed)
-        self._manifest = new
-        return info
+        return cls(governor)
 
     @property
     def read_only(self) -> bool:

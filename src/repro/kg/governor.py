@@ -48,7 +48,6 @@ _EMBEDDINGS_FILE = "embeddings.npz"
 _PROFILES_FILE = "profiles.json"
 _PIPELINES_FILE = "pipelines.json"
 _MANIFEST_FILE = "manifest.json"
-_DELTA_FILE = "delta.json"
 #: Newest ``format`` of each JSON file :meth:`KGGovernor.open` can read.
 _PROFILES_FORMAT = 2
 _PIPELINES_FORMAT = 2
@@ -621,7 +620,6 @@ class KGGovernor:
             # ``graph.sqlite3`` (how replicas ship snapshots) is complete
             # without the ``-wal`` sidecar.
             backend.checkpoint()
-            self._write_delta_manifest(directory, self.storage.graph)
         else:
             # Remove the target database *and* any sqlite sidecars: a stale
             # -wal journal next to a freshly created file would be replayed
@@ -633,8 +631,6 @@ class KGGovernor:
             snapshot = QuadStore.sqlite(graph_path)
             for graph_name in self.storage.graph.graphs():
                 snapshot.add_many(self.storage.graph.triples(graph=graph_name), graph_name)
-            snapshot.flush()
-            self._write_delta_manifest(directory, snapshot)
             snapshot.close()
         # ``to_dict`` less its vector fields: a profile's content and table
         # vectors are the embedding store's rows, and only its label vectors
@@ -693,32 +689,6 @@ class KGGovernor:
         }
         (directory / _MANIFEST_FILE).write_text(json.dumps(manifest, indent=2))
         return directory
-
-    @staticmethod
-    def _write_delta_manifest(directory: Path, store: QuadStore) -> None:
-        """Write the per-commit delta manifest next to the graph file.
-
-        Maps every graph to its shard table and an upper bound on its
-        last-change commit version, stamped with the store lineage uid —
-        enough for :meth:`LiDSClient.reopen` to invalidate only the graphs
-        whose shard actually changed between two snapshots of the same
-        lineage, without opening the database.
-        """
-        backend = store.backend
-        shard_files = backend.shard_files()
-        payload = {
-            "format": 1,
-            "commit_version": store.commit_version,
-            "store_uid": getattr(backend, "uid", None),
-            "graphs": {
-                str(graph): {
-                    "shard": shard_files.get(str(graph)),
-                    "version": int(version),
-                }
-                for graph, version in store.graph_change_versions().items()
-            },
-        }
-        (directory / _DELTA_FILE).write_text(json.dumps(payload, indent=2))
 
     @classmethod
     def open(

@@ -244,18 +244,6 @@ class GovernorService:
         """Queue one table for ingestion."""
         return self._submit("tables", [(dataset_name, table)], timeout)
 
-    def submit_tables(
-        self,
-        tables: Sequence[Table],
-        dataset_name: str = "default",
-        *,
-        timeout: Optional[float] = None,
-    ) -> IngestTicket:
-        """Queue several tables as one submission (still coalescible)."""
-        return self._submit(
-            "tables", [(dataset_name, table) for table in tables], timeout
-        )
-
     def submit_lake(
         self, lake: DataLake, *, timeout: Optional[float] = None
     ) -> IngestTicket:

@@ -15,18 +15,17 @@ one backend shape with one implementation behind it:
   the process.
 * :class:`SqliteBackend` — overrides only what durability needs: the shard
   catalog, lazy shard load, shard create and drop, the row hooks, flush and
-  close, the batch transaction, and its replication / reopen / crash
-  primitives.  Terms are persisted once in a ``terms`` dictionary table (a
-  quoted triple as its three part ids in ``quoted``) and quads are sharded
-  into one sqlite table of integer id-triples per named graph (the LiDS
-  layout: one graph per pipeline plus the dataset / library / ontology
-  graphs).  Writes are buffered and flushed in batches; on open, the
-  term dictionary's text is loaded eagerly (terms parse lazily on first
-  decode) while a graph's index — per-predicate statistics and partial
-  quoted-triple indexes included — is rebuilt lazily the first time the graph
-  is touched, so reopening a governed lake never pays for graphs a query does
-  not read.  A loaded index stays resident until its graph is dropped or
-  replaced underneath it (``replace_shard``, ``reopen``).
+  close, the batch transaction, and its replication and crash primitives.
+  Terms are persisted once in a ``terms`` dictionary table (a quoted triple
+  as its three part ids in ``quoted``) and quads are sharded into one sqlite
+  table of integer id-triples per named graph (the LiDS layout: one graph
+  per pipeline plus the dataset / library / ontology graphs).  Writes are
+  buffered and flushed in batches; on open, the term dictionary's text is
+  loaded eagerly (terms parse lazily on first decode) while a graph's index
+  — per-predicate statistics and partial quoted-triple indexes included — is
+  rebuilt lazily the first time the graph is touched, so reopening a
+  governed lake never pays for graphs a query does not read.  A loaded index stays resident until its graph is dropped or
+  replaced underneath it (``replace_shard``, a failed replica apply).
 
 Both hand out the same id-keyed :class:`~repro.rdf.graph_index.GraphIndex`
 for matching, so pattern semantics, cardinality statistics and therefore
@@ -42,7 +41,6 @@ and read back as ``Literal("5")``, while ``URIRef("x")``, ``BNode("x")`` and
 
 from __future__ import annotations
 
-import random
 import sqlite3
 import threading
 import time
@@ -86,7 +84,7 @@ class QuadStoreBackend:
         #: Indexes created by the open batch (``None`` outside a batch).
         self._batch_created: Optional[Dict[URIRef, GraphIndex]] = None
         #: Per-graph change high-water marks (see :meth:`graph_changed`).
-        self._graph_change_versions: Dict[URIRef, int] = {}
+        self._change_marks: Dict[URIRef, int] = {}
         #: Versions at or below this may hide changes (see :meth:`changed_since`).
         self._change_baseline = 0
         #: What the backend verified and repaired on open.
@@ -248,10 +246,6 @@ class QuadStoreBackend:
     def note_commit_version(self, commit_version: int) -> None:
         """Record the store's commit version for the next durable commit."""
 
-    def reopen(self, changed_graphs: Optional[Iterable[URIRef]] = None) -> Dict[str, Any]:
-        """Re-read durable state replaced underneath (durable backends only)."""
-        raise RuntimeError(f"{type(self).__name__} does not support reopen")
-
     # ------------------------------------------------------- change inspection
     def graph_changed(self, graph: URIRef, version: int) -> None:
         """Record that ``graph`` is mutated by the commit at ``version``.
@@ -262,8 +256,8 @@ class QuadStoreBackend:
         versions may stay recorded — over-reporting a change is safe (the
         follower re-pulls an identical shard), under-reporting is not.
         """
-        if version > self._graph_change_versions.get(graph, 0):
-            self._graph_change_versions[graph] = version
+        if version > self._change_marks.get(graph, 0):
+            self._change_marks[graph] = version
 
     def changed_since(self, version: int) -> List[URIRef]:
         """Graphs that may hold changes committed after ``version``.
@@ -271,26 +265,15 @@ class QuadStoreBackend:
         Never under-reports: graphs with no recorded change version are
         assumed changed at the change baseline — 0 for a fresh store, which
         has seen every mutation; the durable commit version at open for a
-        reopened one, which cannot know when its pre-existing graphs last
-        changed.  Dropped graphs are not listed (they are no longer in the
-        catalog); followers diff the catalog itself to observe drops.
+        store opened on a file, which cannot know when its pre-existing
+        graphs last changed.  Dropped graphs are not listed (they are no
+        longer in the catalog); followers diff the catalog itself to observe
+        drops.
         """
-        versions = self.change_versions()
-        return [graph for graph, changed in versions.items() if changed > version]
-
-    def change_versions(self) -> Dict[URIRef, int]:
-        """Per-graph change high-water marks (recorded or baseline)."""
-        versions, baseline = self._graph_change_versions, self._change_baseline
-        return {graph: versions.get(graph, baseline) for graph in self.graph_names()}
-
-    def shard_files(self) -> Dict[str, str]:
-        """``graph name -> durable shard name`` (empty for volatile backends).
-
-        The snapshot-shipping inspection API: tooling that copies or
-        invalidates shards keys off this mapping instead of reaching into
-        backend internals.
-        """
-        return {}
+        versions, baseline = self._change_marks, self._change_baseline
+        return [
+            graph for graph in self.graph_names() if versions.get(graph, baseline) > version
+        ]
 
 
 class SqliteBackend(QuadStoreBackend):
@@ -299,10 +282,9 @@ class SqliteBackend(QuadStoreBackend):
     Layout: a ``graphs`` catalog table maps graph names to shard ids; a
     ``terms`` dictionary table holds every distinct term once (``id``,
     N-Triples ``n3`` text) but quoted triples, which ``quoted`` holds as
-    ``(id, s, p, o)`` part ids; ``meta`` holds the commit version, the
-    lineage uid and the layout version; shard ``quads_<id>`` holds that
-    graph's triples as three integer id columns keyed by their ``(s, p, o)``
-    primary key.
+    ``(id, s, p, o)`` part ids; ``meta`` holds the commit version and the
+    layout version; shard ``quads_<id>`` holds that graph's triples as three
+    integer id columns keyed by their ``(s, p, o)`` primary key.
     There are no secondary indexes: term uniqueness is the in-memory
     dictionary's job (terms are looked up there, never by SQL), and all
     matching runs on the shared :class:`GraphIndex`, rebuilt lazily per
@@ -322,7 +304,7 @@ class SqliteBackend(QuadStoreBackend):
 
     A loaded :class:`GraphIndex` stays resident until its graph is dropped or
     replaced underneath it (:meth:`invalidate_resident`, via
-    :meth:`replace_shard`, :meth:`reopen` or a failed replica apply);
+    :meth:`replace_shard` or a failed replica apply);
     ``shard_loads`` counts the loads for tests and benchmarks.  Per-graph
     mutation counters survive invalidation: a reloaded index resumes *above*
     the dropped index's version, so version-keyed caches (e.g. the Global
@@ -358,21 +340,15 @@ class SqliteBackend(QuadStoreBackend):
         self._db_lock = threading.RLock()
         self._in_batch = False
         self._shards_snapshot: Optional[Dict[URIRef, int]] = None
-        self._crashed = False
         self._connection = self._connect()
         self._ensure_layout()
         #: The commit version of the last durable commit (the recovery marker).
         self._durable_version = self._read_meta("commit_version")
-        #: Random identity stamped into ``meta`` when the database file is
-        #: created; two files share a uid only if one is a byte copy (or
-        #: flush) of the other, i.e. their term-id spaces are compatible.
-        #: ``reopen`` refuses to splice incremental state across lineages.
-        self._uid = self._read_meta("store_uid")
         #: Graphs existing at open changed at-or-before this version (see
-        #: ``changed_since``): reopening loses the in-memory change marks.
+        #: ``changed_since``): opening a file loses the in-memory change marks.
         self._change_baseline = self._durable_version
         self._noted_version: Optional[int] = None
-        #: graph name -> shard id, in catalog order (deterministic reopen).
+        #: graph name -> shard id, in catalog order (deterministic open).
         self._shards: Dict[URIRef, int] = {
             URIRef(name): shard_id
             for shard_id, name in self._connection.execute(
@@ -393,7 +369,7 @@ class SqliteBackend(QuadStoreBackend):
         self._closed = False
         #: What :meth:`_recover` found and repaired on open (see that method).
         self.recovery = self._recover()
-        self._load_dictionary(1)
+        self._load_dictionary()
 
     def _connect(self) -> sqlite3.Connection:
         # ``isolation_level=None`` turns off the sqlite3 module's implicit
@@ -439,24 +415,16 @@ class SqliteBackend(QuadStoreBackend):
         self._connection.execute(
             "INSERT OR IGNORE INTO meta (key, value) VALUES ('commit_version', 0)"
         )
-        # Drawn from [2^61, 2^62): always 19 decimal digits, so manifests
-        # that spell the uid out have one length whatever the draw.
-        self._connection.execute(
-            "INSERT OR IGNORE INTO meta (key, value) VALUES ('store_uid', ?)",
-            ((1 << 61) | random.getrandbits(61),),
-        )
         # A file without the row is in layout 1 (a new one is too, with no
         # term to move yet): :meth:`_migrate_layout` brings it to today's.
         self._connection.execute("INSERT OR IGNORE INTO meta (key, value) VALUES ('layout', 1)")
         self._txn_commit()
 
-    def _load_dictionary(self, start: int) -> None:
-        """Load the persisted term and quoted rows at ids >= ``start``."""
+    def _load_dictionary(self) -> None:
+        """Load every persisted term and quoted row."""
         self.dictionary.load_rows(
-            self._connection.execute("SELECT id, n3 FROM terms WHERE id >= ?", (start,)),
-            self._connection.execute(
-                "SELECT id, s, p, o FROM quoted WHERE id >= ?", (start,)
-            ).fetchall(),
+            self._connection.execute("SELECT id, n3 FROM terms"),
+            self._connection.execute("SELECT id, s, p, o FROM quoted").fetchall(),
         )
         self._terms_written, self._stale_terms = self.dictionary.next_id, False
 
@@ -471,11 +439,6 @@ class SqliteBackend(QuadStoreBackend):
                 "SELECT value FROM meta WHERE key = ?", (key,)
             ).fetchone()[0]
         )
-
-    @property
-    def uid(self) -> int:
-        """Lineage identity of the database file (stable across flushes)."""
-        return self._uid
 
     # ----------------------------------------------------------------- graphs
     @property
@@ -695,19 +658,6 @@ class SqliteBackend(QuadStoreBackend):
         self._noted_version = commit_version
 
     # ------------------------------------------------------------- replication
-    def shard_files(self) -> Dict[str, str]:
-        """``graph name -> shard table name`` for snapshot shipping.
-
-        The mapping is the inspection surface replication tooling uses
-        instead of reaching into ``_shards``; shard tables all live inside
-        the single database file at :attr:`path`.
-        """
-        with self._db_lock:
-            return {
-                str(graph): f"quads_{shard_id}"
-                for graph, shard_id in self._shards.items()
-            }
-
     def ingest_term_rows(
         self,
         start: int,
@@ -801,79 +751,6 @@ class SqliteBackend(QuadStoreBackend):
             except sqlite3.Error:
                 pass
 
-    def reopen(self, changed_graphs: Optional[Iterable[URIRef]] = None) -> Dict[str, Any]:
-        """Re-read a database file replaced underneath this backend in place.
-
-        The replica refresh path: after new snapshot bytes land at
-        :attr:`path` (an atomic file replace), ``reopen`` picks up the new
-        inode with a fresh connection and splices the new state in without
-        a cold restart.  When the file shares this backend's lineage
-        (``store_uid`` matches), the interned term dictionary is *reused* —
-        only rows at or above its watermark are loaded — and only
-        ``changed_graphs`` (``None`` = all) lose their resident indexes.  A
-        foreign uid forces a full dictionary reload and drops everything
-        resident.
-
-        Requires a clean backend: nothing :meth:`flush` would write (stale
-        term rows it would delete are the new file's terms), no open batch.
-        Returns a small info dict for logging/tests.
-        """
-        with self._db_lock:
-            if self._in_batch:
-                raise RuntimeError("cannot reopen mid-batch")
-            if self._dirty():
-                raise RuntimeError("cannot reopen with unflushed writes")
-            if not self._closed:
-                try:
-                    self._connection.close()
-                except sqlite3.Error:
-                    pass
-            self._closed = False
-            self._crashed = False
-            self._connection = self._connect()
-            self._ensure_layout()
-            self._migrate_layout()
-            new_uid = self._read_meta("store_uid")
-            same_lineage = new_uid == self._uid
-            if same_lineage:
-                self._load_dictionary(self.dictionary.next_id)
-                if changed_graphs is None:
-                    invalidate = set(self._indexes)
-                else:
-                    invalidate = {URIRef(str(g)) for g in changed_graphs}
-            else:
-                self._uid = new_uid
-                self.dictionary = TermDictionary()
-                self._load_dictionary(1)
-                invalidate = set(self._indexes)
-            old_shards = self._shards
-            self._shards = {
-                URIRef(name): shard_id
-                for shard_id, name in self._connection.execute(
-                    "SELECT id, name FROM graphs ORDER BY id"
-                )
-            }
-            # A graph whose shard id changed (drop + recreate) or vanished
-            # is stale regardless of what the caller reported.
-            for graph in list(self._indexes):
-                if self._shards.get(graph) != old_shards.get(graph):
-                    invalidate.add(graph)
-            for graph in invalidate:
-                self.invalidate_resident(graph)
-            old_durable = self._durable_version
-            self._durable_version = self._read_meta("commit_version")
-            self._noted_version = None
-            # The new file's changes are indistinguishable from baseline;
-            # never move the baseline backwards (stale copies must still
-            # over-report, not under-report).
-            self._change_baseline = max(self._change_baseline, self._durable_version)
-            return {
-                "same_lineage": same_lineage,
-                "invalidated": sorted(str(g) for g in invalidate),
-                "durable_version": self._durable_version,
-                "previous_version": old_durable,
-            }
-
     def crash(self) -> None:
         """Simulate abrupt process death (fault-injection hook).
 
@@ -891,7 +768,6 @@ class SqliteBackend(QuadStoreBackend):
             except sqlite3.Error:
                 pass
             self._closed = True
-            self._crashed = True
 
     def _meta_dirty(self) -> bool:
         return (

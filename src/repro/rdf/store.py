@@ -320,7 +320,7 @@ class QuadStore:
         """Per-commit ops for every commit after ``version``.
 
         Returns ``None`` when the log cannot bridge (disabled, truncated
-        past ``version``, or reset by a replication jump or reopen) — the
+        past ``version``, or reset by a replication jump) — the
         caller falls back to full changed-shard shipping.  Call under a
         :meth:`read_view` so the log cannot advance mid-read.
         """
@@ -340,13 +340,6 @@ class QuadStore:
             dropped_version, _ = log.popleft()
             self._delta_log_floor = dropped_version
 
-    def _break_delta_log(self) -> None:
-        """Reset the log after a non-loggable state change (jump, reopen)."""
-        self._pending_ops = None
-        if self._delta_log is not None:
-            self._delta_log.clear()
-            self._delta_log_floor = self._commit_version
-
     def graphs_changed_since(self, version: int) -> List[URIRef]:
         """Graphs that may hold changes committed after ``version``.
 
@@ -355,10 +348,6 @@ class QuadStore:
         listed — diff the graph catalog to observe drops.
         """
         return self._backend.changed_since(version)
-
-    def graph_change_versions(self) -> Dict[URIRef, int]:
-        """Upper bound on each graph's last-change commit version."""
-        return self._backend.change_versions()
 
     @contextmanager
     def replication_batch(self, target_version: int, durable: bool = True):
@@ -417,7 +406,11 @@ class QuadStore:
                 self._backend.commit_batch(target_version)
             self._commit_version = target_version
             self._version += 1
-            self._break_delta_log()
+            # A jump is not loggable: the log restarts at the new version.
+            self._pending_ops = None
+            if self._delta_log is not None:
+                self._delta_log.clear()
+                self._delta_log_floor = self._commit_version
         finally:
             self._gate.release_write()
 
@@ -431,27 +424,6 @@ class QuadStore:
         """
         self._backend.note_commit_version(self._commit_version)
         self._backend.flush()
-
-    def reopen(self, changed_graphs: Optional[Iterable[URIRef]] = None) -> Dict[str, Any]:
-        """Re-read a durable backend replaced underneath this store in place.
-
-        Cheap re-open: the backend keeps its interned term dictionary when
-        the new file shares its lineage and drops only ``changed_graphs``'s
-        resident indexes (``None`` = all).  Runs under the write gate so
-        in-flight read views finish on the old state and the swap is atomic
-        for the next reader.  Returns the backend's info dict.
-        """
-        depth = self._gate.acquire_write()
-        try:
-            if depth != 1:
-                raise RuntimeError("reopen requires exclusive access, not a nested write")
-            info = self._backend.reopen(changed_graphs=changed_graphs)
-            self._commit_version = self._backend.committed_version()
-            self._version += 1
-            self._break_delta_log()
-            return info
-        finally:
-            self._gate.release_write()
 
     def close(self) -> None:
         """Flush and release the backend; idempotent (double-close is a no-op)."""

@@ -27,7 +27,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.interfaces.api import LiDSClient
 from repro.kg.governor import _GRAPH_FILE, KGGovernor
@@ -141,9 +141,6 @@ class Replica:
             finally:
                 self.stats["apply_seconds"] += time.perf_counter() - started
             return True
-
-    # ``refresh`` is the operator-facing spelling of one sync.
-    refresh = sync
 
     def _apply(self, payload: Dict[str, Any]) -> None:
         store = self._store

@@ -246,7 +246,7 @@ class RequestDispatcher:
         The key is the method plus the canonical text of its params; the
         memo holds frames for one ``store.version``, read inside a read view
         that spans the work, so a frame is served only at the state it was
-        built from.  Every commit, replica apply and ``reopen`` moves the
+        built from.  Every commit and every replica apply moves the
         version and empties the memo.  Nothing is kept or served inside an
         open write batch (a rollback winds the version back; such a request
         counts as neither hit nor miss), and a request that raised keeps

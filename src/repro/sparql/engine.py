@@ -151,7 +151,7 @@ class SPARQLEngine:
         The answer memo: a text is answered from it when it was answered at
         the current :attr:`QuadStore.version`, read in the view, and is
         parsed only on a miss; a parsed :class:`SelectQuery` always
-        evaluates.  Every commit, replica apply and ``reopen`` moves the
+        evaluates.  Every commit and every replica apply moves the
         version and empties the memo.  Nothing is kept or served inside an
         open write batch (a rollback winds the version back) or kept from a
         query that raised; a text that fails to parse raises on every call

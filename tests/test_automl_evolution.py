@@ -31,7 +31,7 @@ from repro.datagen import (
     generate_pipeline_corpus,
     generate_transformation_datasets,
 )
-from repro.interfaces import KGLiDS, LiDSClient
+from repro.interfaces import KGLiDS
 from repro.kg.ontology import LiDSOntology, library_uri
 from repro.parallel import JobExecutor
 from repro.rdf import Literal, URIRef
@@ -611,19 +611,6 @@ class TestPriorCache:
         searcher.storage = twin.storage
         searcher.prior_book()
         assert harvests == [platform.storage, twin.storage]
-
-    def test_reopen_harvests_again(self, harvests, tmp_path):
-        platform, _ = _fresh_platform()
-        client = LiDSClient.open(platform.governor.save(tmp_path / "saved_lake"))
-        try:
-            first = client.kgpip.prior_book()
-            client.kgpip.prior_book()
-            assert len(harvests) == 1
-            client.reopen()
-            assert client.kgpip.prior_book() == first
-            assert len(harvests) == 2
-        finally:
-            client.close()
 
     def test_a_tables_folded_recommendations_stay_in_its_own_book(self):
         platform, _ = _fresh_platform()

@@ -10,7 +10,8 @@ implementation in ``repro.ml``, one write path in ``repro.rdf`` / ``repro.kg``,
 a line budget for ``repro.rdf`` + ``repro.sparql``, no sqlite index that
 nothing reads, no per-call SPARQL behind the similarity and library discovery
 calls, one backend base class that a durable backend and the fault wrapper do
-not restate, one term dictionary, no capacity-bounded memo in the query engine.
+not restate, one term dictionary, one way a replica catches up, no
+capacity-bounded memo in the query engine.
 """
 
 import ast
@@ -144,7 +145,7 @@ def test_rdf_sparql_line_budget():
         for name in ("rdf", "sparql")
         for path in (package / name).glob("*.py")
     )
-    assert lines <= 6353, f"rdf/ + sparql/ is {lines} lines (budget 6,353)"
+    assert lines <= 6201, f"rdf/ + sparql/ is {lines} lines (budget 6,201)"
 
 
 def _classes(path: Path):
@@ -178,6 +179,28 @@ def test_one_term_dictionary():
     dictionary = next(node for node in module.body if isinstance(node, ast.ClassDef) and node.name == "TermDictionary")
     init = next(item for item in dictionary.body if isinstance(item, ast.FunctionDef) and item.name == "__init__")
     assert ast.unparse(init.args) == "self"
+
+
+def test_one_replica_refresh_path(tmp_path):
+    """A replica catches up one way: it pulls deltas over the wire.
+
+    No store layer re-reads a file swapped in underneath it (no
+    ``reopen``), and a saved lake holds no manifest for such a swap: just
+    the graph, the vectors, the counts, the pipelines and the profiles.
+    """
+    from repro.interfaces import LiDSClient
+    from repro.kg import KGGovernor
+    from repro.rdf import QuadStore, QuadStoreBackend, SqliteBackend
+    from repro.tabular import Table
+
+    for owner in (QuadStore, QuadStoreBackend, SqliteBackend, LiDSClient):
+        assert not hasattr(owner, "reopen"), owner.__name__
+    governor = KGGovernor()
+    governor.add_table(Table.from_dict("t", {"age": [1, 2, 3], "name": ["a", "b", "c"]}), dataset_name="d")
+    directory = governor.save(tmp_path / "lake")
+    assert sorted(path.name for path in directory.iterdir()) == [
+        "embeddings.npz", "graph.sqlite3", "manifest.json", "pipelines.json", "profiles.json"
+    ]
 
 
 def test_one_backend_base_class():

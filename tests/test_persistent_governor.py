@@ -13,13 +13,15 @@ These tests pin the contracts of the pluggable-backend storage layer:
 * the retraction primitives (``remove_graph``, ``FlatIndex.remove``,
   ``EmbeddingStore.remove``) and the embedding-store disk round-trip;
 * a loaded shard stays resident until it is replaced underneath it
-  (``replace_shard``, ``reopen``), the rebuilt index resumes above the old
-  version, and ``reopen`` refuses while anything is left to flush;
+  (``replace_shard``), and the rebuilt index resumes above the old version;
+* a stray a lazy replica apply replaced leaves the file at the next
+  ``checkpoint``;
 * the sqlite layout holds no secondary index, and a file written in an
   older layout (``terms.n3 UNIQUE``, a ``(p)`` index per shard; quoted
   triples spelled out in ``terms``) behaves exactly like a new one — the
-  spelled layout migrates once on open or ``reopen``, also after a crash
-  mid-migration;
+  spelled layout migrates once on open, also after a crash mid-migration;
+* a lake saved with the older ``delta.json`` and ``store_uid`` meta row
+  opens, answers and saves like one saved today;
 * a saved lake holds each vector once: ``profiles.json`` carries none, and
   a reopened profile's vectors are bit-identical to the saved ones;
 * a saved ``pipelines.json`` (format 2) holds each abstraction without its
@@ -237,10 +239,10 @@ class TestSqliteBackend:
 
     def test_versions_stay_monotonic_across_invalidation(self, tmp_path):
         """A loaded index stays resident until its graph is replaced
-        underneath it — by ``replace_shard`` or ``reopen`` — and the index
-        rebuilt after that resumes above the dropped one's version, even at
-        an equal row count, so version-keyed caches see the change and
-        ``derived_view`` rebuilds."""
+        underneath it by ``replace_shard``, and the index rebuilt after that
+        resumes above the dropped one's version, even at an equal row count,
+        so version-keyed caches see the change and ``derived_view``
+        rebuilds."""
         store = QuadStore.sqlite(tmp_path / "store.sqlite3")
         backend = store.backend
         graph, other, p = URIRef("http://x/g"), URIRef("http://x/other"), URIRef("http://x/p")
@@ -258,30 +260,25 @@ class TestSqliteBackend:
             with store.read_view():
                 return store.derived_view(graph, "rows", build)
 
-        for invalidation in ("replace_shard", "reopen"):
-            observed = store.graph_version(graph)
-            resident, before = backend.resident_index(graph), rows_view()
-            list(store.triples(graph=other))
-            assert rows_view() is before and backend.resident_index(graph) is resident
-            loads, built = backend.shard_loads, len(builds)
-            if invalidation == "replace_shard":
-                with store.replication_batch(store.commit_version + 1):
-                    backend.replace_shard(graph, replacement)
-            else:
-                store.reopen()
-            assert backend.resident_index(graph) is None, invalidation
-            assert store.graph_version(graph) > observed, invalidation
-            assert rows_view() == sorted(replacement) and len(builds) == built + 1, invalidation
-            assert backend.shard_loads == loads + 1, invalidation
+        observed = store.graph_version(graph)
+        resident, before = backend.resident_index(graph), rows_view()
+        list(store.triples(graph=other))
+        assert rows_view() is before and backend.resident_index(graph) is resident
+        loads, built = backend.shard_loads, len(builds)
+        with store.replication_batch(store.commit_version + 1):
+            backend.replace_shard(graph, replacement)
+        assert backend.resident_index(graph) is None
+        assert store.graph_version(graph) > observed
+        assert rows_view() == sorted(replacement) and len(builds) == built + 1
+        assert backend.shard_loads == loads + 1
         store.close()
 
-    def test_reopen_refuses_a_buffered_stray_floor(self, tmp_path):
+    def test_a_lazy_apply_over_a_flushed_stray_deletes_its_row_at_the_next_checkpoint(self, tmp_path):
         """A lazy replica apply that ships rows from below a local stray (a
         term the replica interned and flushed past its synced watermark)
-        leaves the stray's on-disk row for the next flush to delete.
-        ``reopen`` used to accept that and the next flush deleted the *new*
-        file's terms, leaving shards whose ids no longer decode; it must
-        refuse, like any other unflushed write."""
+        drops the stray from the dictionary at once and leaves its on-disk
+        row for the next flush: ``checkpoint`` deletes it, so the file then
+        holds exactly the writer's terms."""
         writer_path, replica_path = tmp_path / "writer.sqlite3", tmp_path / "replica.sqlite3"
         writer = QuadStore.sqlite(writer_path)
         writer.add(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1))
@@ -289,34 +286,34 @@ class TestSqliteBackend:
         writer.backend.checkpoint()
         shutil.copyfile(writer_path, replica_path)
         replica = QuadStore.sqlite(replica_path)
+        stray = URIRef("http://x/stray")
         synced = replica.dictionary.next_id
-        assert replica.dictionary.encode(URIRef("http://x/stray")) == synced
+        assert replica.dictionary.encode(stray) == synced
         replica.flush()
         replica.backend.checkpoint()
-        connection = sqlite3.connect(replica_path)
-        assert connection.execute("SELECT n3 FROM terms WHERE id = ?", (synced,)).fetchall() == [("<http://x/stray>",)]
-        connection.close()
-        with replica.replication_batch(replica.commit_version + 1, durable=False):
+
+        def on_disk():
+            connection = sqlite3.connect(replica_path)
+            try:
+                return connection.execute("SELECT n3 FROM terms WHERE id >= ?", (synced,)).fetchall()
+            finally:
+                connection.close()
+
+        assert on_disk() == [("<http://x/stray>",)]
+        version = replica.commit_version + 1
+        with replica.replication_batch(version, durable=False):
             replica.backend.ingest_term_rows(synced, [])
-        assert replica.dictionary.lookup(URIRef("http://x/stray")) is None
-        writer.add(URIRef("http://x/t"), URIRef("http://x/q"), Literal(2))
-        writer.flush()
-        writer.backend.checkpoint()
-        # A newer snapshot of the same lineage lands at the replica's path.
-        shutil.copyfile(writer_path, tmp_path / "landing.sqlite3")
-        os.replace(tmp_path / "landing.sqlite3", replica_path)
-        with pytest.raises(RuntimeError, match="unflushed"):
-            replica.reopen()
+        assert replica.dictionary.lookup(stray) is None
         assert replica.dictionary.next_id == synced
-        # Any flush now (a close, a count, a shard load) would delete the
-        # stale rows through the replaced path's WAL, in the landed file: the
-        # replica is dropped without one.
-        replica.backend.crash()
+        assert on_disk() == [("<http://x/stray>",)]
+        replica.checkpoint()
+        replica.backend.checkpoint()
+        assert on_disk() == []
+        assert replica.backend.committed_version() == version
         replica.close()
         landed = QuadStore.sqlite(replica_path)
         try:
             assert dictionary_rows(landed) == dictionary_rows(writer)
-            assert len(landed.dictionary) == 6
             assert serialize_nquads(landed) == serialize_nquads(writer)
         finally:
             landed.close()
@@ -484,24 +481,6 @@ class TestSqliteBackend:
         assert old == new
         assert spelled == new
 
-    def test_reopen_onto_a_spelled_file_migrates_it(self, tmp_path):
-        """A layout-1 file replaced underneath an open store goes through the
-        same migration on ``reopen`` as on a cold open."""
-        spelled, served = tmp_path / "spelled.sqlite3", tmp_path / "served.sqlite3"
-        writer = QuadStore.sqlite(spelled)
-        writer.annotate(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1), URIRef("http://x/score"), Literal(0.5))
-        expected = (serialize_nquads(writer), writer.dictionary.export_quoted_parts(1))
-        writer.close()
-        assert spell_quoted_terms(spelled) == 1
-        store = QuadStore.sqlite(served)
-        store.backend.checkpoint()
-        shutil.copyfile(spelled, served)
-        try:
-            store.reopen()
-            assert (serialize_nquads(store), store.dictionary.export_quoted_parts(1)) == expected
-        finally:
-            store.close()
-
     def test_a_file_another_connection_migrated_first_is_not_migrated_again(self, tmp_path):
         """Two connections open one layout-1 file: the one that takes the
         write lock second finds the file migrated and moves nothing."""
@@ -658,24 +637,6 @@ class TestGovernorPersistence:
             gc.garbage.clear()
             gc.enable()
 
-    def test_store_uid_has_one_length_whatever_the_draw(self, tmp_path, monkeypatch):
-        """The lineage uid is spelled out in ``delta.json``; drawn from
-        [2^61, 2^62) it always has 19 digits, so the lowest and the highest
-        draw write manifests of one length (and one store ratio)."""
-        import random
-
-        governor = KGGovernor()
-        governor.add_data_lake(make_lake())
-        manifests = []
-        for draw in (0, (1 << 61) - 1):
-            monkeypatch.setattr(random, "getrandbits", lambda bits, draw=draw: draw)
-            directory = governor.save(tmp_path / str(draw))
-            manifests.append((directory / "delta.json").read_bytes())
-        uids = [json.loads(manifest)["store_uid"] for manifest in manifests]
-        assert uids == [1 << 61, (1 << 62) - 1]
-        assert [len(str(uid)) for uid in uids] == [19, 19]
-        assert len(manifests[0]) == len(manifests[1])
-
     def test_save_reopen_round_trip(self, tmp_path):
         governor = KGGovernor()
         governor.add_data_lake(make_lake())
@@ -710,6 +671,47 @@ class TestGovernorPersistence:
             )
         )
         reopened.close()
+
+    def test_a_lake_saved_with_a_delta_manifest_and_a_store_uid_opens_alike(self, tmp_path):
+        """Older saves wrote a ``delta.json`` next to the graph and a random
+        ``store_uid`` row into its ``meta`` table.  Such a lake opens and
+        answers exactly like one saved today, takes writes, and a save of it
+        writes no ``delta.json``; the old ``meta`` row stays in its file,
+        read by nothing."""
+        governor = KGGovernor()
+        governor.add_data_lake(make_lake())
+        current, older = tmp_path / "current", tmp_path / "older"
+        governor.save(current)
+        shutil.copytree(current, older)
+        connection = sqlite3.connect(older / "graph.sqlite3")
+        connection.execute("INSERT INTO meta (key, value) VALUES ('store_uid', ?)", ((1 << 61) + 7,))
+        connection.commit()
+        connection.close()
+        store = governor.storage.graph
+        (older / "delta.json").write_text(
+            json.dumps({"format": 1, "commit_version": store.commit_version, "store_uid": (1 << 61) + 7, "graphs": {}})
+        )
+        opened = {directory.name: KGGovernor.open(directory) for directory in (current, older)}
+        try:
+            graphs = {name: governor.storage.graph for name, governor in opened.items()}
+            assert serialize_nquads(graphs["older"]) == serialize_nquads(graphs["current"]) == serialize_nquads(store)
+            assert graphs["older"].commit_version == graphs["current"].commit_version == store.commit_version
+            for name, query in DISCOVERY_QUERIES.items():
+                assert rows_of(graphs["older"], query) == rows_of(graphs["current"], query), name
+            extra = Table.from_dict("extra", {"Age": [30, 40, 50, 60], "Fare": [1.0, 2.0, 3.0, 4.0]})
+            for reopened in opened.values():
+                reopened.add_table(extra.copy(), dataset_name="titanic")
+            assert serialize_nquads(graphs["older"]) == serialize_nquads(graphs["current"])
+            resaved = opened["older"].save(tmp_path / "resaved")
+            assert not (resaved / "delta.json").exists()
+        finally:
+            for reopened in opened.values():
+                reopened.close()
+        connection = sqlite3.connect(older / "graph.sqlite3")
+        try:
+            assert connection.execute("SELECT value FROM meta WHERE key = 'store_uid'").fetchall() == [((1 << 61) + 7,)]
+        finally:
+            connection.close()
 
     def test_incremental_add_after_reopen_matches_scratch(self, tmp_path):
         governor = KGGovernor()
@@ -1405,7 +1407,7 @@ os._exit(0)
 """
 
 HASH_SEED_PROBE = """
-import hashlib, json, sqlite3, sys
+import hashlib, sqlite3, sys
 from pathlib import Path
 import numpy as np
 from repro.datagen import generate_discovery_benchmark, generate_pipeline_corpus
@@ -1423,14 +1425,12 @@ def digest(text):
 print(digest(repr(dictionary.export_rows(1))))
 print(digest(repr(dictionary.export_quoted_parts(1))))
 dump = sqlite3.connect(directory / "graph.sqlite3").iterdump()
-print(digest("\\n".join(line for line in dump if "store_uid" not in line)))
-# Every other snapshot file: its JSON without the random lineage uid, an
-# archive member by member (the zip stamps its members with the clock).
+print(digest("\\n".join(dump)))
+# Every other snapshot file: a JSON file byte for byte, an archive member
+# by member (the zip stamps its members with the clock).
 for path in sorted(Path(directory).iterdir()):
     if path.suffix == ".json":
-        payload = json.loads(path.read_text())
-        payload.pop("store_uid", None)
-        print(path.name, digest(json.dumps(payload, sort_keys=True)))
+        print(path.name, digest(path.read_text()))
     elif path.suffix == ".npz":
         with np.load(path) as archive:
             for name in sorted(archive.files):
@@ -1443,8 +1443,8 @@ def test_term_ids_and_sqlite_dump_do_not_depend_on_the_hash_seed(tmp_path):
     """Governing the same 8 tables and 24 pipelines under two ``PYTHONHASHSEED``
     values interns the same terms (and quoted triples) under the same ids
     and writes the same snapshot: the same sqlite rows, the same JSON files
-    and the same archive members (the ``store_uid`` is random by design),
-    so a saved lake's size, the store ratio, does not move with the seed."""
+    and the same archive members, so a saved lake's size, the store ratio,
+    does not move with the seed."""
     import os
     import subprocess
     import sys
@@ -1470,7 +1470,7 @@ def test_term_ids_and_sqlite_dump_do_not_depend_on_the_hash_seed(tmp_path):
     assert dump_1 == dump_2, "the sqlite dump differs across hash seeds"
     names = [line.rsplit(" ", 1)[0] for line in files_1]
     assert {name.split()[0] for name in names} == {
-        "delta.json", "embeddings.npz", "manifest.json", "pipelines.json", "profiles.json"
+        "embeddings.npz", "manifest.json", "pipelines.json", "profiles.json"
     }
     assert "embeddings.npz label_vectors" in names
     for line_1, line_2 in zip(files_1, files_2, strict=True):

@@ -9,6 +9,9 @@ Pins the serving contracts:
 * replica refresh pulls *deltas* (row ops) when the writer's op log can
   bridge, full dumps of only the changed graphs otherwise, and applies
   them atomically: concurrent readers never observe a torn snapshot;
+* a delta pull catches a replica up in place: the same interned
+  dictionary, the resident indexes patched rather than reloaded, and a
+  KGpip prior book harvested again from the shipped rows;
 * a replica's local strays (terms it interned between syncs) give way to
   the writer's rows, in its dictionary and in its file;
 * a float SUM / AVG over annotation scores reads the same on the live
@@ -20,8 +23,6 @@ Pins the serving contracts:
 * a replica bootstrapped from a saved snapshot (no statement lists) answers
   the library calls like the writer, also after a changed-source pipeline
   re-add reaches it by delta;
-* ``LiDSClient.reopen`` re-opens a shipped snapshot in place — same
-  interned dictionary, only changed ``GraphIndex``es invalidated;
 * ``RemoteLiDSClient`` retries with backoff through a flapping server and
   surfaces ``TransientError`` once the endpoint is genuinely down;
 * staleness is reported in commit versions (client ``stats()``, service
@@ -237,6 +238,76 @@ def test_replica_follows_bulk_writes_by_delta_and_keeps_a_tight_index(served_lak
         replica.close()
 
 
+def test_a_delta_pull_keeps_the_replicas_dictionary_and_resident_indexes(served_lake, tmp_path):
+    """A replica catches up in place: after a delta pull it still holds the
+    same interned dictionary, the resident index of a graph the writer did
+    not touch (the ontology) is the same object, and a touched graph's
+    resident index is patched, not reloaded from its shard."""
+    service = served_lake["service"]
+    replica = Replica(
+        served_lake["server"].address,
+        ship_snapshot(served_lake["dir"], tmp_path / "replica"),
+    )
+    try:
+        backend = replica.store.backend
+        dictionary = replica.store.dictionary
+        resident = {graph: backend.get_index(graph) for graph in (ONTOLOGY_GRAPH, DATASET_GRAPH)}
+        assert all(index is not None for index in resident.values())
+        loads = backend.shard_loads
+        service.submit_lake(make_lake(3, seed=17, name="fresh")).result(timeout=120)
+        service.drain()
+        assert replica.sync() is True
+        assert replica.stats["delta_pulls"] >= 1 and replica.stats["full_pulls"] == 0
+        assert replica.commit_version == service.commit_version
+        assert replica.store.dictionary is dictionary
+        for graph, index in resident.items():
+            assert backend.resident_index(graph) is index, graph
+        assert backend.shard_loads == loads
+        local = LiDSClient(service).get_unionable_tables("ds0", "table_0", k=5)
+        assert canonical_json(replica.client.get_unionable_tables("ds0", "table_0", k=5)) == canonical_json(local)
+    finally:
+        replica.close()
+
+
+def test_a_delta_pull_harvests_the_replicas_prior_book_again(served_corpus, tmp_path, monkeypatch):
+    """A replica's KGpip keeps its corpus-wide prior book until a delta pull
+    moves the store; the next book is harvested from the shipped rows and
+    equals the writer's."""
+    from repro.automl.evolution import PriorBook
+    from repro.datagen import generate_pipeline_corpus
+
+    harvests = []
+    harvest = PriorBook.from_client.__func__
+
+    def counted(cls, client, prior_probability=0.6):
+        harvests.append(client)
+        return harvest(cls, client, prior_probability)
+
+    monkeypatch.setattr(PriorBook, "from_client", classmethod(counted))
+    service = served_corpus["service"]
+    replica = Replica(
+        served_corpus["server"].address,
+        ship_snapshot(served_corpus["dir"], tmp_path / "replica"),
+    )
+    try:
+        before = replica.client.kgpip.prior_book()
+        assert replica.client.kgpip.prior_book() == before
+        assert len(harvests) == 1
+        # Twice the corpus: the first half re-added with other sources.
+        service.submit_pipelines(generate_pipeline_corpus(make_lake(6), pipelines_per_table=4, seed=5)).result(
+            timeout=120
+        )
+        service.drain()
+        assert replica.sync() is True
+        after = replica.client.kgpip.prior_book()
+        assert replica.client.kgpip.prior_book() == after
+        assert len(harvests) == 2
+        assert after != before
+        assert after == LiDSClient(service).kgpip.prior_book()
+    finally:
+        replica.close()
+
+
 def test_delta_ships_only_changed_graphs(tmp_path):
     store = QuadStore.sqlite(tmp_path / "g.sqlite3")
     graph_a, graph_b = URIRef("urn:graph:a"), URIRef("urn:graph:b")
@@ -262,24 +333,19 @@ def test_delta_ships_only_changed_graphs(tmp_path):
     store.close()
 
 
-def test_backend_shard_files_and_changed_since(tmp_path):
+def test_backend_changed_since(tmp_path):
     store = QuadStore.sqlite(tmp_path / "g.sqlite3")
     graph_a, graph_b = URIRef("urn:graph:a"), URIRef("urn:graph:b")
     store.add(URIRef("urn:s"), URIRef("urn:p"), Literal(1), graph=graph_a)
     version = store.commit_version
     store.add(URIRef("urn:s"), URIRef("urn:p"), Literal(2), graph=graph_b)
 
-    backend = store.backend
-    files = backend.shard_files()
-    assert set(files) == {str(graph_a), str(graph_b)}
-    assert all(name.startswith("quads_") for name in files.values())
-    assert len(set(files.values())) == 2
-    # Only graph_b changed after ``version``; both changed since 0.
+    # Only graph_b changed after ``version``, at the last commit; both
+    # changed since 0.
     assert store.graphs_changed_since(version) == [graph_b]
+    assert store.graphs_changed_since(store.commit_version - 1) == [graph_b]
+    assert store.graphs_changed_since(store.commit_version) == []
     assert set(store.graphs_changed_since(0)) == {graph_a, graph_b}
-    versions = store.graph_change_versions()
-    assert versions[graph_b] == store.commit_version
-    assert versions[graph_a] <= version
     store.flush()
     store.close()
 
@@ -1024,44 +1090,6 @@ def test_float_aggregates_answer_alike_on_writer_reopened_and_replica(tmp_path):
         reopened.close()
     assert replicated == live
     assert [len(rows) for rows in live] == [24, 24]
-
-
-# ----------------------------------------------------------- reopen-in-place
-def test_client_reopen_in_place_reuses_dictionary(served_lake, tmp_path):
-    service = served_lake["service"]
-    governor = served_lake["governor"]
-    replica_dir = ship_snapshot(served_lake["dir"], tmp_path / "replica")
-    client = LiDSClient.open(replica_dir)
-    try:
-        before = client.get_unionable_tables("ds0", "table_0", k=5)
-        backend = client.storage.graph.backend
-        dictionary = client.storage.graph.dictionary
-        # Force the (unchanging) ontology shard resident so identity across
-        # the reopen is observable.
-        ontology_index = backend.get_index(ONTOLOGY_GRAPH)
-        assert ontology_index is not None
-
-        service.submit_lake(make_lake(3, seed=17, name="fresh")).result(timeout=120)
-        service.drain()
-        governor.save(served_lake["dir"])
-        for name in ("graph.sqlite3", "delta.json"):
-            shutil.copyfile(served_lake["dir"] / name, replica_dir / name)
-
-        info = client.reopen()
-        assert info["same_lineage"] is True
-        assert str(DATASET_GRAPH) in info["invalidated"]
-        assert str(ONTOLOGY_GRAPH) not in info["invalidated"]
-        # Same interned dictionary object, same untouched resident index.
-        assert client.storage.graph.dictionary is dictionary
-        assert backend.resident_index(ONTOLOGY_GRAPH) is ontology_index
-        # The new snapshot's rows are visible and identical to the source's.
-        assert client.commit_version == service.commit_version
-        after = client.get_unionable_tables("ds0", "table_0", k=5)
-        local = LiDSClient(service).get_unionable_tables("ds0", "table_0", k=5)
-        assert canonical_json(after) == canonical_json(local)
-        assert canonical_json(after) != canonical_json(before) or True
-    finally:
-        client.close()
 
 
 # ------------------------------------------------------------ retry/backoff

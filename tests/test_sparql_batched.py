@@ -15,7 +15,8 @@ executor:
   key and reports hit/miss counters through the engine;
 * **Answer memo** — a repeated text at one store version is answered from
   the engine's memo, and every answer still equals the oracle's across
-  adds, removes, committed and rolled-back batches and a ``reopen``.
+  adds, removes, committed and rolled-back batches and a replica apply that
+  replaces every shard.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -952,20 +952,28 @@ class TestAnswerMemo:
         assert engine.stats()["answers"] == {"hits": 1, "misses": 5}
         store.close()
 
-    def test_reopen_onto_a_replaced_file_answers_that_file(self, tmp_path):
-        served, replacement = tmp_path / "served.sqlite3", tmp_path / "replacement.sqlite3"
-        other = make_random_store(5, QuadStore.sqlite(replacement))
-        expected = {query: rows_key(SPARQLEngine(other).select(query)) for query in QUERY_SHAPES[:8]}
-        other.close()
-        store = make_random_store(3, QuadStore.sqlite(served))
+    def test_shards_a_replica_apply_replaces_are_answered_from_their_new_rows(self, tmp_path):
+        """A full-snapshot replica apply overwrites every shard at a jumped
+        commit version: no answer memoized before it is served after it, and
+        every answer equals the shipped store's (and the oracle's)."""
+        store = make_random_store(3, QuadStore.sqlite(tmp_path / "served.sqlite3"))
+        shipped_store = make_random_store(5)
+        queries = QUERY_SHAPES[:8]
+        expected = {query: rows_key(SPARQLEngine(shipped_store).select(query)) for query in queries}
         engine = SPARQLEngine(store)
-        before = {query: rows_key(engine.select(query)) for query in expected}
-        assert before != expected
-        store.flush()
-        store.backend.checkpoint()
-        shutil.copyfile(replacement, served)
+        assert {query: rows_key(engine.select(query)) for query in queries} != expected
+        encode = store.dictionary.encode
+        shipped = {
+            graph: [tuple(map(encode, triple)) for triple in shipped_store.triples(graph=graph)]
+            for graph in shipped_store.graphs()
+        }
+        assert set(shipped) == set(store.graphs())
         try:
-            store.reopen()
+            version = store.commit_version + 1
+            with store.replication_batch(version):
+                for graph, rows in shipped.items():
+                    store.backend.replace_shard(graph, rows)
+                    store.backend.graph_changed(graph, version)
             for query, rows in expected.items():
                 assert rows_key(engine.select(query)) == rows
                 assert_answer_is_the_oracles(store, engine.select(query), query)

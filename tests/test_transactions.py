@@ -438,8 +438,8 @@ class TestFaultWrapper:
         assert count_batch_points(path) == 9
 
     def test_faulted_sqlite_reopen_reports_what_its_backend_reports(self, tmp_path):
-        """Change inspection and shard files reach through the wrapper: a
-        reopened file's graphs are all changed at its durable version."""
+        """Change inspection reaches through the wrapper: a reopened file's
+        graphs are all changed at its durable version."""
         path = tmp_path / "two.sqlite"
         store = QuadStore(backend=SqliteBackend(path))
         store.add(u("s1"), u("p1"), Literal(1), graph=G1)
@@ -449,9 +449,8 @@ class TestFaultWrapper:
         plain, faulted = QuadStore(backend=inner), QuadStore(backend=FaultInjectingBackend(inner))
         assert plain.graphs_changed_since(0) == [G1, G2]
         assert faulted.graphs_changed_since(0) == plain.graphs_changed_since(0)
-        assert faulted.graph_change_versions() == plain.graph_change_versions() == {G1: 2, G2: 2}
-        assert faulted.backend.shard_files() == plain.backend.shard_files()
-        assert len(plain.backend.shard_files()) == 2
+        assert faulted.graphs_changed_since(1) == plain.graphs_changed_since(1) == [G1, G2]
+        assert faulted.graphs_changed_since(2) == plain.graphs_changed_since(2) == []
         inner.close()
 
 
