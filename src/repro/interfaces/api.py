@@ -28,6 +28,7 @@ from repro.kg.service import GovernorService
 from repro.kg.storage import KGLiDSStorage
 from repro.pipelines.abstraction import PipelineScript
 from repro.rdf import RDF, Literal, URIRef
+from repro.sparql.collate import rank_key
 from repro.sparql.expression import to_python
 from repro.tabular import Column, DataLake, Table
 
@@ -42,6 +43,14 @@ KeywordConditions = Sequence[Union[str, Sequence[str]]]
 # columns and index buckets the SPARQL engine already scans.
 def _text(dictionary: Any, term_id: int) -> str:
     return str(to_python(dictionary.decode(term_id)))
+
+
+def _row_count(k: Any) -> int:
+    """A call's ``k`` as a row count; a negative one raises ``ValueError``."""
+    count = int(k)
+    if count < 0:
+        raise ValueError(f"k must be a count of rows (0 or more); got {k!r}")
+    return count
 
 
 def _object_ids(columns: Any, index: Any, predicate: URIRef, subject_ids: np.ndarray) -> np.ndarray:
@@ -172,50 +181,138 @@ def _build_table_texts(columns: Any, index: Any) -> List[Dict[str, str]]:
     return sorted(texts, key=lambda text: text["table_uri"])
 
 
+def _subject_sorted_rows(columns: Any, index: Any, predicate: URIRef) -> Tuple[np.ndarray, List[int]]:
+    """The ``predicate`` rows of this graph as ``(subjects, objects)``, sorted by subject."""
+    predicate_id = index.dictionary.lookup(predicate)
+    if predicate_id is None:
+        return np.zeros(0, np.int64), []
+    subjects, objects = columns.predicate_rows(predicate_id, index)
+    order = np.argsort(subjects, kind="stable")
+    return subjects[order], objects[order].tolist()
+
+
+def _all_objects(rows: Tuple[np.ndarray, List[int]], subject_ids: Sequence[int]) -> List[List[int]]:
+    """Per subject id, the ids of all its objects in :func:`_subject_sorted_rows` ``rows``."""
+    subjects, objects = rows
+    low = np.searchsorted(subjects, subject_ids, "left").tolist()
+    high = np.searchsorted(subjects, subject_ids, "right").tolist()
+    return [objects[start:end] for start, end in zip(low, high)]
+
+
 class _RankedNeighbours(dict):
     """``(relation, table URI) -> ranked rows`` over one dataset-graph snapshot.
 
     Starts empty: the first ask for an anchor ranks the tables its
     ``withCertainty``-annotated ``relation`` edges reach (from the anchor's
-    quoted-subject bucket), joined to their name and their dataset's name —
-    by score descending, then table URI — and later asks slice that list.
+    quoted-subject bucket), joined to their names and their datasets' names
+    by id, through the snapshot's ``hasName`` / ``isPartOf`` row blocks
+    sorted once per view: a ranking costs O(its rows), not the neighbours'
+    subject buckets.  Every (table name × dataset name) pair is a row, a
+    neighbour with no name or no dataset gives none, and rows order by score
+    descending, then table URI, then the names (SPARQL ``ORDER BY`` ranks);
+    later asks slice that list.
     """
 
     def __init__(self, columns: Any, index: Any):
         super().__init__()
         self.index = index
+        self.names = _subject_sorted_rows(columns, index, LiDSOntology.hasName)
+        self.parts = _subject_sorted_rows(columns, index, LiDSOntology.isPartOf)
 
     def __missing__(self, key: Tuple[URIRef, URIRef]) -> List[Dict[str, Any]]:
-        index = self.index
-        dictionary = index.dictionary
-        ontology = LiDSOntology
-        terms = (*key, ontology.withCertainty, ontology.hasName, ontology.isPartOf)
-        ids = [dictionary.lookup(term) for term in terms]
+        dictionary = self.index.dictionary
+        ids = [dictionary.lookup(term) for term in (*key, LiDSOntology.withCertainty)]
         if None in ids:
             return []  # an unknown anchor is not remembered
-        relation_id, anchor_id, certainty_id, name_id, part_id = ids
-
-        def objects(subject: int, predicate: int) -> List[int]:
-            return [o for _, p, o in index.by_subject.get(subject, ()) if p == predicate]
-
-        rows = []
-        for quoted, predicate, score in index.by_quoted_subject.get(anchor_id, ()):
+        relation_id, anchor_id, certainty_id = ids
+        others, scores = [], []
+        for quoted, predicate, score in self.index.by_quoted_subject.get(anchor_id, ()):
             _, quoted_relation, other = dictionary.quoted_parts(quoted)
-            if predicate != certainty_id or quoted_relation != relation_id:
-                continue
-            for dataset in objects(other, part_id):
-                for table_name, dataset_name in product(objects(other, name_id), objects(dataset, name_id)):
+            if predicate == certainty_id and quoted_relation == relation_id:
+                others.append(other)
+                scores.append(score)
+        datasets = _all_objects(self.parts, others)
+        dataset_ids = sorted({dataset for found in datasets for dataset in found})
+        dataset_names = dict(zip(dataset_ids, _all_objects(self.names, dataset_ids)))
+        decode = dictionary.decode
+        rows = []
+        for other, score, table_names, parts in zip(others, scores, _all_objects(self.names, others), datasets):
+            for dataset in parts:
+                for table_name, dataset_name in product(table_names, dataset_names[dataset]):
                     rows.append(
                         {
-                            "dataset": to_python(dictionary.decode(dataset_name)),
-                            "table": to_python(dictionary.decode(table_name)),
-                            "table_uri": str(dictionary.decode(other)),
-                            "score": float(to_python(dictionary.decode(score))),
+                            "dataset": to_python(decode(dataset_name)),
+                            "table": to_python(decode(table_name)),
+                            "table_uri": str(decode(other)),
+                            "score": float(to_python(decode(score))),
                         }
                     )
-        rows.sort(key=lambda row: (-row["score"], row["table_uri"]))
+        rows.sort(
+            key=lambda row: (-row["score"], row["table_uri"], rank_key(row["table"]), rank_key(row["dataset"]))
+        )
         self[key] = rows
         return rows
+
+
+def _column_matches(view: _RankedNeighbours, table_a: URIRef, table_b: URIRef) -> List[Dict[str, Any]]:
+    """``find_unionable_columns``'s rows, read by id.
+
+    Walks the subject buckets of ``table_a``'s columns for their
+    ``hasLabelSimilarity`` / ``hasContentSimilarity`` edges into ``table_b``
+    (a score is the edge's ``withCertainty``, 0.0 when it has none) and names
+    both ends through ``view``'s ``hasName`` rows.  One row per (column name,
+    column name): the highest score wins, label similarity before content
+    similarity at an equal score.  Rows order by ``(-score, column_a,
+    column_b)``.
+    """
+    index = view.index
+    dictionary = index.dictionary
+    ontology = LiDSOntology
+    terms = (table_a, table_b, ontology.isPartOf, RDF.type, ontology.Column, ontology.withCertainty)
+    ids = [dictionary.lookup(term) for term in terms]
+    if None in ids:
+        return []
+    a_id, b_id, part_id, type_id, column_id, certainty_id = ids
+    # Similarity predicate id -> its rank at an equal score: label wins.
+    similarities = {}
+    for rank, predicate in enumerate((ontology.hasContentSimilarity, ontology.hasLabelSimilarity)):
+        predicate_id = dictionary.lookup(predicate)
+        if predicate_id is not None:
+            similarities[predicate_id] = rank
+    triples, decode = index.triples, dictionary.decode
+    edges = []
+    for column, predicate, _ in index.by_object.get(a_id, ()):
+        if predicate != part_id or (column, type_id, column_id) not in triples:
+            continue
+        for _, similarity, other in index.by_subject.get(column, ()):
+            if similarity in similarities and (other, part_id, b_id) in triples:
+                quoted = dictionary.quoted_id((column, similarity, other))
+                scores = [
+                    float(to_python(decode(score)))
+                    for _, certainty, score in index.by_subject.get(quoted, ())
+                    if certainty == certainty_id
+                ]
+                edges.append((column, other, similarity, max(scores, default=0.0)))
+    column_names = _all_objects(view.names, [column for column, _, _, _ in edges])
+    other_names = _all_objects(view.names, [other for _, other, _, _ in edges])
+    best: Dict[Tuple[str, str], Tuple[float, int, int]] = {}
+    for (_, _, similarity, score), names_a, names_b in zip(edges, column_names, other_names):
+        for name_a, name_b in product(names_a, names_b):
+            pair = (_text(dictionary, name_a), _text(dictionary, name_b))
+            candidate = (score, similarities[similarity], similarity)
+            if pair not in best or candidate > best[pair]:
+                best[pair] = candidate
+    return [
+        {
+            "column_a": column_a,
+            "column_b": column_b,
+            "similarity": decode(similarity).local_name(),
+            "score": score,
+        }
+        for (column_a, column_b), (score, _, similarity) in sorted(
+            best.items(), key=lambda item: (-item[1][0], item[0])
+        )
+    ]
 
 
 def _library_uses(columns: Any, index: Any) -> Tuple[Dict[int, Set[int]], ...]:
@@ -363,61 +460,34 @@ class KGLiDS:
         return self._related_tables(dataset, table, LiDSOntology.joinableWith, k)
 
     def _related_tables(self, dataset: str, table: str, relation: URIRef, k: int) -> Table:
-        """The top ``k`` by score, ties broken by table URI.  The first call
-        for a table after a dataset-graph commit ranks its neighbours; later
-        calls slice that ranking."""
+        """The top ``k`` by score, ties broken by table URI (a negative ``k``
+        raises ``ValueError``).  The first call for a table after a
+        dataset-graph commit ranks its neighbours; later calls slice that
+        ranking."""
+        cut = _row_count(k)
         with self.read_view():
-            ranked = self.storage.graph.derived_view(
-                DATASET_GRAPH, "interfaces.ranked_neighbours", _RankedNeighbours
-            )[relation, table_uri(dataset, table)]
-        return self._rows_to_table(
-            "related_tables", ranked[: int(k)], ["dataset", "table", "table_uri", "score"]
-        )
+            ranked = self._ranked_neighbours()[relation, table_uri(dataset, table)]
+        return self._rows_to_table("related_tables", ranked[:cut], ["dataset", "table", "table_uri", "score"])
+
+    def _ranked_neighbours(self) -> _RankedNeighbours:
+        return self.storage.graph.derived_view(DATASET_GRAPH, "interfaces.ranked_neighbours", _RankedNeighbours)
 
     def find_unionable_columns(
         self, dataset_a: str, table_a: str, dataset_b: str, table_b: str
     ) -> Table:
-        """Matched (unionable) column pairs between two tables with their scores."""
-        with self.read_view():
-            return self._find_unionable_columns(dataset_a, table_a, dataset_b, table_b)
+        """Matched (unionable) column pairs between two tables with their scores.
 
-    def _find_unionable_columns(
-        self, dataset_a: str, table_a: str, dataset_b: str, table_b: str
-    ) -> Table:
-        ontology = LiDSOntology
-        store = self.storage.graph
-        node_a = table_uri(dataset_a, table_a)
-        node_b = table_uri(dataset_b, table_b)
-        columns_a = [t.subject for t in store.triples(None, ontology.isPartOf, node_a, graph=DATASET_GRAPH)]
-        rows = []
-        for column_node in columns_a:
-            if not store.contains(column_node, RDF.type, ontology.Column, graph=DATASET_GRAPH):
-                continue
-            for predicate in (ontology.hasLabelSimilarity, ontology.hasContentSimilarity):
-                for triple in store.triples(column_node, predicate, None, graph=DATASET_GRAPH):
-                    other = triple.object
-                    if not store.contains(other, ontology.isPartOf, node_b, graph=DATASET_GRAPH):
-                        continue
-                    score = store.annotation(
-                        column_node, predicate, other, ontology.withCertainty, graph=DATASET_GRAPH, default=0.0
-                    )
-                    rows.append(
-                        {
-                            "column_a": str(store.value(column_node, ontology.hasName, graph=DATASET_GRAPH)),
-                            "column_b": str(store.value(other, ontology.hasName, graph=DATASET_GRAPH)),
-                            "similarity": predicate.local_name(),
-                            "score": float(score),
-                        }
-                    )
-        deduplicated: Dict[Tuple[str, str], Dict[str, Any]] = {}
-        for row in rows:
-            key = (row["column_a"], row["column_b"])
-            if key not in deduplicated or row["score"] > deduplicated[key]["score"]:
-                deduplicated[key] = row
-        ordered = sorted(deduplicated.values(), key=lambda row: -row["score"])
-        return self._rows_to_table(
-            "unionable_columns", ordered, ["column_a", "column_b", "similarity", "score"]
-        )
+        One row per pair of column names, the highest score of their label or
+        content similarity (label first at an equal score), ordered by
+        ``(-score, column_a, column_b)`` — ties do not follow the store's
+        layout.  Reads by id over the ranked-neighbours view's name rows: the
+        cost follows the first table's columns and their similarity edges.
+        """
+        with self.read_view():
+            rows = _column_matches(
+                self._ranked_neighbours(), table_uri(dataset_a, table_a), table_uri(dataset_b, table_b)
+            )
+        return self._rows_to_table("unionable_columns", rows, ["column_a", "column_b", "similarity", "score"])
 
     # ------------------------------------------------------------ join paths
     def _join_graph(self) -> JoinGraph:
@@ -478,15 +548,17 @@ class KGLiDS:
 
         Slices the store-wide ranking, built once per store version
         (:meth:`_library_rollup`); a ``task`` ranks that roll-up's per-graph
-        views again, counting only that task's pipelines.
+        views again, counting only that task's pipelines.  A negative ``k``
+        raises ``ValueError``.
         """
+        cut = _row_count(k)
         store = self.storage.graph
         with self.read_view():
             views, ranked = self._library_rollup()
             if task is not None:
                 task_id = store.dictionary.lookup(Literal(task))
                 ranked = [] if task_id is None else _rank_libraries(store.dictionary, views, task_id)
-        rows = [{"library_name": name, "num_pipelines": -count} for count, name in ranked[: int(k)]]
+        rows = [{"library_name": name, "num_pipelines": -count} for count, name in ranked[:cut]]
         return self._rows_to_table("top_libraries", rows, ["library_name", "num_pipelines"])
 
     def _library_rollup(self) -> Tuple[List[Any], List[Tuple[int, str]]]:

@@ -6,7 +6,8 @@ out of ``src/``: every call walks ``store.triples`` again, builds the whole
 join graph as a dict of sets, runs an *unbounded* breadth-first search and
 filters by ``hops`` afterwards, and looks column names up table by table.
 Slow and obviously right; ``tests/test_interfaces.py`` compares the
-production API against it.
+production API against it.  ``unionable_columns`` is
+``find_unionable_columns``'s term-API walk from before it read by id.
 
 Plain Python over the public ``QuadStore`` term API — no id columns, no
 numpy, no ``networkx`` — except the similarity and library calls, which are
@@ -88,7 +89,9 @@ def column_names(store, table_node: Any) -> List[str]:
 
 def related_tables(storage, dataset: str, table: str, relation: str, k: int) -> List[Dict[str, Any]]:
     """``get_unionable_tables`` / ``get_joinable_tables`` as one SPARQL query
-    per call; ``?other`` in the ORDER BY makes the order total."""
+    per call; ``?other`` and the two names in the ORDER BY make the order
+    total (a table or dataset may carry more than one name).  A negative
+    ``k`` is a ``LIMIT`` the parser refuses."""
     result = storage.query(
         f"""
         SELECT ?other ?other_name ?other_dataset ?score WHERE {{
@@ -99,7 +102,7 @@ def related_tables(storage, dataset: str, table: str, relation: str, k: int) -> 
             ?d kglids:hasName ?other_dataset .
           }}
         }}
-        ORDER BY DESC(?score) ?other
+        ORDER BY DESC(?score) ?other ?other_name ?other_dataset
         LIMIT {int(k)}
         """
     )
@@ -112,6 +115,43 @@ def related_tables(storage, dataset: str, table: str, relation: str, k: int) -> 
         }
         for row in result.rows
     ]
+
+
+def unionable_columns(store, dataset_a: str, table_a: str, dataset_b: str, table_b: str) -> List[Dict[str, Any]]:
+    """``find_unionable_columns`` as a walk over the term API: every
+    label / content similarity edge from a column of table a into table b,
+    one row per name pair (the highest score wins; at an equal score the
+    first one walked, label before content), ordered by ``(-score, column_a,
+    column_b)``."""
+    ontology = LiDSOntology
+    node_a, node_b = table_uri(dataset_a, table_a), table_uri(dataset_b, table_b)
+    rows = []
+    for part in store.triples(None, ontology.isPartOf, node_a, graph=DATASET_GRAPH):
+        column = part.subject
+        if not store.contains(column, RDF.type, ontology.Column, graph=DATASET_GRAPH):
+            continue
+        for predicate in (ontology.hasLabelSimilarity, ontology.hasContentSimilarity):
+            for triple in store.triples(column, predicate, None, graph=DATASET_GRAPH):
+                other = triple.object
+                if not store.contains(other, ontology.isPartOf, node_b, graph=DATASET_GRAPH):
+                    continue
+                score = store.annotation(
+                    column, predicate, other, ontology.withCertainty, graph=DATASET_GRAPH, default=0.0
+                )
+                rows.append(
+                    {
+                        "column_a": str(store.value(column, ontology.hasName, graph=DATASET_GRAPH)),
+                        "column_b": str(store.value(other, ontology.hasName, graph=DATASET_GRAPH)),
+                        "similarity": predicate.local_name(),
+                        "score": float(score),
+                    }
+                )
+    kept: Dict[Any, Dict[str, Any]] = {}
+    for row in rows:
+        key = (row["column_a"], row["column_b"])
+        if key not in kept or row["score"] > kept[key]["score"]:
+            kept[key] = row
+    return sorted(kept.values(), key=lambda row: (-row["score"], row["column_a"], row["column_b"]))
 
 
 def top_libraries(storage, k: int, task=None) -> List[Dict[str, Any]]:

@@ -269,10 +269,12 @@ def test_discovery_calls_do_not_query():
     ``_related_tables`` slices a per-anchor ranking memoised on the dataset
     graph's snapshot and ``get_top_used_libraries`` unites per-graph use
     views; the queries they used to run per call live on in
-    ``tests/interfaces_oracle.py``.
+    ``tests/interfaces_oracle.py``.  A ranking looks its neighbours' names
+    up by id, never through their subject buckets, and
+    ``find_unionable_columns`` reads by id too.
     """
     api = Path(__file__).resolve().parent.parent / "src" / "repro" / "interfaces" / "api.py"
-    reads = {"_related_tables", "get_top_used_libraries", "_RankedNeighbours", "_library_uses"}
+    reads = {"_related_tables", "get_top_used_libraries", "_RankedNeighbours", "_library_uses", "_column_matches"}
     source = api.read_text()
     found = {}
     for node in ast.walk(ast.parse(source)):
@@ -281,3 +283,4 @@ def test_discovery_calls_do_not_query():
     assert set(found) == reads
     for name, text in found.items():
         assert ".query(" not in text, f"{name} runs a SPARQL query per call"
+    assert ".by_subject" not in found["_RankedNeighbours"], "a ranking scans its neighbours' subject buckets"

@@ -1,17 +1,20 @@
 """Integration tests for the KGLiDS interfaces (Section 5 operations)."""
 
 import random
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import interfaces_oracle
-from repro.interfaces import KGLiDS
+from repro.interfaces import KGLiDS, LiDSClient
 from repro.kg import KGGovernor
-from repro.kg.ontology import DATASET_GRAPH, LiDSOntology, table_uri
+from repro.kg.ontology import DATASET_GRAPH, LiDSOntology, dataset_uri, table_uri
+from repro.kg.storage import KGLiDSStorage
 from repro.pipelines.abstraction import PipelineScript
-from repro.rdf import RDF, Literal, URIRef
+from repro.rdf import RDF, Literal, QuadStore, QuotedTriple, URIRef
+from repro.sparql.parser import SPARQLSyntaxError
 from repro.tabular import Table
 
 
@@ -269,6 +272,274 @@ class TestSimilarityAndLibraryCallsAgainstOracle:
             cut = platform.get_top_used_libraries(k)
             assert table_rows(cut) == sorted(everything, key=lambda row: (-row[1], row[0]))[:k]
             assert row_dicts(cut) == interfaces_oracle.top_libraries(platform.storage, k)
+
+
+CONFIGURATIONS = ["memory", "sqlite", "faulted-memory", "faulted-sqlite"]
+#: Names repeat across tables and datasets; a number ranks before a string.
+NAMES = [Literal("a"), Literal("b"), Literal("B"), Literal(7)]
+SCORES = [0.25, 0.5, 1.0]
+
+
+def platform_over(store) -> KGLiDS:
+    return KGLiDS(KGGovernor(storage=KGLiDSStorage(graph=store)))
+
+
+def assert_rankings_match_oracle(platform, anchors, ks=(0, 1, 2, 5, 10_000)):
+    """Every ranking answer equals the per-call SPARQL, row for row in order;
+    returns them (at the largest ``k``) for further checks."""
+    answers = {}
+    for dataset, table in anchors:
+        for relation in RELATIONS:
+            for k in ks:
+                answer = related_call(platform, relation)(dataset, table, k)
+                assert answer.column_names == RELATED_COLUMNS
+                expected = interfaces_oracle.related_tables(platform.storage, dataset, table, relation, k)
+                assert row_dicts(answer) == expected, (dataset, table, relation, k)
+            answers[dataset, table, relation] = row_dicts(answer)
+    return answers
+
+
+def hand_lake_rows(tables, dataset_names, edges):
+    """Dataset-graph rows of a hand-made lake: table ``i`` is
+    ``table_uri("d<i % 2>", "t<i>")`` with the given names and datasets,
+    dataset ``j`` is ``dataset_uri("ds<j>")`` with the given names, and each
+    edge is a ``withCertainty``-annotated ``relation`` between two tables."""
+    ontology = LiDSOntology
+    node = [table_uri(f"d{number % 2}", f"t{number}") for number in range(len(tables))]
+    rows = []
+    for number, (names, datasets) in enumerate(tables):
+        rows.append((node[number], RDF.type, ontology.Table))
+        rows += [(node[number], ontology.hasName, name) for name in names]
+        rows += [(node[number], ontology.isPartOf, dataset_uri(f"ds{dataset}")) for dataset in datasets]
+    for dataset, names in enumerate(dataset_names):
+        rows += [(dataset_uri(f"ds{dataset}"), ontology.hasName, name) for name in names]
+    for first, second, relation, score in edges:
+        edge = (node[first % len(node)], getattr(ontology, relation), node[second % len(node)])
+        rows += [edge, (QuotedTriple(*edge), ontology.withCertainty, Literal(score))]
+    return rows, [(f"d{number % 2}", f"t{number}") for number in range(len(tables))]
+
+
+@pytest.fixture(scope="module")
+def small_governed_rows():
+    """The dataset graph of a governed 8-table lake (partitions tie on score)."""
+    from repro.datagen import generate_discovery_benchmark
+
+    lake = generate_discovery_benchmark("tus_small", seed=1, base_tables=2, partitions=4, rows=30).lake
+    governor = KGGovernor()
+    governor.add_data_lake(lake)
+    rows = [tuple(triple) for triple in governor.storage.graph.triples(graph=DATASET_GRAPH)]
+    governor.close()
+    return rows, [(table.dataset, table.name) for table in lake.tables()]
+
+
+def irregular_rows(anchors):
+    """Hand rows that make a governed lake irregular: the first table gets a
+    second name, the second table's dataset a second name, and the third and
+    fourth tables lose their name and their dataset."""
+    ontology = LiDSOntology
+    first, second, nameless, homeless = (table_uri(*anchor) for anchor in anchors[:4])
+    added = [
+        (first, ontology.hasName, Literal("a second name")),
+        (dataset_uri(anchors[1][0]), ontology.hasName, Literal("another dataset name")),
+    ]
+    removed = [
+        (nameless, ontology.hasName, Literal(anchors[2][1])),
+        (homeless, ontology.isPartOf, dataset_uri(anchors[3][0])),
+    ]
+    return added, removed
+
+
+def assert_irregular_rows_show(answers, anchors):
+    """The irregular rows reach the answers: two rows for the two-named table
+    and for the tables of the two-named dataset, none for the nameless and
+    homeless tables."""
+    rows = [row for ranked in answers.values() for row in ranked]
+    uris = [row["table_uri"] for row in rows]
+    first, second, nameless, homeless = (str(table_uri(*anchor)) for anchor in anchors[:4])
+    assert "a second name" in {row["table"] for row in rows if row["table_uri"] == first}
+    assert "another dataset name" in {row["dataset"] for row in rows if row["table_uri"] == second}
+    assert nameless not in uris and homeless not in uris
+    assert any(len(set(uris[i : i + 2])) == 1 for i in range(len(uris) - 1)), "no table gives two rows"
+
+
+class TestRankingAgainstOracle:
+    """``_RankedNeighbours`` looks neighbours' names up by id; the oracle
+    joins them in SPARQL.  Irregular graphs (several names, no name, no
+    dataset, tied scores) on every store configuration and on a replica fed
+    by delta."""
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    @settings(max_examples=12, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        tables=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(NAMES), max_size=2, unique=True),
+                st.lists(st.integers(0, 2), max_size=2, unique=True),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        dataset_names=st.lists(st.lists(st.sampled_from(NAMES), max_size=2, unique=True), min_size=3, max_size=3),
+        edges=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from(RELATIONS), st.sampled_from(SCORES)),
+            max_size=16,
+        ),
+    )
+    def test_hand_made_lakes(self, configuration, open_store, tmp_path_factory, tables, dataset_names, edges):
+        rows, anchors = hand_lake_rows(tables, dataset_names, edges)
+        store = open_store(configuration, tmp_path_factory.mktemp("ranking") / "s.sqlite3")
+        try:
+            store.add_many(rows, DATASET_GRAPH)
+            assert_rankings_match_oracle(platform_over(store), anchors + [("d0", "no_such_table")])
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    def test_governed_lake_with_irregular_rows(self, configuration, open_store, tmp_path, small_governed_rows):
+        rows, anchors = small_governed_rows
+        store = open_store(configuration, tmp_path / "s.sqlite3")
+        try:
+            store.add_many(rows, DATASET_GRAPH)
+            platform = platform_over(store)
+            before = assert_rankings_match_oracle(platform, anchors)
+            tied = sum(
+                any(a["score"] == b["score"] for a, b in zip(ranked, ranked[1:])) for ranked in before.values()
+            )
+            assert tied >= len(anchors), "the lake must tie on score"
+            added, removed = irregular_rows(anchors)
+            store.add_many(added, DATASET_GRAPH)
+            for row in removed:
+                assert store.remove(*row, graph=DATASET_GRAPH)
+            assert_irregular_rows_show(assert_rankings_match_oracle(platform, anchors), anchors)
+        finally:
+            store.close()
+
+    def test_a_ranking_reads_no_subject_bucket(self, small_governed_rows):
+        class Unread(dict):
+            def _refuse(self, *args):
+                raise AssertionError("a ranking read a subject bucket")
+
+            get = __getitem__ = __iter__ = __contains__ = items = values = _refuse
+
+        rows, anchors = small_governed_rows
+        platform = platform_over(QuadStore())
+        platform.storage.graph.add_many(rows, DATASET_GRAPH)
+        expected = [table_rows(platform.get_unionable_tables(*anchor, 10)) for anchor in anchors]
+        marker = irregular_rows(anchors)[0][0]
+        platform.storage.graph.add(*marker, graph=DATASET_GRAPH)  # a new snapshot, an empty memo
+        platform.storage.graph.remove(*marker, graph=DATASET_GRAPH)
+        index = platform.storage.graph.backend.get_index(DATASET_GRAPH)
+        buckets = index.by_subject
+        index.by_subject = Unread(buckets)
+        try:
+            assert [table_rows(platform.get_unionable_tables(*anchor, 10)) for anchor in anchors] == expected
+        finally:
+            index.by_subject = buckets
+
+    def test_a_replica_fed_by_delta(self, tmp_path, small_governed_rows):
+        """After an add, a retract and a rolled-back batch on the writer, the
+        replica's rankings equal the oracle over the replica's store and the
+        writer's answers."""
+        from repro.serving import LiDSServer, Replica
+
+        rows, anchors = small_governed_rows
+        writer_dir = tmp_path / "writer"
+        writer_dir.mkdir()
+        store = QuadStore.sqlite(writer_dir / "graph.sqlite3")
+        governor = KGGovernor(storage=KGLiDSStorage(graph=store))
+        store.add_many(rows, DATASET_GRAPH)
+        governor.save(writer_dir)
+        writer = LiDSClient(governor)
+        server = LiDSServer(writer)
+        added, removed = irregular_rows(anchors)
+        try:
+            replica = Replica(server.address, shutil.copytree(writer_dir, tmp_path / "replica"))
+            try:
+
+                def synced_answers(changed):
+                    assert replica.sync() is changed and replica.commit_version == store.commit_version
+                    answers = assert_rankings_match_oracle(replica.client, anchors)
+                    assert answers == assert_rankings_match_oracle(writer, anchors, ks=(10_000,))
+                    return answers
+
+                synced_answers(False)
+                store.add_many(added, DATASET_GRAPH)
+                synced_answers(True)
+                for row in removed:
+                    assert store.remove(*row, graph=DATASET_GRAPH)
+                retracted = synced_answers(True)
+                assert_irregular_rows_show(retracted, anchors)
+                with pytest.raises(RuntimeError, match="roll back"):
+                    with store.write_batch():
+                        store.remove(*added[0], graph=DATASET_GRAPH)
+                        store.add_many(removed, DATASET_GRAPH)
+                        raise RuntimeError("roll back")
+                assert synced_answers(False) == retracted
+                assert replica.stats["full_pulls"] == 0
+            finally:
+                replica.close()
+        finally:
+            server.close()
+            governor.close()
+
+
+class TestFindUnionableColumnsAgainstOracle:
+    """``find_unionable_columns`` reads by id; the oracle is its term-API
+    walk, ordered the same way: ``(-score, column_a, column_b)``."""
+
+    def test_every_anchor_and_its_top_partners(self, governed_lake):
+        platform, tables = governed_lake
+        store = platform.storage.graph
+        tied = 0
+        for dataset, table in tables:
+            top = platform.get_unionable_tables(dataset, table, 3)
+            partners = list(zip(top.column("dataset"), top.column("table"))) + [(dataset, table)]
+            for partner in partners:
+                answer = platform.find_unionable_columns(dataset, table, *partner)
+                assert answer.column_names == ["column_a", "column_b", "similarity", "score"]
+                expected = interfaces_oracle.unionable_columns(store, dataset, table, *partner)
+                assert row_dicts(answer) == expected, (dataset, table, partner)
+                scores = list(answer.column("score"))
+                tied += any(first == second for first, second in zip(scores, scores[1:]))
+        assert tied >= len(tables), "the lake must tie on score"
+
+    def test_an_unknown_table_is_an_empty_four_column_table(self, governed_lake):
+        platform, tables = governed_lake
+        unknown, other = (tables[0][0], "no_such_table"), ("no_such_dataset", tables[0][1])
+        for first, second in ((unknown, tables[1]), (tables[1], unknown), (other, tables[1])):
+            answer = platform.find_unionable_columns(*first, *second)
+            assert answer.column_names == ["column_a", "column_b", "similarity", "score"]
+            assert answer.num_rows == 0
+
+
+class TestNegativeK:
+    """A negative ``k`` is refused with ``ValueError``, as the oracle's
+    ``LIMIT -1`` is (``SPARQLSyntaxError`` is a ``ValueError``)."""
+
+    @pytest.mark.parametrize(
+        "method", ["get_unionable_tables", "get_joinable_tables", "get_top_used_libraries", "get_top_k_library_used"]
+    )
+    def test_a_negative_k_raises_value_error(self, governed_lake, method):
+        platform, tables = governed_lake
+        call = getattr(platform, method)
+
+        def ask(k):
+            return call(*tables[0], k) if method.endswith("_tables") else call(k)
+
+        assert ask(0).num_rows == 0
+        for k in (-1, -10_000):
+            with pytest.raises(ValueError, match="k must be"):
+                ask(k)
+        if method == "get_top_used_libraries":
+            with pytest.raises(ValueError, match="k must be"):
+                call(-1, task="classification")
+
+    def test_the_oracle_refuses_limit_minus_one(self, governed_lake):
+        platform, tables = governed_lake
+        with pytest.raises(SPARQLSyntaxError):
+            interfaces_oracle.related_tables(platform.storage, *tables[0], "unionableWith", -1)
+        with pytest.raises(SPARQLSyntaxError):
+            interfaces_oracle.top_libraries(platform.storage, -1)
 
 
 class TestJoinPathsAgainstOracle:

@@ -1426,6 +1426,31 @@ class TestFrameMemo:
             assert response["ok"] is False and response["error"]["type"] == "TypeError"
         assert (dispatcher.frame_hits, dispatcher.frame_misses, dispatcher.frame_bytes) == (0, 3, 0)
 
+    @pytest.mark.parametrize(
+        "method, args",
+        [
+            ("get_unionable_tables", ("ds0", "table_0", -1)),
+            ("get_joinable_tables", ("ds0", "table_0", -1)),
+            ("get_top_used_libraries", (-1,)),
+            ("get_top_k_library_used", (-1,)),
+        ],
+    )
+    def test_a_negative_k_answers_a_value_error_and_keeps_no_frame(self, dispatcher, served_lake, method, args):
+        request = call_request(method, *args)
+        for _ in range(2):
+            response = dispatcher.dispatch(request)
+            assert not isinstance(response, PreparedFrame)
+            assert response["ok"] is False and response["error"]["type"] == "ValueError"
+        assert (dispatcher.frame_hits, dispatcher.frame_misses, dispatcher.frame_bytes) == (0, 2, 0)
+        remote = RemoteLiDSClient(served_lake["server"].address)
+        try:
+            for _ in range(2):
+                with pytest.raises(RemoteError, match="ValueError: k must be"):
+                    getattr(remote, method)(*args)
+            assert remote.server_stats()["frames"]["bytes"] == 0
+        finally:
+            remote.close()
+
     def test_stats_is_never_memoized(self, dispatcher):
         for k, request in enumerate(({"method": "stats"}, call_request("stats"))):
             first = dispatcher.dispatch(request)
