@@ -54,7 +54,12 @@ def _row_count(k: Any) -> int:
 
 
 def _object_ids(columns: Any, index: Any, predicate: URIRef, subject_ids: np.ndarray) -> np.ndarray:
-    """Per subject id, the id of its ``predicate`` object in this graph (0 = none)."""
+    """Per subject id, the id of its ``predicate`` object in this graph (0 = none).
+
+    A subject with several such objects (a table with two names) gets the
+    one SPARQL ``ORDER BY`` puts first, ties broken by its text, so the
+    answer does not depend on the order the store holds the rows in.
+    """
     found = np.zeros(len(subject_ids), np.int64)
     predicate_id = index.dictionary.lookup(predicate)
     if predicate_id is None or not len(subject_ids):
@@ -63,7 +68,17 @@ def _object_ids(columns: Any, index: Any, predicate: URIRef, subject_ids: np.nda
     if not len(subjects):
         return found
     order = np.argsort(subjects, kind="stable")
-    rows = order[np.searchsorted(subjects, subject_ids, sorter=order).clip(max=len(order) - 1)]
+    subjects, objects = subjects[order], objects[order]
+    if (subjects[1:] == subjects[:-1]).any():
+        decode = index.dictionary.decode
+        distinct = np.unique(objects)
+        values = [to_python(decode(object_id)) for object_id in distinct.tolist()]
+        by_rank = sorted(range(len(values)), key=lambda at: (rank_key(values[at]), str(values[at])))
+        rank = np.empty(len(distinct), np.int64)
+        rank[by_rank] = np.arange(len(distinct))
+        order = np.lexsort((rank[np.searchsorted(distinct, objects)], subjects))
+        subjects, objects = subjects[order], objects[order]
+    rows = np.searchsorted(subjects, subject_ids).clip(max=len(subjects) - 1)
     return np.where(subjects[rows] == subject_ids, objects[rows], found)
 
 

@@ -72,10 +72,6 @@ class QuadStoreBackend:
     #: Whether this backend survives process restarts.
     persistent = False
 
-    #: Whether ``QuadStore.replication_batch(durable=False)`` may defer this
-    #: backend's durability work (see :class:`SqliteBackend`).
-    supports_lazy_replication = False
-
     def __init__(self):
         #: The term dictionary shared by every graph of this backend.
         self.dictionary: TermDictionary = TermDictionary()
@@ -300,7 +296,13 @@ class SqliteBackend(QuadStoreBackend):
     below which every id is on disk exactly as the dictionary holds it, and
     a flush writes the rows from there up to ``dictionary.next_id`` — ahead
     of the quad rows referencing them — with the same ``export_rows`` /
-    ``export_quoted_parts`` replication ships.
+    ``export_quoted_parts`` replication ships.  No row above the watermark
+    is ever on disk: a rolled-back batch's rows leave with its transaction,
+    so a flush only appends term rows.  A replica's backend takes shipped
+    state inside the store's ``replication_batch`` alone — the dictionary
+    adopts the shipped term rows, :meth:`apply_row_delta`,
+    :meth:`replace_shard` and :meth:`drop_graph` the quad rows — and the
+    batch commit makes both durable at the writer's version.
 
     A loaded :class:`GraphIndex` stays resident until its graph is dropped or
     replaced underneath it (:meth:`invalidate_resident`, via
@@ -319,10 +321,6 @@ class SqliteBackend(QuadStoreBackend):
     """
 
     persistent = True
-    #: The store's ``replication_batch(durable=False)`` fast path is only
-    #: sound on backends whose buffered ops survive a deferral window and can
-    #: be truncated back to a mark — i.e. this one.
-    supports_lazy_replication = True
 
     def __init__(self, path: PathLike, flush_threshold: int = 8192):
         super().__init__()
@@ -360,12 +358,9 @@ class SqliteBackend(QuadStoreBackend):
         #: Ordered write buffer: ``(op, shard_id, params)``.
         self._pending: List[Tuple[str, int, Tuple[int, ...]]] = []
         #: Dictionary ids below this are in ``terms`` / ``quoted`` exactly as
-        #: the dictionary holds them (set by :meth:`_load_dictionary`).
+        #: the dictionary holds them, and no row at or above it is on disk
+        #: (set by :meth:`_load_dictionary`).
         self._terms_written = 1
-        #: Whether rows at or above ``_terms_written`` may sit on disk — a
-        #: replica's replaced strays, a discarded apply's flushed terms.  The
-        #: next flush deletes them before writing the dictionary's rows.
-        self._stale_terms = False
         self._closed = False
         #: What :meth:`_recover` found and repaired on open (see that method).
         self.recovery = self._recover()
@@ -426,12 +421,7 @@ class SqliteBackend(QuadStoreBackend):
             self._connection.execute("SELECT id, n3 FROM terms"),
             self._connection.execute("SELECT id, s, p, o FROM quoted").fetchall(),
         )
-        self._terms_written, self._stale_terms = self.dictionary.next_id, False
-
-    def _forget_terms_from(self, start: int) -> None:
-        """Lower the watermark: ids from ``start`` up no longer match disk."""
-        if start < self._terms_written:
-            self._terms_written, self._stale_terms = start, True
+        self._terms_written = self.dictionary.next_id
 
     def _read_meta(self, key: str) -> int:
         return int(
@@ -542,45 +532,15 @@ class SqliteBackend(QuadStoreBackend):
                     self._flush_rows()
                     self._write_meta()
 
-    def pending_mark(self) -> Tuple[int, int]:
-        """The quad-buffer position and dictionary mark for :meth:`discard_pending`.
-
-        Only meaningful while nothing between mark and discard reorders the
-        buffer — ``drop_graph`` purges matching ops in place, so lazy
-        replication must route deltas containing drops (or full dumps)
-        through the durable batch path instead.
-        """
-        with self._db_lock:
-            return len(self._pending), self.dictionary.mark()
-
-    def discard_pending(self, mark: Tuple[int, int]) -> None:
-        """Drop the quad ops and dictionary ids added since :meth:`pending_mark`.
-
-        The lazy-replication failure path: a torn apply's ops vanish from
-        the buffer instead of rolling back through sqlite.  If a threshold
-        flush already pushed some ops out, they stay durable — harmless,
-        because replication ops are idempotent and the durable meta version
-        is still conservative, so the retry replays over them — while the
-        terms it wrote past the mark are stale and the next flush deletes
-        them.
-        """
-        with self._db_lock:
-            del self._pending[mark[0]:]
-            self.dictionary.rollback_to(mark[1])
-            self._forget_terms_from(mark[1])
-
     def _flush_rows(self) -> None:
         """Write the dictionary rows past the watermark, then the buffered
         quad rows (no transaction control)."""
         dictionary, start = self.dictionary, self._terms_written
-        if self._stale_terms:
-            self._execute_retry("DELETE FROM terms WHERE id >= ?", (start,))
-            self._execute_retry("DELETE FROM quoted WHERE id >= ?", (start,))
         self._executemany_retry(self._STATEMENTS["terms"], dictionary.export_rows(start))
         parts = iter(dictionary.export_quoted_parts(start))
         self._executemany_retry(self._STATEMENTS["quoted"], list(zip(parts, parts, parts, parts)))
         self._flush_quads()
-        self._terms_written, self._stale_terms = dictionary.next_id, False
+        self._terms_written = dictionary.next_id
 
     def _flush_quads(self) -> None:
         """Write the buffered quad rows in order (no transaction control)."""
@@ -643,10 +603,12 @@ class SqliteBackend(QuadStoreBackend):
                 # No transaction is open after an injected "crash" tore it
                 # down; the journal rollback then happens on reopen.
                 self._txn_rollback()
+                # A commit that failed after its meta stamp took the stamp
+                # back with it: the marker on disk is the durable version.
+                self._durable_version = self._read_meta("commit_version")
             super().rollback_batch()
-            # The batch wrote no dictionary row, so only the watermark moves;
-            # a stale flag set by a shipped apply stays (the strays it
-            # replaced below the mark are on disk, not in the dictionary).
+            # The transaction rollback took back any dictionary row the
+            # commit wrote, so only the watermark moves.
             self._terms_written = min(self._terms_written, self.dictionary.next_id)
             self._shards, self._shards_snapshot = self._shards_snapshot, None
             self._noted_version = None
@@ -658,28 +620,6 @@ class SqliteBackend(QuadStoreBackend):
         self._noted_version = commit_version
 
     # ------------------------------------------------------------- replication
-    def ingest_term_rows(
-        self,
-        start: int,
-        rows: List[Tuple[int, str]],
-        quoted: List[Tuple[int, int, int, int]] = (),
-    ) -> None:
-        """Adopt shipped dictionary rows, authoritative from ``start``:
-        ``(id, n3)`` term rows and ``(id, s, p, o)`` quoted rows.
-
-        Ids are assigned by the replication *source*, which ships every row
-        at or above ``start``; any id there that this side holds is a local
-        stray (a query constant interned between syncs).  Strays leave the
-        dictionary now, and the watermark drops to ``start``, so the flush
-        that writes the shipped rows deletes the strays' on-disk rows just
-        before them — inside the batch transaction of a durable apply, at
-        the next checkpoint of a lazy one.
-        """
-        with self._db_lock:
-            self.dictionary.rollback_to(start)
-            self.dictionary.load_rows(rows, quoted)
-            self._forget_terms_from(start)
-
     def replace_shard(self, graph: URIRef, rows: List[Tuple[int, int, int]]) -> None:
         """Overwrite ``graph``'s shard with exactly ``rows`` (id triples).
 
@@ -779,7 +719,6 @@ class SqliteBackend(QuadStoreBackend):
         """Whether :meth:`flush` has anything to write (caller holds the lock)."""
         return (
             bool(self._pending)
-            or self._stale_terms
             or self.dictionary.next_id > self._terms_written
             or self._meta_dirty()
         )

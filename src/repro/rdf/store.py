@@ -75,6 +75,8 @@ class QuadStore:
         #: Ops recorded for the commit currently being built (``None``
         #: outside a write span / when the log is disabled).
         self._pending_ops: Optional[List[Tuple[str, URIRef, Any]]] = None
+        #: Set by :meth:`follow`: the store changes only by replication.
+        self._follower = False
 
     @classmethod
     def sqlite(cls, path: PathLike) -> "QuadStore":
@@ -158,7 +160,7 @@ class QuadStore:
         the caller to handle (the governor service fails the batch's tickets
         with it and retries transient errors).
         """
-        depth = self._gate.acquire_write()
+        depth = self._acquire_write()
         if depth == 1:
             try:
                 self._begin_batch()
@@ -276,9 +278,15 @@ class QuadStore:
         """What the backend verified/repaired on open (empty when volatile)."""
         return self._backend.recovery
 
+    def _acquire_write(self) -> int:
+        """The write gate for a local write; a follower refuses before taking it."""
+        if self._follower:
+            raise PermissionError("a replica's store changes only through replication_batch")
+        return self._gate.acquire_write()
+
     def _begin_write(self) -> int:
         """Gate one standalone mutation (reentrant under an open batch)."""
-        depth = self._gate.acquire_write()
+        depth = self._acquire_write()
         if depth == 1 and self._delta_log is not None and not self._in_batch:
             self._pending_ops = []
         return depth
@@ -349,33 +357,33 @@ class QuadStore:
         """
         return self._backend.changed_since(version)
 
+    def follow(self) -> None:
+        """Make this store a replication follower, for good.
+
+        From now on :meth:`write_batch`, every standalone mutation and the
+        dictionary's mint path raise ``PermissionError`` before they touch
+        memory or file: the store changes only by :meth:`replication_batch`,
+        whose shipped terms and rows land through ``dictionary.load_rows``
+        and the backend's replication primitives, none of which mints.
+        """
+        self._follower = True
+        self._backend.dictionary.freeze()
+
     @contextmanager
-    def replication_batch(self, target_version: int, durable: bool = True):
-        """An exclusive write scope that commits at an explicit version.
+    def replication_batch(self, target_version: int):
+        """An exclusive, durable write scope that commits at an explicit version.
 
         The replica apply path: shipped state lands through backend-level
         primitives inside this scope, and on success the commit version
         *jumps* to the source's ``target_version`` (a follower replays the
-        source's version line, it does not mint its own).  Readers behave
-        exactly as under :meth:`write_batch` — they wait, then observe all
-        of the shipped state or none of it.  On failure the backend
-        transaction rolls back; the caller must invalidate any resident
-        indexes it patched (there is no undo log here).
-
-        ``durable=False`` (honoured only when the backend advertises
-        ``supports_lazy_replication``) applies to the resident indexes and
-        the write buffer but defers the sqlite flush, the meta stamp and
-        the transaction entirely — the serving-replica hot path, where
-        shipping durability work out of the request window is worth a
-        weaker crash story.  The durable version stays *conservative*
-        (whatever the last :meth:`checkpoint` wrote), which is safe because
-        replication ops are idempotent: a restart re-pulls the delta since
-        the stale durable version and replaying over already-flushed rows
-        converges on the same state.  On failure the deferred ops and the
-        terms interned by this apply are discarded instead of rolled back
-        through sqlite.
+        source's version line, it does not mint its own) in one backend
+        commit stamped with it.  Readers behave exactly as under
+        :meth:`write_batch` — they wait, then observe all of the shipped
+        state or none of it.  On failure, in the body or at the commit, the
+        backend transaction and the dictionary roll back; the caller must
+        invalidate any resident indexes it patched (there is no undo log
+        here).
         """
-        lazy = not durable and self._backend.supports_lazy_replication
         depth = self._gate.acquire_write()
         try:
             if depth != 1:
@@ -387,23 +395,16 @@ class QuadStore:
                     f"replication target {target_version} is not ahead of "
                     f"commit version {self._commit_version}"
                 )
-            if lazy:
-                pending_mark = self._backend.pending_mark()
-            else:
-                self._backend.begin_batch()
+            self._backend.begin_batch()
             self._in_batch = True
             try:
                 yield self
+                self._backend.commit_batch(target_version)
             except BaseException:
                 self._in_batch = False
-                if lazy:
-                    self._backend.discard_pending(pending_mark)
-                else:
-                    self._backend.rollback_batch()
+                self._backend.rollback_batch()
                 raise
             self._in_batch = False
-            if not lazy:
-                self._backend.commit_batch(target_version)
             self._commit_version = target_version
             self._version += 1
             # A jump is not loggable: the log restarts at the new version.
@@ -413,17 +414,6 @@ class QuadStore:
                 self._delta_log_floor = self._commit_version
         finally:
             self._gate.release_write()
-
-    def checkpoint(self) -> None:
-        """Flush deferred replication state and stamp the durable version.
-
-        The companion to ``replication_batch(durable=False)``: everything
-        applied lazily since the last checkpoint becomes durable in one
-        sqlite transaction, meta version included.  A no-op when nothing is
-        deferred; cheap enough to call from a replica's idle loop.
-        """
-        self._backend.note_commit_version(self._commit_version)
-        self._backend.flush()
 
     def close(self) -> None:
         """Flush and release the backend; idempotent (double-close is a no-op)."""

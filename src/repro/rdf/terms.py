@@ -303,10 +303,14 @@ class TermDictionary:
     spelling row: encoding one interns its inner terms and records the
     ``id -> (s, p, o)`` parts, so the graph index's quoted-triple indexes and
     the engine's quoted patterns never decode.
+
+    A replica's dictionary is frozen (:meth:`freeze`): it adopts shipped rows
+    through :meth:`load_rows` but mints no id of its own.
     """
 
     __slots__ = (
         "_term_to_id", "_id_to_term", "_text_to_id", "_id_to_text", "_quoted_parts", "_quoted_by_parts", "_next_id",
+        "_frozen",
     )
 
     def __init__(self):
@@ -322,6 +326,7 @@ class TermDictionary:
         #: Inverse of ``_quoted_parts`` for O(1) quoted-term lookups by parts.
         self._quoted_by_parts: dict = {}
         self._next_id: int = 1
+        self._frozen = False
 
     def __len__(self) -> int:
         return len(self._id_to_text) + len(self._quoted_parts)
@@ -341,8 +346,7 @@ class TermDictionary:
             )
             term_id = self._quoted_by_parts.get(parts)
             if term_id is None:
-                term_id = self._next_id
-                self._next_id += 1
+                term_id = self._mint()
                 self._id_to_term[term_id] = term
                 self._quoted_parts[term_id] = parts
                 self._quoted_by_parts[parts] = term_id
@@ -350,12 +354,23 @@ class TermDictionary:
         text = term_n3(term)
         term_id = self._text_to_id.get(text)
         if term_id is None:
-            term_id = self._next_id
-            self._next_id += 1
+            term_id = self._mint()
             self._text_to_id[text] = term_id
             self._id_to_text[term_id] = text
         self._remember(term, term_id)
         return term_id
+
+    def _mint(self) -> int:
+        """The next id, taken; a frozen dictionary refuses before taking it."""
+        if self._frozen:
+            raise PermissionError("a replica's term dictionary mints no id: its terms arrive by replication")
+        term_id = self._next_id
+        self._next_id += 1
+        return term_id
+
+    def freeze(self) -> None:
+        """Refuse, from now on, to mint an id (a replica's dictionary)."""
+        self._frozen = True
 
     def _remember(self, term: Any, term_id: int) -> None:
         """Cache ``term`` as the object of ``term_id`` if the id has none yet."""

@@ -4,9 +4,12 @@
 ``KGGovernor.save`` output), opens it read-only, and converges on the
 writer by pulling ``delta`` RPCs: the writer answers with new dictionary
 rows plus either per-commit row ops or full dumps of the changed graphs,
-and the replica applies them in one ``replication_batch`` — its commit
-version *jumps* to the writer's, in-flight local readers finish on the old
-snapshot first, and a failed apply rolls the whole pull back.
+and the replica applies them in one durable ``replication_batch`` — its
+commit version *jumps* to the writer's, in-flight local readers finish on
+the old snapshot first, and a failed apply (or a crash mid-apply) rolls the
+whole pull back.  The replica's store is a follower (``QuadStore.follow``):
+outside that batch it refuses every write, and its dictionary never mints a
+term, so every id it holds is the writer's.
 
 :class:`ReplicaServer` serves the replica over the wire protocol on a
 deliberately **single-threaded** event loop (redis-style): one replica
@@ -41,7 +44,15 @@ Address = Tuple[str, int]
 
 
 class Replica:
-    """One read-only copy of the lake, refreshed by delta pulls."""
+    """One read-only copy of the lake, refreshed by delta pulls.
+
+    Every apply is one durable ``replication_batch`` stamped with the
+    writer's version, so the file always holds a version the writer
+    committed.  The store follows the writer from the moment it opens:
+    a local write, or a term the dictionary would mint, raises
+    ``PermissionError``, so the dictionary's ``next_id`` is also the id
+    watermark a pull asks the writer's rows from.
+    """
 
     def __init__(
         self,
@@ -49,31 +60,10 @@ class Replica:
         directory: Union[str, Path],
         timeout: float = 30.0,
         max_retries: int = 5,
-        durable_applies: bool = True,
     ):
         self.directory = Path(directory)
         self._store = QuadStore.sqlite(self.directory / _GRAPH_FILE)
-        #: ``False`` turns on lazy-durability applies: delta ops patch the
-        #: resident indexes and queue in the backend's write buffer, but the
-        #: sqlite flush (and the durable version stamp) waits for an explicit
-        #: :meth:`checkpoint`.  Sound because the durable version stays
-        #: conservative and delta ops are idempotent — a crashed replica
-        #: restarts at its last checkpoint and replays forward — and it moves
-        #: per-commit durability work out of the serving window, which is the
-        #: point: a serving slot's loss story is "re-pull", not "fsync".
-        self._durable_applies = (
-            durable_applies or not self._store.backend.supports_lazy_replication
-        )
-        if not self._durable_applies:
-            # Threshold flushes mid-apply would make a torn apply partially
-            # durable (still safe, but noisier); with checkpoints owning the
-            # flush, the threshold only bounds memory.
-            self._store.backend.flush_threshold = 1_000_000
-        #: Dictionary-id watermark: every id below it matches the writer's
-        #: dictionary byte-for-byte.  Ids at or above it are local strays
-        #: (query constants interned between syncs); each apply drops them,
-        #: flushed rows included, so shipped rows land at their own ids.
-        self._synced_terms = self._store.dictionary.next_id
+        self._store.follow()
         #: Replication telemetry, reported via the ``stats`` RPC.  The
         #: ``*_seconds`` entries split a sync's cost into the round-trip
         #: against the writer (gate waits show up there) and the local
@@ -98,9 +88,8 @@ class Replica:
         )
         self._sync_lock = threading.Lock()
         # Converge on the writer *before* the governor constructs: the
-        # governor's ontology bootstrap interns terms when the ontology
-        # graph is missing, and any locally-minted id would collide with
-        # the writer's id space.
+        # governor's ontology bootstrap writes only when the ontology graph
+        # differs from the writer's, which a synced follower's never does.
         self.sync()
         governor = KGGovernor.open(self.directory, graph=self._store)
         governor.read_only = True
@@ -125,7 +114,7 @@ class Replica:
         """One freshness round-trip; returns whether anything was applied."""
         with self._sync_lock:
             started = time.perf_counter()
-            payload = self._source.delta(self._store.commit_version, self._synced_terms)
+            payload = self._source.delta(self._store.commit_version, self._store.dictionary.next_id)
             self.stats["pull_seconds"] += time.perf_counter() - started
             self.stats["syncs"] += 1
             self.stats["source_version"] = int(payload["version"])
@@ -147,19 +136,11 @@ class Replica:
         backend = store.backend
         version = int(payload["version"])
         touched: List[URIRef] = []
-        # Lazy applies only for pure row-op deltas: full dumps and drops go
-        # through ``drop_graph``, whose buffer purge invalidates the pending
-        # mark the lazy failure path truncates to.
-        durable = (
-            self._durable_applies
-            or payload["full"]
-            or any(kind == "drop" for kind, _, _ in payload["ops"])
-        )
         try:
-            with store.replication_batch(version, durable=durable):
-                # The writer's rows replace every local stray (see
-                # ``_synced_terms``), in memory and on disk — inside the
-                # batch, so a failed apply restores the dictionary too.
+            with store.replication_batch(version):
+                # The writer's rows for the ids from this dictionary's
+                # ``next_id`` on — inside the batch, so a failed apply
+                # restores the dictionary too.
                 raw_terms = payload["terms"]
                 if isinstance(raw_terms, dict):
                     ids = unpack_ids(raw_terms["ids"])
@@ -169,7 +150,7 @@ class Replica:
                 # A quoted triple ships only as its ``(id, s, p, o)`` run.
                 parts = iter(unpack_ids(payload["quoted"]))
                 quoted = list(zip(parts, parts, parts, parts))
-                backend.ingest_term_rows(self._synced_terms, terms, quoted)
+                store.dictionary.load_rows(terms, quoted)
                 self.stats["terms_applied"] += len(terms) + len(quoted)
                 if payload["full"]:
                     self.stats["full_pulls"] += 1
@@ -205,17 +186,9 @@ class Replica:
             for graph in touched:
                 backend.invalidate_resident(graph)
             raise
-        self._synced_terms = store.dictionary.next_id
-
-    def checkpoint(self) -> None:
-        """Make every lazily-applied delta durable in one sqlite commit."""
-        with self._sync_lock:
-            self._store.checkpoint()
 
     def close(self) -> None:
         self._source.close()
-        # Closing the store flushes the write buffer and stamps the current
-        # commit version, so a graceful shutdown is itself a checkpoint.
         self.client.close()
 
 
@@ -246,15 +219,9 @@ class ReplicaServer:
         port: int = 0,
         lease: float = 0.05,
         idle_resync: float = 0.25,
-        checkpoint_after: float = 1.0,
     ):
         self.replica = replica
         self.lease = lease
-        #: Quiet period (seconds since the last request) after which idle
-        #: ticks flush lazily-applied deltas to sqlite.  Durability work thus
-        #: runs between request bursts instead of inside them; a crash before
-        #: the checkpoint only costs a re-pull on restart.
-        self.checkpoint_after = checkpoint_after
         #: Idle convergence cadence.  The request path syncs on ``lease``;
         #: idle ticks sync on this much slower clock — enough for a drained
         #: writer's final version to land here, without a ``lease=0``
@@ -278,7 +245,6 @@ class ReplicaServer:
         self._requests = 0
         self._dispatch_seconds = 0.0
         self._last_sync = time.monotonic()
-        self._last_request = time.monotonic()
         self._stop_event = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="replica-server", daemon=True
@@ -321,14 +287,6 @@ class ReplicaServer:
                 # lands here without any client traffic — on the slow
                 # ``idle_resync`` clock, not the per-request lease.
                 self._maybe_sync(self.idle_resync)
-                if time.monotonic() - self._last_request > self.checkpoint_after:
-                    try:
-                        self.replica.checkpoint()
-                    except Exception:
-                        # Durability is best-effort between checkpoints by
-                        # design; a failed flush retries on the next idle
-                        # tick (and close() flushes unconditionally).
-                        pass
                 continue
             for key, _ in events:
                 if key.data == "listener":
@@ -361,7 +319,6 @@ class ReplicaServer:
         # only this replica; sibling replicas keep the core busy — the
         # overlap the serving benchmark measures.
         self._maybe_sync()
-        self._last_request = time.monotonic()
         started = time.perf_counter()
         response = self.dispatcher.dispatch(request)
         self._requests += 1
@@ -419,19 +376,16 @@ def serve_replica(
     lease: float = 0.05,
     idle_resync: float = 0.25,
     ready_file: Optional[Union[str, Path]] = None,
-    durable_applies: bool = False,
 ) -> None:
     """Process entry point: serve ``directory`` against a writer until shutdown.
 
     The serving benchmark spawns one process per replica through this
     function; ``ready_file`` receives the bound address as JSON once the
     replica has bootstrapped, and a ``shutdown`` RPC ends the process.
-    Applies default to lazy durability (idle-checkpointed): a serving slot
-    that crashes mid-window restarts from its last checkpoint and re-pulls.
+    Every apply is durable: a serving slot that crashes mid-window restarts
+    at the last version it applied and pulls on from there.
     """
-    replica = Replica(
-        (source_host, source_port), directory, durable_applies=durable_applies
-    )
+    replica = Replica((source_host, source_port), directory)
     server = ReplicaServer(
         replica, host=host, port=port, lease=lease, idle_resync=idle_resync
     )

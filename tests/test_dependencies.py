@@ -10,8 +10,8 @@ implementation in ``repro.ml``, one write path in ``repro.rdf`` / ``repro.kg``,
 a line budget for ``repro.rdf`` + ``repro.sparql``, no sqlite index that
 nothing reads, no per-call SPARQL behind the similarity and library discovery
 calls, one backend base class that a durable backend and the fault wrapper do
-not restate, one term dictionary, one way a replica catches up, no
-capacity-bounded memo in the query engine.
+not restate, one term dictionary, one way a replica catches up, one way it
+applies what it pulls, no capacity-bounded memo in the query engine.
 """
 
 import ast
@@ -145,7 +145,7 @@ def test_rdf_sparql_line_budget():
         for name in ("rdf", "sparql")
         for path in (package / name).glob("*.py")
     )
-    assert lines <= 6201, f"rdf/ + sparql/ is {lines} lines (budget 6,201)"
+    assert lines <= 6145, f"rdf/ + sparql/ is {lines} lines (budget 6,145)"
 
 
 def _classes(path: Path):
@@ -201,6 +201,33 @@ def test_one_replica_refresh_path(tmp_path):
     assert sorted(path.name for path in directory.iterdir()) == [
         "embeddings.npz", "graph.sqlite3", "manifest.json", "pipelines.json", "profiles.json"
     ]
+
+
+def test_one_replica_apply_path():
+    """A replica applies one way: a durable ``replication_batch``.
+
+    No apply mode is left to choose (no lazy applies, no deferred
+    durability, no checkpoint that would make them durable later), and a
+    store learns it follows a source from ``QuadStore.follow`` alone, not
+    from a parameter.
+    """
+    import inspect
+
+    from repro.rdf import QuadStore, QuadStoreBackend, SqliteBackend
+    from repro.serving.replica import Replica, ReplicaServer, serve_replica
+
+    def parameters(function):
+        return set(inspect.signature(function).parameters)
+
+    assert "durable_applies" not in parameters(Replica) | parameters(serve_replica)
+    assert "checkpoint_after" not in parameters(ReplicaServer)
+    assert parameters(QuadStore.replication_batch) == {"self", "target_version"}
+    assert parameters(QuadStore) == {"backend"}
+    for backend in (QuadStoreBackend, SqliteBackend):
+        for name in ("supports_lazy_replication", "pending_mark", "discard_pending", "ingest_term_rows"):
+            assert not hasattr(backend, name), f"{backend.__name__}.{name}"
+    for owner in (Replica, QuadStore):
+        assert not hasattr(owner, "checkpoint"), owner.__name__
 
 
 def test_one_backend_base_class():

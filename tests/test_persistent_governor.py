@@ -14,8 +14,9 @@ These tests pin the contracts of the pluggable-backend storage layer:
   ``EmbeddingStore.remove``) and the embedding-store disk round-trip;
 * a loaded shard stays resident until it is replaced underneath it
   (``replace_shard``), and the rebuilt index resumes above the old version;
-* a stray a lazy replica apply replaced leaves the file at the next
-  ``checkpoint``;
+* a replication follower refuses local writes and new terms with
+  ``PermissionError``, memory and file untouched, and a failed apply leaves
+  the file holding what the dictionary holds;
 * the sqlite layout holds no secondary index, and a file written in an
   older layout (``terms.n3 UNIQUE``, a ``(p)`` index per shard; quoted
   triples spelled out in ``terms``) behaves exactly like a new one — the
@@ -51,7 +52,8 @@ from repro.embeddings.store import EmbeddingStore
 from repro.kg import KGGovernor, LiDSOntology
 from repro.kg.ontology import DATASET_GRAPH, column_uri, table_uri
 from repro.kg.storage import KGLiDSStorage
-from repro.rdf import Literal, QuadStore, SqliteBackend, URIRef
+from repro.rdf import Literal, QuadStore, QuotedTriple, SqliteBackend, URIRef
+from repro.rdf.store import DEFAULT_GRAPH
 from repro.rdf.serialize import serialize_nquads
 from repro.sparql import SPARQLEngine
 from repro.tabular import DataLake, Table
@@ -273,58 +275,72 @@ class TestSqliteBackend:
         assert backend.shard_loads == loads + 1
         store.close()
 
-    def test_a_lazy_apply_over_a_flushed_stray_deletes_its_row_at_the_next_checkpoint(self, tmp_path):
-        """A lazy replica apply that ships rows from below a local stray (a
-        term the replica interned and flushed past its synced watermark)
-        drops the stray from the dictionary at once and leaves its on-disk
-        row for the next flush: ``checkpoint`` deletes it, so the file then
-        holds exactly the writer's terms."""
+    def test_a_follower_refuses_local_writes_and_adopts_shipped_rows(self, tmp_path):
+        """A store that follows a replication source refuses a standalone
+        add, a write batch and a new term or quoted triple in its dictionary
+        with ``PermissionError``, before touching memory or file.  Shipped
+        rows still land through ``replication_batch``, durable at once, and
+        the file then holds exactly the writer's terms and quads."""
         writer_path, replica_path = tmp_path / "writer.sqlite3", tmp_path / "replica.sqlite3"
         writer = QuadStore.sqlite(writer_path)
-        writer.add(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1))
+        s, p = URIRef("http://x/s"), URIRef("http://x/p")
+        writer.add(s, p, Literal(1))
         writer.flush()
         writer.backend.checkpoint()
         shutil.copyfile(writer_path, replica_path)
         replica = QuadStore.sqlite(replica_path)
-        stray = URIRef("http://x/stray")
-        synced = replica.dictionary.next_id
-        assert replica.dictionary.encode(stray) == synced
-        replica.flush()
-        replica.backend.checkpoint()
+        replica.follow()
 
         def on_disk():
             connection = sqlite3.connect(replica_path)
             try:
-                return connection.execute("SELECT n3 FROM terms WHERE id >= ?", (synced,)).fetchall()
+                return (
+                    connection.execute("SELECT id, n3 FROM terms ORDER BY id").fetchall(),
+                    connection.execute("SELECT id, s, p, o FROM quoted ORDER BY id").fetchall(),
+                )
             finally:
                 connection.close()
 
-        assert on_disk() == [("<http://x/stray>",)]
-        version = replica.commit_version + 1
-        with replica.replication_batch(version, durable=False):
-            replica.backend.ingest_term_rows(synced, [])
-        assert replica.dictionary.lookup(stray) is None
-        assert replica.dictionary.next_id == synced
-        assert on_disk() == [("<http://x/stray>",)]
-        replica.checkpoint()
-        replica.backend.checkpoint()
-        assert on_disk() == []
+        before = (dictionary_rows(replica), serialize_nquads(replica), replica.commit_version, on_disk())
+        with pytest.raises(PermissionError):
+            replica.add(s, p, Literal(2))
+        with pytest.raises(PermissionError):
+            with replica.write_batch():
+                pytest.fail("a follower's write batch ran its body")
+        for term in (URIRef("http://x/new"), QuotedTriple(s, p, s), QuotedTriple(s, p, Literal("new"))):
+            with pytest.raises(PermissionError):
+                replica.dictionary.encode(term)
+            assert replica.dictionary.lookup(term) is None
+        assert replica.dictionary.encode(s) == replica.dictionary.lookup(s)
+        replica.flush()
+        assert (dictionary_rows(replica), serialize_nquads(replica), replica.commit_version, on_disk()) == before
+
+        synced = replica.dictionary.next_id
+        writer.annotate(s, p, Literal(2), URIRef("http://x/score"), Literal(0.5))
+        writer.flush()
+        version = writer.commit_version
+        parts = iter(writer.dictionary.export_quoted_parts(synced))
+        with replica.replication_batch(version):
+            replica.dictionary.load_rows(writer.dictionary.export_rows(synced), list(zip(parts, parts, parts, parts)))
+            replica.backend.apply_row_delta(DEFAULT_GRAPH, list(writer.backend.get_index(DEFAULT_GRAPH).triples), [])
         assert replica.backend.committed_version() == version
+        parts = iter(writer.dictionary.export_quoted_parts(1))
+        assert on_disk() == (writer.dictionary.export_rows(1), list(zip(parts, parts, parts, parts)))
         replica.close()
         landed = QuadStore.sqlite(replica_path)
         try:
+            assert landed.commit_version == version
             assert dictionary_rows(landed) == dictionary_rows(writer)
             assert serialize_nquads(landed) == serialize_nquads(writer)
         finally:
             landed.close()
             writer.close()
 
-    def test_a_failed_durable_apply_over_a_stray_leaves_the_file_matching_the_dictionary(self, tmp_path):
-        """A durable apply ships rows over a flushed local stray, flushes its
-        quads mid-batch and fails.  The rollback takes the quads back and the
-        stray row stays on disk while the dictionary keeps the shipped row at
-        that id, so the next flush must replace the row: the file then holds
-        what the dictionary holds, live and reopened."""
+    def test_a_failed_apply_leaves_the_file_matching_the_dictionary(self, tmp_path):
+        """A replication apply adopts shipped term rows, flushes its quads
+        mid-batch and fails.  The rollback takes the quads, the new graph and
+        the shipped rows back, so the file holds what the dictionary holds,
+        live and reopened, and a retry of the same rows lands them."""
         writer_path, replica_path = tmp_path / "writer.sqlite3", tmp_path / "replica.sqlite3"
         writer = QuadStore.sqlite(writer_path)
         writer.add(URIRef("http://x/s"), URIRef("http://x/p"), Literal(1))
@@ -332,33 +348,47 @@ class TestSqliteBackend:
         writer.backend.checkpoint()
         shutil.copyfile(writer_path, replica_path)
         replica = QuadStore.sqlite(replica_path)
+        replica.follow()
         replica.backend.flush_threshold = 1
         synced = replica.dictionary.next_id
-        replica.dictionary.encode(URIRef("http://x/stray"))
-        replica.flush()
         writer.add(URIRef("http://x/t"), URIRef("http://x/q"), Literal(2))
         shipped = writer.dictionary.export_rows(synced)
-        with pytest.raises(RuntimeError, match="torn"):
+        delta = [(synced, synced + 1, synced + 2)]
+
+        def apply(tear):
             with replica.replication_batch(replica.commit_version + 1):
-                replica.backend.ingest_term_rows(synced, shipped)
-                replica.backend.apply_row_delta(URIRef("http://x/g"), [(synced, synced + 1, synced + 2)], [])
-                raise RuntimeError("torn")
-        assert replica.dictionary.export_rows(1) == writer.dictionary.export_rows(1)[:synced]
+                replica.dictionary.load_rows(shipped)
+                replica.backend.apply_row_delta(URIRef("http://x/g"), delta, [])
+                if tear:
+                    raise RuntimeError("torn")
+
+        def on_disk():
+            connection = sqlite3.connect(replica_path)
+            try:
+                return connection.execute("SELECT id, n3 FROM terms ORDER BY id").fetchall()
+            finally:
+                connection.close()
+
+        with pytest.raises(RuntimeError, match="torn"):
+            apply(tear=True)
+        assert replica.dictionary.export_rows(1) == writer.dictionary.export_rows(1)[: synced - 1]
         replica.flush()
-        connection = sqlite3.connect(replica_path)
-        try:
-            on_disk = connection.execute("SELECT id, n3 FROM terms ORDER BY id").fetchall()
-        finally:
-            connection.close()
-        assert on_disk == replica.dictionary.export_rows(1)
+        assert on_disk() == replica.dictionary.export_rows(1)
         assert replica.graphs() == writer.graphs()
         replica.close()
         reopened = QuadStore.sqlite(replica_path)
         try:
-            assert reopened.dictionary.export_rows(1) == on_disk
+            assert reopened.dictionary.export_rows(1) == on_disk()
+            assert reopened.graphs() == writer.graphs()
         finally:
             reopened.close()
-            writer.close()
+        replica = QuadStore.sqlite(replica_path)
+        replica.follow()
+        apply(tear=False)
+        assert on_disk() == writer.dictionary.export_rows(1)
+        assert list(replica.triples(graph=URIRef("http://x/g"))) == [(URIRef("http://x/t"), URIRef("http://x/q"), Literal(2))]
+        replica.close()
+        writer.close()
 
     def test_literal_escapes_round_trip(self, tmp_path):
         """Backslash-then-n/r/t values must survive the text serialization.

@@ -12,8 +12,11 @@ Pins the serving contracts:
 * a delta pull catches a replica up in place: the same interned
   dictionary, the resident indexes patched rather than reloaded, and a
   KGpip prior book harvested again from the shipped rows;
-* a replica's local strays (terms it interned between syncs) give way to
-  the writer's rows, in its dictionary and in its file;
+* a replica's store refuses every local write and every term its
+  dictionary would mint, leaving memory and file untouched, and each apply
+  is durable: a torn apply (mid-apply or at its commit) leaves the
+  pre-apply version in memory and on disk, and a copy of a synced
+  replica's directory reopens at the writer's version;
 * a float SUM / AVG over annotation scores reads the same on the live
   writer, on its file reopened and on a replica fed by delta, though their
   indexes yield the rows in different orders;
@@ -59,7 +62,7 @@ from store_write_oracle import dictionary_rows
 from repro.interfaces import LiDSClient
 from repro.kg import GovernorService, KGGovernor
 from repro.kg.errors import TransientError
-from repro.kg.ontology import DATASET_GRAPH, ONTOLOGY_GRAPH, LiDSOntology, column_uri, table_uri
+from repro.kg.ontology import DATASET_GRAPH, ONTOLOGY_GRAPH, LiDSOntology, column_uri, dataset_uri, table_uri
 from repro.kg.storage import KGLiDSStorage
 from repro.rdf import Literal, QuadStore, QuotedTriple, URIRef
 from repro.rdf.serialize import serialize_nquads
@@ -175,6 +178,52 @@ def test_remote_rows_byte_identical_and_stats(served_lake):
         assert remote.commit_version == client.commit_version
         with pytest.raises(RemoteError):
             remote._remote("close")  # mutation-adjacent methods are not servable
+    finally:
+        remote.close()
+
+
+def test_remote_pipelines_calling_libraries_match_in_process(served_lake):
+    """``get_pipelines_calling_libraries`` answers over the wire the table it
+    answers in process: one call, several calls, and a call no pipeline
+    makes."""
+    from repro.datagen import generate_pipeline_corpus
+
+    client = served_lake["client"]
+    served_lake["service"].submit_pipelines(
+        generate_pipeline_corpus(make_lake(6), pipelines_per_table=2, seed=5)
+    ).result(timeout=120)
+    remote = RemoteLiDSClient(served_lake["server"].address)
+    try:
+        for calls in (
+            ("pandas.read_csv",),
+            ("pandas.read_csv", "sklearn.ensemble.RandomForestClassifier"),
+            ("no.such.call",),
+        ):
+            local = client.get_pipelines_calling_libraries(*calls)
+            assert canonical_json(remote.get_pipelines_calling_libraries(*calls)) == canonical_json(local)
+        assert client.get_pipelines_calling_libraries("pandas.read_csv").num_rows > 0
+    finally:
+        remote.close()
+
+
+def test_the_shutdown_rpc_stops_the_writer_server(served_lake):
+    """A ``shutdown`` RPC stops ``LiDSServer``: its serving thread's ``join``
+    returns and its port stops accepting connections."""
+    server = served_lake["server"]
+    remote = RemoteLiDSClient(server.address, max_retries=0)
+    try:
+        address = server.address
+        remote.shutdown_server()
+        server._thread.join(5.0)
+        assert not server._thread.is_alive()
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                socket.create_connection(address, timeout=1.0).close()
+            except OSError:
+                break
+            assert time.monotonic() < deadline, "the writer still accepts connections"
+            time.sleep(0.05)
     finally:
         remote.close()
 
@@ -452,15 +501,13 @@ def test_replica_server_lease_serves_fresh_reads(served_lake, tmp_path):
 TABLES_QUERY = "SELECT ?table WHERE { ?table a kglids:Table } ORDER BY ?table"
 
 
-@pytest.mark.parametrize("durable_applies", [True, False], ids=["durable", "lazy"])
-def test_replica_answers_the_next_versions_rows_after_a_delta_pull(served_lake, tmp_path, durable_applies):
+def test_replica_answers_the_next_versions_rows_after_a_delta_pull(served_lake, tmp_path):
     """A replica's engine answers a repeated query from its answer memo
     until a delta pull moves the store; then it answers the new rows."""
     service = served_lake["service"]
     replica = Replica(
         served_lake["server"].address,
         ship_snapshot(served_lake["dir"], tmp_path / "replica"),
-        durable_applies=durable_applies,
     )
     try:
         before = replica.client.query(TABLES_QUERY)
@@ -549,6 +596,53 @@ def test_replica_answers_view_backed_calls_like_the_writer(served_lake, tmp_path
         after = answers(writer)
         assert after != before
         assert answers(replica.client) == after
+    finally:
+        replica.close()
+
+
+def test_a_table_with_several_names_is_labelled_by_its_first_ranked_name(served_lake, tmp_path):
+    """A table or dataset with several ``hasName`` rows is labelled by the
+    name SPARQL ``ORDER BY`` puts first, so ``get_path_to_table`` and
+    ``search_keywords`` give one answer whatever order the names were
+    inserted in: on stores filled in shuffled orders, on the writer, and on
+    a replica the aliases reached by delta."""
+    service = served_lake["service"]
+    writer_store = served_lake["governor"].storage.graph
+    replica = Replica(
+        served_lake["server"].address,
+        ship_snapshot(served_lake["dir"], tmp_path / "replica"),
+    )
+    has_name = LiDSOntology.hasName
+    aliases = [
+        (table_uri("ds0", "table_2"), has_name, Literal("zz_late_alias")),
+        (table_uri("ds0", "table_2"), has_name, Literal("aa_early_alias")),
+        (table_uri("ds1", "table_3"), has_name, Literal("mid_alias")),
+        (dataset_uri("ds1"), has_name, Literal("a_dataset_alias")),
+    ]
+    random.Random(11).shuffle(aliases)
+
+    def answers(client):
+        calls = [client.get_path_to_table(f"ds{index % 2}", f"table_{index}", 3) for index in range(6)]
+        calls += [client.search_keywords(conditions) for conditions in ([], "alias", [["ds1", "amount"]])]
+        return [canonical_json(answer) for answer in calls]
+
+    try:
+        writer_store.add_many(aliases, DATASET_GRAPH)
+        assert replica.sync() is True and replica.stats["full_pulls"] == 0
+        writer = LiDSClient(service)
+        ours = answers(writer)
+        assert answers(replica.client) == ours
+        found = writer.search_keywords("alias")
+        labels = {(row["dataset"], row["table"]) for row in found.iter_rows()}
+        assert ("ds0", "aa_early_alias") in labels and ("a_dataset_alias", "mid_alias") in labels
+        assert not any("zz_late_alias" in answer for answer in ours)
+        assert any("aa_early_alias ->" in answer for answer in ours[:6])
+        rows = list(writer_store.triples(graph=DATASET_GRAPH))
+        for seed in range(3):
+            random.Random(seed).shuffle(rows)
+            store = QuadStore()
+            store.add_many(rows, DATASET_GRAPH)
+            assert answers(LiDSClient(KGGovernor(storage=KGLiDSStorage(graph=store)))) == ours
     finally:
         replica.close()
 
@@ -824,51 +918,7 @@ def test_replica_follows_a_refresh_by_its_net_rows(served_lake, tmp_path):
         replica.close()
 
 
-# ----------------------------------------------------------- lazy durability
-def test_lazy_applies_defer_durability_until_checkpoint(served_lake, tmp_path):
-    """durable_applies=False: serve lazily-applied rows, checkpoint later,
-    and recover a crash image by replaying the delta from the conservative
-    durable version."""
-    service = served_lake["service"]
-    replica_dir = ship_snapshot(served_lake["dir"], tmp_path / "replica")
-    replica = Replica(
-        served_lake["server"].address, replica_dir, durable_applies=False
-    )
-    try:
-        backend = replica.store.backend
-        durable_before = backend.committed_version()
-        service.submit_lake(make_lake(3, seed=23, name="lazy")).result(timeout=120)
-        service.drain()
-        assert replica.sync() is True
-        assert replica.commit_version == service.commit_version
-        # The apply patched memory but deferred the durable stamp: the meta
-        # marker still reads the last checkpoint (the shipped snapshot).
-        assert backend.committed_version() == durable_before
-        ordered = "SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 9"
-        local = LiDSClient(service).query(ordered)
-        assert canonical_json(replica.client.query(ordered)) == canonical_json(local)
-
-        # A crash image taken now still carries the conservative version, so
-        # a restarted replica re-pulls the missed delta and converges —
-        # idempotent ops make the replay safe over any partial flush.
-        crash_dir = tmp_path / "crashed"
-        shutil.copytree(replica_dir, crash_dir)
-        recovered = Replica(served_lake["server"].address, crash_dir)
-        try:
-            assert recovered.commit_version == service.commit_version
-            assert canonical_json(recovered.client.query(ordered)) == canonical_json(
-                local
-            )
-        finally:
-            recovered.close()
-
-        # Checkpoint stamps everything applied so far durable in one commit.
-        replica.checkpoint()
-        assert backend.committed_version() == replica.commit_version
-    finally:
-        replica.close()
-
-
+# ------------------------------------------------------- one apply path
 def disk_dictionary(path) -> tuple:
     """A sqlite file's ``terms`` and ``quoted`` rows, shaped like ``dictionary_rows``."""
     connection = sqlite3.connect(path)
@@ -880,21 +930,60 @@ def disk_dictionary(path) -> tuple:
     return terms, quoted
 
 
-def test_a_torn_lazy_apply_answers_the_pre_apply_version_and_the_retry_converges(
-    served_lake, tmp_path, monkeypatch
+def test_a_copied_replica_directory_reopens_at_the_applied_version_and_converges(served_lake, tmp_path):
+    """Every apply is durable: right after a sync the replica's file is
+    stamped with the writer's version, so a copy of its directory (a crash
+    image) reopens there, and a replica on the copy converges on the writer
+    by the next delta."""
+    service = served_lake["service"]
+    replica_dir = ship_snapshot(served_lake["dir"], tmp_path / "replica")
+    replica = Replica(served_lake["server"].address, replica_dir)
+    ordered = "SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 9"
+    try:
+        service.submit_lake(make_lake(3, seed=23, name="applied")).result(timeout=120)
+        service.drain()
+        assert replica.sync() is True
+        assert replica.commit_version == service.commit_version
+        assert replica.store.backend.committed_version() == replica.commit_version
+        crash_dir = tmp_path / "crashed"
+        shutil.copytree(replica_dir, crash_dir)
+    finally:
+        replica.close()
+    image = QuadStore.sqlite(crash_dir / "graph.sqlite3")
+    try:
+        assert image.commit_version == service.commit_version
+    finally:
+        image.close()
+    service.submit_lake(make_lake(2, seed=31, name="after")).result(timeout=120)
+    service.drain()
+    recovered = Replica(served_lake["server"].address, crash_dir)
+    try:
+        assert recovered.commit_version == service.commit_version
+        assert recovered.stats["full_pulls"] == 0
+        writer_store = served_lake["governor"].storage.graph
+        assert dictionary_rows(recovered.store) == dictionary_rows(writer_store)
+        assert canonical_json(recovered.client.query(ordered)) == canonical_json(LiDSClient(service).query(ordered))
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("where", ["apply", "commit"])
+def test_a_torn_apply_answers_the_pre_apply_version_and_the_retry_converges(
+    served_lake, tmp_path, monkeypatch, where
 ):
-    """A lazy delta apply raises after its shipped term rows landed in the
-    dictionary and one graph's rows were patched in.  Reads answer the
-    pre-apply version, a checkpoint leaves ``terms`` / ``quoted`` as they
-    were, and the retried sync converges on the writer byte for byte."""
+    """A delta apply raises after its shipped term rows landed in the
+    dictionary: right after one graph's rows were patched in, or at the
+    batch commit, after the flush wrote the rows into the transaction.
+    Reads answer the pre-apply version, the file keeps its pre-apply
+    ``terms`` / ``quoted`` rows and version, and the retried sync converges
+    on the writer byte for byte, live and reopened."""
     service = served_lake["service"]
     writer_store = served_lake["governor"].storage.graph
     replica_dir = ship_snapshot(served_lake["dir"], tmp_path / "replica")
     replica_file = replica_dir / "graph.sqlite3"
-    replica = Replica(served_lake["server"].address, replica_dir, durable_applies=False)
+    replica = Replica(served_lake["server"].address, replica_dir)
     try:
         store, backend = replica.store, replica.store.backend
-        replica.checkpoint()
         durable_before = backend.committed_version()
         # Every graph resident, so the first shipped op patches an index.
         before = (serialize_nquads(store), dictionary_rows(store), store.commit_version)
@@ -902,28 +991,36 @@ def test_a_torn_lazy_apply_answers_the_pre_apply_version_and_the_retry_converges
         service.submit_lake(make_lake(2, seed=29, name="torn")).result(timeout=120)
         service.drain()
 
-        apply_row_delta = backend.apply_row_delta
         torn = []
+        if where == "apply":
+            apply_row_delta = backend.apply_row_delta
 
-        def apply_then_tear(graph, added, removed):
-            assert store.dictionary.next_id > synced, "shipped rows have not landed"
-            apply_row_delta(graph, added, removed)
-            torn.append(graph)
-            raise RuntimeError("torn apply")
+            def tear(graph, added, removed):
+                assert store.dictionary.next_id > synced, "shipped rows have not landed"
+                apply_row_delta(graph, added, removed)
+                torn.append(graph)
+                raise RuntimeError("torn apply")
 
-        monkeypatch.setattr(backend, "apply_row_delta", apply_then_tear)
+            monkeypatch.setattr(backend, "apply_row_delta", tear)
+        else:
+
+            def tear():
+                assert store.dictionary.next_id > synced, "shipped rows have not landed"
+                torn.append("commit")
+                raise RuntimeError("torn apply")
+
+            monkeypatch.setattr(backend, "_txn_commit", tear)
         with pytest.raises(RuntimeError, match="torn apply"):
             replica.sync()
         monkeypatch.undo()
         assert torn and replica.stats["sync_failures"] == 1
         assert (serialize_nquads(store), dictionary_rows(store), store.commit_version) == before
         assert store.dictionary.next_id == synced
-        replica.checkpoint()
         assert disk_dictionary(replica_file) == disk_before
+        assert backend.committed_version() == durable_before
 
         assert replica.sync() is True
-        assert backend.committed_version() == durable_before  # the retry applied lazily
-        replica.checkpoint()
+        assert backend.committed_version() == service.commit_version
         writer_rows = dictionary_rows(writer_store)
         assert store.commit_version == service.commit_version
         assert dictionary_rows(store) == writer_rows
@@ -939,39 +1036,55 @@ def test_a_torn_lazy_apply_answers_the_pre_apply_version_and_the_retry_converges
         reopened.close()
 
 
-@pytest.mark.parametrize("durable_applies", [True, False], ids=["durable", "lazy"])
-def test_replica_strays_give_way_to_the_writers_rows(served_lake, tmp_path, durable_applies):
-    """Ids at or above the replica's synced watermark are local strays.  A
-    stray flushed to disk must not survive a sync that ships the same text at
-    the writer's (lower) id: not in the dictionary, and not in the file."""
+def test_a_replica_refuses_local_writes_and_converges_on_the_writer(served_lake, tmp_path):
+    """A replica's store is a follower: a local add, remove or graph drop, a
+    write batch and a term its dictionary would mint each raise
+    ``PermissionError`` and leave memory and file as they were.  The next
+    sync then lands the writer's rows at the writer's ids."""
     writer_store = served_lake["governor"].storage.graph
     replica_dir = ship_snapshot(served_lake["dir"], tmp_path / "replica")
-    replica = Replica(served_lake["server"].address, replica_dir, durable_applies=durable_applies)
-    replica_only, shared = Literal("a constant only the replica interns"), Literal("a constant both intern")
+    replica_file = replica_dir / "graph.sqlite3"
+    replica = Replica(served_lake["server"].address, replica_dir)
+    shared = Literal("a constant the writer interns later")
     try:
-        start = replica.store.dictionary.next_id
+        store = replica.store
+        anchor = next(iter(store.triples(graph=DATASET_GRAPH)))
+        before = (serialize_nquads(store), dictionary_rows(store), store.commit_version, store.version)
+        disk_before = disk_dictionary(replica_file)
+        with pytest.raises(PermissionError):
+            store.add(anchor.subject, anchor.predicate, shared, graph=DATASET_GRAPH)
+        with pytest.raises(PermissionError):
+            store.remove(anchor.subject, anchor.predicate, anchor.object, graph=DATASET_GRAPH)
+        with pytest.raises(PermissionError):
+            store.remove_graph(DATASET_GRAPH)
+        with pytest.raises(PermissionError):
+            with store.write_batch():
+                pytest.fail("a follower's write batch ran its body")
+        with pytest.raises(PermissionError):
+            store.dictionary.encode(shared)
+        assert store.dictionary.lookup(shared) is None
+        # A known term's encode still answers its id.
+        assert store.dictionary.encode(anchor.subject) == store.dictionary.lookup(anchor.subject)
+        assert (serialize_nquads(store), dictionary_rows(store), store.commit_version, store.version) == before
+        store.flush()
+        assert disk_dictionary(replica_file) == disk_before
+
+        start = store.dictionary.next_id
         assert writer_store.dictionary.next_id == start
-        assert replica.store.dictionary.encode(replica_only) == start
-        assert replica.store.dictionary.encode(shared) == start + 1
-        replica.checkpoint()
-        connection = sqlite3.connect(replica_dir / "graph.sqlite3")
-        flushed = connection.execute("SELECT n3 FROM terms WHERE id = ?", (start + 1,)).fetchone()
-        connection.close()
-        assert flushed == ('"a constant both intern"',)
-        anchor = next(iter(writer_store.triples(graph=DATASET_GRAPH)))
         writer_store.add(anchor.subject, anchor.predicate, shared, graph=DATASET_GRAPH)
-        assert writer_store.dictionary.lookup(shared) == start
         assert replica.sync() is True
         writer_rows = dictionary_rows(writer_store)
-        assert replica.store.dictionary.lookup(shared) == start
-        assert replica.store.dictionary.lookup(replica_only) is None
-        assert dictionary_rows(replica.store) == writer_rows
+        assert store.dictionary.lookup(shared) == start
+        assert dictionary_rows(store) == writer_rows
+        assert disk_dictionary(replica_file) == writer_rows
+        assert serialize_nquads(store) == serialize_nquads(writer_store)
     finally:
         replica.close()
-    reopened = QuadStore.sqlite(replica_dir / "graph.sqlite3")
+    reopened = QuadStore.sqlite(replica_file)
     try:
         assert reopened.dictionary.lookup(shared) == start
         assert dictionary_rows(reopened) == writer_rows
+        assert serialize_nquads(reopened) == serialize_nquads(writer_store)
     finally:
         reopened.close()
 
@@ -981,19 +1094,28 @@ def test_quoted_triples_replicate_as_part_ids(served_lake, tmp_path, path):
     """After a governed table, the delta frame spells no quoted triple: the
     similarity annotations' quoted subjects ship only as part-id runs.  The
     replica ends with the writer's quoted rows in memory and in sqlite, and
-    a quoted constant it interned between syncs is gone from both."""
+    it refuses to intern a quoted constant of its own — new parts or known
+    ones — leaving both as they were."""
     service = served_lake["service"]
     writer_store = served_lake["governor"].storage.graph
     replica_dir = ship_snapshot(served_lake["dir"], tmp_path / "replica")
     replica = Replica(served_lake["server"].address, replica_dir)
-    stray = QuotedTriple(URIRef("urn:stray:s"), URIRef("urn:stray:p"), Literal("a stray constant"))
     try:
-        pinned_version, pinned_terms = replica.commit_version, replica.store.dictionary.next_id
-        stray_id = replica.store.dictionary.encode(stray)
-        replica.checkpoint()
-        connection = sqlite3.connect(replica_dir / "graph.sqlite3")
-        assert connection.execute("SELECT COUNT(*) FROM quoted WHERE id = ?", (stray_id,)).fetchone() == (1,)
-        connection.close()
+        dictionary = replica.store.dictionary
+        pinned_version, pinned_terms = replica.commit_version, dictionary.next_id
+        anchor = next(iter(replica.store.triples(graph=DATASET_GRAPH)))
+        known_parts = QuotedTriple(anchor.predicate, anchor.predicate, anchor.subject)
+        stray = QuotedTriple(URIRef("urn:stray:s"), URIRef("urn:stray:p"), Literal("a stray constant"))
+        assert dictionary.lookup(known_parts) is None
+        rows_before = dictionary_rows(replica.store)
+        for quoted in (stray, known_parts):
+            with pytest.raises(PermissionError):
+                dictionary.encode(quoted)
+            assert dictionary.lookup(quoted) is None
+        assert dictionary_rows(replica.store) == rows_before
+        assert dictionary.next_id == pinned_terms
+        replica.store.flush()
+        assert disk_dictionary(replica_dir / "graph.sqlite3") == rows_before
 
         # New table names: their similarity edges annotate new quoted triples.
         fresh = DataLake("quoted")
@@ -1012,21 +1134,13 @@ def test_quoted_triples_replicate_as_part_ids(served_lake, tmp_path, path):
 
         assert replica.sync() is True
         assert replica.stats["full_pulls" if path == "full" else "delta_pulls"] == 1
-        writer_dictionary, dictionary = writer_store.dictionary, replica.store.dictionary
+        writer_dictionary = writer_store.dictionary
         writer_quoted = writer_dictionary.export_quoted_parts(1)
         assert dictionary.export_quoted_parts(1) == writer_quoted
         assert dictionary.export_rows(1) == writer_dictionary.export_rows(1)
         assert dictionary.next_id == writer_dictionary.next_id
         assert dictionary.lookup(stray) is None
-        replica.checkpoint()
-        connection = sqlite3.connect(replica_dir / "graph.sqlite3")
-        try:
-            rows = connection.execute("SELECT id, s, p, o FROM quoted ORDER BY id").fetchall()
-            terms = connection.execute("SELECT id, n3 FROM terms ORDER BY id").fetchall()
-        finally:
-            connection.close()
-        assert [part for row in rows for part in row] == writer_quoted
-        assert terms == writer_dictionary.export_rows(1)
+        assert disk_dictionary(replica_dir / "graph.sqlite3") == dictionary_rows(writer_store)
         ordered = "SELECT ?c1 ?c2 ?score WHERE { << ?c1 kglids:hasContentSimilarity ?c2 >> kglids:withCertainty ?score } ORDER BY ?c1 ?c2 ?score"
         assert canonical_json(replica.client.query(ordered)) == canonical_json(LiDSClient(service).query(ordered))
     finally:

@@ -425,6 +425,35 @@ class TestSqliteCrashSafety:
         assert reopened.commit_version == 3  # resumes, not resets
         reopened.close()
 
+    def test_a_failed_commit_takes_its_version_stamp_back(self, tmp_path, monkeypatch):
+        """The COMMIT fails after the batch stamped the marker inside its
+        transaction.  The rollback takes the stamp back, so the next batch,
+        which commits at the same version, writes the marker again and a
+        reopen resumes there."""
+        path = tmp_path / "stamp.sqlite"
+        store = QuadStore(backend=SqliteBackend(path))
+        seed_store(store)
+        pre, pre_version = snap(store), store.commit_version
+
+        def fail():
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(store.backend, "_txn_commit", fail)
+        with pytest.raises(sqlite3.OperationalError):
+            with store.write_batch():
+                batch_workload(store)
+        monkeypatch.undo()
+        assert snap(store) == pre
+        assert store.backend.committed_version() == pre_version
+        with store.write_batch():
+            batch_workload(store)
+        committed = snap(store)
+        store.close()
+        reopened = QuadStore(backend=SqliteBackend(path))
+        assert reopened.commit_version == pre_version + 1
+        assert snap(reopened) == committed
+        reopened.close()
+
 
 
 # ---------------------------------------------------------------------------
