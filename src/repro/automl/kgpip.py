@@ -45,6 +45,7 @@ from repro.kg.ontology import LiDSOntology, library_uri
 from repro.kg.storage import KGLiDSStorage
 from repro.parallel import JobExecutor
 from repro.profiler.profile import DataProfiler
+from repro.rdf.store import VersionMemo
 from repro.tabular import Table
 
 #: Search strategies :meth:`KGpipAutoML.search` accepts.
@@ -108,8 +109,9 @@ class KGpipAutoML:
         self.use_lids_priors = use_lids_priors
         self.random_state = random_state
         self.executor = executor or JobExecutor()
-        #: ``(store, store.version, book)`` of the last kept corpus harvest.
-        self._corpus: Optional[Tuple[Any, int, PriorBook]] = None
+        #: The corpus harvest, kept per store version; an uninformed book,
+        #: which a failed harvest may have fallen back to, is over the bound.
+        self._corpus = VersionMemo(cost=lambda book: 0 if book.informed else 1)
 
     # --------------------------------------------------------- recommendation
     def most_similar_table(self, table: Table) -> Optional[Tuple[str, float]]:
@@ -254,26 +256,11 @@ class KGpipAutoML:
         return book
 
     def _corpus_book(self) -> PriorBook:
-        """The corpus-wide :class:`PriorBook`, harvested at most once per store version.
-
-        :attr:`QuadStore.version` moves on every write, a rollback restores
-        it together with the state, and a replica apply bumps it, so a book kept
-        under a version holds exactly that version's pipelines.  The version
-        is read under the harvest's own read view, so no commit lands between
-        the two.  Only an informed book is kept: an uninformed one may be
-        what a failed harvest fell back to.  Nor is a harvest made inside
-        this thread's own open write batch, which may yet roll back.
-        """
+        """The corpus-wide :class:`PriorBook`, harvested at most once per store
+        version (a :class:`~repro.rdf.store.VersionMemo`) under its own read view."""
         store = self.storage.graph
         with store.read_view():
-            version = store.version
-            kept = self._corpus
-            if kept is not None and kept[0] is store and kept[1] == version:
-                return kept[2]
-            book = PriorBook.from_client(self.storage)
-            if book.informed and not store.in_write_batch:
-                self._corpus = (store, version, book)
-        return book
+            return self._corpus.get(store, None, lambda: PriorBook.from_client(self.storage))
 
     # ----------------------------------------------------------------- search
     def search(

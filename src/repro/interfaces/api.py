@@ -28,6 +28,7 @@ from repro.kg.service import GovernorService
 from repro.kg.storage import KGLiDSStorage
 from repro.pipelines.abstraction import PipelineScript
 from repro.rdf import RDF, Literal, URIRef
+from repro.rdf.store import VersionMemo
 from repro.sparql.collate import rank_key
 from repro.sparql.expression import to_python
 from repro.tabular import Column, DataLake, Table
@@ -389,8 +390,8 @@ class KGLiDS:
             profiler=governor.profiler,
             colr_models=governor.colr_models,
         )
-        #: ``(store, version, roll-up)`` of :meth:`_library_rollup`.
-        self._libraries: Optional[Tuple[Any, int, Any]] = None
+        #: The roll-up of :meth:`_library_rollup`, kept per store version.
+        self._libraries = VersionMemo()
 
     # ------------------------------------------------------------ bootstrap
     @classmethod
@@ -580,22 +581,19 @@ class KGLiDS:
         """Every graph's library-use view (rebuilt only when that graph
         changes) and their ranking over all tasks.
 
-        Built once per :attr:`QuadStore.version`, inside the caller's read
-        view; one built inside an open write batch, which may yet roll back,
-        is not kept.
+        Built once per :attr:`QuadStore.version` (a
+        :class:`~repro.rdf.store.VersionMemo`), inside the caller's read view.
         """
         store = self.storage.graph
-        kept = self._libraries
-        if kept is not None and kept[0] is store and kept[1] == store.version:
-            return kept[2]
-        views = [
-            store.derived_view(graph, "interfaces.library_uses", _library_uses)
-            for graph in store.graphs()
-        ]
-        rollup = (views, _rank_libraries(store.dictionary, views))
-        if not store.in_write_batch:
-            self._libraries = (store, store.version, rollup)
-        return rollup
+
+        def build() -> Tuple[List[Any], List[Tuple[int, str]]]:
+            views = [
+                store.derived_view(graph, "interfaces.library_uses", _library_uses)
+                for graph in store.graphs()
+            ]
+            return views, _rank_libraries(store.dictionary, views)
+
+        return self._libraries.get(store, None, build)
 
     def get_pipelines_calling_libraries(self, *qualified_calls: str) -> Table:
         """Pipelines whose statements call every one of the given functions."""

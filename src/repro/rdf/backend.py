@@ -31,12 +31,8 @@ Both hand out the same id-keyed :class:`~repro.rdf.graph_index.GraphIndex`
 for matching, so pattern semantics, cardinality statistics and therefore
 SPARQL ``explain()`` plans do not depend on where the quads live.
 
-Both backends intern a term by its N-Triples spelling (``term_n3``), which
-is also what the sqlite ``terms`` table stores and replication ships, so a
-plain Python value is the :class:`~repro.rdf.terms.Literal` it spells on
-every backend, live and reopened: ``"5"`` and ``Literal("5")`` are one term
-and read back as ``Literal("5")``, while ``URIRef("x")``, ``BNode("x")`` and
-``"x"`` are three.
+Both backends intern a term by its N-Triples spelling, live and reopened
+(see :class:`~repro.rdf.terms.TermDictionary`).
 """
 
 from __future__ import annotations
@@ -304,13 +300,9 @@ class SqliteBackend(QuadStoreBackend):
     :meth:`replace_shard` and :meth:`drop_graph` the quad rows — and the
     batch commit makes both durable at the writer's version.
 
-    A loaded :class:`GraphIndex` stays resident until its graph is dropped or
-    replaced underneath it (:meth:`invalidate_resident`, via
-    :meth:`replace_shard` or a failed replica apply);
-    ``shard_loads`` counts the loads for tests and benchmarks.  Per-graph
-    mutation counters survive invalidation: a reloaded index resumes *above*
-    the dropped index's version, so version-keyed caches (e.g. the Global
-    Graph Linker's table map) never see a stale counter.
+    ``shard_loads`` counts the shard loads.  Per-graph mutation counters
+    survive :meth:`invalidate_resident`: a reloaded index resumes *above* the
+    dropped index's version.
 
     The sqlite connection is shared across threads (created with
     ``check_same_thread=False``) and every use of it is serialized by an
@@ -528,9 +520,16 @@ class SqliteBackend(QuadStoreBackend):
                 # batch and the watermark moves only at commit or rollback.
                 self._flush_quads()
             else:
-                with self._autocommit():
-                    self._flush_rows()
-                    self._write_meta()
+                pending, written, durable = self._pending, self._terms_written, self._durable_version
+                try:
+                    with self._autocommit():
+                        self._flush_rows()
+                        self._write_meta()
+                except BaseException:  # rolled back: the retry writes it all again
+                    if self._pending is not pending:
+                        self._pending[:0] = pending
+                    self._terms_written, self._durable_version = written, durable
+                    raise
 
     def _flush_rows(self) -> None:
         """Write the dictionary rows past the watermark, then the buffered
@@ -786,7 +785,7 @@ class SqliteBackend(QuadStoreBackend):
         Inside a batch the statements simply ride the batch's transaction
         (committed or rolled back wholesale by ``commit_batch`` /
         ``rollback_batch``); outside one they get their own journaled
-        BEGIN IMMEDIATE / COMMIT.
+        BEGIN IMMEDIATE / COMMIT, rolled back if the body or the COMMIT raises.
         """
         if self._in_batch:
             yield
@@ -794,11 +793,10 @@ class SqliteBackend(QuadStoreBackend):
         self._txn_begin()
         try:
             yield
+            self._txn_commit()
         except BaseException:
             self._txn_rollback()
             raise
-        else:
-            self._txn_commit()
 
     def _recover(self) -> Dict[str, Any]:
         """Bring the file to today's layout and verify it against the

@@ -11,8 +11,7 @@ that safe and *consistent*:
   after the batch, never a half-applied table.
 * :class:`ReadView` — the token handed out by ``QuadStore.read_view()``:
   it records the store's *commit version* at entry, so a reader can detect
-  whether any batch committed since (``changed``) and key derived caches on
-  a number that only moves on whole committed batches.
+  whether any batch committed since (``changed``).
 
 Reentrancy rules (all per-thread):
 
@@ -134,9 +133,7 @@ class ReadView:
 
     Produced by ``QuadStore.read_view()``; while the view is open no write
     batch can commit, so everything read through it belongs to one store
-    state.  ``version`` is the store's commit version at entry — it only
-    advances on whole committed batches, making it the right cache key for
-    snapshot-derived state.
+    state.  ``version`` is the store's commit version at entry.
     """
 
     __slots__ = ("store", "version")

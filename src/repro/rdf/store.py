@@ -18,9 +18,10 @@ decodes ids at FILTER evaluation and final projection.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -427,9 +428,8 @@ class QuadStore:
     def version(self) -> int:
         """Monotonic mutation counter: bumps on every successful write.
 
-        Readers (e.g. the Global Graph Linker) key caches on this to detect
-        *any* change, including remove-then-add sequences that leave the
-        triple count unchanged.
+        :class:`VersionMemo` keys on this to detect *any* change, including
+        remove-then-add sequences that leave the triple count unchanged.
         """
         return self._version
 
@@ -442,7 +442,8 @@ class QuadStore:
         """``build(columns, index)`` over one graph, kept until that graph changes.
 
         The one home for per-graph derived state (the discovery API's join
-        adjacency and keyword text, the linker's table map): the view hangs
+        adjacency and keyword text, the linker's table map; per-version state
+        lives in a :class:`VersionMemo`): the view hangs
         on the graph's :class:`~repro.rdf.graph_index.TripleColumns`
         snapshot, which any write to *this* graph discards and writes to
         other graphs leave alone.  Call it inside a read view (or the write
@@ -932,3 +933,45 @@ class QuadStore:
                     line += length
                 total += line
         return total
+
+
+class VersionMemo:
+    """Values derived from one store, kept for one :attr:`QuadStore.version`.
+
+    The one home for per-version derived state.  ``get`` serves a kept value
+    only while ``store`` is the store object it was built from, still at the
+    version it was built at; any other store or version empties the memo.
+    The caller holds a read view across the call.  Inside an open write
+    batch (a rollback winds the version back) ``get`` builds, keeps nothing
+    and counts nothing; a build that raises counts as a miss and keeps
+    nothing.  A value costs ``cost(value)`` against ``bound``: one over the
+    bound is not kept, and one that would overfill the memo empties it.
+    """
+
+    def __init__(self, bound: int = 0, cost: Callable[[Any], int] = lambda value: 0):
+        self.bound, self.cost = bound, cost
+        self.hits = self.misses = self.size = 0  # size: the kept values' summed cost
+        self._kept: Dict[Any, Any] = {}
+        self._store: Optional[QuadStore] = None
+        self._version, self._lock = -1, threading.Lock()
+
+    def get(self, store: QuadStore, key: Any, build: Callable[[], Any]) -> Any:
+        if store.in_write_batch:
+            return build()
+        version = store.version
+        with self._lock:
+            if self._store is not store or self._version != version:
+                self._kept, self._store, self._version, self.size = {}, store, version, 0
+            elif key in self._kept:
+                self.hits += 1
+                return self._kept[key]
+            self.misses += 1
+        value = build()
+        cost = self.cost(value)
+        with self._lock:
+            if cost <= self.bound and self._store is store and self._version == version:
+                if self.size + cost > self.bound:
+                    self._kept, self.size = {}, 0
+                if self._kept.setdefault(key, value) is value:
+                    self.size += cost
+        return value

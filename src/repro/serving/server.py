@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.interfaces.api import LiDSClient
 from repro.kg.errors import TransientError
-from repro.rdf.store import QuadStore
+from repro.rdf.store import QuadStore, VersionMemo
 from repro.serving.protocol import (
     PreparedFrame,
     ProtocolError,
@@ -85,8 +85,7 @@ MEMOIZED_CALLS = frozenset(
     }
 )
 
-#: The most frame bytes one dispatcher keeps; a frame that would overfill
-#: the memo empties it first, and a larger frame is not kept.
+#: The bound of one dispatcher's frame memo, in bytes.
 FRAME_MEMO_BYTES = 8 << 20
 
 #: The canonical text of a request's params: the frame memo's key.
@@ -194,12 +193,9 @@ class RequestDispatcher:
         self.store = store if store is not None else client.storage.graph
         self.extra_stats = extra_stats
         self.on_shutdown = on_shutdown
-        #: Answered requests as frame bytes, keyed by method and canonical
-        #: params, for one ``store.version`` (:meth:`_memoized`).
-        self._frames: Dict[str, PreparedFrame] = {}
-        self._frames_version = -1
-        self._frames_lock = threading.Lock()
-        self.frame_hits = self.frame_misses = self.frame_bytes = 0
+        #: Answered requests as frame bytes, for one ``store.version``
+        #: (:meth:`_memoized`).
+        self._frames = VersionMemo(FRAME_MEMO_BYTES, lambda frame: len(frame.body))
 
     def dispatch(self, request: Any) -> Any:
         """One decoded request frame in, one response in.
@@ -243,53 +239,31 @@ class RequestDispatcher:
     def _memoized(self, method: str, params: Dict[str, Any]) -> PreparedFrame:
         """One memoizable request, answered from the frame memo when hot.
 
-        The key is the method plus the canonical text of its params; the
-        memo holds frames for one ``store.version``, read inside a read view
-        that spans the work, so a frame is served only at the state it was
-        built from.  Every commit and every replica apply moves the
-        version and empties the memo.  Nothing is kept or served inside an
-        open write batch (a rollback winds the version back; such a request
-        counts as neither hit nor miss), and a request that raised keeps
-        nothing: its error frame is built anew on every call.  N replicas
-        pulling one window get one serialization per commit.
+        The memo is a :class:`~repro.rdf.store.VersionMemo` keyed by the
+        method plus the canonical text of its params and bounded at
+        :data:`FRAME_MEMO_BYTES`; a request that raised keeps nothing, so its
+        error frame is built anew on every call.  N replicas pulling one
+        window get one serialization per commit.
         """
-        key = method + _canonical(params)
         store = self.store
-        with store.read_view():
-            memo = not store.in_write_batch
-            if memo:
-                with self._frames_lock:
-                    if self._frames_version != store.version:
-                        self._frames, self._frames_version, self.frame_bytes = {}, store.version, 0
-                    frame = self._frames.get(key)
-                    if frame is not None:
-                        self.frame_hits += 1
-                        return frame
-                    self.frame_misses += 1
+
+        def build() -> PreparedFrame:
             if method == "delta":
                 payload = compute_delta(
                     store, int(params.get("since_version", 0)), int(params.get("since_terms", 1))
                 )
             else:
                 payload = encode_value(self._call(params))
-            frame = PreparedFrame({"ok": True, "result": payload})
-            size = len(frame.body)
-            if memo and size <= FRAME_MEMO_BYTES:
-                with self._frames_lock:
-                    if self.frame_bytes + size > FRAME_MEMO_BYTES:
-                        self._frames, self.frame_bytes = {}, 0
-                    if self._frames.setdefault(key, frame) is frame:
-                        self.frame_bytes += size
-        return frame
+            return PreparedFrame({"ok": True, "result": payload})
+
+        with store.read_view():
+            return self._frames.get(store, method + _canonical(params), build)
 
     def _stats(self) -> Dict[str, Any]:
         payload = self.client.stats()
         payload["role"] = self.role
-        payload["frames"] = {
-            "hits": self.frame_hits,
-            "misses": self.frame_misses,
-            "bytes": self.frame_bytes,
-        }
+        frames = self._frames
+        payload["frames"] = {"hits": frames.hits, "misses": frames.misses, "bytes": frames.size}
         if self.extra_stats is not None:
             payload.update(self.extra_stats())
         return payload

@@ -36,7 +36,7 @@ import threading
 from typing import Any, Dict, List, Union
 
 from repro.rdf.namespace import DEFAULT_PREFIXES
-from repro.rdf.store import QuadStore
+from repro.rdf.store import QuadStore, VersionMemo
 from repro.sparql.algebra import SelectQuery
 from repro.sparql.collate import collate
 from repro.sparql.columnar import QueryContext, Relation
@@ -44,8 +44,7 @@ from repro.sparql.join import evaluate_group
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import describe_element, reorder_elements
 
-#: The most answer rows one engine's memo holds; an answer that would
-#: overfill it empties the memo first, and a larger answer is not kept.
+#: The bound of one engine's answer memo, in rows.
 ANSWER_MEMO_ROWS = 20_000
 
 
@@ -87,27 +86,21 @@ class SPARQLEngine:
     variables bound so far) before being joined, every bound term — including
     fully-resolved RDF-star quoted triples — is pushed down into the store's
     hash-index lookups, and identical lookups across solutions are answered
-    from a per-pattern memo instead of re-scanning.
-
-    It also answers a repeated query text from the answers it keeps for the
-    current :attr:`QuadStore.version` (see :meth:`evaluate`).
+    from a per-pattern memo instead of re-scanning.  A repeated text is
+    answered from the answer memo (see :meth:`evaluate`).
 
     One engine may serve concurrent readers: an evaluation keeps all its
     mutable state in its own :class:`~repro.sparql.columnar.QueryContext`;
-    only the :meth:`stats` counters and the answer memo are shared (under a
-    lock).
+    only the :meth:`stats` counters and the answer memo are shared (each
+    under its own lock).
     """
 
     def __init__(self, store: QuadStore, prefixes=None):
         self.store = store
         self.prefixes = prefixes or DEFAULT_PREFIXES
         self._stats_lock = threading.Lock()
-        self._stats = {
-            kind: {"hits": 0, "misses": 0} for kind in ("pattern_memo", "filter_memo", "answers")
-        }
-        self._answers: Dict[str, SelectResult] = {}
-        self._answers_version = -1
-        self._answer_rows = 0
+        self._stats = {kind: {"hits": 0, "misses": 0} for kind in ("pattern_memo", "filter_memo")}
+        self._answers = VersionMemo(ANSWER_MEMO_ROWS, lambda answer: len(answer.rows))
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Snapshot of the engine's cumulative cache counters.
@@ -115,12 +108,13 @@ class SPARQLEngine:
         ``pattern_memo`` counts the per-join lookup memos (one probe per
         distinct join key); ``filter_memo`` counts the per-filter verdict
         tables of FILTER pushdown (one predicate evaluation per distinct id);
-        ``answers`` counts evaluations answered from the answer memo (hits)
-        and evaluations that planned and joined (misses).  Each holds
-        ``hits`` / ``misses`` summed over finished queries.
+        ``answers`` counts the answer memo's hits and misses (a parsed query
+        and a text read inside a write batch count as neither).
         """
         with self._stats_lock:
-            return {kind: dict(counters) for kind, counters in self._stats.items()}
+            stats = {kind: dict(counters) for kind, counters in self._stats.items()}
+        stats["answers"] = {"hits": self._answers.hits, "misses": self._answers.misses}
+        return stats
 
     def select(self, query: str) -> SelectResult:
         """Evaluate a SELECT query text; it is parsed only on a memo miss."""
@@ -148,46 +142,16 @@ class SPARQLEngine:
         half-applied ingestion batch.  A shard the query touches loads once
         and stays resident.
 
-        The answer memo: a text is answered from it when it was answered at
-        the current :attr:`QuadStore.version`, read in the view, and is
-        parsed only on a miss; a parsed :class:`SelectQuery` always
-        evaluates.  Every commit and every replica apply moves the
-        version and empties the memo.  Nothing is kept or served inside an
-        open write batch (a rollback winds the version back) or kept from a
-        query that raised; a text that fails to parse raises on every call
-        and counts as neither hit nor miss.  At most
-        :data:`ANSWER_MEMO_ROWS` rows are kept, and a result shares no row
-        or list with the memo.
+        A text is answered from the answer memo, a
+        :class:`~repro.rdf.store.VersionMemo`, and parsed only on a miss; a
+        parsed query always evaluates.  A result shares no row with the memo.
         """
         store = self.store
         with store.read_view():
-            key = query if isinstance(query, str) and not store.in_write_batch else None
-            with self._stats_lock:
-                if self._answers_version != store.version:
-                    self._answers, self._answers_version, self._answer_rows = {}, store.version, 0
-                kept = self._answers.get(key)
-                if kept is not None:
-                    self._stats["answers"]["hits"] += 1
-            if kept is None:
-                parsed = parse_query(query, self.prefixes) if isinstance(query, str) else query
-                with self._stats_lock:
-                    self._stats["answers"]["misses"] += 1
-                kept = self._evaluate(parsed)
-                if key is None or not self._keep(key, kept):
-                    return kept
+            if not isinstance(query, str):
+                return self._evaluate(query)
+            kept = self._answers.get(store, query, lambda: self._evaluate(parse_query(query, self.prefixes)))
         return SelectResult(list(kept.variables), [dict(row) for row in kept.rows])
-
-    def _keep(self, key: str, answer: SelectResult) -> bool:
-        """Memoize ``answer`` (caller holds the read view); ``False`` if too large."""
-        rows = len(answer.rows)
-        if rows > ANSWER_MEMO_ROWS:
-            return False
-        with self._stats_lock:
-            if self._answer_rows + rows > ANSWER_MEMO_ROWS:
-                self._answers, self._answer_rows = {}, 0
-            if self._answers.setdefault(key, answer) is answer:
-                self._answer_rows += rows
-        return True
 
     def _evaluate(self, query: SelectQuery) -> SelectResult:
         ctx = QueryContext(self.store)
@@ -209,9 +173,7 @@ class SPARQLEngine:
 
     def _absorb(self, ctx: QueryContext) -> None:
         """Add one finished evaluation's memo counters to the totals."""
-        finished = ctx.counters
         with self._stats_lock:
-            for kind, counters in finished.items():
-                totals = self._stats[kind]
+            for kind, counters in ctx.counters.items():
                 for name, value in counters.items():
-                    totals[name] += value
+                    self._stats[kind][name] += value

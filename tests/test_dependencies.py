@@ -11,7 +11,8 @@ a line budget for ``repro.rdf`` + ``repro.sparql``, no sqlite index that
 nothing reads, no per-call SPARQL behind the similarity and library discovery
 calls, one backend base class that a durable backend and the fault wrapper do
 not restate, one term dictionary, one way a replica catches up, one way it
-applies what it pulls, no capacity-bounded memo in the query engine.
+applies what it pulls, no capacity-bounded memo in the query engine, one
+keep-and-drop rule for state kept per store version.
 """
 
 import ast
@@ -146,6 +147,32 @@ def test_rdf_sparql_line_budget():
         for path in (package / name).glob("*.py")
     )
     assert lines <= 6145, f"rdf/ + sparql/ is {lines} lines (budget 6,145)"
+
+
+def test_one_per_version_memo_rule():
+    """State kept per ``QuadStore.version`` lives in ``VersionMemo`` alone.
+
+    The SPARQL answers, the wire frames, the library roll-up and the corpus
+    prior book each hold one memo; none of their modules reads a version to
+    compare with one it kept, and the hand-written bookkeeping is gone.
+    """
+    source = Path(__file__).resolve().parent.parent / "src" / "repro"
+    gone = {"_answers_version", "_frames_version", "_answer_rows", "frame_bytes", "frame_hits", "frame_misses", "_frames_lock"}
+    for name in ("sparql/engine.py", "serving/server.py", "interfaces/api.py", "automl/kgpip.py"):
+        text = (source / name).read_text()
+        assert "VersionMemo(" in text, f"{name} keeps per-version state without VersionMemo"
+        # No ``store.version`` read at all, so none to compare with a kept one
+        # (a follower's pinned ``commit_version`` in a delta pull is no memo).
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "version", f"{name}:{node.lineno} reads a store version"
+    for path in sorted(source.rglob("*.py")):
+        names = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert not names & gone, f"{path.relative_to(source)}: {sorted(names & gone)}"
 
 
 def _classes(path: Path):

@@ -1521,7 +1521,7 @@ class TestFrameMemo:
                 assert tables(dispatcher.dispatch(request)) == ["ghost_table"]
                 raise RuntimeError("roll back")
         # The inside ask was neither kept nor counted.
-        assert (dispatcher.frame_hits, dispatcher.frame_misses) == (0, 1)
+        assert (dispatcher._frames.hits, dispatcher._frames.misses) == (0, 1)
         assert tables(dispatcher.dispatch(request)) == []
         # As many committed rows as the batch held bring the store back to
         # the version the batch's frame was built at, with other contents.
@@ -1530,7 +1530,7 @@ class TestFrameMemo:
         assert store.version == inside
         assert tables(dispatcher.dispatch(request)) == []
         assert tables(dispatcher.dispatch(request)) == []
-        assert (dispatcher.frame_hits, dispatcher.frame_misses) == (2, 2)
+        assert (dispatcher._frames.hits, dispatcher._frames.misses) == (2, 2)
 
     def test_a_call_that_raised_answers_its_error_on_every_call(self, dispatcher):
         request = call_request("search_keywords", 5)
@@ -1538,7 +1538,7 @@ class TestFrameMemo:
             response = dispatcher.dispatch(request)
             assert not isinstance(response, PreparedFrame)
             assert response["ok"] is False and response["error"]["type"] == "TypeError"
-        assert (dispatcher.frame_hits, dispatcher.frame_misses, dispatcher.frame_bytes) == (0, 3, 0)
+        assert (dispatcher._frames.hits, dispatcher._frames.misses, dispatcher._frames.size) == (0, 3, 0)
 
     @pytest.mark.parametrize(
         "method, args",
@@ -1555,7 +1555,7 @@ class TestFrameMemo:
             response = dispatcher.dispatch(request)
             assert not isinstance(response, PreparedFrame)
             assert response["ok"] is False and response["error"]["type"] == "ValueError"
-        assert (dispatcher.frame_hits, dispatcher.frame_misses, dispatcher.frame_bytes) == (0, 2, 0)
+        assert (dispatcher._frames.hits, dispatcher._frames.misses, dispatcher._frames.size) == (0, 2, 0)
         remote = RemoteLiDSClient(served_lake["server"].address)
         try:
             for _ in range(2):
@@ -1586,12 +1586,12 @@ class TestFrameMemo:
         dispatcher = RequestDispatcher(dispatcher.client)
         for request in (small, small, other, small, large, large):
             dispatcher.dispatch(request)
-            assert dispatcher.frame_bytes <= bound
+            assert dispatcher._frames.size <= bound
         # small is kept and hit; other overfills, so the memo empties and
         # keeps other alone; small again empties it once more; large is
         # over the bound and never kept.
-        assert (dispatcher.frame_hits, dispatcher.frame_misses) == (1, 5)
-        assert dispatcher.frame_bytes == sizes["small"]
+        assert (dispatcher._frames.hits, dispatcher._frames.misses) == (1, 5)
+        assert dispatcher._frames.size == sizes["small"]
 
     def test_racing_readers_answer_like_the_in_process_client_once_commits_stop(self, served_lake):
         """Eight client threads call the memoized methods while the service
@@ -1646,5 +1646,5 @@ class TestFrameMemo:
             assert remote.server_stats()["frames"]["hits"] > 0
         finally:
             remote.close()
-        memo = served_lake["server"].dispatcher
-        assert memo.frame_bytes == sum(len(frame.body) for frame in memo._frames.values())
+        memo = served_lake["server"].dispatcher._frames
+        assert memo.size == sum(len(frame.body) for frame in memo._kept.values())

@@ -13,6 +13,9 @@ executor:
   invalidation are pinned in ``tests/test_persistent_governor.py``);
 * **Lookup memo** — a probe-mode join probes the index once per distinct
   key and reports hit/miss counters through the engine;
+* **Per-version memo** — a :class:`~repro.rdf.store.VersionMemo` serves a
+  value only at the store and version it was built at, within its bound,
+  counting like a plain model, on both backends and a delta-fed replica;
 * **Answer memo** — a repeated text at one store version is answered from
   the engine's memo, and every answer still equals the oracle's across
   adds, removes, committed and rolled-back batches and a replica apply that
@@ -24,6 +27,8 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,6 +44,9 @@ from repro.rdf import (
 )
 from repro.rdf.namespace import DEFAULT_PREFIXES, Namespace
 from repro.rdf.serialize import serialize_nquads
+from repro.rdf.store import VersionMemo
+from repro.serving.replica import Replica
+from repro.serving.server import compute_delta
 from repro.sparql import SPARQLEngine
 from repro.sparql import engine as engine_module
 from repro.sparql import join
@@ -917,6 +925,132 @@ def assert_answer_is_the_oracles(store, result, query):
     assert key(result) == key(expected), query
 
 
+class _MemoModel:
+    """What a :class:`VersionMemo` should count and keep, written out plainly."""
+
+    def __init__(self, bound):
+        self.bound, self.hits, self.misses = bound, 0, 0
+        self.at, self.kept = None, {}
+
+    def lookup(self, store, key) -> bool:
+        """Count one lookup outside a batch; ``True`` when it is a hit."""
+        if self.at != (id(store), store.version):
+            self.at, self.kept = (id(store), store.version), {}
+        if key in self.kept:
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def keep(self, key, cost) -> None:
+        if cost > self.bound:
+            return
+        if sum(self.kept.values()) + cost > self.bound:
+            self.kept = {}
+        self.kept[key] = cost
+
+
+class TestVersionMemo:
+    """``VersionMemo`` serves a value only at the store object and version it
+    was built at: across standalone writes, committed and rolled-back batches
+    (looked up inside too), builds that raise and a delta-fed replica's
+    applies, every value it returns equals a fresh build, its size stays
+    within its bound, and its counters equal a plain model's."""
+
+    BOUND = 5
+
+    @pytest.mark.parametrize("configuration", ["memory", "sqlite"])
+    def test_every_value_is_a_fresh_builds_and_the_counts_follow_the_model(
+        self, configuration, open_store, tmp_path
+    ):
+        keys = st.integers(0, 3)
+        triples = st.tuples(keys, st.integers(0, 2), st.integers(0, 3))
+        stores = st.sampled_from(["writer", "replica"])
+        operations = st.lists(
+            st.one_of(
+                st.tuples(st.just("get"), stores, keys),
+                st.tuples(st.just("raise"), stores, keys),
+                st.tuples(st.just("add"), triples),
+                st.tuples(st.just("remove"), triples),
+                st.tuples(st.just("batch"), st.lists(triples, max_size=3), st.lists(keys, max_size=3), st.booleans()),
+                st.tuples(st.just("sync")),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+        paths, hits = itertools.count(), []
+
+        def triple(spec):
+            subject, predicate, obj = spec
+            return _uri(f"s{subject}"), _uri(f"p{predicate}"), Literal(obj)
+
+        def build(store, key):
+            with store.read_view():
+                return tuple(sorted(str(t) for t in store.triples(subject=_uri(f"s{key}"))))
+
+        @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(operations)
+        def run(steps):
+            number = next(paths)
+            writer = open_store(configuration, tmp_path / f"w{number}.sqlite3")
+            writer.enable_delta_log()
+            replica = QuadStore.sqlite(tmp_path / f"r{number}.sqlite3")
+            replica.follow()
+            memo, model = VersionMemo(self.BOUND, len), _MemoModel(self.BOUND)
+
+            def get(store, key, builder):
+                with store.read_view():
+                    return memo.get(store, key, builder)
+
+            try:
+                for step in steps:
+                    kind = step[0]
+                    if kind == "get":  # asked twice: the second is a hit unless over the bound
+                        store, key = writer if step[1] == "writer" else replica, step[2]
+                        expected = build(store, key)
+                        for _ in range(2):
+                            assert get(store, key, lambda: build(store, key)) == expected
+                            if not model.lookup(store, key):
+                                model.keep(key, len(expected))
+                    elif kind == "raise":
+                        store, key = writer if step[1] == "writer" else replica, step[2]
+                        expected = build(store, key)
+                        if model.lookup(store, key):
+                            assert get(store, key, lambda: 1 / 0) == expected
+                        else:
+                            with pytest.raises(ZeroDivisionError):
+                                get(store, key, lambda: 1 / 0)
+                    elif kind == "add":
+                        writer.add(*triple(step[1]))
+                    elif kind == "remove":
+                        writer.remove(*triple(step[1]))
+                    elif kind == "batch":
+                        _, rows, lookups, commit = step
+                        try:
+                            with writer.write_batch():
+                                for row in rows:
+                                    writer.add(*triple(row))
+                                for key in lookups:
+                                    assert get(writer, key, lambda: build(writer, key)) == build(writer, key)
+                                if not commit:
+                                    raise KeyError("roll back")
+                        except KeyError:
+                            pass
+                    else:
+                        delta = compute_delta(writer, replica.commit_version, replica.dictionary.next_id)
+                        if delta["changed"]:
+                            Replica._apply(SimpleNamespace(_store=replica, stats=Counter()), delta)
+                    assert (memo.hits, memo.misses) == (model.hits, model.misses), step
+                    assert memo.size == sum(model.kept.values()) <= self.BOUND
+                hits.append(memo.hits)
+            finally:
+                writer.close()
+                replica.close()
+
+        run()
+        assert sum(hits) > 0, "no example answered from the memo"
+
+
 class TestAnswerMemo:
     """``SPARQLEngine.evaluate`` answers a repeated text at one store version
     from its memo, and never serves an answer the store has moved past."""
@@ -949,7 +1083,10 @@ class TestAnswerMemo:
         assert store.version == inside
         assert engine.select(self.MEMO_QUERY).column("o") == ["committed"]
         assert engine.select(self.MEMO_QUERY).column("o") == ["committed"]
-        assert engine.stats()["answers"] == {"hits": 1, "misses": 5}
+        # The reads inside the batches count as neither hit nor miss and
+        # leave the memo alone, so the ask right after the first rollback,
+        # at the version and contents the first answer was kept at, hits.
+        assert engine.stats()["answers"] == {"hits": 2, "misses": 2}
         store.close()
 
     def test_shards_a_replica_apply_replaces_are_answered_from_their_new_rows(self, tmp_path):
@@ -1010,14 +1147,14 @@ class TestAnswerMemo:
         parsed = parse_query(text, ours)
         for _ in range(2):
             assert rows_key(engine.evaluate(parsed)) == rows_key(answer)
-        assert engine.stats()["answers"] == {"hits": 1, "misses": 4}
+        assert engine.stats()["answers"] == {"hits": 1, "misses": 1}
 
     def test_a_malformed_query_raises_on_every_call(self):
         engine = SPARQLEngine(make_random_store(3))
         for _ in range(3):
             with pytest.raises(SPARQLSyntaxError):
                 engine.select(f"SELECT ?s WHERE {{ ?s <{EX}p0> ")
-        assert engine.stats()["answers"] == {"hits": 0, "misses": 0}
+        assert engine.stats()["answers"] == {"hits": 0, "misses": 3}
 
     def test_a_query_that_raised_is_not_memoized(self, monkeypatch):
         store = make_random_store(3)
@@ -1036,15 +1173,17 @@ class TestAnswerMemo:
         assert engine.stats()["answers"] == {"hits": 0, "misses": 2}
 
     def test_the_memo_holds_at_most_its_row_bound(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "ANSWER_MEMO_ROWS", 30)
         engine = SPARQLEngine(make_random_store(11))
         small, other, large = QUERY_SHAPES[1], QUERY_SHAPES[5], QUERY_SHAPES[0]  # 28, 4, 56 rows
-        monkeypatch.setattr(engine_module, "ANSWER_MEMO_ROWS", 30)
         for query in (small, small, other, small, large, large):
             engine.select(query)
+            assert engine._answers.size <= 30
         # small is kept; other overfills the memo, which empties and keeps
-        # other alone; large alone is over the bound and never kept.
+        # other alone; small again empties it once more; large alone is
+        # over the bound and never kept.
         assert engine.stats()["answers"] == {"hits": 1, "misses": 5}
-        assert engine._answer_rows <= 30
+        assert engine._answers.size == 28
 
     @pytest.mark.parametrize("configuration", CONFIGURATIONS)
     def test_answers_equal_the_oracle_across_interleaved_writes(self, configuration, open_store, tmp_path):

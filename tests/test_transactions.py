@@ -454,6 +454,35 @@ class TestSqliteCrashSafety:
         assert snap(reopened) == committed
         reopened.close()
 
+    def test_a_failed_standalone_flush_keeps_its_writes_for_the_retry(self, tmp_path, monkeypatch):
+        """A flush outside a batch whose COMMIT fails rolls its transaction
+        back and keeps what it would have written (quad rows, dictionary
+        rows, the version stamp) queued, so the retry writes all of it and a
+        reopen reads what the live store holds."""
+        path = tmp_path / "flush.sqlite"
+        store = QuadStore(backend=SqliteBackend(path))
+        store.add(u("s1"), u("p1"), Literal("first"), graph=G1)
+        store.flush()
+        store.add(u("s2"), u("p2"), Literal("second"), graph=G1)
+
+        def fail():
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(store.backend, "_txn_commit", fail)
+        with pytest.raises(sqlite3.OperationalError):
+            store.flush()
+        monkeypatch.undo()
+        assert not store.backend._connection.in_transaction
+        assert store.backend.committed_version() == 1
+        store.flush()
+        live = snap(store)
+        assert (len(store), store.commit_version) == (2, 2)
+        store.close()
+        reopened = QuadStore(backend=SqliteBackend(path))
+        assert (len(reopened), reopened.commit_version) == (2, 2)
+        assert snap(reopened) == live
+        reopened.close()
+
 
 
 # ---------------------------------------------------------------------------
