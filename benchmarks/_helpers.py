@@ -2,59 +2,23 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.datagen.data_lake import DiscoveryBenchmark
-from repro.kg.dataset_graph import DataGlobalSchemaBuilder
 from repro.ml import RandomForestClassifier
 from repro.ml.model_selection import cross_val_accuracy, cross_val_f1
-from repro.profiler.profile import TableProfile
-from repro.rdf import QuadStore
 from repro.tabular import Table
 
 TableKey = Tuple[str, str]
 
 
-class KGLiDSDiscovery:
-    """The discovery slice of KGLiDS: profile once, answer union queries fast.
-
-    Preprocessing runs the profiler + Data Global Schema Builder; queries read
-    the materialized unionability scores, which is why KGLiDS' query times in
-    Table 2 are dominated by index lookups rather than value comparisons.
-    """
-
-    def __init__(self, builder: DataGlobalSchemaBuilder | None = None):
-        self.builder = builder or DataGlobalSchemaBuilder()
-        self._rankings: Dict[TableKey, List[TableKey]] = {}
-
-    def preprocess(self, table_profiles: Sequence[TableProfile]) -> int:
-        store = QuadStore()
-        edges = self.builder.build(table_profiles, store)
-        scores = self.builder.derive_table_relationships(table_profiles, edges)
-        ranked: Dict[TableKey, List[Tuple[float, TableKey]]] = defaultdict(list)
-        for (table_a, table_b, kind), score in scores.items():
-            if kind != "unionable":
-                continue
-            key_a = tuple(table_a.split("/", 1))
-            key_b = tuple(table_b.split("/", 1))
-            ranked[key_a].append((score, key_b))
-            ranked[key_b].append((score, key_a))
-        self._rankings = {
-            key: [candidate for _, candidate in sorted(candidates, reverse=True)]
-            for key, candidates in ranked.items()
-        }
-        return len(self._rankings)
-
-    def query(self, table_key: TableKey, k: int = 10) -> List[TableKey]:
-        return self._rankings.get(table_key, [])[:k]
-
-
-def rankings_for_benchmark(
-    discovery: KGLiDSDiscovery, benchmark: DiscoveryBenchmark, k: int = 10
-) -> Dict[TableKey, List[TableKey]]:
-    """Ranked union candidates for every query table of a benchmark."""
-    return {query: discovery.query(query, k=k) for query in benchmark.query_tables}
+def client_rankings(client, benchmark: DiscoveryBenchmark, k: int = 10) -> Dict[TableKey, List[TableKey]]:
+    """Each query table's ``get_unionable_tables`` answer as ``(dataset, table)`` keys."""
+    rankings = {}
+    for query in benchmark.query_tables:
+        result = client.get_unionable_tables(*query, k=k)
+        rankings[query] = list(zip(result["dataset"].values, result["table"].values))
+    return rankings
 
 
 def baseline_rankings(system, benchmark: DiscoveryBenchmark, k: int = 10) -> Dict[TableKey, List[TableKey]]:

@@ -7,12 +7,10 @@ lower thresholds the reverse.  This bench sweeps the label (α) and content
 precision@k and recall@k so the trade-off is visible as data.
 """
 
-import numpy as np
-import pytest
-
-from _helpers import KGLiDSDiscovery, rankings_for_benchmark
+from _helpers import client_rankings
 from repro.eval import average_precision_recall_at_k, format_report_table
-from repro.kg.dataset_graph import DataGlobalSchemaBuilder, SimilarityThresholds
+from repro.interfaces import LiDSClient
+from repro.kg import DataGlobalSchemaBuilder, KGGovernor, SimilarityThresholds
 
 SWEEP = [
     ("strict", SimilarityThresholds(alpha=0.95, beta=0.98, theta=0.999)),
@@ -22,26 +20,25 @@ SWEEP = [
 K_VALUES = [1, 3, 5]
 
 
-def test_threshold_ablation(discovery_workloads, profiled_workloads, benchmark):
+def _govern(workload, thresholds):
+    governor = KGGovernor(schema_builder=DataGlobalSchemaBuilder(thresholds=thresholds))
+    return governor, governor.add_data_lake(workload.lake)
+
+
+def test_threshold_ablation(discovery_workloads, benchmark):
     workload = discovery_workloads["tus_small"]
-    profiles = profiled_workloads["tus_small"]
     ground_truth = {q: workload.ground_truth[q] for q in workload.query_tables}
     rows = []
     edge_counts = {}
-    recalls = {}
     for name, thresholds in SWEEP:
-        builder = DataGlobalSchemaBuilder(thresholds=thresholds)
-        edges = builder.compute_column_similarities(profiles)
-        discovery = KGLiDSDiscovery(builder)
-        discovery.preprocess(profiles)
+        governor, report = _govern(workload, thresholds)
         metrics = average_precision_recall_at_k(
-            rankings_for_benchmark(discovery, workload), ground_truth, K_VALUES
+            client_rankings(LiDSClient(governor), workload), ground_truth, K_VALUES
         )
-        edge_counts[name] = len(edges)
-        recalls[name] = np.mean([r for _, r in metrics.values()])
+        edge_counts[name] = report.num_similarity_edges
         for k, (precision, recall) in metrics.items():
             rows.append(
-                [name, thresholds.alpha, thresholds.theta, len(edges), k, round(precision, 3), round(recall, 3)]
+                [name, thresholds.alpha, thresholds.theta, edge_counts[name], k, round(precision, 3), round(recall, 3)]
             )
     print()
     print(
@@ -56,8 +53,4 @@ def test_threshold_ablation(discovery_workloads, profiled_workloads, benchmark):
     # never reduce the number of edges.
     assert edge_counts["strict"] <= edge_counts["default"] <= edge_counts["loose"]
 
-    benchmark.pedantic(
-        lambda: DataGlobalSchemaBuilder(thresholds=SWEEP[1][1]).compute_column_similarities(profiles),
-        rounds=1,
-        iterations=1,
-    )
+    benchmark.pedantic(lambda: _govern(workload, SWEEP[1][1]), rounds=1, iterations=1)

@@ -7,11 +7,12 @@ renamed and rescaled; all systems are closer on the easy synthetic ones.
 """
 
 import numpy as np
-import pytest
 
-from _helpers import KGLiDSDiscovery, baseline_rankings, rankings_for_benchmark
+from _helpers import baseline_rankings, client_rankings
 from repro.baselines import SantosUnionSearch, StarmieUnionSearch
 from repro.eval import average_precision_recall_at_k, format_report_table
+from repro.interfaces import LiDSClient
+from repro.kg import KGGovernor
 
 #: k values evaluated per benchmark (the paper's settings scaled to lake size).
 ACCURACY_SETTINGS = {
@@ -26,19 +27,21 @@ def _accuracy(rankings, benchmark_data, k_values):
     return average_precision_recall_at_k(rankings, ground_truth, k_values)
 
 
-def test_fig5_union_search_accuracy(discovery_workloads, profiled_workloads, benchmark):
+def test_fig5_union_search_accuracy(discovery_workloads, benchmark):
     rows = []
     mean_precision = {"KGLiDS": [], "Starmie": [], "SANTOS": []}
+    clients = {}
     for style, k_values in ACCURACY_SETTINGS.items():
         workload = discovery_workloads[style]
-        kglids = KGLiDSDiscovery()
-        kglids.preprocess(profiled_workloads[style])
+        governor = KGGovernor()
+        governor.add_data_lake(workload.lake)
+        clients[style] = LiDSClient(governor)
         starmie = StarmieUnionSearch(training_epochs=5)
         starmie.preprocess(workload.lake)
         santos = SantosUnionSearch()
         santos.preprocess(workload.lake)
         system_rankings = {
-            "KGLiDS": rankings_for_benchmark(kglids, workload),
+            "KGLiDS": client_rankings(clients[style], workload),
             "Starmie": baseline_rankings(starmie, workload),
             "SANTOS": baseline_rankings(santos, workload),
         }
@@ -64,6 +67,4 @@ def test_fig5_union_search_accuracy(discovery_workloads, profiled_workloads, ben
     assert kglids_mean > 0.5
 
     # Benchmarked operation: ranking all queries of the TUS-style benchmark.
-    kglids = KGLiDSDiscovery()
-    kglids.preprocess(profiled_workloads["tus_small"])
-    benchmark(lambda: rankings_for_benchmark(kglids, discovery_workloads["tus_small"]))
+    benchmark(lambda: client_rankings(clients["tus_small"], discovery_workloads["tus_small"]))

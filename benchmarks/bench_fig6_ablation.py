@@ -17,49 +17,47 @@ subsampling does not change accuracy materially while reducing profiling time.
 import time
 
 import numpy as np
-import pytest
 
-from _helpers import KGLiDSDiscovery, rankings_for_benchmark
+from _helpers import client_rankings
 from repro.embeddings import CoarseGrainedModelSet
 from repro.eval import average_precision_recall_at_k, format_report_table
-from repro.kg.dataset_graph import DataGlobalSchemaBuilder
+from repro.interfaces import LiDSClient
+from repro.kg import DataGlobalSchemaBuilder, KGGovernor
 from repro.profiler import DataProfiler
 
 K_VALUES = [1, 2, 3, 5]
 
 
-def _evaluate(profiles, workload, use_label):
-    discovery = KGLiDSDiscovery(DataGlobalSchemaBuilder(use_label_similarity=use_label))
-    discovery.preprocess(profiles)
-    rankings = rankings_for_benchmark(discovery, workload)
+def _evaluate(workload, use_label, **governor_kwargs):
+    """Govern the lake in one configuration; its P@k / R@k and govern seconds."""
+    governor = KGGovernor(
+        schema_builder=DataGlobalSchemaBuilder(use_label_similarity=use_label), **governor_kwargs
+    )
+    started = time.perf_counter()
+    governor.add_data_lake(workload.lake)
+    govern_seconds = time.perf_counter() - started
+    rankings = client_rankings(LiDSClient(governor), workload)
     ground_truth = {q: workload.ground_truth[q] for q in workload.query_tables}
-    return average_precision_recall_at_k(rankings, ground_truth, K_VALUES)
+    return average_precision_recall_at_k(rankings, ground_truth, K_VALUES), govern_seconds
 
 
-def test_fig6_ablation(discovery_workloads, profiled_workloads, benchmark):
+def test_fig6_ablation(discovery_workloads, benchmark):
     workload = discovery_workloads["tus_small"]
     configurations = {}
 
-    fine_profiles = profiled_workloads["tus_small"]
-    configurations["KGLiDS (CoLR + label)"] = _evaluate(fine_profiles, workload, use_label=True)
-    configurations["Fine-Grained"] = _evaluate(fine_profiles, workload, use_label=False)
-
-    started = time.perf_counter()
-    no_subsample_profiles = DataProfiler(sample_fraction=1.0, min_sample_size=10**6).profile_data_lake(
-        workload.lake
+    configurations["KGLiDS (CoLR + label)"], _ = _evaluate(workload, use_label=True)
+    configurations["Fine-Grained"], _ = _evaluate(workload, use_label=False)
+    configurations["Fine-Grained (No Subsampling)"], no_subsample_time = _evaluate(
+        workload,
+        use_label=False,
+        profiler=DataProfiler(sample_fraction=1.0, min_sample_size=10**6),
     )
-    no_subsample_time = time.perf_counter() - started
-    configurations["Fine-Grained (No Subsampling)"] = _evaluate(
-        no_subsample_profiles, workload, use_label=False
+    _, subsample_time = _evaluate(
+        workload, use_label=False, profiler=DataProfiler(sample_fraction=0.1, min_sample_size=20)
     )
-
-    started = time.perf_counter()
-    subsample_profiles = DataProfiler(sample_fraction=0.1, min_sample_size=20).profile_data_lake(
-        workload.lake
+    configurations["Coarse-Grained"], _ = _evaluate(
+        workload, use_label=False, colr_models=CoarseGrainedModelSet()
     )
-    subsample_time = time.perf_counter() - started
-    coarse_profiles = DataProfiler(colr_models=CoarseGrainedModelSet()).profile_data_lake(workload.lake)
-    configurations["Coarse-Grained"] = _evaluate(coarse_profiles, workload, use_label=False)
 
     rows = []
     mean_precision = {}
@@ -67,8 +65,8 @@ def test_fig6_ablation(discovery_workloads, profiled_workloads, benchmark):
         for k, (precision, recall) in metrics.items():
             rows.append([name, k, round(precision, 3), round(recall, 3)])
         mean_precision[name] = np.mean([p for p, _ in metrics.values()])
-    rows.append(["profiling time: 10% subsample (s)", "-", round(subsample_time, 2), "-"])
-    rows.append(["profiling time: full columns (s)", "-", round(no_subsample_time, 2), "-"])
+    rows.append(["govern time: 10% subsample (s)", "-", round(subsample_time, 2), "-"])
+    rows.append(["govern time: full columns (s)", "-", round(no_subsample_time, 2), "-"])
     print()
     print(
         format_report_table(
@@ -86,6 +84,4 @@ def test_fig6_ablation(discovery_workloads, profiled_workloads, benchmark):
     )
     assert no_subsampling_gap <= 0.25
 
-    benchmark.pedantic(
-        lambda: _evaluate(fine_profiles, workload, use_label=True), rounds=1, iterations=1
-    )
+    benchmark.pedantic(lambda: _evaluate(workload, use_label=True), rounds=1, iterations=1)

@@ -13,8 +13,7 @@ import pytest
 from repro.baselines import GraphGen4Code
 from repro.eval import format_report_table
 from repro.kg import KGGovernor, LiDSOntology
-from repro.kg.ontology import LIBRARY_GRAPH
-from repro.rdf import RDF
+from repro.kg.ontology import LIBRARY_GRAPH, RDF
 
 
 def _kglids_breakdown(store) -> dict:

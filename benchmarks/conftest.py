@@ -28,14 +28,6 @@ DISCOVERY_STYLES = {
     "santos_large": dict(base_tables=7, partitions=5, rows=90, seed=4),
 }
 
-#: (N query tables considered, k values) per benchmark — the paper's settings
-#: scaled to the generated lake sizes.
-ACCURACY_SETTINGS = {
-    "d3l_small": [1, 2, 3, 5],
-    "tus_small": [1, 2, 3, 5],
-    "santos_small": [1, 2, 3],
-}
-
 
 @pytest.fixture(scope="session")
 def discovery_workloads():

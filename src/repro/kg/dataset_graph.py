@@ -105,31 +105,6 @@ class DataGlobalSchemaBuilder:
         self.pruning_stats: Dict[str, int] = {"candidate_pairs": 0, "scored_pairs": 0}
 
     # ------------------------------------------------------------------- API
-    def build(
-        self, table_profiles: Sequence[TableProfile], store: QuadStore
-    ) -> List[ColumnSimilarityEdge]:
-        """Write the dataset graph into ``store`` and return the similarity edges."""
-        return self.build_incremental(table_profiles, (), store)
-
-    def build_incremental(
-        self,
-        new_profiles: Sequence[TableProfile],
-        existing_profiles: Sequence[TableProfile],
-        store: QuadStore,
-    ) -> List[ColumnSimilarityEdge]:
-        """Extend the dataset graph with ``new_profiles`` only.
-
-        Metadata subgraphs are written for the new tables alone, similarity is
-        computed for *new x (new + existing)* column pairs only (existing x
-        existing pairs are already materialized from earlier builds), and
-        table relationships are re-derived just for the table pairs those new
-        edges touch.  Bootstrapping is the special case ``existing = ()``, so
-        one-shot and table-by-table construction produce identical graphs:
-        every pair is scored exactly, whatever the width of its type group.
-        """
-        plan = self.plan_incremental(new_profiles, existing_profiles)
-        return self.apply_incremental(new_profiles, plan, store)
-
     def plan_incremental(
         self,
         new_profiles: Sequence[TableProfile],
@@ -137,10 +112,12 @@ class DataGlobalSchemaBuilder:
     ) -> IncrementalBuildPlan:
         """Compute the similarity edges and table relationships — no writes.
 
-        This is the expensive half of :meth:`build_incremental` (matrix
-        scoring across the executor, table-relationship derivation) kept
-        store-free so callers can run it *outside* a write gate and keep
-        concurrent readers unblocked while it crunches.
+        Similarity is scored for *new x (new + existing)* column pairs only
+        (existing x existing pairs were materialized by earlier increments);
+        bootstrapping is ``existing = ()``, so one-shot and table-by-table
+        construction produce identical graphs.  Store-free, so callers run
+        this expensive half *outside* a write gate while readers keep
+        querying; :meth:`apply_incremental` writes the result.
         """
         edges = self.compute_incremental_similarities(new_profiles, existing_profiles)
         all_profiles = list(existing_profiles) + list(new_profiles)
@@ -161,9 +138,7 @@ class DataGlobalSchemaBuilder:
         also takes the place of every triple touching ``replacing`` — a
         refresh passes the stale tables' footprint nodes, so only the rows
         that differ are deleted and inserted.  Callers wanting batch
-        atomicity wrap this single call in ``store.write_batch()``; the
-        triples written are exactly those :meth:`build_incremental` would
-        write.
+        atomicity wrap this single call in ``store.write_batch()``.
         """
 
         def rows():
@@ -240,17 +215,6 @@ class DataGlobalSchemaBuilder:
         return rows
 
     # ------------------------------------------------------------ similarity
-    def compute_column_similarities(
-        self, table_profiles: Sequence[TableProfile]
-    ) -> List[ColumnSimilarityEdge]:
-        """All cross-table column pairs sharing a fine-grained type.
-
-        Pairs are generated only across different tables (line 7 of
-        Algorithm 3 requires ``i != j``; comparing columns of the same table
-        adds no discovery value).
-        """
-        return self.compute_incremental_similarities(table_profiles, ())
-
     def compute_incremental_similarities(
         self,
         new_profiles: Sequence[TableProfile],
@@ -258,6 +222,9 @@ class DataGlobalSchemaBuilder:
     ) -> List[ColumnSimilarityEdge]:
         """Similarity edges for *new x (new + existing)* column pairs only.
 
+        Pairs are generated only across different tables (line 7 of
+        Algorithm 3 requires ``i != j``; comparing columns of the same table
+        adds no discovery value); ``existing = ()`` scores a whole lake.
         Columns are grouped by fine-grained type; each type group is an
         independent job (the per-type batches the real system ships to Faiss)
         whose label and content scores are computed as dense matrix products

@@ -469,19 +469,19 @@ class SqliteBackend(QuadStoreBackend):
 
     def drop_graph(self, graph: URIRef) -> bool:
         with self._db_lock:
-            shard_id = self._shards.pop(graph, None)
+            shard_id = self._shards.get(graph)
             if shard_id is None:
                 return False
-            self._indexes.pop(graph, None)
+            with self._autocommit():
+                self._connection.execute(f"DROP TABLE IF EXISTS quads_{shard_id}")
+                self._connection.execute("DELETE FROM graphs WHERE id = ?", (shard_id,))
+            # Memory follows only a drop that committed (or rides a batch).
             # Buffered writes against the shard are moot once the table is
             # gone; rebuilding the buffer under the lock keeps a concurrent
             # reader-triggered flush from re-running ops it already drained.
+            del self._shards[graph]
+            self._indexes.pop(graph, None)
             self._pending = [op for op in self._pending if op[1] != shard_id]
-            with self._autocommit():
-                self._connection.execute(f"DROP TABLE IF EXISTS quads_{shard_id}")
-                self._connection.execute(
-                    "DELETE FROM graphs WHERE id = ?", (shard_id,)
-                )
         return True
 
     def triple_count(self, graph: URIRef) -> int:

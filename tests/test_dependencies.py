@@ -12,7 +12,8 @@ nothing reads, no per-call SPARQL behind the similarity and library discovery
 calls, one backend base class that a durable backend and the fault wrapper do
 not restate, one term dictionary, one way a replica catches up, one way it
 applies what it pulls, no capacity-bounded memo in the query engine, one
-keep-and-drop rule for state kept per store version.
+keep-and-drop rule for state kept per store version, and paper scripts that
+rank through the shipped client.
 """
 
 import ast
@@ -338,3 +339,30 @@ def test_discovery_calls_do_not_query():
     for name, text in found.items():
         assert ".query(" not in text, f"{name} runs a SPARQL query per call"
     assert ".by_subject" not in found["_RankedNeighbours"], "a ranking scans its neighbours' subject buckets"
+
+
+def test_paper_scripts_rank_through_the_client():
+    """The paper's discovery figures query the shipped client.
+
+    No paper script under ``benchmarks/`` (the ``e2e/`` ledger aside) builds
+    its own store or defines its own discovery class, and the schema builder
+    keeps no wrapper that only such a side path called: a lake is governed
+    through ``plan_incremental`` / ``apply_incremental`` alone.
+    """
+    from repro.kg import DataGlobalSchemaBuilder
+
+    benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
+    for path in sorted(benchmarks.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules, names = [alias.name for alias in node.names], []
+            elif isinstance(node, ast.ImportFrom):
+                modules, names = [node.module or ""], [alias.name for alias in node.names]
+            else:
+                if isinstance(node, ast.ClassDef):
+                    assert not node.name.endswith("Discovery"), f"{path.name} defines {node.name}"
+                continue
+            assert not any(m == "repro.rdf" or m.startswith("repro.rdf.") for m in modules), f"{path.name} imports repro.rdf"
+            assert "QuadStore" not in names, f"{path.name} imports QuadStore"
+    for wrapper in ("build", "build_incremental", "compute_column_similarities"):
+        assert not hasattr(DataGlobalSchemaBuilder, wrapper), f"DataGlobalSchemaBuilder.{wrapper} is back"

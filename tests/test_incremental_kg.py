@@ -188,7 +188,7 @@ class TestSimilarityKernel:
         profiles = DataProfiler().profile_data_lake(make_lake())
         builder = DataGlobalSchemaBuilder(**options)
         assert builder._use_stored_label_embeddings == ("word_model" not in options)
-        kernel = builder.compute_column_similarities(profiles)
+        kernel = builder.compute_incremental_similarities(profiles, ())
         reference = similarity_oracle.column_similarities(profiles, **options)
         assert similarity_oracle.normalize(kernel) == similarity_oracle.normalize(reference)
         # Non-trivial on every case: each enabled kind produced edges.

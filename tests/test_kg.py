@@ -49,8 +49,8 @@ class TestDataGlobalSchema:
         return DataProfiler().profile_data_lake(small_lake)
 
     def test_metadata_subgraph_written(self, profiles):
-        store = QuadStore()
-        DataGlobalSchemaBuilder().build(profiles, store)
+        store, builder = QuadStore(), DataGlobalSchemaBuilder()
+        builder.apply_incremental(profiles, builder.plan_incremental(profiles, ()), store)
         ontology = LiDSOntology
         tables = list(store.triples(None, RDF.type, ontology.Table, graph=DATASET_GRAPH))
         columns = list(store.triples(None, RDF.type, ontology.Column, graph=DATASET_GRAPH))
@@ -60,8 +60,8 @@ class TestDataGlobalSchema:
         assert store.value(train, ontology.hasTotalRows, graph=DATASET_GRAPH) == 10
 
     def test_similarity_edges_have_scores(self, profiles):
-        store = QuadStore()
-        edges = DataGlobalSchemaBuilder().build(profiles, store)
+        store, builder = QuadStore(), DataGlobalSchemaBuilder()
+        edges = builder.apply_incremental(profiles, builder.plan_incremental(profiles, ()), store)
         ontology = LiDSOntology
         age_a = column_uri("titanic", "train", "Age")
         age_b = column_uri("heart-uci", "heart", "age")
@@ -73,28 +73,35 @@ class TestDataGlobalSchema:
         assert score is not None and score >= 0.8
 
     def test_same_table_columns_not_compared(self, profiles):
-        edges = DataGlobalSchemaBuilder().compute_column_similarities(profiles)
+        edges = DataGlobalSchemaBuilder().compute_incremental_similarities(profiles, ())
         for edge in edges:
             table_a = "/".join(edge.column_a.split("/")[:2])
             table_b = "/".join(edge.column_b.split("/")[:2])
             assert table_a != table_b
 
-    def test_thresholds_control_edge_count(self, profiles):
-        strict = DataGlobalSchemaBuilder(SimilarityThresholds(alpha=0.99, beta=0.999, theta=0.9999))
-        loose = DataGlobalSchemaBuilder(SimilarityThresholds(alpha=0.5, beta=0.5, theta=0.8))
-        assert len(loose.compute_column_similarities(profiles)) >= len(
-            strict.compute_column_similarities(profiles)
-        )
+    def test_thresholds_control_edge_count(self, small_lake, profiles):
+        sweep = {
+            "strict": SimilarityThresholds(alpha=0.99, beta=0.999, theta=0.9999),
+            "default": SimilarityThresholds(),
+            "loose": SimilarityThresholds(alpha=0.5, beta=0.5, theta=0.8),
+        }
+        counts = {}
+        for name, thresholds in sweep.items():
+            builder = DataGlobalSchemaBuilder(thresholds)
+            counts[name] = len(builder.compute_incremental_similarities(profiles, ()))
+            # The edge count a governed lake reports is the builder's count.
+            governor = KGGovernor(schema_builder=DataGlobalSchemaBuilder(thresholds))
+            assert governor.add_data_lake(small_lake).num_similarity_edges == counts[name], name
+        assert counts["strict"] <= counts["default"] <= counts["loose"]
 
     def test_label_similarity_can_be_disabled(self, profiles):
         builder = DataGlobalSchemaBuilder(use_label_similarity=False)
-        edges = builder.compute_column_similarities(profiles)
+        edges = builder.compute_incremental_similarities(profiles, ())
         assert all(edge.kind != "label" for edge in edges)
 
     def test_unionable_edges_written(self, profiles):
-        store = QuadStore()
-        builder = DataGlobalSchemaBuilder()
-        edges = builder.build(profiles, store)
+        store, builder = QuadStore(), DataGlobalSchemaBuilder()
+        edges = builder.apply_incremental(profiles, builder.plan_incremental(profiles, ()), store)
         relationships = builder.derive_table_relationships(profiles, edges)
         assert any(kind == "unionable" for (_, _, kind) in relationships)
         for score in relationships.values():
@@ -146,7 +153,8 @@ class TestPipelineGraphAndLinker:
     def test_linker_verifies_and_prunes(self, abstraction, small_lake):
         storage_store = QuadStore()
         profiles = DataProfiler().profile_data_lake(small_lake)
-        DataGlobalSchemaBuilder().build(profiles, storage_store)
+        builder = DataGlobalSchemaBuilder()
+        builder.apply_incremental(profiles, builder.plan_incremental(profiles, ()), storage_store)
         PipelineGraphBuilder().add_pipeline(abstraction, storage_store)
         report = GlobalGraphLinker().link_pipeline(abstraction, storage_store)
         assert "titanic/train" in report.linked_tables

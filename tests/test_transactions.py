@@ -483,6 +483,33 @@ class TestSqliteCrashSafety:
         assert snap(reopened) == live
         reopened.close()
 
+    def test_a_failed_standalone_graph_drop_keeps_the_graph(self, tmp_path, monkeypatch):
+        """A ``remove_graph`` outside a batch whose COMMIT fails leaves the
+        graph where it was — in memory (flushed and buffered triples) and on
+        disk — so the retry drops it from both."""
+        path = tmp_path / "drop.sqlite"
+        store = QuadStore.sqlite(path)
+        store.add(u("s1"), u("p1"), Literal("first"), graph=G1)
+        store.flush()
+        store.add(u("s2"), u("p2"), Literal("second"), graph=G1)
+
+        def fail():
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(store.backend, "_txn_commit", fail)
+        with pytest.raises(sqlite3.OperationalError):
+            store.remove_graph(G1)
+        monkeypatch.undo()
+        assert G1 in store.graphs()
+        assert len(list(store.triples(None, None, None, graph=G1))) == 2
+        assert store.remove_graph(G1)
+        live = snap(store)
+        assert G1 not in store.graphs()
+        store.close()
+        reopened = QuadStore.sqlite(path)
+        assert snap(reopened) == live
+        reopened.close()
+
 
 
 # ---------------------------------------------------------------------------
