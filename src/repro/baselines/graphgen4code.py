@@ -61,7 +61,8 @@ class GraphGen4Code:
         self.report = G4CReport(num_pipelines=len(scripts))
         self.report.triples_by_aspect = {aspect: 0 for aspect in G4C_ASPECTS}
         for script in scripts:
-            self._abstract_script(script, store)
+            with store.write_batch():  # one commit per script, not per triple
+                self._abstract_script(script, store)
         return store
 
     # -------------------------------------------------------------- internals

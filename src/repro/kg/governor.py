@@ -194,7 +194,7 @@ class KGGovernor:
         triples = LiDSOntology.ontology_triples()
         if self.storage.graph.num_triples(ONTOLOGY_GRAPH) == len(triples):
             return
-        self.storage.graph.add_triples(triples, graph=ONTOLOGY_GRAPH)
+        self.storage.graph.add_many(triples, graph=ONTOLOGY_GRAPH)
 
     # -------------------------------------------------------- service routing
     def _ensure_writable(self) -> None:
@@ -588,13 +588,13 @@ class KGGovernor:
     def save(self, directory: PathLike) -> Path:
         """Persist the governed lake to ``directory`` (graph + profiles + embeddings).
 
-        The LiDS graph lands in a sqlite file (just a flush when the governor
-        already runs on a sqlite backend at that path, a full copy
-        otherwise), every vector in one ``.npz`` archive — the embedding
-        store plus the column label vectors — and table profiles (names,
-        types, statistics) / content fingerprints and pipeline abstractions
-        (script, libraries, calls and predicted reads; the statements live
-        only in each pipeline's named graph) in JSON.  :meth:`open` restores
+        The LiDS graph lands in a sqlite file (just a WAL checkpoint when the
+        governor already runs on a sqlite backend at that path, a full copy
+        at the live commit version otherwise), every vector in one ``.npz``
+        archive — the embedding store plus the column label vectors — and
+        table profiles (names, types, statistics) / content fingerprints and
+        pipeline abstractions (script, libraries, calls and predicted reads;
+        the statements live only in each pipeline's named graph) in JSON.  :meth:`open` restores
         the governor from such a directory in a fresh process.  The whole
         save runs under one read view, so a governor being fed by a
         background service saves a consistent committed state (no
@@ -615,10 +615,9 @@ class KGGovernor:
             isinstance(backend, SqliteBackend)
             and backend.path.resolve() == graph_path.resolve()
         ):
-            self.storage.graph.flush()
-            # Fold the WAL into the main file so a bare copy of
-            # ``graph.sqlite3`` (how replicas ship snapshots) is complete
-            # without the ``-wal`` sidecar.
+            # Every commit is already durable.  Fold the WAL into the main
+            # file so a bare copy of ``graph.sqlite3`` (how replicas ship
+            # snapshots) is complete without the ``-wal`` sidecar.
             backend.checkpoint()
         else:
             # Remove the target database *and* any sqlite sidecars: a stale
@@ -629,8 +628,12 @@ class KGGovernor:
                 if sidecar.exists():
                     sidecar.unlink()
             snapshot = QuadStore.sqlite(graph_path)
-            for graph_name in self.storage.graph.graphs():
-                snapshot.add_many(self.storage.graph.triples(graph=graph_name), graph_name)
+            # One commit, stamped with the live store's commit version (as a
+            # replica's full pull is), so the saved lake resumes where the
+            # live store stands.
+            with snapshot.replication_batch(self.storage.graph.commit_version):
+                for graph_name in self.storage.graph.graphs():
+                    snapshot.add_many(self.storage.graph.triples(graph=graph_name), graph_name)
             snapshot.close()
         # ``to_dict`` less its vector fields: a profile's content and table
         # vectors are the embedding store's rows, and only its label vectors
@@ -774,10 +777,10 @@ class KGGovernor:
         return governor
 
     def close(self) -> None:
-        """Flush and release the storage bundle (required for sqlite backends).
+        """Release the storage bundle (required for sqlite backends).
 
         Idempotent: double-close and close-after-a-failed-batch are no-ops
-        (a failed batch already rolled back; there is nothing to flush).
+        (a failed batch already rolled back; every commit is durable).
         """
         self.storage.close()
 

@@ -36,7 +36,7 @@ class KGLiDSStorage:
         self._engine: Optional[SPARQLEngine] = None
 
     def close(self) -> None:
-        """Flush and release the graph backend (no-op for in-memory stores).
+        """Release the graph backend (no-op for in-memory stores).
 
         Idempotent: closing twice (or after a failed batch) is a no-op.
         """

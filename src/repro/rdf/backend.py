@@ -16,16 +16,19 @@ one backend shape with one implementation behind it:
 * :class:`SqliteBackend` — overrides only what durability needs: the shard
   catalog, lazy shard load, shard create and drop, the row hooks, flush and
   close, the batch transaction, and its replication and crash primitives.
+  Every write rides a batch transaction (a store mutation outside a batch
+  is a one-op batch), so between batches nothing is buffered.
   Terms are persisted once in a ``terms`` dictionary table (a quoted triple
   as its three part ids in ``quoted``) and quads are sharded into one sqlite
   table of integer id-triples per named graph (the LiDS layout: one graph
-  per pipeline plus the dataset / library / ontology graphs).  Writes are
-  buffered and flushed in batches; on open, the term dictionary's text is
-  loaded eagerly (terms parse lazily on first decode) while a graph's index
-  — per-predicate statistics and partial quoted-triple indexes included — is
-  rebuilt lazily the first time the graph is touched, so reopening a
-  governed lake never pays for graphs a query does not read.  A loaded index stays resident until its graph is dropped or
-  replaced underneath it (``replace_shard``, a failed replica apply).
+  per pipeline plus the dataset / library / ontology graphs).  On open, the
+  term dictionary's text is loaded eagerly (terms parse lazily on first
+  decode) while a graph's index — per-predicate statistics and partial
+  quoted-triple indexes included — is rebuilt lazily the first time the
+  graph is touched, so reopening a governed lake never pays for graphs a
+  query does not read.  A loaded index stays resident until its graph is
+  dropped or replaced underneath it (``replace_shard``, a failed replica
+  apply).
 
 Both hand out the same id-keyed :class:`~repro.rdf.graph_index.GraphIndex`
 for matching, so pattern semantics, cardinality statistics and therefore
@@ -158,7 +161,8 @@ class QuadStoreBackend:
         """Called after id-triples were removed from the graph's index (in order)."""
 
     def flush(self) -> None:
-        """Make all buffered writes durable (no-op for volatile backends)."""
+        """Write the open batch's buffered rows into its transaction (no-op
+        for volatile backends)."""
 
     def close(self) -> None:
         """Release any resources; the backend must not be used afterwards.
@@ -185,8 +189,6 @@ class QuadStoreBackend:
 
     def commit_batch(self, commit_version: int) -> None:
         """Make the open batch durable, stamped with ``commit_version``."""
-        self.note_commit_version(commit_version)
-        self.flush()
         self._batch_created = None
 
     def rollback_batch(self) -> None:
@@ -235,9 +237,6 @@ class QuadStoreBackend:
         """The last durably committed commit version (0 for volatile stores)."""
         return 0
 
-    def note_commit_version(self, commit_version: int) -> None:
-        """Record the store's commit version for the next durable commit."""
-
     # ------------------------------------------------------- change inspection
     def graph_changed(self, graph: URIRef, version: int) -> None:
         """Record that ``graph`` is mutated by the commit at ``version``.
@@ -285,20 +284,23 @@ class SqliteBackend(QuadStoreBackend):
     planner sees are exactly the statistics the in-memory backend would
     produce.
 
-    Quad writes are buffered (insert/delete order preserved) and flushed
-    once ``flush_threshold`` operations are waiting (checked per hook call,
-    so after a whole row batch), on :meth:`flush` and on :meth:`close`.  The
-    dictionary keeps no write queue: the backend remembers one watermark
-    below which every id is on disk exactly as the dictionary holds it, and
-    a flush writes the rows from there up to ``dictionary.next_id`` — ahead
-    of the quad rows referencing them — with the same ``export_rows`` /
-    ``export_quoted_parts`` replication ships.  No row above the watermark
-    is ever on disk: a rolled-back batch's rows leave with its transaction,
-    so a flush only appends term rows.  A replica's backend takes shipped
-    state inside the store's ``replication_batch`` alone — the dictionary
-    adopts the shipped term rows, :meth:`apply_row_delta`,
-    :meth:`replace_shard` and :meth:`drop_graph` the quad rows — and the
-    batch commit makes both durable at the writer's version.
+    Every write happens inside a batch, one ``BEGIN IMMEDIATE`` transaction
+    that :meth:`commit_batch` commits stamped with its commit version.  Quad
+    writes are buffered (insert/delete order preserved) and written into
+    that transaction once ``flush_threshold`` operations are waiting
+    (checked per hook call, so after a whole row batch), before a shard
+    read, and at commit.  The dictionary keeps no write queue: the backend
+    remembers one watermark below which every id is on disk exactly as the
+    dictionary holds it, and a commit writes the rows from there up to
+    ``dictionary.next_id`` — ahead of the quad rows referencing them — with
+    the same ``export_rows`` / ``export_quoted_parts`` replication ships.
+    The watermark moves only when the COMMIT succeeded, so no row above it
+    is ever on disk and a commit only appends term rows.  A replica's
+    backend takes shipped state inside the store's ``replication_batch``
+    alone — the dictionary adopts the shipped term rows,
+    :meth:`apply_row_delta`, :meth:`replace_shard` and :meth:`drop_graph`
+    the quad rows — and the batch commit makes both durable at the
+    writer's version.
 
     ``shard_loads`` counts the shard loads.  Per-graph mutation counters
     survive :meth:`invalidate_resident`: a reloaded index resumes *above* the
@@ -314,16 +316,19 @@ class SqliteBackend(QuadStoreBackend):
 
     persistent = True
 
-    def __init__(self, path: PathLike, flush_threshold: int = 8192):
+    #: Buffered quad operations that make a batch write its rows into the
+    #: open transaction (bounds a bulk batch's memory).
+    flush_threshold = 8192
+
+    def __init__(self, path: PathLike):
         super().__init__()
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.flush_threshold = flush_threshold
         #: Shard loads (lazy first touches *and* post-invalidation reloads).
         self.shard_loads = 0
         #: Serializes every use of the shared sqlite connection.  The
         #: connection is created with ``check_same_thread=False`` so a
-        #: governor-service scheduler thread can flush writes while readers
+        #: governor-service scheduler thread can commit writes while readers
         #: on other threads trigger lazy shard loads; sqlite objects are
         #: not otherwise thread-safe, so all cursor work happens under this
         #: lock (reentrant: ``flush`` runs inside other locked sections).
@@ -337,7 +342,6 @@ class SqliteBackend(QuadStoreBackend):
         #: Graphs existing at open changed at-or-before this version (see
         #: ``changed_since``): opening a file loses the in-memory change marks.
         self._change_baseline = self._durable_version
-        self._noted_version: Optional[int] = None
         #: graph name -> shard id, in catalog order (deterministic open).
         self._shards: Dict[URIRef, int] = {
             URIRef(name): shard_id
@@ -444,9 +448,9 @@ class SqliteBackend(QuadStoreBackend):
     def _create_graph(self, graph: URIRef) -> GraphIndex:
         # Publish the catalog/index entries under the same lock as the DDL so
         # a concurrent reader can never see the shard id without its table
-        # (or vice versa).  Inside a batch the DDL rides the batch
-        # transaction (sqlite DDL is transactional), so a rollback removes
-        # the catalog row and the shard table together.
+        # (or vice versa).  The DDL rides the batch transaction (sqlite DDL
+        # is transactional), so a rollback removes the catalog row and the
+        # shard table together.
         with self._db_lock:
             self._ensure_shard(graph)
             return super()._create_graph(graph)
@@ -454,16 +458,14 @@ class SqliteBackend(QuadStoreBackend):
     def _ensure_shard(self, graph: URIRef) -> int:
         """Create the catalog row + shard table for ``graph`` if missing.
 
-        Caller must hold ``_db_lock``.  Returns the shard id either way.
+        Caller must hold ``_db_lock`` inside a batch.  Returns the shard id
+        either way.
         """
         shard_id = self._shards.get(graph)
         if shard_id is None:
-            with self._autocommit():
-                cursor = self._execute_retry(
-                    "INSERT INTO graphs (name) VALUES (?)", (str(graph),)
-                )
-                shard_id = int(cursor.lastrowid)
-                self._create_shard_table(shard_id)
+            cursor = self._execute_retry("INSERT INTO graphs (name) VALUES (?)", (str(graph),))
+            shard_id = int(cursor.lastrowid)
+            self._create_shard_table(shard_id)
             self._shards[graph] = shard_id
         return shard_id
 
@@ -472,13 +474,13 @@ class SqliteBackend(QuadStoreBackend):
             shard_id = self._shards.get(graph)
             if shard_id is None:
                 return False
-            with self._autocommit():
-                self._connection.execute(f"DROP TABLE IF EXISTS quads_{shard_id}")
-                self._connection.execute("DELETE FROM graphs WHERE id = ?", (shard_id,))
-            # Memory follows only a drop that committed (or rides a batch).
-            # Buffered writes against the shard are moot once the table is
-            # gone; rebuilding the buffer under the lock keeps a concurrent
-            # reader-triggered flush from re-running ops it already drained.
+            # The drop rides the batch transaction; its rollback restores
+            # the table and the catalog row.  Buffered writes against the
+            # shard are moot once the table is gone; rebuilding the buffer
+            # under the lock keeps a concurrent reader-triggered flush from
+            # re-running ops it already drained.
+            self._connection.execute(f"DROP TABLE IF EXISTS quads_{shard_id}")
+            self._connection.execute("DELETE FROM graphs WHERE id = ?", (shard_id,))
             del self._shards[graph]
             self._indexes.pop(graph, None)
             self._pending = [op for op in self._pending if op[1] != shard_id]
@@ -506,44 +508,13 @@ class SqliteBackend(QuadStoreBackend):
         self._queue_rows("delete", self._shards[graph], rows)
 
     def flush(self) -> None:
+        """Write the buffered quad rows, in order, into the open batch
+        transaction; :meth:`commit_batch` owns the COMMIT, the dictionary
+        rows and the version stamp, so a mid-batch flush stays atomic with
+        the rest of the batch.  Rows are buffered only inside a batch."""
         with self._db_lock:
-            if self._closed:
-                # A crashed/closed backend buffers nothing; nothing to lose.
+            if not self._pending:
                 return
-            if not self._dirty():
-                return
-            if self._in_batch:
-                # Ride the open batch transaction; commit_batch owns the
-                # COMMIT, the dictionary rows and the meta marker, so a
-                # mid-batch flush — e.g. the buffer hitting
-                # ``flush_threshold`` — stays atomic with the rest of the
-                # batch and the watermark moves only at commit or rollback.
-                self._flush_quads()
-            else:
-                pending, written, durable = self._pending, self._terms_written, self._durable_version
-                try:
-                    with self._autocommit():
-                        self._flush_rows()
-                        self._write_meta()
-                except BaseException:  # rolled back: the retry writes it all again
-                    if self._pending is not pending:
-                        self._pending[:0] = pending
-                    self._terms_written, self._durable_version = written, durable
-                    raise
-
-    def _flush_rows(self) -> None:
-        """Write the dictionary rows past the watermark, then the buffered
-        quad rows (no transaction control)."""
-        dictionary, start = self.dictionary, self._terms_written
-        self._executemany_retry(self._STATEMENTS["terms"], dictionary.export_rows(start))
-        parts = iter(dictionary.export_quoted_parts(start))
-        self._executemany_retry(self._STATEMENTS["quoted"], list(zip(parts, parts, parts, parts)))
-        self._flush_quads()
-        self._terms_written = dictionary.next_id
-
-    def _flush_quads(self) -> None:
-        """Write the buffered quad rows in order (no transaction control)."""
-        if self._pending:
             pending, self._pending = self._pending, []
             position = 0
             while position < len(pending):
@@ -561,11 +532,19 @@ class SqliteBackend(QuadStoreBackend):
                 )
                 position = batch_end
 
+    def _flush_rows(self) -> None:
+        """Write the dictionary rows past the watermark, then the buffered
+        quad rows (no transaction control)."""
+        dictionary, start = self.dictionary, self._terms_written
+        self._executemany_retry(self._STATEMENTS["terms"], dictionary.export_rows(start))
+        parts = iter(dictionary.export_quoted_parts(start))
+        self._executemany_retry(self._STATEMENTS["quoted"], list(zip(parts, parts, parts, parts)))
+        self.flush()
+
     def close(self) -> None:
         with self._db_lock:
             if self._closed:
                 return
-            self.flush()
             self._connection.close()
             self._closed = True
             super().close()
@@ -573,10 +552,6 @@ class SqliteBackend(QuadStoreBackend):
     # ------------------------------------------------------------ transactions
     def begin_batch(self) -> None:
         with self._db_lock:
-            # Writes buffered *before* the batch belong to earlier commits;
-            # flush them in their own committed transaction first so rolling
-            # this batch back cannot take them along.
-            self.flush()
             super().begin_batch()
             self._shards_snapshot = dict(self._shards)
             self._txn_begin()
@@ -584,10 +559,13 @@ class SqliteBackend(QuadStoreBackend):
 
     def commit_batch(self, commit_version: int) -> None:
         with self._db_lock:
-            self._noted_version = commit_version
             self._flush_rows()
-            self._write_meta()
+            self._connection.execute(
+                "UPDATE meta SET value = ? WHERE key = 'commit_version'", (commit_version,)
+            )
             self._txn_commit()
+            self._terms_written = self.dictionary.next_id
+            self._durable_version = commit_version
             self._in_batch = False
             self._batch_created = None
             self._shards_snapshot = None
@@ -600,23 +578,16 @@ class SqliteBackend(QuadStoreBackend):
             self._pending.clear()
             if not self._closed:
                 # No transaction is open after an injected "crash" tore it
-                # down; the journal rollback then happens on reopen.
+                # down; the journal rollback then happens on reopen.  The
+                # rollback takes back any dictionary row or version stamp a
+                # failed commit wrote; the watermark and the durable version
+                # never moved.
                 self._txn_rollback()
-                # A commit that failed after its meta stamp took the stamp
-                # back with it: the marker on disk is the durable version.
-                self._durable_version = self._read_meta("commit_version")
             super().rollback_batch()
-            # The transaction rollback took back any dictionary row the
-            # commit wrote, so only the watermark moves.
-            self._terms_written = min(self._terms_written, self.dictionary.next_id)
             self._shards, self._shards_snapshot = self._shards_snapshot, None
-            self._noted_version = None
 
     def committed_version(self) -> int:
         return self._durable_version
-
-    def note_commit_version(self, commit_version: int) -> None:
-        self._noted_version = commit_version
 
     # ------------------------------------------------------------- replication
     def replace_shard(self, graph: URIRef, rows: List[Tuple[int, int, int]]) -> None:
@@ -630,15 +601,12 @@ class SqliteBackend(QuadStoreBackend):
         """
         with self._db_lock:
             shard_id = self._ensure_shard(graph)
-            # Buffered local writes against the shard are superseded by the
+            # Buffered writes against the shard are superseded by the
             # authoritative row set.
             self._pending = [op for op in self._pending if op[1] != shard_id]
-            with self._autocommit():
-                self._execute_retry(f"DELETE FROM quads_{shard_id}")
-                if rows:
-                    self._executemany_retry(
-                        self._STATEMENTS["insert"].format(shard=shard_id), rows
-                    )
+            self._execute_retry(f"DELETE FROM quads_{shard_id}")
+            if rows:
+                self._executemany_retry(self._STATEMENTS["insert"].format(shard=shard_id), rows)
             self.invalidate_resident(graph)
 
     def apply_row_delta(
@@ -679,7 +647,7 @@ class SqliteBackend(QuadStoreBackend):
     def checkpoint(self) -> None:
         """Fold the WAL back into the main database file (best effort).
 
-        ``KGGovernor.save`` calls this after a flush so a bare file copy of
+        ``KGGovernor.save`` calls this so a bare file copy of
         the database is complete without the ``-wal`` sidecar.
         """
         with self._db_lock:
@@ -707,30 +675,6 @@ class SqliteBackend(QuadStoreBackend):
             except sqlite3.Error:
                 pass
             self._closed = True
-
-    def _meta_dirty(self) -> bool:
-        return (
-            self._noted_version is not None
-            and self._noted_version != self._durable_version
-        )
-
-    def _dirty(self) -> bool:
-        """Whether :meth:`flush` has anything to write (caller holds the lock)."""
-        return (
-            bool(self._pending)
-            or self.dictionary.next_id > self._terms_written
-            or self._meta_dirty()
-        )
-
-    def _write_meta(self) -> None:
-        """Stamp the commit-version marker (inside the caller's transaction)."""
-        if not self._meta_dirty():
-            return
-        self._connection.execute(
-            "UPDATE meta SET value = ? WHERE key = 'commit_version'",
-            (self._noted_version,),
-        )
-        self._durable_version = self._noted_version
 
     def _txn_begin(self) -> None:
         # IMMEDIATE takes the write lock up front so a later writer conflict
@@ -779,17 +723,9 @@ class SqliteBackend(QuadStoreBackend):
         return run(sql, args)
 
     @contextmanager
-    def _autocommit(self):
-        """One explicit transaction — unless a batch transaction is open.
-
-        Inside a batch the statements simply ride the batch's transaction
-        (committed or rolled back wholesale by ``commit_batch`` /
-        ``rollback_batch``); outside one they get their own journaled
-        BEGIN IMMEDIATE / COMMIT, rolled back if the body or the COMMIT raises.
-        """
-        if self._in_batch:
-            yield
-            return
+    def _transaction(self):
+        """One journaled BEGIN IMMEDIATE / COMMIT for the open-time layout
+        work, rolled back if the body or the COMMIT raises."""
         self._txn_begin()
         try:
             yield
@@ -825,7 +761,7 @@ class SqliteBackend(QuadStoreBackend):
         catalog = {f"quads_{shard_id}" for shard_id in self._shards.values()}
         orphans = sorted(existing - catalog)
         if torn or orphans:
-            with self._db_lock, self._autocommit():
+            with self._db_lock, self._transaction():
                 for graph in torn:
                     shard_id = self._shards.pop(graph)
                     self._connection.execute(
@@ -849,7 +785,7 @@ class SqliteBackend(QuadStoreBackend):
         """
         if self._read_meta("layout") >= self._LAYOUT:
             return 0
-        with self._db_lock, self._autocommit():
+        with self._db_lock, self._transaction():
             # Another connection may have migrated the file meanwhile.
             if self._read_meta("layout") >= self._LAYOUT:
                 return 0

@@ -127,10 +127,6 @@ class FaultInjectingBackend:
     def quads_removed(self, graph: URIRef, rows: List[IdTriple]) -> None:
         self._tick_rows("quad_removed", self._inner.quads_removed, graph, rows)
 
-    def drop_graph(self, graph: URIRef) -> bool:
-        self._tick("drop_graph")
-        return self._inner.drop_graph(graph)
-
     def drop_graph_for_undo(self, graph: URIRef) -> Optional[Any]:
         self._tick("drop_graph")
         return self._inner.drop_graph_for_undo(graph)

@@ -53,14 +53,17 @@ def parse_nquads_line(line: str) -> Optional[Tuple[Triple, URIRef]]:
 
 
 def parse_nquads(text: str, store: Optional[QuadStore] = None) -> QuadStore:
-    """Parse N-Quads text into a (new or provided) quad store."""
+    """Parse N-Quads text into a (new or provided) quad store, as one write batch.
+
+    A malformed line raises ``ValueError`` and leaves the store as it was.
+    """
     store = store or QuadStore()
-    for line in text.splitlines():
-        parsed = parse_nquads_line(line)
-        if parsed is None:
-            continue
-        triple, graph = parsed
-        store.add(triple.subject, triple.predicate, triple.object, graph=graph)
+    with store.write_batch():
+        for line in text.splitlines():
+            parsed = parse_nquads_line(line)
+            if parsed is not None:
+                triple, graph = parsed
+                store.add(triple.subject, triple.predicate, triple.object, graph=graph)
     return store
 
 

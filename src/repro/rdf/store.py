@@ -53,8 +53,8 @@ class QuadStore:
         self._version = 0
         #: Readers-writer gate making writes batch-atomic w.r.t. read views.
         self._gate = ReadWriteGate()
-        #: Monotonic count of committed write batches (standalone mutations
-        #: count as single-op batches).  Read views pin this number.  Durable
+        #: Monotonic count of committed write batches (a mutation outside a
+        #: batch is a one-op batch).  Read views pin this number.  Durable
         #: backends resume it from their committed marker so a reopened
         #: store's versions continue where the last durable commit ended.
         self._commit_version = self._backend.committed_version()
@@ -103,8 +103,12 @@ class QuadStore:
         return self._backend.persistent
 
     def flush(self) -> None:
-        """Make all buffered backend writes durable (no-op when in-memory)."""
-        self._backend.note_commit_version(self._commit_version)
+        """Write the open batch's buffered rows into its transaction.
+
+        Every mutation commits inside a :meth:`write_batch`, so outside one
+        nothing is buffered and this is a no-op; inside one it lets a read
+        of the backend's durable copy see the batch's rows.
+        """
         self._backend.flush()
 
     # ------------------------------------------------- read views / write gate
@@ -144,13 +148,16 @@ class QuadStore:
     def write_batch(self):
         """Group mutations into one atomic, durable commit batch.
 
-        While the batch is open the calling thread holds the store
-        exclusively: concurrent read views wait and then observe either none
-        or all of the batch's writes.  On successful exit the backend commits
-        (one durable, journaled transaction per batch on sqlite) and the
-        commit version advances by one regardless of how many triples
-        changed.  Batches nest — only the outermost one commits.  Starting a
-        batch while holding only a read view raises instead of deadlocking.
+        Every mutation runs inside one: a mutation called outside a batch
+        opens its own, so a mutation that returned is committed and durable
+        and one that raised changed nothing.  While the batch is open the
+        calling thread holds the store exclusively: concurrent read views
+        wait and then observe either none or all of the batch's writes.  On
+        successful exit the backend commits (one durable, journaled
+        transaction per batch on sqlite) and the commit version advances by
+        one regardless of how many triples changed.  Batches nest — only the
+        outermost one commits.  Starting a batch while holding only a read
+        view raises instead of deadlocking.
 
         Atomicity includes rollback: every mutation records its inverse in
         an undo log, and if the batch *body* raises, the resident graph
@@ -285,26 +292,6 @@ class QuadStore:
             raise PermissionError("a replica's store changes only through replication_batch")
         return self._gate.acquire_write()
 
-    def _begin_write(self) -> int:
-        """Gate one standalone mutation (reentrant under an open batch)."""
-        depth = self._acquire_write()
-        if depth == 1 and self._delta_log is not None and not self._in_batch:
-            self._pending_ops = []
-        return depth
-
-    def _end_write(self, depth: int) -> None:
-        # A standalone op (no surrounding batch) is its own micro-commit:
-        # bump the commit version, but skip the flush — buffered-backend
-        # write batching must not degrade to one fsync per call.  The
-        # backend notes the new version so the next durable commit stamps
-        # its recovery marker with it.
-        if depth == 1:
-            self._commit_version += 1
-            self._backend.note_commit_version(self._commit_version)
-            if not self._in_batch:
-                self._log_commit(self._commit_version)
-        self._gate.release_write()
-
     # ------------------------------------------------------------- replication
     def enable_delta_log(self, capacity: int = 1024) -> None:
         """Start recording per-commit row ops for delta replication.
@@ -417,10 +404,9 @@ class QuadStore:
             self._gate.release_write()
 
     def close(self) -> None:
-        """Flush and release the backend; idempotent (double-close is a no-op)."""
+        """Release the backend; idempotent (double-close is a no-op)."""
         if self._closed:
             return
-        self._backend.note_commit_version(self._commit_version)
         self._backend.close()
         self._closed = True
 
@@ -512,20 +498,13 @@ class QuadStore:
     def add_many(
         self, triples: Iterable[Tuple[Any, Any, Any]], graph: URIRef = DEFAULT_GRAPH
     ) -> int:
-        """Add triples to ``graph`` under one gate span; returns how many were new.
+        """Add triples to ``graph`` as one write; returns how many were new.
 
-        Atomic for concurrent readers, and one micro-commit when no
+        Atomic for concurrent readers, and one commit when no
         :meth:`write_batch` is open.  Terms are interned in row order, so a
         batch assigns the ids the same rows added one by one would.
         """
         return self.replace_nodes((), triples, graph)[1]
-
-    def add_triples(
-        self, triples: Iterable[Tuple[Any, Any, Any]], graph: URIRef = DEFAULT_GRAPH
-    ) -> int:
-        """Add many triples as one durable commit; returns the number inserted."""
-        with self.write_batch():
-            return self.add_many(triples, graph)
 
     def annotate(
         self,
@@ -553,16 +532,13 @@ class QuadStore:
         self, subject: Any, predicate: Any, obj: Any, graph: URIRef = DEFAULT_GRAPH
     ) -> bool:
         """Remove a triple from ``graph`` if present."""
-        depth = self._begin_write()
-        try:
+        with self.write_batch():
             index = self._backend.get_index(graph)
             lookup = self._backend.dictionary.lookup
             triple = (lookup(subject), lookup(predicate), lookup(obj))
             if index is None or None in triple:
                 return False
             return bool(self._delete_rows(graph, index, (triple,)))
-        finally:
-            self._end_write(depth)
 
     def retract_nodes(self, nodes: Iterable[Any], graph: URIRef = DEFAULT_GRAPH) -> int:
         """Remove every triple of ``graph`` that touches one of ``nodes``.
@@ -588,11 +564,11 @@ class QuadStore:
         nor re-inserted, so the undo log, the delta log, the backend and
         every replica see only the rows that change: deletes first, in the
         footprint's walk order, then inserts in ``triples``' order.  Runs in
-        id space under one gate span: the nodes' buckets are read off the
-        graph index, nothing is decoded.  Returns ``(removed, inserted)``.
+        id space as one write (one commit when no :meth:`write_batch` is
+        open): the nodes' buckets are read off the graph index, nothing is
+        decoded.  Returns ``(removed, inserted)``.
         """
-        depth = self._begin_write()
-        try:
+        with self.write_batch():
             dictionary = self._backend.dictionary
             node_ids = [dictionary.lookup(node) for node in nodes]
             index = self._backend.get_index(graph) if node_ids else None
@@ -607,27 +583,19 @@ class QuadStore:
                 kept = set(rows)
                 removed = len(self._delete_rows(graph, index, [row for row in footprint if row not in kept]))
             return removed, len(self._insert_rows(graph, rows))
-        finally:
-            self._end_write(depth)
 
     def remove_graph(self, graph: URIRef) -> bool:
         """Drop an entire named graph (one shard delete on durable backends)."""
-        depth = self._begin_write()
-        try:
+        with self.write_batch():
+            token = self._backend.drop_graph_for_undo(graph)
+            if token is None:
+                return False
             if self._undo is not None:
-                token = self._backend.drop_graph_for_undo(graph)
-                dropped = token is not None
-                if dropped:
-                    self._undo.append(("drop", graph, token))
-            else:
-                dropped = self._backend.drop_graph(graph)
-            if dropped:
-                if self._pending_ops is not None:
-                    self._pending_ops.append(("drop", graph, None))
-                self._version += 1
-            return dropped
-        finally:
-            self._end_write(depth)
+                self._undo.append(("drop", graph, token))
+            if self._pending_ops is not None:
+                self._pending_ops.append(("drop", graph, None))
+            self._version += 1
+            return True
 
     # ----------------------------------------------------------------- query
     def graphs(self) -> List[URIRef]:

@@ -89,8 +89,8 @@ def test_one_write_path_in_store():
     """No second write path in ``src/``: per-quad writers live on only as the oracle.
 
     ``QuadStore`` has one insert internal and one delete internal; ``add``,
-    ``add_many``, ``add_triples``, ``annotate``, ``remove``,
-    ``retract_nodes`` and ``replace_nodes`` are expressed over them, so the
+    ``add_many``, ``annotate``, ``remove``, ``retract_nodes`` and
+    ``replace_nodes`` are expressed over them, so the
     row bookkeeping (undo entries, delta-log ops, change marks, the mutation
     counter) is written once, and every delete is a row delete.  The KG writers build a row list
     and make one call;
@@ -147,7 +147,7 @@ def test_rdf_sparql_line_budget():
         for name in ("rdf", "sparql")
         for path in (package / name).glob("*.py")
     )
-    assert lines <= 6145, f"rdf/ + sparql/ is {lines} lines (budget 6,145)"
+    assert lines <= 6048, f"rdf/ + sparql/ is {lines} lines (budget 6,048)"
 
 
 def test_one_per_version_memo_rule():
@@ -258,6 +258,26 @@ def test_one_replica_apply_path():
         assert not hasattr(owner, "checkpoint"), owner.__name__
 
 
+def test_one_commit_path():
+    """A store mutation commits one way: inside a ``write_batch``.
+
+    A mutation called outside a batch opens a one-op batch, so there is no
+    micro-commit to gate it, no version to note for a later flush and no
+    bulk-add wrapper beside ``add_many``; the sqlite backend takes only its
+    path, and the fault wrapper's one drop point is the undoable drop.
+    """
+    import inspect
+
+    from repro.rdf import FaultInjectingBackend, QuadStore, QuadStoreBackend, SqliteBackend
+
+    for name in ("_begin_write", "_end_write", "add_triples"):
+        assert not hasattr(QuadStore, name), name
+    for backend in (QuadStoreBackend, SqliteBackend, FaultInjectingBackend):
+        assert not hasattr(backend, "note_commit_version"), backend.__name__
+    assert list(inspect.signature(SqliteBackend.__init__).parameters) == ["self", "path"]
+    assert "drop_graph" not in vars(FaultInjectingBackend)
+
+
 def test_one_backend_base_class():
     """The in-memory store is the backend base class; nothing restates it.
 
@@ -275,7 +295,7 @@ def test_one_backend_base_class():
 
     bases, methods = _classes(source / "rdf" / "faults.py")["FaultInjectingBackend"]
     assert bases == []
-    fault_points = {"quads_added", "quads_removed", "drop_graph", "drop_graph_for_undo", "flush", "commit_batch"}
+    fault_points = {"quads_added", "quads_removed", "drop_graph_for_undo", "flush", "commit_batch"}
     assert methods - fault_points == {"__init__", "__getattr__", "_tick", "_tick_rows"}
 
     # Index access and the undoable drop live in the two storage classes

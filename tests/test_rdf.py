@@ -113,10 +113,11 @@ class TestQuadStore:
         assert stats["num_unique_predicates"] == 2
         assert store.estimated_size_bytes() > 0
 
-    def test_add_triples_bulk(self):
+    def test_add_many_bulk(self):
         s = QuadStore()
-        inserted = s.add_triples([(URIRef("a"), RDF.type, URIRef("b"))] * 3)
+        inserted = s.add_many([(URIRef("a"), RDF.type, URIRef("b"))] * 3)
         assert inserted == 1
+        assert s.commit_version == 1
 
 
 class TestSerialization:
@@ -140,6 +141,12 @@ class TestSerialization:
         text = "# comment\n\n<a> <b> \"x\" .\n"
         store = parse_nquads(text)
         assert len(store) == 1
+
+    def test_a_malformed_line_leaves_the_store_as_it_was(self, store):
+        before, version = serialize_nquads(store), store.commit_version
+        with pytest.raises(ValueError):
+            parse_nquads('<a> <b> "x" .\n<a> <b> .\n', store)
+        assert (serialize_nquads(store), store.commit_version) == (before, version)
 
     def test_serialize_is_sorted_text(self, store):
         text = serialize_nquads(store)

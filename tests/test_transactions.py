@@ -454,33 +454,34 @@ class TestSqliteCrashSafety:
         assert snap(reopened) == committed
         reopened.close()
 
-    def test_a_failed_standalone_flush_keeps_its_writes_for_the_retry(self, tmp_path, monkeypatch):
-        """A flush outside a batch whose COMMIT fails rolls its transaction
-        back and keeps what it would have written (quad rows, dictionary
-        rows, the version stamp) queued, so the retry writes all of it and a
-        reopen reads what the live store holds."""
-        path = tmp_path / "flush.sqlite"
+    def test_a_standalone_write_whose_commit_fails_is_not_applied(self, tmp_path, monkeypatch):
+        """A standalone ``add`` is a one-op batch: when its COMMIT fails the
+        store, its commit version and the file stay as they were, and the
+        retry lands the triple, live and after reopen."""
+        path = tmp_path / "standalone.sqlite"
         store = QuadStore(backend=SqliteBackend(path))
         store.add(u("s1"), u("p1"), Literal("first"), graph=G1)
-        store.flush()
-        store.add(u("s2"), u("p2"), Literal("second"), graph=G1)
+        pre = (snap(store), dictionary_rows(store), store.commit_version)
 
         def fail():
             raise sqlite3.OperationalError("disk I/O error")
 
         monkeypatch.setattr(store.backend, "_txn_commit", fail)
         with pytest.raises(sqlite3.OperationalError):
-            store.flush()
+            store.add(u("s2"), u("p2"), Literal("second"), graph=G1)
         monkeypatch.undo()
         assert not store.backend._connection.in_transaction
-        assert store.backend.committed_version() == 1
-        store.flush()
-        live = snap(store)
+        assert (snap(store), dictionary_rows(store), store.commit_version) == pre
+        on_file = QuadStore(backend=SqliteBackend(path))
+        assert (snap(on_file), dictionary_rows(on_file), on_file.commit_version) == pre
+        on_file.close()
+        assert store.add(u("s2"), u("p2"), Literal("second"), graph=G1)
+        live = (snap(store), dictionary_rows(store))
         assert (len(store), store.commit_version) == (2, 2)
         store.close()
         reopened = QuadStore(backend=SqliteBackend(path))
         assert (len(reopened), reopened.commit_version) == (2, 2)
-        assert snap(reopened) == live
+        assert (snap(reopened), dictionary_rows(reopened)) == live
         reopened.close()
 
     def test_a_failed_standalone_graph_drop_keeps_the_graph(self, tmp_path, monkeypatch):
@@ -510,6 +511,72 @@ class TestSqliteCrashSafety:
         assert snap(reopened) == live
         reopened.close()
 
+
+
+# ---------------------------------------------------------------------------
+# Standalone writes: a mutation outside a batch is a one-op batch
+# ---------------------------------------------------------------------------
+STANDALONE_OPS = [
+    lambda store: store.add(u("s1"), u("p1"), Literal("v1"), graph=G1),
+    lambda store: store.annotate(u("s1"), u("sim"), u("s2"), u("score"), Literal(0.8), graph=G1),
+    lambda store: store.add_many([(u("s2"), u("p1"), u("s3")), (u("s3"), u("p2"), Literal(3))], G2),
+    lambda store: store.remove(u("s1"), u("p1"), Literal("v1"), graph=G1),
+    lambda store: store.replace_nodes([u("s3")], [(u("s3"), u("p2"), Literal(4))], G2),
+    lambda store: store.remove_graph(G1),
+]
+
+
+def store_state(store: QuadStore):
+    return snap(store), dictionary_rows(store)
+
+
+class TestStandaloneWrites:
+    """Every standalone mutation commits alone: one that returned is
+    committed, logged and durable; one that raised changed nothing — in
+    memory, in the commit version, in the delta log and in the file — at
+    every fault point the sequence has."""
+
+    @pytest.mark.parametrize(
+        "backend, kind",
+        [("faulted-memory", "raise"), ("faulted-sqlite", "raise"), ("faulted-sqlite", "crash")],
+    )
+    def test_a_failed_standalone_write_changes_nothing(self, tmp_path, backend, kind):
+        names = itertools.count()
+
+        def fresh():
+            return faulted_store(tmp_path / f"{next(names)}.sqlite" if backend == "faulted-sqlite" else None)
+
+        store, faults = fresh()
+        for op in STANDALONE_OPS:
+            op(store)
+        store.close()
+        total = faults.op_count
+        for point in range(1, total + 1):
+            store, faults = fresh()
+            store.enable_delta_log()
+            faults.plan = FaultPlan(at=point, kind=kind)
+            returned = [(store_state(store), [])]
+            for op in STANDALONE_OPS:
+                try:
+                    op(store)
+                except (InjectedFault, InjectedCrash):
+                    break
+                returned.append((store_state(store), store.delta_log_since(0)))
+            else:
+                pytest.fail(f"no op raised at fault point {point}")
+            state, log = returned[-1]
+            ops = len(returned) - 1
+            assert store_state(store) == state, f"fault point {point}"
+            assert store.commit_version == ops
+            assert store.delta_log_since(0) == log
+            assert [version for version, _ in log] == list(range(1, ops + 1))
+            store.close()
+            if backend == "faulted-sqlite":
+                reopened = QuadStore(backend=SqliteBackend(faults.path))
+                assert (store_state(reopened), reopened.commit_version) == (state, ops)
+                reopened.close()
+        # 1 row + 2 + 2 + 1 + 3 (two deletes, one insert) + 1 drop, and 6 commits.
+        assert total == 16
 
 
 # ---------------------------------------------------------------------------
